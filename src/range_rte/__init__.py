@@ -43,10 +43,10 @@ from .measurement import (
     RangeSample,
     SquaredStats,
     SyncedDataset,
-    SyncedSample,
     debias_squared,
     ingest_logs,
     motion_excitation_check,
+    range_rate_outliers,
     sliding_outlier_filter,
     true_range,
 )

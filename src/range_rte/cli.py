@@ -255,7 +255,7 @@ def _expand_cells(cfg: dict) -> list[dict]:
     return out
 
 
-def _emit_trial_logs(out_dir, cell_idx, trial, cfg_cell, base_cfg, T_true, dataset):
+def _emit_trial_logs(out_dir, cell_idx, trial, cfg_cell, T_true, dataset):
     """Write antenna-frame logs reproducing this trial's dataset.
 
     Poses carry the (noisy) antenna positions directly with identity
@@ -265,11 +265,11 @@ def _emit_trial_logs(out_dir, cell_idx, trial, cfg_cell, base_cfg, T_true, datas
     logs = os.path.join(out_dir, "logs")
     os.makedirs(logs, exist_ok=True)
     stem = os.path.join(logs, f"cell{cell_idx:02d}_trial{trial:03d}")
-    poses_a = [Pose(t=s.t, p=s.pa) for s in dataset.samples]
-    poses_b = [Pose(t=s.t, p=s.pb) for s in dataset.samples]
+    poses_a = [Pose(t=t, p=p) for t, p in zip(dataset.t, dataset.pa)]
+    poses_b = [Pose(t=t, p=p) for t, p in zip(dataset.t, dataset.pb)]
     iof.write_odometry_csv(stem + "_odom_a.csv", poses_a)
     iof.write_odometry_csv(stem + "_odom_b.csv", poses_b)
-    iof.write_ranges_csv(stem + "_ranges.csv", [RangeSample(t=s.t, d=s.d) for s in dataset.samples])
+    iof.write_ranges_csv(stem + "_ranges.csv", [RangeSample(t=t, d=d) for t, d in zip(dataset.t, dataset.d)])
     estimate_cfg = dict(ESTIMATE_DEFAULTS)
     estimate_cfg["sigma_r_m"] = max(cfg_cell["sigma_r_m"], 1e-9)
     estimate_cfg["estimator"] = cfg_cell["estimator"]
@@ -310,14 +310,13 @@ def cmd_simulate(args) -> int:
             raise CliError(f"unknown estimator {cell['estimator']!r}", EXIT_PARSE)
         scen = _scenario_from_config({**cfg, **cell})
         stats = monte_carlo_run(scen, estimator=cell["estimator"], threads=n_threads)
-        failed = {int(msg.split()[1].rstrip(":")) for msg in stats.failures}
+        ok = np.isfinite(stats.e_t)
         for trial in range(scen.trials):
-            ok = trial not in failed
             ms = repr(float(stats.solve_ms[trial])) if cfg["record_timing"] else ""
             rows.append(
                 f"{ci},{trial},{_csv_num(stats.e_t[trial])},{_csv_num(stats.e_theta[trial])},"
                 f"{_csv_num(stats.crlb_t[trial])},{_csv_num(stats.crlb_theta[trial])},"
-                f"{ms},{'ok' if ok else 'failed'}"
+                f"{ms},{'ok' if ok[trial] else 'failed'}"
             )
         summary_cells.append(
             {
@@ -336,7 +335,7 @@ def cmd_simulate(args) -> int:
         if cfg["emit_logs"]:
             for trial in range(scen.trials):
                 T_true, dataset = trial_data(scen, trial)
-                _emit_trial_logs(out_dir, ci, trial, {**cfg, **cell}, cfg, T_true, dataset)
+                _emit_trial_logs(out_dir, ci, trial, {**cfg, **cell}, T_true, dataset)
 
     iof.atomic_write_text(results_path, "\n".join(rows) + "\n")
     iof.dump_json(

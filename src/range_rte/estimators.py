@@ -51,12 +51,16 @@ def lift_transform(T: Transform4DoF) -> np.ndarray:
     )
 
 
-def build_data_row(sample, s_i: float) -> np.ndarray:
-    """Row A such that A . x(T) = ||t + C pb - pa||^2 - s_i for every T."""
-    pax, pay, paz = sample.pa
-    pbx, pby, pbz = sample.pb
-    eps = float(sample.pa @ sample.pa + sample.pb @ sample.pb - 2.0 * paz * pbz - s_i)
-    return np.array(
+def build_data_rows(pa, pb, s) -> np.ndarray:
+    """Rows B, shape (k, 9), with B[i] . x(T) = ||t + C pb_i - pa_i||^2 - s_i for every T."""
+    pa = np.asarray(pa, dtype=float)
+    pb = np.asarray(pb, dtype=float)
+    pax, pay, paz = pa.T
+    pbx, pby, pbz = pb.T
+    # row-wise dot products; the batched matmul rounds each like pa_i @ pa_i
+    sq_a = (pa[:, None, :] @ pa[:, :, None])[:, 0, 0]
+    sq_b = (pb[:, None, :] @ pb[:, :, None])[:, 0, 0]
+    return np.column_stack(
         [
             -2.0 * pax,
             -2.0 * pay,
@@ -65,8 +69,8 @@ def build_data_row(sample, s_i: float) -> np.ndarray:
             2.0 * (pax * pby - pbx * pay),
             2.0 * pbx,
             2.0 * pby,
-            1.0,
-            eps,
+            np.ones(len(pa)),
+            sq_a + sq_b - 2.0 * paz * pbz - np.asarray(s, dtype=float),
         ]
     )
 
@@ -140,7 +144,7 @@ def assemble_qcqp(dataset: SyncedDataset, stats: Optional[SquaredStats] = None) 
     if len(dataset) < 1:
         raise ValueError("need at least one synced sample")
     stats = stats if stats is not None else debias_squared(dataset)
-    B = np.array([build_data_row(smp, s_i) for smp, s_i in zip(dataset.samples, stats.s)])
+    B = build_data_rows(dataset.pa, dataset.pb, stats.s)
     w = 1.0 / stats.sigma_s_diag
     P0 = (B * w[:, None]).T @ B
     P0 = 0.5 * (P0 + P0.T)

@@ -1,7 +1,9 @@
 """Range measurement model, data synchronization and sanity filters.
 
-Covers: temporal alignment of ranges against both odometry streams
-(with lever-arm compensation), the squared-distance debiasing used by
+Covers: the synced dataset (one read-only array per field: timestamps,
+ranges and both antenna positions, one row per range), temporal
+alignment of ranges against both odometry streams (with lever-arm
+compensation), the squared-distance debiasing used by
 the weighted least-squares pipeline, the UWB outlier filters (an
 odometry-bounded range-rate gate and a sliding-window variance filter),
 and the motion-excitation check run before estimation.
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -46,89 +47,78 @@ class RangeSample:
             raise ValueError(f"measured range must be positive, got {self.d}")
 
 
-@dataclass(frozen=True)
-class SyncedSample:
-    """A range paired with interpolated antenna positions of both agents.
-
-    pa is the host antenna position in the host local frame; pb is the
-    target antenna position in the target's own local frame.
-    """
-
-    t: float
-    d: float
-    pa: np.ndarray
-    pb: np.ndarray
-
-    def __post_init__(self):
-        if not self.d > 0:
-            raise ValueError(f"range must be positive, got {self.d}")
-        object.__setattr__(self, "pa", np.asarray(self.pa, dtype=float))
-        object.__setattr__(self, "pb", np.asarray(self.pb, dtype=float))
-        if not (np.all(np.isfinite(self.pa)) and np.all(np.isfinite(self.pb))):
-            raise ValueError("antenna positions must be finite")
+def _read_only_copy(x, name: str, row_shape: tuple = ()) -> np.ndarray:
+    """Float copy of x with shape (k, *row_shape), locked against writes."""
+    a = np.array(x, dtype=float, order="C")
+    if a.shape == (0,):
+        a = a.reshape((0, *row_shape))
+    if a.ndim != 1 + len(row_shape) or a.shape[1:] != row_shape:
+        raise ValueError(f"{name} must have shape {('k', *row_shape)}, got {a.shape}")
+    a.flags.writeable = False
+    return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyncedDataset:
-    """Time-ordered synced samples plus the range noise level.
+    """Time-ordered synced ranges, stored as one array per field.
+
+    Row i is one range: t[i] its timestamp (s), d[i] the measured
+    distance (m), pa[i] the host antenna position in the host local frame
+    and pb[i] the target antenna position in the target's own local
+    frame. t and d have shape (k,), pa and pb shape (k, 3). The
+    constructor validates the inputs once, copies them and stores them
+    read-only.
 
     d0 is the (noisy) inter-origin distance ||t|| when available; it feeds
     the norm constraint of the lifted estimator and may be None. A range
     measures ||t|| only when both antennas sit at their frame origins.
     """
 
-    samples: tuple
+    t: np.ndarray
+    d: np.ndarray
+    pa: np.ndarray
+    pb: np.ndarray
     sigma_r: float
     d0: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
+        for name, row_shape in (("t", ()), ("d", ()), ("pa", (3,)), ("pb", (3,))):
+            object.__setattr__(self, name, _read_only_copy(getattr(self, name), name, row_shape))
+        if not len(self.t) == len(self.d) == len(self.pa) == len(self.pb):
+            raise ValueError("t, d, pa and pb must have the same length")
+        if not (self.d > 0).all():
+            raise ValueError("ranges must be positive")
+        if not (np.isfinite(self.pa).all() and np.isfinite(self.pb).all()):
+            raise ValueError("antenna positions must be finite")
+        if not np.isfinite(self.t).all():
+            raise ValueError("sample timestamps must be finite")
+        if (np.diff(self.t) <= 0).any():
+            raise ValueError("sample timestamps must be strictly increasing")
         if not self.sigma_r > 0:
             raise ValueError(f"sigma_r must be positive, got {self.sigma_r}")
         if self.d0 is not None and not self.d0 > 0:
             raise ValueError(f"d0 must be positive when present, got {self.d0}")
-        times = [s.t for s in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("sample timestamps must be strictly increasing")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.t)
 
-    @cached_property
-    def t(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    @cached_property
-    def d(self) -> np.ndarray:
-        return np.array([s.d for s in self.samples])
-
-    @cached_property
-    def pa(self) -> np.ndarray:
-        if not self.samples:
-            return np.zeros((0, 3))
-        return np.array([s.pa for s in self.samples])
-
-    @cached_property
-    def pb(self) -> np.ndarray:
-        if not self.samples:
-            return np.zeros((0, 3))
-        return np.array([s.pb for s in self.samples])
+    def _rows(self, index, keep_d0: bool) -> "SyncedDataset":
+        return SyncedDataset(
+            t=self.t[index],
+            d=self.d[index],
+            pa=self.pa[index],
+            pb=self.pb[index],
+            sigma_r=self.sigma_r,
+            d0=self.d0 if keep_d0 else None,
+        )
 
     def window(self, start: int, stop: int, keep_d0: bool = False) -> "SyncedDataset":
-        """Dataset restricted to samples[start:stop]."""
-        return SyncedDataset(
-            samples=self.samples[start:stop],
-            sigma_r=self.sigma_r,
-            d0=self.d0 if keep_d0 else None,
-        )
+        """Dataset restricted to rows start:stop."""
+        return self._rows(slice(start, stop), keep_d0)
 
     def select(self, keep, keep_d0: bool = True) -> "SyncedDataset":
-        """Dataset restricted to the samples where the boolean mask is True."""
-        return SyncedDataset(
-            samples=tuple(s for s, k in zip(self.samples, keep) if k),
-            sigma_r=self.sigma_r,
-            d0=self.d0 if keep_d0 else None,
-        )
+        """Dataset restricted to the rows where the boolean mask is True."""
+        return self._rows(np.asarray(keep, dtype=bool), keep_d0)
 
 
 @dataclass(frozen=True)
@@ -205,7 +195,7 @@ def ingest_logs(
             return stream[j - 1]
         return interpolate_pose(stream[j - 1], stream[j], t)
 
-    samples = []
+    t, d, pa, pb = [], [], [], []
     dropped = 0
     for r in ranges:
         if r.t < lo or r.t > hi:
@@ -216,19 +206,15 @@ def ingest_logs(
         if pose_a is None or pose_b is None:
             dropped += 1
             continue
-        samples.append(
-            SyncedSample(
-                t=r.t,
-                d=r.d,
-                pa=antenna_world_position(pose_a, arm_a),
-                pb=antenna_world_position(pose_b, arm_b),
-            )
-        )
-    if not samples:
+        t.append(r.t)
+        d.append(r.d)
+        pa.append(antenna_world_position(pose_a, arm_a))
+        pb.append(antenna_world_position(pose_b, arm_b))
+    if not t:
         raise NoOverlapError("no range measurement inside the common odometry window")
-    if d0 is None and use_first_range_as_d0 and at_frame_origins(samples[0].pa, samples[0].pb):
-        d0 = samples[0].d
-    return SyncedDataset(samples=tuple(samples), sigma_r=max(sigma_r, SIGMA_R_FLOOR), d0=d0), dropped
+    if d0 is None and use_first_range_as_d0 and at_frame_origins(pa[0], pb[0]):
+        d0 = d[0]
+    return SyncedDataset(t=t, d=d, pa=pa, pb=pb, sigma_r=max(sigma_r, SIGMA_R_FLOOR), d0=d0), dropped
 
 
 def debias_squared(dataset: SyncedDataset) -> SquaredStats:

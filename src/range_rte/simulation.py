@@ -22,7 +22,7 @@ import numpy as np
 from .estimators import ESTIMATORS, WindowEstimate, align_target_trajectory, sliding_window_estimate
 from .fisher import fim
 from .geometry import LeverArm, Pose, Transform4DoF, apply_transform, heading_rotation, wrap_angle, yaw_quat
-from .measurement import SIGMA_R_FLOOR, SyncedDataset, SyncedSample, at_frame_origins, true_range
+from .measurement import SIGMA_R_FLOOR, SyncedDataset, at_frame_origins, true_range
 
 SCENARIO_KINDS = ("parallel", "planar_linear", "static_target", "static_host")
 
@@ -161,11 +161,9 @@ def synthesize_measurements(
     np.maximum(d_meas, 1e-9, out=d_meas)
     pa = pa_true + cfg.sigma_o * rng.standard_normal((n, 3)) if cfg.sigma_o > 0 else pa_true
     pb = pb_true + cfg.sigma_o * rng.standard_normal((n, 3)) if cfg.sigma_o > 0 else pb_true
-    samples = tuple(
-        SyncedSample(t=traj_a[i].t, d=float(d_meas[i]), pa=pa[i], pb=pb[i]) for i in range(n)
-    )
+    t = [pose.t for pose in traj_a[:n]]
     d0 = float(d_meas[0]) if at_frame_origins(pa_true[0], pb_true[0]) else None
-    return SyncedDataset(samples=samples, sigma_r=max(cfg.sigma_r, SIGMA_R_FLOOR), d0=d0)
+    return SyncedDataset(t=t, d=d_meas, pa=pa, pb=pb, sigma_r=max(cfg.sigma_r, SIGMA_R_FLOOR), d0=d0)
 
 
 def _linear_local_trajectory(start, direction, length, n, dt, rng):
@@ -400,10 +398,7 @@ def drift_scenario(
     np.maximum(d_meas, 1e-9, out=d_meas)
     pa = host + cfg.sigma_o * rng.standard_normal((n, 3)) if cfg.sigma_o > 0 else host
     pb = pb_true + cfg.sigma_o * rng.standard_normal((n, 3)) if cfg.sigma_o > 0 else pb_true
-    samples = tuple(
-        SyncedSample(t=t_axis[i], d=float(d_meas[i]), pa=pa[i], pb=pb[i]) for i in range(n)
-    )
-    stream = SyncedDataset(samples=samples, sigma_r=max(cfg.sigma_r, SIGMA_R_FLOOR), d0=None)
+    stream = SyncedDataset(t=t_axis, d=d_meas, pa=pa, pb=pb, sigma_r=max(cfg.sigma_r, SIGMA_R_FLOOR))
 
     windows = sliding_window_estimate(
         stream,

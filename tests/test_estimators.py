@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from range_rte.estimators import (
     DegenerateSolutionError,
     HeadingUndefinedError,
     assemble_qcqp,
-    build_data_row,
+    build_data_rows,
     extract_transform,
     lift_transform,
     nls_estimate,
@@ -20,7 +21,7 @@ from range_rte.estimators import (
     solve_sdp_relaxation,
 )
 from range_rte.geometry import Pose, Transform4DoF, heading_rotation, wrap_angle
-from range_rte.measurement import SyncedDataset, SyncedSample, debias_squared, true_range
+from range_rte.measurement import SyncedDataset, debias_squared, true_range
 from range_rte.simulation import (
     ScenarioConfig,
     generate_trajectory,
@@ -94,13 +95,11 @@ class TestLift:
 
 class TestDataRow:
     def test_origin_sample(self):
-        s = SyncedSample(t=0.0, d=2.0, pa=np.zeros(3), pb=np.zeros(3))
-        row = build_data_row(s, 4.0)
+        row = build_data_rows([np.zeros(3)], [np.zeros(3)], [4.0])[0]
         assert np.allclose(row, [0, 0, 0, 0, 0, 0, 0, 1, -4.0])
 
     def test_hand_computed_row(self):
-        s = SyncedSample(t=0.0, d=1.0, pa=np.array([1.0, 0.0, 0.0]), pb=np.array([0.0, 1.0, 0.0]))
-        row = build_data_row(s, 0.0)
+        row = build_data_rows([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], [0.0])[0]
         assert np.allclose(row, [-2, 0, 0, 0, 2, 0, 2, 1, 2])
 
     def test_row_identity_on_lift(self):
@@ -110,9 +109,33 @@ class TestDataRow:
             pa, pb = rng.normal(size=3), rng.normal(size=3)
             d2 = float(true_range(T, pa, pb)) ** 2
             s_val = rng.uniform(0.5, 4.0)
-            s = SyncedSample(t=0.0, d=1.0, pa=pa, pb=pb)
-            row = build_data_row(s, s_val)
+            row = build_data_rows([pa], [pb], [s_val])[0]
             assert row @ lift_transform(T) == pytest.approx(d2 - s_val, rel=1e-12, abs=1e-12)
+
+    def test_rows_equal_row_by_row_reference(self):
+        def reference_row(pa, pb, s_i):
+            pax, pay, paz = pa
+            pbx, pby, pbz = pb
+            eps = float(pa @ pa + pb @ pb - 2.0 * paz * pbz - s_i)
+            return np.array(
+                [
+                    -2.0 * pax,
+                    -2.0 * pay,
+                    2.0 * (pbz - paz),
+                    -2.0 * (pax * pbx + pay * pby),
+                    2.0 * (pax * pby - pbx * pay),
+                    2.0 * pbx,
+                    2.0 * pby,
+                    1.0,
+                    eps,
+                ]
+            )
+
+        rng = np.random.default_rng(2)
+        pa, pb = rng.normal(0.0, 5.0, size=(200, 3)), rng.normal(0.0, 50.0, size=(200, 3))
+        s = rng.uniform(0.0, 50.0, 200)
+        expected = np.array([reference_row(pa[i], pb[i], s[i]) for i in range(200)])
+        assert np.array_equal(build_data_rows(pa, pb, s), expected)
 
 
 class TestAssemble:
@@ -147,7 +170,7 @@ class TestAssemble:
 
     def test_constraint_count_without_d0(self):
         T, ds = noiseless_instance(3)
-        no_d0 = SyncedDataset(samples=ds.samples, sigma_r=ds.sigma_r, d0=None)
+        no_d0 = dataclasses.replace(ds, d0=None)
         prob = assemble_qcqp(no_d0)
         assert not prob.has_d0 and len(prob.constraints) == 4
 
@@ -182,13 +205,7 @@ class TestSdpRelaxation:
     def test_scale_similarity(self):
         T, ds = noiseless_instance(7)
         c = 2.5
-        scaled = SyncedDataset(
-            samples=tuple(
-                SyncedSample(t=s.t, d=c * s.d, pa=c * s.pa, pb=c * s.pb) for s in ds.samples
-            ),
-            sigma_r=ds.sigma_r,
-            d0=c * ds.d0,
-        )
+        scaled = SyncedDataset(t=ds.t, d=c * ds.d, pa=c * ds.pa, pb=c * ds.pb, sigma_r=ds.sigma_r, d0=c * ds.d0)
         T1 = extract_transform(recover_rank_one(solve_sdp_relaxation(assemble_qcqp(ds))[0]))
         T2 = extract_transform(recover_rank_one(solve_sdp_relaxation(assemble_qcqp(scaled))[0]))
         assert np.allclose(T2.t, c * T1.t, atol=1e-5)
@@ -261,7 +278,7 @@ class TestSolveQcqp:
         rep = solve_qcqp(prob, ds)
         assert rep.solver["final_cost"] <= sd_wls_cost(prob, T_start) + 1e-9
         # and without the norm constraint the raw point itself is the start
-        ds_free = SyncedDataset(samples=ds.samples, sigma_r=ds.sigma_r, d0=None)
+        ds_free = dataclasses.replace(ds, d0=None)
         prob_free = assemble_qcqp(ds_free)
         X2, _ = solve_sdp_relaxation(prob_free)
         T_sdp2 = extract_transform(recover_rank_one(X2))
@@ -279,13 +296,7 @@ class TestSolveQcqp:
         wb = np.column_stack([np.linspace(1, 0.2, n), np.linspace(3, 3.5, n), np.zeros(n)])
         pb = (wb - T.t) @ C  # target local frame shares the plane
         d = true_range(T, pa, pb)
-        ds = SyncedDataset(
-            samples=tuple(
-                SyncedSample(t=float(i), d=float(d[i]), pa=pa[i], pb=pb[i]) for i in range(n)
-            ),
-            sigma_r=0.1,
-            d0=None,
-        )
+        ds = SyncedDataset(t=np.arange(float(n)), d=d, pa=pa, pb=pb, sigma_r=0.1, d0=None)
         prob = assemble_qcqp(ds)
         for dz in (0.3, 0.7, 1.4):
             cand = Transform4DoF(t=[2.1, 0.9, dz], theta=0.45)
@@ -299,13 +310,7 @@ class TestSolveQcqp:
         rep1 = qcqp_estimate(ds)
         psi = 0.8
         R = heading_rotation(psi)
-        rotated = SyncedDataset(
-            samples=tuple(
-                SyncedSample(t=s.t, d=s.d, pa=R @ s.pa, pb=s.pb) for s in ds.samples
-            ),
-            sigma_r=ds.sigma_r,
-            d0=ds.d0,
-        )
+        rotated = dataclasses.replace(ds, pa=ds.pa @ R.T)
         rep2 = qcqp_estimate(rotated)
         assert np.allclose(rep2.theta_hat.t, R @ rep1.theta_hat.t, atol=1e-6)
         assert float(wrap_angle(rep2.theta_hat.theta - rep1.theta_hat.theta)) == pytest.approx(
@@ -324,7 +329,7 @@ class TestNls:
     def test_truth_start_noiseless(self):
         T, ds = noiseless_instance(25)
         # nominal sigma keeps ulp-level residuals below the gradient tolerance
-        ds = SyncedDataset(samples=ds.samples, sigma_r=0.1, d0=ds.d0)
+        ds = dataclasses.replace(ds, sigma_r=0.1)
         rep = nls_estimate(ds, init=T)
         assert rep.solver["iterations"] <= 2
         assert rep.solver["final_cost"] <= 1e-12
@@ -356,7 +361,7 @@ class TestSlidingWindow:
         ta = generate_trajectory(cfg.D, n, rng)
         tb = generate_trajectory(cfg.D, n, rng)
         ds = synthesize_measurements(T, ta, tb, cfg, rng)
-        return T, SyncedDataset(samples=ds.samples, sigma_r=ds.sigma_r, d0=None)
+        return T, dataclasses.replace(ds, d0=None)
 
     def test_constant_truth_estimates_stay_put(self):
         T, stream = self._constant_truth_stream(30)
@@ -370,12 +375,16 @@ class TestSlidingWindow:
     def test_hovering_segment_skipped(self):
         T, stream = self._constant_truth_stream(31, n=100)
         # freeze both agents over the second half: hovering
-        frozen = list(stream.samples[:50])
-        pa0, pb0 = stream.samples[49].pa, stream.samples[49].pb
+        pa0, pb0 = stream.pa[49], stream.pb[49]
         d0v = float(true_range(T, pa0, pb0))
-        for i in range(50, 100):
-            frozen.append(SyncedSample(t=float(i), d=d0v, pa=pa0, pb=pb0))
-        hover = SyncedDataset(samples=tuple(frozen), sigma_r=stream.sigma_r, d0=None)
+        hover = SyncedDataset(
+            t=np.concatenate([stream.t[:50], np.arange(50.0, 100.0)]),
+            d=np.concatenate([stream.d[:50], np.full(50, d0v)]),
+            pa=np.concatenate([stream.pa[:50], np.tile(pa0, (50, 1))]),
+            pb=np.concatenate([stream.pb[:50], np.tile(pb0, (50, 1))]),
+            sigma_r=stream.sigma_r,
+            d0=None,
+        )
         windows = sliding_window_estimate(hover, window=50, stride=25, excitation_var=0.01)
         assert windows[-1].skipped  # the all-hover window fails excitation
         assert any(not w.skipped for w in windows[:2])

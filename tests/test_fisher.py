@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from range_rte.fisher import (
     singularity_report,
 )
 from range_rte.geometry import Transform4DoF, heading_rotation
-from range_rte.measurement import SyncedDataset, SyncedSample, true_range
+from range_rte.measurement import SyncedDataset, true_range
 from range_rte.simulation import ScenarioConfig, singular_scenario, trial_rng
 
 
@@ -24,10 +25,8 @@ def random_dataset(rng, k=8, sigma_r=0.1, spread=1.0, d0_offset=3.0):
     pa = rng.normal(0.0, spread, size=(k, 3))
     pb = rng.normal(0.0, spread, size=(k, 3))
     pb[:, 0] += d0_offset  # keep ranges bounded away from zero
-    samples = tuple(
-        SyncedSample(t=float(i), d=1.0 + rng.uniform(0, 2), pa=pa[i], pb=pb[i]) for i in range(k)
-    )
-    return SyncedDataset(samples=samples, sigma_r=sigma_r)
+    d = [1.0 + rng.uniform(0, 2) for _ in range(k)]
+    return SyncedDataset(t=np.arange(float(k)), d=d, pa=pa, pb=pb, sigma_r=sigma_r)
 
 
 def finite_difference_row(T, pa, pb, h=1e-6):
@@ -93,19 +92,14 @@ class TestFim:
         rep1 = fim(T, ds)
         c = rng.normal(size=3)
         T2 = Transform4DoF(t=T.t + c, theta=T.theta)
-        shifted = SyncedDataset(
-            samples=tuple(
-                SyncedSample(t=s.t, d=s.d, pa=s.pa + c, pb=s.pb) for s in ds.samples
-            ),
-            sigma_r=ds.sigma_r,
-        )
+        shifted = dataclasses.replace(ds, pa=ds.pa + c)
         rep2 = fim(T2, shifted)
         assert np.allclose(rep1.F, rep2.F, rtol=1e-9, atol=1e-9)
 
     def test_noise_scaling(self):
         rng = np.random.default_rng(4)
         ds1 = random_dataset(rng, k=8, sigma_r=0.1)
-        ds2 = SyncedDataset(samples=ds1.samples, sigma_r=0.2)
+        ds2 = dataclasses.replace(ds1, sigma_r=0.2)
         T = Transform4DoF(t=[3.0, 0.5, -0.2], theta=0.3)
         rep1, rep2 = fim(T, ds1), fim(T, ds2)
         assert np.allclose(rep2.F, rep1.F / 4.0)
@@ -117,13 +111,7 @@ class TestFim:
         ds = random_dataset(rng, k=7)
         T = Transform4DoF(t=[2.5, 0.0, 0.5], theta=-0.4)
         perm = rng.permutation(7)
-        permuted = SyncedDataset(
-            samples=tuple(
-                SyncedSample(t=float(i), d=ds.samples[j].d, pa=ds.samples[j].pa, pb=ds.samples[j].pb)
-                for i, j in enumerate(perm)
-            ),
-            sigma_r=ds.sigma_r,
-        )
+        permuted = dataclasses.replace(ds, d=ds.d[perm], pa=ds.pa[perm], pb=ds.pb[perm])
         assert np.allclose(fim(T, ds).F, fim(T, permuted).F, rtol=1e-12)
 
     def test_crlb_blocks(self):
@@ -212,19 +200,13 @@ class TestDetSubproblems:
         T = Transform4DoF(t=[2.0, 0.0, 0.0], theta=0.0)
         pa = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         pb = pa.copy()  # identical motion: relative vector fixed
-        ds = SyncedDataset(
-            samples=tuple(SyncedSample(t=float(i), d=2.0, pa=pa[i], pb=pb[i]) for i in range(3)),
-            sigma_r=0.1,
-        )
+        ds = SyncedDataset(t=np.arange(3.0), d=np.full(3, 2.0), pa=pa, pb=pb, sigma_r=0.1)
         assert det_fim_subproblem("2d_known_theta", ds, T) == pytest.approx(0.0, abs=1e-18)
 
     def test_static_target_vanishes(self):
         rng = np.random.default_rng(13)
         pa = rng.normal(size=(5, 3))
-        samples = tuple(
-            SyncedSample(t=float(i), d=3.0, pa=pa[i], pb=np.zeros(3)) for i in range(5)
-        )
-        ds = SyncedDataset(samples=samples, sigma_r=0.1)
+        ds = SyncedDataset(t=np.arange(5.0), d=np.full(5, 3.0), pa=pa, pb=np.zeros((5, 3)), sigma_r=0.1)
         T = Transform4DoF(t=[3.0, 1.0, 0.0], theta=0.7)
         assert det_fim_subproblem("2d_unknown_theta", ds, T) == pytest.approx(0.0, abs=1e-18)
 
@@ -300,5 +282,5 @@ def test_jacobian_matrix_consistent_with_rows():
     ds = random_dataset(rng, k=6)
     T = Transform4DoF(t=[3.0, 0.2, -0.1], theta=0.8)
     J = jacobian_matrix(T, ds)
-    for i, s in enumerate(ds.samples):
-        assert np.allclose(J[i], range_jacobian(T, s.pa, s.pb).row(), atol=1e-12)
+    for i, (pa, pb) in enumerate(zip(ds.pa, ds.pb)):
+        assert np.allclose(J[i], range_jacobian(T, pa, pb).row(), atol=1e-12)

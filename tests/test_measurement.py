@@ -10,7 +10,6 @@ from range_rte.measurement import (
     NoOverlapError,
     RangeSample,
     SyncedDataset,
-    SyncedSample,
     debias_squared,
     ingest_logs,
     motion_excitation_check,
@@ -22,11 +21,7 @@ from range_rte.measurement import (
 
 
 def make_dataset(pa, pb, d, sigma_r=0.1, d0=None):
-    samples = tuple(
-        SyncedSample(t=float(i), d=float(di), pa=np.asarray(pai), pb=np.asarray(pbi))
-        for i, (di, pai, pbi) in enumerate(zip(d, pa, pb))
-    )
-    return SyncedDataset(samples=samples, sigma_r=sigma_r, d0=d0)
+    return SyncedDataset(t=np.arange(float(len(d))), d=d, pa=pa, pb=pb, sigma_r=sigma_r, d0=d0)
 
 
 class TestTrueRange:
@@ -73,15 +68,15 @@ class TestIngest:
         ranges = [RangeSample(t=2.0, d=5.0)]
         ds, dropped = ingest_logs(odom_a, odom_b, ranges, sigma_r=0.1)
         assert dropped == 0
-        assert np.array_equal(ds.samples[0].pa, odom_a[2].p)
+        assert np.array_equal(ds.pa[0], odom_a[2].p)
 
     def test_static_agents(self):
         odom_a = [Pose(t=float(i), p=[0.0, 0.0, 0.0]) for i in range(4)]
         odom_b = [Pose(t=float(i), p=[5.0, 0.0, 0.0]) for i in range(4)]
         ranges = [RangeSample(t=1.5, d=5.0)]
         ds, _ = ingest_logs(odom_a, odom_b, ranges)
-        assert np.allclose(ds.samples[0].pa, [0.0, 0.0, 0.0])
-        assert np.allclose(ds.samples[0].pb, [5.0, 0.0, 0.0])
+        assert np.allclose(ds.pa[0], [0.0, 0.0, 0.0])
+        assert np.allclose(ds.pb[0], [5.0, 0.0, 0.0])
 
     def test_37hz_against_200hz_over_10s(self):
         odom_a = self._odom(2001, 1.0 / 200.0)
@@ -99,7 +94,7 @@ class TestIngest:
         ranges = [RangeSample(t=float(t), d=1.0) for t in [0.5, 1.5, 3.0, 9.0, 11.0]]
         ds, dropped = ingest_logs(odom_a, odom_b, ranges)
         assert dropped == 3  # 0.5, 1.5 before overlap; 11.0 after host coverage... host covers [0,10]
-        assert [s.t for s in ds.samples] == [3.0, 9.0]
+        assert ds.t.tolist() == [3.0, 9.0]
 
     def test_no_overlap_raises(self):
         odom_a = self._odom(5, 1.0)
@@ -112,15 +107,15 @@ class TestIngest:
         arm = LeverArm([0.1, 0.0, 0.0])
         ds, _ = ingest_logs(pose, pose, [RangeSample(t=1.0, d=1.0)], arm_a=arm, arm_b=LeverArm())
         # 90 degree yaw turns the +x arm into +y
-        assert np.allclose(ds.samples[0].pa, [1.0, 0.1, 0.0], atol=1e-12)
-        assert np.allclose(ds.samples[0].pb, [1.0, 0.0, 0.0])
+        assert np.allclose(ds.pa[0], [1.0, 0.1, 0.0], atol=1e-12)
+        assert np.allclose(ds.pb[0], [1.0, 0.0, 0.0])
 
     def test_output_timestamps_subset_of_input(self):
         odom = self._odom(20, 0.5)
         ranges = [RangeSample(t=0.3 + 0.7 * i, d=2.0) for i in range(12)]
         ds, dropped = ingest_logs(odom, odom, ranges)
         in_times = {r.t for r in ranges}
-        assert all(s.t in in_times for s in ds.samples)
+        assert all(t in in_times for t in ds.t)
 
     def test_d0_defaults_to_first_range(self):
         odom = self._odom(5, 1.0)
@@ -306,10 +301,69 @@ class TestExcitation:
             motion_excitation_check(np.zeros((0, 3)), np.zeros((5, 3)))
 
 
+class TestSyncedDataset:
+    def _fields(self, k=3):
+        rng = np.random.default_rng(k)
+        return dict(
+            t=np.arange(float(k)), d=rng.uniform(1.0, 3.0, k), pa=rng.normal(size=(k, 3)), pb=rng.normal(size=(k, 3))
+        )
+
+    def test_inputs_are_copied(self):
+        fields = self._fields()
+        ds = SyncedDataset(**fields, sigma_r=0.1)
+        before = ds.pa.copy()
+        fields["pa"][0, 0] += 1.0
+        assert np.array_equal(ds.pa, before)
+
+    @pytest.mark.parametrize("name", ["t", "d", "pa", "pb"])
+    def test_arrays_are_read_only(self, name):
+        ds = SyncedDataset(**self._fields(), sigma_r=0.1)
+        with pytest.raises(ValueError):
+            getattr(ds, name)[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("t", [0.0, math.nan, 2.0]),
+            ("d", [1.0, 2.0]),
+            ("d", [1.0, 0.0, 2.0]),
+            ("pb", [[0.0, 0.0, 0.0], [0.0, math.inf, 0.0], [1.0, 1.0, 1.0]]),
+        ],
+        ids=["nan_timestamp", "mismatched_length", "non_positive_range", "non_finite_pb"],
+    )
+    def test_invalid_inputs_rejected(self, name, value):
+        fields = self._fields()
+        fields[name] = value
+        with pytest.raises(ValueError):
+            SyncedDataset(**fields, sigma_r=0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), k=st.integers(0, 8), d0=st.sampled_from([None, 2.5]), keep_d0=st.booleans())
+    def test_window_and_select_slice_every_array(self, data, k, d0, keep_d0):
+        ds = SyncedDataset(**self._fields(k), sigma_r=0.1, d0=d0)
+        start = data.draw(st.integers(0, k))
+        stop = data.draw(st.integers(start, k))
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool)
+        cases = [
+            (ds.window(start, stop, keep_d0=keep_d0), slice(start, stop), keep_d0),
+            (ds.window(start, stop), slice(start, stop), False),
+            (ds.select(mask, keep_d0=keep_d0), mask, keep_d0),
+            (ds.select(mask), mask, True),
+        ]
+        for sub, index, kept_d0 in cases:
+            for name in ("t", "d", "pa", "pb"):
+                assert np.array_equal(getattr(sub, name), getattr(ds, name)[index])
+            assert sub.pa.shape == sub.pb.shape == (len(sub), 3)
+            assert sub.sigma_r == ds.sigma_r
+            assert sub.d0 == (d0 if kept_d0 else None)
+
+    def test_select_nothing_gives_empty_dataset(self):
+        ds = SyncedDataset(**self._fields(), sigma_r=0.1, d0=2.0)
+        empty = ds.select([False, False, False])
+        assert len(empty) == 0
+        assert empty.pa.shape == empty.pb.shape == (0, 3)
+
+
 def test_dataset_requires_increasing_timestamps():
-    s = [
-        SyncedSample(t=0.0, d=1.0, pa=np.zeros(3), pb=np.ones(3)),
-        SyncedSample(t=0.0, d=1.0, pa=np.zeros(3), pb=np.ones(3)),
-    ]
     with pytest.raises(ValueError):
-        SyncedDataset(samples=tuple(s), sigma_r=0.1)
+        SyncedDataset(t=[0.0, 0.0], d=[1.0, 1.0], pa=np.zeros((2, 3)), pb=np.ones((2, 3)), sigma_r=0.1)

@@ -109,7 +109,7 @@ class TestSynthesize:
     def test_d0_is_first_range(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=10, sigma_r=0.1, sigma_o=0.0, trials=1, seed=10)
         T, ds = trial_data(cfg, 0)
-        assert ds.d0 == ds.samples[0].d
+        assert ds.d0 == ds.d[0]
 
     def test_no_d0_when_antennas_start_off_origin(self):
         # with a lever arm the first range is ||t + C pb0 - pa0||, not ||t||
