@@ -18,6 +18,7 @@ from .estimators import (
     sliding_window_estimate,
     solve_qcqp,
     solve_sdp_relaxation,
+    yaw_sweep,
 )
 from .fisher import (
     FimReport,

@@ -24,10 +24,8 @@ from .estimators import (
     DegenerateSolutionError,
     ESTIMATORS,
     HeadingUndefinedError,
-    solve_sdp_relaxation,
     assemble_qcqp,
-    extract_transform,
-    recover_rank_one,
+    yaw_sweep,
 )
 from .fisher import (
     InsufficientDataError,
@@ -65,6 +63,8 @@ ESTIMATE_DEFAULTS = {
     "estimator": "qcqp",
     "lever_arm_a_m": [0.0, 0.0, 0.0],
     "lever_arm_b_m": [0.0, 0.0, 0.0],
+    # d0 constrains ||t|| in the `sdp` relaxation only; `qcqp` and `nls`
+    # fit the first range like every other one
     "d0_m": None,
     "use_first_range_as_d0": True,
     # window and threshold apply to the "absolute"/"increase" variance
@@ -201,13 +201,7 @@ def cmd_estimate(args) -> int:
     if not excited:
         # No estimation on unexcited data; still report which parameters
         # the information matrix cannot pin down at a crude reference point.
-        try:
-            problem = assemble_qcqp(dataset)
-            X, _ = solve_sdp_relaxation(problem, tol=1e-9)
-            T_ref = extract_transform(recover_rank_one(X))
-        except Exception:
-            scale = dataset.d0 or float(np.median(dataset.d))
-            T_ref = Transform4DoF(t=np.array([scale, 0.0, 0.0]), theta=0.0)
+        T_ref = yaw_sweep(assemble_qcqp(dataset))[0]
         rep = fim(T_ref, dataset)
         flags = singularity_report(rep.F, kappa_threshold=cfg["kappa_threshold"])
         report["flags"] = _flags_payload(flags)

@@ -6,15 +6,26 @@ in a 9-element lifted state
     x = [t_x, t_y, t_z, cos th, sin th,
          t_x cos th + t_y sin th, t_y cos th - t_x sin th, ||t||^2, 1],
 
-so the cost is a quadratic form x' P0 x subject to the five quadratic
-consistency constraints tying the monomials together (the fifth pins
-||t|| to the first measured inter-origin distance and is dropped when
-that distance is unavailable). The lifted problem is relaxed to an SDP;
-its rank-one solution seeds a multi-start local refinement over the
-natural parameters (t, theta), which keeps constraints satisfied by
-construction. A damped nonlinear least-squares baseline on the raw range
-residuals and a sliding-window runner for drift tracking round out the
-module.
+so the cost is a quadratic form x' P0 x subject to four quadratic
+consistency constraints tying the monomials together.
+
+The default `qcqp` estimator needs no relaxation. For a fixed heading
+the lifted state is linear in (t, tau = ||t||^2), so the cost is linear
+least squares in (t, tau) under the one constraint tau = ||t||^2: the
+squared-range localisation problem, which a Lagrange multiplier solves
+exactly (variable projection, Golub & Pereyra 1973, with the inner
+solve of Beck, Stoica & Li 2008). `yaw_sweep` solves it on a fixed
+heading grid in one batched pass and keeps the grid's lowest local
+minima; each one is refined by Levenberg-Marquardt over the natural
+parameters (t, theta), which satisfy the constraints by construction. A
+first range measured between the two frame origins (d0) is already a
+row of the cost, so `qcqp` does not pin ||t|| to it.
+
+The `sdp` estimator keeps the paper's semidefinite relaxation, with
+||t||^2 = d0^2 as a fifth constraint when d0 is known, and reads its
+rank-one approximation off without refinement. A damped nonlinear
+least-squares baseline on the raw range residuals and a sliding-window
+runner for drift tracking round out the module.
 """
 
 from __future__ import annotations
@@ -31,7 +42,8 @@ from .geometry import Transform4DoF, wrap_angle
 from .measurement import SquaredStats, SyncedDataset, debias_squared, motion_excitation_check
 from .solvers import LmOptions, LmResult, SdpStandardForm, SolveDiagnostics, eig_sym, lm_minimize, sdp_solve
 
-_RESTART_KEY = 0x52544531  # fixed stream: restart points carry no statistical role
+SWEEP_HEADINGS = 72  # yaw grid of `yaw_sweep`, 5 degree steps
+SWEEP_CANDIDATES = 3  # grid minima handed to the local refinement
 
 
 class DegenerateSolutionError(RuntimeError):
@@ -122,7 +134,6 @@ class QcqpProblem:
     B: np.ndarray
     has_d0: bool
     weights: np.ndarray
-    d0: Optional[float] = None
 
 
 @dataclass
@@ -154,7 +165,6 @@ def assemble_qcqp(dataset: SyncedDataset, stats: Optional[SquaredStats] = None) 
         B=B,
         has_d0=dataset.d0 is not None,
         weights=w,
-        d0=dataset.d0,
     )
 
 
@@ -226,63 +236,84 @@ def _lift_jacobian(t: np.ndarray, theta: float) -> np.ndarray:
     return Jx
 
 
-def _spherical_to_t(params: np.ndarray, d0: float) -> np.ndarray:
-    phi, lam = params[0], params[1]
-    sp, cp = math.sin(phi), math.cos(phi)
-    return d0 * np.array([sp * math.cos(lam), sp * math.sin(lam), cp])
-
-
 def _refine(
     problem: QcqpProblem,
     T0: Transform4DoF,
     opts: LmOptions,
 ) -> tuple[Transform4DoF, float, LmResult]:
-    """Local refinement of the weighted cost over the natural parameters.
-
-    With the inter-origin distance available, t is confined to the sphere
-    of that radius (spherical angles), enforcing the norm constraint by
-    construction; otherwise all four parameters are free.
-    """
+    """Local refinement of the weighted cost over (t_x, t_y, t_z, theta)."""
     w_max = float(np.max(problem.weights))
     Bw = problem.B * np.sqrt(problem.weights / w_max)[:, None]
-    d0 = problem.d0 if problem.has_d0 else None
 
-    if d0 is not None:
-        t0 = np.asarray(T0.t, dtype=float)
-        n0 = np.linalg.norm(t0)
-        t0 = t0 * (d0 / n0) if n0 > 0 else np.array([0.0, 0.0, d0])
-        phi0 = math.acos(min(1.0, max(-1.0, t0[2] / d0)))
-        lam0 = math.atan2(t0[1], t0[0])
-        p0 = np.array([phi0, lam0, T0.theta])
+    def residuals(p):
+        return Bw @ lift_transform(Transform4DoF(t=p[:3], theta=p[3]))
 
-        def residuals(p):
-            t = _spherical_to_t(p, d0)
-            return Bw @ lift_transform(Transform4DoF(t=t, theta=p[2]))
+    def jac(p):
+        return Bw @ _lift_jacobian(p[:3], float(p[3]))
 
-        def jac(p):
-            t = _spherical_to_t(p, d0)
-            Jx = _lift_jacobian(t, float(p[2]))
-            phi, lam = p[0], p[1]
-            sp, cp = math.sin(phi), math.cos(phi)
-            sl, cl = math.sin(lam), math.cos(lam)
-            dt_dphi = d0 * np.array([cp * cl, cp * sl, -sp])
-            dt_dlam = d0 * np.array([-sp * sl, sp * cl, 0.0])
-            return Bw @ np.column_stack([Jx[:, :3] @ dt_dphi, Jx[:, :3] @ dt_dlam, Jx[:, 3]])
-
-        res = lm_minimize(residuals, jac, p0, opts)
-        T = Transform4DoF(t=_spherical_to_t(res.x, d0), theta=res.x[2])
-    else:
-        p0 = T0.as_vector()
-
-        def residuals(p):
-            return Bw @ lift_transform(Transform4DoF(t=p[:3], theta=p[3]))
-
-        def jac(p):
-            return Bw @ _lift_jacobian(p[:3], float(p[3]))
-
-        res = lm_minimize(residuals, jac, p0, opts)
-        T = Transform4DoF(t=res.x[:3], theta=res.x[3])
+    res = lm_minimize(residuals, jac, T0.as_vector(), opts)
+    T = Transform4DoF(t=res.x[:3], theta=res.x[3])
     return T, sd_wls_cost(problem, T), res
+
+
+def _sweep_bases(theta: np.ndarray) -> np.ndarray:
+    """N_j, shape (m, 9, 5), with lift(t, theta_j) = N_j [t, tau, 1] at tau = ||t||^2."""
+    c, s = np.cos(theta), np.sin(theta)
+    N = np.zeros((len(theta), 9, 5))
+    N[:, 0, 0] = N[:, 1, 1] = N[:, 2, 2] = N[:, 7, 3] = N[:, 8, 4] = 1.0
+    N[:, 3, 4], N[:, 4, 4] = c, s
+    N[:, 5, 0], N[:, 5, 1] = c, s
+    N[:, 6, 0], N[:, 6, 1] = -s, c
+    return N
+
+
+_SWEEP_THETA = np.linspace(-math.pi, math.pi, SWEEP_HEADINGS, endpoint=False)
+_SWEEP_N = _sweep_bases(_SWEEP_THETA)
+_ROOT_GRID = np.logspace(-16.0, 0.0, 33)  # multiples of the root's upper bound
+
+
+def yaw_sweep(problem: QcqpProblem) -> list[Transform4DoF]:
+    """Starting points for the local refinement, lowest cost first.
+
+    At grid heading theta_j the cost is [y, 1]' M_j [y, 1] with
+    M_j = N_j' P0 N_j: least squares in y = (t, tau) under the one
+    constraint tau = ||t||^2, the squared-range localisation problem that
+    a Lagrange multiplier solves exactly (Beck, Stoica & Li 2008). With
+    tau eliminated and (mu, U) the eigenpairs of the Schur complement of
+    the tau block, the constrained minimiser is
+        U' t = e / (mu - mu_0 + x) - c / 2,
+    where x > 0 is the one root of the convex, decreasing
+        f(x) = sum_k e_k^2 / (mu_k - mu_0 + x)^2 + beta - x / (2 w).
+    A log grid brackets every heading's root at once; Newton steps from
+    the bracket's left end converge on it without overshooting. Returns
+    the (t, theta_j) of the grid's local minima of the resulting profile
+    cost, at most SWEEP_CANDIDATES of them.
+    """
+    M = _SWEEP_N.transpose(0, 2, 1) @ problem.P0 @ _SWEEP_N
+    q, g_tau, w = M[:, :3, 3], M[:, 3, 4], M[:, 3, 3]  # w: sum of the row weights
+    mu, U = np.linalg.eigh(M[:, :3, :3] - q[:, :, None] * q[:, None, :] / w[:, None, None])
+    c = np.einsum("jik,ji->jk", U, q) / w[:, None]
+    e = np.einsum("jik,ji->jk", U, q * (g_tau / w)[:, None] - M[:, :3, 4]) + 0.5 * mu * c
+    d = mu - mu[:, :1]
+    beta = g_tau / w - 0.25 * np.einsum("jk,jk->j", c, c) + mu[:, 0] / (2.0 * w)
+    # f(x) <= ||e||^2 / x^2 + beta - x / (2 w), which is negative at x_hi;
+    # the floor keeps the grid positive where e and beta vanish (static data)
+    x_hi = np.maximum(4.0 * w * beta, np.cbrt(4.0 * w * np.einsum("jk,jk->j", e, e)))
+    x_grid = np.maximum(x_hi, 1e-12 * mu[:, -1] + 1e-300)[:, None] * _ROOT_GRID
+    f = np.sum((e[:, None, :] / (d[:, None, :] + x_grid[:, :, None])) ** 2, axis=2)
+    above = f + beta[:, None] - x_grid / (2.0 * w[:, None]) > 0.0
+    x = x_grid[np.arange(len(x_grid)), np.maximum(np.sum(above, axis=1) - 1, 0)]
+    for _ in range(8):
+        r2 = (e / (d + x[:, None])) ** 2
+        step = (r2.sum(1) + beta - x / (2.0 * w)) / (2.0 * np.sum(r2 / (d + x[:, None]), axis=1) + 0.5 / w)
+        x = np.maximum(x + step, x_grid[:, 0])
+    t = np.einsum("jik,jk->ji", U, e / (d + x[:, None]) - 0.5 * c)
+    y = np.column_stack([t, np.einsum("ji,ji->j", t, t), np.ones(len(t))])
+    cost = np.einsum("ji,jik,jk->j", y, M, y)
+    local_min = (cost <= np.roll(cost, 1)) & (cost <= np.roll(cost, -1))
+    idx = np.flatnonzero(local_min)
+    idx = idx[np.argsort(cost[idx], kind="stable")][:SWEEP_CANDIDATES]
+    return [Transform4DoF(t=t[j], theta=float(_SWEEP_THETA[j])) for j in idx]
 
 
 def _report(T_hat: Transform4DoF, dataset: SyncedDataset, solver: dict) -> EstimateReport:
@@ -325,47 +356,20 @@ def sdp_estimate(dataset: SyncedDataset) -> EstimateReport:
 def solve_qcqp(
     problem: QcqpProblem,
     dataset: SyncedDataset,
-    n_random: int = 6,
     extra_inits: Sequence[Transform4DoF] = (),
     lm_opts: Optional[LmOptions] = None,
 ) -> EstimateReport:
     """Minimize the lifted cost over all feasible transforms.
 
-    SDP warm start plus multi-start local refinement: the relaxation
-    point, its z-mirror, any caller-provided warm starts, and `n_random`
-    random feasible points are each refined; the lowest-cost candidate
-    wins. Constraints hold by construction of the parameterization.
+    The minima of `yaw_sweep` and any caller-provided warm starts are each
+    refined over (t, theta) by Levenberg-Marquardt; the lowest-cost result
+    wins. The constraints hold by construction of the parameterization,
+    and ||t|| is left free: a measured inter-origin distance enters the
+    cost as an ordinary row of B.
     """
     start = time.perf_counter()
     opts = lm_opts or LmOptions(max_iter=80)
-    rng = np.random.Generator(np.random.Philox(key=[_RESTART_KEY, len(dataset)]))
-
-    inits: list[Transform4DoF] = []
-    sdp_diag = None
-    sdp_cost = None
-    rank_x, ratio = 0, math.inf
-    try:
-        X, sdp_diag = solve_sdp_relaxation(problem, tol=1e-9)
-        rank_x, ratio = _rank_and_ratio(X)
-        T_sdp = extract_transform(recover_rank_one(X))
-        sdp_cost = sd_wls_cost(problem, T_sdp)
-        inits.append(T_sdp)
-        inits.append(Transform4DoF(t=T_sdp.t * np.array([1.0, 1.0, -1.0]), theta=T_sdp.theta))
-    except (DegenerateSolutionError, HeadingUndefinedError):
-        pass
-    inits.extend(extra_inits)
-
-    scale = problem.d0 if problem.has_d0 else float(np.median(dataset.d))
-    for _ in range(n_random):
-        direction = rng.standard_normal(3)
-        direction /= max(np.linalg.norm(direction), 1e-12)
-        theta0 = rng.uniform(-math.pi, math.pi)
-        if problem.has_d0:
-            t0 = problem.d0 * direction
-        else:
-            base = inits[0].t if inits else np.zeros(3)
-            t0 = base + scale * 0.5 * rng.standard_normal(3)
-        inits.append(Transform4DoF(t=t0, theta=theta0))
+    inits = [*yaw_sweep(problem), *extra_inits]
 
     best: Optional[tuple[Transform4DoF, float, LmResult]] = None
     total_lm_iters = 0
@@ -386,11 +390,6 @@ def solve_qcqp(
         "restarts": len(inits),
         "restarts_converged": n_converged,
         "final_cost": best[1],
-        "sdp_status": sdp_diag.status if sdp_diag else "skipped",
-        "sdp_gap": sdp_diag.gap if sdp_diag else None,
-        "sdp_cost": sdp_cost,
-        "rank_x": rank_x,
-        "lambda_ratio": ratio,
         "wall_ms": (time.perf_counter() - start) * 1e3,
     }
     return _report(best[0], dataset, solver)

@@ -14,7 +14,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -51,7 +51,7 @@ class DriftConfig:
         return self.sigma_theta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     d0: float = 3.0
     D: float = 1.0
@@ -73,22 +73,47 @@ class ScenarioConfig:
             raise ValueError("trials must be >= 1")
 
 
-@dataclass
 class ErrorStats:
-    """Per-trial errors with their aggregates and the averaged bound."""
+    """Per-trial errors with their aggregates and the averaged bound.
 
-    e_t: np.ndarray
-    e_theta: np.ndarray
-    rmse_t: float
-    rmse_theta: float
-    mse_t: float
-    mse_theta: float
-    crlb_t_mean: float
-    crlb_theta_mean: float
-    failures: list = field(default_factory=list)
-    solve_ms: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    crlb_t: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    crlb_theta: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    `table` is one read-only (trials, 5) array with the columns e_t,
+    e_theta, crlb_t, crlb_theta and solve_ms, each also a property. RMSE
+    and MSE are taken over the trials whose e_t is finite, the bound means
+    over the finite bounds. `failures` holds one message per failed trial.
+    """
+
+    __slots__ = ("_rows", "failures")
+
+    def __init__(self, table, failures=()):
+        # bytes hold a trial in 40 B behind a 33 B header, an ndarray adds
+        # 128 B; callers that keep one ErrorStats per trial keep thousands
+        self._rows = np.asarray(table, dtype=float).reshape(-1, 5).tobytes()
+        self.failures = tuple(failures)
+
+    @property
+    def table(self) -> np.ndarray:
+        return np.frombuffer(self._rows).reshape(-1, 5)  # read-only: bytes are immutable
+
+    e_t = property(lambda self: self.table[:, 0])
+    e_theta = property(lambda self: self.table[:, 1])
+    crlb_t = property(lambda self: self.table[:, 2])
+    crlb_theta = property(lambda self: self.table[:, 3])
+    solve_ms = property(lambda self: self.table[:, 4])
+
+    def _mse(self, col: int) -> float:
+        ok = np.isfinite(self.table[:, 0])
+        return float(np.mean(self.table[ok, col] ** 2)) if ok.any() else math.nan
+
+    def _mean_bound(self, col: int) -> float:
+        bound = self.table[:, col]
+        return float(np.nanmean(bound)) if np.isfinite(bound).any() else math.nan
+
+    mse_t = property(lambda self: self._mse(0))
+    mse_theta = property(lambda self: self._mse(1))
+    rmse_t = property(lambda self: math.sqrt(self.mse_t))
+    rmse_theta = property(lambda self: math.sqrt(self.mse_theta))
+    crlb_t_mean = property(lambda self: self._mean_bound(2))
+    crlb_theta_mean = property(lambda self: self._mean_bound(3))
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -285,29 +310,8 @@ def monte_carlo_run(
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             for i, row in enumerate(pool.map(lambda i: _run_trial(cfg, estimator, i), range(cfg.trials))):
                 rows[i] = row
-    e_t = np.array([r[0] for r in rows])
-    e_th = np.array([r[1] for r in rows])
-    crlb_t = np.array([math.nan if r[2] is None else r[2] for r in rows])
-    crlb_th = np.array([math.nan if r[3] is None else r[3] for r in rows])
-    ms = np.array([r[4] for r in rows])
-    failures = [r[5] for r in rows if r[5] is not None]
-    ok = np.isfinite(e_t)
-    mse_t = float(np.mean(e_t[ok] ** 2)) if ok.any() else math.nan
-    mse_th = float(np.mean(e_th[ok] ** 2)) if ok.any() else math.nan
-    return ErrorStats(
-        e_t=e_t,
-        e_theta=e_th,
-        rmse_t=math.sqrt(mse_t) if not math.isnan(mse_t) else math.nan,
-        rmse_theta=math.sqrt(mse_th) if not math.isnan(mse_th) else math.nan,
-        mse_t=mse_t,
-        mse_theta=mse_th,
-        crlb_t_mean=float(np.nanmean(crlb_t)) if np.isfinite(crlb_t).any() else math.nan,
-        crlb_theta_mean=float(np.nanmean(crlb_th)) if np.isfinite(crlb_th).any() else math.nan,
-        failures=failures,
-        solve_ms=ms,
-        crlb_t=crlb_t,
-        crlb_theta=crlb_th,
-    )
+    # a bound of None (singular information matrix) becomes NaN in the float table
+    return ErrorStats([r[:5] for r in rows], failures=[r[5] for r in rows if r[5] is not None])
 
 
 @dataclass

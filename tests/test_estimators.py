@@ -3,10 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from range_rte.estimators import (
+    SWEEP_CANDIDATES,
+    SWEEP_HEADINGS,
     DegenerateSolutionError,
     HeadingUndefinedError,
+    _lift_jacobian,
+    _refine,
     assemble_qcqp,
     build_data_rows,
     extract_transform,
@@ -19,9 +25,11 @@ from range_rte.estimators import (
     sliding_window_estimate,
     solve_qcqp,
     solve_sdp_relaxation,
+    yaw_sweep,
 )
 from range_rte.geometry import Pose, Transform4DoF, heading_rotation, wrap_angle
 from range_rte.measurement import SyncedDataset, debias_squared, true_range
+from range_rte.solvers import LmOptions, lm_minimize
 from range_rte.simulation import (
     ScenarioConfig,
     generate_trajectory,
@@ -323,6 +331,101 @@ class TestSolveQcqp:
         assert rep.std_errors is not None and rep.std_errors.shape == (4,)
         assert rep.kappa > 1.0
         assert "final_cost" in rep.solver and "wall_ms" in rep.solver
+
+    def test_noiseless_exact_without_d0(self):
+        for seed in range(3):
+            T, ds = noiseless_instance(40 + seed)
+            rep = qcqp_estimate(dataclasses.replace(ds, d0=None))
+            et, eth = errors(rep.theta_hat, T)
+            assert et <= 1e-9 and eth <= 1e-9
+
+    def test_d0_does_not_change_estimate(self):
+        # a first range taken at both frame origins is already row 0 of B
+        T, ds = noisy_instance(41)
+        assert ds.d0 is not None
+        rep = qcqp_estimate(ds)
+        free = qcqp_estimate(dataclasses.replace(ds, d0=None))
+        assert np.array_equal(rep.theta_hat.t, free.theta_hat.t)
+        assert rep.theta_hat.theta == free.theta_hat.theta
+        assert rep.solver["final_cost"] == free.solver["final_cost"]
+        assert np.array_equal(rep.std_errors, free.std_errors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d0=st.floats(1.0, 50.0),
+        n=st.integers(8, 30),
+        sigma_r=st.floats(0.01, 0.5),
+        keep_d0=st.booleans(),
+    )
+    def test_cost_not_above_multistart_refinement(self, seed, d0, n, sigma_r, keep_d0):
+        T, ds = noisy_instance(seed, d0=d0, n=n, sigma_r=sigma_r)
+        if not keep_d0:
+            ds = dataclasses.replace(ds, d0=None)
+        rep = solve_qcqp(assemble_qcqp(ds), ds)
+        # the reference refines over all four parameters, ||t|| free
+        prob = assemble_qcqp(dataclasses.replace(ds, d0=None))
+        rng = np.random.default_rng(seed)
+        starts = [T] + [
+            Transform4DoF(t=d0 * rng.standard_normal(3), theta=rng.uniform(-math.pi, math.pi)) for _ in range(10)
+        ]
+        reference = min(_refine(prob, T0, LmOptions(max_iter=80))[1] for T0 in starts)
+        # LM stalls once a step's gain drops below the cost's rounding,
+        # eps * sum_i w_i (|B_i| |x|)^2; at d0 = 50 m, sigma_r = 1 cm that
+        # floor reaches ~1e-8 of the cost
+        x = lift_transform(rep.theta_hat)
+        rounding = np.finfo(float).eps * float(prob.weights @ (np.abs(prob.B) @ np.abs(x)) ** 2)
+        assert rep.solver["final_cost"] <= reference * (1 + 1e-9) + 4.0 * rounding
+
+
+class TestYawSweep:
+    @pytest.mark.parametrize("keep_d0", [True, False])
+    def test_noiseless_candidate_brackets_true_heading(self, keep_d0):
+        # the noiseless profile cost is 0 at the true heading, so a grid
+        # minimum sits on one of the two grid headings around it
+        step = 2.0 * math.pi / SWEEP_HEADINGS
+        for seed in range(20):
+            T, ds = noiseless_instance(60 + seed, d0=1.0 + 2.5 * seed)
+            if not keep_d0:
+                ds = dataclasses.replace(ds, d0=None)
+            cands = yaw_sweep(assemble_qcqp(ds))
+            assert 1 <= len(cands) <= SWEEP_CANDIDATES
+            assert min(abs(float(wrap_angle(c.theta - T.theta))) for c in cands) < step
+
+    def test_candidate_minimises_cost_at_its_heading(self):
+        # each candidate solves its heading's constrained problem globally:
+        # no refinement of t alone, from any start, gets lower
+        T, ds = noisy_instance(81, d0=15.0, n=12, sigma_r=0.3)
+        prob = assemble_qcqp(dataclasses.replace(ds, d0=None))
+        Bw = prob.B * np.sqrt(prob.weights)[:, None]
+        rng = np.random.default_rng(81)
+        for cand in yaw_sweep(prob):
+            th = cand.theta
+
+            def residuals(t):
+                return Bw @ lift_transform(Transform4DoF(t=t, theta=th))
+
+            def jac(t):
+                return Bw @ _lift_jacobian(t, th)[:, :3]
+
+            for t0 in [T.t, *(15.0 * rng.standard_normal((10, 3)))]:
+                res = lm_minimize(residuals, jac, t0, LmOptions(max_iter=200))
+                local = sd_wls_cost(prob, Transform4DoF(t=res.x, theta=th))
+                assert sd_wls_cost(prob, cand) <= local * (1 + 1e-9)
+
+    def test_static_agents_give_finite_candidates(self):
+        n = 10
+        for pa, pb in [(np.zeros((n, 3)), np.zeros((n, 3))), (np.ones((n, 3)), np.tile([0.0, 2.0, 0.0], (n, 1)))]:
+            ds = SyncedDataset(t=np.arange(float(n)), d=np.linspace(2.9, 3.1, n), pa=pa, pb=pb, sigma_r=0.1)
+            cands = yaw_sweep(assemble_qcqp(ds))
+            assert 1 <= len(cands) <= SWEEP_CANDIDATES
+            assert all(np.all(np.isfinite(c.t)) and math.isfinite(c.theta) for c in cands)
+
+    def test_candidates_sorted_by_cost(self):
+        T, ds = noisy_instance(80, d0=20.0, sigma_r=0.4)
+        prob = assemble_qcqp(ds)
+        costs = [sd_wls_cost(prob, c) for c in yaw_sweep(prob)]
+        assert costs == sorted(costs)
 
 
 class TestNls:

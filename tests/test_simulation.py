@@ -10,6 +10,7 @@ from range_rte.measurement import true_range
 from range_rte.simulation import (
     SCENARIO_KINDS,
     DriftConfig,
+    ErrorStats,
     ScenarioConfig,
     drift_scenario,
     generate_trajectory,
@@ -200,6 +201,22 @@ class TestMonteCarlo:
         cfg = ScenarioConfig(d0=3.0, D=1e-9, n_poses=12, sigma_r=0.1, sigma_o=0.0, trials=3, seed=14)
         stats = monte_carlo_run(cfg, estimator="qcqp")
         assert len(stats.e_t) == 3
+
+    def test_error_stats_table_is_read_only_and_aggregates_ok_trials(self):
+        nan = math.nan
+        stats = ErrorStats([(3.0, 0.1, 4.0, 0.5, 1.0), (nan, nan, nan, 0.7, 2.0), (1.0, 0.3, 2.0, nan, 3.0)], ["x"])
+        assert stats.table.shape == (3, 5)
+        assert np.array_equal(stats.solve_ms, [1.0, 2.0, 3.0])
+        assert stats.mse_t == pytest.approx(5.0) and stats.rmse_t == pytest.approx(math.sqrt(5.0))
+        assert stats.mse_theta == pytest.approx(0.05)
+        assert stats.crlb_t_mean == pytest.approx(3.0) and stats.crlb_theta_mean == pytest.approx(0.6)
+        assert stats.failures == ("x",)
+        with pytest.raises(ValueError):
+            stats.e_t[0] = 0.0
+        with pytest.raises(AttributeError):
+            stats.extra = 1
+        all_failed = ErrorStats([(nan, nan, nan, nan, 1.0)])
+        assert math.isnan(all_failed.rmse_t) and math.isnan(all_failed.crlb_t_mean)
 
     def test_mse_respects_bound_statistically(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=40, sigma_r=0.1, sigma_o=0.001, trials=40, seed=15)
