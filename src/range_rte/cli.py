@@ -64,7 +64,8 @@ ESTIMATE_DEFAULTS = {
     "lever_arm_a_m": [0.0, 0.0, 0.0],
     "lever_arm_b_m": [0.0, 0.0, 0.0],
     # d0 constrains ||t|| in the `sdp` relaxation only; `qcqp` and `nls`
-    # fit the first range like every other one
+    # fit it as one more range between the frame origins, unless it is
+    # the first range itself
     "d0_m": None,
     "use_first_range_as_d0": True,
     # window and threshold apply to the "absolute"/"increase" variance

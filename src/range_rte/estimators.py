@@ -17,9 +17,10 @@ exactly (variable projection, Golub & Pereyra 1973, with the inner
 solve of Beck, Stoica & Li 2008). `yaw_sweep` solves it on a fixed
 heading grid in one batched pass and keeps the grid's lowest local
 minima; each one is refined by Levenberg-Marquardt over the natural
-parameters (t, theta), which satisfy the constraints by construction. A
-first range measured between the two frame origins (d0) is already a
-row of the cost, so `qcqp` does not pin ||t|| to it.
+parameters (t, theta), which satisfy the constraints by construction.
+`qcqp` and `nls` do not pin ||t|| to the inter-origin distance d0: a d0
+read off the first range is already a row of the cost, and any other d0
+is fitted as one more range, taken between the two frame origins.
 
 The `sdp` estimator keeps the paper's semidefinite relaxation, with
 ||t||^2 = d0^2 as a fifth constraint when d0 is known, and reads its
@@ -39,7 +40,7 @@ import numpy as np
 
 from .fisher import SingularityFlags, fim, singularity_report
 from .geometry import Transform4DoF, wrap_angle
-from .measurement import SquaredStats, SyncedDataset, debias_squared, motion_excitation_check
+from .measurement import SyncedDataset, debias_ranges, debias_squared, motion_excitation_check
 from .solvers import LmOptions, LmResult, SdpStandardForm, SolveDiagnostics, eig_sym, lm_minimize, sdp_solve
 
 SWEEP_HEADINGS = 72  # yaw grid of `yaw_sweep`, 5 degree steps
@@ -150,13 +151,27 @@ class EstimateReport:
     solver: dict
 
 
-def assemble_qcqp(dataset: SyncedDataset, stats: Optional[SquaredStats] = None) -> QcqpProblem:
-    """Build the lifted quadratic program from a synced dataset."""
+def _d0_is_extra_range(dataset: SyncedDataset) -> bool:
+    """True when d0 is known but is not the first range itself: the fit
+    then takes it as one more range, between the two frame origins."""
+    return dataset.d0 is not None and dataset.d0 != dataset.d[0]
+
+
+def assemble_qcqp(dataset: SyncedDataset) -> QcqpProblem:
+    """Build the lifted quadratic program from a synced dataset.
+
+    B has one row per range, plus a last row for d0 when
+    `_d0_is_extra_range`.
+    """
     if len(dataset) < 1:
         raise ValueError("need at least one synced sample")
-    stats = stats if stats is not None else debias_squared(dataset)
+    stats = debias_squared(dataset)
     B = build_data_rows(dataset.pa, dataset.pb, stats.s)
     w = 1.0 / stats.sigma_s_diag
+    if _d0_is_extra_range(dataset):
+        origin = debias_ranges([dataset.d0], dataset.sigma_r)
+        B = np.vstack([B, build_data_rows(np.zeros((1, 3)), np.zeros((1, 3)), origin.s)])
+        w = np.append(w, 1.0 / origin.sigma_s_diag)
     P0 = (B * w[:, None]).T @ B
     P0 = 0.5 * (P0 + P0.T)
     return QcqpProblem(
@@ -285,9 +300,18 @@ def yaw_sweep(problem: QcqpProblem) -> list[Transform4DoF]:
     where x > 0 is the one root of the convex, decreasing
         f(x) = sum_k e_k^2 / (mu_k - mu_0 + x)^2 + beta - x / (2 w).
     A log grid brackets every heading's root at once; Newton steps from
-    the bracket's left end converge on it without overshooting. Returns
-    the (t, theta_j) of the grid's local minima of the resulting profile
-    cost, at most SWEEP_CANDIDATES of them.
+    the bracket's left end converge on it without overshooting. Where f
+    has no positive root (the hard case, e_0 = 0) the minimiser sits at
+    x = 0 and moves along U_0 until tau = ||t||^2 holds.
+
+    The mirror point, with the U_0 component of the other sign, is the
+    second basin of near-planar data, and the 5 degree step can hide its
+    minimum behind the first one's. So both points of every heading are
+    kept, and each continues to the nearer point of the next heading. The
+    minima along these two branches are the candidates, lowest cost first
+    and at most SWEEP_CANDIDATES, unless the parabola through a minimum
+    and its two neighbours stays above the lowest grid cost. Raises
+    DegenerateSolutionError when no grid heading has a finite cost.
     """
     M = _SWEEP_N.transpose(0, 2, 1) @ problem.P0 @ _SWEEP_N
     q, g_tau, w = M[:, :3, 3], M[:, 3, 4], M[:, 3, 3]  # w: sum of the row weights
@@ -307,13 +331,29 @@ def yaw_sweep(problem: QcqpProblem) -> list[Transform4DoF]:
         r2 = (e / (d + x[:, None])) ** 2
         step = (r2.sum(1) + beta - x / (2.0 * w)) / (2.0 * np.sum(r2 / (d + x[:, None]), axis=1) + 0.5 / w)
         x = np.maximum(x + step, x_grid[:, 0])
-    t = np.einsum("jik,jk->ji", U, e / (d + x[:, None]) - 0.5 * c)
-    y = np.column_stack([t, np.einsum("ji,ji->j", t, t), np.ones(len(t))])
-    cost = np.einsum("ji,jik,jk->j", y, M, y)
-    local_min = (cost <= np.roll(cost, 1)) & (cost <= np.roll(cost, -1))
+    v = e / (d + x[:, None])
+    # hard case: f < 0 down to the floor; planar data (pb_z - pa_z
+    # constant) put every heading here, with U_0 the vertical
+    hard = ~above[:, 0]
+    v0 = np.sqrt(np.maximum(x / (2.0 * w) - beta - np.sum(v[:, 1:] ** 2, axis=1), 0.0))
+    v[hard, 0] = np.copysign(v0, e[:, 0])[hard]
+    t = np.einsum("jik,bjk->bji", U, np.stack([v, v * [-1.0, 1.0, 1.0]]) - 0.5 * c)
+    y = np.concatenate([t, np.einsum("bji,bji->bj", t, t)[..., None], np.ones((2, len(v), 1))], axis=2)
+    cost = np.einsum("bji,jik,bjk->bj", y, M, y)
+    cost[~np.isfinite(cost)] = math.inf
+    best = cost.min()
+    if best == math.inf:
+        raise DegenerateSolutionError("no grid heading has a finite cost")
+    nb = []
+    for k in (1, -1):  # the nearer point of the heading next door continues a branch
+        nearer = np.linalg.norm(t[:, None] - np.roll(t, k, axis=1), axis=-1).argmin(axis=1)
+        nb.append(np.take_along_axis(np.roll(cost, k, axis=1), nearer, axis=0))
+    prev, succ = nb
+    curv = 0.5 * (prev + succ) - cost
+    local_min = (cost <= prev) & (cost <= succ) & ((cost == best) | (16.0 * curv * (cost - best) <= (prev - succ) ** 2))
     idx = np.flatnonzero(local_min)
-    idx = idx[np.argsort(cost[idx], kind="stable")][:SWEEP_CANDIDATES]
-    return [Transform4DoF(t=t[j], theta=float(_SWEEP_THETA[j])) for j in idx]
+    idx = idx[np.argsort(cost.ravel()[idx], kind="stable")][:SWEEP_CANDIDATES]
+    return [Transform4DoF(t=t.reshape(-1, 3)[k], theta=float(_SWEEP_THETA[k % len(v)])) for k in idx]
 
 
 def _report(T_hat: Transform4DoF, dataset: SyncedDataset, solver: dict) -> EstimateReport:
@@ -404,12 +444,15 @@ def nls_estimate(dataset: SyncedDataset, init: Optional[Transform4DoF] = None) -
 
     The initial guess defaults to zero (no prior knowledge); like any
     local method this can settle in a poor minimum on hard geometry,
-    which is reported rather than hidden.
+    which is reported rather than hidden. A d0 other than the first range
+    is one more residual, between the two frame origins.
     """
     start = time.perf_counter()
     T0 = init if init is not None else Transform4DoF(t=np.zeros(3), theta=0.0)
     sigma = dataset.sigma_r
     pa, pb, d_meas = dataset.pa, dataset.pb, dataset.d
+    if _d0_is_extra_range(dataset):
+        pa, pb, d_meas = np.vstack([pa, np.zeros(3)]), np.vstack([pb, np.zeros(3)]), np.append(d_meas, dataset.d0)
 
     def residuals(p):
         T = Transform4DoF(t=p[:3], theta=p[3])

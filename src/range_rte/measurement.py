@@ -218,14 +218,19 @@ def ingest_logs(
 
 
 def debias_squared(dataset: SyncedDataset) -> SquaredStats:
+    """Debiased squared distances of a dataset's ranges (`debias_ranges`)."""
+    return debias_ranges(dataset.d, dataset.sigma_r)
+
+
+def debias_ranges(d, sigma_r: float) -> SquaredStats:
     """Debiased squared distances with their (diagonal) covariance.
 
     The noise on d~^2 is nu = 2 d eta + eta^2 with mean sigma_r^2 and
     variance sigma_r^2 (4 d~^2 + 2 sigma_r^2); subtracting the mean gives
     an approximately Gaussian squared-distance error.
     """
-    var_r = dataset.sigma_r**2
-    d = dataset.d
+    var_r = sigma_r**2
+    d = np.asarray(d, dtype=float)
     s = d**2 - var_r
     sigma_s = var_r * (4.0 * d**2 + 2.0 * var_r)
     return SquaredStats(s=s, sigma_s_diag=sigma_s)

@@ -88,6 +88,35 @@ class TestEstimateCommand:
         assert rep["excitation_ok"] is False
         assert any(rep["flags"]["per_param_unobservable"])
 
+    def test_static_pair_at_origins_exits_singular_with_flags(self, tmp_path):
+        # both agents parked at their frame origins: the ranges fix ||t|| only
+        n = 60
+        t_axis = np.arange(n) * 0.1
+        odom = [Pose(t=ti, p=np.zeros(3), q=yaw_quat(0.0)) for ti in t_axis]
+        pa, pb, ranges = (str(tmp_path / name) for name in ("odom_a.csv", "odom_b.csv", "ranges.csv"))
+        write_odometry_csv(pa, odom)
+        write_odometry_csv(pb, odom)
+        write_ranges_csv(ranges, [RangeSample(t=ti, d=3.0) for ti in t_axis])
+        out = str(tmp_path / "report.json")
+        rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--out", out])
+        assert rc == 3
+        rep = json.load(open(out))
+        assert rep["excitation_ok"] is False
+        assert any(rep["flags"]["per_param_unobservable"])
+
+    def test_explicit_d0_other_than_first_range_is_fitted(self, tmp_path):
+        # the first antenna positions are off the frame origins, so no d0 is
+        # read off the logs; a supplied one is one more range to fit
+        pa, pb, ranges, T = synthetic_logs(tmp_path, noise=0.02, seed=5)
+        estimates = {}
+        for name, d0 in (("free", None), ("short", 0.5 * float(np.linalg.norm(T.t)))):
+            cfg = write_json(tmp_path / f"{name}.json", {"sigma_r_m": 0.02, "excitation_var_m2": 0.01, "d0_m": d0})
+            out = str(tmp_path / f"{name}.json.out")
+            assert main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]) == 0
+            estimates[name] = json.load(open(out))["estimate"]
+        # the short d0 pulls ||t|| down
+        assert np.linalg.norm(estimates["short"]["t_m"]) < np.linalg.norm(estimates["free"]["t_m"])
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,header\n1,2,3\n")

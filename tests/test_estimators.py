@@ -57,6 +57,20 @@ def noisy_instance(seed, d0=3.0, D=1.0, n=30, sigma_r=0.1, sigma_o=0.001):
     return T, synthesize_measurements(T, ta, tb, cfg, rng)
 
 
+def near_planar_instance(seed, n=20):
+    """Both antennas at fixed heights (host 0, target pb_z), odometry noise
+    up to 3 cm: near the mirror ambiguity of t_z about -pb_z."""
+    rng = np.random.default_rng(seed)
+    d0, sigma_o, pb_z = rng.uniform(2.0, 30.0), rng.uniform(0.0, 0.03), rng.uniform(-1.0, 1.0)
+    v = rng.normal(size=3)
+    T = Transform4DoF(t=d0 * v / np.linalg.norm(v), theta=rng.uniform(-math.pi, math.pi))
+    pa = np.column_stack([np.cumsum(rng.normal(0.0, 0.5, (n, 2)), axis=0), np.zeros(n)])
+    pb = np.column_stack([np.cumsum(rng.normal(0.0, 0.5, (n, 2)), axis=0), np.full(n, pb_z)])
+    d = np.abs(true_range(T, pa, pb) + 0.05 * rng.standard_normal(n))
+    pa, pb = pa + sigma_o * rng.standard_normal(pa.shape), pb + sigma_o * rng.standard_normal(pb.shape)
+    return T, SyncedDataset(t=np.arange(float(n)), d=d, pa=pa, pb=pb, sigma_r=0.05), pb_z
+
+
 def errors(T_hat, T):
     return (
         float(np.linalg.norm(T_hat.t - T.t)),
@@ -313,6 +327,48 @@ class TestSolveQcqp:
         rep = solve_qcqp(prob, ds)
         assert rep.flags.configuration_singular
 
+    @pytest.mark.parametrize("pb_z", [0.0, 0.4])
+    def test_planar_agents_recover_height(self, pb_z):
+        # antennas at fixed heights in both frames: the data fix t_z only up
+        # to its mirror about -pb_z, and every sweep heading is in the hard
+        # case of the constrained least squares
+        T = Transform4DoF(t=[2.0, 1.0, 1.5], theta=0.5)
+        rng = np.random.default_rng(24)
+        n = 30
+        pa = np.column_stack([rng.normal(0.0, 2.0, (n, 2)), np.zeros(n)])
+        pb = np.column_stack([rng.normal(0.0, 2.0, (n, 2)), np.full(n, pb_z)])
+        ds = SyncedDataset(t=np.arange(float(n)), d=true_range(T, pa, pb), pa=pa, pb=pb, sigma_r=1e-6)
+        rep = qcqp_estimate(ds)
+        assert np.allclose(rep.theta_hat.t[:2], T.t[:2], atol=1e-6)
+        assert abs(rep.theta_hat.t[2] + pb_z) == pytest.approx(T.t[2] + pb_z, abs=1e-6)
+        assert float(wrap_angle(rep.theta_hat.theta - T.theta)) == pytest.approx(0.0, abs=1e-6)
+
+    def test_near_planar_cost_not_above_refined_truth_or_its_mirror(self):
+        # the two mirror basins have close costs; the grid's best heading
+        # may sit in the worse one while the better one hides between two
+        # grid headings
+        for seed in range(60, 120):
+            T, ds, pb_z = near_planar_instance(seed)
+            rep = qcqp_estimate(ds)
+            prob = assemble_qcqp(ds)
+            mirror = Transform4DoF(t=T.t * [1.0, 1.0, -1.0] - [0.0, 0.0, 2.0 * pb_z], theta=T.theta)
+            reference = min(_refine(prob, T0, LmOptions(max_iter=80))[1] for T0 in (T, mirror))
+            assert rep.solver["final_cost"] <= reference * (1 + 1e-9), seed
+
+    def test_explicit_d0_enters_as_origin_row(self):
+        T, ds = noisy_instance(42)
+        free = dataclasses.replace(ds, d0=None)
+        d0 = 0.5 * float(np.linalg.norm(T.t))  # not the first range
+        extra = dataclasses.replace(ds, d0=d0)
+        prob, prob_free = assemble_qcqp(extra), assemble_qcqp(free)
+        assert prob.B.shape[0] == len(ds) + 1 and prob_free.B.shape[0] == len(ds)
+        var_r = ds.sigma_r**2
+        origin_term = (float(T.t @ T.t) - (d0**2 - var_r)) ** 2 / (var_r * (4.0 * d0**2 + 2.0 * var_r))
+        assert sd_wls_cost(prob, T) == pytest.approx(sd_wls_cost(prob_free, T) + origin_term, rel=1e-10)
+        # the short d0 pulls ||t|| down, in qcqp and in nls alike
+        for estimate in (qcqp_estimate, lambda d: nls_estimate(d, init=T)):
+            assert np.linalg.norm(estimate(extra).theta_hat.t) < np.linalg.norm(estimate(free).theta_hat.t)
+
     def test_rigid_motion_equivariance(self):
         T, ds = noiseless_instance(23)
         rep1 = qcqp_estimate(ds)
@@ -393,33 +449,38 @@ class TestYawSweep:
             assert min(abs(float(wrap_angle(c.theta - T.theta))) for c in cands) < step
 
     def test_candidate_minimises_cost_at_its_heading(self):
-        # each candidate solves its heading's constrained problem globally:
-        # no refinement of t alone, from any start, gets lower
+        # the best candidate solves its heading's constrained problem
+        # globally: no refinement of t alone, from any start, gets lower
+        # (a mirror candidate is only a local minimum at its heading)
         T, ds = noisy_instance(81, d0=15.0, n=12, sigma_r=0.3)
         prob = assemble_qcqp(dataclasses.replace(ds, d0=None))
         Bw = prob.B * np.sqrt(prob.weights)[:, None]
         rng = np.random.default_rng(81)
-        for cand in yaw_sweep(prob):
-            th = cand.theta
+        cand = yaw_sweep(prob)[0]
+        th = cand.theta
 
-            def residuals(t):
-                return Bw @ lift_transform(Transform4DoF(t=t, theta=th))
+        def residuals(t):
+            return Bw @ lift_transform(Transform4DoF(t=t, theta=th))
 
-            def jac(t):
-                return Bw @ _lift_jacobian(t, th)[:, :3]
+        def jac(t):
+            return Bw @ _lift_jacobian(t, th)[:, :3]
 
-            for t0 in [T.t, *(15.0 * rng.standard_normal((10, 3)))]:
-                res = lm_minimize(residuals, jac, t0, LmOptions(max_iter=200))
-                local = sd_wls_cost(prob, Transform4DoF(t=res.x, theta=th))
-                assert sd_wls_cost(prob, cand) <= local * (1 + 1e-9)
+        for t0 in [T.t, *(15.0 * rng.standard_normal((10, 3)))]:
+            res = lm_minimize(residuals, jac, t0, LmOptions(max_iter=200))
+            local = sd_wls_cost(prob, Transform4DoF(t=res.x, theta=th))
+            assert sd_wls_cost(prob, cand) <= local * (1 + 1e-9)
 
-    def test_static_agents_give_finite_candidates(self):
+    def test_static_agents_give_candidates_on_the_range_sphere(self):
+        # static data puts every heading in the hard case: the candidates
+        # must still meet the ranges, not collapse to t = 0 at the origins
         n = 10
         for pa, pb in [(np.zeros((n, 3)), np.zeros((n, 3))), (np.ones((n, 3)), np.tile([0.0, 2.0, 0.0], (n, 1)))]:
             ds = SyncedDataset(t=np.arange(float(n)), d=np.linspace(2.9, 3.1, n), pa=pa, pb=pb, sigma_r=0.1)
             cands = yaw_sweep(assemble_qcqp(ds))
             assert 1 <= len(cands) <= SWEEP_CANDIDATES
-            assert all(np.all(np.isfinite(c.t)) and math.isfinite(c.theta) for c in cands)
+            for c in cands:
+                assert np.all(np.isfinite(c.t)) and math.isfinite(c.theta)
+                assert float(true_range(c, pa[0], pb[0])) == pytest.approx(3.0, abs=0.01)
 
     def test_candidates_sorted_by_cost(self):
         T, ds = noisy_instance(80, d0=20.0, sigma_r=0.4)
