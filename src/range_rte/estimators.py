@@ -25,8 +25,13 @@ is fitted as one more range, taken between the two frame origins.
 The `sdp` estimator keeps the paper's semidefinite relaxation, with
 ||t||^2 = d0^2 as a fifth constraint when d0 is known, and reads its
 rank-one approximation off without refinement. A damped nonlinear
-least-squares baseline on the raw range residuals and a sliding-window
-runner for drift tracking round out the module.
+least-squares baseline on the raw range residuals rounds out the
+estimators. Every entry of `ESTIMATORS` takes (dataset, init=None); only
+`nls`, a local method, uses the starting point.
+
+The sliding-window runner for drift tracking estimates each window on
+its own: `qcqp` runs one sweep plus its refinements, and `nls` starts
+from the previous window's estimate.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fisher import SingularityFlags, fim, singularity_report
-from .geometry import Transform4DoF, wrap_angle
-from .measurement import SyncedDataset, debias_ranges, debias_squared, motion_excitation_check
+from .geometry import Transform4DoF, apply_transform
+from .measurement import SyncedDataset, d0_is_extra_range, debias_ranges, debias_squared, motion_excitation_check
 from .solvers import LmOptions, LmResult, SdpStandardForm, SolveDiagnostics, eig_sym, lm_minimize, sdp_solve
 
 SWEEP_HEADINGS = 72  # yaw grid of `yaw_sweep`, 5 degree steps
@@ -151,24 +156,18 @@ class EstimateReport:
     solver: dict
 
 
-def _d0_is_extra_range(dataset: SyncedDataset) -> bool:
-    """True when d0 is known but is not the first range itself: the fit
-    then takes it as one more range, between the two frame origins."""
-    return dataset.d0 is not None and dataset.d0 != dataset.d[0]
-
-
 def assemble_qcqp(dataset: SyncedDataset) -> QcqpProblem:
     """Build the lifted quadratic program from a synced dataset.
 
     B has one row per range, plus a last row for d0 when
-    `_d0_is_extra_range`.
+    `d0_is_extra_range`.
     """
     if len(dataset) < 1:
         raise ValueError("need at least one synced sample")
     stats = debias_squared(dataset)
     B = build_data_rows(dataset.pa, dataset.pb, stats.s)
     w = 1.0 / stats.sigma_s_diag
-    if _d0_is_extra_range(dataset):
+    if d0_is_extra_range(dataset):
         origin = debias_ranges([dataset.d0], dataset.sigma_r)
         B = np.vstack([B, build_data_rows(np.zeros((1, 3)), np.zeros((1, 3)), origin.s)])
         w = np.append(w, 1.0 / origin.sigma_s_diag)
@@ -396,20 +395,19 @@ def sdp_estimate(dataset: SyncedDataset) -> EstimateReport:
 def solve_qcqp(
     problem: QcqpProblem,
     dataset: SyncedDataset,
-    extra_inits: Sequence[Transform4DoF] = (),
     lm_opts: Optional[LmOptions] = None,
 ) -> EstimateReport:
     """Minimize the lifted cost over all feasible transforms.
 
-    The minima of `yaw_sweep` and any caller-provided warm starts are each
-    refined over (t, theta) by Levenberg-Marquardt; the lowest-cost result
-    wins. The constraints hold by construction of the parameterization,
-    and ||t|| is left free: a measured inter-origin distance enters the
-    cost as an ordinary row of B.
+    Each minimum of `yaw_sweep` is refined over (t, theta) by
+    Levenberg-Marquardt; the lowest-cost result wins. The constraints
+    hold by construction of the parameterization, and ||t|| is left
+    free: a measured inter-origin distance enters the cost as an
+    ordinary row of B.
     """
     start = time.perf_counter()
     opts = lm_opts or LmOptions(max_iter=80)
-    inits = [*yaw_sweep(problem), *extra_inits]
+    inits = yaw_sweep(problem)
 
     best: Optional[tuple[Transform4DoF, float, LmResult]] = None
     total_lm_iters = 0
@@ -435,8 +433,8 @@ def solve_qcqp(
     return _report(best[0], dataset, solver)
 
 
-def qcqp_estimate(dataset: SyncedDataset, extra_inits: Sequence[Transform4DoF] = ()) -> EstimateReport:
-    return solve_qcqp(assemble_qcqp(dataset), dataset, extra_inits=extra_inits)
+def qcqp_estimate(dataset: SyncedDataset) -> EstimateReport:
+    return solve_qcqp(assemble_qcqp(dataset), dataset)
 
 
 def nls_estimate(dataset: SyncedDataset, init: Optional[Transform4DoF] = None) -> EstimateReport:
@@ -451,7 +449,7 @@ def nls_estimate(dataset: SyncedDataset, init: Optional[Transform4DoF] = None) -
     T0 = init if init is not None else Transform4DoF(t=np.zeros(3), theta=0.0)
     sigma = dataset.sigma_r
     pa, pb, d_meas = dataset.pa, dataset.pb, dataset.d
-    if _d0_is_extra_range(dataset):
+    if d0_is_extra_range(dataset):
         pa, pb, d_meas = np.vstack([pa, np.zeros(3)]), np.vstack([pb, np.zeros(3)]), np.append(d_meas, dataset.d0)
 
     def residuals(p):
@@ -482,10 +480,12 @@ def nls_estimate(dataset: SyncedDataset, init: Optional[Transform4DoF] = None) -
     return _report(T, dataset, solver)
 
 
+# Every entry takes (dataset, init=None). `init` is a starting point for a
+# local method; the global `qcqp` and `sdp` ignore it.
 ESTIMATORS = {
-    "qcqp": qcqp_estimate,
-    "sdp": lambda ds, extra_inits=(): sdp_estimate(ds),
-    "nls": lambda ds, extra_inits=(): nls_estimate(ds, init=extra_inits[0] if extra_inits else None),
+    "qcqp": lambda ds, init=None: qcqp_estimate(ds),
+    "sdp": lambda ds, init=None: sdp_estimate(ds),
+    "nls": nls_estimate,
 }
 
 
@@ -512,11 +512,13 @@ def sliding_window_estimate(
 ) -> list[WindowEstimate]:
     """Run the estimator over a stream in sliding windows.
 
-    Each step estimates from the latest `window` samples, warm-started
-    from the previous estimate. Windows failing the motion-excitation
-    check are skipped (marked, previous estimate stays current), and so
-    are windows whose estimated information matrix is worse-conditioned
-    than `max_kappa` (near-singular geometry produces junk updates). The
+    Each step estimates from the latest `window` samples on its own:
+    `qcqp` and `sdp` search every heading and need no starting point,
+    while `nls` starts from the previous window's estimate. Windows
+    failing the motion-excitation check are skipped (marked, previous
+    estimate stays current), and so are windows whose estimated
+    information matrix is worse-conditioned than `max_kappa`
+    (near-singular geometry produces junk updates). The
     inter-origin-distance constraint is dropped inside windows: under
     drift the initial distance is stale.
     """
@@ -530,36 +532,17 @@ def sliding_window_estimate(
 
     results = []
     prev: Optional[Transform4DoF] = None
-    idx = 0
-    for stop in range(window, len(stream) + 1, stride):
+    for idx, stop in enumerate(range(window, len(stream) + 1, stride)):
         data = stream.window(stop - window, stop)
-        excited = motion_excitation_check(data.pa, data.pb, var_threshold=excitation_var, n=n_check)
-        if not excited:
-            results.append(
-                WindowEstimate(index=idx, start=stop - window, stop=stop, t_end=data.t[-1], skipped=True, report=None)
-            )
-        else:
-            if prev is not None:
-                # warm start plus its common ambiguities (heading flip,
-                # vertical mirror) so a previously wrong branch can recover
-                extra = (
-                    prev,
-                    Transform4DoF(t=prev.t, theta=prev.theta + math.pi),
-                    Transform4DoF(t=prev.t * np.array([1.0, 1.0, -1.0]), theta=prev.theta),
-                )
-            else:
-                extra = ()
-            report = run(data, extra_inits=extra)
-            if max_kappa is not None and not report.kappa <= max_kappa:
-                results.append(
-                    WindowEstimate(index=idx, start=stop - window, stop=stop, t_end=data.t[-1], skipped=True, report=report)
-                )
-            else:
-                prev = report.theta_hat
-                results.append(
-                    WindowEstimate(index=idx, start=stop - window, stop=stop, t_end=data.t[-1], skipped=False, report=report)
-                )
-        idx += 1
+        report = None
+        if motion_excitation_check(data.pa, data.pb, var_threshold=excitation_var, n=n_check):
+            report = run(data, init=prev)
+        skipped = report is None or (max_kappa is not None and not report.kappa <= max_kappa)
+        if not skipped:
+            prev = report.theta_hat
+        results.append(
+            WindowEstimate(index=idx, start=stop - window, stop=stop, t_end=data.t[-1], skipped=skipped, report=report)
+        )
     return results
 
 
@@ -575,13 +558,10 @@ def align_target_trajectory(
     (NaN rows when no fallback is given).
     """
     out = np.full((len(stream), 3), np.nan)
-    current = initial
-    by_stop = sorted((e for e in estimates if not e.skipped), key=lambda e: e.stop)
-    j = 0
-    for i in range(len(stream)):
-        while j < len(by_stop) and by_stop[j].stop <= i + 1:
-            current = by_stop[j].report.theta_hat
-            j += 1
-        if current is not None:
-            out[i] = current.t + current.rotation() @ stream.pb[i]
+    done = sorted((e for e in estimates if not e.skipped), key=lambda e: e.stop)
+    # an estimate holds from its window's last sample until the next one's
+    starts = [0] + [max(e.stop - 1, 0) for e in done]
+    for T, lo, hi in zip([initial] + [e.report.theta_hat for e in done], starts, starts[1:] + [len(stream)]):
+        if T is not None and hi > lo:
+            out[lo:hi] = apply_transform(T, stream.pb[lo:hi])
     return out

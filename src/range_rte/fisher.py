@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import Transform4DoF
-from .measurement import SyncedDataset
+from .measurement import SyncedDataset, d0_is_extra_range
 from .solvers import eig_sym
 
 UZ = np.array([0.0, 0.0, 1.0])
@@ -124,11 +124,18 @@ def jacobian_matrix(T: Transform4DoF, dataset: SyncedDataset) -> np.ndarray:
 def fim(T: Transform4DoF, dataset: SyncedDataset, rcond: float = DEFAULT_RCOND) -> FimReport:
     """Fisher information of the dataset about (t, theta), with CRLB.
 
-    F = sigma_r^-2 J^T J. The CRLB is reported when the smallest
+    F = sigma_r^-2 J^T J. A d0 that the estimators fit as one more range
+    (`d0_is_extra_range`) adds its row (t/||t||, 0), the range between
+    the two frame origins. The CRLB is reported when the smallest
     eigenvalue clears rcond relative to the largest; otherwise the
     configuration is rank-deficient and crlb fields are None.
     """
     J = jacobian_matrix(T, dataset)
+    if d0_is_extra_range(dataset):
+        norm_t = float(np.linalg.norm(T.t))
+        if norm_t <= 0.0:
+            raise SingularGeometryError("zero range: frame origins coincide")
+        J = np.vstack([J, np.append(T.t / norm_t, 0.0)])
     F = (J.T @ J) / dataset.sigma_r**2
     F = 0.5 * (F + F.T)
     lam, Q = eig_sym(F)

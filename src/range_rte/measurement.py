@@ -121,6 +121,13 @@ class SyncedDataset:
         return self._rows(np.asarray(keep, dtype=bool), keep_d0)
 
 
+def d0_is_extra_range(dataset: SyncedDataset) -> bool:
+    """True when d0 is known but is not the first range itself: the fit
+    and the information matrix then take it as one more range, between
+    the two frame origins."""
+    return dataset.d0 is not None and dataset.d0 != dataset.d[0]
+
+
 @dataclass(frozen=True)
 class SquaredStats:
     """Debiased squared distances and the diagonal of their covariance."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from .estimators import ESTIMATORS, WindowEstimate, align_target_trajectory, sliding_window_estimate
 from .fisher import fim
-from .geometry import LeverArm, Pose, Transform4DoF, apply_transform, heading_rotation, wrap_angle, yaw_quat
+from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, wrap_angle
 from .measurement import SIGMA_R_FLOOR, SyncedDataset, at_frame_origins, true_range
 
 SCENARIO_KINDS = ("parallel", "planar_linear", "static_target", "static_host")
@@ -137,66 +137,89 @@ def generate_trajectory(
     D: float,
     n_poses: int,
     rng: np.random.Generator,
-    dt: float = 1.0,
     step_scale: float = 0.5,
-) -> list[Pose]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Bounded random walk inside the ball of radius D around the origin.
 
-    Gaussian steps reflected at the ball boundary, random headings,
-    uniform timestamps. D -> 0 degenerates to a parked agent.
+    Gaussian steps reflected at the ball boundary, random headings.
+    Returns positions, shape (n_poses, 3), and headings, shape (n_poses,);
+    sample i is taken at i * dt of the scenario. D -> 0 degenerates to a
+    parked agent. The draws stay scalar and in the order heading, step,
+    then a reflection fraction only when one is needed, so a seed gives
+    the same walk whatever the batch size.
     """
     if not D > 0:
         raise ValueError("D must be positive")
     if n_poses < 1:
         raise ValueError("n_poses must be >= 1")
     p = np.zeros(3)
-    poses = []
+    positions = np.empty((n_poses, 3))
+    yaws = np.empty(n_poses)
     for i in range(n_poses):
-        poses.append(Pose(t=i * dt, p=p.copy(), q=yaw_quat(rng.uniform(-math.pi, math.pi))))
+        positions[i] = p
+        yaws[i] = rng.uniform(-math.pi, math.pi)
         step = rng.standard_normal(3) * (step_scale * D)
         p = p + step
         r = np.linalg.norm(p)
         if r > D:  # reflect back inside
             p = p * (2.0 * D - r) / r if r < 2.0 * D else p * (D / r) * rng.uniform(0.0, 1.0)
-    return poses[:n_poses]
+    return positions, yaws
+
+
+def _yaw_matrices(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Stacked rotations about +z, shape (n, 3, 3), from their cosines and sines."""
+    R = np.zeros((len(c), 3, 3))
+    R[:, 0, 0] = R[:, 1, 1] = c
+    R[:, 1, 0] = s
+    R[:, 0, 1] = -s
+    R[:, 2, 2] = 1.0
+    return R
+
+
+def _antenna_positions(positions: np.ndarray, yaws: np.ndarray, arm: LeverArm) -> np.ndarray:
+    """p_i + R(yaw_i) r for a heading-only body attitude, shape (n, 3).
+
+    R is the rotation matrix of the yaw quaternion (0, 0, sin(yaw/2),
+    cos(yaw/2)), with the roundings of `quat_to_matrix`.
+    """
+    z, w = np.sin(0.5 * yaws), np.cos(0.5 * yaws)
+    return positions + _yaw_matrices(1 - 2 * (z * z), 2 * (z * w)) @ arm.r
 
 
 def synthesize_measurements(
     T_true: Transform4DoF,
-    traj_a: list[Pose],
-    traj_b: list[Pose],
+    traj_a: tuple[np.ndarray, np.ndarray],
+    traj_b: tuple[np.ndarray, np.ndarray],
     cfg: ScenarioConfig,
     rng: np.random.Generator,
 ) -> SyncedDataset:
     """Noisy synced dataset from ground-truth trajectories.
 
-    Ranges come from the true antenna geometry plus Gaussian range noise;
-    the recorded antenna positions come from odometry perturbed by
-    per-axis Gaussian noise, as an estimator would see them. The first
-    noisy range is recorded as the inter-origin distance d0 only when both
-    first true antenna positions sit at their frame origins; otherwise it
-    does not measure ||t|| and d0 stays None.
+    Each trajectory is (positions (n, 3), headings (n,)), sampled every
+    cfg.dt seconds. Ranges come from the true antenna geometry plus
+    Gaussian range noise; the recorded antenna positions come from
+    odometry perturbed by per-axis Gaussian noise, as an estimator would
+    see them. The first noisy range is recorded as the inter-origin
+    distance d0 only when both first true antenna positions sit at their
+    frame origins; otherwise it does not measure ||t|| and d0 stays None.
     """
     arm_a, arm_b = cfg.lever_arms
-    n = min(len(traj_a), len(traj_b))
-    pa_true = np.array([traj_a[i].p + traj_a[i].rotation() @ arm_a.r for i in range(n)])
-    pb_true = np.array([traj_b[i].p + traj_b[i].rotation() @ arm_b.r for i in range(n)])
+    n = min(len(traj_a[1]), len(traj_b[1]))
+    pa_true = _antenna_positions(traj_a[0][:n], traj_a[1][:n], arm_a)
+    pb_true = _antenna_positions(traj_b[0][:n], traj_b[1][:n], arm_b)
     d = true_range(T_true, pa_true, pb_true)
     d_meas = d + cfg.sigma_r * rng.standard_normal(n) if cfg.sigma_r > 0 else d.copy()
     np.maximum(d_meas, 1e-9, out=d_meas)
     pa = pa_true + cfg.sigma_o * rng.standard_normal((n, 3)) if cfg.sigma_o > 0 else pa_true
     pb = pb_true + cfg.sigma_o * rng.standard_normal((n, 3)) if cfg.sigma_o > 0 else pb_true
-    t = [pose.t for pose in traj_a[:n]]
     d0 = float(d_meas[0]) if at_frame_origins(pa_true[0], pb_true[0]) else None
-    return SyncedDataset(t=t, d=d_meas, pa=pa, pb=pb, sigma_r=max(cfg.sigma_r, SIGMA_R_FLOOR), d0=d0)
+    return SyncedDataset(
+        t=np.arange(n) * cfg.dt, d=d_meas, pa=pa, pb=pb, sigma_r=max(cfg.sigma_r, SIGMA_R_FLOOR), d0=d0
+    )
 
 
-def _linear_local_trajectory(start, direction, length, n, dt, rng):
-    s = np.linspace(0.0, length, n)
-    return [
-        Pose(t=i * dt, p=start + s[i] * direction, q=yaw_quat(rng.uniform(-math.pi, math.pi)))
-        for i in range(n)
-    ]
+def _linear_local_trajectory(start, direction, length, n, rng):
+    return start + np.linspace(0.0, length, n)[:, None] * direction, rng.uniform(-math.pi, math.pi, n)
 
 
 def singular_scenario(
@@ -215,7 +238,7 @@ def singular_scenario(
     if kind not in SCENARIO_KINDS:
         raise ValueError(f"unknown scenario kind {kind!r}; expected one of {SCENARIO_KINDS}")
     T = sample_ground_truth(cfg.d0, rng)
-    n, dt, D = cfg.n_poses, cfg.dt, cfg.D
+    n, D = cfg.n_poses, cfg.D
     C = T.rotation()
 
     def rand_unit():
@@ -224,9 +247,9 @@ def singular_scenario(
 
     if kind == "parallel":
         v = rand_unit()
-        traj_a = _linear_local_trajectory(np.zeros(3), v, D, n, dt, rng)
+        traj_a = _linear_local_trajectory(np.zeros(3), v, D, n, rng)
         # target local path = host world path carried through the transform
-        traj_b = [Pose(t=p.t, p=C.T @ p.p, q=yaw_quat(rng.uniform(-math.pi, math.pi))) for p in traj_a]
+        traj_b = traj_a[0] @ C, rng.uniform(-math.pi, math.pi, n)
     elif kind == "planar_linear":
         normal = rand_unit()
         e1 = np.cross(normal, rand_unit())
@@ -234,21 +257,19 @@ def singular_scenario(
         e2 = np.cross(normal, e1)
         va = math.cos(0.7) * e1 + math.sin(0.7) * e2
         vb_world = math.cos(-0.9) * e1 + math.sin(-0.9) * e2
-        traj_a = _linear_local_trajectory(np.zeros(3), va, D, n, dt, rng)
+        traj_a = _linear_local_trajectory(np.zeros(3), va, D, n, rng)
         # world offset between the lines must stay inside the plane:
         # pick the target start so that t + C pb0 - pa0 is plane-parallel
         w0 = 0.8 * cfg.d0 * e1 + 0.2 * cfg.d0 * e2
         b0 = C.T @ (w0 - T.t)
-        traj_b = [
-            Pose(t=i * dt, p=b0 + (i * D / max(n - 1, 1)) * (C.T @ vb_world), q=yaw_quat(rng.uniform(-math.pi, math.pi)))
-            for i in range(n)
-        ]
+        along = np.arange(n) * D / max(n - 1, 1)
+        traj_b = b0 + along[:, None] * (C.T @ vb_world), rng.uniform(-math.pi, math.pi, n)
     elif kind == "static_target":
-        traj_a = generate_trajectory(D, n, rng, dt=dt)
-        traj_b = [Pose(t=i * dt, p=np.zeros(3), q=yaw_quat(0.0)) for i in range(n)]
+        traj_a = generate_trajectory(D, n, rng)
+        traj_b = np.zeros((n, 3)), np.zeros(n)
     else:  # static_host
-        traj_a = [Pose(t=i * dt, p=np.zeros(3), q=yaw_quat(0.0)) for i in range(n)]
-        traj_b = generate_trajectory(D, n, rng, dt=dt)
+        traj_a = np.zeros((n, 3)), np.zeros(n)
+        traj_b = generate_trajectory(D, n, rng)
     return T, synthesize_measurements(T, traj_a, traj_b, cfg, rng)
 
 
@@ -256,8 +277,8 @@ def trial_data(cfg: ScenarioConfig, trial: int) -> tuple[Transform4DoF, SyncedDa
     """Ground truth and synthesized dataset of one trial (reproducible)."""
     rng = trial_rng(cfg.seed, trial)
     T_true = sample_ground_truth(cfg.d0, rng)
-    traj_a = generate_trajectory(cfg.D, cfg.n_poses, rng, dt=cfg.dt)
-    traj_b = generate_trajectory(cfg.D, cfg.n_poses, rng, dt=cfg.dt)
+    traj_a = generate_trajectory(cfg.D, cfg.n_poses, rng)
+    traj_b = generate_trajectory(cfg.D, cfg.n_poses, rng)
     return T_true, synthesize_measurements(T_true, traj_a, traj_b, cfg, rng)
 
 
@@ -327,20 +348,23 @@ class DriftResult:
     n_skipped: int
 
 
-def _drift_truth_series(cfg: ScenarioConfig, n: int, dt: float, rng) -> tuple[Transform4DoF, list[Transform4DoF]]:
-    """Initial transform plus its random-walk perturbation over time."""
+def _drift_truth_series(cfg: ScenarioConfig, n: int, dt: float, rng) -> tuple[Transform4DoF, np.ndarray, np.ndarray]:
+    """Initial transform plus its random-walk perturbation over time.
+
+    Returns T0, the translations, shape (n, 3), and the headings, shape
+    (n,), wrapped after every step. Row i of the noise drives step i:
+    three translation draws, then one heading draw.
+    """
     drift = cfg.drift
     T0 = sample_ground_truth(cfg.d0, rng)
+    noise = rng.standard_normal((n, 4))
     sig_t = drift.sigma_t * math.sqrt(dt)
     sig_th = drift.sigma_theta_rad() * math.sqrt(dt)
-    out = []
-    t = T0.t.copy()
-    th = T0.theta
-    for _ in range(n):
-        out.append(Transform4DoF(t=t.copy(), theta=th))
-        t = t + sig_t * rng.standard_normal(3)
-        th = float(wrap_angle(th + sig_th * rng.standard_normal()))
-    return T0, out
+    t = np.cumsum(np.vstack([T0.t, sig_t * noise[:-1, :3]]), axis=0)[:n]
+    theta = [T0.theta]
+    for step in (sig_th * noise[:-1, 3]).tolist():
+        theta.append((theta[-1] + step + math.pi) % TWO_PI - math.pi)
+    return T0, t, np.array(theta[:n])
 
 
 def _sinuous(t, amplitudes, freqs, phases):
@@ -369,7 +393,7 @@ def drift_scenario(
     n = int(round(drift.duration * drift.rate))
     t_axis = np.arange(n) * dt
 
-    T0, truth = _drift_truth_series(cfg, n, dt, rng)
+    T0, t_true, theta_true = _drift_truth_series(cfg, n, dt, rng)
 
     # Host pattern: wide sinuous sweep; large angular coverage of the
     # target keeps the windowed translation geometry strong.
@@ -396,7 +420,8 @@ def drift_scenario(
     )
     target_world = apply_transform(T0, target_local)
 
-    pb_true = np.array([truth[i].rotation().T @ (target_world[i] - truth[i].t) for i in range(n)])
+    # row i: C(theta_i)' (target_world_i - t_i)
+    pb_true = ((target_world - t_true)[:, None, :] @ _yaw_matrices(np.cos(theta_true), np.sin(theta_true)))[:, 0]
     d = np.linalg.norm(target_world - host, axis=1)
     d_meas = d + cfg.sigma_r * rng.standard_normal(n) if cfg.sigma_r > 0 else d.copy()
     np.maximum(d_meas, 1e-9, out=d_meas)

@@ -121,18 +121,21 @@ def sdp_solve(
     "max_iter" and "numerical" report the iterate reached.
     """
     C = problem.C.copy()
-    A = [a.copy() for a in problem.A]
     b = problem.b.copy()
     n = C.shape[0]
-    m = len(A)
+    m = len(problem.A)
+    A = np.array(problem.A, dtype=float).reshape(m, n, n)
     contract_tol = max(tol, 1e-8)
 
     # Scale objective and constraints to O(1); undo on report.
     c_scale = max(1.0, float(np.max(np.abs(C))))
     C /= c_scale
-    a_scale = np.array([max(1.0, float(np.max(np.abs(a))), abs(bi)) for a, bi in zip(A, b)])
-    A = [a / s for a, s in zip(A, a_scale)]
+    a_scale = np.maximum(1.0, np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(b)))
+    A = A / a_scale[:, None, None]
     b = b / a_scale
+    # the constraints as rows of one (m, n^2) matrix: every inner product
+    # <A_i, X> at once is A_rows @ X.ravel(), and sum_i y_i A_i is y @ A_rows
+    A_rows = A.reshape(m, n * n)
 
     xi = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
     X = np.eye(n) * xi
@@ -163,8 +166,8 @@ def sdp_solve(
     best_mu = np.inf
     stall = 0
     for it in range(1, max_iter + 1):
-        rp = b - np.array([np.tensordot(a, X) for a in A]) if m else np.zeros(0)
-        Rd = C - Z - sum(yi * a for yi, a in zip(y, A)) if m else C - Z
+        rp = b - A_rows @ X.ravel()
+        Rd = C - Z - (y @ A_rows).reshape(n, n)
         mu = float(np.tensordot(X, Z)) / n
         prim_inf = np.linalg.norm(rp) / norm_b
         dual_inf = np.linalg.norm(Rd, ord="fro") / norm_c
@@ -191,7 +194,7 @@ def sdp_solve(
         # Primal infeasibility certificate: y with b'y > 0 and sum y_i A_i <= 0.
         y_norm = np.linalg.norm(y)
         if m and y_norm > 1e6 and dobj > 1.0:
-            S = sum(yi * a for yi, a in zip(y, A))
+            S = (y @ A_rows).reshape(n, n)
             if float(np.linalg.eigvalsh(S)[-1]) <= 1e-8 * y_norm:
                 status = "infeasible"
                 break
@@ -219,9 +222,9 @@ def sdp_solve(
         GinvT = (Z @ G) / svals
         Sig = svals
 
-        At = [G.T @ a @ G for a in A]
+        At = (G.T @ A @ G).reshape(m, n * n)  # scaled constraints, one per row
         Rdt = G.T @ Rd @ G
-        M = np.array([[np.tensordot(ai, aj) for aj in At] for ai in At]) if m else np.zeros((0, 0))
+        M = At @ At.T
         M = _sym(M) + 1e-15 * (np.trace(M) / max(m, 1)) * np.eye(m)
         pair_inv = 2.0 / (Sig[:, None] + Sig[None, :])
 
@@ -233,12 +236,12 @@ def sdp_solve(
             """
             T = R3 * pair_inv
             if m:
-                rhs = r1 + np.array([np.tensordot(a, R2) - np.tensordot(a, T) for a in At])
+                rhs = r1 + At @ (R2 - T).ravel()
                 try:
                     dy = np.linalg.solve(M, rhs)
                 except np.linalg.LinAlgError:
                     dy, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-                dZt = R2 - sum(dyi * a for dyi, a in zip(dy, At))
+                dZt = R2 - (dy @ At).reshape(n, n)
             else:
                 dy = np.zeros(0)
                 dZt = R2
@@ -250,8 +253,8 @@ def sdp_solve(
                 R3 = R3 - corr
             dXt, dy, dZt = solve_block(rp, Rdt, R3)
             for _ in range(refine):  # defect correction in the scaled basis
-                e1 = rp - np.array([np.tensordot(a, dXt) for a in At]) if m else np.zeros(0)
-                E2 = Rdt - (sum(dyi * a for dyi, a in zip(dy, At)) + dZt) if m else Rdt - dZt
+                e1 = rp - At @ dXt.ravel()
+                E2 = Rdt - ((dy @ At).reshape(n, n) + dZt)
                 E3 = R3 - (dXt + dZt) * pair_mid
                 cX, cy, cZ = solve_block(e1, E2, E3)
                 dXt = dXt + cX

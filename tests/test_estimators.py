@@ -13,6 +13,7 @@ from range_rte.estimators import (
     HeadingUndefinedError,
     _lift_jacobian,
     _refine,
+    align_target_trajectory,
     assemble_qcqp,
     build_data_rows,
     extract_transform,
@@ -31,6 +32,7 @@ from range_rte.geometry import Pose, Transform4DoF, heading_rotation, wrap_angle
 from range_rte.measurement import SyncedDataset, debias_squared, true_range
 from range_rte.solvers import LmOptions, lm_minimize
 from range_rte.simulation import (
+    DriftConfig,
     ScenarioConfig,
     generate_trajectory,
     sample_ground_truth,
@@ -434,6 +436,33 @@ class TestSolveQcqp:
         assert rep.solver["final_cost"] <= reference * (1 + 1e-9) + 4.0 * rounding
 
 
+class TestQcqpInvariance:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d0=st.floats(1.0, 30.0),
+        n=st.integers(8, 30),
+        shift=st.floats(-1e6, 1e6),
+    )
+    def test_row_order_and_time_shift(self, seed, d0, n, shift):
+        _, ds = noisy_instance(seed, d0=d0, n=n)
+        # without d0: moving row 0 would turn a first-range d0 into an extra range
+        ds = dataclasses.replace(ds, d0=None)
+        rep = qcqp_estimate(ds)
+        shifted = qcqp_estimate(dataclasses.replace(ds, t=ds.t + shift))
+        assert np.array_equal(shifted.theta_hat.t, rep.theta_hat.t)
+        assert shifted.theta_hat.theta == rep.theta_hat.theta
+        perm = np.random.default_rng(seed).permutation(n)
+        permuted = qcqp_estimate(dataclasses.replace(ds, d=ds.d[perm], pa=ds.pa[perm], pb=ds.pb[perm]))
+        prob = assemble_qcqp(ds)
+        x = lift_transform(rep.theta_hat)
+        rounding = np.finfo(float).eps * float(prob.weights @ (np.abs(prob.B) @ np.abs(x)) ** 2)
+        cost = rep.solver["final_cost"]
+        assert permuted.solver["final_cost"] == pytest.approx(cost, rel=1e-9, abs=4.0 * rounding)
+        assert np.allclose(permuted.theta_hat.t, rep.theta_hat.t, rtol=1e-6, atol=1e-6)
+        assert abs(float(wrap_angle(permuted.theta_hat.theta - rep.theta_hat.theta))) <= 1e-6
+
+
 class TestYawSweep:
     @pytest.mark.parametrize("keep_d0", [True, False])
     def test_noiseless_candidate_brackets_true_heading(self, keep_d0):
@@ -552,6 +581,58 @@ class TestSlidingWindow:
         windows = sliding_window_estimate(hover, window=50, stride=25, excitation_var=0.01)
         assert windows[-1].skipped  # the all-hover window fails excitation
         assert any(not w.skipped for w in windows[:2])
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_window_cost_not_above_previous_estimate_starts(self, seed, monkeypatch):
+        # windows get no warm start: the sweep must do at least as well as
+        # LM from the previous estimate, its heading flip and its z-mirror
+        from range_rte import simulation
+
+        streams = []
+
+        def recording(stream, **kwargs):
+            streams.append(stream)
+            return sliding_window_estimate(stream, **kwargs)
+
+        monkeypatch.setattr(simulation, "sliding_window_estimate", recording)
+        dc = DriftConfig(duration=30.0, rate=25.0)
+        cfg = ScenarioConfig(d0=15.0, D=2.0, n_poses=1, sigma_r=0.1, sigma_o=0.001, trials=1, seed=seed, drift=dc)
+        windows = simulation.drift_scenario(cfg).windows
+        prev, checked = None, 0
+        for w in windows:
+            if w.report is None:
+                continue
+            if prev is not None:
+                prob = assemble_qcqp(streams[0].window(w.start, w.stop))
+                starts = (
+                    prev,
+                    Transform4DoF(t=prev.t, theta=prev.theta + math.pi),
+                    Transform4DoF(t=prev.t * [1.0, 1.0, -1.0], theta=prev.theta),
+                )
+                reference = min(_refine(prob, T0, LmOptions(max_iter=80))[1] for T0 in starts)
+                x = lift_transform(w.report.theta_hat)
+                rounding = np.finfo(float).eps * float(prob.weights @ (np.abs(prob.B) @ np.abs(x)) ** 2)
+                assert w.report.solver["final_cost"] <= reference * (1 + 1e-9) + 4.0 * rounding, w.index
+                checked += 1
+            if not w.skipped:
+                prev = w.report.theta_hat
+        assert checked >= 10
+
+    @pytest.mark.parametrize("initial", [None, Transform4DoF(t=[1.0, 2.0, 0.5], theta=0.3)])
+    def test_alignment_equals_per_sample_reference(self, initial):
+        _, stream = self._constant_truth_stream(33, n=200)
+        windows = sliding_window_estimate(stream, window=50, stride=30, excitation_var=0.01)
+        got = align_target_trajectory(stream, windows, initial=initial)
+        done = sorted((w for w in windows if not w.skipped), key=lambda w: w.stop)
+        ref, current, j = np.full_like(got, np.nan), initial, 0
+        for i in range(len(stream)):
+            while j < len(done) and done[j].stop <= i + 1:
+                current = done[j].report.theta_hat
+                j += 1
+            if current is not None:
+                ref[i] = current.t + current.rotation() @ stream.pb[i]
+        assert np.isnan(ref).any() == (initial is None)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=8 * np.finfo(float).eps * np.nanmax(np.abs(ref)))
 
     def test_window_minimum_size(self):
         T, stream = self._constant_truth_stream(32, n=30)

@@ -123,6 +123,19 @@ class TestFim:
         assert rep.crlb_t == pytest.approx(np.trace(inv[:3, :3]), rel=1e-9)
         assert rep.crlb_theta == pytest.approx(inv[3, 3], rel=1e-9)
 
+    def test_explicit_d0_adds_origin_row(self):
+        rng = np.random.default_rng(7)
+        ds = random_dataset(rng, k=8)
+        T = Transform4DoF(t=[3.0, 0.5, -0.2], theta=0.3)
+        base = fim(T, ds).F
+        row = np.append(T.t / np.linalg.norm(T.t), 0.0)
+        with_d0 = fim(T, dataclasses.replace(ds, d0=2.5)).F
+        assert np.allclose(with_d0, base + np.outer(row, row) / ds.sigma_r**2, rtol=1e-12, atol=1e-12)
+        # a d0 read off the first range is already a row: F stays bit-identical
+        assert np.array_equal(fim(T, dataclasses.replace(ds, d0=float(ds.d[0]))).F, base)
+        with pytest.raises(SingularGeometryError):
+            fim(Transform4DoF(t=np.zeros(3), theta=0.3), dataclasses.replace(ds, d0=2.5))
+
 
 class TestDetGeometric:
     def test_matches_direct_determinant(self):

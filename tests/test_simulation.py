@@ -5,13 +5,14 @@ import pytest
 from scipy import stats as scipy_stats
 
 from range_rte.fisher import det_fim_geometric, fim, jacobian_matrix, singularity_report
-from range_rte.geometry import Transform4DoF, wrap_angle
+from range_rte.geometry import LeverArm, Pose, Transform4DoF, wrap_angle, yaw_quat
 from range_rte.measurement import true_range
 from range_rte.simulation import (
     SCENARIO_KINDS,
     DriftConfig,
     ErrorStats,
     ScenarioConfig,
+    _drift_truth_series,
     drift_scenario,
     generate_trajectory,
     monte_carlo_run,
@@ -47,24 +48,70 @@ class TestGroundTruth:
 class TestTrajectory:
     def test_bounds(self):
         rng = trial_rng(3, 0)
-        poses = generate_trajectory(1.0, 20, rng)
-        assert len(poses) == 20
-        assert max(np.linalg.norm(p.p) for p in poses) <= 1.0 + 1e-12
+        positions, yaws = generate_trajectory(1.0, 20, rng)
+        assert positions.shape == (20, 3) and yaws.shape == (20,)
+        assert np.linalg.norm(positions, axis=1).max() <= 1.0 + 1e-12
 
     def test_degenerate_radius(self):
         rng = trial_rng(4, 0)
-        poses = generate_trajectory(1e-15, 10, rng)
-        assert max(np.linalg.norm(p.p) for p in poses) <= 1e-14
+        positions, _ = generate_trajectory(1e-15, 10, rng)
+        assert np.linalg.norm(positions, axis=1).max() <= 1e-14
 
     def test_deterministic_given_seed(self):
-        p1 = generate_trajectory(2.0, 15, trial_rng(5, 3))
-        p2 = generate_trajectory(2.0, 15, trial_rng(5, 3))
-        for a, b in zip(p1, p2):
-            assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
+        p1, y1 = generate_trajectory(2.0, 15, trial_rng(5, 3))
+        p2, y2 = generate_trajectory(2.0, 15, trial_rng(5, 3))
+        assert np.array_equal(p1, p2) and np.array_equal(y1, y2)
 
     def test_timestamps_uniform(self):
-        poses = generate_trajectory(1.0, 8, trial_rng(6, 0), dt=0.5)
-        assert [p.t for p in poses] == [0.5 * i for i in range(8)]
+        # sample i of a trajectory is taken at i * dt of the scenario
+        _, ds = trial_data(ScenarioConfig(n_poses=8, dt=0.5, trials=1, seed=6), 0)
+        assert ds.t.tolist() == [0.5 * i for i in range(8)]
+
+
+def reference_trajectory(D, n, rng, step_scale=0.5):
+    """Per-step walk built pose by pose: the draw order the arrays keep."""
+    p, poses = np.zeros(3), []
+    for i in range(n):
+        poses.append(Pose(t=float(i), p=p.copy(), q=yaw_quat(rng.uniform(-math.pi, math.pi))))
+        p = p + rng.standard_normal(3) * (step_scale * D)
+        r = np.linalg.norm(p)
+        if r > D:
+            p = p * (2.0 * D - r) / r if r < 2.0 * D else p * (D / r) * rng.uniform(0.0, 1.0)
+    return poses
+
+
+class TestArraysEqualPerStepReference:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_trajectory_and_antenna_positions(self, seed):
+        arms = (LeverArm([-0.02, 0.1, -0.05]), LeverArm([-0.05, 0.15, -0.15]))
+        cfg = ScenarioConfig(n_poses=40, sigma_r=0.1, sigma_o=0.01, trials=1, seed=seed, lever_arms=arms)
+        T, ds = trial_data(cfg, 0)
+        rng = trial_rng(seed, 0)
+        T_ref = sample_ground_truth(cfg.d0, rng)
+        assert np.array_equal(T_ref.t, T.t) and T_ref.theta == T.theta
+        ta, tb = (reference_trajectory(cfg.D, cfg.n_poses, rng) for _ in range(2))
+        pa = np.array([pose.p + pose.rotation() @ arms[0].r for pose in ta])
+        pb = np.array([pose.p + pose.rotation() @ arms[1].r for pose in tb])
+        d = np.maximum(true_range(T, pa, pb) + cfg.sigma_r * rng.standard_normal(len(pa)), 1e-9)
+        assert np.array_equal(ds.d, d)
+        assert np.array_equal(ds.pa, pa + cfg.sigma_o * rng.standard_normal(pa.shape))
+        assert np.array_equal(ds.pb, pb + cfg.sigma_o * rng.standard_normal(pb.shape))
+
+    @pytest.mark.parametrize("seed", range(1, 4))
+    def test_drift_truth_series(self, seed):
+        cfg = ScenarioConfig(d0=15.0, seed=seed, drift=DriftConfig(sigma_t=0.1, sigma_theta=0.1))
+        n, dt = 500, 0.04
+        T0, t, theta = _drift_truth_series(cfg, n, dt, trial_rng(seed, 0))
+        rng = trial_rng(seed, 0)
+        T_ref = sample_ground_truth(cfg.d0, rng)
+        assert np.array_equal(T_ref.t, T0.t) and T_ref.theta == T0.theta
+        ref_t, ref_theta, tk, th = [], [], T0.t.copy(), T0.theta
+        for _ in range(n):
+            ref_t.append(tk)
+            ref_theta.append(th)
+            tk = tk + 0.1 * math.sqrt(dt) * rng.standard_normal(3)
+            th = float(wrap_angle(th + 0.1 * math.sqrt(dt) * rng.standard_normal()))
+        assert np.array_equal(t, ref_t) and np.array_equal(theta, ref_theta)
 
 
 class TestSynthesize:
