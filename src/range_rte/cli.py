@@ -50,7 +50,6 @@ from .simulation import (
     ScenarioConfig,
     drift_scenario,
     monte_carlo_run,
-    resolve_threads,
     trial_data,
 )
 
@@ -92,7 +91,6 @@ SIM_DEFAULTS = {
     "lever_arm_b_m": [0.0, 0.0, 0.0],
     "record_timing": True,
     "emit_logs": False,
-    "threads": None,
     "cells": None,
 }
 
@@ -219,8 +217,7 @@ def cmd_estimate(args) -> int:
     report["flags"] = _flags_payload(est.flags)
     report["solver"] = est.solver
     try:
-        rep = fim(est.theta_hat, dataset)
-        report["ci95"] = confidence_intervals(est.theta_hat, rep.F)
+        report["ci95"] = confidence_intervals(est.theta_hat, est.fim)
     except SingularFimError:
         report["ci95"] = None
     _write_report(args.out, report)
@@ -289,8 +286,6 @@ def cmd_simulate(args) -> int:
         cfg["seed"] = args.seed
     if args.estimator:
         cfg["estimator"] = args.estimator
-    threads = args.threads if args.threads is not None else cfg["threads"]
-    n_threads = resolve_threads(threads)
     chash = iof.config_hash(cfg)
 
     out_dir = args.out_dir or "."
@@ -305,7 +300,7 @@ def cmd_simulate(args) -> int:
         if cell["estimator"] not in ESTIMATORS:
             raise CliError(f"unknown estimator {cell['estimator']!r}", EXIT_PARSE)
         scen = _scenario_from_config({**cfg, **cell})
-        stats = monte_carlo_run(scen, estimator=cell["estimator"], threads=n_threads)
+        stats = monte_carlo_run(scen, estimator=cell["estimator"])
         ok = np.isfinite(stats.e_t)
         for trial in range(scen.trials):
             ms = repr(float(stats.solve_ms[trial])) if cfg["record_timing"] else ""
@@ -387,7 +382,7 @@ def cmd_fim(args) -> int:
         payload["note"] = "fewer than 4 measurements: determinant decomposition unavailable"
         payload.pop("det_direct")
     try:
-        payload["ci95"] = confidence_intervals(theta, rep.F)
+        payload["ci95"] = confidence_intervals(theta, rep)
     except SingularFimError:
         payload["ci95"] = None
     _write_report(args.out, payload)
@@ -475,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--summary")
     ps.add_argument("--seed", type=int)
     ps.add_argument("--estimator", choices=sorted(ESTIMATORS))
-    ps.add_argument("--threads", type=int)
     ps.set_defaults(func=cmd_simulate)
 
     pf = sub.add_parser("fim", help="information analysis at a given transform")

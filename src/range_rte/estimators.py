@@ -29,13 +29,20 @@ least-squares baseline on the raw range residuals rounds out the
 estimators. Every entry of `ESTIMATORS` takes (dataset, init=None); only
 `nls`, a local method, uses the starting point.
 
-The sliding-window runner for drift tracking estimates each window on
-its own: `qcqp` runs one sweep plus its refinements, and `nls` starts
-from the previous window's estimate.
+The `qcqp` layers work on stacks of problems: `assemble_qcqp` builds P0
+for W windows of a stream at once, the yaw sweep runs on P0 of shape
+(W, 9, 9) in chunks of SWEEP_CHUNK problems, which caps its temporaries,
+each candidate is refined by `lm_minimize` on plain arrays, and one
+batched eigendecomposition of the stacked Fisher information gives
+every window its kappa, CRLB and flags. A single dataset is a stack of
+one. The sliding-window runner for drift tracking estimates each window
+on its own: `qcqp` solves all windows in one stacked pass, and `nls`
+starts from the previous window's estimate, window by window.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -43,13 +50,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fisher import SingularityFlags, fim, singularity_report
-from .geometry import Transform4DoF, apply_transform
-from .measurement import SyncedDataset, d0_is_extra_range, debias_ranges, debias_squared, motion_excitation_check
+from .fisher import FimReport, SingularityFlags, fim_stack, singularity_flags
+from .geometry import TWO_PI, Transform4DoF, apply_transform
+from .measurement import (
+    SyncedDataset,
+    d0_is_extra_range,
+    debias_ranges,
+    debias_squared,
+    motion_excitation_check,
+    range_rows,
+)
 from .solvers import LmOptions, LmResult, SdpStandardForm, SolveDiagnostics, eig_sym, lm_minimize, sdp_solve
 
 SWEEP_HEADINGS = 72  # yaw grid of `yaw_sweep`, 5 degree steps
 SWEEP_CANDIDATES = 3  # grid minima handed to the local refinement
+SWEEP_CHUNK = 8  # problems per batched sweep: caps its temporaries
 
 
 class DegenerateSolutionError(RuntimeError):
@@ -60,25 +75,30 @@ class HeadingUndefinedError(RuntimeError):
     """The (cos, sin) block of the lifted state has no usable direction."""
 
 
+def _lift(tx: float, ty: float, tz: float, theta: float) -> np.ndarray:
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([tx, ty, tz, c, s, tx * c + ty * s, ty * c - tx * s, tx * tx + ty * ty + tz * tz, 1.0])
+
+
 def lift_transform(T: Transform4DoF) -> np.ndarray:
     """Lifted 9-vector of a transform (last element is the homogenizer 1)."""
-    tx, ty, tz = T.t
-    c, s = math.cos(T.theta), math.sin(T.theta)
-    return np.array(
-        [tx, ty, tz, c, s, tx * c + ty * s, ty * c - tx * s, tx * tx + ty * ty + tz * tz, 1.0]
-    )
+    return _lift(*T.t.tolist(), T.theta)
 
 
 def build_data_rows(pa, pb, s) -> np.ndarray:
-    """Rows B, shape (k, 9), with B[i] . x(T) = ||t + C pb_i - pa_i||^2 - s_i for every T."""
+    """Rows B, shape (..., k, 9), with B[i] . x(T) = ||t + C pb_i - pa_i||^2 - s_i for every T.
+
+    pa and pb have shape (..., k, 3) and s shape (..., k); leading axes
+    stack independent problems.
+    """
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
-    pax, pay, paz = pa.T
-    pbx, pby, pbz = pb.T
+    pax, pay, paz = pa[..., 0], pa[..., 1], pa[..., 2]
+    pbx, pby, pbz = pb[..., 0], pb[..., 1], pb[..., 2]
     # row-wise dot products; the batched matmul rounds each like pa_i @ pa_i
-    sq_a = (pa[:, None, :] @ pa[:, :, None])[:, 0, 0]
-    sq_b = (pb[:, None, :] @ pb[:, :, None])[:, 0, 0]
-    return np.column_stack(
+    sq_a = (pa[..., None, :] @ pa[..., :, None])[..., 0, 0]
+    sq_b = (pb[..., None, :] @ pb[..., :, None])[..., 0, 0]
+    return np.stack(
         [
             -2.0 * pax,
             -2.0 * pay,
@@ -87,9 +107,10 @@ def build_data_rows(pa, pb, s) -> np.ndarray:
             2.0 * (pax * pby - pbx * pay),
             2.0 * pbx,
             2.0 * pby,
-            np.ones(len(pa)),
+            np.ones(pax.shape),
             sq_a + sq_b - 2.0 * paz * pbz - np.asarray(s, dtype=float),
-        ]
+        ],
+        axis=-1,
     )
 
 
@@ -132,7 +153,8 @@ class QcqpProblem:
 
     P0 = B' diag(1/sigma_s) B keeps the true weighted-least-squares
     scale; `weights` are the per-row inverse variances used to rebuild
-    the cost row-wise during refinement.
+    the cost row-wise during refinement. A stack of W problems carries a
+    leading axis of W on P0, B and weights.
     """
 
     P0: np.ndarray
@@ -146,7 +168,8 @@ class QcqpProblem:
 class EstimateReport:
     """Estimate plus uncertainty and solver diagnostics.
 
-    std_errors is present only when the estimated FIM is invertible.
+    `fim` is the information at the estimate that std_errors, kappa and
+    flags come from; std_errors is present only when it is invertible.
     """
 
     theta_hat: Transform4DoF
@@ -154,32 +177,32 @@ class EstimateReport:
     kappa: float
     flags: SingularityFlags
     solver: dict
+    fim: FimReport
 
 
-def assemble_qcqp(dataset: SyncedDataset) -> QcqpProblem:
+def assemble_qcqp(dataset: SyncedDataset, rows: Optional[np.ndarray] = None) -> QcqpProblem:
     """Build the lifted quadratic program from a synced dataset.
 
     B has one row per range, plus a last row for d0 when
-    `d0_is_extra_range`.
+    `d0_is_extra_range`. With `rows`, an integer array of shape (W, n),
+    the result is the stack of the W problems on the dataset rows
+    rows[i], without d0 (a stale d0 does not belong to a window).
     """
     if len(dataset) < 1:
         raise ValueError("need at least one synced sample")
     stats = debias_squared(dataset)
-    B = build_data_rows(dataset.pa, dataset.pb, stats.s)
-    w = 1.0 / stats.sigma_s_diag
-    if d0_is_extra_range(dataset):
+    pa, pb, s, w = dataset.pa, dataset.pb, stats.s, 1.0 / stats.sigma_s_diag
+    d0 = dataset.d0 if rows is None else None
+    if rows is not None:
+        pa, pb, s, w = pa[rows], pb[rows], s[rows], w[rows]
+    elif d0_is_extra_range(dataset):
+        pa, pb, _ = range_rows(dataset)
         origin = debias_ranges([dataset.d0], dataset.sigma_r)
-        B = np.vstack([B, build_data_rows(np.zeros((1, 3)), np.zeros((1, 3)), origin.s)])
-        w = np.append(w, 1.0 / origin.sigma_s_diag)
-    P0 = (B * w[:, None]).T @ B
-    P0 = 0.5 * (P0 + P0.T)
-    return QcqpProblem(
-        P0=P0,
-        constraints=constraint_matrices(dataset.d0),
-        B=B,
-        has_d0=dataset.d0 is not None,
-        weights=w,
-    )
+        s, w = np.append(s, origin.s), np.append(w, 1.0 / origin.sigma_s_diag)
+    B = build_data_rows(pa, pb, s)
+    P0 = (B * w[..., None]).swapaxes(-1, -2) @ B
+    P0 = 0.5 * (P0 + P0.swapaxes(-1, -2))
+    return QcqpProblem(P0=P0, constraints=constraint_matrices(d0), B=B, has_d0=d0 is not None, weights=w)
 
 
 def sd_wls_cost(problem: QcqpProblem, T: Transform4DoF) -> float:
@@ -236,18 +259,46 @@ def extract_transform(x) -> Transform4DoF:
     return Transform4DoF(t=x[:3].copy(), theta=math.atan2(s / norm, c / norm))
 
 
-def _lift_jacobian(t: np.ndarray, theta: float) -> np.ndarray:
+def _lift_jacobian(t, theta: float) -> np.ndarray:
     """d lift / d (t_x, t_y, t_z, theta), shape (9, 4)."""
     tx, ty, tz = t
     c, s = math.cos(theta), math.sin(theta)
-    Jx = np.zeros((9, 4))
-    Jx[0, 0] = Jx[1, 1] = Jx[2, 2] = 1.0
-    Jx[3, 3] = -s
-    Jx[4, 3] = c
-    Jx[5] = [c, s, 0.0, -tx * s + ty * c]
-    Jx[6] = [-s, c, 0.0, -ty * s - tx * c]
-    Jx[7] = [2.0 * tx, 2.0 * ty, 2.0 * tz, 0.0]
-    return Jx
+    return np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, -s],
+            [0.0, 0.0, 0.0, c],
+            [c, s, 0.0, -tx * s + ty * c],
+            [-s, c, 0.0, -ty * s - tx * c],
+            [2.0 * tx, 2.0 * ty, 2.0 * tz, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+
+
+def _scaled_rows(B: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """B scaled by sqrt(w / max w): the refinement's residual is these rows times the lift."""
+    return B * np.sqrt(weights / weights.max(axis=-1, keepdims=True))[..., None]
+
+
+def _refinement_callables(Bw: np.ndarray):
+    """Residual and Jacobian of the refinement over p = (t_x, t_y, t_z, theta).
+
+    The heading is wrapped into [-pi, pi) before the lift, as a
+    Transform4DoF stores it.
+    """
+
+    def residuals(p):
+        tx, ty, tz, theta = p.tolist()
+        return Bw @ _lift(tx, ty, tz, (theta + math.pi) % TWO_PI - math.pi)
+
+    def jacobian(p):
+        tx, ty, tz, theta = p.tolist()
+        return Bw @ _lift_jacobian((tx, ty, tz), theta)
+
+    return residuals, jacobian
 
 
 def _refine(
@@ -256,16 +307,7 @@ def _refine(
     opts: LmOptions,
 ) -> tuple[Transform4DoF, float, LmResult]:
     """Local refinement of the weighted cost over (t_x, t_y, t_z, theta)."""
-    w_max = float(np.max(problem.weights))
-    Bw = problem.B * np.sqrt(problem.weights / w_max)[:, None]
-
-    def residuals(p):
-        return Bw @ lift_transform(Transform4DoF(t=p[:3], theta=p[3]))
-
-    def jac(p):
-        return Bw @ _lift_jacobian(p[:3], float(p[3]))
-
-    res = lm_minimize(residuals, jac, T0.as_vector(), opts)
+    res = lm_minimize(*_refinement_callables(_scaled_rows(problem.B, problem.weights)), T0.as_vector(), opts)
     T = Transform4DoF(t=res.x[:3], theta=res.x[3])
     return T, sd_wls_cost(problem, T), res
 
@@ -283,7 +325,64 @@ def _sweep_bases(theta: np.ndarray) -> np.ndarray:
 
 _SWEEP_THETA = np.linspace(-math.pi, math.pi, SWEEP_HEADINGS, endpoint=False)
 _SWEEP_N = _sweep_bases(_SWEEP_THETA)
+_PREV_HEADING = np.arange(SWEEP_HEADINGS) - 1
+_NEXT_HEADING = (np.arange(SWEEP_HEADINGS) + 1) % SWEEP_HEADINGS
 _ROOT_GRID = np.logspace(-16.0, 0.0, 33)  # multiples of the root's upper bound
+
+
+def _sweep(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`yaw_sweep` of a stack of W problems, P0 of shape (W, 9, 9).
+
+    Returns the candidates' translations (W, SWEEP_CANDIDATES, 3), their
+    grid heading indices (W, SWEEP_CANDIDATES) and each problem's number
+    of candidates (W,), lowest cost first; the slots past that number are
+    padding. A problem with no finite grid cost has no candidate.
+    """
+    M = _SWEEP_N.transpose(0, 2, 1) @ P0[:, None] @ _SWEEP_N  # (W, m, 5, 5)
+    q, g_tau, w = M[..., :3, 3], M[..., 3, 4], M[..., 3, 3]  # w: sum of the row weights
+    mu, U = np.linalg.eigh(M[..., :3, :3] - q[..., :, None] * q[..., None, :] / w[..., None, None])
+    c = np.einsum("...ik,...i->...k", U, q) / w[..., None]
+    e = np.einsum("...ik,...i->...k", U, q * (g_tau / w)[..., None] - M[..., :3, 4]) + 0.5 * mu * c
+    d = mu - mu[..., :1]
+    beta = g_tau / w - 0.25 * np.einsum("...k,...k->...", c, c) + mu[..., 0] / (2.0 * w)
+    # f(x) <= ||e||^2 / x^2 + beta - x / (2 w), which is negative at x_hi;
+    # the floor keeps the grid positive where e and beta vanish (static data)
+    x_hi = np.maximum(4.0 * w * beta, np.cbrt(4.0 * w * np.einsum("...k,...k->...", e, e)))
+    x_grid = np.maximum(x_hi, 1e-12 * mu[..., -1] + 1e-300)[..., None] * _ROOT_GRID
+    # sums over k term by term: the order of a reduction over k, without
+    # its slow loop over an axis of length 3 or a temporary per term
+    f = sum((e[..., k, None] / (d[..., k, None] + x_grid)) ** 2 for k in range(3))
+    above = f + beta[..., None] - x_grid / (2.0 * w[..., None]) > 0.0
+    ek, dk = e.transpose(2, 0, 1), d.transpose(2, 0, 1)
+    x = np.take_along_axis(x_grid, np.maximum(np.sum(above, axis=-1) - 1, 0)[..., None], axis=-1)[..., 0]
+    for _ in range(8):
+        r2 = (ek / (dk + x)) ** 2
+        r3 = r2 / (dk + x)
+        step = (r2[0] + r2[1] + r2[2] + beta - x / (2.0 * w)) / (2.0 * (r3[0] + r3[1] + r3[2]) + 0.5 / w)
+        x = np.maximum(x + step, x_grid[..., 0])
+    v = e / (d + x[..., None])
+    # hard case: f < 0 down to the floor; planar data (pb_z - pa_z
+    # constant) put every heading here, with U_0 the vertical
+    hard = ~above[..., 0]
+    v0 = np.sqrt(np.maximum(x / (2.0 * w) - beta - np.sum(v[..., 1:] ** 2, axis=-1), 0.0))
+    v[..., 0] = np.where(hard, np.copysign(v0, e[..., 0]), v[..., 0])
+    # t[:, b, j]: point b of heading j, b = 1 the mirror point
+    t = np.einsum("wjik,wbjk->wbji", U, np.stack([v, v * [-1.0, 1.0, 1.0]], axis=1) - 0.5 * c[:, None])
+    y = np.concatenate([t, np.einsum("...i,...i->...", t, t)[..., None], np.ones(t.shape[:-1] + (1,))], axis=-1)
+    cost = np.einsum("wbji,wjik,wbjk->wbj", y, M, y)
+    cost[~np.isfinite(cost)] = math.inf
+    best = cost.min(axis=(1, 2))[:, None, None]
+    nb = []
+    for nxt in (_PREV_HEADING, _NEXT_HEADING):  # the nearer point of the heading next door continues a branch
+        nearer = np.linalg.norm(t[:, :, None] - t[:, None, :, nxt], axis=-1).argmin(axis=2)
+        nb.append(np.take_along_axis(cost[:, :, nxt], nearer, axis=1))
+    prev, succ = nb
+    curv = 0.5 * (prev + succ) - cost
+    local_min = (cost <= prev) & (cost <= succ) & ((cost == best) | (16.0 * curv * (cost - best) <= (prev - succ) ** 2))
+    ranked = np.where(local_min & (best < math.inf), cost, math.inf).reshape(len(cost), -1)
+    order = np.argsort(ranked, axis=1, kind="stable")[:, :SWEEP_CANDIDATES]
+    count = np.sum(np.take_along_axis(ranked, order, axis=1) < math.inf, axis=1)
+    return np.take_along_axis(t.reshape(len(t), -1, 3), order[..., None], axis=1), order % SWEEP_HEADINGS, count
 
 
 def yaw_sweep(problem: QcqpProblem) -> list[Transform4DoF]:
@@ -312,54 +411,60 @@ def yaw_sweep(problem: QcqpProblem) -> list[Transform4DoF]:
     and its two neighbours stays above the lowest grid cost. Raises
     DegenerateSolutionError when no grid heading has a finite cost.
     """
-    M = _SWEEP_N.transpose(0, 2, 1) @ problem.P0 @ _SWEEP_N
-    q, g_tau, w = M[:, :3, 3], M[:, 3, 4], M[:, 3, 3]  # w: sum of the row weights
-    mu, U = np.linalg.eigh(M[:, :3, :3] - q[:, :, None] * q[:, None, :] / w[:, None, None])
-    c = np.einsum("jik,ji->jk", U, q) / w[:, None]
-    e = np.einsum("jik,ji->jk", U, q * (g_tau / w)[:, None] - M[:, :3, 4]) + 0.5 * mu * c
-    d = mu - mu[:, :1]
-    beta = g_tau / w - 0.25 * np.einsum("jk,jk->j", c, c) + mu[:, 0] / (2.0 * w)
-    # f(x) <= ||e||^2 / x^2 + beta - x / (2 w), which is negative at x_hi;
-    # the floor keeps the grid positive where e and beta vanish (static data)
-    x_hi = np.maximum(4.0 * w * beta, np.cbrt(4.0 * w * np.einsum("jk,jk->j", e, e)))
-    x_grid = np.maximum(x_hi, 1e-12 * mu[:, -1] + 1e-300)[:, None] * _ROOT_GRID
-    f = np.sum((e[:, None, :] / (d[:, None, :] + x_grid[:, :, None])) ** 2, axis=2)
-    above = f + beta[:, None] - x_grid / (2.0 * w[:, None]) > 0.0
-    x = x_grid[np.arange(len(x_grid)), np.maximum(np.sum(above, axis=1) - 1, 0)]
-    for _ in range(8):
-        r2 = (e / (d + x[:, None])) ** 2
-        step = (r2.sum(1) + beta - x / (2.0 * w)) / (2.0 * np.sum(r2 / (d + x[:, None]), axis=1) + 0.5 / w)
-        x = np.maximum(x + step, x_grid[:, 0])
-    v = e / (d + x[:, None])
-    # hard case: f < 0 down to the floor; planar data (pb_z - pa_z
-    # constant) put every heading here, with U_0 the vertical
-    hard = ~above[:, 0]
-    v0 = np.sqrt(np.maximum(x / (2.0 * w) - beta - np.sum(v[:, 1:] ** 2, axis=1), 0.0))
-    v[hard, 0] = np.copysign(v0, e[:, 0])[hard]
-    t = np.einsum("jik,bjk->bji", U, np.stack([v, v * [-1.0, 1.0, 1.0]]) - 0.5 * c)
-    y = np.concatenate([t, np.einsum("bji,bji->bj", t, t)[..., None], np.ones((2, len(v), 1))], axis=2)
-    cost = np.einsum("bji,jik,bjk->bj", y, M, y)
-    cost[~np.isfinite(cost)] = math.inf
-    best = cost.min()
-    if best == math.inf:
-        raise DegenerateSolutionError("no grid heading has a finite cost")
-    nb = []
-    for k in (1, -1):  # the nearer point of the heading next door continues a branch
-        nearer = np.linalg.norm(t[:, None] - np.roll(t, k, axis=1), axis=-1).argmin(axis=1)
-        nb.append(np.take_along_axis(np.roll(cost, k, axis=1), nearer, axis=0))
-    prev, succ = nb
-    curv = 0.5 * (prev + succ) - cost
-    local_min = (cost <= prev) & (cost <= succ) & ((cost == best) | (16.0 * curv * (cost - best) <= (prev - succ) ** 2))
-    idx = np.flatnonzero(local_min)
-    idx = idx[np.argsort(cost.ravel()[idx], kind="stable")][:SWEEP_CANDIDATES]
-    return [Transform4DoF(t=t.reshape(-1, 3)[k], theta=float(_SWEEP_THETA[k % len(v)])) for k in idx]
+    t, heading, count, errors = _sweep_stack(problem.P0[None])
+    if errors:
+        raise errors[0]
+    return [Transform4DoF(t=t[0, i], theta=float(_SWEEP_THETA[heading[0, i]])) for i in range(count[0])]
+
+
+def _sweep_stack(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """`_sweep` over a stack of W >= 1 problems in chunks of SWEEP_CHUNK.
+
+    The chunks cap the sweep's temporaries, which grow with the number of
+    problems. Also returns {problem index: exception} for the problems
+    the sweep cannot solve; they have no candidate.
+    """
+    parts, errors = [], {}
+    for lo in range(0, len(P0), SWEEP_CHUNK):
+        try:
+            parts.append(_sweep(P0[lo : lo + SWEEP_CHUNK]))
+        except np.linalg.LinAlgError:  # one problem spoils its chunk's eigh: sweep them one by one
+            for i in range(lo, min(lo + SWEEP_CHUNK, len(P0))):
+                try:
+                    parts.append(_sweep(P0[i : i + 1]))
+                except np.linalg.LinAlgError as exc:
+                    errors[i] = exc
+                    no_candidate = np.zeros((1, SWEEP_CANDIDATES), dtype=int)
+                    parts.append((np.zeros((1, SWEEP_CANDIDATES, 3)), no_candidate, np.zeros(1, dtype=int)))
+    t, heading, count = (np.concatenate(a) for a in zip(*parts))
+    for i in np.flatnonzero(count == 0):
+        errors.setdefault(int(i), DegenerateSolutionError("no grid heading has a finite cost"))
+    return t, heading, count, errors
+
+
+def _reports(T_hats: list, pa: np.ndarray, pb: np.ndarray, sigma_r: float, solvers: list) -> list[EstimateReport]:
+    """Reports of W estimates from one stacked FIM: pa and pb (W, k, 3) are each estimate's range rows."""
+    if not T_hats:
+        return []
+    t = np.array([T.t for T in T_hats])
+    reps = fim_stack(t, np.array([T.theta for T in T_hats]), pa[: len(t)], pb[: len(t)], sigma_r)
+    flags = singularity_flags(np.array([r.lam for r in reps]), np.array([r.Q for r in reps]))
+    return [
+        EstimateReport(
+            theta_hat=T,
+            std_errors=np.sqrt(np.diag(rep.crlb)) if rep.crlb is not None else None,
+            kappa=rep.kappa,
+            flags=fl,
+            solver=solver,
+            fim=rep,
+        )
+        for T, rep, fl, solver in zip(T_hats, reps, flags, solvers)
+    ]
 
 
 def _report(T_hat: Transform4DoF, dataset: SyncedDataset, solver: dict) -> EstimateReport:
-    rep = fim(T_hat, dataset)
-    flags = singularity_report(rep.F)
-    std = np.sqrt(np.diag(rep.crlb)) if rep.crlb is not None else None
-    return EstimateReport(theta_hat=T_hat, std_errors=std, kappa=rep.kappa, flags=flags, solver=solver)
+    pa, pb, _ = range_rows(dataset)
+    return _reports([T_hat], pa[None], pb[None], dataset.sigma_r, [solver])[0]
 
 
 def _rank_and_ratio(X) -> tuple[int, float]:
@@ -392,6 +497,66 @@ def sdp_estimate(dataset: SyncedDataset) -> EstimateReport:
     return _report(T, dataset, solver)
 
 
+def _solve_stack(
+    problem: QcqpProblem,
+    pa: np.ndarray,
+    pb: np.ndarray,
+    sigma_r: float,
+    lm_opts: Optional[LmOptions] = None,
+) -> list[EstimateReport]:
+    """`solve_qcqp` for a stack of W problems, in problem order.
+
+    pa and pb (W, k, 3) are the antenna positions of each problem's rows
+    of B, for its FIM. An error raised for problem i (a sweep without a
+    candidate, every refinement diverged, a zero range in the FIM) is the
+    error a one-by-one loop would raise first: problems after i are not
+    refined, and those before it are reported first.
+    """
+    start = time.perf_counter()
+    opts = lm_opts or LmOptions(max_iter=80)
+    cand_t, cand_heading, count, errors = _sweep_stack(problem.P0)
+    sweep_ms = (time.perf_counter() - start) * 1e3 / max(len(count), 1)
+    Bw = _scaled_rows(problem.B, problem.weights)
+    T_hats, solvers, error = [], [], None
+    for i in range(len(count)):
+        if i in errors:
+            error = errors[i]
+            break
+        start = time.perf_counter()
+        residuals, jacobian = _refinement_callables(Bw[i])
+        best: Optional[tuple[Transform4DoF, float]] = None
+        total_lm_iters = 0
+        n_converged = 0
+        for t0, heading in zip(cand_t[i, : count[i]], cand_heading[i, : count[i]]):
+            res = lm_minimize(residuals, jacobian, np.append(t0, _SWEEP_THETA[heading]), opts)
+            total_lm_iters += res.iterations
+            if res.status in ("converged", "max_iter"):
+                n_converged += res.status == "converged"
+                T = Transform4DoF(t=res.x[:3], theta=res.x[3])
+                x = lift_transform(T)
+                cost = float(x @ problem.P0[i] @ x)
+                if best is None or cost < best[1]:
+                    best = (T, cost)
+        if best is None:
+            error = DegenerateSolutionError("all refinement starts diverged")
+            break
+        T_hats.append(best[0])
+        solvers.append(
+            {
+                "method": "qcqp",
+                "iterations": total_lm_iters,
+                "restarts": int(count[i]),
+                "restarts_converged": n_converged,
+                "final_cost": best[1],
+                "wall_ms": sweep_ms + (time.perf_counter() - start) * 1e3,
+            }
+        )
+    reports = _reports(T_hats, pa, pb, sigma_r, solvers)
+    if error is not None:
+        raise error
+    return reports
+
+
 def solve_qcqp(
     problem: QcqpProblem,
     dataset: SyncedDataset,
@@ -403,38 +568,28 @@ def solve_qcqp(
     Levenberg-Marquardt; the lowest-cost result wins. The constraints
     hold by construction of the parameterization, and ||t|| is left
     free: a measured inter-origin distance enters the cost as an
-    ordinary row of B.
+    ordinary row of B. Runs as a stack of one problem.
     """
-    start = time.perf_counter()
-    opts = lm_opts or LmOptions(max_iter=80)
-    inits = yaw_sweep(problem)
-
-    best: Optional[tuple[Transform4DoF, float, LmResult]] = None
-    total_lm_iters = 0
-    n_converged = 0
-    for T0 in inits:
-        T, cost, res = _refine(problem, T0, opts)
-        total_lm_iters += res.iterations
-        if res.status in ("converged", "max_iter"):
-            n_converged += res.status == "converged"
-            if best is None or cost < best[1]:
-                best = (T, cost, res)
-    if best is None:
-        raise DegenerateSolutionError("all refinement starts diverged")
-
-    solver = {
-        "method": "qcqp",
-        "iterations": total_lm_iters,
-        "restarts": len(inits),
-        "restarts_converged": n_converged,
-        "final_cost": best[1],
-        "wall_ms": (time.perf_counter() - start) * 1e3,
-    }
-    return _report(best[0], dataset, solver)
+    stack = dataclasses.replace(problem, P0=problem.P0[None], B=problem.B[None], weights=problem.weights[None])
+    pa, pb, _ = range_rows(dataset)
+    return _solve_stack(stack, pa[None], pb[None], dataset.sigma_r, lm_opts)[0]
 
 
 def qcqp_estimate(dataset: SyncedDataset) -> EstimateReport:
     return solve_qcqp(assemble_qcqp(dataset), dataset)
+
+
+def qcqp_estimate_windows(stream: SyncedDataset, rows: np.ndarray) -> list[EstimateReport]:
+    """`qcqp_estimate` of W windows of a stream in one stacked pass.
+
+    rows (W, n) holds each window's row indices into the stream; windows
+    may overlap. Every window drops d0. The result equals running
+    `qcqp_estimate` window by window, errors included.
+    """
+    rows = np.asarray(rows, dtype=int)
+    if len(rows) == 0:
+        return []
+    return _solve_stack(assemble_qcqp(stream, rows), stream.pa[rows], stream.pb[rows], stream.sigma_r)
 
 
 def nls_estimate(dataset: SyncedDataset, init: Optional[Transform4DoF] = None) -> EstimateReport:
@@ -448,9 +603,7 @@ def nls_estimate(dataset: SyncedDataset, init: Optional[Transform4DoF] = None) -
     start = time.perf_counter()
     T0 = init if init is not None else Transform4DoF(t=np.zeros(3), theta=0.0)
     sigma = dataset.sigma_r
-    pa, pb, d_meas = dataset.pa, dataset.pb, dataset.d
-    if d0_is_extra_range(dataset):
-        pa, pb, d_meas = np.vstack([pa, np.zeros(3)]), np.vstack([pb, np.zeros(3)]), np.append(d_meas, dataset.d0)
+    pa, pb, d_meas = range_rows(dataset)
 
     def residuals(p):
         T = Transform4DoF(t=p[:3], theta=p[3])
@@ -521,6 +674,13 @@ def sliding_window_estimate(
     (near-singular geometry produces junk updates). The
     inter-origin-distance constraint is dropped inside windows: under
     drift the initial distance is stale.
+
+    `qcqp` solves all excited windows in one stacked pass
+    (`qcqp_estimate_windows`): one assembly, a yaw sweep in chunks of
+    SWEEP_CHUNK windows, which caps its temporaries, one refinement per
+    candidate and one batched FIM eigendecomposition. Its results and
+    errors equal a window-by-window loop. `nls` and `sdp` run window by
+    window.
     """
     if window < 10:
         raise ValueError(f"window must be >= 10, got {window}")
@@ -528,21 +688,22 @@ def sliding_window_estimate(
         raise ValueError(f"unknown estimator {estimator!r}")
     stride = stride or window
     n_check = excitation_n or window
-    run = ESTIMATORS[estimator]
+    starts = np.arange(0, len(stream) - window + 1, stride)
+    rows = starts[:, None] + np.arange(window)
+    excited = motion_excitation_check(stream.pa[rows], stream.pb[rows], var_threshold=excitation_var, n=n_check)
+    if estimator == "qcqp":
+        stacked = iter(qcqp_estimate_windows(stream, rows[excited]))
 
     results = []
     prev: Optional[Transform4DoF] = None
-    for idx, stop in enumerate(range(window, len(stream) + 1, stride)):
-        data = stream.window(stop - window, stop)
+    for idx, (a, b, ok) in enumerate(zip(starts.tolist(), (starts + window).tolist(), excited.tolist())):
         report = None
-        if motion_excitation_check(data.pa, data.pb, var_threshold=excitation_var, n=n_check):
-            report = run(data, init=prev)
+        if ok:
+            report = next(stacked) if estimator == "qcqp" else ESTIMATORS[estimator](stream.window(a, b), init=prev)
         skipped = report is None or (max_kappa is not None and not report.kappa <= max_kappa)
         if not skipped:
             prev = report.theta_hat
-        results.append(
-            WindowEstimate(index=idx, start=stop - window, stop=stop, t_end=data.t[-1], skipped=skipped, report=report)
-        )
+        results.append(WindowEstimate(index=idx, start=a, stop=b, t_end=stream.t[b - 1], skipped=skipped, report=report))
     return results
 
 

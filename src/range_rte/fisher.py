@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Transform4DoF
-from .measurement import SyncedDataset, d0_is_extra_range
+from .geometry import Transform4DoF, yaw_matrices
+from .measurement import SyncedDataset, range_rows
 from .solvers import eig_sym
 
 UZ = np.array([0.0, 0.0, 1.0])
@@ -71,8 +71,9 @@ class RangeJacobian:
 class FimReport:
     """FIM with its derived uncertainty quantities.
 
-    crlb (and the scalar translation/heading bounds) are present only
-    when the FIM is invertible at the configured tolerance.
+    lam and Q are the eigenpairs of F, largest first (Q holds them in
+    columns). crlb (and the scalar translation/heading bounds) are
+    present only when the FIM is invertible at the configured tolerance.
     """
 
     F: np.ndarray
@@ -82,6 +83,8 @@ class FimReport:
     det_f: float
     kappa: float
     rank: int
+    lam: np.ndarray
+    Q: np.ndarray
 
 
 @dataclass
@@ -108,60 +111,76 @@ def range_jacobian(T: Transform4DoF, pa, pb) -> RangeJacobian:
     return RangeJacobian(u=u, phi=phi, d=d)
 
 
-def jacobian_matrix(T: Transform4DoF, dataset: SyncedDataset) -> np.ndarray:
-    """Stacked (k, 4) Jacobian, one row [u^T, phi] per sample."""
-    W = T.t + dataset.pb @ T.rotation().T - dataset.pa
-    d = np.linalg.norm(W, axis=1)
+def _jacobian_stack(t: np.ndarray, theta: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Jacobians of W problems, shape (W, k, 4), one row [u^T, phi] per range.
+
+    t (W, 3) and theta (W,) are the transforms, pa and pb (W, k, 3) the
+    antenna positions of each problem's ranges.
+    """
+    # math.cos and math.sin round as Transform4DoF.rotation does
+    R = yaw_matrices([math.cos(th) for th in theta.tolist()], [math.sin(th) for th in theta.tolist()])
+    rotated_b = pb @ R.swapaxes(-1, -2)
+    W = t[:, None, :] + rotated_b - pa
+    d = np.linalg.norm(W, axis=-1)
     if np.any(d <= 0.0):
         raise SingularGeometryError("zero range encountered in dataset")
-    U = W / d[:, None]
-    rotated_b = dataset.pb @ T.rotation().T
-    phi = np.cross(np.broadcast_to(UZ, rotated_b.shape), rotated_b)
-    phi = np.einsum("ij,ij->i", phi, U)
-    return np.column_stack([U, phi])
+    U = W / d[..., None]
+    phi = -rotated_b[..., 1] * U[..., 0] + rotated_b[..., 0] * U[..., 1]  # [uz x (C pb)] . u
+    return np.concatenate([U, phi[..., None]], axis=-1)
+
+
+def jacobian_matrix(T: Transform4DoF, dataset: SyncedDataset) -> np.ndarray:
+    """Stacked (k, 4) Jacobian, one row [u^T, phi] per sample."""
+    return _jacobian_stack(T.t[None], np.array([T.theta]), dataset.pa[None], dataset.pb[None])[0]
+
+
+def fim_stack(t, theta, pa, pb, sigma_r: float, rcond: float = DEFAULT_RCOND) -> list[FimReport]:
+    """Fisher information of W problems about their (t, theta), with CRLB.
+
+    t (W, 3) and theta (W,) are the transforms, pa and pb (W, k, 3) the
+    antenna positions of each problem's ranges. F = sigma_r^-2 J^T J, and
+    one batched eigendecomposition gives every F its eigenpairs, kappa,
+    rank and CRLB. The CRLB is reported when the smallest eigenvalue
+    clears rcond relative to the largest; otherwise the configuration is
+    rank-deficient and the crlb fields are None.
+    """
+    J = _jacobian_stack(np.asarray(t, dtype=float), np.asarray(theta, dtype=float), pa, pb)
+    F = (J.swapaxes(-1, -2) @ J) / sigma_r**2
+    F = 0.5 * (F + F.swapaxes(-1, -2))
+    lam, Q = np.linalg.eigh(F)
+    lam, Q = np.ascontiguousarray(lam[:, ::-1]), np.ascontiguousarray(Q[:, :, ::-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crlb = (Q * (1.0 / lam)[:, None, :]) @ Q.swapaxes(-1, -2)
+    crlb = 0.5 * (crlb + crlb.swapaxes(-1, -2))
+    lam_max = np.maximum(lam[:, 0], 0.0)
+    invertible = (lam_max > 0) & (lam[:, -1] > rcond * lam_max)
+    rank = np.where(lam_max > 0, np.sum(lam > max(rcond, 1e-13) * lam_max[:, None], axis=1), 0)
+    det_f = np.linalg.det(F)
+    return [
+        FimReport(
+            F=F[i],
+            crlb=crlb[i] if invertible[i] else None,
+            crlb_t=float(np.trace(crlb[i, :3, :3])) if invertible[i] else None,
+            crlb_theta=float(crlb[i, 3, 3]) if invertible[i] else None,
+            det_f=float(det_f[i]),
+            kappa=float(lam[i, 0] / lam[i, -1]) if lam[i, -1] > 0 else math.inf,
+            rank=int(rank[i]),
+            lam=lam[i],
+            Q=Q[i],
+        )
+        for i in range(len(F))
+    ]
 
 
 def fim(T: Transform4DoF, dataset: SyncedDataset, rcond: float = DEFAULT_RCOND) -> FimReport:
     """Fisher information of the dataset about (t, theta), with CRLB.
 
-    F = sigma_r^-2 J^T J. A d0 that the estimators fit as one more range
-    (`d0_is_extra_range`) adds its row (t/||t||, 0), the range between
-    the two frame origins. The CRLB is reported when the smallest
-    eigenvalue clears rcond relative to the largest; otherwise the
-    configuration is rank-deficient and crlb fields are None.
+    `fim_stack` for one problem. A d0 that the estimators fit as one more
+    range (`d0_is_extra_range`) adds its row (t/||t||, 0), the range
+    between the two frame origins.
     """
-    J = jacobian_matrix(T, dataset)
-    if d0_is_extra_range(dataset):
-        norm_t = float(np.linalg.norm(T.t))
-        if norm_t <= 0.0:
-            raise SingularGeometryError("zero range: frame origins coincide")
-        J = np.vstack([J, np.append(T.t / norm_t, 0.0)])
-    F = (J.T @ J) / dataset.sigma_r**2
-    F = 0.5 * (F + F.T)
-    lam, Q = eig_sym(F)
-    lam_max = max(float(lam[0]), 0.0)
-    rank = int(np.sum(lam > max(rcond, 1e-13) * lam_max)) if lam_max > 0 else 0
-    if lam[-1] > 0:
-        kappa = float(lam[0] / lam[-1])
-    else:
-        kappa = math.inf
-    invertible = lam_max > 0 and lam[-1] > rcond * lam_max
-    if invertible:
-        crlb = Q @ np.diag(1.0 / lam) @ Q.T
-        crlb = 0.5 * (crlb + crlb.T)
-        crlb_t = float(np.trace(crlb[:3, :3]))
-        crlb_theta = float(crlb[3, 3])
-    else:
-        crlb = crlb_t = crlb_theta = None
-    return FimReport(
-        F=F,
-        crlb=crlb,
-        crlb_t=crlb_t,
-        crlb_theta=crlb_theta,
-        det_f=float(np.linalg.det(F)),
-        kappa=kappa,
-        rank=rank,
-    )
+    pa, pb, _ = range_rows(dataset)
+    return fim_stack(T.t[None], np.array([T.theta]), pa[None], pb[None], dataset.sigma_r, rcond)[0]
 
 
 def _subset_indices(k: int, size: int, max_samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -277,6 +296,40 @@ def det_fim_subproblem(
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def singularity_flags(
+    lam,
+    Q,
+    kappa_threshold: float = DEFAULT_KAPPA_THRESHOLD,
+    std_ceiling: float = DEFAULT_STD_CEILING,
+    rcond: float = DEFAULT_RCOND,
+) -> list[SingularityFlags]:
+    """`singularity_report` for W eigendecompositions at once.
+
+    lam (W, n) holds each FIM's eigenvalues, largest first, and Q
+    (W, n, n) the matching eigenvectors in columns.
+    """
+    lam = np.asarray(lam, dtype=float)
+    lam_max = np.maximum(lam[:, 0], 0.0)
+    if np.any(lam[:, -1] < -1e-8 * np.maximum(lam_max, 1.0)):
+        raise ValueError("FIM must be positive semidefinite within tolerance")
+    positive = (lam_max > 0) & (lam[:, -1] > 0)
+    invertible = (lam_max > 0) & (lam[:, -1] > rcond * lam_max)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.where(positive, lam[:, 0] / lam[:, -1], math.inf)
+        std = np.sqrt(np.maximum(np.einsum("wij,wj,wij->wi", Q, 1.0 / lam, Q), 0.0))
+    med = np.median(std, axis=1)
+    per_param = (std > std_ceiling * med[:, None]) & (med > 0)[:, None]
+    per_param[~invertible] = True
+    return [
+        SingularityFlags(
+            configuration_singular=bool(k > kappa_threshold),
+            per_param_unobservable=tuple(flags),
+            kappa_threshold=kappa_threshold,
+        )
+        for k, flags in zip(kappa.tolist(), per_param.tolist())
+    ]
+
+
 def singularity_report(
     F_hat,
     kappa_threshold: float = DEFAULT_KAPPA_THRESHOLD,
@@ -291,31 +344,8 @@ def singularity_report(
     when the FIM is rank-deficient no standard error is certifiable and
     every parameter is flagged.
     """
-    F = np.asarray(F_hat, dtype=float)
-    lam, Q = eig_sym(F)
-    lam_max = max(float(lam[0]), 0.0)
-    if lam[-1] < -1e-8 * max(lam_max, 1.0):
-        raise ValueError("FIM must be positive semidefinite within tolerance")
-    if lam_max > 0 and lam[-1] > 0:
-        kappa = float(lam[0] / lam[-1])
-    else:
-        kappa = math.inf
-    invertible = lam_max > 0 and lam[-1] > rcond * lam_max
-    if invertible:
-        crlb_diag = np.einsum("ij,j,ij->i", Q, 1.0 / lam, Q)
-        std = np.sqrt(np.maximum(crlb_diag, 0.0))
-        med = float(np.median(std))
-        if med > 0:
-            flags = tuple(bool(s > std_ceiling * med) for s in std)
-        else:
-            flags = (False,) * len(std)
-    else:
-        flags = (True,) * F.shape[0]
-    return SingularityFlags(
-        configuration_singular=bool(kappa > kappa_threshold),
-        per_param_unobservable=flags,
-        kappa_threshold=kappa_threshold,
-    )
+    lam, Q = eig_sym(F_hat)
+    return singularity_flags(lam[None], Q[None], kappa_threshold, std_ceiling, rcond)[0]
 
 
 def confidence_intervals(
@@ -326,15 +356,19 @@ def confidence_intervals(
 ) -> np.ndarray:
     """95% confidence intervals for (t_x, t_y, t_z, theta), shape (4, 2).
 
-    Centered on the estimate with half-width 1.96 sqrt([F^-1]_ii).
-    Raises SingularFimError (carrying singularity flags) when the FIM is
-    not invertible at the tolerance.
+    Centered on the estimate with half-width 1.96 sqrt([F^-1]_ii). F_hat
+    is the FIM, or a FimReport, whose eigenpairs are then reused. Raises
+    SingularFimError (carrying singularity flags) when the FIM is not
+    invertible at the tolerance.
     """
-    F = np.asarray(F_hat, dtype=float)
-    lam, Q = eig_sym(F)
+    if isinstance(F_hat, FimReport):
+        F, lam, Q = F_hat.F, F_hat.lam, F_hat.Q
+    else:
+        F = np.asarray(F_hat, dtype=float)
+        lam, Q = eig_sym(F)
     lam_max = max(float(lam[0]), 0.0)
     if not (lam_max > 0 and lam[-1] > rcond * lam_max):
-        flags = singularity_report(F, kappa_threshold=kappa_threshold, rcond=rcond)
+        flags = singularity_flags(lam[None], Q[None], kappa_threshold=kappa_threshold, rcond=rcond)[0]
         raise SingularFimError("confidence intervals unavailable: FIM is singular", flags)
     crlb_diag = np.einsum("ij,j,ij->i", Q, 1.0 / lam, Q)
     half = 1.96 * np.sqrt(np.maximum(crlb_diag, 0.0))

@@ -26,6 +26,16 @@ def heading_rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
+def yaw_matrices(c, s) -> np.ndarray:
+    """Stacked rotations about +z, shape (n, 3, 3), from their cosines and sines."""
+    R = np.zeros((len(c), 3, 3))
+    R[:, 0, 0] = R[:, 1, 1] = c
+    R[:, 1, 0] = s
+    R[:, 0, 1] = np.negative(s)
+    R[:, 2, 2] = 1.0
+    return R
+
+
 def _as_vec3(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (3,):

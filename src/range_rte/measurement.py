@@ -128,6 +128,16 @@ def d0_is_extra_range(dataset: SyncedDataset) -> bool:
     return dataset.d0 is not None and dataset.d0 != dataset.d[0]
 
 
+def range_rows(dataset: SyncedDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pa, pb, d) of every range the fit and the FIM use: the dataset's
+    rows, plus a last row (0, 0, d0) between the frame origins when
+    `d0_is_extra_range`."""
+    if not d0_is_extra_range(dataset):
+        return dataset.pa, dataset.pb, dataset.d
+    origin = np.zeros((1, 3))
+    return np.vstack([dataset.pa, origin]), np.vstack([dataset.pb, origin]), np.append(dataset.d, dataset.d0)
+
+
 @dataclass(frozen=True)
 class SquaredStats:
     """Debiased squared distances and the diagonal of their covariance."""
@@ -333,18 +343,19 @@ def motion_excitation_check(
     recent_positions_b,
     var_threshold: float = 0.05,
     n: int = 100,
-) -> bool:
+) -> bool | np.ndarray:
     """True when both agents show per-axis position variance above threshold.
 
     Uses the last `n` positions of each agent. Guards against singular
     configurations from insufficient motion (static agent, hovering,
-    single-axis motion) before any estimation is attempted.
+    single-axis motion) before any estimation is attempted. Positions of
+    shape (..., N, 3) stack windows; the result is then a boolean array
+    over the leading axes.
     """
+    excited = True
     for positions in (recent_positions_a, recent_positions_b):
         arr = np.asarray(positions, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] == 0:
+        if arr.ndim < 2 or arr.shape[-1] != 3 or arr.shape[-2] == 0:
             raise ValueError("positions must be a non-empty (N, 3) array")
-        tail = arr[-n:]
-        if np.any(np.var(tail, axis=0) <= var_threshold):
-            return False
-    return True
+        excited = excited & ~np.any(np.var(arr[..., -n:, :], axis=-2) <= var_threshold, axis=-1)
+    return excited if arr.ndim > 2 else bool(excited)

@@ -5,15 +5,13 @@ odometry and range data, builds the canonical degenerate trajectory
 classes, and aggregates estimator errors against the information bound.
 Every run is keyed by a 64-bit seed through a counter-based generator
 (Philox) with one substream per trial, so trials are reproducible and
-order-independent under parallel execution.
+independent of the order they run in.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +19,7 @@ import numpy as np
 
 from .estimators import ESTIMATORS, WindowEstimate, align_target_trajectory, sliding_window_estimate
 from .fisher import fim
-from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, wrap_angle
+from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, wrap_angle, yaw_matrices
 from .measurement import SIGMA_R_FLOOR, SyncedDataset, at_frame_origins, true_range
 
 SCENARIO_KINDS = ("parallel", "planar_linear", "static_target", "static_host")
@@ -166,16 +164,6 @@ def generate_trajectory(
     return positions, yaws
 
 
-def _yaw_matrices(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Stacked rotations about +z, shape (n, 3, 3), from their cosines and sines."""
-    R = np.zeros((len(c), 3, 3))
-    R[:, 0, 0] = R[:, 1, 1] = c
-    R[:, 1, 0] = s
-    R[:, 0, 1] = -s
-    R[:, 2, 2] = 1.0
-    return R
-
-
 def _antenna_positions(positions: np.ndarray, yaws: np.ndarray, arm: LeverArm) -> np.ndarray:
     """p_i + R(yaw_i) r for a heading-only body attitude, shape (n, 3).
 
@@ -183,7 +171,7 @@ def _antenna_positions(positions: np.ndarray, yaws: np.ndarray, arm: LeverArm) -
     cos(yaw/2)), with the roundings of `quat_to_matrix`.
     """
     z, w = np.sin(0.5 * yaws), np.cos(0.5 * yaws)
-    return positions + _yaw_matrices(1 - 2 * (z * z), 2 * (z * w)) @ arm.r
+    return positions + yaw_matrices(1 - 2 * (z * z), 2 * (z * w)) @ arm.r
 
 
 def synthesize_measurements(
@@ -299,38 +287,16 @@ def _run_trial(cfg: ScenarioConfig, estimator: str, trial: int):
     return err_t, err_th, bound.crlb_t, bound.crlb_theta, ms, failure
 
 
-def resolve_threads(threads: Optional[int] = None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("RANGE_RTE_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
-
-
-def monte_carlo_run(
-    cfg: ScenarioConfig,
-    estimator: str = "qcqp",
-    threads: Optional[int] = None,
-) -> ErrorStats:
+def monte_carlo_run(cfg: ScenarioConfig, estimator: str = "qcqp") -> ErrorStats:
     """Repeated-trial evaluation of one estimator on one scenario cell.
 
     Each trial draws a fresh truth, trajectories and noise from its own
     substream. Failed trials are recorded, not dropped; aggregates are
-    over the successful ones. Results are identical for any thread count.
+    over the successful ones.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
-    n_threads = resolve_threads(threads)
-    rows: list = [None] * cfg.trials
-    if n_threads == 1:
-        for i in range(cfg.trials):
-            rows[i] = _run_trial(cfg, estimator, i)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            for i, row in enumerate(pool.map(lambda i: _run_trial(cfg, estimator, i), range(cfg.trials))):
-                rows[i] = row
+    rows = [_run_trial(cfg, estimator, i) for i in range(cfg.trials)]
     # a bound of None (singular information matrix) becomes NaN in the float table
     return ErrorStats([r[:5] for r in rows], failures=[r[5] for r in rows if r[5] is not None])
 
@@ -421,7 +387,7 @@ def drift_scenario(
     target_world = apply_transform(T0, target_local)
 
     # row i: C(theta_i)' (target_world_i - t_i)
-    pb_true = ((target_world - t_true)[:, None, :] @ _yaw_matrices(np.cos(theta_true), np.sin(theta_true)))[:, 0]
+    pb_true = ((target_world - t_true)[:, None, :] @ yaw_matrices(np.cos(theta_true), np.sin(theta_true)))[:, 0]
     d = np.linalg.norm(target_world - host, axis=1)
     d_meas = d + cfg.sigma_r * rng.standard_normal(n) if cfg.sigma_r > 0 else d.copy()
     np.maximum(d_meas, 1e-9, out=d_meas)

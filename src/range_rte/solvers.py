@@ -328,18 +328,19 @@ def lm_minimize(
     opts = opts or LmOptions()
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residuals(x), dtype=float)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         return LmResult(x=x, cost=np.inf, iterations=0, status="non_finite", grad_norm=np.inf)
     cost = 0.5 * float(r @ r)
     history = [cost]
     J = np.asarray(jacobian(x), dtype=float)
     g = J.T @ r
-    gnorm = float(np.max(np.abs(g))) if g.size else 0.0
+    gnorm = float(np.abs(g).max()) if g.size else 0.0
     scale = max(1.0, cost)
     if gnorm <= opts.gtol * scale:
         return LmResult(x=x, cost=cost, iterations=0, status="converged", grad_norm=gnorm, cost_history=history)
 
     JtJ = J.T @ J
+    eye = np.eye(len(x))
     mu = opts.damping_init * max(float(np.max(np.diag(JtJ))), 1e-300)
     nu = 2.0
     status = "max_iter"
@@ -347,14 +348,14 @@ def lm_minimize(
     accepted = 0
     for it in range(1, opts.max_iter + 1):
         try:
-            step = np.linalg.solve(JtJ + mu * np.eye(len(x)), -g)
+            step = np.linalg.solve(JtJ + mu * eye, -g)
         except np.linalg.LinAlgError:
             mu *= nu
             nu *= 2.0
             continue
         x_new = x + step
         r_new = np.asarray(residuals(x_new), dtype=float)
-        if not np.all(np.isfinite(r_new)):
+        if not np.isfinite(r_new).all():
             mu *= nu
             nu *= 2.0
             if mu > 1e300:
@@ -366,21 +367,21 @@ def lm_minimize(
         rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
         if rho > 0:  # accept
             accepted += 1
-            dx = float(np.linalg.norm(step))
+            dx = math.sqrt(step @ step)  # np.linalg.norm, without its overhead
             df = cost - cost_new
             x, r, cost = x_new, r_new, cost_new
             history.append(cost)
             J = np.asarray(jacobian(x), dtype=float)
             g = J.T @ r
             JtJ = J.T @ J
-            gnorm = float(np.max(np.abs(g)))
+            gnorm = float(np.abs(g).max())
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0
             scale = max(1.0, cost)
             if gnorm <= opts.gtol * scale:
                 status = "converged"
                 break
-            if dx <= opts.xtol * (1.0 + float(np.linalg.norm(x))):
+            if dx <= opts.xtol * (1.0 + math.sqrt(x @ x)):
                 status = "converged"
                 break
             if df <= opts.ftol * scale:

@@ -246,6 +246,11 @@ class TestSimulateCommand:
         assert summary["seed"] == 9
         assert len(summary["config_hash"]) == 16
 
+    def test_threads_key_rejected(self, tmp_path):
+        # the thread pool is gone; an old config that still sets it fails loudly
+        cfg = write_json(tmp_path / "cfg.json", {"trials": 1, "threads": 2})
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+
 
 class TestFimCommand:
     def test_three_samples_note_and_no_det(self, tmp_path):
@@ -330,6 +335,32 @@ class TestDriftCommand:
         )
         rc = main(["drift", "--config", cfg, "--out", str(tmp_path / "d.json")])
         assert rc == 2
+
+    def test_degenerate_window_exits_solver_failure(self, tmp_path, monkeypatch, capsys):
+        # one window with absurd ranges: the stacked pass fails the run as a
+        # window-by-window loop would, with its message
+        import dataclasses
+
+        from range_rte import simulation
+        from range_rte.estimators import DegenerateSolutionError, qcqp_estimate
+
+        real = simulation.sliding_window_estimate
+        spoilt = []
+
+        def spoil_third_window(stream, **kwargs):
+            d = stream.d.copy()
+            d[100:150] *= 1e140
+            spoilt.append(dataclasses.replace(stream, d=d))
+            return real(spoilt[0], **kwargs)
+
+        monkeypatch.setattr(simulation, "sliding_window_estimate", spoil_third_window)
+        cfg = write_json(tmp_path / "cfg.json", {"duration_s": 12.0, "seed": 3})
+        with np.errstate(all="ignore"):
+            rc = main(["drift", "--config", cfg, "--out", str(tmp_path / "d.json")])
+            with pytest.raises(DegenerateSolutionError) as one:
+                qcqp_estimate(spoilt[0].window(100, 150))
+        assert rc == 4
+        assert capsys.readouterr().err.strip() == f"solver failure: {one.value}"
 
 
 class TestJsonEncoding:

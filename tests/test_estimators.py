@@ -13,6 +13,8 @@ from range_rte.estimators import (
     HeadingUndefinedError,
     _lift_jacobian,
     _refine,
+    _refinement_callables,
+    _scaled_rows,
     align_target_trajectory,
     assemble_qcqp,
     build_data_rows,
@@ -28,8 +30,9 @@ from range_rte.estimators import (
     solve_sdp_relaxation,
     yaw_sweep,
 )
+from range_rte.fisher import confidence_intervals, fim, singularity_report
 from range_rte.geometry import Pose, Transform4DoF, heading_rotation, wrap_angle
-from range_rte.measurement import SyncedDataset, debias_squared, true_range
+from range_rte.measurement import SyncedDataset, debias_squared, motion_excitation_check, true_range
 from range_rte.solvers import LmOptions, lm_minimize
 from range_rte.simulation import (
     DriftConfig,
@@ -71,6 +74,16 @@ def near_planar_instance(seed, n=20):
     d = np.abs(true_range(T, pa, pb) + 0.05 * rng.standard_normal(n))
     pa, pb = pa + sigma_o * rng.standard_normal(pa.shape), pb + sigma_o * rng.standard_normal(pb.shape)
     return T, SyncedDataset(t=np.arange(float(n)), d=d, pa=pa, pb=pb, sigma_r=0.05), pb_z
+
+
+def random_stream(rng, n, sigma_r=0.1):
+    """n ranges between two random-walking agents under a random transform."""
+    v = rng.normal(size=3)
+    T = Transform4DoF(t=rng.uniform(2.0, 20.0) * v / np.linalg.norm(v), theta=rng.uniform(-math.pi, math.pi))
+    pa = np.cumsum(rng.normal(0.0, 0.5, (n, 3)), axis=0)
+    pb = np.cumsum(rng.normal(0.0, 0.5, (n, 3)), axis=0)
+    d = np.maximum(np.abs(true_range(T, pa, pb) + sigma_r * rng.standard_normal(n)), 1e-3)
+    return SyncedDataset(t=np.arange(float(n)), d=d, pa=pa, pb=pb, sigma_r=sigma_r)
 
 
 def errors(T_hat, T):
@@ -390,6 +403,19 @@ class TestSolveQcqp:
         assert rep.kappa > 1.0
         assert "final_cost" in rep.solver and "wall_ms" in rep.solver
 
+    def test_report_carries_the_fim_it_was_built_from(self):
+        T, ds = noisy_instance(24)
+        extra = dataclasses.replace(ds, d0=0.8 * float(np.linalg.norm(T.t)))
+        runs = ((qcqp_estimate, ds), (qcqp_estimate, extra), (lambda d: nls_estimate(d, init=T), ds), (sdp_estimate, ds))
+        for estimate, data in runs:
+            rep = estimate(data)
+            ref = fim(rep.theta_hat, data)
+            assert np.array_equal(rep.fim.F, ref.F) and rep.kappa == ref.kappa
+            assert np.array_equal(rep.std_errors, np.sqrt(np.diag(ref.crlb)))
+            assert rep.flags == singularity_report(ref.F)
+            ci = confidence_intervals(rep.theta_hat, rep.fim)
+            assert np.array_equal(ci, confidence_intervals(rep.theta_hat, ref.F))
+
     def test_noiseless_exact_without_d0(self):
         for seed in range(3):
             T, ds = noiseless_instance(40 + seed)
@@ -461,6 +487,93 @@ class TestQcqpInvariance:
         assert permuted.solver["final_cost"] == pytest.approx(cost, rel=1e-9, abs=4.0 * rounding)
         assert np.allclose(permuted.theta_hat.t, rep.theta_hat.t, rtol=1e-6, atol=1e-6)
         assert abs(float(wrap_angle(permuted.theta_hat.theta - rep.theta_hat.theta))) <= 1e-6
+
+
+class TestRefinementCallables:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t=st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3),
+        theta=st.floats(-10.0, 10.0),
+    )
+    def test_jacobian_matches_central_differences(self, seed, t, theta):
+        _, ds = noisy_instance(seed, d0=10.0, D=3.0)
+        prob = assemble_qcqp(ds)
+        Bw = _scaled_rows(prob.B, prob.weights)
+        residuals, jacobian = _refinement_callables(Bw)
+        p = np.array([*t, theta])
+        # the residual is the lift of the transform, heading wrapped
+        assert np.array_equal(residuals(p), Bw @ lift_transform(Transform4DoF(t=p[:3], theta=p[3])))
+        J = jacobian(p)
+        h = 1e-6 * np.maximum(1.0, np.abs(p))
+        steps = np.diag(h)
+        fd = np.column_stack([(residuals(p + steps[k]) - residuals(p - steps[k])) / (2.0 * h[k]) for k in range(4)])
+        np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-7 * np.abs(J).max())
+
+
+class TestStackedWindows:
+    """`sliding_window_estimate` solves its qcqp windows in one stacked pass;
+    each window must come out as `qcqp_estimate` of that window alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        window=st.integers(10, 40),
+        stride=st.integers(1, 45),
+        n_windows=st.integers(1, 20),
+        excitation_var=st.floats(0.0, 1.5),
+        gate=st.floats(1e2, 1e6),
+    )
+    def test_stack_equals_stack_of_one(self, seed, window, stride, n_windows, excitation_var, gate):
+        rng = np.random.default_rng(seed)
+        stream = random_stream(rng, window + stride * (n_windows - 1) + int(rng.integers(0, stride)))
+        windows = sliding_window_estimate(
+            stream, window=window, stride=stride, excitation_var=excitation_var, max_kappa=gate
+        )
+        assert [w.start for w in windows] == [stride * i for i in range(n_windows)]
+        for w in windows:
+            data = stream.window(w.start, w.stop)
+            if not motion_excitation_check(data.pa, data.pb, var_threshold=excitation_var, n=window):
+                assert w.report is None and w.skipped
+                continue
+            ref = qcqp_estimate(data)
+            assert w.report.solver["final_cost"] == pytest.approx(ref.solver["final_cost"], rel=1e-9)
+            assert w.report.kappa == pytest.approx(ref.kappa, rel=1e-9)
+            assert w.skipped == (not ref.kappa <= gate)
+            assert w.t_end == data.t[-1]
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        window=st.integers(10, 30),
+        stride=st.integers(1, 35),
+        n_windows=st.integers(2, 20),
+        bad=st.lists(st.integers(0, 19), min_size=2, max_size=2),
+        scales=st.permutations([1e140, 1e153]),
+    )
+    def test_degenerate_window_raises_what_one_by_one_raises(self, seed, window, stride, n_windows, bad, scales):
+        # ranges of ~1e141 m leave the refinement no finite start; ~1e154 m
+        # spoil the sweep's eigendecomposition: two windows spoilt apart
+        # tell whose error is raised
+        rng = np.random.default_rng(seed)
+        stream = random_stream(rng, window + stride * (n_windows - 1))
+        d = stream.d.copy()
+        for j, scale in zip(bad, scales):
+            a = stride * (j % n_windows)
+            d[a : a + window] = stream.d[a : a + window] * scale
+        stream = dataclasses.replace(stream, d=d)
+        expected = None
+        with np.errstate(all="ignore"):
+            for start in range(0, stride * n_windows, stride):
+                try:
+                    qcqp_estimate(stream.window(start, start + window))
+                except Exception as exc:  # noqa: BLE001 - the first error of the loop is the reference
+                    expected = exc
+                    break
+            assert expected is not None
+            with pytest.raises(type(expected)) as got:
+                sliding_window_estimate(stream, window=window, stride=stride, excitation_var=0.0)
+        assert str(got.value) == str(expected)
 
 
 class TestYawSweep:

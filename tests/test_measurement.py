@@ -300,6 +300,17 @@ class TestExcitation:
         with pytest.raises(ValueError):
             motion_excitation_check(np.zeros((0, 3)), np.zeros((5, 3)))
 
+    def test_stacked_windows_equal_one_by_one(self):
+        rng = np.random.default_rng(6)
+        a = np.cumsum(rng.normal(0.0, 0.3, size=(200, 3)), axis=0)
+        b = np.cumsum(rng.normal(0.0, 0.3, size=(200, 3)), axis=0)
+        b[100:150] = b[100]  # a hovering target fails its windows
+        rows = np.arange(0, 151, 10)[:, None] + np.arange(50)
+        got = motion_excitation_check(a[rows], b[rows], var_threshold=0.1, n=30)
+        assert got.dtype == bool and got.shape == (16,)
+        assert got.tolist() == [motion_excitation_check(a[r], b[r], var_threshold=0.1, n=30) for r in rows]
+        assert 0 < got.sum() < len(got)
+
 
 class TestSyncedDataset:
     def _fields(self, k=3):

@@ -234,14 +234,6 @@ class TestMonteCarlo:
         assert stats.rmse_t < 1e-6 and stats.rmse_theta < 1e-6
         assert not stats.failures
 
-    def test_deterministic_across_thread_counts(self):
-        cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=15, sigma_r=0.1, sigma_o=0.001, trials=6, seed=13)
-        s1 = monte_carlo_run(cfg, estimator="sdp", threads=1)
-        s4 = monte_carlo_run(cfg, estimator="sdp", threads=4)
-        assert np.array_equal(s1.e_t, s4.e_t)
-        assert np.array_equal(s1.e_theta, s4.e_theta)
-        assert np.array_equal(s1.crlb_t, s4.crlb_t)
-
     def test_failures_recorded_not_dropped(self):
         # a static-host style degenerate cell: estimation may fail or err,
         # but every trial must be accounted for
