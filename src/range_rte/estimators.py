@@ -65,6 +65,10 @@ from .solvers import LmOptions, LmResult, SdpStandardForm, SolveDiagnostics, eig
 SWEEP_HEADINGS = 72  # yaw grid of `yaw_sweep`, 5 degree steps
 SWEEP_CANDIDATES = 3  # grid minima handed to the local refinement
 SWEEP_CHUNK = 8  # problems per batched sweep: caps its temporaries
+# LM evaluations per refinement start. Gauss-Newton converges only
+# linearly where the residual stays large (few rows, sigma_r ~ 0.5 m):
+# such starts need a few hundred to ~1500 evaluations, most need < 60
+REFINE_MAX_ITER = 2000
 
 
 class DegenerateSolutionError(RuntimeError):
@@ -513,7 +517,7 @@ def _solve_stack(
     refined, and those before it are reported first.
     """
     start = time.perf_counter()
-    opts = lm_opts or LmOptions(max_iter=80)
+    opts = lm_opts or LmOptions(max_iter=REFINE_MAX_ITER)
     cand_t, cand_heading, count, errors = _sweep_stack(problem.P0)
     sweep_ms = (time.perf_counter() - start) * 1e3 / max(len(count), 1)
     Bw = _scaled_rows(problem.B, problem.weights)
