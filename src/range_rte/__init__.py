@@ -32,23 +32,25 @@ from .fisher import (
 )
 from .geometry import (
     LeverArm,
-    Pose,
     Transform4DoF,
-    antenna_world_position,
     apply_transform,
     heading_rotation,
-    interpolate_pose,
+    interpolate_quats,
+    quat_to_matrix,
     wrap_angle,
 )
 from .measurement import (
-    RangeSample,
+    ODOMETRY_DTYPE,
+    RANGE_DTYPE,
     SquaredStats,
     SyncedDataset,
     debias_squared,
     ingest_logs,
     motion_excitation_check,
+    odometry_log,
+    poses_at,
+    range_log,
     range_rate_outliers,
-    sliding_outlier_filter,
     true_range,
 )
 from .simulation import (

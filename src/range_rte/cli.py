@@ -29,21 +29,22 @@ from .estimators import (
     yaw_sweep,
 )
 from .fisher import (
+    DEFAULT_KAPPA_THRESHOLD,
     InsufficientDataError,
     SingularFimError,
     confidence_intervals,
     det_fim_geometric,
     fim,
-    singularity_report,
+    singularity_flags,
 )
-from .geometry import LeverArm, Pose, Transform4DoF
+from .geometry import LeverArm, Transform4DoF
 from .measurement import (
     NoOverlapError,
-    RangeSample,
     ingest_logs,
     motion_excitation_check,
+    odometry_log,
+    range_log,
     range_rate_outliers,
-    sliding_outlier_filter,
 )
 from .simulation import (
     DriftConfig,
@@ -58,6 +59,8 @@ EXIT_PARSE = 2
 EXIT_SINGULAR = 3
 EXIT_SOLVER = 4
 
+OUTLIER_MODES = ("odometry", "none")
+
 ESTIMATE_DEFAULTS = {
     "sigma_r_m": 0.1,
     "estimator": "qcqp",
@@ -68,10 +71,8 @@ ESTIMATE_DEFAULTS = {
     # origins, unless it is the first range itself
     "d0_m": None,
     "use_first_range_as_d0": True,
-    # window and threshold apply to the "absolute"/"increase" variance
-    # filter only; the default "odometry" mode is the range-rate gate
-    "outlier_window": 20,
-    "outlier_threshold_m2": 0.005,
+    # "odometry" rejects the synced ranges that break the odometry-bounded
+    # range rate (measurement.range_rate_outliers); "none" keeps them all
     "outlier_mode": "odometry",
     "excitation_var_m2": 0.05,
     "excitation_n": 100,
@@ -151,32 +152,25 @@ def cmd_estimate(args) -> int:
         cfg["estimator"] = args.estimator
     if cfg["estimator"] not in ESTIMATORS:
         raise CliError(f"unknown estimator {cfg['estimator']!r}", EXIT_PARSE)
+    if cfg["outlier_mode"] not in OUTLIER_MODES:
+        raise CliError(f"unknown outlier_mode {cfg['outlier_mode']!r}; expected one of {OUTLIER_MODES}", EXIT_PARSE)
 
     odom_a = iof.read_odometry_csv(args.odom_a)
     odom_b = iof.read_odometry_csv(args.odom_b)
     ranges = iof.read_ranges_csv(args.ranges)
 
-    # "odometry" gates the synced samples below; "absolute" and "increase"
-    # run the variance filter on the raw ranges.
-    gated = cfg["outlier_mode"] == "odometry"
-    kept = ranges if gated else sliding_outlier_filter(
-        ranges,
-        window=cfg["outlier_window"],
-        threshold=cfg["outlier_threshold_m2"],
-        mode=cfg["outlier_mode"],
-    )
-    n_outliers = len(ranges) - len(kept)
     dataset, n_dropped = ingest_logs(
         odom_a,
         odom_b,
-        kept,
+        ranges,
         arm_a=LeverArm(np.asarray(cfg["lever_arm_a_m"], dtype=float)),
         arm_b=LeverArm(np.asarray(cfg["lever_arm_b_m"], dtype=float)),
         sigma_r=cfg["sigma_r_m"],
         d0=cfg["d0_m"],
         use_first_range_as_d0=cfg["use_first_range_as_d0"],
     )
-    if gated:
+    n_outliers = 0
+    if cfg["outlier_mode"] == "odometry":
         outliers = range_rate_outliers(dataset)
         n_outliers = int(outliers.sum())
         # a d0 read off a rejected first range goes with it
@@ -203,8 +197,7 @@ def cmd_estimate(args) -> int:
         # the information matrix cannot pin down at a crude reference point.
         T_ref = yaw_sweep(assemble_qcqp(dataset))[0]
         rep = fim(T_ref, dataset)
-        flags = singularity_report(rep.F, kappa_threshold=cfg["kappa_threshold"])
-        report["flags"] = _flags_payload(flags)
+        report["flags"] = _flags_payload(_flags(rep, cfg["kappa_threshold"]))
         report["kappa"] = rep.kappa
         report["error"] = "insufficient motion excitation: configuration treated as singular"
         _write_report(args.out, report)
@@ -214,16 +207,22 @@ def cmd_estimate(args) -> int:
     report["estimate"] = {"t_m": est.theta_hat.t, "theta_rad": est.theta_hat.theta}
     report["std_errors"] = est.std_errors
     report["kappa"] = est.kappa
-    report["flags"] = _flags_payload(est.flags)
+    flags = _flags(est.fim, cfg["kappa_threshold"])
+    report["flags"] = _flags_payload(flags)
     report["solver"] = est.solver
     try:
         report["ci95"] = confidence_intervals(est.theta_hat, est.fim)
     except SingularFimError:
         report["ci95"] = None
     _write_report(args.out, report)
-    if est.flags.configuration_singular:
+    if flags.configuration_singular:
         return EXIT_SINGULAR
     return EXIT_OK
+
+
+def _flags(rep, kappa_threshold: float = DEFAULT_KAPPA_THRESHOLD):
+    """Singularity flags of a FimReport, from the eigenpairs it carries."""
+    return singularity_flags(rep.lam[None], rep.Q[None], kappa_threshold=kappa_threshold)[0]
 
 
 def _write_report(path, payload) -> None:
@@ -251,28 +250,26 @@ def _expand_cells(cfg: dict) -> list[dict]:
 def _emit_trial_logs(out_dir, cell_idx, trial, cfg_cell, T_true, dataset):
     """Write antenna-frame logs reproducing this trial's dataset.
 
-    Poses carry the (noisy) antenna positions directly with identity
-    orientation, so re-ingestion with zero lever arms reproduces the
-    in-process dataset bit for bit.
+    The odometry logs carry the (noisy) antenna positions directly with
+    identity attitude at the range stamps, so re-ingestion with zero lever
+    arms takes every position as it is and reproduces the in-process
+    dataset bit for bit.
     """
     logs = os.path.join(out_dir, "logs")
     os.makedirs(logs, exist_ok=True)
     stem = os.path.join(logs, f"cell{cell_idx:02d}_trial{trial:03d}")
-    poses_a = [Pose(t=t, p=p) for t, p in zip(dataset.t, dataset.pa)]
-    poses_b = [Pose(t=t, p=p) for t, p in zip(dataset.t, dataset.pb)]
-    iof.write_odometry_csv(stem + "_odom_a.csv", poses_a)
-    iof.write_odometry_csv(stem + "_odom_b.csv", poses_b)
-    iof.write_ranges_csv(stem + "_ranges.csv", [RangeSample(t=t, d=d) for t, d in zip(dataset.t, dataset.d)])
+    iof.write_odometry_csv(stem + "_odom_a.csv", odometry_log(dataset.t, dataset.pa))
+    iof.write_odometry_csv(stem + "_odom_b.csv", odometry_log(dataset.t, dataset.pb))
+    iof.write_ranges_csv(stem + "_ranges.csv", range_log(dataset.t, dataset.d))
     estimate_cfg = dict(ESTIMATE_DEFAULTS)
     estimate_cfg["sigma_r_m"] = max(cfg_cell["sigma_r_m"], 1e-9)
     estimate_cfg["estimator"] = cfg_cell["estimator"]
     # Exact reproduction of the in-process path, which neither gates on
-    # motion nor filters outliers and takes d0 from the simulation (the
+    # motion nor rejects outliers and takes d0 from the simulation (the
     # noisy first positions are off the origin, so ingest would drop it).
     estimate_cfg["excitation_var_m2"] = 0.0
     estimate_cfg["d0_m"] = dataset.d0
-    estimate_cfg["outlier_mode"] = "absolute"
-    estimate_cfg["outlier_threshold_m2"] = math.inf
+    estimate_cfg["outlier_mode"] = "none"
     iof.dump_json(stem + "_estimate_config.json", iof.jsonable(estimate_cfg))
     iof.dump_json(
         stem + "_truth.json",
@@ -362,7 +359,7 @@ def cmd_fim(args) -> int:
         meta = {"source": "logs"}
 
     rep = fim(theta, dataset)
-    flags = singularity_report(rep.F)
+    flags = _flags(rep)
     payload = {
         "command": "fim",
         **meta,

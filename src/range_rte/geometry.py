@@ -1,8 +1,13 @@
-"""Frames, poses and the 4-DoF (translation + heading) transform.
+"""Frames, rotations and the 4-DoF (translation + heading) transform.
 
 Both agents run gravity-aligned local odometry frames, so the transform
 between their frames has exactly four observable degrees of freedom:
 3D translation and the yaw angle about the common gravity axis.
+
+Attitudes are unit quaternions stored scalar-last, (x, y, z, w). The
+quaternion helpers work on stacks: q of shape (..., 4) gives rotation
+matrices of shape (..., 3, 3), so a whole odometry log is converted in
+one call.
 """
 
 from __future__ import annotations
@@ -46,36 +51,6 @@ def _as_vec3(v, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Pose:
-    """Timestamped position and orientation of one agent in its local frame.
-
-    Attributes:
-        t: timestamp in seconds.
-        p: position in the local frame, meters, shape (3,).
-        q: unit quaternion (x, y, z, w) of the body frame in the local frame.
-    """
-
-    t: float
-    p: np.ndarray
-    q: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.0, 1.0]))
-
-    def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise ValueError(f"pose timestamp must be finite, got {self.t}")
-        object.__setattr__(self, "p", _as_vec3(self.p, "pose position"))
-        q = np.asarray(self.q, dtype=float)
-        if q.shape != (4,):
-            raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
-        norm = float(np.linalg.norm(q))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"quaternion norm {norm} deviates from 1 by more than 1e-9")
-        object.__setattr__(self, "q", q)
-
-    def rotation(self) -> np.ndarray:
-        return quat_to_matrix(self.q)
-
-
-@dataclass(frozen=True)
 class Transform4DoF:
     """Relative frame transform: translation t and heading theta.
 
@@ -116,16 +91,39 @@ def apply_transform(T: Transform4DoF, p) -> np.ndarray:
     return T.t + p @ T.rotation().T
 
 
+# R(q) = I + 2 M(q) for a unit quaternion q = (x, y, z, w); each entry of
+# M is a signed sum of two products of q's components.
+_QUAT_M = (
+    ("-yy -zz", "+xy -zw", "+xz +yw"),
+    ("+xy +zw", "-xx -zz", "+yz -xw"),
+    ("+xz -yw", "+yz +xw", "-xx -yy"),
+)
+
+
+def _quat_products_to_matrix() -> np.ndarray:
+    """(16, 9) map from the products q_i q_j (index 4 i + j) to the entries
+    of 2 M, row-major."""
+    out = np.zeros((16, 9))
+    for k, entry in enumerate(e for row in _QUAT_M for e in row):
+        for term in entry.split():
+            i, j = ("xyzw".index(c) for c in term[1:])
+            out[4 * i + j, k] = 2.0 if term[0] == "+" else -2.0
+    return out
+
+
+_QUAT_PRODUCTS_TO_MATRIX = _quat_products_to_matrix()
+
+
 def quat_to_matrix(q) -> np.ndarray:
-    """Rotation matrix of a unit quaternion stored (x, y, z, w)."""
-    x, y, z, w = np.asarray(q, dtype=float)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    """Rotation matrices of unit quaternions (x, y, z, w), shape (..., 3, 3).
+
+    One matmul maps the products q_i q_j to every entry. Each entry has two
+    nonzero terms, so it rounds exactly as its own formula, e.g.
+    1 - 2 (y y + z z); q must be finite.
+    """
+    q = np.asarray(q, dtype=float)
+    products = (q[..., :, None] * q[..., None, :]).reshape(q.shape[:-1] + (16,))
+    return (np.eye(3).ravel() + products @ _QUAT_PRODUCTS_TO_MATRIX).reshape(q.shape[:-1] + (3, 3))
 
 
 def yaw_quat(yaw: float) -> np.ndarray:
@@ -133,42 +131,22 @@ def yaw_quat(yaw: float) -> np.ndarray:
     return np.array([0.0, 0.0, math.sin(0.5 * yaw), math.cos(0.5 * yaw)])
 
 
-def slerp(qa, qb, s: float) -> np.ndarray:
-    """Spherical-linear interpolation between unit quaternions at fraction s."""
+def interpolate_quats(qa, qb, s) -> np.ndarray:
+    """Spherical-linear interpolation from qa to qb at fractions s.
+
+    qa and qb have shape (n, 4), s shape (n,). Each pair takes the short
+    arc; nearly parallel pairs (cosine above 1 - 1e-12) are interpolated
+    linearly. The results are normalised to unit length.
+    """
     qa = np.asarray(qa, dtype=float)
     qb = np.asarray(qb, dtype=float)
-    dot = float(np.dot(qa, qb))
-    if dot < 0.0:  # take the short arc
-        qb = -qb
-        dot = -dot
-    if dot > 1.0 - 1e-12:
-        out = qa + s * (qb - qa)
-        return out / np.linalg.norm(out)
-    ang = math.acos(min(dot, 1.0))
-    sa = math.sin((1.0 - s) * ang) / math.sin(ang)
-    sb = math.sin(s * ang) / math.sin(ang)
-    out = sa * qa + sb * qb
-    return out / np.linalg.norm(out)
-
-
-def antenna_world_position(pose: Pose, arm: LeverArm) -> np.ndarray:
-    """Antenna position in the local odometry frame: p + R(q) r."""
-    return pose.p + pose.rotation() @ arm.r
-
-
-def interpolate_pose(a: Pose, b: Pose, t: float) -> Pose:
-    """Interpolate between two bracketing poses at time t.
-
-    Position is linear, orientation is spherical-linear. Endpoints are
-    reproduced exactly. Raises ValueError when t lies outside [a.t, b.t].
-    """
-    if not a.t < b.t:
-        raise ValueError(f"bracketing poses must satisfy a.t < b.t, got {a.t} >= {b.t}")
-    if t < a.t or t > b.t:
-        raise ValueError(f"time {t} outside bracketing interval [{a.t}, {b.t}]")
-    if t == a.t:
-        return a
-    if t == b.t:
-        return b
-    s = (t - a.t) / (b.t - a.t)
-    return Pose(t=t, p=a.p + s * (b.p - a.p), q=slerp(a.q, b.q, s))
+    s = np.asarray(s, dtype=float)[:, None]
+    dot = np.einsum("ij,ij->i", qa, qb)
+    qb = np.where(dot[:, None] < 0.0, -qb, qb)  # take the short arc
+    dot = np.abs(dot)[:, None]
+    near = dot > 1.0 - 1e-12
+    ang = np.arccos(np.minimum(dot, 1.0))
+    sin_ang = np.where(near, 1.0, np.sin(ang))
+    arc = np.sin((1.0 - s) * ang) / sin_ang * qa + np.sin(s * ang) / sin_ang * qb
+    out = np.where(near, qa + s * (qb - qa), arc)
+    return out / np.linalg.norm(out, axis=1, keepdims=True)

@@ -2,8 +2,13 @@
 
 Odometry CSV: header ``t,px,py,pz,qx,qy,qz,qw`` (seconds, meters,
 quaternion scalar-last). Range CSV: header ``t,d``. UTF-8, '.' decimal,
-LF newlines. Floats are written with repr so files round-trip
-bit-exactly; all writes are atomic (temp file + rename).
+LF newlines; blank lines are skipped. Each file is read in one pass into
+a log array (`measurement.ODOMETRY_DTYPE` or `RANGE_DTYPE`, one row per
+data line) and checked as a whole: a malformed line, a non-finite value,
+a quaternion off unit norm, odometry stamps that are not strictly
+increasing or a range that is not positive raise ParseError naming the
+file and the first bad line. Floats are written with repr so files
+round-trip bit-exactly; all writes are atomic (temp file + rename).
 
 JSON reports and configs keep every number numeric: NaN is written as
 null, and +/-inf as the JSON extension numbers Infinity/-Infinity, which
@@ -18,12 +23,10 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Iterable
 
 import numpy as np
 
-from .geometry import Pose
-from .measurement import RangeSample
+from .measurement import ODOMETRY_DTYPE, RANGE_DTYPE, odometry_problem, range_problem
 
 ODOM_HEADER = ["t", "px", "py", "pz", "qx", "qy", "qz", "qw"]
 RANGE_HEADER = ["t", "d"]
@@ -31,10 +34,6 @@ RANGE_HEADER = ["t", "d"]
 
 class ParseError(ValueError):
     """Malformed input file or config."""
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -50,63 +49,60 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def write_odometry_csv(path: str, poses: Iterable[Pose]) -> None:
-    lines = [",".join(ODOM_HEADER)]
-    for p in poses:
-        lines.append(
-            ",".join([_fmt(p.t)] + [_fmt(v) for v in p.p] + [_fmt(v) for v in p.q])
-        )
+def _write_table(path: str, header: list, log: np.ndarray) -> None:
+    values = np.ascontiguousarray(log).view(float).reshape(len(log), len(header))
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in values.tolist()]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_odometry_csv(path: str) -> list[Pose]:
-    poses = []
+def _read_table(path: str, header: list, dtype: np.dtype, problem) -> np.ndarray:
+    """Log array of a CSV file with `header`, checked by `problem`."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != ODOM_HEADER:
-                raise ParseError(f"{path}: expected header {','.join(ODOM_HEADER)}")
+            head = next(reader, None)
+            if head is None or [h.strip() for h in head] != header:
+                raise ParseError(f"{path}: expected header {','.join(header)}")
+            lines, values = [], []
             for ln, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                if len(row) != 8:
-                    raise ParseError(f"{path}:{ln}: expected 8 fields, got {len(row)}")
-                vals = [float(v) for v in row]
-                poses.append(Pose(t=vals[0], p=np.array(vals[1:4]), q=np.array(vals[4:8])))
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, ParseError):
-            raise
+                if len(row) != len(header):
+                    raise ParseError(f"{path}:{ln}: expected {len(header)} fields, got {len(row)}")
+                try:
+                    values.extend(map(float, row))
+                except ValueError as exc:
+                    raise ParseError(f"{path}:{ln}: {exc}") from None
+                lines.append(ln)
+    except ParseError:
+        raise
+    except (OSError, ValueError) as exc:  # unreadable, or not UTF-8
         raise ParseError(f"{path}: {exc}") from exc
-    return poses
+    log = np.array(values).view(dtype)
+    found = problem(log)
+    if found is not None:
+        raise ParseError(f"{path}:{lines[found[0]]}: {found[1]}")
+    return log
 
 
-def write_ranges_csv(path: str, ranges: Iterable[RangeSample]) -> None:
-    lines = [",".join(RANGE_HEADER)]
-    for r in ranges:
-        lines.append(f"{_fmt(r.t)},{_fmt(r.d)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_odometry_csv(path: str, odom: np.ndarray) -> None:
+    """Write an odometry log (`measurement.odometry_log`)."""
+    _write_table(path, ODOM_HEADER, odom)
 
 
-def read_ranges_csv(path: str) -> list[RangeSample]:
-    out = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header] != RANGE_HEADER:
-                raise ParseError(f"{path}: expected header {','.join(RANGE_HEADER)}")
-            for ln, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise ParseError(f"{path}:{ln}: expected 2 fields, got {len(row)}")
-                out.append(RangeSample(t=float(row[0]), d=float(row[1])))
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(f"{path}: {exc}") from exc
-    return out
+def read_odometry_csv(path: str) -> np.ndarray:
+    """Odometry log of a CSV file; len() of the result is its row count."""
+    return _read_table(path, ODOM_HEADER, ODOMETRY_DTYPE, odometry_problem)
+
+
+def write_ranges_csv(path: str, ranges: np.ndarray) -> None:
+    """Write a range log (`measurement.range_log`)."""
+    _write_table(path, RANGE_HEADER, ranges)
+
+
+def read_ranges_csv(path: str) -> np.ndarray:
+    """Range log of a CSV file; len() of the result is its row count."""
+    return _read_table(path, RANGE_HEADER, RANGE_DTYPE, range_problem)
 
 
 def load_config(path: str, allowed_keys: set, defaults: dict) -> dict:

@@ -1,24 +1,38 @@
-"""Range measurement model, data synchronization and sanity filters.
+"""Range measurement model, log synchronization and sanity checks.
 
-Covers: the synced dataset (one read-only array per field: timestamps,
-ranges and both antenna positions, one row per range), temporal
-alignment of ranges against both odometry streams (with lever-arm
-compensation), the squared-distance debiasing used by
-the weighted least-squares pipeline, the UWB outlier filters (an
-odometry-bounded range-rate gate and a sliding-window variance filter),
-and the motion-excitation check run before estimation.
+Logs are numpy structured arrays, one row per sample:
+
+- odometry (`ODOMETRY_DTYPE`): t (s), p (3,) position in the agent's
+  local frame (m), q (4,) unit quaternion (x, y, z, w) of the body in
+  that frame; timestamps strictly increasing;
+- ranges (`RANGE_DTYPE`): t (s) and d (m), the measured distance.
+
+`log["p"]` is then an (n, 3) array, and `len(log)` the number of rows.
+`odometry_log` and `range_log` build and check them.
+
+`ingest_logs` turns two odometry logs and a range log into the synced
+dataset: one read-only array per field (timestamps, ranges and both
+antenna positions), one row per range. Each range covered by both
+odometry logs gets each agent's pose at its timestamp: the logged pose
+itself on a coinciding stamp, otherwise the position interpolated
+linearly and the attitude spherically between the two bracketing poses;
+the lever arm is then rotated into the local frame. Uncovered ranges are
+dropped, never extrapolated.
+
+Also here: the squared-distance debiasing used by the weighted
+least-squares pipeline, the odometry-bounded range-rate gate that rejects
+UWB outliers, and the motion-excitation check run before estimation.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .geometry import LeverArm, Pose, Transform4DoF, antenna_world_position, interpolate_pose
+from .geometry import LeverArm, Transform4DoF, interpolate_quats, quat_to_matrix
 
 # Floor keeps noiseless (sigma_r = 0) synthetic data usable: weights and
 # information matrices need a strictly positive range variance.
@@ -28,23 +42,70 @@ SIGMA_R_FLOOR = 1e-9
 # sqrt(2) sigma_r: a clean pair breaks the bound with probability ~6e-7.
 RANGE_RATE_GATE_SIGMAS = 5.0
 
+ODOMETRY_DTYPE = np.dtype([("t", float), ("p", float, (3,)), ("q", float, (4,))])
+RANGE_DTYPE = np.dtype([("t", float), ("d", float)])
+
 
 class NoOverlapError(ValueError):
     """No range measurement is covered by both odometry streams."""
 
 
-@dataclass(frozen=True)
-class RangeSample:
-    """One UWB range measurement: timestamp (s) and measured distance (m)."""
+def _first_bad_row(checks) -> Optional[tuple[int, str]]:
+    """(row, message) of the first row that fails one of the (mask,
+    message) checks, the earlier check first on a tie; None if none fails."""
+    found = None
+    for bad, message in checks:
+        rows = np.flatnonzero(bad)
+        if rows.size and (found is None or rows[0] < found[0]):
+            found = (int(rows[0]), message)
+    return found
 
-    t: float
-    d: float
 
-    def __post_init__(self):
-        if not np.isfinite(self.t):
-            raise ValueError(f"range timestamp must be finite, got {self.t}")
-        if not self.d > 0:
-            raise ValueError(f"measured range must be positive, got {self.d}")
+def odometry_problem(log) -> Optional[tuple[int, str]]:
+    """First row of an odometry log that breaks its contract, as (row,
+    message), or None. Every value must be finite, every quaternion of
+    unit norm within 1e-9, and the timestamps strictly
+    increasing (the row that is not later than its predecessor is named)."""
+    t, p, q = log["t"], log["p"], log["q"]
+    norm_error = np.abs(np.sqrt(np.einsum("ij,ij->i", q, q)) - 1.0)
+    return _first_bad_row(
+        (
+            (~np.isfinite(t), "timestamp must be finite"),
+            (~np.isfinite(p).all(axis=1), "position must be finite"),
+            (~(norm_error <= 1e-9), "quaternion norm deviates from 1 by more than 1e-9"),
+            (~(np.diff(t, prepend=-np.inf) > 0), "timestamps must be strictly increasing"),
+        )
+    )
+
+
+def range_problem(log) -> Optional[tuple[int, str]]:
+    """First row of a range log with a non-finite timestamp or a range
+    that is not positive, as (row, message), or None."""
+    return _first_bad_row(
+        ((~np.isfinite(log["t"]), "timestamp must be finite"), (~(log["d"] > 0), "measured range must be positive"))
+    )
+
+
+def _checked_log(dtype: np.dtype, problem, **columns) -> np.ndarray:
+    log = np.empty(np.shape(columns["t"]), dtype)
+    for name, values in columns.items():
+        log[name] = values
+    found = problem(log)
+    if found is not None:
+        raise ValueError(f"row {found[0]}: {found[1]}")
+    return log
+
+
+def odometry_log(t, p, q=(0.0, 0.0, 0.0, 1.0)) -> np.ndarray:
+    """Checked odometry log (`ODOMETRY_DTYPE`) from timestamps (n,),
+    positions (n, 3) and quaternions (n, 4) or one quaternion for every
+    row. Raises ValueError naming the first row `odometry_problem` finds."""
+    return _checked_log(ODOMETRY_DTYPE, odometry_problem, t=t, p=p, q=q)
+
+
+def range_log(t, d) -> np.ndarray:
+    """Checked range log (`RANGE_DTYPE`) from timestamps and distances."""
+    return _checked_log(RANGE_DTYPE, range_problem, t=t, d=d)
 
 
 def _read_only_copy(x, name: str, row_shape: tuple = ()) -> np.ndarray:
@@ -169,21 +230,46 @@ def true_range(T: Transform4DoF, pa, pb):
     return np.linalg.norm(w, axis=-1)
 
 
+def poses_at(odom: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (k, 3) and quaternions (k, 4) of an odometry log at times t.
+
+    A time equal to a logged stamp takes that pose as it is. Any other
+    time takes the bracketing poses a and b: the position is
+    p_a + s (p_b - p_a) with s = (t - t_a) / (t_b - t_a), and the attitude
+    the spherical-linear interpolation from q_a to q_b at s. Raises
+    ValueError for a time outside the log's first and last stamp.
+    """
+    stamps = odom["t"]
+    t = np.asarray(t, dtype=float)
+    if not ((t >= stamps[0]) & (t <= stamps[-1])).all():
+        raise ValueError(f"times outside the odometry interval [{stamps[0]}, {stamps[-1]}]")
+    a = np.searchsorted(stamps, t, side="right") - 1
+    p, q = odom["p"][a], odom["q"][a]
+    between = np.flatnonzero(stamps[a] != t)
+    a = a[between]
+    s = (t[between] - stamps[a]) / (stamps[a + 1] - stamps[a])
+    p[between] += s[:, None] * (odom["p"][a + 1] - p[between])
+    q[between] = interpolate_quats(q[between], odom["q"][a + 1], s)
+    return p, q
+
+
 def ingest_logs(
-    odom_a: Sequence[Pose],
-    odom_b: Sequence[Pose],
-    ranges: Iterable[RangeSample],
+    odom_a: np.ndarray,
+    odom_b: np.ndarray,
+    ranges: np.ndarray,
     arm_a: LeverArm = LeverArm(),
     arm_b: LeverArm = LeverArm(),
     sigma_r: float = 0.1,
     d0: Optional[float] = None,
     use_first_range_as_d0: bool = True,
 ) -> tuple[SyncedDataset, int]:
-    """Synchronize range measurements against both odometry streams.
+    """Synchronize a range log against both odometry logs.
 
-    Each surviving range gets the interpolated, lever-arm-compensated
-    antenna positions of both agents at its timestamp. Ranges not
-    bracketed by odometry on BOTH sides are dropped (no extrapolation).
+    Each range inside the common odometry window gets both agents' poses
+    at its timestamp (`poses_at`) and, from them, the antenna positions
+    p + R(q) r with each agent's lever arm r. Ranges outside the window
+    are dropped (no extrapolation). The logs must satisfy the contracts
+    that `odometry_log` and `range_log` check.
 
     With use_first_range_as_d0 and no explicit d0, the first synced range
     becomes d0 only when both first antenna positions are exactly at their
@@ -193,45 +279,23 @@ def ingest_logs(
     Returns (dataset, n_dropped). Raises NoOverlapError when no range
     falls inside the common odometry window.
     """
-    odom_a = list(odom_a)
-    odom_b = list(odom_b)
-    if not odom_a or not odom_b:
+    if not len(odom_a) or not len(odom_b):
         raise NoOverlapError("empty odometry stream")
-    ta = np.array([p.t for p in odom_a])
-    tb = np.array([p.t for p in odom_b])
-    lo = max(ta[0], tb[0])
-    hi = min(ta[-1], tb[-1])
-
-    def interp(stream, times, t):
-        j = int(np.searchsorted(times, t, side="right"))
-        if j == 0:
-            return stream[0] if times[0] == t else None
-        if j == len(times):
-            return stream[-1] if times[-1] == t else None
-        if times[j - 1] == t:
-            return stream[j - 1]
-        return interpolate_pose(stream[j - 1], stream[j], t)
-
-    t, d, pa, pb = [], [], [], []
-    dropped = 0
-    for r in ranges:
-        if r.t < lo or r.t > hi:
-            dropped += 1
-            continue
-        pose_a = interp(odom_a, ta, r.t)
-        pose_b = interp(odom_b, tb, r.t)
-        if pose_a is None or pose_b is None:
-            dropped += 1
-            continue
-        t.append(r.t)
-        d.append(r.d)
-        pa.append(antenna_world_position(pose_a, arm_a))
-        pb.append(antenna_world_position(pose_b, arm_b))
-    if not t:
+    lo = max(odom_a["t"][0], odom_b["t"][0])
+    hi = min(odom_a["t"][-1], odom_b["t"][-1])
+    covered = (ranges["t"] >= lo) & (ranges["t"] <= hi)
+    if not covered.any():
         raise NoOverlapError("no range measurement inside the common odometry window")
+    t, d = ranges["t"][covered], ranges["d"][covered]
+    antennas = []
+    for odom, arm in ((odom_a, arm_a), (odom_b, arm_b)):
+        p, q = poses_at(odom, t)
+        antennas.append(p + quat_to_matrix(q) @ arm.r)
+    pa, pb = antennas
     if d0 is None and use_first_range_as_d0 and at_frame_origins(pa[0], pb[0]):
-        d0 = d[0]
-    return SyncedDataset(t=t, d=d, pa=pa, pb=pb, sigma_r=max(sigma_r, SIGMA_R_FLOOR), d0=d0), dropped
+        d0 = float(d[0])
+    dataset = SyncedDataset(t=t, d=d, pa=pa, pb=pb, sigma_r=max(sigma_r, SIGMA_R_FLOOR), d0=d0)
+    return dataset, len(ranges) - len(t)
 
 
 def debias_squared(dataset: SyncedDataset) -> SquaredStats:
@@ -287,55 +351,6 @@ def range_rate_outliers(dataset: SyncedDataset) -> np.ndarray:
     outlier[0], outlier[-1] = broken[0], broken[-1]
     outlier[1:-1] = broken[:-1] & broken[1:]
     return outlier
-
-
-def sliding_outlier_filter(
-    ranges: Iterable[RangeSample],
-    window: int = 20,
-    threshold: float = 0.005,
-    mode: str = "absolute",
-) -> list[RangeSample]:
-    """Reject range samples that inflate the sliding-window variance.
-
-    This is the "absolute" and "increase" outlier_mode of the estimate
-    command; `window` and `threshold` (the config keys outlier_window and
-    outlier_threshold_m2) apply to these two modes only. The variance of
-    raw ranges also grows with motion, and the window advances only on
-    accepted samples, so on moving agents one rejection tends to be
-    followed by many; the default mode is the range-rate gate
-    (`range_rate_outliers`).
-
-    A candidate is evaluated against the window of the latest `window`
-    accepted samples (candidate included); it is discarded when the
-    population variance exceeds `threshold` (m^2). The first `window`
-    samples are always accepted so the filter can warm up.
-
-    mode "increase" discards only when the variance *increase* over the
-    previous window exceeds the threshold (alternative reading of the
-    trigger; default is the absolute test).
-    """
-    if window < 2:
-        raise ValueError(f"window must be >= 2, got {window}")
-    if mode not in ("absolute", "increase"):
-        raise ValueError(f"unknown mode {mode!r}")
-    buf: deque[float] = deque(maxlen=window)
-    out = []
-    prev_var = 0.0
-    for r in ranges:
-        if len(buf) < window:
-            buf.append(r.d)
-            out.append(r)
-            prev_var = float(np.var(buf))
-            continue
-        cand = np.array(list(buf)[1:] + [r.d])
-        var = float(np.var(cand))
-        trigger = var - prev_var if mode == "increase" else var
-        if trigger > threshold:
-            continue
-        buf.append(r.d)
-        out.append(r)
-        prev_var = var
-    return out
 
 
 def motion_excitation_check(

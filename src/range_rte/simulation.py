@@ -19,7 +19,7 @@ import numpy as np
 
 from .estimators import ESTIMATORS, WindowEstimate, align_target_trajectory, sliding_window_estimate
 from .fisher import fim
-from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, wrap_angle, yaw_matrices
+from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, quat_to_matrix, wrap_angle, yaw_matrices
 from .measurement import SIGMA_R_FLOOR, SyncedDataset, at_frame_origins, true_range
 
 SCENARIO_KINDS = ("parallel", "planar_linear", "static_target", "static_host")
@@ -165,13 +165,11 @@ def generate_trajectory(
 
 
 def _antenna_positions(positions: np.ndarray, yaws: np.ndarray, arm: LeverArm) -> np.ndarray:
-    """p_i + R(yaw_i) r for a heading-only body attitude, shape (n, 3).
-
-    R is the rotation matrix of the yaw quaternion (0, 0, sin(yaw/2),
-    cos(yaw/2)), with the roundings of `quat_to_matrix`.
-    """
-    z, w = np.sin(0.5 * yaws), np.cos(0.5 * yaws)
-    return positions + yaw_matrices(1 - 2 * (z * z), 2 * (z * w)) @ arm.r
+    """p_i + R(q_i) r for the heading-only attitude q_i = (0, 0,
+    sin(yaw_i/2), cos(yaw_i/2)), shape (n, 3), as `ingest_logs` computes it."""
+    q = np.zeros((len(yaws), 4))
+    q[:, 2], q[:, 3] = np.sin(0.5 * yaws), np.cos(0.5 * yaws)
+    return positions + quat_to_matrix(q) @ arm.r
 
 
 def synthesize_measurements(

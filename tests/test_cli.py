@@ -1,14 +1,24 @@
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from range_rte.cli import main
-from range_rte.geometry import Pose, Transform4DoF, yaw_quat
-from range_rte.io_formats import jsonable, read_odometry_csv, read_ranges_csv, write_odometry_csv, write_ranges_csv
-from range_rte.measurement import RangeSample, true_range
+from range_rte.geometry import LeverArm, Transform4DoF, wrap_angle, yaw_quat
+from range_rte.io_formats import (
+    ParseError,
+    jsonable,
+    read_odometry_csv,
+    read_ranges_csv,
+    write_odometry_csv,
+    write_ranges_csv,
+)
+from range_rte.measurement import ingest_logs, odometry_log, range_log, true_range
 
 
 def write_json(path, payload):
@@ -33,14 +43,14 @@ def synthetic_logs(tmp_path, T=None, n=60, noise=0.0, spike=None, static_host=Fa
         idx, magnitude = spike
         d = d.copy()
         d[idx] += magnitude
-    odom_a = [Pose(t=t_axis[i], p=pa[i], q=yaw_quat(0.0)) for i in range(n)]
-    odom_b = [Pose(t=t_axis[i], p=pb[i], q=yaw_quat(0.0)) for i in range(n)]
+    odom_a = odometry_log(t_axis, pa, yaw_quat(0.0))
+    odom_b = odometry_log(t_axis, pb, yaw_quat(0.0))
     pa_path = str(tmp_path / "odom_a.csv")
     pb_path = str(tmp_path / "odom_b.csv")
     r_path = str(tmp_path / "ranges.csv")
     write_odometry_csv(pa_path, odom_a)
     write_odometry_csv(pb_path, odom_b)
-    write_ranges_csv(r_path, [RangeSample(t=t_axis[i], d=float(d[i])) for i in range(n)])
+    write_ranges_csv(r_path, range_log(t_axis, d))
     return pa_path, pb_path, r_path, T
 
 
@@ -50,7 +60,7 @@ class TestEstimateCommand:
         out = str(tmp_path / "report.json")
         cfg = write_json(
             tmp_path / "cfg.json",
-            {"sigma_r_m": 1e-6, "excitation_var_m2": 0.01, "outlier_threshold_m2": 1e9},
+            {"sigma_r_m": 1e-6, "excitation_var_m2": 0.01},
         )
         rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out])
         assert rc == 0
@@ -70,7 +80,7 @@ class TestEstimateCommand:
 
     def test_counts_add_up_with_gate_and_uncovered_ranges(self, tmp_path):
         pa, pb, ranges, T = synthetic_logs(tmp_path, noise=0.02, spike=(25, 5.0), seed=2)
-        extra = read_ranges_csv(ranges) + [RangeSample(t=100.0, d=3.0)]  # past the odometry
+        extra = np.concatenate([read_ranges_csv(ranges), range_log([100.0], [3.0])])  # past the odometry
         write_ranges_csv(ranges, extra)
         out = str(tmp_path / "report.json")
         cfg = write_json(tmp_path / "cfg.json", {"sigma_r_m": 0.02, "excitation_var_m2": 0.01})
@@ -92,11 +102,11 @@ class TestEstimateCommand:
         # both agents parked at their frame origins: the ranges fix ||t|| only
         n = 60
         t_axis = np.arange(n) * 0.1
-        odom = [Pose(t=ti, p=np.zeros(3), q=yaw_quat(0.0)) for ti in t_axis]
+        odom = odometry_log(t_axis, np.zeros((n, 3)), yaw_quat(0.0))
         pa, pb, ranges = (str(tmp_path / name) for name in ("odom_a.csv", "odom_b.csv", "ranges.csv"))
         write_odometry_csv(pa, odom)
         write_odometry_csv(pb, odom)
-        write_ranges_csv(ranges, [RangeSample(t=ti, d=3.0) for ti in t_axis])
+        write_ranges_csv(ranges, range_log(t_axis, 3.0))
         out = str(tmp_path / "report.json")
         rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--out", out])
         assert rc == 3
@@ -122,6 +132,35 @@ class TestEstimateCommand:
         bad.write_text("not,a,header\n1,2,3\n")
         rc = main(["estimate", "--odom-a", str(bad), "--odom-b", str(bad), "--ranges", str(bad), "--out", str(tmp_path / "r.json")])
         assert rc == 2
+
+    def test_kappa_threshold_honoured_when_estimating(self, tmp_path):
+        pa, pb, ranges, _ = synthetic_logs(tmp_path, noise=0.05, seed=1)
+        out = str(tmp_path / "report.json")
+        cfg = write_json(tmp_path / "cfg.json", {"excitation_var_m2": 0.01, "kappa_threshold": 1.0})
+        rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out])
+        rep = json.load(open(out))
+        assert rep["excitation_ok"] is True and rep["kappa"] > 1.0
+        assert rep["flags"]["kappa_threshold"] == 1.0
+        assert rep["flags"]["configuration_singular"] is True
+        assert rc == 3
+
+    @pytest.mark.parametrize(
+        "extra", [{"outlier_mode": "absolute"}, {"outlier_mode": "increase"}, {"outlier_mode": "gate"},
+                  {"outlier_window": 20}, {"outlier_threshold_m2": 0.005}]
+    )
+    def test_removed_or_unknown_outlier_options_rejected(self, tmp_path, extra):
+        pa, pb, ranges, _ = synthetic_logs(tmp_path, seed=4)
+        cfg = write_json(tmp_path / "cfg.json", extra)
+        rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+
+    def test_outlier_mode_none_keeps_every_range(self, tmp_path):
+        pa, pb, ranges, _ = synthetic_logs(tmp_path, noise=0.02, spike=(40, 10.0), seed=2)
+        out = str(tmp_path / "report.json")
+        cfg = write_json(tmp_path / "cfg.json", {"sigma_r_m": 0.02, "excitation_var_m2": 0.01, "outlier_mode": "none"})
+        assert main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]) == 0
+        counts = json.load(open(out))["counts"]
+        assert (counts["outliers_rejected"], counts["used"]) == (0, 60)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         pa, pb, ranges, _ = synthetic_logs(tmp_path, seed=4)
@@ -288,9 +327,9 @@ class TestFimCommand:
         pb = (pa + np.array([2.0, 1.0, 0.0]) - T.t) @ T.rotation()
         d = true_range(T, pa, pb)
         t_axis = np.arange(n) * 0.1
-        write_odometry_csv(str(tmp_path / "a.csv"), [Pose(t=t_axis[i], p=pa[i]) for i in range(n)])
-        write_odometry_csv(str(tmp_path / "b.csv"), [Pose(t=t_axis[i], p=pb[i]) for i in range(n)])
-        write_ranges_csv(str(tmp_path / "r.csv"), [RangeSample(t=t_axis[i], d=float(d[i])) for i in range(n)])
+        write_odometry_csv(str(tmp_path / "a.csv"), odometry_log(t_axis, pa))
+        write_odometry_csv(str(tmp_path / "b.csv"), odometry_log(t_axis, pb))
+        write_ranges_csv(str(tmp_path / "r.csv"), range_log(t_axis, d))
         out = str(tmp_path / "fim.json")
         rc = main(["fim", "--odom-a", str(tmp_path / "a.csv"), "--odom-b", str(tmp_path / "b.csv"),
                    "--ranges", str(tmp_path / "r.csv"), "--theta", *[str(v) for v in T.as_vector()], "--out", out])
@@ -378,26 +417,106 @@ class TestJsonEncoding:
         assert json.loads(text) == {"kappa": math.inf, "x": [-math.inf, None]}
 
 
+def write_odometry_text(path, rows):
+    """Odometry CSV from raw rows (t, px, py, pz, qx, qy, qz, qw), unchecked."""
+    lines = ["t,px,py,pz,qx,qy,qz,qw"] + [",".join(repr(float(v)) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestBadOdometryRejected:
+    """Odometry that cannot be interpolated fails at read time, naming the
+    file and its first bad line (the header is line 1), and exits 2."""
+
+    def _check(self, tmp_path, rows, line, reason):
+        odom = write_odometry_text(tmp_path / "odom_bad.csv", rows)
+        with pytest.raises(ParseError, match=rf"odom_bad\.csv:{line}: .*{reason}"):
+            read_odometry_csv(odom)
+        ranges = str(tmp_path / "ranges.csv")
+        write_ranges_csv(ranges, range_log([0.5, 1.5, 2.5], 3.0))
+        rc = main(["estimate", "--odom-a", odom, "--odom-b", odom, "--ranges", ranges, "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+
+    def test_unsorted_stamps(self, tmp_path):
+        # once interpolated silently: ranges at 0.5/1.5/2.5 s came back at x = 2.5/22.5/27.5
+        rows = [[t, x, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0] for t, x in zip([0.0, 2.0, 1.0, 3.0], [0.0, 10.0, 20.0, 30.0])]
+        self._check(tmp_path, rows, 4, "strictly increasing")
+
+    def test_duplicate_stamps(self, tmp_path):
+        rows = [[t, t, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0] for t in [0.0, 1.0, 2.0, 2.0, 3.0]]
+        self._check(tmp_path, rows, 5, "strictly increasing")
+
+    def test_nan_quaternion(self, tmp_path):
+        rows = [[t, t, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0] for t in [0.0, 1.0, 2.0, 3.0]]
+        rows[2][4] = math.nan
+        self._check(tmp_path, rows, 4, "quaternion norm")
+
+
+class TestTimeShiftInvariance:
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**16), shift=st.floats(-5000.0, 5000.0))
+    @example(seed=5093, shift=1.0)
+    def test_common_time_shift_leaves_estimate_unchanged(self, seed, shift):
+        """Shifting the stamps of all three logs by one offset re-rounds each
+        stamp, which moves the synced positions by ~1e-13 m at most. The
+        estimate can move more, within the refinement's stopping band: LM
+        stops once a step lowers the cost by less than ftol = 1e-14 of it,
+        and near the optimum a cost excess dC (the cost is a chi-square sum)
+        sits sqrt(dC) standard errors away, so two runs may stop up to
+        ~sqrt(1e-14 * 150) ~ 1e-6 standard errors apart (6.3e-7 was the
+        largest seen over 150 inputs). They must agree to 1e-5."""
+        rng = np.random.default_rng(seed)
+        n = 120
+        T = Transform4DoF(t=rng.uniform(-5.0, 5.0, 3), theta=rng.uniform(-math.pi, math.pi))
+        t_odom = 0.1 * np.arange(n)
+        q = [yaw_quat(y) for y in rng.uniform(-math.pi, math.pi, n)]
+        pa, pb = np.cumsum(rng.normal(0.0, 0.25, (2, n, 3)), axis=1)
+        odom_a, odom_b = odometry_log(t_odom, pa, q), odometry_log(t_odom, pb, q[::-1])
+        t_rng = 0.037 + 0.08 * np.arange(n - 2)  # between odometry stamps
+        arm_a, arm_b = LeverArm([0.1, -0.05, 0.02]), LeverArm([-0.12, 0.0, 0.07])
+        ds, _ = ingest_logs(odom_a, odom_b, range_log(t_rng, 1.0), arm_a, arm_b)
+        d = true_range(T, ds.pa, ds.pb) + 0.05 * rng.standard_normal(len(ds))
+        cfg = {"sigma_r_m": 0.05, "excitation_var_m2": 0.01, "lever_arm_a_m": arm_a.r.tolist(), "lever_arm_b_m": arm_b.r.tolist()}
+        reports = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for k, dt in enumerate((0.0, shift)):
+                paths = [os.path.join(tmp, f"{name}{k}.csv") for name in ("a", "b", "r")]
+                write_odometry_csv(paths[0], odometry_log(t_odom + dt, pa, q))
+                write_odometry_csv(paths[1], odometry_log(t_odom + dt, pb, q[::-1]))
+                write_ranges_csv(paths[2], range_log(t_rng + dt, d))
+                out = os.path.join(tmp, f"rep{k}.json")
+                cfg_path = write_json(os.path.join(tmp, "cfg.json"), cfg)
+                rc = main(["estimate", "--odom-a", paths[0], "--odom-b", paths[1], "--ranges", paths[2],
+                           "--config", cfg_path, "--out", out])
+                reports.append((rc, json.load(open(out))))
+        (rc0, rep0), (rc1, rep1) = reports
+        assert rc0 == rc1 == 0
+        assert rep0["counts"] == rep1["counts"]
+        std_errors = np.array(rep0["std_errors"])
+        dt = np.abs(np.array(rep0["estimate"]["t_m"]) - rep1["estimate"]["t_m"])
+        dtheta = abs(float(wrap_angle(rep0["estimate"]["theta_rad"] - rep1["estimate"]["theta_rad"])))
+        assert np.all(np.append(dt, dtheta) <= 1e-5 * std_errors)
+
+
 class TestCsvFormats:
     def test_odometry_roundtrip_bits(self, tmp_path):
         rng = np.random.default_rng(15)
-        poses = [
-            Pose(t=rng.uniform(0, 10), p=rng.normal(size=3), q=yaw_quat(rng.uniform(-3, 3)))
-            for _ in range(5)
-        ]
-        poses.sort(key=lambda p: p.t)
+        poses = odometry_log(
+            np.sort(rng.uniform(0, 10, 5)), rng.normal(size=(5, 3)), [yaw_quat(y) for y in rng.uniform(-3, 3, 5)]
+        )
         path = str(tmp_path / "odom.csv")
         write_odometry_csv(path, poses)
         back = read_odometry_csv(path)
-        for a, b in zip(poses, back):
-            assert a.t == b.t
-            assert np.array_equal(a.p, b.p)
-            assert np.array_equal(a.q, b.q)
+        assert len(back) == len(poses)
+        assert np.array_equal(poses["t"], back["t"])
+        assert np.array_equal(poses["p"], back["p"])
+        assert np.array_equal(poses["q"], back["q"])
 
     def test_ranges_roundtrip_bits(self, tmp_path):
         rng = np.random.default_rng(16)
-        ranges = [RangeSample(t=float(i), d=float(rng.uniform(1, 9))) for i in range(7)]
+        ranges = range_log(np.arange(7.0), rng.uniform(1, 9, 7))
         path = str(tmp_path / "r.csv")
         write_ranges_csv(path, ranges)
         back = read_ranges_csv(path)
-        assert all(a.t == b.t and a.d == b.d for a, b in zip(ranges, back))
+        assert len(back) == len(ranges)
+        assert np.array_equal(ranges["t"], back["t"]) and np.array_equal(ranges["d"], back["d"])

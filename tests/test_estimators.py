@@ -31,7 +31,7 @@ from range_rte.estimators import (
     yaw_sweep,
 )
 from range_rte.fisher import confidence_intervals, fim, singularity_report
-from range_rte.geometry import Pose, Transform4DoF, heading_rotation, wrap_angle
+from range_rte.geometry import Transform4DoF, heading_rotation, wrap_angle
 from range_rte.measurement import SyncedDataset, debias_squared, motion_excitation_check, true_range
 from range_rte.solvers import LmOptions, lm_minimize
 from range_rte.simulation import (

@@ -6,16 +6,14 @@ from scipy.spatial.transform import Rotation
 
 from range_rte.geometry import (
     LeverArm,
-    Pose,
     Transform4DoF,
-    antenna_world_position,
     apply_transform,
     heading_rotation,
-    interpolate_pose,
     quat_to_matrix,
     wrap_angle,
     yaw_quat,
 )
+from range_rte.measurement import ingest_logs, odometry_log, poses_at, range_log
 
 
 def test_heading_rotation_identity():
@@ -70,15 +68,22 @@ def test_apply_transform_preserves_z_displacement():
         assert dz == pytest.approx(p[2] - q[2], abs=1e-12)
 
 
+def antenna_position(p, q, arm):
+    """Host antenna position that ingest_logs gives for a range taken at the
+    stamp of the pose (p, q)."""
+    odom = odometry_log([0.0, 1.0], [p, p], [q, q])
+    ds, _ = ingest_logs(odom, odom, range_log([0.0], [1.0]), arm_a=arm)
+    return ds.pa[0]
+
+
 def test_antenna_position_zero_arm():
-    pose = Pose(t=0.0, p=[1.0, 2.0, 3.0], q=yaw_quat(0.7))
-    assert np.allclose(antenna_world_position(pose, LeverArm()), pose.p)
+    p = [1.0, 2.0, 3.0]
+    assert np.allclose(antenna_position(p, yaw_quat(0.7), LeverArm()), p)
 
 
 def test_antenna_position_identity_rotation():
-    pose = Pose(t=0.0, p=[1.0, 2.0, 3.0])
     arm = LeverArm([0.1, 0.0, 0.0])
-    assert np.allclose(antenna_world_position(pose, arm), [1.1, 2.0, 3.0])
+    assert np.allclose(antenna_position([1.0, 2.0, 3.0], yaw_quat(0.0), arm), [1.1, 2.0, 3.0])
 
 
 def test_antenna_position_matches_scipy_rotation():
@@ -88,9 +93,9 @@ def test_antenna_position_matches_scipy_rotation():
     for _ in range(20):
         q = rng.normal(size=4)
         q /= np.linalg.norm(q)
-        pose = Pose(t=0.0, p=rng.normal(size=3), q=q)
-        expected = pose.p + Rotation.from_quat(q).as_matrix() @ arm.r
-        assert np.allclose(antenna_world_position(pose, arm), expected, atol=1e-12)
+        p = rng.normal(size=3)
+        expected = p + Rotation.from_quat(q).as_matrix() @ arm.r
+        assert np.allclose(antenna_position(p, q, arm), expected, atol=1e-12)
 
 
 def test_quat_to_matrix_matches_scipy():
@@ -101,47 +106,58 @@ def test_quat_to_matrix_matches_scipy():
         assert np.allclose(quat_to_matrix(q), Rotation.from_quat(q).as_matrix(), atol=1e-12)
 
 
+def test_quat_to_matrix_rounds_as_entry_formulas():
+    def entries(q):
+        x, y, z, w = q
+        return [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ]
+
+    rng = np.random.default_rng(13)
+    q = rng.normal(size=(500, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    yaw_only = np.array([yaw_quat(y) for y in rng.uniform(-4.0, 4.0, 500)])
+    for batch in (q, yaw_only):
+        assert np.array_equal(quat_to_matrix(batch), np.array([entries(v) for v in batch]))
+        assert np.array_equal(quat_to_matrix(batch[7]), entries(batch[7]))
+
+
 class TestInterpolatePose:
     def test_endpoints_exact(self):
-        a = Pose(t=1.0, p=[0.0, 0.0, 0.0], q=yaw_quat(0.1))
-        b = Pose(t=2.0, p=[2.0, 0.0, 0.0], q=yaw_quat(0.9))
-        assert interpolate_pose(a, b, 1.0) is a
-        assert interpolate_pose(a, b, 2.0) is b
+        odom = odometry_log([1.0, 2.0], [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [yaw_quat(0.1), yaw_quat(0.9)])
+        p, q = poses_at(odom, [1.0, 2.0])
+        assert np.array_equal(p, odom["p"]) and np.array_equal(q, odom["q"])
 
     def test_midpoint_position(self):
-        a = Pose(t=0.0, p=[0.0, 0.0, 0.0])
-        b = Pose(t=1.0, p=[2.0, 0.0, 0.0])
-        m = interpolate_pose(a, b, 0.5)
-        assert np.allclose(m.p, [1.0, 0.0, 0.0])
-        assert m.t == 0.5
+        odom = odometry_log([0.0, 1.0], [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        p, q = poses_at(odom, [0.5])
+        assert np.allclose(p, [[1.0, 0.0, 0.0]])
+        assert p.shape == (1, 3) and q.shape == (1, 4)  # one pose per query time
 
     def test_quarter_slerp_yaw(self):
         # axis-angle scaling oracle: a quarter of a 90 degree yaw is 22.5 degrees
-        a = Pose(t=0.0, p=np.zeros(3), q=yaw_quat(0.0))
-        b = Pose(t=1.0, p=np.zeros(3), q=yaw_quat(math.pi / 2))
-        m = interpolate_pose(a, b, 0.25)
-        yaw = Rotation.from_quat(m.q).as_euler("zyx")[0]
+        odom = odometry_log([0.0, 1.0], np.zeros((2, 3)), [yaw_quat(0.0), yaw_quat(math.pi / 2)])
+        _, q = poses_at(odom, [0.25])
+        yaw = Rotation.from_quat(q[0]).as_euler("zyx")[0]
         assert yaw == pytest.approx(math.radians(22.5), abs=1e-12)
 
     def test_out_of_range_raises(self):
-        a = Pose(t=0.0, p=np.zeros(3))
-        b = Pose(t=1.0, p=np.ones(3))
+        odom = odometry_log([0.0, 1.0], [np.zeros(3), np.ones(3)])
         with pytest.raises(ValueError):
-            interpolate_pose(a, b, 1.5)
+            poses_at(odom, [1.5])
         with pytest.raises(ValueError):
-            interpolate_pose(a, b, -0.1)
+            poses_at(odom, [-0.1])
 
     def test_continuity(self):
         rng = np.random.default_rng(11)
         qa, qb = rng.normal(size=4), rng.normal(size=4)
-        a = Pose(t=0.0, p=rng.normal(size=3), q=qa / np.linalg.norm(qa))
-        b = Pose(t=1.0, p=rng.normal(size=3), q=qb / np.linalg.norm(qb))
-        prev = interpolate_pose(a, b, 0.0)
-        for s in np.linspace(0.001, 1.0, 200):
-            cur = interpolate_pose(a, b, float(s))
-            assert np.linalg.norm(cur.p - prev.p) < 0.05
-            assert min(np.linalg.norm(cur.q - prev.q), np.linalg.norm(cur.q + prev.q)) < 0.05
-            prev = cur
+        odom = odometry_log([0.0, 1.0], rng.normal(size=(2, 3)), [qa / np.linalg.norm(qa), qb / np.linalg.norm(qb)])
+        p, q = poses_at(odom, np.append(0.0, np.linspace(0.001, 1.0, 200)))
+        assert np.all(np.linalg.norm(np.diff(p, axis=0), axis=1) < 0.05)
+        step = np.minimum(np.linalg.norm(np.diff(q, axis=0), axis=1), np.linalg.norm(q[1:] + q[:-1], axis=1))
+        assert np.all(step < 0.05)
 
 
 @pytest.mark.parametrize(
@@ -177,4 +193,4 @@ def test_transform_wraps_theta():
 
 def test_pose_rejects_bad_quaternion():
     with pytest.raises(ValueError):
-        Pose(t=0.0, p=np.zeros(3), q=[0.0, 0.0, 0.0, 1.1])
+        odometry_log([0.0], np.zeros((1, 3)), [0.0, 0.0, 0.0, 1.1])

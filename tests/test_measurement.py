@@ -5,16 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from range_rte.geometry import LeverArm, Pose, Transform4DoF, apply_transform, heading_rotation, yaw_quat
+from range_rte.geometry import (
+    LeverArm,
+    Transform4DoF,
+    apply_transform,
+    heading_rotation,
+    quat_to_matrix,
+    yaw_quat,
+)
 from range_rte.measurement import (
     NoOverlapError,
-    RangeSample,
     SyncedDataset,
+    at_frame_origins,
     debias_squared,
     ingest_logs,
     motion_excitation_check,
+    odometry_log,
+    range_log,
     range_rate_outliers,
-    sliding_outlier_filter,
     squared_covariance,
     true_range,
 )
@@ -57,23 +65,21 @@ class TestTrueRange:
 
 class TestIngest:
     def _odom(self, n, dt, offset=0.0, vel=(0.0, 0.0, 0.0)):
-        return [
-            Pose(t=offset + i * dt, p=np.asarray(vel) * (offset + i * dt), q=yaw_quat(0.0))
-            for i in range(n)
-        ]
+        t = offset + np.arange(n) * dt
+        return odometry_log(t, t[:, None] * np.asarray(vel), yaw_quat(0.0))
 
     def test_range_on_odometry_timestamp_uses_pose(self):
         odom_a = self._odom(5, 1.0)
         odom_b = self._odom(5, 1.0)
-        ranges = [RangeSample(t=2.0, d=5.0)]
+        ranges = range_log([2.0], [5.0])
         ds, dropped = ingest_logs(odom_a, odom_b, ranges, sigma_r=0.1)
         assert dropped == 0
-        assert np.array_equal(ds.pa[0], odom_a[2].p)
+        assert np.array_equal(ds.pa[0], odom_a["p"][2])
 
     def test_static_agents(self):
-        odom_a = [Pose(t=float(i), p=[0.0, 0.0, 0.0]) for i in range(4)]
-        odom_b = [Pose(t=float(i), p=[5.0, 0.0, 0.0]) for i in range(4)]
-        ranges = [RangeSample(t=1.5, d=5.0)]
+        odom_a = odometry_log(np.arange(4.0), np.zeros((4, 3)))
+        odom_b = odometry_log(np.arange(4.0), np.tile([5.0, 0.0, 0.0], (4, 1)))
+        ranges = range_log([1.5], [5.0])
         ds, _ = ingest_logs(odom_a, odom_b, ranges)
         assert np.allclose(ds.pa[0], [0.0, 0.0, 0.0])
         assert np.allclose(ds.pb[0], [5.0, 0.0, 0.0])
@@ -81,8 +87,8 @@ class TestIngest:
     def test_37hz_against_200hz_over_10s(self):
         odom_a = self._odom(2001, 1.0 / 200.0)
         odom_b = self._odom(2001, 1.0 / 200.0)
-        ranges = [RangeSample(t=i / 37.0, d=3.0) for i in range(1000) if i / 37.0 <= 12.0]
-        ranges = [r for r in ranges if r.t < 10.5]
+        t = np.array([i / 37.0 for i in range(1000) if i / 37.0 <= 12.0])
+        ranges = range_log(t[t < 10.5], 3.0)
         ds, dropped = ingest_logs(odom_a, odom_b, ranges)
         # odometry covers [0, 10]; 37 Hz ranges land 370 +- 1 samples inside
         assert abs(len(ds) - 370) <= 1
@@ -91,7 +97,7 @@ class TestIngest:
     def test_uncovered_ranges_dropped(self):
         odom_a = self._odom(11, 1.0)
         odom_b = self._odom(11, 1.0, offset=2.0)  # covers [2, 12]
-        ranges = [RangeSample(t=float(t), d=1.0) for t in [0.5, 1.5, 3.0, 9.0, 11.0]]
+        ranges = range_log([0.5, 1.5, 3.0, 9.0, 11.0], 1.0)
         ds, dropped = ingest_logs(odom_a, odom_b, ranges)
         assert dropped == 3  # 0.5, 1.5 before overlap; 11.0 after host coverage... host covers [0,10]
         assert ds.t.tolist() == [3.0, 9.0]
@@ -100,36 +106,131 @@ class TestIngest:
         odom_a = self._odom(5, 1.0)
         odom_b = self._odom(5, 1.0, offset=100.0)
         with pytest.raises(NoOverlapError):
-            ingest_logs(odom_a, odom_b, [RangeSample(t=2.0, d=1.0)])
+            ingest_logs(odom_a, odom_b, range_log([2.0], [1.0]))
 
     def test_lever_arm_applied(self):
-        pose = [Pose(t=float(i), p=[1.0, 0.0, 0.0], q=yaw_quat(math.pi / 2)) for i in range(3)]
+        pose = odometry_log(np.arange(3.0), np.tile([1.0, 0.0, 0.0], (3, 1)), yaw_quat(math.pi / 2))
         arm = LeverArm([0.1, 0.0, 0.0])
-        ds, _ = ingest_logs(pose, pose, [RangeSample(t=1.0, d=1.0)], arm_a=arm, arm_b=LeverArm())
+        ds, _ = ingest_logs(pose, pose, range_log([1.0], [1.0]), arm_a=arm, arm_b=LeverArm())
         # 90 degree yaw turns the +x arm into +y
         assert np.allclose(ds.pa[0], [1.0, 0.1, 0.0], atol=1e-12)
         assert np.allclose(ds.pb[0], [1.0, 0.0, 0.0])
 
     def test_output_timestamps_subset_of_input(self):
         odom = self._odom(20, 0.5)
-        ranges = [RangeSample(t=0.3 + 0.7 * i, d=2.0) for i in range(12)]
+        ranges = range_log(0.3 + 0.7 * np.arange(12), 2.0)
         ds, dropped = ingest_logs(odom, odom, ranges)
-        in_times = {r.t for r in ranges}
+        in_times = set(ranges["t"].tolist())
         assert all(t in in_times for t in ds.t)
 
     def test_d0_defaults_to_first_range(self):
         odom = self._odom(5, 1.0)
-        ds, _ = ingest_logs(odom, odom, [RangeSample(t=1.0, d=4.2), RangeSample(t=2.0, d=4.4)])
+        ds, _ = ingest_logs(odom, odom, range_log([1.0, 2.0], [4.2, 4.4]))
         assert ds.d0 == pytest.approx(4.2)
 
     def test_d0_unset_when_antennas_off_origin(self):
         # the first range is ||t + C pb0 - pa0||, not ||t||
         odom = self._odom(5, 1.0, vel=(1.0, 0.0, 0.0))
-        ds, _ = ingest_logs(odom, odom, [RangeSample(t=1.0, d=4.2), RangeSample(t=2.0, d=4.4)])
+        ds, _ = ingest_logs(odom, odom, range_log([1.0, 2.0], [4.2, 4.4]))
         assert ds.d0 is None
         arm = LeverArm([0.1, 0.0, 0.0])
-        ds, _ = ingest_logs(self._odom(5, 1.0), self._odom(5, 1.0), [RangeSample(t=1.0, d=4.2)], arm_a=arm)
+        ds, _ = ingest_logs(self._odom(5, 1.0), self._odom(5, 1.0), range_log([1.0], [4.2]), arm_a=arm)
         assert ds.d0 is None
+
+
+def reference_slerp(qa, qb, s):
+    """Scalar spherical-linear interpolation, one quaternion pair at a time."""
+    dot = float(np.dot(qa, qb))
+    if dot < 0.0:
+        qb, dot = -qb, -dot
+    if dot > 1.0 - 1e-12:
+        out = qa + s * (qb - qa)
+        return out / np.linalg.norm(out)
+    ang = math.acos(min(dot, 1.0))
+    out = math.sin((1.0 - s) * ang) / math.sin(ang) * qa + math.sin(s * ang) / math.sin(ang) * qb
+    return out / np.linalg.norm(out)
+
+
+def reference_ingest(odom_a, odom_b, ranges, arm_a, arm_b):
+    """Per-range loop: bracket each range in both logs, take a pose on a
+    coinciding stamp as it is, otherwise lerp the position and interpolate
+    the attitude with `reference_slerp`; then add the rotated lever arm.
+    Returns (t, d, pa, pb, dropped, d0)."""
+    lo = max(odom_a["t"][0], odom_b["t"][0])
+    hi = min(odom_a["t"][-1], odom_b["t"][-1])
+
+    def antenna(odom, arm, t):
+        j = int(np.searchsorted(odom["t"], t, side="right"))
+        a = odom[j - 1]
+        if a["t"] == t:
+            p, q = a["p"], a["q"]
+        else:
+            b = odom[j]
+            s = (t - a["t"]) / (b["t"] - a["t"])
+            p, q = a["p"] + s * (b["p"] - a["p"]), reference_slerp(a["q"], b["q"], s)
+        return p + quat_to_matrix(q) @ arm.r
+
+    rows = [(r["t"], r["d"], antenna(odom_a, arm_a, r["t"]), antenna(odom_b, arm_b, r["t"]))
+            for r in ranges if lo <= r["t"] <= hi]
+    t, d, pa, pb = (np.array(col) for col in zip(*rows))
+    d0 = float(d[0]) if at_frame_origins(pa[0], pb[0]) else None
+    return t, d, pa, pb, len(ranges) - len(rows), d0
+
+
+@st.composite
+def log_sets(draw):
+    """Two odometry logs at random rates, offsets and attitudes, and a range
+    log whose stamps fall on odometry stamps, between them and outside the
+    common coverage. Lever arms are zero or random."""
+    logs = []
+    for _ in range(2):
+        n = draw(st.integers(2, 40))
+        dt = draw(st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.25]))
+        offset = draw(st.sampled_from([0.0, 0.01, 0.05, 0.3]))
+        seed = draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        q = rng.standard_normal((n, 4))
+        if draw(st.booleans()):  # neighbouring attitudes nearly equal: the linear branch
+            q = q[0] + 1e-7 * q
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        t = offset + dt * np.arange(n)
+        logs.append(odometry_log(t, np.cumsum(rng.normal(0.0, 2.0, (n, 3)), axis=0), q))
+    stamps = np.concatenate([logs[0]["t"], logs[1]["t"]])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    on_stamps = rng.choice(stamps, size=draw(st.integers(0, 10)))
+    free = rng.uniform(stamps.min() - 0.5, stamps.max() + 0.5, size=draw(st.integers(1, 30)))
+    t = np.unique(np.concatenate([on_stamps, free]))
+    ranges = range_log(t, rng.uniform(0.5, 20.0, len(t)))
+    arms = [LeverArm(rng.uniform(-0.3, 0.3, 3)) if draw(st.booleans()) else LeverArm() for _ in range(2)]
+    return logs[0], logs[1], ranges, arms
+
+
+class TestIngestEqualsPerRangeReference:
+    @settings(max_examples=200, deadline=None)
+    @given(log_sets())
+    def test_batched_ingest_equals_reference_loop(self, logs):
+        odom_a, odom_b, ranges, (arm_a, arm_b) = logs
+        lo = max(odom_a["t"][0], odom_b["t"][0])
+        hi = min(odom_a["t"][-1], odom_b["t"][-1])
+        if not ((ranges["t"] >= lo) & (ranges["t"] <= hi)).any():
+            with pytest.raises(NoOverlapError):
+                ingest_logs(odom_a, odom_b, ranges, arm_a, arm_b)
+            return
+        ds, dropped = ingest_logs(odom_a, odom_b, ranges, arm_a, arm_b)
+        t, d, pa, pb, ref_dropped, ref_d0 = reference_ingest(odom_a, odom_b, ranges, arm_a, arm_b)
+        assert dropped == ref_dropped and ds.d0 == ref_d0
+        assert np.array_equal(ds.t, t) and np.array_equal(ds.d, d)
+        # the batched arithmetic may round differently in the last place:
+        # a few eps of the largest coordinate
+        scale = max(np.abs(pa).max(), np.abs(pb).max(), 1.0)
+        assert np.abs(ds.pa - pa).max() <= 4 * np.finfo(float).eps * scale
+        assert np.abs(ds.pb - pb).max() <= 4 * np.finfo(float).eps * scale
+        # on a coinciding stamp the logged pose is taken as it is
+        for odom, arm, got, ref in ((odom_a, arm_a, ds.pa, pa), (odom_b, arm_b, ds.pb, pb)):
+            on_stamp = np.isin(t, odom["t"])
+            if not np.any(arm.r):
+                assert np.array_equal(got[on_stamp], odom["p"][np.searchsorted(odom["t"], t[on_stamp])])
+                assert np.array_equal(got[on_stamp], ref[on_stamp])
 
 
 class TestDebias:
@@ -184,47 +285,6 @@ class TestDebias:
         stats = debias_squared(ds)
         full = squared_covariance(d, 0.01 * np.eye(2))
         assert np.allclose(np.diag(full), stats.sigma_s_diag)
-
-
-class TestOutlierFilter:
-    def test_constant_stream_accepted(self):
-        stream = [RangeSample(t=float(i), d=3.0) for i in range(100)]
-        out = sliding_outlier_filter(stream, window=20, threshold=0.005)
-        assert len(out) == 100
-
-    def test_spike_rejected(self):
-        stream = [RangeSample(t=float(i), d=3.0) for i in range(40)]
-        stream.insert(30, RangeSample(t=29.5, d=4.0))
-        out = sliding_outlier_filter(stream, window=20, threshold=0.005)
-        assert all(s.d == 3.0 for s in out)
-        assert len(out) == 40
-
-    def test_slow_ramp_accepted(self):
-        stream = [RangeSample(t=float(i), d=3.0 + 0.001 * i) for i in range(200)]
-        out = sliding_outlier_filter(stream, window=20, threshold=0.005)
-        assert len(out) == 200
-
-    def test_order_preserved_and_idempotent(self):
-        rng = np.random.default_rng(3)
-        stream = [RangeSample(t=float(i), d=3.0 + 0.03 * rng.standard_normal()) for i in range(150)]
-        stream[60] = RangeSample(t=60.0, d=4.5)
-        out = sliding_outlier_filter(stream, window=20, threshold=0.005)
-        times = [s.t for s in out]
-        assert times == sorted(times)
-        again = sliding_outlier_filter(out, window=20, threshold=0.005)
-        assert [s.d for s in again] == [s.d for s in out]
-
-    def test_warmup_always_accepts(self):
-        stream = [RangeSample(t=float(i), d=float(1 + 7 * (i % 2))) for i in range(15)]
-        out = sliding_outlier_filter(stream, window=20, threshold=0.005)
-        assert len(out) == 15
-
-    def test_increase_mode(self):
-        # alternative trigger: variance increment above threshold
-        stream = [RangeSample(t=float(i), d=3.0) for i in range(30)]
-        stream.append(RangeSample(t=30.0, d=3.2))
-        out = sliding_outlier_filter(stream, window=20, threshold=0.001, mode="increase")
-        assert len(out) == 30  # the step raises variance by ~0.002 > 0.001
 
 
 def moving_dataset(n=200, sigma_r=0.1, seed=0, T=None):

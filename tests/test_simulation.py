@@ -5,7 +5,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from range_rte.fisher import det_fim_geometric, fim, jacobian_matrix, singularity_report
-from range_rte.geometry import LeverArm, Pose, Transform4DoF, wrap_angle, yaw_quat
+from range_rte.geometry import LeverArm, Transform4DoF, quat_to_matrix, wrap_angle, yaw_quat
 from range_rte.measurement import true_range
 from range_rte.simulation import (
     SCENARIO_KINDS,
@@ -69,10 +69,11 @@ class TestTrajectory:
 
 
 def reference_trajectory(D, n, rng, step_scale=0.5):
-    """Per-step walk built pose by pose: the draw order the arrays keep."""
+    """Per-step walk built pose by pose, as (position, quaternion) pairs:
+    the draw order the arrays keep."""
     p, poses = np.zeros(3), []
     for i in range(n):
-        poses.append(Pose(t=float(i), p=p.copy(), q=yaw_quat(rng.uniform(-math.pi, math.pi))))
+        poses.append((p.copy(), yaw_quat(rng.uniform(-math.pi, math.pi))))
         p = p + rng.standard_normal(3) * (step_scale * D)
         r = np.linalg.norm(p)
         if r > D:
@@ -90,8 +91,8 @@ class TestArraysEqualPerStepReference:
         T_ref = sample_ground_truth(cfg.d0, rng)
         assert np.array_equal(T_ref.t, T.t) and T_ref.theta == T.theta
         ta, tb = (reference_trajectory(cfg.D, cfg.n_poses, rng) for _ in range(2))
-        pa = np.array([pose.p + pose.rotation() @ arms[0].r for pose in ta])
-        pb = np.array([pose.p + pose.rotation() @ arms[1].r for pose in tb])
+        pa = np.array([p + quat_to_matrix(q) @ arms[0].r for p, q in ta])
+        pb = np.array([p + quat_to_matrix(q) @ arms[1].r for p, q in tb])
         d = np.maximum(true_range(T, pa, pb) + cfg.sigma_r * rng.standard_normal(len(pa)), 1e-9)
         assert np.array_equal(ds.d, d)
         assert np.array_equal(ds.pa, pa + cfg.sigma_o * rng.standard_normal(pa.shape))
