@@ -16,8 +16,14 @@ squared-range localisation problem, which a Lagrange multiplier solves
 exactly (variable projection, Golub & Pereyra 1973, with the inner
 solve of Beck, Stoica & Li 2008). `yaw_sweep` solves it on a fixed
 heading grid in one batched pass and keeps the grid's lowest local
-minima; each one is refined by Levenberg-Marquardt over the natural
+minima; each one is refined by damped Newton steps over the natural
 parameters (t, theta), which satisfy the constraints by construction.
+The refinement minimizes ||R x(t, theta)||^2, with R the 9x9 triangle
+of a QR of the scaled rows of B: that is x' P0 x over max w, taken from
+residuals, so it keeps its relative precision down to a zero residual
+where the quadratic form itself has an absolute rounding floor. Its
+gradient and exact Hessian come from the lift's first and second
+derivatives, which are linear in a few monomials of (t, theta).
 `qcqp` and `nls` do not pin ||t|| to the inter-origin distance d0: a d0
 read off the first range is already a row of the cost, and any other d0
 is fitted as one more range, taken between the two frame origins.
@@ -32,12 +38,13 @@ estimators. Every entry of `ESTIMATORS` takes (dataset, init=None); only
 The `qcqp` layers work on stacks of problems: `assemble_qcqp` builds P0
 for W windows of a stream at once, the yaw sweep runs on P0 of shape
 (W, 9, 9) in chunks of SWEEP_CHUNK problems, which caps its temporaries,
-each candidate is refined by `lm_minimize` on plain arrays, and one
-batched eigendecomposition of the stacked Fisher information gives
-every window its kappa, CRLB and flags. A single dataset is a stack of
-one. The sliding-window runner for drift tracking estimates each window
-on its own: `qcqp` solves all windows in one stacked pass, and `nls`
-starts from the previous window's estimate, window by window.
+the candidates of all windows are refined together by one
+`solvers.lockstep_newton` call, and one batched eigendecomposition of
+the stacked Fisher information gives every window its kappa, CRLB and
+flags. A single dataset is a stack of one. The sliding-window runner
+for drift tracking estimates each window on its own: `qcqp` solves all
+windows in one stacked pass, and `nls` starts from the previous
+window's estimate, window by window.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fisher import FimReport, SingularityFlags, fim_stack, singularity_flags
-from .geometry import TWO_PI, Transform4DoF, apply_transform
+from .geometry import Transform4DoF, apply_transform
 from .measurement import (
     SyncedDataset,
     d0_is_extra_range,
@@ -60,15 +67,27 @@ from .measurement import (
     motion_excitation_check,
     range_rows,
 )
-from .solvers import LmOptions, LmResult, SdpStandardForm, SolveDiagnostics, eig_sym, lm_minimize, sdp_solve
+from .solvers import (
+    CONVERGED,
+    NON_FINITE,
+    LmOptions,
+    SdpStandardForm,
+    SolveDiagnostics,
+    eig_sym,
+    lm_minimize,
+    lockstep_newton,
+    sdp_solve,
+)
 
 SWEEP_HEADINGS = 72  # yaw grid of `yaw_sweep`, 5 degree steps
 SWEEP_CANDIDATES = 3  # grid minima handed to the local refinement
 SWEEP_CHUNK = 8  # problems per batched sweep: caps its temporaries
-# LM evaluations per refinement start. Gauss-Newton converges only
-# linearly where the residual stays large (few rows, sigma_r ~ 0.5 m):
-# such starts need a few hundred to ~1500 evaluations, most need < 60
-REFINE_MAX_ITER = 2000
+# lockstep iterations per refinement start (one solve and at most one
+# evaluation each). With the exact Hessian the steps converge
+# quadratically: bench drift starts and large-residual stress cases
+# (8 rows, sigma_r 0.5 m) need at most ~22
+REFINE_MAX_ITER = 200
+_REFINE_OPTS = LmOptions(max_iter=REFINE_MAX_ITER)
 
 
 class DegenerateSolutionError(RuntimeError):
@@ -263,57 +282,69 @@ def extract_transform(x) -> Transform4DoF:
     return Transform4DoF(t=x[:3].copy(), theta=math.atan2(s / norm, c / norm))
 
 
-def _lift_jacobian(t, theta: float) -> np.ndarray:
-    """d lift / d (t_x, t_y, t_z, theta), shape (9, 4)."""
-    tx, ty, tz = t
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, -s],
-            [0.0, 0.0, 0.0, c],
-            [c, s, 0.0, -tx * s + ty * c],
-            [-s, c, 0.0, -ty * s - tx * c],
-            [2.0 * tx, 2.0 * ty, 2.0 * tz, 0.0],
-            [0.0, 0.0, 0.0, 0.0],
-        ]
-    )
-
-
 def _scaled_rows(B: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """B scaled by sqrt(w / max w): the refinement's residual is these rows times the lift."""
+    """B scaled by sqrt(w / max w): the refinement's cost is ||these rows times the lift||^2."""
     return B * np.sqrt(weights / weights.max(axis=-1, keepdims=True))[..., None]
 
 
-def _refinement_callables(Bw: np.ndarray):
-    """Residual and Jacobian of the refinement over p = (t_x, t_y, t_z, theta).
+def _lift_operator() -> np.ndarray:
+    """K, shape (15, 21 * 9): the lift and its derivatives as linear maps of the monomials of `_lift_stack`.
 
-    The heading is wrapped into [-pi, pi) before the lift, as a
-    Transform4DoF stores it.
+    Row block 0 of monomials @ K is the lift x, block 1 + a is d x / d p_a
+    and block 5 + 4 a + b is d2 x / d p_a d p_b, for p = (t_x, t_y, t_z,
+    theta). Differentiation maps a monomial to a combination of
+    monomials, so each derivative is a matrix too.
     """
+    # x = [t_x, t_y, t_z, c, s, t_x c + t_y s, t_y c - t_x s, ||t||^2, 1] as {monomial: coefficient}
+    lift = [{3: 1}, {6: 1}, {9: 1}, {1: 1}, {2: 1}, {4: 1, 8: 1}, {7: 1, 5: -1}, {12: 1, 13: 1, 14: 1}, {0: 1}]
+    X = np.zeros((15, 9))
+    for col, terms in enumerate(lift):
+        X[list(terms), col] = list(terms.values())
+    d = np.zeros((4, 15, 15))  # d[a, j, k]: coefficient of monomial k in d monomial_j / d p_a
+    for a in range(3):
+        d[a, 3 * (a + 1) + np.arange(3), np.arange(3)] = 1.0
+        d[a, 12 + a, 3 * (a + 1)] = 2.0
+    for a in range(4):
+        d[3, 3 * a + 1, 3 * a + 2] = -1.0  # d cos = -sin
+        d[3, 3 * a + 2, 3 * a + 1] = 1.0  # d sin = cos
+    # d[a]' maps the coefficients of an expression to those of its derivative;
+    # einsum, not matmul, so that importing the module starts no BLAS
+    first = np.einsum("ajk,jc->akc", d, X)
+    second = np.einsum("bjk,ajc->abkc", d, first).reshape(16, 15, 9)
+    return np.concatenate([X[None], first, second]).transpose(1, 0, 2).reshape(15, -1)
 
-    def residuals(p):
-        tx, ty, tz, theta = p.tolist()
-        return Bw @ _lift(tx, ty, tz, (theta + math.pi) % TWO_PI - math.pi)
 
-    def jacobian(p):
-        tx, ty, tz, theta = p.tolist()
-        return Bw @ _lift_jacobian((tx, ty, tz), theta)
-
-    return residuals, jacobian
+_LIFT_K = _lift_operator()
 
 
-def _refine(
-    problem: QcqpProblem,
-    T0: Transform4DoF,
-    opts: LmOptions,
-) -> tuple[Transform4DoF, float, LmResult]:
-    """Local refinement of the weighted cost over (t_x, t_y, t_z, theta)."""
-    res = lm_minimize(*_refinement_callables(_scaled_rows(problem.B, problem.weights)), T0.as_vector(), opts)
-    T = Transform4DoF(t=res.x[:3], theta=res.x[3])
-    return T, sd_wls_cost(problem, T), res
+def _lift_stack(p: np.ndarray) -> np.ndarray:
+    """Lift of p = (t_x, t_y, t_z, theta), shape (n, 4), with its first and
+    second derivatives: rows 0, 1 + a and 5 + 4 a + b of the (n, 21, 9) result.
+
+    They are linear in the monomials [1, t] (x) [1, cos theta, sin theta]
+    (index 3 a + b) and t_x^2, t_y^2, t_z^2: one matmul with `_LIFT_K`.
+    """
+    n = len(p)
+    phi = np.empty((n, 15))
+    outer = phi[:, :12].reshape(n, 4, 3)  # a view
+    outer[:, 0, 0] = 1.0
+    outer[:, 1:, 0] = p[:, :3]
+    np.cos(p[:, 3], out=outer[:, 0, 1])
+    np.sin(p[:, 3], out=outer[:, 0, 2])
+    np.multiply(outer[:, 1:, :1], outer[:, :1, 1:], out=outer[:, 1:, 1:])
+    np.multiply(p[:, :3], p[:, :3], out=phi[:, 12:])
+    return (phi @ _LIFT_K).reshape(n, 21, 9)
+
+
+def _sqrt_factor(problem: QcqpProblem, n: int) -> np.ndarray:
+    """R (n, 9, 9), upper triangular, with R'R = B_w' B_w for the scaled rows B_w of the first n problems.
+
+    One batched Householder QR; fewer rows than 9 leave zero rows at the bottom.
+    """
+    R = np.linalg.qr(_scaled_rows(problem.B[:n], problem.weights[:n]), mode="r")
+    if R.shape[1] < 9:
+        R = np.concatenate([R, np.zeros((n, 9 - R.shape[1], 9))], axis=1)
+    return R
 
 
 def _sweep_bases(theta: np.ndarray) -> np.ndarray:
@@ -501,82 +532,76 @@ def sdp_estimate(dataset: SyncedDataset) -> EstimateReport:
     return _report(T, dataset, solver)
 
 
-def _solve_stack(
-    problem: QcqpProblem,
-    pa: np.ndarray,
-    pb: np.ndarray,
-    sigma_r: float,
-    lm_opts: Optional[LmOptions] = None,
-) -> list[EstimateReport]:
+def _solve_stack(problem: QcqpProblem, pa: np.ndarray, pb: np.ndarray, sigma_r: float) -> list[EstimateReport]:
     """`solve_qcqp` for a stack of W problems, in problem order.
 
     pa and pb (W, k, 3) are the antenna positions of each problem's rows
-    of B, for its FIM. An error raised for problem i (a sweep without a
-    candidate, every refinement diverged, a zero range in the FIM) is the
-    error a one-by-one loop would raise first: problems after i are not
-    refined, and those before it are reported first.
+    of B, for its FIM. The sweep candidates of all problems form one
+    stack of starts, refined by one `lockstep_newton` call on the 9x9
+    triangle R of each problem's scaled rows. ||R x||^2 is the cost
+    x' P0 x over max w, taken from residuals: the quadratic form itself
+    has an absolute rounding floor (~1e-13) that would stall noiseless
+    problems ~1e-8 m from the truth. Each problem keeps its start of
+    lowest cost. An error raised for problem i (a sweep without a
+    candidate, every refinement diverged, a zero range in the FIM) is
+    the error a one-by-one loop would raise first: problems after i are
+    not refined, and those before it are reported first.
     """
     start = time.perf_counter()
-    opts = lm_opts or LmOptions(max_iter=REFINE_MAX_ITER)
     cand_t, cand_heading, count, errors = _sweep_stack(problem.P0)
+    n_win = min(errors, default=len(count))  # windows before the first sweep error
     sweep_ms = (time.perf_counter() - start) * 1e3 / max(len(count), 1)
-    Bw = _scaled_rows(problem.B, problem.weights)
-    T_hats, solvers, error = [], [], None
-    for i in range(len(count)):
-        if i in errors:
-            error = errors[i]
-            break
-        start = time.perf_counter()
-        residuals, jacobian = _refinement_callables(Bw[i])
-        best: Optional[tuple[Transform4DoF, float]] = None
-        total_lm_iters = 0
-        n_converged = 0
-        for t0, heading in zip(cand_t[i, : count[i]], cand_heading[i, : count[i]]):
-            res = lm_minimize(residuals, jacobian, np.append(t0, _SWEEP_THETA[heading]), opts)
-            total_lm_iters += res.iterations
-            if res.status in ("converged", "max_iter"):
-                n_converged += res.status == "converged"
-                T = Transform4DoF(t=res.x[:3], theta=res.x[3])
-                x = lift_transform(T)
-                cost = float(x @ problem.P0[i] @ x)
-                if best is None or cost < best[1]:
-                    best = (T, cost)
-        if best is None:
-            error = DegenerateSolutionError("all refinement starts diverged")
-            break
-        T_hats.append(best[0])
-        solvers.append(
-            {
-                "method": "qcqp",
-                "iterations": total_lm_iters,
-                "restarts": int(count[i]),
-                "restarts_converged": n_converged,
-                "final_cost": best[1],
-                "wall_ms": sweep_ms + (time.perf_counter() - start) * 1e3,
-            }
-        )
+    if n_win == 0:
+        raise errors[0]
+    start = time.perf_counter()
+    count = count[:n_win]
+    first = np.cumsum(count) - count  # each window's first start
+    slot = np.flatnonzero(np.arange(SWEEP_CANDIDATES) < count[:, None])  # candidate slots in use
+    win = slot // SWEEP_CANDIDATES
+    p0 = np.concatenate((cand_t, _SWEEP_THETA[cand_heading][..., None]), axis=-1).reshape(-1, 4)[slot]
+    res = lockstep_newton(_sqrt_factor(problem, n_win)[win], _lift_stack, p0, _REFINE_OPTS)
+    p = res.p
+    cost = 2.0 * problem.weights[:n_win].max(axis=-1)[win] * res.cost  # x' P0 x = max w ||R x||^2
+    # per window, the first start of lowest cost; diverged starts rank after the others
+    finite = res.status != NON_FINITE
+    best = np.lexsort((cost, ~finite, win))[first]
+    iterations = np.add.reduceat(res.iterations, first)
+    converged = np.add.reduceat(res.status == CONVERGED, first, dtype=int)
+    if not finite[best].all():
+        n_win = int(np.argmin(finite[best]))
+        errors[n_win] = DegenerateSolutionError("all refinement starts diverged")
+    refine_ms = (time.perf_counter() - start) * 1e3 / max(n_win, 1)
+    T_hats = [Transform4DoF(t=p[b, :3], theta=p[b, 3]) for b in best[:n_win]]
+    solvers = [
+        {
+            "method": "qcqp",
+            "iterations": int(iterations[i]),
+            "restarts": int(count[i]),
+            "restarts_converged": int(converged[i]),
+            "final_cost": float(cost[best[i]]),
+            "wall_ms": sweep_ms + refine_ms,
+        }
+        for i in range(n_win)
+    ]
     reports = _reports(T_hats, pa, pb, sigma_r, solvers)
-    if error is not None:
-        raise error
+    if n_win in errors:
+        raise errors[n_win]
     return reports
 
 
-def solve_qcqp(
-    problem: QcqpProblem,
-    dataset: SyncedDataset,
-    lm_opts: Optional[LmOptions] = None,
-) -> EstimateReport:
+def solve_qcqp(problem: QcqpProblem, dataset: SyncedDataset) -> EstimateReport:
     """Minimize the lifted cost over all feasible transforms.
 
-    Each minimum of `yaw_sweep` is refined over (t, theta) by
-    Levenberg-Marquardt; the lowest-cost result wins. The constraints
-    hold by construction of the parameterization, and ||t|| is left
-    free: a measured inter-origin distance enters the cost as an
-    ordinary row of B. Runs as a stack of one problem.
+    Each minimum of `yaw_sweep` is refined over (t, theta) by damped
+    Newton steps on the square-root factor of the cost; the lowest-cost
+    result wins. The constraints hold by construction of the
+    parameterization, and ||t|| is left free: a measured inter-origin
+    distance enters the cost as an ordinary row of B. Runs as a stack of
+    one problem.
     """
     stack = dataclasses.replace(problem, P0=problem.P0[None], B=problem.B[None], weights=problem.weights[None])
     pa, pb, _ = range_rows(dataset)
-    return _solve_stack(stack, pa[None], pb[None], dataset.sigma_r, lm_opts)[0]
+    return _solve_stack(stack, pa[None], pb[None], dataset.sigma_r)[0]
 
 
 def qcqp_estimate(dataset: SyncedDataset) -> EstimateReport:

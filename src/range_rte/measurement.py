@@ -5,7 +5,8 @@ Logs are numpy structured arrays, one row per sample:
 - odometry (`ODOMETRY_DTYPE`): t (s), p (3,) position in the agent's
   local frame (m), q (4,) unit quaternion (x, y, z, w) of the body in
   that frame; timestamps strictly increasing;
-- ranges (`RANGE_DTYPE`): t (s) and d (m), the measured distance.
+- ranges (`RANGE_DTYPE`): t (s) and d (m), the measured distance;
+  timestamps strictly increasing.
 
 `log["p"]` is then an (n, 3) array, and `len(log)` the number of rows.
 `odometry_log` and `range_log` build and check them.
@@ -79,10 +80,16 @@ def odometry_problem(log) -> Optional[tuple[int, str]]:
 
 
 def range_problem(log) -> Optional[tuple[int, str]]:
-    """First row of a range log with a non-finite timestamp or a range
-    that is not positive, as (row, message), or None."""
+    """First row of a range log with a non-finite timestamp, a range that
+    is not positive or a timestamp not later than its predecessor's, as
+    (row, message), or None."""
+    t = log["t"]
     return _first_bad_row(
-        ((~np.isfinite(log["t"]), "timestamp must be finite"), (~(log["d"] > 0), "measured range must be positive"))
+        (
+            (~np.isfinite(t), "timestamp must be finite"),
+            (~(log["d"] > 0), "measured range must be positive"),
+            (~(np.diff(t, prepend=-np.inf) > 0), "timestamps must be strictly increasing"),
+        )
     )
 
 

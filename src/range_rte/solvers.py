@@ -3,8 +3,10 @@
 Provides a dense primal-dual interior-point solver for small semidefinite
 programs (the lifted relaxation is 9x9 with at most 5 equality
 constraints), a damped (Levenberg-Marquardt) nonlinear least-squares
-minimizer used for local refinement, and symmetric eigendecomposition
-helpers for rank-one recovery and information-matrix analysis.
+minimizer for the `nls` baseline, a damped Newton minimizer that refines
+a stack of starts in lockstep from square-root factors of their costs,
+and symmetric eigendecomposition helpers for rank-one recovery and
+information-matrix analysis.
 
 The SDP solver is an infeasible-start path-following method with the
 HKM search direction and a Mehrotra predictor-corrector step. Problem
@@ -395,6 +397,161 @@ def lm_minimize(
                 break
     return LmResult(
         x=x, cost=cost, iterations=accepted, status=status, grad_norm=gnorm, cost_history=history, evals=it
+    )
+
+
+# statuses of `lockstep_newton`, one per start
+CONVERGED, MAX_ITER, NON_FINITE = 0, 1, 2
+_RUNNING = -1
+
+
+@dataclass
+class LockstepResult:
+    """Outcome of `lockstep_newton`, one entry (or row) per start."""
+
+    p: np.ndarray  # (n, d) final parameters
+    cost: np.ndarray  # 0.5 ||r(p)||^2 there
+    iterations: np.ndarray  # accepted steps
+    evals: np.ndarray  # trial evaluations, rejected steps included
+    status: np.ndarray  # CONVERGED | MAX_ITER | NON_FINITE
+
+
+def _gram(R: np.ndarray, D: np.ndarray, d: int) -> np.ndarray:
+    """Products of the rows of D R' with its first 1 + d rows, shape (n, 1 + d + d^2, 1 + d).
+
+    D (n, 1 + d + d^2, m) stacks x, its first and its second derivatives
+    as rows, and R is (n, m, m). With r = R x, column 0 holds ||r||^2,
+    the gradient (R dx)' r of f = 0.5 ||r||^2 and the curvature terms
+    sum_j r_j (R d2x)_j; rows and columns 1..d hold (R dx)' (R dx).
+    """
+    RD = D @ R.swapaxes(-1, -2)
+    return RD @ RD[:, : d + 1].swapaxes(-1, -2)
+
+
+def _batched_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with A x = b for a stack of systems; NaN rows where A is singular.
+
+    b is passed as (n, d, 1): numpy 2 reads an (n, d) right-hand side of
+    an (n, d, d) stack as one vector per system, numpy 1 as a matrix.
+    """
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # one singular system spoils the stack: solve them one by one
+        out = np.full(b.shape, np.nan)
+        for i in range(len(A)):
+            try:
+                out[i] = np.linalg.solve(A[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def lockstep_newton(
+    R: np.ndarray,
+    lift: Callable[[np.ndarray], np.ndarray],
+    p0: np.ndarray,
+    opts: LmOptions | None = None,
+) -> LockstepResult:
+    """Minimize f_i = 0.5 ||R_i x(p)||^2 from every start p0[i] at once.
+
+    R (n, m, m) is a square-root factor of each start's cost, such as the
+    triangle of a QR of its residual rows, and lift(p) maps parameters
+    (k, d) to (k, 1 + d + d^2, m): x(p), its first and its second
+    derivatives. The cost, gradient and curvature come from r = R x, not
+    from the quadratic form R'R, so they keep their relative precision
+    down to a zero residual.
+
+    Steps solve (H + mu I) step = -g with the exact Hessian H, so they
+    converge quadratically where Gauss-Newton on a large residual is
+    linear. Each start keeps its own damping and gain-ratio update
+    (Madsen-Nielsen, as `lm_minimize`) and its own stops: `lm_minimize`'s
+    gtol, xtol and ftol tests, and, before a trial is evaluated, a
+    predicted decrease of at most ftol * f. That last test is relative to
+    f alone, so a zero-residual start still runs down to its rounding
+    floor. The starts run in lockstep, one batched solve and one batched
+    evaluation per iteration over the starts still running; no start's
+    sequence depends on the others. max_iter bounds the iterations.
+    """
+    opts = opts or LmOptions()
+    p0 = np.asarray(p0, dtype=float)
+    n, d = p0.shape
+    # packed per-start state: p, column 0 of `_gram` (||r||^2 = 2 f,
+    # gradient, curvature terms), its Gauss-Newton block, mu, nu,
+    # accepted steps, evaluations
+    C, G, CURV = d, slice(d + 1, 2 * d + 1), slice(2 * d + 1, 2 * d + 1 + d * d)
+    GN = slice(CURV.stop, CURV.stop + d * d)
+    MU, NU, IT, EV = GN.stop, GN.stop + 1, GN.stop + 2, GN.stop + 3
+
+    def state(p, R, tail):
+        M = _gram(R, lift(p), d)
+        return np.concatenate((p, M[:, :, 0], M[:, 1 : d + 1, 1:].reshape(-1, d * d), tail), axis=1)
+
+    count = np.array([0.0, 0.0, 1.0, 1.0])  # added to mu, nu, steps, evaluations at a trial
+    S = state(p0, R, np.zeros((n, 4)))
+    S[:, NU] = 2.0
+    with np.errstate(all="ignore"):
+        S[:, MU] = opts.damping_init * np.maximum(S[:, GN][:, :: d + 1].max(axis=1), 1e-300)
+        finite = np.isfinite(S[:, C])
+        status = np.where(finite, CONVERGED, NON_FINITE)
+        act = np.flatnonzero(finite & (np.abs(S[:, G]).max(axis=1) > opts.gtol * np.maximum(1.0, 0.5 * S[:, C])))
+        status[act] = _RUNNING
+        s, Ra = S[act], R[act]  # the running starts only
+        for _ in range(opts.max_iter):
+            if not len(act):
+                break
+            c, g, mu = s[:, C], s[:, G], s[:, MU]
+            # u = -step solves (H + mu I) u = g; then twice the model's
+            # decrease -g'step - step'H step / 2 is mu u'u + g'u
+            A = s[:, GN] + s[:, CURV]
+            A[:, :: d + 1] += mu[:, None]
+            u = _batched_solve(A.reshape(-1, d, d), g)
+            uu = (u * u).sum(axis=1)
+            pred2 = mu * uu + (g * u).sum(axis=1)
+            trial = pred2 > opts.ftol * c  # False for NaN: a singular system rejects the step
+            stop = (pred2 > 0.0) ^ trial  # a decrease of at most ftol * f: stop untried
+            acc = trial
+            accepted = False
+            if trial.any():
+                # the trial point; it counts one more step and evaluation, undone below if rejected
+                new = state(s[:, :d] - u, Ra, s[:, MU:] + count)
+                dc = c - new[:, C]
+                rho = dc / pred2
+                acc = trial & (rho > 0.0)  # False for a trial whose f is not finite
+                rho = 2.0 * rho - 1.0
+                new[:, MU] *= np.maximum(1.0 / 3.0, 1.0 - rho * rho * rho)
+                new[:, NU] = 2.0
+                # gtol or ftol: |g|_inf or the decrease at most that tol * max(1, f)
+                converged = np.minimum(np.abs(new[:, G]).max(axis=1) * (2.0 / opts.gtol), dc * (1.0 / opts.ftol))
+                converged = converged <= np.maximum(2.0, new[:, C])
+                if not converged.all():  # xtol: a step at most xtol * (1 + |p|)
+                    p_norm = np.sqrt((new[:, :d] * new[:, :d]).sum(axis=1))
+                    converged |= np.sqrt(uu) <= opts.xtol * (1.0 + p_norm)
+                stop |= acc & converged
+                accepted = acc.all()
+                s = new if accepted else np.where(acc[:, None], new, s)
+            if accepted and not stop.any():
+                continue
+            # rejected: grow the damping; past 1e300 the start stops as `lm_minimize` does
+            rej = ~(acc | stop)
+            if rej.any():
+                lost = trial & ~np.isfinite(new[:, C]) if trial.any() else trial
+                s[rej & trial, EV] += 1.0  # a rejected trial still counts as an evaluation
+                s[rej, MU] *= s[rej, NU]
+                s[rej, NU] *= 2.0
+                stuck = rej & (s[:, MU] > 1e300)
+                small = np.abs(s[:, G]).max(axis=1) <= 0.5e-6 * np.maximum(2.0, s[:, C])
+                status[act[stuck]] = np.where(lost, NON_FINITE, np.where(small, CONVERGED, MAX_ITER))[stuck]
+                stop |= stuck
+            if stop.any():
+                done = act[stop]
+                S[done] = s[stop]
+                status[done[status[done] == _RUNNING]] = CONVERGED
+                keep = ~stop
+                s, Ra, act = s[keep], Ra[keep], act[keep]
+    S[act] = s
+    status[act] = MAX_ITER
+    return LockstepResult(
+        p=S[:, :d], cost=0.5 * S[:, C], iterations=S[:, IT].astype(int), evals=S[:, EV].astype(int), status=status
     )
 
 

@@ -1,0 +1,51 @@
+"""Independent reference refinement for the qcqp property tests.
+
+Levenberg-Marquardt (`solvers.lm_minimize`, Gauss-Newton steps) on the
+k-row residual B_w x(t, theta), with B_w the rows of B scaled by
+sqrt(w / max w). It shares no code with the estimator's batched Newton
+refinement beyond the lift, so a test that compares the two checks one
+against the other.
+"""
+
+import math
+
+import numpy as np
+
+from range_rte.estimators import lift_transform
+from range_rte.geometry import Transform4DoF
+from range_rte.solvers import LmOptions, lm_minimize
+
+
+def lift_jacobian(t, theta: float) -> np.ndarray:
+    """d lift / d (t_x, t_y, t_z, theta), shape (9, 4)."""
+    tx, ty, tz = t
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array(
+        [
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, -s],
+            [0.0, 0.0, 0.0, c],
+            [c, s, 0.0, -tx * s + ty * c],
+            [-s, c, 0.0, -ty * s - tx * c],
+            [2.0 * tx, 2.0 * ty, 2.0 * tz, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+
+
+def lm_refine(problem, T0: Transform4DoF, max_iter: int = 80) -> tuple[Transform4DoF, float]:
+    """Refined transform from T0 and its cost x' P0 x."""
+    Bw = problem.B * np.sqrt(problem.weights / problem.weights.max())[:, None]
+
+    def residuals(p):
+        return Bw @ lift_transform(Transform4DoF(t=p[:3], theta=p[3]))
+
+    def jacobian(p):
+        return Bw @ lift_jacobian(p[:3], p[3])
+
+    res = lm_minimize(residuals, jacobian, T0.as_vector(), LmOptions(max_iter=max_iter))
+    T = Transform4DoF(t=res.x[:3], theta=res.x[3])
+    x = lift_transform(T)
+    return T, float(x @ problem.P0 @ x)

@@ -452,6 +452,21 @@ class TestBadOdometryRejected:
         self._check(tmp_path, rows, 4, "quaternion norm")
 
 
+class TestBadRangesRejected:
+    @pytest.mark.parametrize("stamps, line", [([1.0, 0.5, 2.0], 3), ([0.5, 1.0, 1.0, 2.0], 4)])
+    def test_unsorted_stamps_name_file_and_line(self, tmp_path, capsys, stamps, line):
+        # once failed only after ingest, naming neither the file nor the line
+        pa, pb, _, _ = synthetic_logs(tmp_path, seed=1)
+        ranges = tmp_path / "ranges_bad.csv"
+        ranges.write_text("t,d\n" + "".join(f"{t!r},3.0\n" for t in stamps))
+        with pytest.raises(ParseError, match=rf"ranges_bad\.csv:{line}: timestamps must be strictly increasing"):
+            read_ranges_csv(str(ranges))
+        rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", str(ranges), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"ranges_bad.csv:{line}: timestamps must be strictly increasing" in err
+
+
 class TestTimeShiftInvariance:
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**16), shift=st.floats(-5000.0, 5000.0))
@@ -459,7 +474,7 @@ class TestTimeShiftInvariance:
     def test_common_time_shift_leaves_estimate_unchanged(self, seed, shift):
         """Shifting the stamps of all three logs by one offset re-rounds each
         stamp, which moves the synced positions by ~1e-13 m at most. The
-        estimate can move more, within the refinement's stopping band: LM
+        estimate can move more, within the refinement's stopping band: it
         stops once a step lowers the cost by less than ftol = 1e-14 of it,
         and near the optimum a cost excess dC (the cost is a chi-square sum)
         sits sqrt(dC) standard errors away, so two runs may stop up to

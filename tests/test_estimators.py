@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from lm_reference import lift_jacobian, lm_refine
 
 from range_rte.estimators import (
     SWEEP_CANDIDATES,
     SWEEP_HEADINGS,
     DegenerateSolutionError,
     HeadingUndefinedError,
-    _lift_jacobian,
-    _refine,
-    _refinement_callables,
+    _lift_stack,
     _scaled_rows,
     align_target_trajectory,
     assemble_qcqp,
@@ -33,7 +32,7 @@ from range_rte.estimators import (
 from range_rte.fisher import confidence_intervals, fim, singularity_report
 from range_rte.geometry import Transform4DoF, heading_rotation, wrap_angle
 from range_rte.measurement import SyncedDataset, debias_squared, motion_excitation_check, true_range
-from range_rte.solvers import LmOptions, lm_minimize
+from range_rte.solvers import CONVERGED, LmOptions, _gram, lm_minimize, lockstep_newton
 from range_rte.simulation import (
     DriftConfig,
     ScenarioConfig,
@@ -367,7 +366,7 @@ class TestSolveQcqp:
             rep = qcqp_estimate(ds)
             prob = assemble_qcqp(ds)
             mirror = Transform4DoF(t=T.t * [1.0, 1.0, -1.0] - [0.0, 0.0, 2.0 * pb_z], theta=T.theta)
-            reference = min(_refine(prob, T0, LmOptions(max_iter=80))[1] for T0 in (T, mirror))
+            reference = min(lm_refine(prob, T0)[1] for T0 in (T, mirror))
             assert rep.solver["final_cost"] <= reference * (1 + 1e-9), seed
 
     def test_explicit_d0_enters_as_origin_row(self):
@@ -442,7 +441,7 @@ class TestSolveQcqp:
         sigma_r=st.floats(0.01, 0.5),
         keep_d0=st.booleans(),
     )
-    # large residual, few rows: Gauss-Newton needs ~150 evaluations here
+    # large residual, few rows: Gauss-Newton steps needed ~150 evaluations here
     @example(seed=422089, d0=24.0, n=8, sigma_r=0.421875, keep_d0=False)
     def test_cost_not_above_multistart_refinement(self, seed, d0, n, sigma_r, keep_d0):
         T, ds = noisy_instance(seed, d0=d0, n=n, sigma_r=sigma_r)
@@ -455,8 +454,8 @@ class TestSolveQcqp:
         starts = [T] + [
             Transform4DoF(t=d0 * rng.standard_normal(3), theta=rng.uniform(-math.pi, math.pi)) for _ in range(10)
         ]
-        reference = min(_refine(prob, T0, LmOptions(max_iter=80))[1] for T0 in starts)
-        # LM stalls once a step's gain drops below the cost's rounding,
+        reference = min(lm_refine(prob, T0)[1] for T0 in starts)
+        # the LM reference stalls once a step's gain drops below the cost's rounding,
         # eps * sum_i w_i (|B_i| |x|)^2; at d0 = 50 m, sigma_r = 1 cm that
         # floor reaches ~1e-8 of the cost
         x = lift_transform(rep.theta_hat)
@@ -491,26 +490,86 @@ class TestQcqpInvariance:
         assert abs(float(wrap_angle(permuted.theta_hat.theta - rep.theta_hat.theta))) <= 1e-6
 
 
-class TestRefinementCallables:
+def sqrt_factor(ds) -> np.ndarray:
+    """The refinement's 9x9 triangle: ||R x||^2 = x' P0 x / max w."""
+    prob = assemble_qcqp(ds)
+    return np.linalg.qr(_scaled_rows(prob.B, prob.weights), mode="r")
+
+
+class TestLockstepNewton:
     @settings(max_examples=60, deadline=None)
     @given(
-        seed=st.integers(0, 2**32 - 1),
-        t=st.lists(st.floats(-30.0, 30.0), min_size=3, max_size=3),
-        theta=st.floats(-10.0, 10.0),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        t=st.lists(st.floats(-30.0, 30.0), min_size=12, max_size=12),
+        theta=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
     )
-    def test_jacobian_matches_central_differences(self, seed, t, theta):
-        _, ds = noisy_instance(seed, d0=10.0, D=3.0)
-        prob = assemble_qcqp(ds)
-        Bw = _scaled_rows(prob.B, prob.weights)
-        residuals, jacobian = _refinement_callables(Bw)
-        p = np.array([*t, theta])
-        # the residual is the lift of the transform, heading wrapped
-        assert np.array_equal(residuals(p), Bw @ lift_transform(Transform4DoF(t=p[:3], theta=p[3])))
-        J = jacobian(p)
-        h = 1e-6 * np.maximum(1.0, np.abs(p))
-        steps = np.diag(h)
-        fd = np.column_stack([(residuals(p + steps[k]) - residuals(p - steps[k])) / (2.0 * h[k]) for k in range(4)])
-        np.testing.assert_allclose(J, fd, rtol=1e-6, atol=1e-7 * np.abs(J).max())
+    def test_gradient_and_hessian_match_central_differences(self, seeds, t, theta):
+        # one start per seed, each on its own window's factor; headings
+        # outside [-pi, pi) included
+        n = len(seeds)
+        R = np.array([sqrt_factor(noisy_instance(seed, d0=10.0, D=3.0)[1]) for seed in seeds])
+        p = np.column_stack([np.reshape(t, (4, 3))[:n], theta[:n]])
+
+        def model(q):
+            # f, g and H as the refinement takes them from the products of its residual rows
+            M = _gram(R, _lift_stack(q), 4)
+            return 0.5 * M[:, 0, 0], M[:, 1:5, 0], M[:, 1:5, 1:] + M[:, 5:, 0].reshape(-1, 4, 4)
+
+        f, g, H = model(p)
+        for i in range(n):
+            r = R[i] @ lift_transform(Transform4DoF(t=p[i, :3], theta=p[i, 3]))
+            assert f[i] == pytest.approx(0.5 * float(r @ r), rel=1e-12)
+        np.testing.assert_array_equal(H, H.swapaxes(1, 2))
+        h = 1e-5 * np.maximum(1.0, np.abs(p))
+        fd_g, fd_H = np.empty_like(g), np.empty_like(H)
+        for k in range(4):
+            step = np.zeros_like(p)
+            step[:, k] = h[:, k]
+            (f_hi, g_hi, _), (f_lo, g_lo, _) = model(p + step), model(p - step)
+            fd_g[:, k] = (f_hi - f_lo) / (2.0 * h[:, k])
+            fd_H[:, :, k] = (g_hi - g_lo) / (2.0 * h[:, k, None])
+        for i in range(n):
+            np.testing.assert_allclose(g[i], fd_g[i], rtol=1e-6, atol=1e-8 * (f[i] + np.abs(g[i]).max()))
+            np.testing.assert_allclose(H[i], fd_H[i], rtol=1e-6, atol=1e-7 * np.abs(H[i]).max())
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        others=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+        at=st.integers(0, 6),
+    )
+    def test_start_alone_equals_start_in_a_stack(self, seed, others, at):
+        # lockstep: a start's sequence does not depend on the other starts,
+        # however many iterations they need
+        starts = []
+        for s in [seed, *others]:
+            T, ds = noisy_instance(s, d0=float(np.random.default_rng(s).uniform(1.0, 40.0)), n=10, sigma_r=0.4)
+            cand = yaw_sweep(assemble_qcqp(ds))[-1]
+            starts.append((sqrt_factor(ds), cand.as_vector()))
+        at = min(at, len(others))
+        stack = starts[1:]
+        stack.insert(at, starts[0])
+        opts = LmOptions(max_iter=60)
+        alone = lockstep_newton(starts[0][0][None], _lift_stack, starts[0][1][None], opts)
+        got = lockstep_newton(np.array([R for R, _ in stack]), _lift_stack, np.array([p for _, p in stack]), opts)
+        for field in ("p", "cost", "iterations", "evals", "status"):
+            np.testing.assert_array_equal(getattr(got, field)[at], getattr(alone, field)[0], err_msg=field)
+
+    def test_large_residual_window_converges_in_few_steps(self):
+        # few rows, large residual: Gauss-Newton steps, without the
+        # curvature term, take 122 accepted steps here; Newton takes 6
+        T, ds = noisy_instance(422089, d0=24.0, n=8, sigma_r=0.421875)
+        rep = qcqp_estimate(dataclasses.replace(ds, d0=None))
+        assert rep.solver["restarts"] == 1 and rep.solver["iterations"] <= 12
+
+    def test_noiseless_truth_start_stays_at_the_truth(self):
+        # zero residual at the start, up to rounding: the gradient test or
+        # the negligible-decrease test stops it at once
+        T, ds = noiseless_instance(5)
+        R = sqrt_factor(dataclasses.replace(ds, d0=None))
+        res = lockstep_newton(R[None], _lift_stack, T.as_vector()[None])
+        assert res.status[0] == CONVERGED and res.evals[0] <= 2
+        assert np.allclose(res.p[0], T.as_vector(), atol=1e-9)
 
 
 class TestStackedWindows:
@@ -607,7 +666,7 @@ class TestYawSweep:
             return Bw @ lift_transform(Transform4DoF(t=t, theta=th))
 
         def jac(t):
-            return Bw @ _lift_jacobian(t, th)[:, :3]
+            return Bw @ lift_jacobian(t, th)[:, :3]
 
         for t0 in [T.t, *(15.0 * rng.standard_normal((10, 3)))]:
             res = lm_minimize(residuals, jac, t0, LmOptions(max_iter=200))
@@ -724,7 +783,7 @@ class TestSlidingWindow:
                     Transform4DoF(t=prev.t, theta=prev.theta + math.pi),
                     Transform4DoF(t=prev.t * [1.0, 1.0, -1.0], theta=prev.theta),
                 )
-                reference = min(_refine(prob, T0, LmOptions(max_iter=80))[1] for T0 in starts)
+                reference = min(lm_refine(prob, T0)[1] for T0 in starts)
                 x = lift_transform(w.report.theta_hat)
                 rounding = np.finfo(float).eps * float(prob.weights @ (np.abs(prob.B) @ np.abs(x)) ** 2)
                 assert w.report.solver["final_cost"] <= reference * (1 + 1e-9) + 4.0 * rounding, w.index

@@ -235,6 +235,16 @@ class TestMonteCarlo:
         assert stats.rmse_t < 1e-6 and stats.rmse_theta < 1e-6
         assert not stats.failures
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_noiseless_default_cell_recovered_to_solver_tolerance(self, seed):
+        # the default cell (d0 = 3 m, D = 1 m, 20 poses) without noise: a
+        # refinement that takes its cost from x' P0 x stalls at that form's
+        # rounding floor, ~1e-8 m away from the truth
+        cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=20, sigma_r=0.0, sigma_o=0.0, trials=10, seed=seed)
+        stats = monte_carlo_run(cfg, estimator="qcqp")
+        assert not stats.failures
+        assert np.max(stats.e_t) <= 1e-9 and np.max(stats.e_theta) <= 1e-9
+
     def test_failures_recorded_not_dropped(self):
         # a static-host style degenerate cell: estimation may fail or err,
         # but every trial must be accounted for
