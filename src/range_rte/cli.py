@@ -144,21 +144,17 @@ def _scenario_from_config(cfg: dict) -> ScenarioConfig:
     )
 
 
-def cmd_estimate(args) -> int:
-    cfg = dict(ESTIMATE_DEFAULTS)
-    if args.config:
-        cfg = iof.load_config(args.config, set(ESTIMATE_DEFAULTS), ESTIMATE_DEFAULTS)
-    if args.estimator:
-        cfg["estimator"] = args.estimator
-    if cfg["estimator"] not in ESTIMATORS:
-        raise CliError(f"unknown estimator {cfg['estimator']!r}", EXIT_PARSE)
-    if cfg["outlier_mode"] not in OUTLIER_MODES:
-        raise CliError(f"unknown outlier_mode {cfg['outlier_mode']!r}; expected one of {OUTLIER_MODES}", EXIT_PARSE)
+def _estimate_config(path) -> dict:
+    """The `estimate` config at path (unknown keys fail), or the defaults."""
+    return iof.load_config(path, set(ESTIMATE_DEFAULTS), ESTIMATE_DEFAULTS) if path else dict(ESTIMATE_DEFAULTS)
 
+
+def _ingest(args, cfg: dict):
+    """Read the three CSV logs of args and sync them as `cfg` says: lever
+    arms, sigma_r_m and the d0 keys. Returns (ranges read, dataset, uncovered dropped)."""
     odom_a = iof.read_odometry_csv(args.odom_a)
     odom_b = iof.read_odometry_csv(args.odom_b)
     ranges = iof.read_ranges_csv(args.ranges)
-
     dataset, n_dropped = ingest_logs(
         odom_a,
         odom_b,
@@ -169,6 +165,19 @@ def cmd_estimate(args) -> int:
         d0=cfg["d0_m"],
         use_first_range_as_d0=cfg["use_first_range_as_d0"],
     )
+    return len(ranges), dataset, n_dropped
+
+
+def cmd_estimate(args) -> int:
+    cfg = _estimate_config(args.config)
+    if args.estimator:
+        cfg["estimator"] = args.estimator
+    if cfg["estimator"] not in ESTIMATORS:
+        raise CliError(f"unknown estimator {cfg['estimator']!r}", EXIT_PARSE)
+    if cfg["outlier_mode"] not in OUTLIER_MODES:
+        raise CliError(f"unknown outlier_mode {cfg['outlier_mode']!r}; expected one of {OUTLIER_MODES}", EXIT_PARSE)
+
+    n_ranges, dataset, n_dropped = _ingest(args, cfg)
     n_outliers = 0
     if cfg["outlier_mode"] == "odometry":
         outliers = range_rate_outliers(dataset)
@@ -181,7 +190,7 @@ def cmd_estimate(args) -> int:
         "config": cfg,
         "config_hash": iof.config_hash(cfg),
         "counts": {
-            "ranges_in": len(ranges),
+            "ranges_in": n_ranges,
             "outliers_rejected": n_outliers,
             "uncovered_dropped": n_dropped,
             "used": len(dataset),
@@ -342,7 +351,10 @@ def _csv_num(x) -> str:
 
 def cmd_fim(args) -> int:
     theta = Transform4DoF(t=np.array(args.theta[:3], dtype=float), theta=float(args.theta[3]))
+    kappa_threshold = DEFAULT_KAPPA_THRESHOLD
     if args.scenario:
+        if args.config:
+            raise CliError("--config applies to --odom-a/--odom-b/--ranges, not to --scenario", EXIT_PARSE)
         cfg = iof.load_config(args.scenario, set(SIM_DEFAULTS), SIM_DEFAULTS)
         if args.seed is not None:
             cfg["seed"] = args.seed
@@ -352,14 +364,15 @@ def cmd_fim(args) -> int:
     else:
         if not (args.odom_a and args.odom_b and args.ranges):
             raise CliError("either --scenario or --odom-a/--odom-b/--ranges required", EXIT_PARSE)
-        odom_a = iof.read_odometry_csv(args.odom_a)
-        odom_b = iof.read_odometry_csv(args.odom_b)
-        ranges = iof.read_ranges_csv(args.ranges)
-        dataset, _ = ingest_logs(odom_a, odom_b, ranges, sigma_r=args.sigma_r)
-        meta = {"source": "logs"}
+        cfg = _estimate_config(args.config)
+        if args.sigma_r is not None:
+            cfg["sigma_r_m"] = args.sigma_r
+        _, dataset, _ = _ingest(args, cfg)
+        kappa_threshold = cfg["kappa_threshold"]
+        meta = {"source": "logs", "config": cfg, "config_hash": iof.config_hash(cfg)}
 
     rep = fim(theta, dataset)
-    flags = _flags(rep)
+    flags = _flags(rep, kappa_threshold)
     payload = {
         "command": "fim",
         **meta,
@@ -473,7 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--odom-a")
     pf.add_argument("--odom-b")
     pf.add_argument("--ranges")
-    pf.add_argument("--sigma-r", type=float, default=0.1)
+    # an `estimate` config: its lever arms, sigma_r_m, d0 keys and
+    # kappa_threshold apply to the logs (the estimator, outlier and
+    # excitation keys do not apply to an information analysis)
+    pf.add_argument("--config")
+    pf.add_argument("--sigma-r", type=float, help="overrides the config's sigma_r_m (default 0.1)")
     pf.add_argument("--scenario")
     pf.add_argument("--seed", type=int)
     pf.add_argument("--theta", type=float, nargs=4, required=True, metavar=("TX", "TY", "TZ", "YAW"))

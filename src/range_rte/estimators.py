@@ -38,6 +38,9 @@ estimators. Every entry of `ESTIMATORS` takes (dataset, init=None); only
 The `qcqp` layers work on stacks of problems: `assemble_qcqp` builds P0
 for W windows of a stream at once, the yaw sweep runs on P0 of shape
 (W, 9, 9) in chunks of SWEEP_CHUNK problems, which caps its temporaries,
+with no LAPACK call per heading: its 3x3 eigenproblems are solved in
+closed form (`_eigh3`) and its roots bracketed by bisection, elementwise
+across the stack, so one problem's data cannot fail another's. Then
 the candidates of all windows are refined together by one
 `solvers.lockstep_newton` call, and one batched eigendecomposition of
 the stacked Fisher information gives every window its kappa, CRLB and
@@ -81,7 +84,10 @@ from .solvers import (
 
 SWEEP_HEADINGS = 72  # yaw grid of `yaw_sweep`, 5 degree steps
 SWEEP_CANDIDATES = 3  # grid minima handed to the local refinement
-SWEEP_CHUNK = 8  # problems per batched sweep: caps its temporaries
+# problems per batched sweep: caps its temporaries. 120 s drift runs in
+# one process peak at 42.7 MB with 16, as the LAPACK sweep did with 8
+# (42.4-42.8 MB); 32 and 64 save ~8 % of a run for +1 and +3 MB
+SWEEP_CHUNK = 16
 # lockstep iterations per refinement start (one solve and at most one
 # evaluation each). With the exact Hessian the steps converge
 # quadratically: bench drift starts and large-residual stress cases
@@ -336,13 +342,21 @@ def _lift_stack(p: np.ndarray) -> np.ndarray:
     return (phi @ _LIFT_K).reshape(n, 21, 9)
 
 
+_UPPER = np.triu(np.ones((9, 9), dtype=bool))
+
+
 def _sqrt_factor(problem: QcqpProblem, n: int) -> np.ndarray:
     """R (n, 9, 9), upper triangular, with R'R = B_w' B_w for the scaled rows B_w of the first n problems.
 
     One batched Householder QR; fewer rows than 9 leave zero rows at the bottom.
+    R is the upper triangle of the "raw" factorisation, as mode="r" takes
+    it, bit for bit, but with a constant mask in place of the one that
+    mode builds on every call.
     """
-    R = np.linalg.qr(_scaled_rows(problem.B[:n], problem.weights[:n]), mode="r")
-    if R.shape[1] < 9:
+    h, _ = np.linalg.qr(_scaled_rows(problem.B[:n], problem.weights[:n]), mode="raw")
+    k = min(h.shape[-1], 9)  # h is the transposed (n, 9, rows) factorisation
+    R = np.where(_UPPER[:k], h.swapaxes(-1, -2)[:, :k], 0.0)
+    if k < 9:
         R = np.concatenate([R, np.zeros((n, 9 - R.shape[1], 9))], axis=1)
     return R
 
@@ -358,11 +372,83 @@ def _sweep_bases(theta: np.ndarray) -> np.ndarray:
     return N
 
 
+def _eigh3(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and unit eigenvectors (columns) of a stack of symmetric 3x3 matrices.
+
+    Elementwise on the six unique entries, so a stack costs a fixed number
+    of array operations, where LAPACK pays per matrix. With A = m I + K,
+    m the mean eigenvalue, the trigonometric formula (Smith, CACM 1961)
+    gives the eigenvalue farthest from the other two. Its eigenvector is
+    the largest column of adj(K - lam I), which has rank one. One exact
+    2x2 Jacobi rotation of K projected onto the orthogonal complement
+    gives the other two pairs, so repeated eigenvalues cost no accuracy.
+    Residuals ||A U - U mu|| are within a few eps ||A||, as LAPACK's.
+    Never raises: a non-finite matrix gives non-finite pairs.
+    """
+    shape = A.shape[:-2]
+    a00, a11, a22, a01, a02, a12 = A.reshape(-1, 9).T[[0, 4, 8, 1, 2, 5]]
+    m = (a00 + a11 + a22) / 3.0
+    k00, k11, k22 = a00 - m, a11 - m, a22 - m
+    p = np.sqrt((k00 * k00 + k11 * k11 + k22 * k22 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
+    # eigenvalues of K are 2 p cos(acos(r) / 3 + 2 pi j / 3), with r half
+    # the determinant of K / p; r >= 0 sets the largest (j = 0) apart from
+    # the other two, r < 0 the smallest
+    inv = 1.0 / (p + (p == 0.0))
+    n00, n11, n22, n01, n02, n12 = k00 * inv, k11 * inv, k22 * inv, a01 * inv, a02 * inv, a12 * inv
+    det = n00 * (n11 * n22 - n12 * n12) + n01 * (2.0 * n12 * n02 - n01 * n22) - n11 * n02 * n02
+    r = np.minimum(np.maximum(0.5 * det, -1.0), 1.0)
+    top = r >= 0.0
+    lam = 2.0 * p * np.cos(np.arccos(r) / 3.0 + (2.0 * math.pi / 3.0) * ~top)
+    b00, b11, b22 = k00 - lam, k11 - lam, k22 - lam
+    c00, c11, c22 = b11 * b22 - a12 * a12, b00 * b22 - a02 * a02, b00 * b11 - a01 * a01
+    c01, c02, c12 = a02 * a12 - a01 * b22, a01 * a12 - a02 * b11, a01 * a02 - b00 * a12
+    # adj = (product of the other two gaps) v v': its largest diagonal entry marks its largest column
+    d0, d1, d2 = np.abs(c00), np.abs(c11), np.abs(c22)
+    i0 = (d0 >= d1) & (d0 >= d2)
+    i1 = ~i0 & (d1 >= d2)
+    vx = np.where(i0, c00, np.where(i1, c01, c02))
+    vy = np.where(i0, c01, np.where(i1, c11, c12))
+    vz = np.where(i0, c02, np.where(i1, c12, c22))
+    n2 = vx * vx + vy * vy + vz * vz
+    flat = n2 == 0.0  # K = 0: any basis
+    n = np.sqrt(n2) + flat
+    vx, vy, vz = (vx + flat) / n, vy / n, vz / n
+    # a, b: orthonormal basis of v's complement (Duff et al., JCGT 2017)
+    sg = np.copysign(1.0, vz)
+    h = -1.0 / (sg + vz)
+    xy = vx * vy * h
+    ax, ay, az = 1.0 + sg * vx * vx * h, sg * xy, -sg * vx
+    bx, by, bz = xy, sg + vy * vy * h, -vy
+    kax, kay, kaz = k00 * ax + a01 * ay + a02 * az, a01 * ax + k11 * ay + a12 * az, a02 * ax + a12 * ay + k22 * az
+    kbx, kby, kbz = k00 * bx + a01 * by + a02 * bz, a01 * bx + k11 * by + a12 * bz, a02 * bx + a12 * by + k22 * bz
+    al, be, ga = ax * kax + ay * kay + az * kaz, bx * kbx + by * kby + bz * kbz, ax * kbx + ay * kby + az * kbz
+    # the rotation of [[al, ga], [ga, be]] by its smaller angle, t = tan
+    dl = 0.5 * (be - al)
+    den = dl + np.copysign(np.hypot(dl, ga), dl)
+    t = ga / (den + (den == 0.0))
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    tg = t * ga
+    lo, hi = np.minimum(al - tg, be + tg), np.maximum(al - tg, be + tg)
+    # al - t ga is the upper one where al > be: rotate by a quarter turn more
+    c, s = np.where(dl < 0.0, s, c), np.where(dl < 0.0, -c, s)
+    ux, uy, uz = c * ax - s * bx, c * ay - s * by, c * az - s * bz  # eigenvector of lo
+    wx, wy, wz = s * ax + c * bx, s * ay + c * by, s * az + c * bz  # of hi
+    # lam is outermost up to rounding where all three nearly coincide: clamp it
+    mu = [np.where(top, lo, np.minimum(lam, lo)), np.where(top, hi, lo), np.where(top, np.maximum(lam, hi), hi)]
+    # columns [u, w, v] where lam is the largest, [v, u, w] where it is the smallest
+    U = [np.where(top, a, b) for a, b in zip((ux, wx, vx, uy, wy, vy, uz, wz, vz), (vx, ux, wx, vy, uy, wy, vz, uz, wz))]
+    return (np.stack(mu, axis=-1) + m[:, None]).reshape(shape + (3,)), np.stack(U, axis=-1).reshape(shape + (3, 3))
+
+
 _SWEEP_THETA = np.linspace(-math.pi, math.pi, SWEEP_HEADINGS, endpoint=False)
 _SWEEP_N = _sweep_bases(_SWEEP_THETA)
 _PREV_HEADING = np.arange(SWEEP_HEADINGS) - 1
 _NEXT_HEADING = (np.arange(SWEEP_HEADINGS) + 1) % SWEEP_HEADINGS
 _ROOT_GRID = np.logspace(-16.0, 0.0, 33)  # multiples of the root's upper bound
+_ROOT_STRIDES = (32, 16, 8, 4, 2, 1)  # of the bisection over _ROOT_GRID: they sum past its last index
+# probes past the grid's end are at x = inf, where f = -inf
+_ROOT_PROBES = np.append(_ROOT_GRID, np.full(sum(_ROOT_STRIDES) - len(_ROOT_GRID), np.inf))
 
 
 def _sweep(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -375,31 +461,37 @@ def _sweep(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     M = _SWEEP_N.transpose(0, 2, 1) @ P0[:, None] @ _SWEEP_N  # (W, m, 5, 5)
     q, g_tau, w = M[..., :3, 3], M[..., 3, 4], M[..., 3, 3]  # w: sum of the row weights
-    mu, U = np.linalg.eigh(M[..., :3, :3] - q[..., :, None] * q[..., None, :] / w[..., None, None])
+    two_w, half_w = 2.0 * w, 0.5 / w
+    mu, U = _eigh3(M[..., :3, :3] - q[..., :, None] * q[..., None, :] / w[..., None, None])
     c = np.einsum("...ik,...i->...k", U, q) / w[..., None]
     e = np.einsum("...ik,...i->...k", U, q * (g_tau / w)[..., None] - M[..., :3, 4]) + 0.5 * mu * c
     d = mu - mu[..., :1]
-    beta = g_tau / w - 0.25 * np.einsum("...k,...k->...", c, c) + mu[..., 0] / (2.0 * w)
+    beta = g_tau / w - 0.25 * np.einsum("...k,...k->...", c, c) + mu[..., 0] / two_w
     # f(x) <= ||e||^2 / x^2 + beta - x / (2 w), which is negative at x_hi;
     # the floor keeps the grid positive where e and beta vanish (static data)
     x_hi = np.maximum(4.0 * w * beta, np.cbrt(4.0 * w * np.einsum("...k,...k->...", e, e)))
-    x_grid = np.maximum(x_hi, 1e-12 * mu[..., -1] + 1e-300)[..., None] * _ROOT_GRID
-    # sums over k term by term: the order of a reduction over k, without
-    # its slow loop over an axis of length 3 or a temporary per term
-    f = sum((e[..., k, None] / (d[..., k, None] + x_grid)) ** 2 for k in range(3))
-    above = f + beta[..., None] - x_grid / (2.0 * w[..., None]) > 0.0
+    x_top = np.maximum(x_hi, 1e-12 * mu[..., -1] + 1e-300)
     ek, dk = e.transpose(2, 0, 1), d.transpose(2, 0, 1)
-    x = np.take_along_axis(x_grid, np.maximum(np.sum(above, axis=-1) - 1, 0)[..., None], axis=-1)[..., 0]
+    # the last grid point where f > 0, by bisection: f decreases in x, and
+    # so does its rounded value (each operation rounds monotonically), so
+    # this is the point a scan of the whole grid finds; -1 where none is
+    last = np.full(x_top.shape, -1)
+    for stride in _ROOT_STRIDES:
+        x = x_top * _ROOT_PROBES[last + stride]
+        r2 = (ek / (dk + x)) ** 2
+        last = np.where(r2[0] + r2[1] + r2[2] + beta - x / two_w > 0.0, last + stride, last)
+    x_floor = x_top * _ROOT_GRID[0]
+    x = x_top * _ROOT_GRID[np.maximum(last, 0)]
     for _ in range(8):
         r2 = (ek / (dk + x)) ** 2
         r3 = r2 / (dk + x)
-        step = (r2[0] + r2[1] + r2[2] + beta - x / (2.0 * w)) / (2.0 * (r3[0] + r3[1] + r3[2]) + 0.5 / w)
-        x = np.maximum(x + step, x_grid[..., 0])
+        step = (r2[0] + r2[1] + r2[2] + beta - x / two_w) / (2.0 * (r3[0] + r3[1] + r3[2]) + half_w)
+        x = np.maximum(x + step, x_floor)
     v = e / (d + x[..., None])
     # hard case: f < 0 down to the floor; planar data (pb_z - pa_z
     # constant) put every heading here, with U_0 the vertical
-    hard = ~above[..., 0]
-    v0 = np.sqrt(np.maximum(x / (2.0 * w) - beta - np.sum(v[..., 1:] ** 2, axis=-1), 0.0))
+    hard = last < 0
+    v0 = np.sqrt(np.maximum(x / two_w - beta - np.sum(v[..., 1:] ** 2, axis=-1), 0.0))
     v[..., 0] = np.where(hard, np.copysign(v0, e[..., 0]), v[..., 0])
     # t[:, b, j]: point b of heading j, b = 1 the mirror point
     t = np.einsum("wjik,wbjk->wbji", U, np.stack([v, v * [-1.0, 1.0, 1.0]], axis=1) - 0.5 * c[:, None])
@@ -432,9 +524,10 @@ def yaw_sweep(problem: QcqpProblem) -> list[Transform4DoF]:
         U' t = e / (mu - mu_0 + x) - c / 2,
     where x > 0 is the one root of the convex, decreasing
         f(x) = sum_k e_k^2 / (mu_k - mu_0 + x)^2 + beta - x / (2 w).
-    A log grid brackets every heading's root at once; Newton steps from
-    the bracket's left end converge on it without overshooting. Where f
-    has no positive root (the hard case, e_0 = 0) the minimiser sits at
+    The eigenpairs come in closed form (`_eigh3`). Bisection over a log
+    grid brackets every heading's root at once; Newton steps from the
+    bracket's left end converge on it without overshooting. Where f has
+    no positive root (the hard case, e_0 = 0) the minimiser sits at
     x = 0 and moves along U_0 until tau = ||t||^2 holds.
 
     The mirror point, with the U_0 component of the other sign, is the
@@ -444,7 +537,8 @@ def yaw_sweep(problem: QcqpProblem) -> list[Transform4DoF]:
     minima along these two branches are the candidates, lowest cost first
     and at most SWEEP_CANDIDATES, unless the parabola through a minimum
     and its two neighbours stays above the lowest grid cost. Raises
-    DegenerateSolutionError when no grid heading has a finite cost.
+    DegenerateSolutionError when no grid heading has a finite cost, as
+    for non-finite data; the sweep raises nothing else.
     """
     t, heading, count, errors = _sweep_stack(problem.P0[None])
     if errors:
@@ -456,24 +550,15 @@ def _sweep_stack(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, di
     """`_sweep` over a stack of W >= 1 problems in chunks of SWEEP_CHUNK.
 
     The chunks cap the sweep's temporaries, which grow with the number of
-    problems. Also returns {problem index: exception} for the problems
-    the sweep cannot solve; they have no candidate.
+    problems. Each problem's result does not depend on the others in its
+    chunk: the sweep is elementwise across problems and never raises. Also
+    returns {problem index: DegenerateSolutionError} for the problems with
+    no finite grid cost (a non-finite problem among them); they have no
+    candidate.
     """
-    parts, errors = [], {}
-    for lo in range(0, len(P0), SWEEP_CHUNK):
-        try:
-            parts.append(_sweep(P0[lo : lo + SWEEP_CHUNK]))
-        except np.linalg.LinAlgError:  # one problem spoils its chunk's eigh: sweep them one by one
-            for i in range(lo, min(lo + SWEEP_CHUNK, len(P0))):
-                try:
-                    parts.append(_sweep(P0[i : i + 1]))
-                except np.linalg.LinAlgError as exc:
-                    errors[i] = exc
-                    no_candidate = np.zeros((1, SWEEP_CANDIDATES), dtype=int)
-                    parts.append((np.zeros((1, SWEEP_CANDIDATES, 3)), no_candidate, np.zeros(1, dtype=int)))
+    parts = [_sweep(P0[lo : lo + SWEEP_CHUNK]) for lo in range(0, len(P0), SWEEP_CHUNK)]
     t, heading, count = (np.concatenate(a) for a in zip(*parts))
-    for i in np.flatnonzero(count == 0):
-        errors.setdefault(int(i), DegenerateSolutionError("no grid heading has a finite cost"))
+    errors = {int(i): DegenerateSolutionError("no grid heading has a finite cost") for i in np.flatnonzero(count == 0)}
     return t, heading, count, errors
 
 

@@ -18,6 +18,7 @@ from range_rte.io_formats import (
     write_odometry_csv,
     write_ranges_csv,
 )
+from range_rte.fisher import fim
 from range_rte.measurement import ingest_logs, odometry_log, range_log, true_range
 
 
@@ -316,6 +317,46 @@ class TestFimCommand:
         rep = json.load(open(out))
         assert rep["det_geometric"] == pytest.approx(rep["det_direct"], rel=1e-8)
         assert rep["ci95"] is not None and len(rep["ci95"]) == 4
+
+    def test_config_lever_arms_reach_the_fim(self, tmp_path):
+        # turning agents with antennas off their body origins: fim's F is
+        # the information of the logs synced with the config's lever arms
+        rng = np.random.default_rng(13)
+        n = 30
+        t_axis = np.arange(n) * 0.1
+        arms = {"lever_arm_a_m": [0.3, -0.2, 0.1], "lever_arm_b_m": [-0.25, 0.4, 0.05]}
+        logs = []
+        for name in ("a", "b"):
+            yaw = np.cumsum(rng.normal(0.0, 0.3, n))
+            q = np.column_stack([np.zeros((n, 2)), np.sin(0.5 * yaw), np.cos(0.5 * yaw)])
+            logs.append(odometry_log(t_axis, np.cumsum(rng.normal(0.0, 0.3, (n, 3)), axis=0), q))
+            write_odometry_csv(str(tmp_path / f"{name}.csv"), logs[-1])
+        ranges = range_log(t_axis, rng.uniform(2.0, 5.0, n))
+        write_ranges_csv(str(tmp_path / "r.csv"), ranges)
+        cfg = write_json(tmp_path / "cfg.json", {**arms, "sigma_r_m": 0.05, "kappa_threshold": 1.0})
+        T = Transform4DoF(t=[2.0, -1.0, 0.5], theta=0.8)
+        out = str(tmp_path / "fim.json")
+        rc = main(["fim", "--odom-a", str(tmp_path / "a.csv"), "--odom-b", str(tmp_path / "b.csv"),
+                   "--ranges", str(tmp_path / "r.csv"), "--config", cfg,
+                   "--theta", *[str(v) for v in T.as_vector()], "--out", out])
+        assert rc == 0
+        rep = json.load(open(out))
+        arm_a, arm_b = LeverArm(arms["lever_arm_a_m"]), LeverArm(arms["lever_arm_b_m"])
+        want = fim(T, ingest_logs(*logs, ranges, arm_a=arm_a, arm_b=arm_b, sigma_r=0.05)[0]).F
+        np.testing.assert_array_equal(np.array(rep["F"]), want)
+        assert not np.allclose(want, fim(T, ingest_logs(*logs, ranges, sigma_r=0.05)[0]).F)
+        assert rep["flags"]["kappa_threshold"] == 1.0
+
+    def test_config_unknown_key_or_with_scenario_rejected(self, tmp_path):
+        pa, pb, ranges, T = synthetic_logs(tmp_path, n=10, seed=14)
+        theta = [str(v) for v in T.as_vector()]
+        bad = write_json(tmp_path / "bad.json", {"lever_arm_c_m": [0.0, 0.0, 0.0]})
+        out = str(tmp_path / "fim.json")
+        assert main(["fim", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", bad,
+                     "--theta", *theta, "--out", out]) == 2
+        scen = write_json(tmp_path / "scen.json", {"trials": 1, "n_poses": 10, "seed": 11})
+        good = write_json(tmp_path / "good.json", {"lever_arm_a_m": [0.1, 0.0, 0.0]})
+        assert main(["fim", "--scenario", scen, "--config", good, "--theta", *theta, "--out", out]) == 2
 
     def test_parallel_scenario_flagged(self, tmp_path):
         # build parallel-motion logs directly

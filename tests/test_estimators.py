@@ -12,8 +12,11 @@ from range_rte.estimators import (
     SWEEP_HEADINGS,
     DegenerateSolutionError,
     HeadingUndefinedError,
+    QcqpProblem,
+    _eigh3,
     _lift_stack,
     _scaled_rows,
+    _sqrt_factor,
     align_target_trajectory,
     assemble_qcqp,
     build_data_rows,
@@ -490,6 +493,92 @@ class TestQcqpInvariance:
         assert abs(float(wrap_angle(permuted.theta_hat.theta - rep.theta_hat.theta))) <= 1e-6
 
 
+class TestSqrtFactor:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), n=st.integers(1, 4))
+    def test_equals_qr_mode_r_bit_for_bit(self, seed, rows, n):
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(n, rows, 9)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1, 9))
+        w = rng.uniform(0.1, 10.0, size=(n, rows))
+        R = np.linalg.qr(_scaled_rows(B, w), mode="r")
+        want = np.concatenate([R, np.zeros((n, 9 - R.shape[1], 9))], axis=1)  # zero rows below fewer than 9
+        got = _sqrt_factor(QcqpProblem(P0=None, constraints=[], B=B, has_d0=False, weights=w), n)
+        assert got.shape == (n, 9, 9) and got.tobytes() == want.tobytes()
+
+
+SPECTRA = ("generic", "lower_pair", "upper_pair", "equal", "zero", "rank_one", "planar")
+
+
+def spectral_matrix(rng, kind: str) -> np.ndarray:
+    """Symmetric Q diag(lam) Q' with the eigenvalue pattern `kind` on a random
+    orthogonal basis; "planar" rotates about z only, so z is decoupled."""
+    lam = np.sort(rng.normal(size=3))
+    if kind == "lower_pair":
+        lam[1] = lam[0]
+    elif kind == "upper_pair":
+        lam[2] = lam[1]
+    elif kind == "equal":
+        lam[:] = lam[0]
+    elif kind == "zero":
+        lam[:] = 0.0
+    elif kind == "rank_one":
+        lam[:2] = 0.0
+    if kind == "planar":
+        phi = rng.uniform(-math.pi, math.pi)
+        Q = np.array([[math.cos(phi), -math.sin(phi), 0.0], [math.sin(phi), math.cos(phi), 0.0], [0.0, 0.0, 1.0]])
+    else:
+        Q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    A = (Q * lam) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+class TestEigh3:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(st.sampled_from(SPECTRA), min_size=1, max_size=8),
+        log_scale=st.floats(-8.0, 8.0),
+    )
+    def test_matches_lapack(self, seed, kinds, log_scale):
+        rng = np.random.default_rng(seed)
+        A = np.array([spectral_matrix(rng, kind) for kind in kinds]) * 10.0**log_scale
+        eps = np.finfo(float).eps
+        norm = np.linalg.norm(A, axis=(1, 2))
+        mu, U = _eigh3(A)
+        assert np.all(np.diff(mu, axis=1) >= 0.0)
+        assert np.all(np.linalg.norm(A @ U - U * mu[:, None, :], axis=(1, 2)) <= 8 * eps * norm)
+        assert np.all(np.linalg.norm(U.swapaxes(1, 2) @ U - np.eye(3), axis=(1, 2)) <= 8 * eps)
+        assert np.all(np.abs(mu - np.linalg.eigh(A)[0]) <= 8 * eps * norm[:, None])
+        # elementwise over the stack: a matrix alone gives the same bits
+        i = int(rng.integers(len(A)))
+        alone = _eigh3(A[i : i + 1])
+        assert alone[0].tobytes() == mu[i : i + 1].tobytes() and alone[1].tobytes() == U[i : i + 1].tobytes()
+
+    def test_nearly_equal_eigenvalues_still_ascend(self):
+        # spreads of 1e-17 to 1e-13 around 1: rounding can put the
+        # trigonometric eigenvalue inside the rotated pair, about 5 in
+        # 1e5 of these matrices
+        rng = np.random.default_rng(0)
+        n = 100_000
+        Q = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+        lam = 1.0 + rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-17.0, -13.0, size=(n, 1))
+        A = (Q * lam[:, None, :]) @ Q.swapaxes(1, 2)
+        mu, _ = _eigh3(0.5 * (A + A.swapaxes(1, 2)))
+        assert np.all(np.diff(mu, axis=1) >= 0.0)
+
+    def test_non_finite_matrix_spoils_only_itself(self):
+        rng = np.random.default_rng(3)
+        A = np.array([spectral_matrix(rng, "generic") for _ in range(3)])
+        A[1, 0, 2] = A[1, 2, 0] = np.nan
+        with np.errstate(all="ignore"):
+            bad = A.copy()
+            bad[2] = np.inf
+            mu, U = _eigh3(bad)
+        assert not np.isfinite(mu[1]).any() and not np.isfinite(mu[2]).any()
+        good = _eigh3(A[:1])
+        assert good[0].tobytes() == mu[:1].tobytes() and good[1].tobytes() == U[:1].tobytes()
+
+
 def sqrt_factor(ds) -> np.ndarray:
     """The refinement's 9x9 triangle: ||R x||^2 = x' P0 x / max w."""
     prob = assemble_qcqp(ds)
@@ -614,7 +703,7 @@ class TestStackedWindows:
     )
     def test_degenerate_window_raises_what_one_by_one_raises(self, seed, window, stride, n_windows, bad, scales):
         # ranges of ~1e141 m leave the refinement no finite start; ~1e154 m
-        # spoil the sweep's eigendecomposition: two windows spoilt apart
+        # leave the sweep no finite grid cost: two windows spoilt apart
         # tell whose error is raised
         rng = np.random.default_rng(seed)
         stream = random_stream(rng, window + stride * (n_windows - 1))
