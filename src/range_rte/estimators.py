@@ -36,18 +36,22 @@ estimators. Every entry of `ESTIMATORS` takes (dataset, init=None); only
 `nls`, a local method, uses the starting point.
 
 The `qcqp` layers work on stacks of problems: `assemble_qcqp` builds P0
-for W windows of a stream at once, the yaw sweep runs on P0 of shape
-(W, 9, 9) in chunks of SWEEP_CHUNK problems, which caps its temporaries,
-with no LAPACK call per heading: its 3x3 eigenproblems are solved in
-closed form (`_eigh3`) and its roots bracketed by bisection, elementwise
-across the stack, so one problem's data cannot fail another's. Then
-the candidates of all windows are refined together by one
-`solvers.lockstep_newton` call, and one batched eigendecomposition of
-the stacked Fisher information gives every window its kappa, CRLB and
-flags. A single dataset is a stack of one. The sliding-window runner
-for drift tracking estimates each window on its own: `qcqp` solves all
-windows in one stacked pass, and `nls` starts from the previous
-window's estimate, window by window.
+for W windows of a stream at once, and the yaw sweep runs on P0 of shape
+(W, 9, 9) in chunks of SWEEP_CHUNK problems, which caps its temporaries.
+The sweep's heading matrices are quadratic in (cos, sin) of the heading,
+so two matmuls with constant factors give all of them. From there every
+stage is elementwise arithmetic on (W, 72) planes, one array per scalar
+of the solve, with no LAPACK call and no matmul per heading: the 3x3
+eigenproblems in closed form (`_eigh3_planes`), the roots bracketed by
+bisection and polished by Newton steps, the points and their costs. So
+one problem's data cannot fail another's, and a problem gets the same
+bits alone as in any chunk. Then the candidates of all windows are
+refined together by one `solvers.lockstep_newton` call, and one batched
+eigendecomposition of the stacked Fisher information gives every window
+its kappa, CRLB and flags. A single dataset is a stack of one. The
+sliding-window runner for drift tracking estimates each window on its
+own: `qcqp` solves all windows in one stacked pass, and `nls` starts
+from the previous window's estimate, window by window.
 """
 
 from __future__ import annotations
@@ -84,9 +88,10 @@ from .solvers import (
 
 SWEEP_HEADINGS = 72  # yaw grid of `yaw_sweep`, 5 degree steps
 SWEEP_CANDIDATES = 3  # grid minima handed to the local refinement
-# problems per batched sweep: caps its temporaries. 120 s drift runs in
-# one process peak at 42.7 MB with 16, as the LAPACK sweep did with 8
-# (42.4-42.8 MB); 32 and 64 save ~8 % of a run for +1 and +3 MB
+# problems per batched sweep: caps its temporaries. Three 120 s drift runs
+# in one process peak at 42.2 MB with 16 (42.6 MB when each heading's
+# matrix was its own matmul); 32 and 64 save ~2 ms of a run for +1.0 and
+# +2.5 MB
 SWEEP_CHUNK = 16
 # lockstep iterations per refinement start (one solve and at most one
 # evaluation each). With the exact Hessian the steps converge
@@ -361,32 +366,31 @@ def _sqrt_factor(problem: QcqpProblem, n: int) -> np.ndarray:
     return R
 
 
-def _sweep_bases(theta: np.ndarray) -> np.ndarray:
-    """N_j, shape (m, 9, 5), with lift(t, theta_j) = N_j [t, tau, 1] at tau = ||t||^2."""
-    c, s = np.cos(theta), np.sin(theta)
-    N = np.zeros((len(theta), 9, 5))
-    N[:, 0, 0] = N[:, 1, 1] = N[:, 2, 2] = N[:, 7, 3] = N[:, 8, 4] = 1.0
-    N[:, 3, 4], N[:, 4, 4] = c, s
-    N[:, 5, 0], N[:, 5, 1] = c, s
-    N[:, 6, 0], N[:, 6, 1] = -s, c
-    return N
-
-
 def _eigh3(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues, ascending, and unit eigenvectors (columns) of a stack of symmetric 3x3 matrices.
 
-    Elementwise on the six unique entries, so a stack costs a fixed number
-    of array operations, where LAPACK pays per matrix. With A = m I + K,
-    m the mean eigenvalue, the trigonometric formula (Smith, CACM 1961)
-    gives the eigenvalue farthest from the other two. Its eigenvector is
-    the largest column of adj(K - lam I), which has rank one. One exact
-    2x2 Jacobi rotation of K projected onto the orthogonal complement
-    gives the other two pairs, so repeated eigenvalues cost no accuracy.
-    Residuals ||A U - U mu|| are within a few eps ||A||, as LAPACK's.
-    Never raises: a non-finite matrix gives non-finite pairs.
+    `_eigh3_planes` on the six unique entries of each matrix.
     """
     shape = A.shape[:-2]
-    a00, a11, a22, a01, a02, a12 = A.reshape(-1, 9).T[[0, 4, 8, 1, 2, 5]]
+    mu, U = _eigh3_planes(*A.reshape(-1, 9).T[[0, 4, 8, 1, 2, 5]])
+    return np.stack(mu, axis=-1).reshape(shape + (3,)), np.stack(U, axis=-1).reshape(shape + (3, 3))
+
+
+def _eigh3_planes(a00, a11, a22, a01, a02, a12) -> tuple[list, list]:
+    """Eigenpairs of symmetric 3x3 matrices given as six arrays of equal shape, one per unique entry.
+
+    Returns the three eigenvalue arrays, ascending, and the nine arrays of
+    the unit eigenvectors, U[3 i + k] the component i of eigenvector k.
+    Elementwise, so a stack costs a fixed number of array operations,
+    where LAPACK pays per matrix. With A = m I + K, m the mean eigenvalue,
+    the trigonometric formula (Smith, CACM 1961) gives the eigenvalue
+    farthest from the other two. Its eigenvector is the largest column of
+    adj(K - lam I), which has rank one. One exact 2x2 Jacobi rotation of K
+    projected onto the orthogonal complement gives the other two pairs, so
+    repeated eigenvalues cost no accuracy. Residuals ||A U - U mu|| are
+    within a few eps ||A||, as LAPACK's. Never raises: a non-finite matrix
+    gives non-finite pairs.
+    """
     m = (a00 + a11 + a22) / 3.0
     k00, k11, k22 = a00 - m, a11 - m, a22 - m
     p = np.sqrt((k00 * k00 + k11 * k11 + k22 * k22 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
@@ -438,11 +442,10 @@ def _eigh3(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = [np.where(top, lo, np.minimum(lam, lo)), np.where(top, hi, lo), np.where(top, np.maximum(lam, hi), hi)]
     # columns [u, w, v] where lam is the largest, [v, u, w] where it is the smallest
     U = [np.where(top, a, b) for a, b in zip((ux, wx, vx, uy, wy, vy, uz, wz, vz), (vx, ux, wx, vy, uy, wy, vz, uz, wz))]
-    return (np.stack(mu, axis=-1) + m[:, None]).reshape(shape + (3,)), np.stack(U, axis=-1).reshape(shape + (3, 3))
+    return [x + m for x in mu], U
 
 
 _SWEEP_THETA = np.linspace(-math.pi, math.pi, SWEEP_HEADINGS, endpoint=False)
-_SWEEP_N = _sweep_bases(_SWEEP_THETA)
 _PREV_HEADING = np.arange(SWEEP_HEADINGS) - 1
 _NEXT_HEADING = (np.arange(SWEEP_HEADINGS) + 1) % SWEEP_HEADINGS
 _ROOT_GRID = np.logspace(-16.0, 0.0, 33)  # multiples of the root's upper bound
@@ -451,65 +454,124 @@ _ROOT_STRIDES = (32, 16, 8, 4, 2, 1)  # of the bisection over _ROOT_GRID: they s
 _ROOT_PROBES = np.append(_ROOT_GRID, np.full(sum(_ROOT_STRIDES) - len(_ROOT_GRID), np.inf))
 
 
+def _sweep_expansion() -> tuple[np.ndarray, np.ndarray]:
+    """L (81, 90) and Phi (6, SWEEP_HEADINGS) that give M_j = N_j' P0 N_j in two matmuls.
+
+    N_j (9, 5) maps [t, tau, 1] to the lift at heading theta_j, and
+    N_j = N_0 + cos(theta_j) N_c + sin(theta_j) N_s, so M_j is a
+    combination of phi = [1, c, s, c^2, c s, s^2] whose coefficients are
+    linear in P0: the 15 entries of M_j's upper triangle, row by row, are
+    (P0.reshape(81) @ L).reshape(15, 6) @ Phi[:, j]. Built with einsum,
+    not matmul, so that importing the module starts no BLAS.
+    """
+    N = np.zeros((3, 9, 5))  # N_0, N_c, N_s
+    N[0, [0, 1, 2, 7, 8], [0, 1, 2, 3, 4]] = 1.0
+    N[1, [3, 5, 6], [4, 0, 1]] = 1.0  # c, t_x c, t_y c
+    N[2, [4, 5, 6], [4, 1, 0]] = 1.0, 1.0, -1.0  # s, t_y s, -t_x s
+    S = np.zeros((3, 3, 6))  # [1, c, s]_u [1, c, s]_v = phi_k where S[u, v, k] = 1
+    S[[0, 0, 0, 1, 1, 1, 2, 2, 2], [0, 1, 2, 0, 1, 2, 0, 1, 2], [0, 1, 2, 1, 3, 4, 2, 4, 5]] = 1.0
+    rows, cols = np.triu_indices(5)
+    L = np.einsum("uia,vjb,uvk->ijabk", N, N, S)[:, :, rows, cols].reshape(81, 90)
+    c, s = np.cos(_SWEEP_THETA), np.sin(_SWEEP_THETA)
+    return L, np.array([np.ones_like(c), c, s, c * c, c * s, s * s])
+
+
+_SWEEP_L, _SWEEP_PHI = _sweep_expansion()
+
+
+def _dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
 def _sweep(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`yaw_sweep` of a stack of W problems, P0 of shape (W, 9, 9).
 
     Returns the candidates' translations (W, SWEEP_CANDIDATES, 3), their
     grid heading indices (W, SWEEP_CANDIDATES) and each problem's number
     of candidates (W,), lowest cost first; the slots past that number are
-    padding. A problem with no finite grid cost has no candidate.
+    padding. A problem with no finite grid cost has no candidate. After
+    the two matmuls that give M, every stage is elementwise arithmetic on
+    (W, SWEEP_HEADINGS) planes, one per scalar; the two points of a
+    heading add a leading axis of 2.
     """
-    M = _SWEEP_N.transpose(0, 2, 1) @ P0[:, None] @ _SWEEP_N  # (W, m, 5, 5)
-    q, g_tau, w = M[..., :3, 3], M[..., 3, 4], M[..., 3, 3]  # w: sum of the row weights
-    two_w, half_w = 2.0 * w, 0.5 / w
-    mu, U = _eigh3(M[..., :3, :3] - q[..., :, None] * q[..., None, :] / w[..., None, None])
-    c = np.einsum("...ik,...i->...k", U, q) / w[..., None]
-    e = np.einsum("...ik,...i->...k", U, q * (g_tau / w)[..., None] - M[..., :3, 4]) + 0.5 * mu * c
-    d = mu - mu[..., :1]
-    beta = g_tau / w - 0.25 * np.einsum("...k,...k->...", c, c) + mu[..., 0] / two_w
+    W, m = len(P0), SWEEP_HEADINGS
+    # each column of L sums at most two entries of P0, exactly in any order;
+    # Phi is applied problem by problem, so that BLAS sums the same way
+    # whatever W is and a problem's bits do not depend on its chunk
+    M = ((P0.reshape(W, 81) @ _SWEEP_L).reshape(W, 15, 6) @ _SWEEP_PHI).transpose(1, 0, 2)
+    # rows of M's upper triangle over [t, tau, 1]; w is the sum of the row weights
+    m00, m01, m02, m03, m04, m11, m12, m13, m14, m22, m23, m24, w, g_tau, m44 = M
+    q = (m03, m13, m23)
+    two_w, half_w, g = 2.0 * w, 0.5 / w, g_tau / w
+    mu, U = _eigh3_planes(
+        m00 - q[0] * q[0] / w,
+        m11 - q[1] * q[1] / w,
+        m22 - q[2] * q[2] / w,
+        m01 - q[0] * q[1] / w,
+        m02 - q[0] * q[2] / w,
+        m12 - q[1] * q[2] / w,
+    )
+    cols = [U[k::3] for k in range(3)]  # eigenvector k
+    r = (q[0] * g - m04, q[1] * g - m14, q[2] * g - m24)
+    c = [_dot3(u, q) / w for u in cols]
+    e0, e1, e2 = (_dot3(u, r) + 0.5 * mu_k * c_k for u, mu_k, c_k in zip(cols, mu, c))
+    d1, d2 = mu[1] - mu[0], mu[2] - mu[0]
+    beta = g - 0.25 * _dot3(c, c) + mu[0] / two_w
     # f(x) <= ||e||^2 / x^2 + beta - x / (2 w), which is negative at x_hi;
     # the floor keeps the grid positive where e and beta vanish (static data)
-    x_hi = np.maximum(4.0 * w * beta, np.cbrt(4.0 * w * np.einsum("...k,...k->...", e, e)))
-    x_top = np.maximum(x_hi, 1e-12 * mu[..., -1] + 1e-300)
-    ek, dk = e.transpose(2, 0, 1), d.transpose(2, 0, 1)
+    x_hi = np.maximum(4.0 * w * beta, np.cbrt(4.0 * w * (e0 * e0 + e1 * e1 + e2 * e2)))
+    x_top = np.maximum(x_hi, 1e-12 * mu[2] + 1e-300)
     # the last grid point where f > 0, by bisection: f decreases in x, and
     # so does its rounded value (each operation rounds monotonically), so
     # this is the point a scan of the whole grid finds; -1 where none is
     last = np.full(x_top.shape, -1)
     for stride in _ROOT_STRIDES:
         x = x_top * _ROOT_PROBES[last + stride]
-        r2 = (ek / (dk + x)) ** 2
-        last = np.where(r2[0] + r2[1] + r2[2] + beta - x / two_w > 0.0, last + stride, last)
+        f = (e0 / x) ** 2 + (e1 / (d1 + x)) ** 2 + (e2 / (d2 + x)) ** 2 + beta - x / two_w
+        last = np.where(f > 0.0, last + stride, last)
     x_floor = x_top * _ROOT_GRID[0]
     x = x_top * _ROOT_GRID[np.maximum(last, 0)]
     for _ in range(8):
-        r2 = (ek / (dk + x)) ** 2
-        r3 = r2 / (dk + x)
-        step = (r2[0] + r2[1] + r2[2] + beta - x / two_w) / (2.0 * (r3[0] + r3[1] + r3[2]) + half_w)
+        x1, x2 = d1 + x, d2 + x
+        r0, r1, r2 = (e0 / x) ** 2, (e1 / x1) ** 2, (e2 / x2) ** 2
+        step = (r0 + r1 + r2 + beta - x / two_w) / (2.0 * (r0 / x + r1 / x1 + r2 / x2) + half_w)
         x = np.maximum(x + step, x_floor)
-    v = e / (d + x[..., None])
+    v1, v2 = e1 / (d1 + x), e2 / (d2 + x)
     # hard case: f < 0 down to the floor; planar data (pb_z - pa_z
     # constant) put every heading here, with U_0 the vertical
     hard = last < 0
-    v0 = np.sqrt(np.maximum(x / two_w - beta - np.sum(v[..., 1:] ** 2, axis=-1), 0.0))
-    v[..., 0] = np.where(hard, np.copysign(v0, e[..., 0]), v[..., 0])
-    # t[:, b, j]: point b of heading j, b = 1 the mirror point
-    t = np.einsum("wjik,wbjk->wbji", U, np.stack([v, v * [-1.0, 1.0, 1.0]], axis=1) - 0.5 * c[:, None])
-    y = np.concatenate([t, np.einsum("...i,...i->...", t, t)[..., None], np.ones(t.shape[:-1] + (1,))], axis=-1)
-    cost = np.einsum("wbji,wjik,wbjk->wbj", y, M, y)
+    v0 = np.sqrt(np.maximum(x / two_w - beta - (v1 * v1 + v2 * v2), 0.0))
+    v0 = np.where(hard, np.copysign(v0, e0), e0 / x)
+    # shape (2, W, m) from here: point b of heading j at [b, :, j], b = 1 the mirror point
+    z = (np.stack([v0, -v0]) - 0.5 * c[0], v1 - 0.5 * c[1], v2 - 0.5 * c[2])
+    t0, t1, t2 = (_dot3(U[3 * i : 3 * i + 3], z) for i in range(3))
+    tau = t0 * t0 + t1 * t1 + t2 * t2
+    # y' M y with y = [t, tau, 1], one row of the upper triangle at a time
+    cost = (
+        t0 * (m00 * t0 + 2.0 * (m01 * t1 + m02 * t2 + m03 * tau + m04))
+        + t1 * (m11 * t1 + 2.0 * (m12 * t2 + m13 * tau + m14))
+        + t2 * (m22 * t2 + 2.0 * (m23 * tau + m24))
+        + tau * (w * tau + 2.0 * g_tau)
+        + m44
+    )
     cost[~np.isfinite(cost)] = math.inf
-    best = cost.min(axis=(1, 2))[:, None, None]
-    nb = []
-    for nxt in (_PREV_HEADING, _NEXT_HEADING):  # the nearer point of the heading next door continues a branch
-        nearer = np.linalg.norm(t[:, :, None] - t[:, None, :, nxt], axis=-1).argmin(axis=2)
-        nb.append(np.take_along_axis(cost[:, :, nxt], nearer, axis=1))
-    prev, succ = nb
+    best = cost.min(axis=(0, 2))[:, None]
+    # the nearer point of the heading next door continues a branch, point 1
+    # only where it is strictly nearer. dist[b, k]: squared distance from
+    # point b of heading j to point k of heading j + 1
+    dist = [(ti[:, None] - ti[None, :, :, _NEXT_HEADING]) ** 2 for ti in (t0, t1, t2)]
+    dist = dist[0] + dist[1] + dist[2]
+    nxt, prv = cost[..., _NEXT_HEADING], cost[..., _PREV_HEADING]
+    succ = np.where(dist[:, 1] < dist[:, 0], nxt[1], nxt[0])
+    dist = dist[..., _PREV_HEADING]  # dist[k, b]: from point k of heading j - 1 to point b of heading j
+    prev = np.where(dist[1] < dist[0], prv[1], prv[0])
     curv = 0.5 * (prev + succ) - cost
     local_min = (cost <= prev) & (cost <= succ) & ((cost == best) | (16.0 * curv * (cost - best) <= (prev - succ) ** 2))
-    ranked = np.where(local_min & (best < math.inf), cost, math.inf).reshape(len(cost), -1)
+    ranked = np.where(local_min & (best < math.inf), cost, math.inf).transpose(1, 0, 2).reshape(W, -1)
     order = np.argsort(ranked, axis=1, kind="stable")[:, :SWEEP_CANDIDATES]
-    count = np.sum(np.take_along_axis(ranked, order, axis=1) < math.inf, axis=1)
-    return np.take_along_axis(t.reshape(len(t), -1, 3), order[..., None], axis=1), order % SWEEP_HEADINGS, count
+    count = np.minimum(np.sum(ranked < math.inf, axis=1), SWEEP_CANDIDATES)
+    b, j, rows = order // m, order % m, np.arange(W)[:, None]
+    return np.stack([ti[b, rows, j] for ti in (t0, t1, t2)], axis=-1), j, count
 
 
 def yaw_sweep(problem: QcqpProblem) -> list[Transform4DoF]:
@@ -524,16 +586,23 @@ def yaw_sweep(problem: QcqpProblem) -> list[Transform4DoF]:
         U' t = e / (mu - mu_0 + x) - c / 2,
     where x > 0 is the one root of the convex, decreasing
         f(x) = sum_k e_k^2 / (mu_k - mu_0 + x)^2 + beta - x / (2 w).
-    The eigenpairs come in closed form (`_eigh3`). Bisection over a log
-    grid brackets every heading's root at once; Newton steps from the
-    bracket's left end converge on it without overshooting. Where f has
-    no positive root (the hard case, e_0 = 0) the minimiser sits at
-    x = 0 and moves along U_0 until tau = ||t||^2 holds.
+    N_j is N_0 + cos(theta_j) N_c + sin(theta_j) N_s, so M_j is a fixed
+    combination of [1, c, s, c^2, c s, s^2] at the heading, with
+    coefficients linear in P0: one matmul with a constant (81, 90) matrix
+    and one with the (6, 72) table of those functions give every M_j.
+    The rest is elementwise over (problem, heading) planes: the eigenpairs
+    in closed form (`_eigh3_planes`), a bisection over a log grid that
+    brackets every heading's root at once, Newton steps from the
+    bracket's left end that converge on it without overshooting, the
+    points and their costs y' M_j y. Where f has no positive root (the
+    hard case, e_0 = 0) the minimiser sits at x = 0 and moves along U_0
+    until tau = ||t||^2 holds.
 
     The mirror point, with the U_0 component of the other sign, is the
     second basin of near-planar data, and the 5 degree step can hide its
     minimum behind the first one's. So both points of every heading are
-    kept, and each continues to the nearer point of the next heading. The
+    kept, and each continues to the nearer point of the next heading
+    (compared on squared distances; point 0 where the two tie). The
     minima along these two branches are the candidates, lowest cost first
     and at most SWEEP_CANDIDATES, unless the parabola through a minimum
     and its two neighbours stays above the lowest grid cost. Raises
@@ -549,9 +618,10 @@ def yaw_sweep(problem: QcqpProblem) -> list[Transform4DoF]:
 def _sweep_stack(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """`_sweep` over a stack of W >= 1 problems in chunks of SWEEP_CHUNK.
 
-    The chunks cap the sweep's temporaries, which grow with the number of
-    problems. Each problem's result does not depend on the others in its
-    chunk: the sweep is elementwise across problems and never raises. Also
+    The chunks cap the sweep's temporaries, (W, 72) planes that grow with
+    the number of problems. Each problem's result does not depend on the
+    others in its chunk, bit for bit (see `_sweep`), and the sweep never
+    raises. Also
     returns {problem index: DegenerateSolutionError} for the problems with
     no finite grid cost (a non-finite problem among them); they have no
     candidate.

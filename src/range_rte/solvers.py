@@ -326,6 +326,10 @@ def lm_minimize(
     shrink the damping, rejected steps grow it, so the cost sequence over
     accepted iterates is non-increasing. The small initial damping makes
     exactly-linear residual systems converge in one or two iterations.
+    Each step minimises ||J step + r||^2 + mu ||step||^2 as least squares
+    on the stacked [J; sqrt(mu) I], not through the normal equations
+    (J'J + mu I) step = -g, whose condition number is the square of the
+    stack's.
     """
     opts = opts or LmOptions()
     x = np.asarray(x0, dtype=float).copy()
@@ -341,16 +345,16 @@ def lm_minimize(
     if gnorm <= opts.gtol * scale:
         return LmResult(x=x, cost=cost, iterations=0, status="converged", grad_norm=gnorm, cost_history=history)
 
-    JtJ = J.T @ J
     eye = np.eye(len(x))
-    mu = opts.damping_init * max(float(np.max(np.diag(JtJ))), 1e-300)
+    mu = opts.damping_init * max(float(np.max(np.sum(J * J, axis=0))), 1e-300)  # the largest diagonal entry of J'J
     nu = 2.0
     status = "max_iter"
     it = 0
     accepted = 0
     for it in range(1, opts.max_iter + 1):
         try:
-            step = np.linalg.solve(JtJ + mu * eye, -g)
+            A = np.concatenate([J, math.sqrt(mu) * eye])
+            step = np.linalg.lstsq(A, np.concatenate([-r, np.zeros(len(x))]), rcond=None)[0]
         except np.linalg.LinAlgError:
             mu *= nu
             nu *= 2.0
@@ -375,7 +379,6 @@ def lm_minimize(
             history.append(cost)
             J = np.asarray(jacobian(x), dtype=float)
             g = J.T @ r
-            JtJ = J.T @ J
             gnorm = float(np.abs(g).max())
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu = 2.0

@@ -22,6 +22,11 @@ from range_rte.fisher import fim
 from range_rte.measurement import ingest_logs, odometry_log, range_log, true_range
 
 
+def read_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def write_json(path, payload):
     with open(path, "w") as fh:
         json.dump(payload, fh)
@@ -65,7 +70,7 @@ class TestEstimateCommand:
         )
         rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out])
         assert rc == 0
-        rep = json.load(open(out))
+        rep = read_json(out)
         assert np.linalg.norm(np.array(rep["estimate"]["t_m"]) - T.t) < 1e-6
         assert abs(rep["estimate"]["theta_rad"] - T.theta) < 1e-6
         assert rep["counts"]["used"] == 60
@@ -76,7 +81,7 @@ class TestEstimateCommand:
         cfg = write_json(tmp_path / "cfg.json", {"sigma_r_m": 0.02, "excitation_var_m2": 0.01})
         rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out])
         assert rc == 0
-        rep = json.load(open(out))
+        rep = read_json(out)
         assert rep["counts"]["outliers_rejected"] == 1
 
     def test_counts_add_up_with_gate_and_uncovered_ranges(self, tmp_path):
@@ -86,7 +91,7 @@ class TestEstimateCommand:
         out = str(tmp_path / "report.json")
         cfg = write_json(tmp_path / "cfg.json", {"sigma_r_m": 0.02, "excitation_var_m2": 0.01})
         assert main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]) == 0
-        counts = json.load(open(out))["counts"]
+        counts = read_json(out)["counts"]
         assert (counts["outliers_rejected"], counts["uncovered_dropped"]) == (1, 1)
         assert counts["ranges_in"] == counts["outliers_rejected"] + counts["uncovered_dropped"] + counts["used"]
 
@@ -95,7 +100,7 @@ class TestEstimateCommand:
         out = str(tmp_path / "report.json")
         rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--out", out])
         assert rc == 3
-        rep = json.load(open(out))
+        rep = read_json(out)
         assert rep["excitation_ok"] is False
         assert any(rep["flags"]["per_param_unobservable"])
 
@@ -111,7 +116,7 @@ class TestEstimateCommand:
         out = str(tmp_path / "report.json")
         rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--out", out])
         assert rc == 3
-        rep = json.load(open(out))
+        rep = read_json(out)
         assert rep["excitation_ok"] is False
         assert any(rep["flags"]["per_param_unobservable"])
 
@@ -124,7 +129,7 @@ class TestEstimateCommand:
             cfg = write_json(tmp_path / f"{name}.json", {"sigma_r_m": 0.02, "excitation_var_m2": 0.01, "d0_m": d0})
             out = str(tmp_path / f"{name}.json.out")
             assert main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]) == 0
-            estimates[name] = json.load(open(out))["estimate"]
+            estimates[name] = read_json(out)["estimate"]
         # the short d0 pulls ||t|| down
         assert np.linalg.norm(estimates["short"]["t_m"]) < np.linalg.norm(estimates["free"]["t_m"])
 
@@ -139,7 +144,7 @@ class TestEstimateCommand:
         out = str(tmp_path / "report.json")
         cfg = write_json(tmp_path / "cfg.json", {"excitation_var_m2": 0.01, "kappa_threshold": 1.0})
         rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out])
-        rep = json.load(open(out))
+        rep = read_json(out)
         assert rep["excitation_ok"] is True and rep["kappa"] > 1.0
         assert rep["flags"]["kappa_threshold"] == 1.0
         assert rep["flags"]["configuration_singular"] is True
@@ -160,7 +165,7 @@ class TestEstimateCommand:
         out = str(tmp_path / "report.json")
         cfg = write_json(tmp_path / "cfg.json", {"sigma_r_m": 0.02, "excitation_var_m2": 0.01, "outlier_mode": "none"})
         assert main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]) == 0
-        counts = json.load(open(out))["counts"]
+        counts = read_json(out)["counts"]
         assert (counts["outliers_rejected"], counts["used"]) == (0, 60)
 
     def test_unknown_config_key_rejected(self, tmp_path):
@@ -193,7 +198,7 @@ class TestSimulateCommand:
         )
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
-        summary = json.load(open(out / "summary.json"))
+        summary = read_json(out / "summary.json")
         assert len(summary["cells"]) == 6
         rows = (out / "results.csv").read_text().strip().split("\n")
         assert len(rows) == 1 + 6 * 2
@@ -223,7 +228,7 @@ class TestSimulateCommand:
         monkeypatch.setitem(range_rte.estimators.ESTIMATORS, "nls", flaky_nls)
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
-        cell = json.load(open(out / "summary.json"))["cells"][0]
+        cell = read_json(out / "summary.json")["cells"][0]
         rows = [r.split(",") for r in (out / "results.csv").read_text().strip().split("\n")[1:]]
         assert [r[-1] for r in rows] == ["ok", "ok", "failed", "ok", "ok"]
         assert cell["failures"] == 1
@@ -254,8 +259,8 @@ class TestSimulateCommand:
             ]
         )
         assert rc == 0
-        rep = json.load(open(report))
-        truth = json.load(open(f"{stem}_truth.json"))
+        rep = read_json(report)
+        truth = read_json(f"{stem}_truth.json")
         e_t_replayed = float(np.linalg.norm(np.array(rep["estimate"]["t_m"]) - np.array(truth["t_m"])))
         assert e_t_replayed == e_t_inprocess  # bit-for-bit reproduction
 
@@ -273,8 +278,8 @@ class TestSimulateCommand:
         rc = main(["estimate", "--odom-a", f"{stem}_odom_a.csv", "--odom-b", f"{stem}_odom_b.csv",
                    "--ranges", f"{stem}_ranges.csv", "--config", f"{stem}_estimate_config.json", "--out", report])
         assert rc == 0
-        rep = json.load(open(report))
-        truth = json.load(open(f"{stem}_truth.json"))
+        rep = read_json(report)
+        truth = read_json(f"{stem}_truth.json")
         assert rep["counts"]["used"] == 40
         assert float(np.linalg.norm(np.array(rep["estimate"]["t_m"]) - np.array(truth["t_m"]))) == e_t_inprocess
 
@@ -282,7 +287,7 @@ class TestSimulateCommand:
         cfg = write_json(tmp_path / "cfg.json", {"trials": 1, "n_poses": 12, "seed": 9})
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == 0
-        summary = json.load(open(out / "summary.json"))
+        summary = read_json(out / "summary.json")
         assert summary["seed"] == 9
         assert len(summary["config_hash"]) == 16
 
@@ -299,7 +304,7 @@ class TestFimCommand:
         rc = main(["fim", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges,
                    "--theta", *[str(v) for v in T.as_vector()], "--out", out])
         assert rc == 0
-        rep = json.load(open(out))
+        rep = read_json(out)
         assert "note" in rep and "det_geometric" not in rep
 
     def test_observable_scenario_det_equivalence(self, tmp_path):
@@ -314,7 +319,7 @@ class TestFimCommand:
         T, _ = trial_data(_scenario_from_config(cfg), 0)
         rc = main(["fim", "--scenario", scen, "--theta", *[str(v) for v in T.as_vector()], "--out", out])
         assert rc == 0
-        rep = json.load(open(out))
+        rep = read_json(out)
         assert rep["det_geometric"] == pytest.approx(rep["det_direct"], rel=1e-8)
         assert rep["ci95"] is not None and len(rep["ci95"]) == 4
 
@@ -340,7 +345,7 @@ class TestFimCommand:
                    "--ranges", str(tmp_path / "r.csv"), "--config", cfg,
                    "--theta", *[str(v) for v in T.as_vector()], "--out", out])
         assert rc == 0
-        rep = json.load(open(out))
+        rep = read_json(out)
         arm_a, arm_b = LeverArm(arms["lever_arm_a_m"]), LeverArm(arms["lever_arm_b_m"])
         want = fim(T, ingest_logs(*logs, ranges, arm_a=arm_a, arm_b=arm_b, sigma_r=0.05)[0]).F
         np.testing.assert_array_equal(np.array(rep["F"]), want)
@@ -375,10 +380,10 @@ class TestFimCommand:
         rc = main(["fim", "--odom-a", str(tmp_path / "a.csv"), "--odom-b", str(tmp_path / "b.csv"),
                    "--ranges", str(tmp_path / "r.csv"), "--theta", *[str(v) for v in T.as_vector()], "--out", out])
         assert rc == 0
-        rep = json.load(open(out))
+        rep = read_json(out)
         assert rep["flags"]["configuration_singular"] is True
         assert rep["det_geometric"] <= 1e-6 * max(1.0, rep["kappa"])
-        assert '"inf"' not in open(out).read()
+        assert '"inf"' not in (tmp_path / "fim.json").read_text()
 
 
 class TestDriftCommand:
@@ -392,7 +397,7 @@ class TestDriftCommand:
         )
         out = str(tmp_path / "drift.json")
         assert main(["drift", "--config", cfg, "--out", out]) == 0
-        rep = json.load(open(out))
+        rep = read_json(out)
         assert rep["nc_rmse_m"] < 1e-9
         assert rep["corrected_rmse_m"] < 0.5
 
@@ -403,7 +408,7 @@ class TestDriftCommand:
         )
         out = str(tmp_path / "drift.json")
         assert main(["drift", "--config", cfg, "--out", out]) == 0
-        rep = json.load(open(out))
+        rep = read_json(out)
         assert rep["corrected_rmse_m"] < rep["nc_rmse_m"]
         statuses = {w["status"] for w in rep["windows"]}
         assert statuses <= {"estimated", "skipped"}
@@ -544,7 +549,7 @@ class TestTimeShiftInvariance:
                 cfg_path = write_json(os.path.join(tmp, "cfg.json"), cfg)
                 rc = main(["estimate", "--odom-a", paths[0], "--odom-b", paths[1], "--ranges", paths[2],
                            "--config", cfg_path, "--out", out])
-                reports.append((rc, json.load(open(out))))
+                reports.append((rc, read_json(out)))
         (rc0, rep0), (rc1, rep1) = reports
         assert rc0 == rc1 == 0
         assert rep0["counts"] == rep1["counts"]

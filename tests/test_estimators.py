@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from lm_reference import lift_jacobian, lm_refine
+from sweep_reference import clear_decisions, reference_sweep
 
 from range_rte.estimators import (
     SWEEP_CANDIDATES,
@@ -17,6 +18,7 @@ from range_rte.estimators import (
     _lift_stack,
     _scaled_rows,
     _sqrt_factor,
+    _sweep_stack,
     align_target_trajectory,
     assemble_qcqp,
     build_data_rows,
@@ -34,7 +36,7 @@ from range_rte.estimators import (
 )
 from range_rte.fisher import confidence_intervals, fim, singularity_report
 from range_rte.geometry import Transform4DoF, heading_rotation, wrap_angle
-from range_rte.measurement import SyncedDataset, debias_squared, motion_excitation_check, true_range
+from range_rte.measurement import SyncedDataset, debias_squared, motion_excitation_check, range_rows, true_range
 from range_rte.solvers import CONVERGED, LmOptions, _gram, lm_minimize, lockstep_newton
 from range_rte.simulation import (
     DriftConfig,
@@ -781,6 +783,80 @@ class TestYawSweep:
         assert costs == sorted(costs)
 
 
+# multiple of eps times the reference's first-order rounding bounds within
+# which the sweep's grid costs and translations must agree with the
+# reference's; on 10^4 problems of each kind below the translations differ
+# by at most 1.6 of their bound
+SWEEP_MARGIN = 16.0
+
+
+def sweep_problem(kind: str, seed: int) -> np.ndarray:
+    """P0 of one sweep test problem of the given kind."""
+    rng = np.random.default_rng(seed)
+    if kind == "static":  # every heading in the hard case, and every grid cost tied
+        n = int(rng.integers(3, 20))
+        pa, pb = np.tile(rng.normal(size=3), (n, 1)), np.tile(rng.normal(size=3), (n, 1))
+        d = rng.uniform(1.0, 20.0) + 0.1 * rng.standard_normal(n)
+        ds = SyncedDataset(t=np.arange(float(n)), d=d, pa=pa, pb=pb, sigma_r=0.1)
+    elif kind == "near_planar":
+        ds = near_planar_instance(seed)[1]
+    else:  # "noisy", or "few": fewer rows than the lift has entries
+        n = int(rng.integers(9, 31)) if kind == "noisy" else int(rng.integers(3, 9))
+        ds = noisy_instance(seed, d0=rng.uniform(1.0, 40.0), n=n, sigma_r=rng.uniform(0.01, 0.5))[1]
+        if kind == "few":
+            ds = dataclasses.replace(ds, d0=None)
+    return assemble_qcqp(ds).P0
+
+
+class TestSweepAgainstReference:
+    """The sweep on coefficient planes against the per-heading reference sweep."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        problems=st.lists(
+            st.tuples(st.sampled_from(["noisy", "few", "near_planar", "static"]), st.integers(0, 2**32 - 1)),
+            min_size=1,
+            max_size=20,
+        ),
+        spoil=st.none() | st.tuples(st.integers(0, 19), st.sampled_from([math.nan, math.inf])),
+    )
+    def test_candidates_match_the_reference(self, problems, spoil):
+        P0 = np.array([sweep_problem(kind, seed) for kind, seed in problems])
+        W, rows, eps = len(P0), np.arange(len(P0)), np.finfo(float).eps
+        ref = reference_sweep(P0)
+        t, heading, count, errors = _sweep_stack(P0)
+        assert not errors and np.all(count >= 1) and np.all(ref.count >= 1)
+        tol = SWEEP_MARGIN * eps * ref.cost_rounding
+        # b: which of the two reference points at its heading each candidate is
+        b =np.argmin(np.linalg.norm(ref.points.transpose(0, 2, 1, 3)[rows[:, None], heading] - t[:, :, None], axis=-1), axis=-1)
+        # the first candidate holds the lowest grid cost, up to the margins, near-ties included
+        best = np.argmin(ref.cost.reshape(W, -1), axis=1)
+        first = ref.cost[rows, b[:, 0], heading[:, 0]] - ref.cost.reshape(W, -1)[rows, best]
+        assert np.all(first <= tol[rows, b[:, 0], heading[:, 0]] + tol.reshape(W, -1)[rows, best])
+        # where no comparison is within the margins, the same candidates in the same order
+        for i in np.flatnonzero(clear_decisions(ref, SWEEP_MARGIN)):
+            k = count[i]
+            assert k == ref.count[i] and np.array_equal(heading[i, :k], ref.heading[i, :k]), problems[i]
+            bound = SWEEP_MARGIN * eps * ref.t_rounding[i, b[i, :k], heading[i, :k]]
+            assert np.all(np.linalg.norm(t[i, :k] - ref.t[i, :k], axis=-1) <= bound), problems[i]
+        # elementwise across the stack: a problem alone gives the same bits
+        i = len(problems) // 2
+        alone = _sweep_stack(P0[i : i + 1])
+        for got, want in zip(alone[:3], (t, heading, count)):
+            assert got.tobytes() == want[i : i + 1].tobytes()
+        if spoil is not None:
+            # one non-finite problem gets no candidate and leaves the others as they were
+            i = spoil[0] % W
+            bad = P0.copy()
+            bad[i, 0, 8] = bad[i, 8, 0] = spoil[1]
+            with np.errstate(all="ignore"):
+                t_bad, heading_bad, count_bad, errors_bad = _sweep_stack(bad)
+            assert count_bad[i] == 0 and list(errors_bad) == [i]
+            keep = rows != i
+            for got, want in zip((t_bad, heading_bad, count_bad), (t, heading, count)):
+                assert got[keep].tobytes() == want[keep].tobytes()
+
+
 class TestNls:
     def test_truth_start_noiseless(self):
         T, ds = noiseless_instance(25)
@@ -799,6 +875,22 @@ class TestNls:
         assert rep.solver["iterations"] <= 10
         et, eth = errors(rep.theta_hat, T)
         assert et <= 0.05 and eth <= 0.05
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d0=st.floats(35.0, 45.0), n=st.integers(8, 30))
+    def test_ill_conditioned_instance_ends_within_rounding_of_another_start(self, seed, d0, n):
+        # ~40 m ranges measured to 1 cm over ~1 m of motion: the rows of the
+        # Jacobian nearly agree. From the truth and from the qcqp estimate
+        # nls reaches one minimum, and the two final costs differ by no more
+        # than the rounding of the cost, eps * sum_i |r_i| (d_i + d_meas_i) / sigma
+        T, ds = noisy_instance(seed, d0=d0, n=n, sigma_r=0.01)
+        a = nls_estimate(ds, init=T)
+        b = nls_estimate(ds, init=qcqp_estimate(ds).theta_hat)
+        assert np.linalg.norm(a.theta_hat.t - b.theta_hat.t) <= 1e-3
+        pa, pb, d = range_rows(ds)
+        dist = np.linalg.norm(b.theta_hat.t + pb @ b.theta_hat.rotation().T - pa, axis=1)
+        rounding = np.finfo(float).eps * float(np.abs(dist - d) @ (dist + d)) / ds.sigma_r**2
+        assert abs(a.solver["final_cost"] - b.solver["final_cost"]) <= 4.0 * rounding
 
     def test_zero_init_hard_instance_reports_outcome(self):
         # large separation, wide motion: a zero initial guess may settle in
