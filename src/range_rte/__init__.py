@@ -64,6 +64,6 @@ from .simulation import (
     singular_scenario,
     synthesize_measurements,
 )
-from .solvers import SdpStandardForm, SolveDiagnostics, eig_sym, lm_minimize, sdp_solve
+from .solvers import SdpStandardForm, SolveDiagnostics, eig_sym, sdp_solve
 
 __version__ = "0.1.0"

@@ -30,9 +30,10 @@ is fitted as one more range, taken between the two frame origins.
 
 The `sdp` estimator keeps the paper's semidefinite relaxation, with
 ||t||^2 = d0^2 as a fifth constraint when d0 is known, and reads its
-rank-one approximation off without refinement. A damped nonlinear
-least-squares baseline on the raw range residuals rounds out the
-estimators. Every entry of `ESTIMATORS` takes (dataset, init=None); only
+rank-one approximation off without refinement. The `nls` baseline
+minimizes the raw range residuals with the same damped engine,
+`solvers.lockstep_newton` with R = I, taking Gauss-Newton steps from one
+start. Every entry of `ESTIMATORS` takes (dataset, init=None); only
 `nls`, a local method, uses the starting point.
 
 The `qcqp` layers work on stacks of problems: `assemble_qcqp` builds P0
@@ -76,12 +77,12 @@ from .measurement import (
 )
 from .solvers import (
     CONVERGED,
+    MAX_ITER,
     NON_FINITE,
     LmOptions,
     SdpStandardForm,
     SolveDiagnostics,
     eig_sym,
-    lm_minimize,
     lockstep_newton,
     sdp_solve,
 )
@@ -777,44 +778,46 @@ def qcqp_estimate_windows(stream: SyncedDataset, rows: np.ndarray) -> list[Estim
 
 
 def nls_estimate(dataset: SyncedDataset, init: Optional[Transform4DoF] = None) -> EstimateReport:
-    """Damped least squares on the raw range residuals.
+    """Damped Gauss-Newton least squares on the raw range residuals.
 
     The initial guess defaults to zero (no prior knowledge); like any
     local method this can settle in a poor minimum on hard geometry,
     which is reported rather than hidden. A d0 other than the first range
-    is one more residual, between the two frame origins.
+    is one more residual, between the two frame origins. Runs
+    `lockstep_newton` with R = I on one start.
     """
     start = time.perf_counter()
     T0 = init if init is not None else Transform4DoF(t=np.zeros(3), theta=0.0)
     sigma = dataset.sigma_r
     pa, pb, d_meas = range_rows(dataset)
 
-    def residuals(p):
-        T = Transform4DoF(t=p[:3], theta=p[3])
-        W = T.t + pb @ T.rotation().T - pa
-        d = np.linalg.norm(W, axis=1)
-        return (d - d_meas) / sigma
+    def lift(p):
+        # the residuals (||w|| - d) / sigma, w = t + C(theta) pb - pa, and
+        # their gradients; the second-derivative rows stay zero, so every
+        # step is a Gauss-Newton step, which ends at better minima from a
+        # zero start than exact-Hessian steps do
+        c, s = np.cos(p[:, 3:]), np.sin(p[:, 3:])
+        bx, by = c * pb[:, 0] - s * pb[:, 1], s * pb[:, 0] + c * pb[:, 1]
+        dz = np.broadcast_to(pb[:, 2] - pa[:, 2], bx.shape)
+        w = np.stack((bx - pa[:, 0], by - pa[:, 1], dz), axis=1) + p[:, :3, None]
+        dist = np.sqrt((w * w).sum(axis=1))
+        rows = np.zeros((len(p), 21, len(d_meas)))
+        rows[:, 0] = (dist - d_meas) / sigma
+        rows[:, 1:4] = w / (sigma * np.maximum(dist, 1e-12))[:, None]
+        rows[:, 4] = bx * rows[:, 2] - by * rows[:, 1]  # d w / d theta = (-by, bx, 0)
+        return rows
 
-    def jac(p):
-        T = Transform4DoF(t=p[:3], theta=p[3])
-        W = T.t + pb @ T.rotation().T - pa
-        d = np.maximum(np.linalg.norm(W, axis=1), 1e-12)
-        U = W / d[:, None]
-        rotated_b = pb @ T.rotation().T
-        phi = np.einsum("ij,ij->i", np.cross(np.broadcast_to([0.0, 0.0, 1.0], rotated_b.shape), rotated_b), U)
-        return np.column_stack([U, phi]) / sigma
-
-    res = lm_minimize(residuals, jac, T0.as_vector(), LmOptions(max_iter=100))
-    T = Transform4DoF(t=res.x[:3], theta=res.x[3])
+    res = lockstep_newton(None, lift, T0.as_vector()[None], LmOptions(max_iter=100))
+    status = int(res.status[0])
     solver = {
         "method": "nls",
-        "iterations": res.iterations,
-        "status": res.status,
-        "final_cost": res.cost,
-        "converged": res.status == "converged",
+        "iterations": int(res.iterations[0]),
+        "status": {CONVERGED: "converged", MAX_ITER: "max_iter", NON_FINITE: "non_finite"}[status],
+        "final_cost": float(res.cost[0]),
+        "converged": status == CONVERGED,
         "wall_ms": (time.perf_counter() - start) * 1e3,
     }
-    return _report(T, dataset, solver)
+    return _report(Transform4DoF(t=res.p[0, :3], theta=res.p[0, 3]), dataset, solver)
 
 
 # Every entry takes (dataset, init=None). `init` is a starting point for a

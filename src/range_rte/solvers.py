@@ -2,11 +2,12 @@
 
 Provides a dense primal-dual interior-point solver for small semidefinite
 programs (the lifted relaxation is 9x9 with at most 5 equality
-constraints), a damped (Levenberg-Marquardt) nonlinear least-squares
-minimizer for the `nls` baseline, a damped Newton minimizer that refines
-a stack of starts in lockstep from square-root factors of their costs,
-and symmetric eigendecomposition helpers for rank-one recovery and
-information-matrix analysis.
+constraints), one damped (Levenberg-Marquardt) least-squares minimizer
+that refines a stack of starts in lockstep, and symmetric
+eigendecomposition helpers for rank-one recovery and information-matrix
+analysis. The minimizer takes exact-Hessian Newton steps on square-root
+factors of the `qcqp` costs, and Gauss-Newton steps on the raw range
+residuals of the `nls` baseline.
 
 The SDP solver is an infeasible-start path-following method with the
 HKM search direction and a Mehrotra predictor-corrector step. Problem
@@ -16,8 +17,8 @@ sizes here are tiny (n <= 16, m <= 8), so everything is dense.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -294,113 +295,13 @@ def sdp_solve(
 
 @dataclass
 class LmOptions:
-    """Stopping controls for Levenberg-Marquardt."""
+    """Stopping controls for `lockstep_newton`."""
 
     max_iter: int = 100
     gtol: float = 1e-12
     xtol: float = 1e-14
     ftol: float = 1e-14
     damping_init: float = 1e-8
-
-
-@dataclass
-class LmResult:
-    x: np.ndarray
-    cost: float
-    iterations: int  # accepted parameter updates
-    status: str  # converged | max_iter | non_finite
-    grad_norm: float
-    cost_history: list = field(default_factory=list)
-    evals: int = 0  # total damping trials, including rejected steps
-
-
-def lm_minimize(
-    residuals: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
-    x0,
-    opts: LmOptions | None = None,
-) -> LmResult:
-    """Minimize 0.5 ||r(x)||^2 with damped Gauss-Newton steps.
-
-    Uses the gain-ratio damping update (Madsen-Nielsen): accepted steps
-    shrink the damping, rejected steps grow it, so the cost sequence over
-    accepted iterates is non-increasing. The small initial damping makes
-    exactly-linear residual systems converge in one or two iterations.
-    Each step minimises ||J step + r||^2 + mu ||step||^2 as least squares
-    on the stacked [J; sqrt(mu) I], not through the normal equations
-    (J'J + mu I) step = -g, whose condition number is the square of the
-    stack's.
-    """
-    opts = opts or LmOptions()
-    x = np.asarray(x0, dtype=float).copy()
-    r = np.asarray(residuals(x), dtype=float)
-    if not np.isfinite(r).all():
-        return LmResult(x=x, cost=np.inf, iterations=0, status="non_finite", grad_norm=np.inf)
-    cost = 0.5 * float(r @ r)
-    history = [cost]
-    J = np.asarray(jacobian(x), dtype=float)
-    g = J.T @ r
-    gnorm = float(np.abs(g).max()) if g.size else 0.0
-    scale = max(1.0, cost)
-    if gnorm <= opts.gtol * scale:
-        return LmResult(x=x, cost=cost, iterations=0, status="converged", grad_norm=gnorm, cost_history=history)
-
-    eye = np.eye(len(x))
-    mu = opts.damping_init * max(float(np.max(np.sum(J * J, axis=0))), 1e-300)  # the largest diagonal entry of J'J
-    nu = 2.0
-    status = "max_iter"
-    it = 0
-    accepted = 0
-    for it in range(1, opts.max_iter + 1):
-        try:
-            A = np.concatenate([J, math.sqrt(mu) * eye])
-            step = np.linalg.lstsq(A, np.concatenate([-r, np.zeros(len(x))]), rcond=None)[0]
-        except np.linalg.LinAlgError:
-            mu *= nu
-            nu *= 2.0
-            continue
-        x_new = x + step
-        r_new = np.asarray(residuals(x_new), dtype=float)
-        if not np.isfinite(r_new).all():
-            mu *= nu
-            nu *= 2.0
-            if mu > 1e300:
-                status = "non_finite"
-                break
-            continue
-        cost_new = 0.5 * float(r_new @ r_new)
-        predicted = 0.5 * float(step @ (mu * step - g))
-        rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
-        if rho > 0:  # accept
-            accepted += 1
-            dx = math.sqrt(step @ step)  # np.linalg.norm, without its overhead
-            df = cost - cost_new
-            x, r, cost = x_new, r_new, cost_new
-            history.append(cost)
-            J = np.asarray(jacobian(x), dtype=float)
-            g = J.T @ r
-            gnorm = float(np.abs(g).max())
-            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
-            nu = 2.0
-            scale = max(1.0, cost)
-            if gnorm <= opts.gtol * scale:
-                status = "converged"
-                break
-            if dx <= opts.xtol * (1.0 + math.sqrt(x @ x)):
-                status = "converged"
-                break
-            if df <= opts.ftol * scale:
-                status = "converged"
-                break
-        else:
-            mu *= nu
-            nu *= 2.0
-            if mu > 1e300:
-                status = "converged" if gnorm <= 1e-6 * scale else "max_iter"
-                break
-    return LmResult(
-        x=x, cost=cost, iterations=accepted, status=status, grad_norm=gnorm, cost_history=history, evals=it
-    )
 
 
 # statuses of `lockstep_newton`, one per start
@@ -419,15 +320,16 @@ class LockstepResult:
     status: np.ndarray  # CONVERGED | MAX_ITER | NON_FINITE
 
 
-def _gram(R: np.ndarray, D: np.ndarray, d: int) -> np.ndarray:
+def _gram(R: Optional[np.ndarray], D: np.ndarray, d: int) -> np.ndarray:
     """Products of the rows of D R' with its first 1 + d rows, shape (n, 1 + d + d^2, 1 + d).
 
     D (n, 1 + d + d^2, m) stacks x, its first and its second derivatives
-    as rows, and R is (n, m, m). With r = R x, column 0 holds ||r||^2,
-    the gradient (R dx)' r of f = 0.5 ||r||^2 and the curvature terms
-    sum_j r_j (R d2x)_j; rows and columns 1..d hold (R dx)' (R dx).
+    as rows, and R is (n, m, m), or None for R = I. With r = R x, column 0
+    holds ||r||^2, the gradient (R dx)' r of f = 0.5 ||r||^2 and the
+    curvature terms sum_j r_j (R d2x)_j; rows and columns 1..d hold
+    (R dx)' (R dx).
     """
-    RD = D @ R.swapaxes(-1, -2)
+    RD = D if R is None else D @ R.swapaxes(-1, -2)
     return RD @ RD[:, : d + 1].swapaxes(-1, -2)
 
 
@@ -450,7 +352,7 @@ def _batched_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def lockstep_newton(
-    R: np.ndarray,
+    R: Optional[np.ndarray],
     lift: Callable[[np.ndarray], np.ndarray],
     p0: np.ndarray,
     opts: LmOptions | None = None,
@@ -458,22 +360,29 @@ def lockstep_newton(
     """Minimize f_i = 0.5 ||R_i x(p)||^2 from every start p0[i] at once.
 
     R (n, m, m) is a square-root factor of each start's cost, such as the
-    triangle of a QR of its residual rows, and lift(p) maps parameters
-    (k, d) to (k, 1 + d + d^2, m): x(p), its first and its second
-    derivatives. The cost, gradient and curvature come from r = R x, not
-    from the quadratic form R'R, so they keep their relative precision
-    down to a zero residual.
+    triangle of a QR of its residual rows, or None for R = I, where x(p)
+    is the residual itself. lift(p) maps parameters (k, d) to
+    (k, 1 + d + d^2, m): x(p), its first and its second derivatives. The
+    cost, gradient and curvature come from r = R x, not from the
+    quadratic form R'R, so they keep their relative precision down to a
+    zero residual.
 
-    Steps solve (H + mu I) step = -g with the exact Hessian H, so they
-    converge quadratically where Gauss-Newton on a large residual is
-    linear. Each start keeps its own damping and gain-ratio update
-    (Madsen-Nielsen, as `lm_minimize`) and its own stops: `lm_minimize`'s
-    gtol, xtol and ftol tests, and, before a trial is evaluated, a
-    predicted decrease of at most ftol * f. That last test is relative to
-    f alone, so a zero-residual start still runs down to its rounding
-    floor. The starts run in lockstep, one batched solve and one batched
-    evaluation per iteration over the starts still running; no start's
-    sequence depends on the others. max_iter bounds the iterations.
+    Steps solve (H + mu I) step = -g with H the Gauss-Newton block plus
+    the curvature terms of the second-derivative rows: with exact rows
+    they converge quadratically where Gauss-Newton on a large residual is
+    linear, and zero rows make them Gauss-Newton steps. Each start keeps
+    its own damping and gain-ratio update (Madsen-Nielsen) and its own
+    stops: |g|_inf at most gtol * max(1, f), a step at most
+    xtol * (1 + |p|), a decrease at most ftol * max(1, f), and, before a
+    trial is evaluated, a predicted decrease of at most ftol * f. That
+    last test is relative to f alone, so a zero-residual start still runs
+    down to its rounding floor. The starts run in lockstep, one batched
+    solve and one batched evaluation per iteration over the starts still
+    running; no start's sequence depends on the others. max_iter bounds
+    the iterations. A start whose damping passes 1e300 stops NON_FINITE
+    if its last trial's cost was not finite, else CONVERGED where
+    |g|_inf <= 1e-6 * max(1, f) and MAX_ITER where not; a non-finite
+    cost at the start is NON_FINITE too.
     """
     opts = opts or LmOptions()
     p0 = np.asarray(p0, dtype=float)
@@ -490,15 +399,15 @@ def lockstep_newton(
         return np.concatenate((p, M[:, :, 0], M[:, 1 : d + 1, 1:].reshape(-1, d * d), tail), axis=1)
 
     count = np.array([0.0, 0.0, 1.0, 1.0])  # added to mu, nu, steps, evaluations at a trial
-    S = state(p0, R, np.zeros((n, 4)))
-    S[:, NU] = 2.0
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a non-finite start ends NON_FINITE, without a warning
+        S = state(p0, R, np.zeros((n, 4)))
+        S[:, NU] = 2.0
         S[:, MU] = opts.damping_init * np.maximum(S[:, GN][:, :: d + 1].max(axis=1), 1e-300)
         finite = np.isfinite(S[:, C])
         status = np.where(finite, CONVERGED, NON_FINITE)
         act = np.flatnonzero(finite & (np.abs(S[:, G]).max(axis=1) > opts.gtol * np.maximum(1.0, 0.5 * S[:, C])))
         status[act] = _RUNNING
-        s, Ra = S[act], R[act]  # the running starts only
+        s, Ra = S[act], R if R is None else R[act]  # the running starts only
         for _ in range(opts.max_iter):
             if not len(act):
                 break
@@ -534,7 +443,7 @@ def lockstep_newton(
                 s = new if accepted else np.where(acc[:, None], new, s)
             if accepted and not stop.any():
                 continue
-            # rejected: grow the damping; past 1e300 the start stops as `lm_minimize` does
+            # rejected: grow the damping; past 1e300 the start stops
             rej = ~(acc | stop)
             if rej.any():
                 lost = trial & ~np.isfinite(new[:, C]) if trial.any() else trial
@@ -550,7 +459,8 @@ def lockstep_newton(
                 S[done] = s[stop]
                 status[done[status[done] == _RUNNING]] = CONVERGED
                 keep = ~stop
-                s, Ra, act = s[keep], Ra[keep], act[keep]
+                s, act = s[keep], act[keep]
+                Ra = Ra if R is None else Ra[keep]
     S[act] = s
     status[act] = MAX_ITER
     return LockstepResult(

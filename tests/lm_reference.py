@@ -1,19 +1,23 @@
 """Independent reference refinement for the qcqp property tests.
 
-Levenberg-Marquardt (`solvers.lm_minimize`, Gauss-Newton steps) on the
-k-row residual B_w x(t, theta), with B_w the rows of B scaled by
-sqrt(w / max w). It shares no code with the estimator's batched Newton
-refinement beyond the lift, so a test that compares the two checks one
-against the other.
+MINPACK's Levenberg-Marquardt (`scipy.optimize.least_squares`,
+method="lm") on the k-row residual B_w x(t, theta), with B_w the rows of
+B scaled by sqrt(w / max w). It shares no code with the estimator's
+batched Newton refinement beyond the lift, so a test that compares the
+two checks one against the other.
 """
 
 import math
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from range_rte.estimators import lift_transform
 from range_rte.geometry import Transform4DoF
-from range_rte.solvers import LmOptions, lm_minimize
+
+# MINPACK's stopping tolerances, a few eps: the reference runs down to the
+# rounding floor of its residual cost instead of stopping 1e-8 short of it
+LM_TOL = 1e-15
 
 
 def lift_jacobian(t, theta: float) -> np.ndarray:
@@ -35,8 +39,13 @@ def lift_jacobian(t, theta: float) -> np.ndarray:
     )
 
 
-def lm_refine(problem, T0: Transform4DoF, max_iter: int = 80) -> tuple[Transform4DoF, float]:
-    """Refined transform from T0 and its cost x' P0 x."""
+def lm_least_squares(residuals, jacobian, x0):
+    """`least_squares` with method="lm" and the reference's tolerances."""
+    return least_squares(residuals, x0, jac=jacobian, method="lm", ftol=LM_TOL, xtol=LM_TOL, gtol=LM_TOL)
+
+
+def lm_refine(problem, T0: Transform4DoF) -> tuple[Transform4DoF, float]:
+    """Refined transform from T0 and its cost x' P0 x, taken from the residuals as 2 max w times their cost."""
     Bw = problem.B * np.sqrt(problem.weights / problem.weights.max())[:, None]
 
     def residuals(p):
@@ -45,7 +54,5 @@ def lm_refine(problem, T0: Transform4DoF, max_iter: int = 80) -> tuple[Transform
     def jacobian(p):
         return Bw @ lift_jacobian(p[:3], p[3])
 
-    res = lm_minimize(residuals, jacobian, T0.as_vector(), LmOptions(max_iter=max_iter))
-    T = Transform4DoF(t=res.x[:3], theta=res.x[3])
-    x = lift_transform(T)
-    return T, float(x @ problem.P0 @ x)
+    res = lm_least_squares(residuals, jacobian, T0.as_vector())
+    return Transform4DoF(t=res.x[:3], theta=res.x[3]), 2.0 * float(problem.weights.max()) * float(res.cost)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from range_rte.solvers import (
+    CONVERGED,
+    NON_FINITE,
     LmOptions,
     SdpStandardForm,
     eig_sym,
-    lm_minimize,
+    lockstep_newton,
     sdp_solve,
 )
 
@@ -104,16 +106,32 @@ class TestSdpSolve:
             SdpStandardForm(C=M, A=[], b=np.zeros(0))
 
 
+def residual_lift(r, J):
+    """`lockstep_newton`'s lift for R = I: residuals r(x) (m,), their Jacobian J(x) (m, d)
+    and zero second-derivative rows, so that the steps are Gauss-Newton steps."""
+
+    def lift(p):
+        rows = []
+        for x in p:
+            res = r(x)
+            rows.append(np.vstack([res[None], J(x).T, np.zeros((len(x) ** 2, len(res)))]))
+        return np.array(rows)
+
+    return lift
+
+
 class TestLmMinimize:
+    """Levenberg-Marquardt on plain residuals: `lockstep_newton` with R = None minimizes 0.5 ||r(x)||^2."""
+
     def test_linear_least_squares_two_iterations(self):
         rng = np.random.default_rng(6)
         A = rng.normal(size=(10, 3))
         b = rng.normal(size=10)
         x_star, *_ = np.linalg.lstsq(A, b, rcond=None)
-        res = lm_minimize(lambda x: A @ x - b, lambda x: A, np.zeros(3))
-        assert res.status == "converged"
-        assert res.iterations <= 2
-        assert np.allclose(res.x, x_star, atol=1e-8)
+        res = lockstep_newton(None, residual_lift(lambda x: A @ x - b, lambda x: A), np.zeros((1, 3)))
+        assert res.status[0] == CONVERGED
+        assert res.iterations[0] <= 2
+        assert np.allclose(res.p[0], x_star, atol=1e-8)
 
     def test_rosenbrock(self):
         def r(x):
@@ -122,33 +140,22 @@ class TestLmMinimize:
         def J(x):
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
-        res = lm_minimize(r, J, np.array([-1.2, 1.0]), LmOptions(max_iter=300))
-        assert np.allclose(res.x, [1.0, 1.0], atol=1e-6)
+        res = lockstep_newton(None, residual_lift(r, J), np.array([[-1.2, 1.0]]), LmOptions(max_iter=300))
+        assert res.status[0] == CONVERGED
+        assert np.allclose(res.p[0], [1.0, 1.0], atol=1e-6)
 
     def test_zero_residual_start_returns_immediately(self):
-        res = lm_minimize(lambda x: np.zeros(3), lambda x: np.zeros((3, 2)), np.array([1.0, 2.0]))
-        assert res.iterations == 0
-        assert res.status == "converged"
-
-    def test_cost_monotone_over_accepted_steps(self):
-        def r(x):
-            return np.array([x[0] ** 2 - 2.0, math.sin(x[1]), x[0] * x[1] - 0.5])
-
-        def J(x):
-            return np.array(
-                [[2 * x[0], 0.0], [0.0, math.cos(x[1])], [x[1], x[0]]]
-            )
-
-        res = lm_minimize(r, J, np.array([3.0, 2.0]), LmOptions(max_iter=100))
-        hist = res.cost_history
-        assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
+        lift = residual_lift(lambda x: np.zeros(3), lambda x: np.zeros((3, 2)))
+        res = lockstep_newton(None, lift, np.array([[1.0, 2.0]]))
+        assert res.iterations[0] == 0 and res.evals[0] == 0
+        assert res.status[0] == CONVERGED
+        np.testing.assert_array_equal(res.p[0], [1.0, 2.0])
 
     def test_non_finite_residual_reported(self):
-        def r(x):
-            return np.array([math.inf])
-
-        res = lm_minimize(r, lambda x: np.array([[1.0]]), np.array([1.0]))
-        assert res.status == "non_finite"
+        lift = residual_lift(lambda x: np.array([math.inf]), lambda x: np.array([[1.0]]))
+        res = lockstep_newton(None, lift, np.array([[1.0]]))
+        assert res.status[0] == NON_FINITE
+        np.testing.assert_array_equal(res.p[0], [1.0])
 
 
 class TestEigSym:
