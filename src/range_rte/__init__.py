@@ -46,7 +46,6 @@ from .measurement import (
     SyncedDataset,
     debias_squared,
     ingest_logs,
-    motion_excitation_check,
     odometry_log,
     poses_at,
     range_log,

@@ -21,17 +21,12 @@ import sys
 import numpy as np
 
 from . import io_formats as iof
-from .estimators import (
-    DegenerateSolutionError,
-    ESTIMATORS,
-    HeadingUndefinedError,
-    assemble_qcqp,
-    yaw_sweep,
-)
+from .estimators import DegenerateSolutionError, ESTIMATORS, HeadingUndefinedError
 from .fisher import (
     DEFAULT_KAPPA_THRESHOLD,
     InsufficientDataError,
     SingularFimError,
+    SingularGeometryError,
     confidence_intervals,
     det_fim_geometric,
     fim,
@@ -41,7 +36,6 @@ from .geometry import LeverArm, Transform4DoF
 from .measurement import (
     NoOverlapError,
     ingest_logs,
-    motion_excitation_check,
     odometry_log,
     range_log,
     range_rate_outliers,
@@ -74,9 +68,9 @@ ESTIMATE_DEFAULTS = {
     # "odometry" rejects the synced ranges that break the odometry-bounded
     # range rate (measurement.range_rate_outliers); "none" keeps them all
     "outlier_mode": "odometry",
-    "excitation_var_m2": 0.05,
-    "excitation_n": 100,
-    "kappa_threshold": 1e6,
+    # the configuration is singular when kappa of the FIM at the estimate
+    # exceeds this (exit 3)
+    "kappa_threshold": DEFAULT_KAPPA_THRESHOLD,
 }
 
 SIM_DEFAULTS = {
@@ -196,22 +190,6 @@ def cmd_estimate(args) -> int:
             "used": len(dataset),
         },
     }
-
-    excited = motion_excitation_check(
-        dataset.pa, dataset.pb, var_threshold=cfg["excitation_var_m2"], n=cfg["excitation_n"]
-    )
-    report["excitation_ok"] = excited
-    if not excited:
-        # No estimation on unexcited data; still report which parameters
-        # the information matrix cannot pin down at a crude reference point.
-        T_ref = yaw_sweep(assemble_qcqp(dataset))[0]
-        rep = fim(T_ref, dataset)
-        report["flags"] = _flags_payload(_flags(rep, cfg["kappa_threshold"]))
-        report["kappa"] = rep.kappa
-        report["error"] = "insufficient motion excitation: configuration treated as singular"
-        _write_report(args.out, report)
-        return EXIT_SINGULAR
-
     est = ESTIMATORS[cfg["estimator"]](dataset)
     report["estimate"] = {"t_m": est.theta_hat.t, "theta_rad": est.theta_hat.theta}
     report["std_errors"] = est.std_errors
@@ -273,10 +251,9 @@ def _emit_trial_logs(out_dir, cell_idx, trial, cfg_cell, T_true, dataset):
     estimate_cfg = dict(ESTIMATE_DEFAULTS)
     estimate_cfg["sigma_r_m"] = max(cfg_cell["sigma_r_m"], 1e-9)
     estimate_cfg["estimator"] = cfg_cell["estimator"]
-    # Exact reproduction of the in-process path, which neither gates on
-    # motion nor rejects outliers and takes d0 from the simulation (the
-    # noisy first positions are off the origin, so ingest would drop it).
-    estimate_cfg["excitation_var_m2"] = 0.0
+    # Exact reproduction of the in-process path, which rejects no outliers
+    # and takes d0 from the simulation (the noisy first positions are off
+    # the origin, so ingest would drop it).
     estimate_cfg["d0_m"] = dataset.d0
     estimate_cfg["outlier_mode"] = "none"
     iof.dump_json(stem + "_estimate_config.json", iof.jsonable(estimate_cfg))
@@ -487,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--odom-b")
     pf.add_argument("--ranges")
     # an `estimate` config: its lever arms, sigma_r_m, d0 keys and
-    # kappa_threshold apply to the logs (the estimator, outlier and
-    # excitation keys do not apply to an information analysis)
+    # kappa_threshold apply to the logs (the estimator and outlier keys
+    # do not apply to an information analysis)
     pf.add_argument("--config")
     pf.add_argument("--sigma-r", type=float, help="overrides the config's sigma_r_m (default 0.1)")
     pf.add_argument("--scenario")
@@ -520,7 +497,7 @@ def main(argv=None) -> int:
     except iof.ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NoOverlapError, InsufficientDataError) as exc:
+    except (NoOverlapError, InsufficientDataError, SingularGeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except CliError as exc:

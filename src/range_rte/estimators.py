@@ -72,7 +72,6 @@ from .measurement import (
     d0_is_extra_range,
     debias_ranges,
     debias_squared,
-    motion_excitation_check,
     range_rows,
 )
 from .solvers import (
@@ -97,9 +96,18 @@ SWEEP_CHUNK = 16
 # lockstep iterations per refinement start (one solve and at most one
 # evaluation each). With the exact Hessian the steps converge
 # quadratically: bench drift starts and large-residual stress cases
-# (8 rows, sigma_r 0.5 m) need at most ~22
+# (8 rows, sigma_r 0.5 m) need at most ~22. `nls` takes Gauss-Newton
+# steps, which converge only linearly on large residuals: zero starts
+# need up to ~200 (197 on a default-cell trial)
 REFINE_MAX_ITER = 200
 _REFINE_OPTS = LmOptions(max_iter=REFINE_MAX_ITER)
+# sliding windows whose information matrix at the estimate has a larger
+# condition number are skipped: near-singular geometry gives junk
+# updates. Stricter than fisher.DEFAULT_KAPPA_THRESHOLD: over 20 bench
+# drift seeds (120 s each), skipping at 2e5 instead raises the median
+# corrected RMSE from 7.25 to 7.36 m. A gate on each window's innovation
+# against the random-walk model may replace both
+WINDOW_KAPPA_LIMIT = 3e4
 
 
 class DegenerateSolutionError(RuntimeError):
@@ -807,7 +815,7 @@ def nls_estimate(dataset: SyncedDataset, init: Optional[Transform4DoF] = None) -
         rows[:, 4] = bx * rows[:, 2] - by * rows[:, 1]  # d w / d theta = (-by, bx, 0)
         return rows
 
-    res = lockstep_newton(None, lift, T0.as_vector()[None], LmOptions(max_iter=100))
+    res = lockstep_newton(None, lift, T0.as_vector()[None], _REFINE_OPTS)
     status = int(res.status[0])
     solver = {
         "method": "nls",
@@ -838,7 +846,7 @@ class WindowEstimate:
     stop: int
     t_end: float
     skipped: bool
-    report: Optional[EstimateReport]
+    report: EstimateReport
 
 
 def sliding_window_estimate(
@@ -846,23 +854,19 @@ def sliding_window_estimate(
     window: int = 50,
     stride: Optional[int] = None,
     estimator: str = "qcqp",
-    excitation_var: float = 0.05,
-    excitation_n: Optional[int] = None,
-    max_kappa: Optional[float] = None,
 ) -> list[WindowEstimate]:
     """Run the estimator over a stream in sliding windows.
 
     Each step estimates from the latest `window` samples on its own:
     `qcqp` and `sdp` search every heading and need no starting point,
-    while `nls` starts from the previous window's estimate. Windows
-    failing the motion-excitation check are skipped (marked, previous
-    estimate stays current), and so are windows whose estimated
-    information matrix is worse-conditioned than `max_kappa`
-    (near-singular geometry produces junk updates). The
+    while `nls` starts from the previous non-skipped window's estimate.
+    Every window is estimated. One whose information matrix at the
+    estimate is worse-conditioned than WINDOW_KAPPA_LIMIT is marked
+    skipped, and the previous estimate stays current. The
     inter-origin-distance constraint is dropped inside windows: under
     drift the initial distance is stale.
 
-    `qcqp` solves all excited windows in one stacked pass
+    `qcqp` solves all windows in one stacked pass
     (`qcqp_estimate_windows`): one assembly, a yaw sweep in chunks of
     SWEEP_CHUNK windows, which caps its temporaries, one refinement per
     candidate and one batched FIM eigendecomposition. Its results and
@@ -874,20 +878,15 @@ def sliding_window_estimate(
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     stride = stride or window
-    n_check = excitation_n or window
     starts = np.arange(0, len(stream) - window + 1, stride)
-    rows = starts[:, None] + np.arange(window)
-    excited = motion_excitation_check(stream.pa[rows], stream.pb[rows], var_threshold=excitation_var, n=n_check)
     if estimator == "qcqp":
-        stacked = iter(qcqp_estimate_windows(stream, rows[excited]))
+        stacked = iter(qcqp_estimate_windows(stream, starts[:, None] + np.arange(window)))
 
     results = []
     prev: Optional[Transform4DoF] = None
-    for idx, (a, b, ok) in enumerate(zip(starts.tolist(), (starts + window).tolist(), excited.tolist())):
-        report = None
-        if ok:
-            report = next(stacked) if estimator == "qcqp" else ESTIMATORS[estimator](stream.window(a, b), init=prev)
-        skipped = report is None or (max_kappa is not None and not report.kappa <= max_kappa)
+    for idx, (a, b) in enumerate(zip(starts.tolist(), (starts + window).tolist())):
+        report = next(stacked) if estimator == "qcqp" else ESTIMATORS[estimator](stream.window(a, b), init=prev)
+        skipped = not report.kappa <= WINDOW_KAPPA_LIMIT
         if not skipped:
             prev = report.theta_hat
         results.append(WindowEstimate(index=idx, start=a, stop=b, t_end=stream.t[b - 1], skipped=skipped, report=report))

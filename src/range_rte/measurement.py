@@ -21,8 +21,10 @@ the lever arm is then rotated into the local frame. Uncovered ranges are
 dropped, never extrapolated.
 
 Also here: the squared-distance debiasing used by the weighted
-least-squares pipeline, the odometry-bounded range-rate gate that rejects
-UWB outliers, and the motion-excitation check run before estimation.
+least-squares pipeline and the odometry-bounded range-rate gate that
+rejects UWB outliers. Nothing here judges whether the motion pins the
+transform down: that is the Fisher information's job, at the estimate
+(`fisher.singularity_flags`).
 """
 
 from __future__ import annotations
@@ -359,25 +361,3 @@ def range_rate_outliers(dataset: SyncedDataset) -> np.ndarray:
     outlier[1:-1] = broken[:-1] & broken[1:]
     return outlier
 
-
-def motion_excitation_check(
-    recent_positions_a,
-    recent_positions_b,
-    var_threshold: float = 0.05,
-    n: int = 100,
-) -> bool | np.ndarray:
-    """True when both agents show per-axis position variance above threshold.
-
-    Uses the last `n` positions of each agent. Guards against singular
-    configurations from insufficient motion (static agent, hovering,
-    single-axis motion) before any estimation is attempted. Positions of
-    shape (..., N, 3) stack windows; the result is then a boolean array
-    over the leading axes.
-    """
-    excited = True
-    for positions in (recent_positions_a, recent_positions_b):
-        arr = np.asarray(positions, dtype=float)
-        if arr.ndim < 2 or arr.shape[-1] != 3 or arr.shape[-2] == 0:
-            raise ValueError("positions must be a non-empty (N, 3) array")
-        excited = excited & ~np.any(np.var(arr[..., -n:, :], axis=-2) <= var_threshold, axis=-1)
-    return excited if arr.ndim > 2 else bool(excited)

@@ -41,7 +41,6 @@ class DriftConfig:
     rate: float = 10.0
     stride: Optional[int] = None
     theta_unit: str = "rad"
-    kappa_gate: Optional[float] = 3e4
 
     def sigma_theta_rad(self) -> float:
         if self.theta_unit == "deg":
@@ -398,7 +397,6 @@ def drift_scenario(
         window=drift.window,
         stride=drift.stride or drift.window,
         estimator=estimator,
-        max_kappa=drift.kappa_gate,
     )
     aligned = align_target_trajectory(stream, windows, initial=None)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from range_rte.cli import main
+from range_rte.cli import ESTIMATE_DEFAULTS, main
 from range_rte.geometry import LeverArm, Transform4DoF, wrap_angle, yaw_quat
 from range_rte.io_formats import (
     ParseError,
@@ -18,7 +18,7 @@ from range_rte.io_formats import (
     write_odometry_csv,
     write_ranges_csv,
 )
-from range_rte.fisher import fim
+from range_rte.fisher import DEFAULT_KAPPA_THRESHOLD, fim
 from range_rte.measurement import ingest_logs, odometry_log, range_log, true_range
 
 
@@ -66,7 +66,7 @@ class TestEstimateCommand:
         out = str(tmp_path / "report.json")
         cfg = write_json(
             tmp_path / "cfg.json",
-            {"sigma_r_m": 1e-6, "excitation_var_m2": 0.01},
+            {"sigma_r_m": 1e-6},
         )
         rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out])
         assert rc == 0
@@ -78,7 +78,7 @@ class TestEstimateCommand:
     def test_spike_rejected_and_counted(self, tmp_path):
         pa, pb, ranges, T = synthetic_logs(tmp_path, noise=0.02, spike=(40, 10.0), seed=2)
         out = str(tmp_path / "report.json")
-        cfg = write_json(tmp_path / "cfg.json", {"sigma_r_m": 0.02, "excitation_var_m2": 0.01})
+        cfg = write_json(tmp_path / "cfg.json", {"sigma_r_m": 0.02})
         rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out])
         assert rc == 0
         rep = read_json(out)
@@ -89,7 +89,7 @@ class TestEstimateCommand:
         extra = np.concatenate([read_ranges_csv(ranges), range_log([100.0], [3.0])])  # past the odometry
         write_ranges_csv(ranges, extra)
         out = str(tmp_path / "report.json")
-        cfg = write_json(tmp_path / "cfg.json", {"sigma_r_m": 0.02, "excitation_var_m2": 0.01})
+        cfg = write_json(tmp_path / "cfg.json", {"sigma_r_m": 0.02})
         assert main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]) == 0
         counts = read_json(out)["counts"]
         assert (counts["outliers_rejected"], counts["uncovered_dropped"]) == (1, 1)
@@ -101,10 +101,10 @@ class TestEstimateCommand:
         rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--out", out])
         assert rc == 3
         rep = read_json(out)
-        assert rep["excitation_ok"] is False
         assert any(rep["flags"]["per_param_unobservable"])
 
-    def test_static_pair_at_origins_exits_singular_with_flags(self, tmp_path):
+    @staticmethod
+    def _static_pair_at_origins(tmp_path):
         # both agents parked at their frame origins: the ranges fix ||t|| only
         n = 60
         t_axis = np.arange(n) * 0.1
@@ -113,12 +113,24 @@ class TestEstimateCommand:
         write_odometry_csv(pa, odom)
         write_odometry_csv(pb, odom)
         write_ranges_csv(ranges, range_log(t_axis, 3.0))
+        return pa, pb, ranges
+
+    def test_static_pair_at_origins_exits_singular_with_flags(self, tmp_path):
+        pa, pb, ranges = self._static_pair_at_origins(tmp_path)
         out = str(tmp_path / "report.json")
         rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--out", out])
         assert rc == 3
         rep = read_json(out)
-        assert rep["excitation_ok"] is False
         assert any(rep["flags"]["per_param_unobservable"])
+
+    def test_static_pair_at_origins_exits_singular_with_nls(self, tmp_path, capsys):
+        # nls stays at its zero start, where every modelled range is zero and
+        # the FIM is undefined: singular data, not a bad config
+        pa, pb, ranges = self._static_pair_at_origins(tmp_path)
+        rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--estimator", "nls",
+                   "--out", str(tmp_path / "report.json")])
+        assert rc == 3
+        assert "zero range" in capsys.readouterr().err
 
     def test_explicit_d0_other_than_first_range_is_fitted(self, tmp_path):
         # the first antenna positions are off the frame origins, so no d0 is
@@ -126,7 +138,7 @@ class TestEstimateCommand:
         pa, pb, ranges, T = synthetic_logs(tmp_path, noise=0.02, seed=5)
         estimates = {}
         for name, d0 in (("free", None), ("short", 0.5 * float(np.linalg.norm(T.t)))):
-            cfg = write_json(tmp_path / f"{name}.json", {"sigma_r_m": 0.02, "excitation_var_m2": 0.01, "d0_m": d0})
+            cfg = write_json(tmp_path / f"{name}.json", {"sigma_r_m": 0.02, "d0_m": d0})
             out = str(tmp_path / f"{name}.json.out")
             assert main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]) == 0
             estimates[name] = read_json(out)["estimate"]
@@ -142,17 +154,18 @@ class TestEstimateCommand:
     def test_kappa_threshold_honoured_when_estimating(self, tmp_path):
         pa, pb, ranges, _ = synthetic_logs(tmp_path, noise=0.05, seed=1)
         out = str(tmp_path / "report.json")
-        cfg = write_json(tmp_path / "cfg.json", {"excitation_var_m2": 0.01, "kappa_threshold": 1.0})
+        cfg = write_json(tmp_path / "cfg.json", {"kappa_threshold": 1.0})
         rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out])
         rep = read_json(out)
-        assert rep["excitation_ok"] is True and rep["kappa"] > 1.0
+        assert rep["kappa"] > 1.0
         assert rep["flags"]["kappa_threshold"] == 1.0
         assert rep["flags"]["configuration_singular"] is True
         assert rc == 3
 
     @pytest.mark.parametrize(
         "extra", [{"outlier_mode": "absolute"}, {"outlier_mode": "increase"}, {"outlier_mode": "gate"},
-                  {"outlier_window": 20}, {"outlier_threshold_m2": 0.005}]
+                  {"outlier_window": 20}, {"outlier_threshold_m2": 0.005},
+                  {"excitation_var_m2": 0.05}, {"excitation_n": 100}]
     )
     def test_removed_or_unknown_outlier_options_rejected(self, tmp_path, extra):
         pa, pb, ranges, _ = synthetic_logs(tmp_path, seed=4)
@@ -163,7 +176,7 @@ class TestEstimateCommand:
     def test_outlier_mode_none_keeps_every_range(self, tmp_path):
         pa, pb, ranges, _ = synthetic_logs(tmp_path, noise=0.02, spike=(40, 10.0), seed=2)
         out = str(tmp_path / "report.json")
-        cfg = write_json(tmp_path / "cfg.json", {"sigma_r_m": 0.02, "excitation_var_m2": 0.01, "outlier_mode": "none"})
+        cfg = write_json(tmp_path / "cfg.json", {"sigma_r_m": 0.02, "outlier_mode": "none"})
         assert main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]) == 0
         counts = read_json(out)["counts"]
         assert (counts["outliers_rejected"], counts["used"]) == (0, 60)
@@ -259,7 +272,12 @@ class TestSimulateCommand:
             ]
         )
         assert rc == 0
+        # the emitted config overrides no default gate, and the replay passes it
+        emitted = read_json(f"{stem}_estimate_config.json")
+        assert emitted["kappa_threshold"] == ESTIMATE_DEFAULTS["kappa_threshold"] == DEFAULT_KAPPA_THRESHOLD
+        assert set(emitted) == set(ESTIMATE_DEFAULTS)
         rep = read_json(report)
+        assert rep["flags"]["configuration_singular"] is False
         truth = read_json(f"{stem}_truth.json")
         e_t_replayed = float(np.linalg.norm(np.array(rep["estimate"]["t_m"]) - np.array(truth["t_m"])))
         assert e_t_replayed == e_t_inprocess  # bit-for-bit reproduction
@@ -537,7 +555,7 @@ class TestTimeShiftInvariance:
         arm_a, arm_b = LeverArm([0.1, -0.05, 0.02]), LeverArm([-0.12, 0.0, 0.07])
         ds, _ = ingest_logs(odom_a, odom_b, range_log(t_rng, 1.0), arm_a, arm_b)
         d = true_range(T, ds.pa, ds.pb) + 0.05 * rng.standard_normal(len(ds))
-        cfg = {"sigma_r_m": 0.05, "excitation_var_m2": 0.01, "lever_arm_a_m": arm_a.r.tolist(), "lever_arm_b_m": arm_b.r.tolist()}
+        cfg = {"sigma_r_m": 0.05, "lever_arm_a_m": arm_a.r.tolist(), "lever_arm_b_m": arm_b.r.tolist()}
         reports = []
         with tempfile.TemporaryDirectory() as tmp:
             for k, dt in enumerate((0.0, shift)):

@@ -11,6 +11,7 @@ from sweep_reference import clear_decisions, reference_sweep
 from range_rte.estimators import (
     SWEEP_CANDIDATES,
     SWEEP_HEADINGS,
+    WINDOW_KAPPA_LIMIT,
     DegenerateSolutionError,
     HeadingUndefinedError,
     QcqpProblem,
@@ -36,7 +37,7 @@ from range_rte.estimators import (
 )
 from range_rte.fisher import confidence_intervals, fim, singularity_report
 from range_rte.geometry import Transform4DoF, heading_rotation, wrap_angle
-from range_rte.measurement import SyncedDataset, debias_squared, motion_excitation_check, range_rows, true_range
+from range_rte.measurement import SyncedDataset, debias_squared, range_rows, true_range
 from range_rte.solvers import CONVERGED, LmOptions, _gram, lockstep_newton
 from range_rte.simulation import (
     DriftConfig,
@@ -44,6 +45,7 @@ from range_rte.simulation import (
     generate_trajectory,
     sample_ground_truth,
     synthesize_measurements,
+    trial_data,
     trial_rng,
 )
 
@@ -88,6 +90,14 @@ def random_stream(rng, n, sigma_r=0.1):
     pb = np.cumsum(rng.normal(0.0, 0.5, (n, 3)), axis=0)
     d = np.maximum(np.abs(true_range(T, pa, pb) + sigma_r * rng.standard_normal(n)), 1e-3)
     return SyncedDataset(t=np.arange(float(n)), d=d, pa=pa, pb=pb, sigma_r=sigma_r)
+
+
+def park(stream, start, stop):
+    """The stream with both agents parked over rows [start, stop): one range
+    repeated, so a window inside those rows has a rank-one FIM."""
+    pa, pb, d = stream.pa.copy(), stream.pb.copy(), stream.d.copy()
+    pa[start:stop], pb[start:stop], d[start:stop] = pa[start], pb[start], d[start]
+    return dataclasses.replace(stream, pa=pa, pb=pb, d=d)
 
 
 def errors(T_hat, T):
@@ -668,25 +678,23 @@ class TestStackedWindows:
         window=st.integers(10, 40),
         stride=st.integers(1, 45),
         n_windows=st.integers(1, 20),
-        excitation_var=st.floats(0.0, 1.5),
-        gate=st.floats(1e2, 1e6),
+        parked=st.one_of(st.none(), st.integers(0, 19)),
     )
-    def test_stack_equals_stack_of_one(self, seed, window, stride, n_windows, excitation_var, gate):
+    def test_stack_equals_stack_of_one(self, seed, window, stride, n_windows, parked):
+        # `parked` parks both agents over one window, which the kappa gate skips
         rng = np.random.default_rng(seed)
         stream = random_stream(rng, window + stride * (n_windows - 1) + int(rng.integers(0, stride)))
-        windows = sliding_window_estimate(
-            stream, window=window, stride=stride, excitation_var=excitation_var, max_kappa=gate
-        )
+        if parked is not None:
+            a = stride * (parked % n_windows)
+            stream = park(stream, a, a + window)
+        windows = sliding_window_estimate(stream, window=window, stride=stride)
         assert [w.start for w in windows] == [stride * i for i in range(n_windows)]
         for w in windows:
             data = stream.window(w.start, w.stop)
-            if not motion_excitation_check(data.pa, data.pb, var_threshold=excitation_var, n=window):
-                assert w.report is None and w.skipped
-                continue
             ref = qcqp_estimate(data)
             assert w.report.solver["final_cost"] == pytest.approx(ref.solver["final_cost"], rel=1e-9)
             assert w.report.kappa == pytest.approx(ref.kappa, rel=1e-9)
-            assert w.skipped == (not ref.kappa <= gate)
+            assert w.skipped == (not ref.kappa <= WINDOW_KAPPA_LIMIT)
             assert w.t_end == data.t[-1]
 
     @settings(max_examples=15, deadline=None)
@@ -719,7 +727,7 @@ class TestStackedWindows:
                     break
             assert expected is not None
             with pytest.raises(type(expected)) as got:
-                sliding_window_estimate(stream, window=window, stride=stride, excitation_var=0.0)
+                sliding_window_estimate(stream, window=window, stride=stride)
         assert str(got.value) == str(expected)
 
 
@@ -896,6 +904,14 @@ class TestNls:
         assert rep.solver["method"] == "nls"
         assert "converged" in rep.solver
 
+    def test_slow_zero_start_converges_within_the_refinement_budget(self):
+        # Gauss-Newton steps converge only linearly on this default-cell
+        # trial's large residuals: from zero it takes 197 accepted steps
+        _, ds = trial_data(ScenarioConfig(seed=5137, trials=1), 0)
+        rep = nls_estimate(ds)
+        assert rep.solver["status"] == "converged"
+        assert rep.solver["iterations"] > 100
+
 
 class TestSlidingWindow:
     def _constant_truth_stream(self, seed, n=200):
@@ -909,7 +925,7 @@ class TestSlidingWindow:
 
     def test_constant_truth_estimates_stay_put(self):
         T, stream = self._constant_truth_stream(30)
-        windows = sliding_window_estimate(stream, window=50, stride=50, excitation_var=0.01)
+        windows = sliding_window_estimate(stream, window=50, stride=50)
         done = [w for w in windows if not w.skipped]
         assert len(done) >= 3
         for w in done:
@@ -917,20 +933,11 @@ class TestSlidingWindow:
             assert et < 0.5 and eth < 0.3
 
     def test_hovering_segment_skipped(self):
-        T, stream = self._constant_truth_stream(31, n=100)
-        # freeze both agents over the second half: hovering
-        pa0, pb0 = stream.pa[49], stream.pb[49]
-        d0v = float(true_range(T, pa0, pb0))
-        hover = SyncedDataset(
-            t=np.concatenate([stream.t[:50], np.arange(50.0, 100.0)]),
-            d=np.concatenate([stream.d[:50], np.full(50, d0v)]),
-            pa=np.concatenate([stream.pa[:50], np.tile(pa0, (50, 1))]),
-            pb=np.concatenate([stream.pb[:50], np.tile(pb0, (50, 1))]),
-            sigma_r=stream.sigma_r,
-            d0=None,
-        )
-        windows = sliding_window_estimate(hover, window=50, stride=25, excitation_var=0.01)
-        assert windows[-1].skipped  # the all-hover window fails excitation
+        _, stream = self._constant_truth_stream(31, n=100)
+        # both agents hover over the second half
+        windows = sliding_window_estimate(park(stream, 49, 100), window=50, stride=25)
+        # the all-hover window's ranges are all alike: its FIM has rank 1
+        assert windows[-1].skipped and not windows[-1].report.kappa <= WINDOW_KAPPA_LIMIT
         assert any(not w.skipped for w in windows[:2])
 
     @pytest.mark.parametrize("seed", range(1, 6))
@@ -951,8 +958,6 @@ class TestSlidingWindow:
         windows = simulation.drift_scenario(cfg).windows
         prev, checked = None, 0
         for w in windows:
-            if w.report is None:
-                continue
             if prev is not None:
                 prob = assemble_qcqp(streams[0].window(w.start, w.stop))
                 starts = (
@@ -973,35 +978,32 @@ class TestSlidingWindow:
         window=st.integers(10, 40),
         stride=st.integers(1, 45),
         n_windows=st.integers(2, 8),
-        excitation_var=st.floats(0.0, 1.5),
-        gate=st.floats(1e2, 1e6),
+        parked=st.one_of(st.none(), st.integers(0, 7)),
     )
-    def test_nls_windows_start_from_the_previous_estimate(self, seed, window, stride, n_windows, excitation_var, gate):
+    def test_nls_windows_start_from_the_previous_estimate(self, seed, window, stride, n_windows, parked):
         # nls windows run in order: each starts from the estimate of the
-        # last window that was not skipped, the first one from zero
+        # last window that was not skipped, the first one from zero;
+        # `parked` parks both agents over one window, which the kappa gate skips
         rng = np.random.default_rng(seed)
         stream = random_stream(rng, window + stride * (n_windows - 1))
-        windows = sliding_window_estimate(
-            stream, window=window, stride=stride, estimator="nls", excitation_var=excitation_var, max_kappa=gate
-        )
+        if parked is not None:
+            a = stride * (parked % n_windows)
+            stream = park(stream, a, a + window)
+        windows = sliding_window_estimate(stream, window=window, stride=stride, estimator="nls")
         assert len(windows) == n_windows
         prev = None
         for w in windows:
-            data = stream.window(w.start, w.stop)
-            if not motion_excitation_check(data.pa, data.pb, var_threshold=excitation_var, n=window):
-                assert w.report is None and w.skipped
-                continue
-            ref = nls_estimate(data, init=prev)
+            ref = nls_estimate(stream.window(w.start, w.stop), init=prev)
             assert np.array_equal(w.report.theta_hat.as_vector(), ref.theta_hat.as_vector()), w.index
             assert w.report.solver["final_cost"] == ref.solver["final_cost"]
-            assert w.skipped == (not ref.kappa <= gate)
+            assert w.skipped == (not ref.kappa <= WINDOW_KAPPA_LIMIT)
             if not w.skipped:
                 prev = w.report.theta_hat
 
     @pytest.mark.parametrize("initial", [None, Transform4DoF(t=[1.0, 2.0, 0.5], theta=0.3)])
     def test_alignment_equals_per_sample_reference(self, initial):
         _, stream = self._constant_truth_stream(33, n=200)
-        windows = sliding_window_estimate(stream, window=50, stride=30, excitation_var=0.01)
+        windows = sliding_window_estimate(stream, window=50, stride=30)
         got = align_target_trajectory(stream, windows, initial=initial)
         done = sorted((w for w in windows if not w.skipped), key=lambda w: w.stop)
         ref, current, j = np.full_like(got, np.nan), initial, 0

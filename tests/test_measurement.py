@@ -19,7 +19,6 @@ from range_rte.measurement import (
     at_frame_origins,
     debias_squared,
     ingest_logs,
-    motion_excitation_check,
     odometry_log,
     range_log,
     range_rate_outliers,
@@ -336,40 +335,6 @@ class TestRangeRateGate:
         kept = ds.select([True, False, True])
         assert kept.d.tolist() == [2.0, 2.2] and kept.d0 == 2.0
         assert ds.select([False, True, True], keep_d0=False).d0 is None
-
-
-class TestExcitation:
-    def test_static_agents_false(self):
-        pos = np.zeros((100, 3))
-        assert motion_excitation_check(pos, pos) is False
-
-    def test_target_z_only_false(self):
-        rng = np.random.default_rng(4)
-        host = rng.normal(0.0, 1.0, size=(100, 3))
-        target = np.zeros((100, 3))
-        target[:, 2] = rng.normal(0.0, 1.0, size=100)
-        assert motion_excitation_check(host, target, var_threshold=0.05, n=100) is False
-
-    def test_rich_motion_true(self):
-        rng = np.random.default_rng(5)
-        a = np.cumsum(rng.normal(0.0, 0.5, size=(100, 3)), axis=0)
-        b = np.cumsum(rng.normal(0.0, 0.5, size=(100, 3)), axis=0)
-        assert motion_excitation_check(a, b, var_threshold=0.05, n=100) is True
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            motion_excitation_check(np.zeros((0, 3)), np.zeros((5, 3)))
-
-    def test_stacked_windows_equal_one_by_one(self):
-        rng = np.random.default_rng(6)
-        a = np.cumsum(rng.normal(0.0, 0.3, size=(200, 3)), axis=0)
-        b = np.cumsum(rng.normal(0.0, 0.3, size=(200, 3)), axis=0)
-        b[100:150] = b[100]  # a hovering target fails its windows
-        rows = np.arange(0, 151, 10)[:, None] + np.arange(50)
-        got = motion_excitation_check(a[rows], b[rows], var_threshold=0.1, n=30)
-        assert got.dtype == bool and got.shape == (16,)
-        assert got.tolist() == [motion_excitation_check(a[r], b[r], var_threshold=0.1, n=30) for r in rows]
-        assert 0 < got.sum() < len(got)
 
 
 class TestSyncedDataset:
