@@ -27,8 +27,7 @@ from .fisher import (
     det_fim_geometric,
     det_fim_subproblem,
     fim,
-    range_jacobian,
-    singularity_report,
+    fim_reports,
 )
 from .geometry import (
     LeverArm,

@@ -24,13 +24,12 @@ from . import io_formats as iof
 from .estimators import DegenerateSolutionError, ESTIMATORS, HeadingUndefinedError
 from .fisher import (
     DEFAULT_KAPPA_THRESHOLD,
+    FimReport,
     InsufficientDataError,
-    SingularFimError,
     SingularGeometryError,
     confidence_intervals,
     det_fim_geometric,
     fim,
-    singularity_flags,
 )
 from .geometry import LeverArm, Transform4DoF
 from .measurement import (
@@ -91,7 +90,6 @@ SIM_DEFAULTS = {
 
 DRIFT_DEFAULTS = {
     "d0_m": 15.0,
-    "radius_m": 2.0,
     "sigma_r_m": 0.1,
     "sigma_o_m": 0.001,
     "seed": 0,
@@ -114,12 +112,18 @@ class CliError(Exception):
         self.code = code
 
 
-def _flags_payload(flags) -> dict:
+def _flags_payload(rep: FimReport, kappa_threshold: float) -> dict:
+    """The report's flags, the configuration tested at kappa_threshold."""
     return {
-        "configuration_singular": flags.configuration_singular,
-        "per_param_unobservable": list(flags.per_param_unobservable),
-        "kappa_threshold": flags.kappa_threshold,
+        "configuration_singular": rep.kappa > kappa_threshold,
+        "per_param_unobservable": list(rep.flags.per_param_unobservable),
+        "kappa_threshold": kappa_threshold,
     }
+
+
+def _ci95(T: Transform4DoF, rep: FimReport):
+    """`confidence_intervals`, or None when the FIM is singular."""
+    return None if rep.std_errors is None else confidence_intervals(T, rep)
 
 
 def _scenario_from_config(cfg: dict) -> ScenarioConfig:
@@ -192,24 +196,15 @@ def cmd_estimate(args) -> int:
     }
     est = ESTIMATORS[cfg["estimator"]](dataset)
     report["estimate"] = {"t_m": est.theta_hat.t, "theta_rad": est.theta_hat.theta}
-    report["std_errors"] = est.std_errors
-    report["kappa"] = est.kappa
-    flags = _flags(est.fim, cfg["kappa_threshold"])
-    report["flags"] = _flags_payload(flags)
+    report["std_errors"] = est.fim.std_errors
+    report["kappa"] = est.fim.kappa
+    report["flags"] = _flags_payload(est.fim, cfg["kappa_threshold"])
     report["solver"] = est.solver
-    try:
-        report["ci95"] = confidence_intervals(est.theta_hat, est.fim)
-    except SingularFimError:
-        report["ci95"] = None
+    report["ci95"] = _ci95(est.theta_hat, est.fim)
     _write_report(args.out, report)
-    if flags.configuration_singular:
+    if report["flags"]["configuration_singular"]:
         return EXIT_SINGULAR
     return EXIT_OK
-
-
-def _flags(rep, kappa_threshold: float = DEFAULT_KAPPA_THRESHOLD):
-    """Singularity flags of a FimReport, from the eigenpairs it carries."""
-    return singularity_flags(rep.lam[None], rep.Q[None], kappa_threshold=kappa_threshold)[0]
 
 
 def _write_report(path, payload) -> None:
@@ -349,7 +344,6 @@ def cmd_fim(args) -> int:
         meta = {"source": "logs", "config": cfg, "config_hash": iof.config_hash(cfg)}
 
     rep = fim(theta, dataset)
-    flags = _flags(rep, kappa_threshold)
     payload = {
         "command": "fim",
         **meta,
@@ -361,17 +355,14 @@ def cmd_fim(args) -> int:
         "crlb_t": rep.crlb_t,
         "crlb_theta": rep.crlb_theta,
         "det_direct": rep.det_f,
-        "flags": _flags_payload(flags),
+        "flags": _flags_payload(rep, kappa_threshold),
     }
-    if len(dataset) >= 4:
-        payload["det_geometric"] = det_fim_geometric(theta, dataset)
-    else:
-        payload["note"] = "fewer than 4 measurements: determinant decomposition unavailable"
-        payload.pop("det_direct")
     try:
-        payload["ci95"] = confidence_intervals(theta, rep)
-    except SingularFimError:
-        payload["ci95"] = None
+        payload["det_geometric"] = det_fim_geometric(theta, dataset)
+    except InsufficientDataError:
+        payload["note"] = "fewer than 4 range rows: determinant decomposition unavailable"
+        payload.pop("det_direct")
+    payload["ci95"] = _ci95(theta, rep)
     _write_report(args.out, payload)
     return EXIT_OK
 
@@ -387,10 +378,9 @@ def cmd_drift(args) -> int:
     if cfg["sigma_theta_rad"] is not None and cfg["sigma_theta_deg"] is not None:
         raise iof.ParseError("specify only one of sigma_theta_rad / sigma_theta_deg")
     if cfg["sigma_theta_deg"] is not None:
-        sigma_theta, unit = cfg["sigma_theta_deg"], "deg"
+        sigma_theta = math.radians(cfg["sigma_theta_deg"])
     else:
         sigma_theta = cfg["sigma_theta_rad"] if cfg["sigma_theta_rad"] is not None else 0.1
-        unit = "rad"
 
     drift = DriftConfig(
         sigma_t=cfg["sigma_t_m"],
@@ -399,11 +389,9 @@ def cmd_drift(args) -> int:
         window=cfg["window"],
         rate=cfg["rate_hz"],
         stride=cfg["stride"],
-        theta_unit=unit,
     )
     scen = ScenarioConfig(
         d0=cfg["d0_m"],
-        D=cfg["radius_m"],
         n_poses=1,
         sigma_r=cfg["sigma_r_m"],
         sigma_o=cfg["sigma_o_m"],
@@ -414,11 +402,12 @@ def cmd_drift(args) -> int:
     result = drift_scenario(scen, estimator=cfg["estimator"])
     windows = []
     for w in result.windows:
-        entry = {"index": w.index, "t_end_s": w.t_end, "status": "skipped" if w.skipped else "estimated"}
+        # every window carries its kappa, which says why a skipped one was skipped
+        status = "skipped" if w.skipped else "estimated"
+        entry = {"index": w.index, "t_end_s": w.t_end, "status": status, "kappa": w.report.fim.kappa}
         if not w.skipped:
             entry["t_m"] = w.report.theta_hat.t
             entry["theta_rad"] = w.report.theta_hat.theta
-            entry["kappa"] = w.report.kappa
             entry["cost"] = w.report.solver.get("final_cost")
         windows.append(entry)
     payload = {

@@ -65,7 +65,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fisher import FimReport, SingularityFlags, fim_stack, singularity_flags
+from .fisher import FimReport, SingularityFlags, fim_stack
 from .geometry import Transform4DoF, apply_transform
 from .measurement import (
     SyncedDataset,
@@ -78,7 +78,6 @@ from .solvers import (
     CONVERGED,
     MAX_ITER,
     NON_FINITE,
-    LmOptions,
     SdpStandardForm,
     SolveDiagnostics,
     eig_sym,
@@ -100,7 +99,6 @@ SWEEP_CHUNK = 16
 # steps, which converge only linearly on large residuals: zero starts
 # need up to ~200 (197 on a default-cell trial)
 REFINE_MAX_ITER = 200
-_REFINE_OPTS = LmOptions(max_iter=REFINE_MAX_ITER)
 # sliding windows whose information matrix at the estimate has a larger
 # condition number are skipped: near-singular geometry gives junk
 # updates. Stricter than fisher.DEFAULT_KAPPA_THRESHOLD: over 20 bench
@@ -108,6 +106,9 @@ _REFINE_OPTS = LmOptions(max_iter=REFINE_MAX_ITER)
 # corrected RMSE from 7.25 to 7.36 m. A gate on each window's innovation
 # against the random-walk model may replace both
 WINDOW_KAPPA_LIMIT = 3e4
+# duality-gap tolerance and iteration budget of the `sdp` relaxation
+SDP_TOL = 1e-14
+SDP_MAX_ITER = 200
 
 
 class DegenerateSolutionError(RuntimeError):
@@ -211,16 +212,17 @@ class QcqpProblem:
 class EstimateReport:
     """Estimate plus uncertainty and solver diagnostics.
 
-    `fim` is the information at the estimate that std_errors, kappa and
-    flags come from; std_errors is present only when it is invertible.
+    `fim` is the information at the estimate, with its kappa, standard
+    errors and flags.
     """
 
     theta_hat: Transform4DoF
-    std_errors: Optional[np.ndarray]
-    kappa: float
-    flags: SingularityFlags
     solver: dict
     fim: FimReport
+
+    @property
+    def flags(self) -> SingularityFlags:
+        return self.fim.flags
 
 
 def assemble_qcqp(dataset: SyncedDataset, rows: Optional[np.ndarray] = None) -> QcqpProblem:
@@ -254,18 +256,15 @@ def sd_wls_cost(problem: QcqpProblem, T: Transform4DoF) -> float:
     return float(x @ problem.P0 @ x)
 
 
-def solve_sdp_relaxation(
-    problem: QcqpProblem,
-    tol: float = 1e-14,
-    max_iter: int = 200,
-) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Solve the lifted problem with the rank constraint dropped."""
+def solve_sdp_relaxation(problem: QcqpProblem) -> tuple[np.ndarray, SolveDiagnostics]:
+    """Solve the lifted problem with the rank constraint dropped, to
+    SDP_TOL within SDP_MAX_ITER iterations."""
     form = SdpStandardForm(
         C=problem.P0,
         A=[P for P, _ in problem.constraints],
         b=np.array([r for _, r in problem.constraints]),
     )
-    X, _, diag = sdp_solve(form, tol=tol, max_iter=max_iter)
+    X, _, diag = sdp_solve(form, tol=SDP_TOL, max_iter=SDP_MAX_ITER)
     return X, diag
 
 
@@ -647,18 +646,7 @@ def _reports(T_hats: list, pa: np.ndarray, pb: np.ndarray, sigma_r: float, solve
         return []
     t = np.array([T.t for T in T_hats])
     reps = fim_stack(t, np.array([T.theta for T in T_hats]), pa[: len(t)], pb[: len(t)], sigma_r)
-    flags = singularity_flags(np.array([r.lam for r in reps]), np.array([r.Q for r in reps]))
-    return [
-        EstimateReport(
-            theta_hat=T,
-            std_errors=np.sqrt(np.diag(rep.crlb)) if rep.crlb is not None else None,
-            kappa=rep.kappa,
-            flags=fl,
-            solver=solver,
-            fim=rep,
-        )
-        for T, rep, fl, solver in zip(T_hats, reps, flags, solvers)
-    ]
+    return [EstimateReport(theta_hat=T, solver=solver, fim=rep) for T, rep, solver in zip(T_hats, reps, solvers)]
 
 
 def _report(T_hat: Transform4DoF, dataset: SyncedDataset, solver: dict) -> EstimateReport:
@@ -723,7 +711,7 @@ def _solve_stack(problem: QcqpProblem, pa: np.ndarray, pb: np.ndarray, sigma_r: 
     slot = np.flatnonzero(np.arange(SWEEP_CANDIDATES) < count[:, None])  # candidate slots in use
     win = slot // SWEEP_CANDIDATES
     p0 = np.concatenate((cand_t, _SWEEP_THETA[cand_heading][..., None]), axis=-1).reshape(-1, 4)[slot]
-    res = lockstep_newton(_sqrt_factor(problem, n_win)[win], _lift_stack, p0, _REFINE_OPTS)
+    res = lockstep_newton(_sqrt_factor(problem, n_win)[win], _lift_stack, p0, REFINE_MAX_ITER)
     p = res.p
     cost = 2.0 * problem.weights[:n_win].max(axis=-1)[win] * res.cost  # x' P0 x = max w ||R x||^2
     # per window, the first start of lowest cost; diverged starts rank after the others
@@ -815,7 +803,7 @@ def nls_estimate(dataset: SyncedDataset, init: Optional[Transform4DoF] = None) -
         rows[:, 4] = bx * rows[:, 2] - by * rows[:, 1]  # d w / d theta = (-by, bx, 0)
         return rows
 
-    res = lockstep_newton(None, lift, T0.as_vector()[None], _REFINE_OPTS)
+    res = lockstep_newton(None, lift, T0.as_vector()[None], REFINE_MAX_ITER)
     status = int(res.status[0])
     solver = {
         "method": "nls",
@@ -886,7 +874,7 @@ def sliding_window_estimate(
     prev: Optional[Transform4DoF] = None
     for idx, (a, b) in enumerate(zip(starts.tolist(), (starts + window).tolist())):
         report = next(stacked) if estimator == "qcqp" else ESTIMATORS[estimator](stream.window(a, b), init=prev)
-        skipped = not report.kappa <= WINDOW_KAPPA_LIMIT
+        skipped = not report.fim.kappa <= WINDOW_KAPPA_LIMIT
         if not skipped:
             prev = report.theta_hat
         results.append(WindowEstimate(index=idx, start=a, stop=b, t_end=stream.t[b - 1], skipped=skipped, report=report))

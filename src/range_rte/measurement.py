@@ -24,7 +24,7 @@ Also here: the squared-distance debiasing used by the weighted
 least-squares pipeline and the odometry-bounded range-rate gate that
 rejects UWB outliers. Nothing here judges whether the motion pins the
 transform down: that is the Fisher information's job, at the estimate
-(`fisher.singularity_flags`).
+(the flags of `fisher.fim_reports`).
 """
 
 from __future__ import annotations
@@ -324,18 +324,6 @@ def debias_ranges(d, sigma_r: float) -> SquaredStats:
     s = d**2 - var_r
     sigma_s = var_r * (4.0 * d**2 + 2.0 * var_r)
     return SquaredStats(s=s, sigma_s_diag=sigma_s)
-
-
-def squared_covariance(d_tilde, sigma_r_matrix) -> np.ndarray:
-    """Full covariance of the squared-distance noise for a general range
-    covariance: (Sigma_s)_{ij} = (Sigma_r)_{ij} [4 d~_i d~_j + 2 (Sigma_r)_{ij}].
-
-    Only needed when range noise is correlated; the i.i.d. pipeline uses
-    debias_squared's diagonal.
-    """
-    d = np.asarray(d_tilde, dtype=float)
-    Sr = np.asarray(sigma_r_matrix, dtype=float)
-    return Sr * (4.0 * np.outer(d, d) + 2.0 * Sr)
 
 
 def range_rate_outliers(dataset: SyncedDataset) -> np.ndarray:

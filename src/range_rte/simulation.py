@@ -29,9 +29,8 @@ SCENARIO_KINDS = ("parallel", "planar_linear", "static_target", "static_host")
 class DriftConfig:
     """Random-walk drift on the true transform.
 
-    sigma_t / sigma_theta are per-sqrt-second random-walk intensities on
-    the translation axes and the heading. theta_unit records whether
-    sigma_theta was given in radians or degrees.
+    sigma_t (m) and sigma_theta (rad) are per-sqrt-second random-walk
+    intensities on the translation axes and the heading.
     """
 
     sigma_t: float = 0.1
@@ -40,12 +39,6 @@ class DriftConfig:
     window: int = 50
     rate: float = 10.0
     stride: Optional[int] = None
-    theta_unit: str = "rad"
-
-    def sigma_theta_rad(self) -> float:
-        if self.theta_unit == "deg":
-            return math.radians(self.sigma_theta)
-        return self.sigma_theta
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,7 +315,7 @@ def _drift_truth_series(cfg: ScenarioConfig, n: int, dt: float, rng) -> tuple[Tr
     T0 = sample_ground_truth(cfg.d0, rng)
     noise = rng.standard_normal((n, 4))
     sig_t = drift.sigma_t * math.sqrt(dt)
-    sig_th = drift.sigma_theta_rad() * math.sqrt(dt)
+    sig_th = drift.sigma_theta * math.sqrt(dt)
     t = np.cumsum(np.vstack([T0.t, sig_t * noise[:-1, :3]]), axis=0)[:n]
     theta = [T0.theta]
     for step in (sig_th * noise[:-1, 3]).tolist():

@@ -68,20 +68,6 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _max_psd_step(X: np.ndarray, dX: np.ndarray) -> float:
-    """Largest alpha with X + alpha dX still PSD (X assumed PD)."""
-    try:
-        L = np.linalg.cholesky(X)
-    except np.linalg.LinAlgError:
-        return 0.0
-    Linv = np.linalg.inv(L)
-    W = _sym(Linv @ dX @ Linv.T)
-    lam_min = float(np.linalg.eigvalsh(W)[0])
-    if lam_min >= -1e-14:
-        return np.inf
-    return -1.0 / lam_min
-
-
 def _factor_psd(M: np.ndarray, floor: float = 1e-18) -> np.ndarray:
     """Factor F with F F^T = M for a (near-)PSD symmetric matrix.
 
@@ -293,16 +279,12 @@ def sdp_solve(
     return report(status, it)
 
 
-@dataclass
-class LmOptions:
-    """Stopping controls for `lockstep_newton`."""
-
-    max_iter: int = 100
-    gtol: float = 1e-12
-    xtol: float = 1e-14
-    ftol: float = 1e-14
-    damping_init: float = 1e-8
-
+# stopping tolerances of `lockstep_newton` (see there) and its initial
+# damping, relative to the largest diagonal entry of the Gauss-Newton block
+GTOL = 1e-12
+XTOL = 1e-14
+FTOL = 1e-14
+DAMPING_INIT = 1e-8
 
 # statuses of `lockstep_newton`, one per start
 CONVERGED, MAX_ITER, NON_FINITE = 0, 1, 2
@@ -355,7 +337,7 @@ def lockstep_newton(
     R: Optional[np.ndarray],
     lift: Callable[[np.ndarray], np.ndarray],
     p0: np.ndarray,
-    opts: LmOptions | None = None,
+    max_iter: int = 100,
 ) -> LockstepResult:
     """Minimize f_i = 0.5 ||R_i x(p)||^2 from every start p0[i] at once.
 
@@ -372,9 +354,9 @@ def lockstep_newton(
     they converge quadratically where Gauss-Newton on a large residual is
     linear, and zero rows make them Gauss-Newton steps. Each start keeps
     its own damping and gain-ratio update (Madsen-Nielsen) and its own
-    stops: |g|_inf at most gtol * max(1, f), a step at most
-    xtol * (1 + |p|), a decrease at most ftol * max(1, f), and, before a
-    trial is evaluated, a predicted decrease of at most ftol * f. That
+    stops: |g|_inf at most GTOL * max(1, f), a step at most
+    XTOL * (1 + |p|), a decrease at most FTOL * max(1, f), and, before a
+    trial is evaluated, a predicted decrease of at most FTOL * f. That
     last test is relative to f alone, so a zero-residual start still runs
     down to its rounding floor. The starts run in lockstep, one batched
     solve and one batched evaluation per iteration over the starts still
@@ -384,7 +366,6 @@ def lockstep_newton(
     |g|_inf <= 1e-6 * max(1, f) and MAX_ITER where not; a non-finite
     cost at the start is NON_FINITE too.
     """
-    opts = opts or LmOptions()
     p0 = np.asarray(p0, dtype=float)
     n, d = p0.shape
     # packed per-start state: p, column 0 of `_gram` (||r||^2 = 2 f,
@@ -402,13 +383,13 @@ def lockstep_newton(
     with np.errstate(all="ignore"):  # a non-finite start ends NON_FINITE, without a warning
         S = state(p0, R, np.zeros((n, 4)))
         S[:, NU] = 2.0
-        S[:, MU] = opts.damping_init * np.maximum(S[:, GN][:, :: d + 1].max(axis=1), 1e-300)
+        S[:, MU] = DAMPING_INIT * np.maximum(S[:, GN][:, :: d + 1].max(axis=1), 1e-300)
         finite = np.isfinite(S[:, C])
         status = np.where(finite, CONVERGED, NON_FINITE)
-        act = np.flatnonzero(finite & (np.abs(S[:, G]).max(axis=1) > opts.gtol * np.maximum(1.0, 0.5 * S[:, C])))
+        act = np.flatnonzero(finite & (np.abs(S[:, G]).max(axis=1) > GTOL * np.maximum(1.0, 0.5 * S[:, C])))
         status[act] = _RUNNING
         s, Ra = S[act], R if R is None else R[act]  # the running starts only
-        for _ in range(opts.max_iter):
+        for _ in range(max_iter):
             if not len(act):
                 break
             c, g, mu = s[:, C], s[:, G], s[:, MU]
@@ -419,8 +400,8 @@ def lockstep_newton(
             u = _batched_solve(A.reshape(-1, d, d), g)
             uu = (u * u).sum(axis=1)
             pred2 = mu * uu + (g * u).sum(axis=1)
-            trial = pred2 > opts.ftol * c  # False for NaN: a singular system rejects the step
-            stop = (pred2 > 0.0) ^ trial  # a decrease of at most ftol * f: stop untried
+            trial = pred2 > FTOL * c  # False for NaN: a singular system rejects the step
+            stop = (pred2 > 0.0) ^ trial  # a decrease of at most FTOL * f: stop untried
             acc = trial
             accepted = False
             if trial.any():
@@ -432,12 +413,12 @@ def lockstep_newton(
                 rho = 2.0 * rho - 1.0
                 new[:, MU] *= np.maximum(1.0 / 3.0, 1.0 - rho * rho * rho)
                 new[:, NU] = 2.0
-                # gtol or ftol: |g|_inf or the decrease at most that tol * max(1, f)
-                converged = np.minimum(np.abs(new[:, G]).max(axis=1) * (2.0 / opts.gtol), dc * (1.0 / opts.ftol))
+                # GTOL or FTOL: |g|_inf or the decrease at most that tol * max(1, f)
+                converged = np.minimum(np.abs(new[:, G]).max(axis=1) * (2.0 / GTOL), dc * (1.0 / FTOL))
                 converged = converged <= np.maximum(2.0, new[:, C])
-                if not converged.all():  # xtol: a step at most xtol * (1 + |p|)
+                if not converged.all():  # XTOL: a step at most XTOL * (1 + |p|)
                     p_norm = np.sqrt((new[:, :d] * new[:, :d]).sum(axis=1))
-                    converged |= np.sqrt(uu) <= opts.xtol * (1.0 + p_norm)
+                    converged |= np.sqrt(uu) <= XTOL * (1.0 + p_norm)
                 stop |= acc & converged
                 accepted = acc.all()
                 s = new if accepted else np.where(acc[:, None], new, s)

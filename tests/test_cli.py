@@ -439,6 +439,34 @@ class TestDriftCommand:
         rc = main(["drift", "--config", cfg, "--out", str(tmp_path / "d.json")])
         assert rc == 2
 
+    @pytest.mark.parametrize("extra", [{"radius_m": 2.0}, {"sigma_theta": 0.1}])
+    def test_removed_or_unknown_keys_rejected(self, tmp_path, extra):
+        # radius_m never reached the drift scenario; a config that still sets it fails loudly
+        cfg = write_json(tmp_path / "cfg.json", {"duration_s": 10.0, **extra})
+        assert main(["drift", "--config", cfg, "--out", str(tmp_path / "d.json")]) == 2
+
+    def test_theta_units_agree(self, tmp_path):
+        reports = []
+        for key, value in (("sigma_theta_deg", 5.0), ("sigma_theta_rad", math.radians(5.0))):
+            cfg = write_json(tmp_path / f"{key}.json", {key: value, "duration_s": 20.0, "rate_hz": 10.0, "seed": 4})
+            out = str(tmp_path / f"{key}_report.json")
+            assert main(["drift", "--config", cfg, "--out", out]) == 0
+            reports.append(read_json(out))
+        deg, rad = ({k: v for k, v in rep.items() if k not in ("config", "config_hash")} for rep in reports)
+        assert deg == rad
+
+    def test_every_window_carries_its_kappa(self, tmp_path):
+        from range_rte.estimators import WINDOW_KAPPA_LIMIT
+
+        cfg = write_json(tmp_path / "cfg.json", {"duration_s": 20.0, "rate_hz": 25.0, "seed": 3})
+        out = str(tmp_path / "drift.json")
+        assert main(["drift", "--config", cfg, "--out", out]) == 0
+        windows = read_json(out)["windows"]
+        skipped = [w for w in windows if w["status"] == "skipped"]
+        assert skipped and len(skipped) < len(windows)
+        assert all(w["kappa"] > WINDOW_KAPPA_LIMIT and "t_m" not in w for w in skipped)
+        assert all(w["kappa"] <= WINDOW_KAPPA_LIMIT for w in windows if w["status"] == "estimated")
+
     def test_degenerate_window_exits_solver_failure(self, tmp_path, monkeypatch, capsys):
         # one window with absurd ranges: the stacked pass fails the run as a
         # window-by-window loop would, with its message

@@ -35,10 +35,10 @@ from range_rte.estimators import (
     solve_sdp_relaxation,
     yaw_sweep,
 )
-from range_rte.fisher import confidence_intervals, fim, singularity_report
+from range_rte.fisher import confidence_intervals, fim, fim_reports
 from range_rte.geometry import Transform4DoF, heading_rotation, wrap_angle
 from range_rte.measurement import SyncedDataset, debias_squared, range_rows, true_range
-from range_rte.solvers import CONVERGED, LmOptions, _gram, lockstep_newton
+from range_rte.solvers import CONVERGED, _gram, lockstep_newton
 from range_rte.simulation import (
     DriftConfig,
     ScenarioConfig,
@@ -413,8 +413,8 @@ class TestSolveQcqp:
     def test_report_fields(self):
         T, ds = noisy_instance(24)
         rep = qcqp_estimate(ds)
-        assert rep.std_errors is not None and rep.std_errors.shape == (4,)
-        assert rep.kappa > 1.0
+        assert rep.fim.std_errors is not None and rep.fim.std_errors.shape == (4,)
+        assert rep.fim.kappa > 1.0
         assert "final_cost" in rep.solver and "wall_ms" in rep.solver
 
     def test_report_carries_the_fim_it_was_built_from(self):
@@ -424,11 +424,11 @@ class TestSolveQcqp:
         for estimate, data in runs:
             rep = estimate(data)
             ref = fim(rep.theta_hat, data)
-            assert np.array_equal(rep.fim.F, ref.F) and rep.kappa == ref.kappa
-            assert np.array_equal(rep.std_errors, np.sqrt(np.diag(ref.crlb)))
-            assert rep.flags == singularity_report(ref.F)
+            assert np.array_equal(rep.fim.F, ref.F) and rep.fim.kappa == ref.kappa
+            assert np.array_equal(rep.fim.std_errors, np.sqrt(np.diag(ref.crlb)))
+            assert rep.flags is rep.fim.flags and rep.flags == ref.flags == fim_reports(ref.F[None])[0].flags
             ci = confidence_intervals(rep.theta_hat, rep.fim)
-            assert np.array_equal(ci, confidence_intervals(rep.theta_hat, ref.F))
+            assert np.array_equal(ci, confidence_intervals(rep.theta_hat, ref))
 
     def test_noiseless_exact_without_d0(self):
         for seed in range(3):
@@ -446,7 +446,7 @@ class TestSolveQcqp:
         assert np.array_equal(rep.theta_hat.t, free.theta_hat.t)
         assert rep.theta_hat.theta == free.theta_hat.theta
         assert rep.solver["final_cost"] == free.solver["final_cost"]
-        assert np.array_equal(rep.std_errors, free.std_errors)
+        assert np.array_equal(rep.fim.std_errors, free.fim.std_errors)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -645,9 +645,8 @@ class TestLockstepNewton:
         at = min(at, len(others))
         stack = starts[1:]
         stack.insert(at, starts[0])
-        opts = LmOptions(max_iter=60)
-        alone = lockstep_newton(starts[0][0][None], _lift_stack, starts[0][1][None], opts)
-        got = lockstep_newton(np.array([R for R, _ in stack]), _lift_stack, np.array([p for _, p in stack]), opts)
+        alone = lockstep_newton(starts[0][0][None], _lift_stack, starts[0][1][None], max_iter=60)
+        got = lockstep_newton(np.array([R for R, _ in stack]), _lift_stack, np.array([p for _, p in stack]), max_iter=60)
         for field in ("p", "cost", "iterations", "evals", "status"):
             np.testing.assert_array_equal(getattr(got, field)[at], getattr(alone, field)[0], err_msg=field)
 
@@ -693,8 +692,8 @@ class TestStackedWindows:
             data = stream.window(w.start, w.stop)
             ref = qcqp_estimate(data)
             assert w.report.solver["final_cost"] == pytest.approx(ref.solver["final_cost"], rel=1e-9)
-            assert w.report.kappa == pytest.approx(ref.kappa, rel=1e-9)
-            assert w.skipped == (not ref.kappa <= WINDOW_KAPPA_LIMIT)
+            assert w.report.fim.kappa == pytest.approx(ref.fim.kappa, rel=1e-9)
+            assert w.skipped == (not ref.fim.kappa <= WINDOW_KAPPA_LIMIT)
             assert w.t_end == data.t[-1]
 
     @settings(max_examples=15, deadline=None)
@@ -937,7 +936,7 @@ class TestSlidingWindow:
         # both agents hover over the second half
         windows = sliding_window_estimate(park(stream, 49, 100), window=50, stride=25)
         # the all-hover window's ranges are all alike: its FIM has rank 1
-        assert windows[-1].skipped and not windows[-1].report.kappa <= WINDOW_KAPPA_LIMIT
+        assert windows[-1].skipped and not windows[-1].report.fim.kappa <= WINDOW_KAPPA_LIMIT
         assert any(not w.skipped for w in windows[:2])
 
     @pytest.mark.parametrize("seed", range(1, 6))
@@ -996,7 +995,7 @@ class TestSlidingWindow:
             ref = nls_estimate(stream.window(w.start, w.stop), init=prev)
             assert np.array_equal(w.report.theta_hat.as_vector(), ref.theta_hat.as_vector()), w.index
             assert w.report.solver["final_cost"] == ref.solver["final_cost"]
-            assert w.skipped == (not ref.kappa <= WINDOW_KAPPA_LIMIT)
+            assert w.skipped == (not ref.fim.kappa <= WINDOW_KAPPA_LIMIT)
             if not w.skipped:
                 prev = w.report.theta_hat
 

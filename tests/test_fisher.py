@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from range_rte.estimators import qcqp_estimate
 from range_rte.fisher import (
     DEFAULT_KAPPA_THRESHOLD,
+    DET_SUBSET_CAP,
+    STD_CEILING,
     InsufficientDataError,
     SingularFimError,
     SingularGeometryError,
@@ -16,9 +18,8 @@ from range_rte.fisher import (
     det_fim_geometric,
     det_fim_subproblem,
     fim,
+    fim_reports,
     jacobian_matrix,
-    range_jacobian,
-    singularity_report,
 )
 from range_rte.geometry import Transform4DoF, heading_rotation
 from range_rte.measurement import SyncedDataset, true_range
@@ -46,35 +47,51 @@ def finite_difference_row(T, pa, pb, h=1e-6):
     return g
 
 
+coordinates = st.floats(-5.0, 5.0, allow_nan=False)
+
+
 class TestRangeJacobian:
+    """`jacobian_matrix`, the one Jacobian of the package."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.tuples(coordinates, coordinates, coordinates),
+        theta=st.floats(-math.pi, math.pi),
+        pa=st.lists(st.tuples(coordinates, coordinates, coordinates), min_size=1, max_size=6),
+        pb_seed=st.integers(0, 2**32 - 1),
+        d0=st.one_of(st.none(), st.floats(0.5, 20.0)),
+    )
+    def test_matches_finite_differences(self, t, theta, pa, pb_seed, d0):
+        # one row per range, plus the row of a d0 other than the first
+        # range: the range between the two frame origins, ||t||
+        T = Transform4DoF(t=np.array(t), theta=theta)
+        pa = np.array(pa)
+        pb = np.random.default_rng(pb_seed).uniform(-5.0, 5.0, pa.shape)
+        ranges = true_range(T, pa, pb)
+        assume(ranges.min() > 0.5 and (d0 is None or np.linalg.norm(T.t) > 0.5))
+        ds = SyncedDataset(t=np.arange(float(len(pa))), d=ranges + 1.0, pa=pa, pb=pb, sigma_r=0.1, d0=d0)
+        J = jacobian_matrix(T, ds)
+        if d0 is not None:
+            pa, pb = np.vstack([pa, np.zeros(3)]), np.vstack([pb, np.zeros(3)])
+        assert J.shape == (len(pa), 4)
+        for row, a, b in zip(J, pa, pb):
+            np.testing.assert_allclose(row, finite_difference_row(T, a, b), atol=1e-6)
+
     def test_stationary_target_kills_heading_term(self):
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            T = Transform4DoF(t=rng.normal(size=3) + 2.0, theta=rng.uniform(-math.pi, math.pi))
-            J = range_jacobian(T, rng.normal(size=3), np.zeros(3))
-            assert J.phi == 0.0
+        ds = SyncedDataset(t=np.arange(10.0), d=np.ones(10), pa=rng.normal(size=(10, 3)), pb=np.zeros((10, 3)), sigma_r=0.1)
+        T = Transform4DoF(t=rng.normal(size=3) + 2.0, theta=rng.uniform(-math.pi, math.pi))
+        assert np.all(jacobian_matrix(T, ds)[:, 3] == 0.0)
 
     def test_axis_aligned_example(self):
-        T = Transform4DoF(t=[1.0, 0.0, 0.0], theta=0.0)
-        J = range_jacobian(T, np.zeros(3), np.zeros(3))
-        assert np.allclose(J.u, [1.0, 0.0, 0.0])
-        assert J.phi == 0.0
-        assert J.d == pytest.approx(1.0)
-
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            T = Transform4DoF(t=rng.normal(size=3) * 2, theta=rng.uniform(-math.pi, math.pi))
-            pa = rng.normal(size=3)
-            pb = rng.normal(size=3) + np.array([3.0, 0, 0])
-            J = range_jacobian(T, pa, pb)
-            fd = finite_difference_row(T, pa, pb)
-            assert np.allclose(J.row(), fd, atol=1e-5)
+        ds = SyncedDataset(t=[0.0], d=[1.0], pa=np.zeros((1, 3)), pb=np.zeros((1, 3)), sigma_r=0.1)
+        J = jacobian_matrix(Transform4DoF(t=[1.0, 0.0, 0.0], theta=0.0), ds)
+        assert np.array_equal(J, [[1.0, 0.0, 0.0, 0.0]])
 
     def test_zero_range_raises(self):
-        T = Transform4DoF(t=np.zeros(3), theta=0.0)
+        ds = SyncedDataset(t=[0.0], d=[1.0], pa=np.zeros((1, 3)), pb=np.zeros((1, 3)), sigma_r=0.1)
         with pytest.raises(SingularGeometryError):
-            range_jacobian(T, np.zeros(3), np.zeros(3))
+            jacobian_matrix(Transform4DoF(t=np.zeros(3), theta=0.0), ds)
 
 
 class TestFim:
@@ -173,11 +190,24 @@ class TestDetGeometric:
 
     def test_subsampling_cap(self):
         rng = np.random.default_rng(11)
-        ds = random_dataset(rng, k=60)
+        ds = random_dataset(rng, k=DET_SUBSET_CAP + 5)
         T = Transform4DoF(t=[3.0, 0.0, 0.0], theta=0.2)
         # capped evaluation must run and stay positive for observable data
-        val = det_fim_geometric(T, ds, max_samples=20)
+        val = det_fim_geometric(T, ds)
         assert val > 0
+
+    def test_counts_the_rows_fim_counts(self):
+        # a d0 other than the first range is one more row of F, and of
+        # the determinant expansion
+        T, ds = trial_data(ScenarioConfig(seed=3, trials=1, n_poses=12), 0)
+        extra = dataclasses.replace(ds, d0=float(np.linalg.norm(T.t)) + 0.05)
+        rep = fim(T, extra)
+        assert len(jacobian_matrix(T, extra)) == len(ds) + 1
+        assert det_fim_geometric(T, extra) == pytest.approx(np.linalg.det(rep.F), rel=1e-9)
+        # ds takes d0 off its first range, which is no extra row
+        assert len(jacobian_matrix(T, ds)) == len(ds)
+        assert det_fim_geometric(T, ds) == pytest.approx(fim(T, ds).det_f, rel=1e-9)
+        assert not det_fim_geometric(T, ds) == pytest.approx(rep.det_f, rel=1e-3)
 
 
 class TestDetSubproblems:
@@ -242,14 +272,18 @@ class TestDetSubproblems:
             det_fim_subproblem("6dof", ds, Transform4DoF(t=[1, 0, 0], theta=0.0))
 
 
+def report_of(F):
+    return fim_reports(np.asarray(F, dtype=float)[None])[0]
+
+
 class TestSingularityReport:
     def test_identity_not_singular(self):
-        flags = singularity_report(np.eye(4))
+        flags = report_of(np.eye(4)).flags
         assert flags.configuration_singular is False
         assert flags.per_param_unobservable == (False,) * 4
 
     def test_rank_deficient_flags_heading(self):
-        flags = singularity_report(np.diag([1.0, 1.0, 1.0, 0.0]))
+        flags = report_of(np.diag([1.0, 1.0, 1.0, 0.0])).flags
         assert flags.configuration_singular is True
         assert flags.per_param_unobservable[3] is True
 
@@ -257,20 +291,24 @@ class TestSingularityReport:
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=20, sigma_r=0.1, sigma_o=0.0, trials=1, seed=0)
         T, ds = singular_scenario("planar_linear", cfg, trial_rng(2, 0))
         rep = fim(T, ds)
-        flags = singularity_report(rep.F)
-        assert flags.configuration_singular is True
-        assert any(flags.per_param_unobservable[:3])
+        assert rep.flags == report_of(rep.F).flags
+        assert rep.flags.configuration_singular is True
+        assert any(rep.flags.per_param_unobservable[:3])
 
     def test_selective_flag_with_invertible_fim(self):
         # one parameter much worse than the rest, but still invertible
-        F = np.diag([1.0, 1.0, 1.0, 1e-4])
-        flags = singularity_report(F, kappa_threshold=1e6)
+        flags = report_of(np.diag([1.0, 1.0, 1.0, 1e-4])).flags
         assert flags.configuration_singular is False  # kappa = 1e4
         assert flags.per_param_unobservable == (False, False, False, True)
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
-            singularity_report(np.diag([1.0, 1.0, 1.0, -0.5]))
+            fim_reports(np.diag([1.0, 1.0, 1.0, -0.5])[None])
+
+    def test_rejects_asymmetric_or_unstacked(self):
+        for F in (np.triu(np.ones((4, 4)))[None], np.eye(4)):
+            with pytest.raises(ValueError):
+                fim_reports(F)
 
 
 class TestSingularityVerdicts:
@@ -285,7 +323,7 @@ class TestSingularityVerdicts:
         cfg = ScenarioConfig(sigma_o=sigma_o, trials=1)
         _, ds = singular_scenario(kind, cfg, np.random.default_rng(seed))
         rep = qcqp_estimate(ds)
-        assert rep.flags.configuration_singular, rep.kappa
+        assert rep.flags.configuration_singular, rep.fim.kappa
         assert rep.flags.kappa_threshold == DEFAULT_KAPPA_THRESHOLD
 
     @settings(max_examples=40, deadline=None)
@@ -296,34 +334,60 @@ class TestSingularityVerdicts:
     def test_regular_cells_never_flagged(self, cell, seed):
         _, ds = trial_data(ScenarioConfig(**cell, trials=1, seed=seed), 0)
         rep = qcqp_estimate(ds)
-        assert not rep.flags.configuration_singular, rep.kappa
+        assert not rep.flags.configuration_singular, rep.fim.kappa
 
 
 class TestConfidenceIntervals:
     def test_scaled_identity(self):
         T = Transform4DoF(t=np.zeros(3), theta=0.0)
-        ci = confidence_intervals(T, 4.0 * np.eye(4))
+        ci = confidence_intervals(T, report_of(4.0 * np.eye(4)))
         assert np.allclose(ci[:, 0], -0.98)
         assert np.allclose(ci[:, 1], 0.98)
 
     def test_half_width(self):
         T = Transform4DoF(t=[1.0, 2.0, 3.0], theta=0.5)
-        ci = confidence_intervals(T, 100.0 * np.eye(4))
+        ci = confidence_intervals(T, report_of(100.0 * np.eye(4)))
         widths = ci[:, 1] - ci[:, 0]
         assert np.allclose(widths, 2 * 0.196)
         assert np.allclose(ci.mean(axis=1), T.as_vector())
 
     def test_singular_raises_with_flags(self):
         T = Transform4DoF(t=np.zeros(3), theta=0.0)
+        rep = report_of(np.diag([1.0, 1.0, 1.0, 0.0]))
         with pytest.raises(SingularFimError) as err:
-            confidence_intervals(T, np.diag([1.0, 1.0, 1.0, 0.0]))
-        assert err.value.flags.configuration_singular is True
+            confidence_intervals(T, rep)
+        assert err.value.flags is rep.flags and rep.flags.configuration_singular is True
+
+    def test_std_errors_intervals_and_flags_share_one_crlb(self):
+        # standard errors, 95 % half-widths and per-parameter flags all
+        # read the one CRLB diagonal, bit for bit, on regular and singular draws
+        cases = [trial_data(ScenarioConfig(trials=1, seed=seed), 0)[1] for seed in range(30)]
+        rng = np.random.default_rng(17)
+        cases += [singular_scenario(kind, ScenarioConfig(trials=1), rng)[1] for kind in SCENARIO_KINDS for _ in range(3)]
+        checked = 0
+        for ds in cases:
+            est = qcqp_estimate(ds)
+            rep = est.fim
+            assert est.flags is rep.flags
+            if rep.std_errors is None:
+                assert rep.flags.per_param_unobservable == (True,) * 4
+                continue
+            checked += 1
+            se = np.sqrt(np.diag(rep.crlb))
+            assert np.array_equal(rep.std_errors, se)
+            center = est.theta_hat.as_vector()
+            ci = confidence_intervals(est.theta_hat, rep)
+            assert np.array_equal(ci, np.column_stack([center - 1.96 * se, center + 1.96 * se]))
+            assert rep.flags.per_param_unobservable == tuple(se > STD_CEILING * np.median(se))
+        assert checked >= 30
 
 
 def test_jacobian_matrix_consistent_with_rows():
+    # the FIM is the noise-weighted Gram matrix of exactly these rows
     rng = np.random.default_rng(16)
     ds = random_dataset(rng, k=6)
     T = Transform4DoF(t=[3.0, 0.2, -0.1], theta=0.8)
-    J = jacobian_matrix(T, ds)
-    for i, (pa, pb) in enumerate(zip(ds.pa, ds.pb)):
-        assert np.allclose(J[i], range_jacobian(T, pa, pb).row(), atol=1e-12)
+    for data in (ds, dataclasses.replace(ds, d0=2.5)):
+        J = jacobian_matrix(T, data)
+        assert len(J) == len(ds) + (data.d0 is not None)
+        np.testing.assert_allclose(J.T @ J / ds.sigma_r**2, fim(T, data).F, rtol=1e-12)

@@ -22,7 +22,6 @@ from range_rte.measurement import (
     odometry_log,
     range_log,
     range_rate_outliers,
-    squared_covariance,
     true_range,
 )
 
@@ -272,18 +271,6 @@ class TestDebias:
         se = np.std(s) / math.sqrt(n)
         assert abs(np.mean(s) - d**2) < 3 * se
 
-    def test_full_covariance_off_diagonal(self):
-        d = np.array([1.0, 2.0])
-        Sr = np.array([[0.01, 0.004], [0.004, 0.01]])
-        Ss = squared_covariance(d, Sr)
-        assert Ss[0, 0] == pytest.approx(0.01 * (4 * 1.0 + 2 * 0.01))
-        assert Ss[0, 1] == pytest.approx(0.004 * (4 * 1.0 * 2.0 + 2 * 0.004))
-        assert Ss[0, 1] == Ss[1, 0]
-        # diagonal Sigma_r reproduces the elementwise path
-        ds = make_dataset(pa=[np.zeros(3)] * 2, pb=[np.ones(3)] * 2, d=d, sigma_r=0.1)
-        stats = debias_squared(ds)
-        full = squared_covariance(d, 0.01 * np.eye(2))
-        assert np.allclose(np.diag(full), stats.sigma_s_diag)
 
 
 def moving_dataset(n=200, sigma_r=0.1, seed=0, T=None):

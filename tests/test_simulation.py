@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from range_rte.fisher import det_fim_geometric, fim, jacobian_matrix, singularity_report
+from range_rte.fisher import det_fim_geometric, fim, jacobian_matrix
 from range_rte.geometry import LeverArm, Transform4DoF, quat_to_matrix, wrap_angle, yaw_quat
 from range_rte.measurement import true_range
 from range_rte.simulation import (
@@ -204,9 +204,7 @@ class TestSingularScenarios:
         base = ScenarioConfig(d0=3.0, D=1.0, n_poses=60, sigma_r=0.1, sigma_o=1e-6, trials=1, seed=0)
         T, ds = singular_scenario("static_target", base, trial_rng(24, 0))
         for k in (20, 40, 60):
-            rep = fim(T, ds.window(0, k))
-            flags = singularity_report(rep.F)
-            assert flags.per_param_unobservable[3] is True
+            assert fim(T, ds.window(0, k)).flags.per_param_unobservable[3] is True
 
     def test_unknown_kind_rejected(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=10, sigma_r=0.1, sigma_o=0.0, trials=1, seed=0)
@@ -284,7 +282,7 @@ class TestDrift:
         assert res.corrected_rmse < 0.5
 
     def test_correction_improves_under_drift(self):
-        dc = DriftConfig(sigma_t=0.05, sigma_theta=0.05, duration=60.0, window=50, rate=10.0, theta_unit="deg")
+        dc = DriftConfig(sigma_t=0.05, sigma_theta=math.radians(0.05), duration=60.0, window=50, rate=10.0)
         cfg = ScenarioConfig(d0=5.0, D=2.0, n_poses=1, sigma_r=0.1, sigma_o=0.001, trials=1, seed=17, drift=dc)
         res = drift_scenario(cfg, estimator="qcqp")
         assert res.corrected_rmse < res.nc_rmse
@@ -293,10 +291,6 @@ class TestDrift:
         cfg = ScenarioConfig(d0=5.0, D=2.0, n_poses=1, sigma_r=0.1, sigma_o=0.0, trials=1, seed=0)
         with pytest.raises(ValueError):
             drift_scenario(cfg)
-
-    def test_theta_unit_conversion(self):
-        assert DriftConfig(sigma_theta=90.0, theta_unit="deg").sigma_theta_rad() == pytest.approx(math.pi / 2)
-        assert DriftConfig(sigma_theta=0.3, theta_unit="rad").sigma_theta_rad() == 0.3
 
 
 def test_dataset_determinism_bitwise():

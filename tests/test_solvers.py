@@ -7,7 +7,6 @@ import pytest
 from range_rte.solvers import (
     CONVERGED,
     NON_FINITE,
-    LmOptions,
     SdpStandardForm,
     eig_sym,
     lockstep_newton,
@@ -140,7 +139,7 @@ class TestLmMinimize:
         def J(x):
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
-        res = lockstep_newton(None, residual_lift(r, J), np.array([[-1.2, 1.0]]), LmOptions(max_iter=300))
+        res = lockstep_newton(None, residual_lift(r, J), np.array([[-1.2, 1.0]]), max_iter=300)
         assert res.status[0] == CONVERGED
         assert np.allclose(res.p[0], [1.0, 1.0], atol=1e-6)
 
