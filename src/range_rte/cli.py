@@ -201,14 +201,10 @@ def cmd_estimate(args) -> int:
     report["flags"] = _flags_payload(est.fim, cfg["kappa_threshold"])
     report["solver"] = est.solver
     report["ci95"] = _ci95(est.theta_hat, est.fim)
-    _write_report(args.out, report)
+    iof.dump_json(args.out, report)
     if report["flags"]["configuration_singular"]:
         return EXIT_SINGULAR
     return EXIT_OK
-
-
-def _write_report(path, payload) -> None:
-    iof.dump_json(path, iof.jsonable(payload))
 
 
 def _expand_cells(cfg: dict) -> list[dict]:
@@ -251,11 +247,8 @@ def _emit_trial_logs(out_dir, cell_idx, trial, cfg_cell, T_true, dataset):
     # the origin, so ingest would drop it).
     estimate_cfg["d0_m"] = dataset.d0
     estimate_cfg["outlier_mode"] = "none"
-    iof.dump_json(stem + "_estimate_config.json", iof.jsonable(estimate_cfg))
-    iof.dump_json(
-        stem + "_truth.json",
-        iof.jsonable({"t_m": T_true.t, "theta_rad": T_true.theta, "d0_m": dataset.d0}),
-    )
+    iof.dump_json(stem + "_estimate_config.json", estimate_cfg)
+    iof.dump_json(stem + "_truth.json", {"t_m": T_true.t, "theta_rad": T_true.theta, "d0_m": dataset.d0})
 
 
 def cmd_simulate(args) -> int:
@@ -309,7 +302,7 @@ def cmd_simulate(args) -> int:
     iof.atomic_write_text(results_path, "\n".join(rows) + "\n")
     iof.dump_json(
         summary_path,
-        iof.jsonable({"command": "simulate", "config": cfg, "config_hash": chash, "seed": cfg["seed"], "cells": summary_cells}),
+        {"command": "simulate", "config": cfg, "config_hash": chash, "seed": cfg["seed"], "cells": summary_cells},
     )
     return EXIT_OK
 
@@ -363,7 +356,7 @@ def cmd_fim(args) -> int:
         payload["note"] = "fewer than 4 range rows: determinant decomposition unavailable"
         payload.pop("det_direct")
     payload["ci95"] = _ci95(theta, rep)
-    _write_report(args.out, payload)
+    iof.dump_json(args.out, payload)
     return EXIT_OK
 
 
@@ -406,7 +399,7 @@ def cmd_drift(args) -> int:
         status = "skipped" if w.skipped else "estimated"
         entry = {"index": w.index, "t_end_s": w.t_end, "status": status, "kappa": w.report.fim.kappa}
         if not w.skipped:
-            entry["t_m"] = w.report.theta_hat.t
+            entry["t_m"] = w.report.theta_hat.t.tolist()
             entry["theta_rad"] = w.report.theta_hat.theta
             entry["cost"] = w.report.solver.get("final_cost")
         windows.append(entry)
@@ -422,7 +415,7 @@ def cmd_drift(args) -> int:
         "n_skipped": result.n_skipped,
         "windows": windows,
     }
-    _write_report(args.out, payload)
+    iof.dump_json(args.out, payload)
     return EXIT_OK
 
 

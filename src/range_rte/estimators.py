@@ -66,7 +66,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fisher import FimReport, SingularityFlags, fim_stack
-from .geometry import Transform4DoF, apply_transform
+from .geometry import Transform4DoF
 from .measurement import (
     SyncedDataset,
     d0_is_extra_range,
@@ -723,17 +723,20 @@ def _solve_stack(problem: QcqpProblem, pa: np.ndarray, pb: np.ndarray, sigma_r: 
         n_win = int(np.argmin(finite[best]))
         errors[n_win] = DegenerateSolutionError("all refinement starts diverged")
     refine_ms = (time.perf_counter() - start) * 1e3 / max(n_win, 1)
-    T_hats = [Transform4DoF(t=p[b, :3], theta=p[b, 3]) for b in best[:n_win]]
+    chosen = best[:n_win].tolist()
+    T_hats = [Transform4DoF(t=p[b, :3], theta=p[b, 3]) for b in chosen]
+    # per-window scalars from one .tolist() each; zip stops at the n_win windows
+    final_cost = cost.tolist()
     solvers = [
         {
             "method": "qcqp",
-            "iterations": int(iterations[i]),
-            "restarts": int(count[i]),
-            "restarts_converged": int(converged[i]),
-            "final_cost": float(cost[best[i]]),
+            "iterations": n_it,
+            "restarts": n_starts,
+            "restarts_converged": n_conv,
+            "final_cost": final_cost[b],
             "wall_ms": sweep_ms + refine_ms,
         }
-        for i in range(n_win)
+        for n_it, n_starts, n_conv, b in zip(iterations.tolist(), count.tolist(), converged.tolist(), chosen)
     ]
     reports = _reports(T_hats, pa, pb, sigma_r, solvers)
     if n_win in errors:
@@ -872,12 +875,13 @@ def sliding_window_estimate(
 
     results = []
     prev: Optional[Transform4DoF] = None
-    for idx, (a, b) in enumerate(zip(starts.tolist(), (starts + window).tolist())):
+    ends = stream.t[starts + window - 1].tolist()
+    for idx, (a, b, t_end) in enumerate(zip(starts.tolist(), (starts + window).tolist(), ends)):
         report = next(stacked) if estimator == "qcqp" else ESTIMATORS[estimator](stream.window(a, b), init=prev)
         skipped = not report.fim.kappa <= WINDOW_KAPPA_LIMIT
         if not skipped:
             prev = report.theta_hat
-        results.append(WindowEstimate(index=idx, start=a, stop=b, t_end=stream.t[b - 1], skipped=skipped, report=report))
+        results.append(WindowEstimate(index=idx, start=a, stop=b, t_end=t_end, skipped=skipped, report=report))
     return results
 
 
@@ -890,13 +894,23 @@ def align_target_trajectory(
 
     Each sample uses the most recent completed (non-skipped) window
     estimate; samples before the first estimate fall back to `initial`
-    (NaN rows when no fallback is given).
+    (NaN rows when no fallback is given). One `searchsorted` over the
+    sorted window stops picks every sample's estimate, and one batched
+    rotation maps all samples.
     """
-    out = np.full((len(stream), 3), np.nan)
     done = sorted((e for e in estimates if not e.skipped), key=lambda e: e.stop)
-    # an estimate holds from its window's last sample until the next one's
-    starts = [0] + [max(e.stop - 1, 0) for e in done]
-    for T, lo, hi in zip([initial] + [e.report.theta_hat for e in done], starts, starts[1:] + [len(stream)]):
-        if T is not None and hi > lo:
-            out[lo:hi] = apply_transform(T, stream.pb[lo:hi])
-    return out
+    # an estimate holds from its window's last sample until the next one's;
+    # of windows ending together, the last one listed holds
+    first = [max(e.stop - 1, 0) for e in done]
+    current = np.searchsorted(first, np.arange(len(stream)), side="right")  # 0: before every estimate
+    # (t, cos, sin) of each estimate, NaN for a missing `initial`; math.cos
+    # and math.sin round as Transform4DoF.rotation does
+    params = np.array(
+        [
+            [*T.t.tolist(), math.cos(T.theta), math.sin(T.theta)] if T is not None else [math.nan] * 5
+            for T in [initial] + [e.report.theta_hat for e in done]
+        ]
+    )
+    tx, ty, tz, c, s = params[current].T
+    px, py, pz = stream.pb.T
+    return np.column_stack((tx + (c * px - s * py), ty + (s * px + c * py), tz + pz))

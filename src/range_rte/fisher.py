@@ -175,35 +175,52 @@ def fim_reports(F) -> list[FimReport]:
     invertible = (lam_max > 0) & (lam[:, -1] > RCOND * lam_max)
     rank = np.where(lam_max > 0, np.sum(lam > RCOND * lam_max[:, None], axis=1), 0)
     det_f = np.linalg.det(F)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal smallest eigenvalue overflows kappa and 1 / lam: kappa is
+    # then infinite, and the FIM is not invertible at RCOND
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kappa = np.where(lam[:, -1] > 0, lam[:, 0] / lam[:, -1], math.inf)
         crlb = (Q * (1.0 / lam)[:, None, :]) @ Q.swapaxes(-1, -2)
         crlb = 0.5 * (crlb + crlb.swapaxes(-1, -2))
-        std = np.sqrt(np.diagonal(crlb, axis1=1, axis2=2))
+        diag = np.diagonal(crlb, axis1=1, axis2=2)
+        std = np.sqrt(diag)
     std[~invertible] = 0.0  # no standard errors: every parameter is flagged
     # the median from two middle entries: np.median costs ~5x as much on rows this short
     ranked = np.sort(std, axis=1)
     median = 0.5 * (ranked[:, (F.shape[1] - 1) // 2] + ranked[:, F.shape[1] // 2])
     unobservable = (std > STD_CEILING * median[:, None]) | ~invertible[:, None]
+    # per-FIM scalars come from one .tolist() per quantity; the translation
+    # trace sums (c00 + c11) + c22, np.trace's order, so its bits match
     return [
         FimReport(
-            F=F[i],
-            crlb=crlb[i] if invertible[i] else None,
-            crlb_t=float(np.trace(crlb[i, :3, :3])) if invertible[i] else None,
-            crlb_theta=float(crlb[i, 3, 3]) if invertible[i] else None,
-            std_errors=std[i] if invertible[i] else None,
-            det_f=float(det_f[i]),
-            kappa=float(kappa[i]),
-            rank=int(rank[i]),
-            lam=lam[i],
-            Q=Q[i],
+            F=F_i,
+            crlb=crlb_i if inv else None,
+            crlb_t=(c[0] + c[1]) + c[2] if inv else None,
+            crlb_theta=c[3] if inv else None,
+            std_errors=std_i if inv else None,
+            det_f=det,
+            kappa=k,
+            rank=r,
+            lam=lam_i,
+            Q=Q_i,
             flags=SingularityFlags(
-                configuration_singular=bool(kappa[i] > DEFAULT_KAPPA_THRESHOLD),
-                per_param_unobservable=tuple(unobservable[i].tolist()),
+                configuration_singular=k > DEFAULT_KAPPA_THRESHOLD,
+                per_param_unobservable=tuple(unobs),
                 kappa_threshold=DEFAULT_KAPPA_THRESHOLD,
             ),
         )
-        for i in range(len(F))
+        for F_i, crlb_i, std_i, lam_i, Q_i, inv, c, det, k, r, unobs in zip(
+            F,
+            crlb,
+            std,
+            lam,
+            Q,
+            invertible.tolist(),
+            diag.tolist(),
+            det_f.tolist(),
+            kappa.tolist(),
+            rank.tolist(),
+            unobservable.tolist(),
+        )
     ]
 
 

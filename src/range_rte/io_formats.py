@@ -13,7 +13,9 @@ round-trip bit-exactly; all writes are atomic (temp file + rename).
 JSON reports and configs keep every number numeric: NaN is written as
 null, and +/-inf as the JSON extension numbers Infinity/-Infinity, which
 Python's json module writes and reads back as floats. Python floats and
-numpy floating scalars and arrays are encoded alike.
+numpy floating scalars and arrays are encoded alike. A report is one
+compact line with sorted keys; `python -m json.tool report.json`
+pretty-prints it.
 """
 
 from __future__ import annotations
@@ -127,8 +129,10 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def dump_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def dump_json(path: str, obj) -> None:
+    """Write `obj` as a report: converted by `jsonable`, then encoded on
+    one line with sorted keys. With no indent, json's C encoder runs."""
+    atomic_write_text(path, json.dumps(jsonable(obj), sort_keys=True) + "\n")
 
 
 def jsonable(obj):
@@ -137,6 +141,8 @@ def jsonable(obj):
     Floats become Python floats, NaN becomes None and +/-inf stays a float
     (see the module docstring).
     """
+    if type(obj) is float:  # most leaves of a report
+        return None if obj != obj else obj
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -145,7 +151,7 @@ def jsonable(obj):
         return [jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (float, np.floating)):
         obj = float(obj)
-        return None if np.isnan(obj) else obj
+        return None if obj != obj else obj
     if isinstance(obj, (np.integer, np.bool_)):
         return obj.item()
     return obj

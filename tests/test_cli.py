@@ -12,6 +12,7 @@ from range_rte.cli import ESTIMATE_DEFAULTS, main
 from range_rte.geometry import LeverArm, Transform4DoF, wrap_angle, yaw_quat
 from range_rte.io_formats import (
     ParseError,
+    dump_json,
     jsonable,
     read_odometry_csv,
     read_ranges_csv,
@@ -494,6 +495,35 @@ class TestDriftCommand:
         assert capsys.readouterr().err.strip() == f"solver failure: {one.value}"
 
 
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+report_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**53), 2**53),
+    st.text(max_size=5),
+    any_float,
+    any_float.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**31), 2**31 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(any_float, max_size=4).map(np.array),
+    st.lists(st.lists(any_float, min_size=2, max_size=2), min_size=1, max_size=3).map(np.array),
+)
+report_payloads = st.dictionaries(
+    st.text(max_size=5),
+    st.recursive(
+        report_leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=5), children, max_size=4),
+        ),
+        max_leaves=20,
+    ),
+    max_size=6,
+)
+
+
 class TestJsonEncoding:
     def test_non_finite_floats_encode_alike(self):
         values = [math.inf, -math.inf, math.nan, 1.5]
@@ -507,6 +537,26 @@ class TestJsonEncoding:
         text = json.dumps(jsonable({"kappa": np.float64(np.inf), "x": [float("-inf"), np.nan]}))
         assert "inf" not in text.replace("Infinity", "")
         assert json.loads(text) == {"kappa": math.inf, "x": [-math.inf, None]}
+
+    @settings(max_examples=200, deadline=None)
+    @given(payload=report_payloads)
+    def test_written_report_loads_as_the_indented_encoding(self, tmp_path_factory, payload):
+        path = tmp_path_factory.mktemp("report") / "r.json"
+        dump_json(str(path), payload)
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n") and "\n" not in text[:-1]  # one compact line
+
+        def sorted_object(pairs):
+            keys = [k for k, _ in pairs]
+            assert keys == sorted(keys)
+            return dict(pairs)
+
+        def no_nan(token):
+            assert token != "NaN"
+            return float(token)
+
+        loaded = json.loads(text, object_pairs_hook=sorted_object, parse_constant=no_nan)
+        assert loaded == json.loads(json.dumps(jsonable(payload), indent=2, sort_keys=True))
 
 
 def write_odometry_text(path, rows):

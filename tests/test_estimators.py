@@ -13,8 +13,10 @@ from range_rte.estimators import (
     SWEEP_HEADINGS,
     WINDOW_KAPPA_LIMIT,
     DegenerateSolutionError,
+    EstimateReport,
     HeadingUndefinedError,
     QcqpProblem,
+    WindowEstimate,
     _eigh3,
     _lift_stack,
     _scaled_rows,
@@ -912,6 +914,24 @@ class TestNls:
         assert rep.solver["iterations"] > 100
 
 
+def per_sample_alignment(stream, windows, initial):
+    """Reference of `align_target_trajectory`: each sample mapped by the
+    latest non-skipped window ending at or before it, one sample at a time."""
+    done = sorted((w for w in windows if not w.skipped), key=lambda w: w.stop)
+    ref, current, j = np.full((len(stream), 3), np.nan), initial, 0
+    for i in range(len(stream)):
+        while j < len(done) and done[j].stop <= i + 1:
+            current = done[j].report.theta_hat
+            j += 1
+        if current is not None:
+            ref[i] = current.t + current.rotation() @ stream.pb[i]
+    return ref
+
+
+def random_transform(rng):
+    return Transform4DoF(t=rng.normal(0.0, 5.0, 3), theta=rng.uniform(-math.pi, math.pi))
+
+
 class TestSlidingWindow:
     def _constant_truth_stream(self, seed, n=200):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=n, sigma_r=0.05, sigma_o=0.0, trials=1, seed=seed)
@@ -1004,16 +1024,45 @@ class TestSlidingWindow:
         _, stream = self._constant_truth_stream(33, n=200)
         windows = sliding_window_estimate(stream, window=50, stride=30)
         got = align_target_trajectory(stream, windows, initial=initial)
-        done = sorted((w for w in windows if not w.skipped), key=lambda w: w.stop)
-        ref, current, j = np.full_like(got, np.nan), initial, 0
-        for i in range(len(stream)):
-            while j < len(done) and done[j].stop <= i + 1:
-                current = done[j].report.theta_hat
-                j += 1
-            if current is not None:
-                ref[i] = current.t + current.rotation() @ stream.pb[i]
+        ref = per_sample_alignment(stream, windows, initial)
         assert np.isnan(ref).any() == (initial is None)
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=8 * np.finfo(float).eps * np.nanmax(np.abs(ref)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_gathered_alignment_equals_per_sample_reference(self, data):
+        # synthetic window estimates, no solver: any stream length, strides
+        # below, at and above the window, any skipped subset, repeated
+        # windows (ties in stop) and any order
+        n = data.draw(st.integers(1, 120), label="n")
+        window = data.draw(st.integers(1, 40), label="window")
+        shift = data.draw(st.integers(1, 10), label="shift")
+        stride = data.draw(st.sampled_from([max(window - shift, 1), window, window + shift]), label="stride")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        starts = range(0, n - window + 1, stride)
+        skipped = data.draw(st.lists(st.booleans(), min_size=len(starts), max_size=len(starts)), label="skipped")
+        windows = [
+            WindowEstimate(
+                index=i,
+                start=a,
+                stop=a + window,
+                t_end=float(a + window - 1),
+                skipped=skip,
+                report=EstimateReport(theta_hat=random_transform(rng), solver={}, fim=None),
+            )
+            for i, (a, skip) in enumerate(zip(starts, skipped))
+        ]
+        repeated = data.draw(st.lists(st.sampled_from(windows), max_size=3), label="repeated") if windows else []
+        windows += [dataclasses.replace(w, report=EstimateReport(theta_hat=random_transform(rng), solver={}, fim=None)) for w in repeated]
+        windows = data.draw(st.permutations(windows), label="order")
+        initial = random_transform(rng) if data.draw(st.booleans(), label="has_initial") else None
+        stream = SyncedDataset(t=np.arange(float(n)), d=np.ones(n), pa=np.zeros((n, 3)), pb=rng.normal(0.0, 10.0, (n, 3)), sigma_r=0.1)
+        got = align_target_trajectory(stream, windows, initial=initial)
+        ref = per_sample_alignment(stream, windows, initial)
+        assert got.shape == (n, 3)
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        scale = np.nanmax(np.abs(ref), initial=1.0)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=8 * np.finfo(float).eps * scale)
 
     def test_window_minimum_size(self):
         T, stream = self._constant_truth_stream(32, n=30)

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from range_rte.estimators import qcqp_estimate
@@ -310,6 +311,16 @@ class TestSingularityReport:
             with pytest.raises(ValueError):
                 fim_reports(F)
 
+    def test_subnormal_eigenvalue_gives_infinite_kappa_without_warning(self):
+        # lam_max / lam_min and 1 / lam_min overflow here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = fim_reports(np.diag([1.9e3, 45.4, 39.7, 1e-310])[None])[0]
+        assert rep.kappa == math.inf
+        assert rep.flags.configuration_singular is True
+        assert rep.std_errors is None and rep.crlb is None and rep.crlb_t is None
+        assert rep.flags.per_param_unobservable == (True,) * 4
+
 
 class TestSingularityVerdicts:
     """kappa of the FIM at the `qcqp` estimate is the one singularity test.
@@ -319,6 +330,7 @@ class TestSingularityVerdicts:
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(SCENARIO_KINDS), seed=st.integers(0, 2**32 - 1), sigma_o=st.floats(0.0, 1e-3))
+    @example(kind="static_target", seed=0, sigma_o=4.971553772859486e-160)  # lam_min 2.4e-315
     def test_singular_kinds_flagged_at_small_odometry_noise(self, kind, seed, sigma_o):
         cfg = ScenarioConfig(sigma_o=sigma_o, trials=1)
         _, ds = singular_scenario(kind, cfg, np.random.default_rng(seed))
