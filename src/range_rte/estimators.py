@@ -112,7 +112,9 @@ SDP_MAX_ITER = 200
 
 
 class DegenerateSolutionError(RuntimeError):
-    """Rank-one recovery failed (non-positive spectrum or vanished scale)."""
+    """No estimate can be read off a solution: the SDP relaxation ended
+    other than optimal, or rank-one recovery failed (non-positive
+    spectrum or vanished scale)."""
 
 
 class HeadingUndefinedError(RuntimeError):
@@ -664,10 +666,13 @@ def _rank_and_ratio(X) -> tuple[int, float]:
 
 def sdp_estimate(dataset: SyncedDataset) -> EstimateReport:
     """Relaxation-only estimator: solve the SDP and read off the rank-one
-    approximation (no local refinement)."""
+    approximation (no local refinement). A relaxation that ends other
+    than optimal raises DegenerateSolutionError."""
     start = time.perf_counter()
     problem = assemble_qcqp(dataset)
     X, diag = solve_sdp_relaxation(problem)
+    if diag.status != "optimal":
+        raise DegenerateSolutionError(f"SDP relaxation ended {diag.status} after {diag.iterations} iterations")
     x = recover_rank_one(X)
     T = extract_transform(x)
     rank_x, ratio = _rank_and_ratio(X)
@@ -848,7 +853,8 @@ def sliding_window_estimate(
 ) -> list[WindowEstimate]:
     """Run the estimator over a stream in sliding windows.
 
-    Each step estimates from the latest `window` samples on its own:
+    A window starts every `stride` samples (None: every `window`), and
+    each step estimates from the latest `window` samples on its own:
     `qcqp` and `sdp` search every heading and need no starting point,
     while `nls` starts from the previous non-skipped window's estimate.
     Every window is estimated. One whose information matrix at the
@@ -868,7 +874,10 @@ def sliding_window_estimate(
         raise ValueError(f"window must be >= 10, got {window}")
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
-    stride = stride or window
+    if stride is None:
+        stride = window
+    elif stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     starts = np.arange(0, len(stream) - window + 1, stride)
     if estimator == "qcqp":
         stacked = iter(qcqp_estimate_windows(stream, starts[:, None] + np.arange(window)))

@@ -11,6 +11,7 @@ independent of the order they run in.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -30,7 +31,10 @@ class DriftConfig:
     """Random-walk drift on the true transform.
 
     sigma_t (m) and sigma_theta (rad) are per-sqrt-second random-walk
-    intensities on the translation axes and the heading.
+    intensities on the translation axes and the heading. The stream has
+    round(duration * rate) samples, at least one window of `window` >= 10
+    samples; a window starts every `stride` >= 1 samples, or every
+    `window` when stride is None.
     """
 
     sigma_t: float = 0.1
@@ -39,6 +43,23 @@ class DriftConfig:
     window: int = 50
     rate: float = 10.0
     stride: Optional[int] = None
+
+    def __post_init__(self):
+        if not _is_int(self.window) or self.window < 10:
+            raise ValueError(f"window must be an integer >= 10, got {self.window!r}")
+        if self.stride is not None and (not _is_int(self.stride) or self.stride < 1):
+            raise ValueError(f"stride must be null or an integer >= 1, got {self.stride!r}")
+        rate, duration = self.rate, self.duration
+        if not (isinstance(rate, numbers.Real) and isinstance(duration, numbers.Real) and rate > 0 and duration > 0
+                and math.isfinite(rate * duration)):
+            raise ValueError(f"rate and duration must be positive and finite, got {rate!r} and {duration!r}")
+        n = round(duration * rate)  # the stream's samples, as drift_scenario counts them
+        if n < self.window:
+            raise ValueError(f"duration * rate gives {n} samples, fewer than one window of {self.window}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -388,7 +409,7 @@ def drift_scenario(
     windows = sliding_window_estimate(
         stream,
         window=drift.window,
-        stride=drift.stride or drift.window,
+        stride=drift.stride,
         estimator=estimator,
     )
     aligned = align_target_trajectory(stream, windows, initial=None)

@@ -65,28 +65,14 @@ class SdpStandardForm:
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def _factor_psd(M: np.ndarray, floor: float = 1e-18) -> np.ndarray:
-    """Factor F with F F^T = M for a (near-)PSD symmetric matrix.
-
-    Eigenvalues are floored relative to the largest so the factor's
-    condition number stays representable.
-    """
-    lam, Q = np.linalg.eigh(_sym(M))
-    lam = np.maximum(lam, floor * max(float(lam[-1]), 1e-300))
-    return Q * np.sqrt(lam)
-
-
-def _max_step_scaled(Sig: np.ndarray, D: np.ndarray) -> float:
-    """Largest alpha with diag(Sig) + alpha D still PSD (Sig > 0)."""
-    root = np.sqrt(Sig)
-    W = D / np.outer(root, root)
-    lam_min = float(np.linalg.eigvalsh(_sym(W))[0])
-    if lam_min >= -1e-14:
-        return np.inf
-    return -1.0 / lam_min
+def _steps(Li: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """0.95 of the largest alpha with L L' + alpha D PSD, at most 1, for each
+    pair of the stacks Li (inverse Cholesky factors) and D (directions)."""
+    lam = np.linalg.eigvalsh(_sym(Li @ D @ Li.swapaxes(-1, -2)))[:, 0]
+    return -0.95 / np.minimum(lam, -0.95)
 
 
 def sdp_solve(
@@ -96,37 +82,38 @@ def sdp_solve(
 ) -> tuple[np.ndarray, np.ndarray, SolveDiagnostics]:
     """Solve a small dense SDP in standard primal form.
 
-    Infeasible-start path following with Nesterov-Todd scaling and a
-    Mehrotra predictor-corrector. In the NT-scaled basis both variables
-    equal the same diagonal matrix, so the linearized complementarity
-    reduces to elementwise algebra and no ill-conditioned inverse
-    products appear; this keeps the method accurate down to duality gaps
-    near the floating-point floor.
+    Infeasible-start path following with the HKM direction in the
+    original basis and a Mehrotra predictor-corrector: M dy = r_p -
+    A(R - X R_d Z^-1) with M_ij = Tr(A_i X A_j Z^-1), dZ = R_d - A*(dy),
+    dX = sym(R - X dZ Z^-1); R = -X predicts, R = sigma mu Z^-1 - X -
+    sym(dX_a dZ_a Z^-1) corrects. X and (y, Z) each step 0.95 of the way
+    to the boundary of the cone, at most 1. Without the corrector a
+    singular relaxation reads as rank one; the centering floor
+    sigma >= 0.05 saves iterations; the iterate returned is the best by
+    certified duality gap, not the last, which rounding may corrupt.
 
-    Returns (X, y, diagnostics). On status "optimal" the primal and dual
-    feasibility residuals and the relative duality gap are all below tol
-    (or the iteration stalled with residuals below a contract floor of
-    1e-8). Statuses "infeasible" (primal infeasibility certificate),
-    "max_iter" and "numerical" report the iterate reached.
+    Returns (X, y, diagnostics). Status "optimal": feasibility residuals
+    below max(tol, 1e-9) and relative duality gap below tol (or mu below
+    tol times the scale of b), or, once a factorization fails or both
+    steps vanish, a best iterate within a contract floor of 1e-8; else
+    "numerical". Also "infeasible" (a primal infeasibility certificate)
+    and "max_iter".
     """
-    C = problem.C.copy()
-    b = problem.b.copy()
-    n = C.shape[0]
-    m = len(problem.A)
+    n, m = problem.C.shape[0], len(problem.A)
     A = np.array(problem.A, dtype=float).reshape(m, n, n)
     contract_tol = max(tol, 1e-8)
 
     # Scale objective and constraints to O(1); undo on report.
-    c_scale = max(1.0, float(np.max(np.abs(C))))
-    C /= c_scale
-    a_scale = np.maximum(1.0, np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(b)))
+    c_scale = max(1.0, float(np.max(np.abs(problem.C))))
+    C = problem.C / c_scale
+    a_scale = np.maximum(1.0, np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(problem.b)))
     A = A / a_scale[:, None, None]
-    b = b / a_scale
+    b = problem.b / a_scale
     # the constraints as rows of one (m, n^2) matrix: every inner product
     # <A_i, X> at once is A_rows @ X.ravel(), and sum_i y_i A_i is y @ A_rows
     A_rows = A.reshape(m, n * n)
 
-    xi = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
+    xi = float(np.abs(b).max(initial=1.0))
     X = np.eye(n) * xi
     Z = np.eye(n) * max(1.0, float(np.linalg.norm(C, ord="fro")) / math.sqrt(n))
     y = np.zeros(m)
@@ -134,26 +121,9 @@ def sdp_solve(
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.linalg.norm(C, ord="fro")
     feas_tol = max(tol, 1e-9)
+    best_X, best_y, best_score = X, y, np.inf
 
-    best = {"X": X, "y": y, "score": np.inf, "mu": np.inf}
-
-    def report(status, it):
-        Xb, yb = best["X"], best["y"]
-        pobj = float(np.tensordot(C, Xb)) * c_scale
-        dobj = float(b @ yb) * c_scale
-        diag = SolveDiagnostics(
-            iterations=it,
-            primal_obj=pobj,
-            dual_obj=dobj,
-            gap=abs(pobj - dobj),
-            status=status,
-        )
-        return _sym(Xb), yb / a_scale * c_scale, diag
-
-    status = "max_iter"
-    it = 0
-    best_mu = np.inf
-    stall = 0
+    status, it = "max_iter", 0
     for it in range(1, max_iter + 1):
         rp = b - A_rows @ X.ravel()
         Rd = C - Z - (y @ A_rows).reshape(n, n)
@@ -164,17 +134,10 @@ def sdp_solve(
         dobj = float(b @ y)
         rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
 
-        if mu <= 0:  # iterate escaped the cone; best iterate stands
-            status = "optimal" if best["score"] <= contract_tol else "numerical"
-            break
-
-        # Track the best iterate by certified duality gap among
-        # feasibility-acceptable iterates: solution accuracy follows the
-        # gap, while raw complementarity can be corrupted near the floor.
         feas_ok = prim_inf <= contract_tol and dual_inf <= 10.0 * contract_tol
         score = rel_gap if feas_ok else 1.0 + max(prim_inf, dual_inf)
-        if score < best["score"]:
-            best = {"X": X.copy(), "y": y.copy(), "score": score, "mu": mu}
+        if score < best_score:
+            best_X, best_y, best_score = X, y, score
 
         if prim_inf <= feas_tol and dual_inf <= feas_tol and (rel_gap <= tol or mu <= tol * xi):
             status = "optimal"
@@ -182,101 +145,38 @@ def sdp_solve(
 
         # Primal infeasibility certificate: y with b'y > 0 and sum y_i A_i <= 0.
         y_norm = np.linalg.norm(y)
-        if m and y_norm > 1e6 and dobj > 1.0:
-            S = (y @ A_rows).reshape(n, n)
-            if float(np.linalg.eigvalsh(S)[-1]) <= 1e-8 * y_norm:
+        if y_norm > 1e6 and dobj > 1.0:
+            if np.linalg.eigvalsh((y @ A_rows).reshape(n, n))[-1] <= 1e-8 * y_norm:
                 status = "infeasible"
                 break
 
-        # Stall: complementarity stopped improving near the numeric floor.
-        if mu > 0.9 * best_mu:
-            stall += 1
-        else:
-            stall = 0
-        best_mu = min(best_mu, mu)
-        if stall >= 25 or mu <= 1e-16 * xi:
-            status = "optimal" if best["score"] <= contract_tol else "numerical"
-            break
+        def direction(R):
+            dy = np.linalg.solve(M, rp - A_rows @ (R - X @ Rd @ Zi).ravel())
+            dZ = Rd - (dy @ A_rows).reshape(n, n)
+            return _sym(R - X @ dZ @ Zi), dy, dZ
 
-        # Nesterov-Todd scaling point: G with G^-1 X G^-T = G^T Z G = diag(Sig).
         try:
-            Lx = _factor_psd(X)
-            Lz = _factor_psd(Z)
-            _, svals, Vt = np.linalg.svd(Lz.T @ Lx)
+            Li = np.linalg.inv(np.linalg.cholesky(np.stack((X, Z))))
+            Zi = Li[1].T @ Li[1]
+            M = (A @ X).reshape(m, n * n) @ (Zi @ A).reshape(m, n * n).T
+            dX, _, dZ = direction(-X)
+            ap, ad = _steps(Li, np.stack((dX, dZ)))
+            mu_aff = float(np.tensordot(X + ap * dX, Z + ad * dZ)) / n
+            sigma = min(1.0, max((mu_aff / mu) ** 3, 0.05))
+            dX, dy, dZ = direction(sigma * mu * Zi - X - _sym(dX @ dZ @ Zi))
+            ap, ad = _steps(Li, np.stack((dX, dZ)))
         except np.linalg.LinAlgError:
-            status = "optimal" if best["score"] <= contract_tol else "numerical"
-            break
-        svals = np.maximum(svals, 1e-18 * max(float(svals[0]), 1e-300))
-        G = (Lx @ Vt.T) / np.sqrt(svals)
-        GinvT = (Z @ G) / svals
-        Sig = svals
-
-        At = (G.T @ A @ G).reshape(m, n * n)  # scaled constraints, one per row
-        Rdt = G.T @ Rd @ G
-        M = At @ At.T
-        M = _sym(M) + 1e-15 * (np.trace(M) / max(m, 1)) * np.eye(m)
-        pair_inv = 2.0 / (Sig[:, None] + Sig[None, :])
-
-        pair_mid = 0.5 * (Sig[:, None] + Sig[None, :])
-
-        def solve_block(r1, R2, R3):
-            """One Newton-system solve in the scaled basis:
-            <At_i, dX> = r1_i;  sum dy_j At_j + dZ = R2;  (dX + dZ) o pair_mid = R3.
-            """
-            T = R3 * pair_inv
-            if m:
-                rhs = r1 + At @ (R2 - T).ravel()
-                try:
-                    dy = np.linalg.solve(M, rhs)
-                except np.linalg.LinAlgError:
-                    dy, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-                dZt = R2 - (dy @ At).reshape(n, n)
-            else:
-                dy = np.zeros(0)
-                dZt = R2
-            return T - dZt, dy, dZt
-
-        def direction(sigma_mu, corr, refine=2):
-            R3 = np.diag(sigma_mu - Sig**2)
-            if corr is not None:
-                R3 = R3 - corr
-            dXt, dy, dZt = solve_block(rp, Rdt, R3)
-            for _ in range(refine):  # defect correction in the scaled basis
-                e1 = rp - At @ dXt.ravel()
-                E2 = Rdt - ((dy @ At).reshape(n, n) + dZt)
-                E3 = R3 - (dXt + dZt) * pair_mid
-                cX, cy, cZ = solve_block(e1, E2, E3)
-                dXt = dXt + cX
-                dy = dy + cy
-                dZt = dZt + cZ
-            return _sym(dXt), dy, _sym(dZt)
-
-        # Predictor (affine step), then Mehrotra corrector.
-        dXt_a, _, dZt_a = direction(0.0, None)
-        ap = min(1.0, 0.99 * _max_step_scaled(Sig, dXt_a))
-        ad = min(1.0, 0.99 * _max_step_scaled(Sig, dZt_a))
-        Xa = np.diag(Sig) + ap * dXt_a
-        Za = np.diag(Sig) + ad * dZt_a
-        mu_aff = float(np.tensordot(Xa, Za)) / n
-        # The centering floor keeps iterates close to the central path,
-        # where the extracted solution error stays proportional to the
-        # duality gap; pure affine steps near the boundary trade that
-        # for drift along low-curvature directions of the objective.
-        sigma = min(1.0, max((max(mu_aff, 0.0) / mu) ** 3, 0.05))
-        corr = _sym(dXt_a @ dZt_a)
-        dXt, dy, dZt = direction(sigma * mu, corr)
-
-        tau = 0.98
-        ap = min(1.0, tau * _max_step_scaled(Sig, dXt))
-        ad = min(1.0, tau * _max_step_scaled(Sig, dZt))
+            ap = ad = 0.0
         if ap <= 1e-12 and ad <= 1e-12:
-            status = "optimal" if best["score"] <= contract_tol else "numerical"
+            status = "optimal" if best_score <= contract_tol else "numerical"
             break
-        X = _sym(X + ap * (G @ dXt @ G.T))
+        X = _sym(X + ap * dX)
         y = y + ad * dy
-        Z = _sym(Z + ad * (GinvT @ dZt @ GinvT.T))
+        Z = _sym(Z + ad * dZ)
 
-    return report(status, it)
+    pobj, dobj = float(np.tensordot(C, best_X)) * c_scale, float(b @ best_y) * c_scale
+    diag = SolveDiagnostics(iterations=it, primal_obj=pobj, dual_obj=dobj, gap=abs(pobj - dobj), status=status)
+    return _sym(best_X), best_y / a_scale * c_scale, diag
 
 
 # stopping tolerances of `lockstep_newton` (see there) and its initial

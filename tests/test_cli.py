@@ -146,6 +146,16 @@ class TestEstimateCommand:
         # the short d0 pulls ||t|| down
         assert np.linalg.norm(estimates["short"]["t_m"]) < np.linalg.norm(estimates["free"]["t_m"])
 
+    def test_unsolved_sdp_relaxation_exits_solver_failure(self, tmp_path, monkeypatch, capsys):
+        from range_rte import estimators
+
+        monkeypatch.setattr(estimators, "SDP_MAX_ITER", 3)
+        pa, pb, ranges, _ = synthetic_logs(tmp_path, noise=0.02, seed=4)
+        rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--estimator", "sdp",
+                   "--out", str(tmp_path / "report.json")])
+        assert rc == 4
+        assert "max_iter" in capsys.readouterr().err
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,header\n1,2,3\n")
@@ -444,6 +454,19 @@ class TestDriftCommand:
     def test_removed_or_unknown_keys_rejected(self, tmp_path, extra):
         # radius_m never reached the drift scenario; a config that still sets it fails loudly
         cfg = write_json(tmp_path / "cfg.json", {"duration_s": 10.0, **extra})
+        assert main(["drift", "--config", cfg, "--out", str(tmp_path / "d.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"duration_s": 12.0, "stride": -5},
+            {"duration_s": 1.0},  # 25 samples, fewer than one 50-sample window
+            {"stride": 0},
+            {"window": 50.5},
+        ],
+    )
+    def test_config_without_a_window_rejected(self, tmp_path, bad):
+        cfg = write_json(tmp_path / "cfg.json", bad)
         assert main(["drift", "--config", cfg, "--out", str(tmp_path / "d.json")]) == 2
 
     def test_theta_units_agree(self, tmp_path):

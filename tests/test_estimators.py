@@ -286,6 +286,33 @@ class TestSdpRelaxation:
             Tf = Transform4DoF(t=ds.d0 * direction, theta=rng.uniform(-math.pi, math.pi))
             assert opt <= sd_wls_cost(prob, Tf) + 1e-6 * (1 + abs(opt))
 
+    @pytest.mark.parametrize("trial", [1, 2, 3, 4, 6, 13])
+    def test_far_relaxation_without_d0_is_solved(self, trial):
+        # 50 m apart with no range pinning ||t||: an NT-scaled interior-point
+        # method ended these `numerical`, with Tr(P0 X) 84-464x the qcqp cost
+        _, ds = trial_data(ScenarioConfig(d0=50.0, D=20.0, trials=1, seed=21), trial)
+        ds = ds.select(np.arange(len(ds)) > 0, keep_d0=False)
+        prob = assemble_qcqp(ds)
+        X, diag = solve_sdp_relaxation(prob)
+        assert diag.status == "optimal"
+        lam = np.linalg.eigvalsh(X)
+        assert lam[0] >= -1e-8 * lam[-1]
+        for P, r in prob.constraints:
+            assert abs(np.tensordot(P, X) - r) <= 1e-7 * max(1.0, abs(r))
+        # a relaxation's optimum is no higher than any feasible point's cost
+        assert np.tensordot(prob.P0, X) <= (1 + 1e-6) * qcqp_estimate(ds).solver["final_cost"]
+
+    def test_unsolved_relaxation_raises(self, monkeypatch):
+        from range_rte import estimators
+        from range_rte.simulation import monte_carlo_run
+
+        monkeypatch.setattr(estimators, "SDP_MAX_ITER", 3)
+        _, ds = noisy_instance(8)
+        with pytest.raises(DegenerateSolutionError, match="max_iter"):
+            sdp_estimate(ds)
+        stats = monte_carlo_run(ScenarioConfig(trials=2, seed=1), "sdp")
+        assert len(stats.failures) == 2
+
 
 class TestRankOne:
     def test_exact_rank_one(self):
@@ -1068,3 +1095,6 @@ class TestSlidingWindow:
         T, stream = self._constant_truth_stream(32, n=30)
         with pytest.raises(ValueError):
             sliding_window_estimate(stream, window=5)
+        for stride in (0, -1):
+            with pytest.raises(ValueError):
+                sliding_window_estimate(stream, window=10, stride=stride)
