@@ -25,7 +25,6 @@ from .fisher import (
     SingularityFlags,
     confidence_intervals,
     det_fim_geometric,
-    det_fim_subproblem,
     fim,
     fim_reports,
 )
@@ -62,6 +61,6 @@ from .simulation import (
     singular_scenario,
     synthesize_measurements,
 )
-from .solvers import SdpStandardForm, SolveDiagnostics, eig_sym, sdp_solve
+from .solvers import SolveDiagnostics, eig_sym, sdp_solve
 
 __version__ = "0.1.0"

@@ -24,6 +24,8 @@ from . import io_formats as iof
 from .estimators import DegenerateSolutionError, ESTIMATORS, HeadingUndefinedError
 from .fisher import (
     DEFAULT_KAPPA_THRESHOLD,
+    DET_SUBSET_CAP,
+    ExpansionTooLargeError,
     FimReport,
     InsufficientDataError,
     SingularGeometryError,
@@ -355,6 +357,8 @@ def cmd_fim(args) -> int:
     except InsufficientDataError:
         payload["note"] = "fewer than 4 range rows: determinant decomposition unavailable"
         payload.pop("det_direct")
+    except ExpansionTooLargeError:
+        payload["note"] = f"more than {DET_SUBSET_CAP} range rows: determinant decomposition not evaluated"
     payload["ci95"] = _ci95(theta, rep)
     iof.dump_json(args.out, payload)
     return EXIT_OK

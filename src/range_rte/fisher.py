@@ -7,7 +7,7 @@ range to the heading through the target's horizontal displacement. The
 rows are those of `measurement.range_rows`, the rows the estimators fit:
 one per range, plus one for a d0 that is not the first range itself,
 between the two frame origins (u = t / ||t||, phi = 0). `fim`,
-`jacobian_matrix` and both determinant expansions count exactly these
+`jacobian_matrix` and the determinant expansion count exactly these
 rows, through the one Jacobian `_jacobian_stack`.
 
 The FIM is the noise-weighted Gram matrix of the rows. `fim_reports`
@@ -18,7 +18,7 @@ per-parameter flags and `confidence_intervals` all read the same CRLB
 diagonal. The determinant expands over all 4-subsets of rows into
 products of parallelepiped volumes, which is what makes the degenerate
 trajectory classes (parallel motion, coplanar lines, static agents)
-visible in closed form.
+visible in closed form; it is evaluated up to DET_SUBSET_CAP rows.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ STD_CEILING = 10.0
 # the CRLB exists when the smallest eigenvalue of F exceeds RCOND times
 # the largest; rank counts the eigenvalues above that floor
 RCOND = 1e-12
-# the determinant expansions subsample larger row sets evenly
+# the determinant expansion sums C(k, 4) terms, 91390 at 40 rows (~0.1 s);
+# above this many rows it is not evaluated
 DET_SUBSET_CAP = 40
 
 
@@ -57,6 +58,10 @@ class SingularGeometryError(ValueError):
 
 class InsufficientDataError(ValueError):
     """Fewer measurements than the determinant expansion needs."""
+
+
+class ExpansionTooLargeError(ValueError):
+    """More rows than DET_SUBSET_CAP: the determinant expansion is not evaluated."""
 
 
 class SingularFimError(ValueError):
@@ -118,20 +123,10 @@ def _jacobian_stack(t: np.ndarray, theta: np.ndarray, pa: np.ndarray, pb: np.nda
     return np.concatenate([U, phi[..., None]], axis=-1)
 
 
-def _jacobian(T: Transform4DoF, dataset: SyncedDataset, planar: bool = False) -> np.ndarray:
-    """`jacobian_matrix`; with planar, that of the geometry projected onto
-    the horizontal plane (z of t, pa and pb zeroed)."""
-    pa, pb, _ = range_rows(dataset)
-    t = T.t
-    if planar:
-        flat = np.array([1.0, 1.0, 0.0])
-        t, pa, pb = t * flat, pa * flat, pb * flat
-    return _jacobian_stack(t[None], np.array([T.theta]), pa[None], pb[None])[0]
-
-
 def jacobian_matrix(T: Transform4DoF, dataset: SyncedDataset) -> np.ndarray:
     """Stacked (k, 4) Jacobian, one row [u^T, phi] per row of `range_rows`."""
-    return _jacobian(T, dataset)
+    pa, pb, _ = range_rows(dataset)
+    return _jacobian_stack(T.t[None], np.array([T.theta]), pa[None], pb[None])[0]
 
 
 def fim_reports(F) -> list[FimReport]:
@@ -244,18 +239,6 @@ def fim(T: Transform4DoF, dataset: SyncedDataset) -> FimReport:
     return fim_stack(T.t[None], np.array([T.theta]), pa[None], pb[None], dataset.sigma_r)[0]
 
 
-def _subsets(k: int, size: int) -> np.ndarray:
-    """All `size`-subsets of the row indices, as rows of an int array.
-
-    Above DET_SUBSET_CAP rows, an evenly spaced deterministic subsample
-    keeps the combinatorial expansion tractable.
-    """
-    idx = np.arange(k)
-    if k > DET_SUBSET_CAP:
-        idx = np.unique(np.linspace(0, k - 1, DET_SUBSET_CAP).round().astype(int))
-    return np.array(list(combinations(idx, size)), dtype=int)
-
-
 def det_fim_geometric(T: Transform4DoF, dataset: SyncedDataset) -> float:
     """det(F) by expansion over all 4-subsets of the rows.
 
@@ -265,13 +248,16 @@ def det_fim_geometric(T: Transform4DoF, dataset: SyncedDataset) -> float:
     prefactor follows from F = sigma_r^-2 J^T J (sigma_r^-8 for the
     4-parameter problem).
 
-    Complexity is C(k, 4); beyond DET_SUBSET_CAP rows the set is
-    deterministically subsampled (analysis tool, not an estimator path).
+    The expansion has C(k, 4) terms: above DET_SUBSET_CAP rows it raises
+    ExpansionTooLargeError, and `FimReport.det_f` is the determinant (an
+    analysis tool, not an estimator path).
     """
     J = jacobian_matrix(T, dataset)
     if len(J) < 4:
         raise InsufficientDataError(f"need at least 4 measurements, got {len(J)}")
-    quads = _subsets(len(J), 4)
+    if len(J) > DET_SUBSET_CAP:
+        raise ExpansionTooLargeError(f"{len(J)} rows: the expansion is evaluated up to {DET_SUBSET_CAP} rows")
+    quads = np.array(list(combinations(range(len(J)), 4)))
     u1, u2, u3, u4 = (J[quads[:, i], :3] for i in range(4))
     f1, f2, f3, f4 = (J[quads[:, i], 3] for i in range(4))
     c12 = np.cross(u1, u2)
@@ -283,41 +269,6 @@ def det_fim_geometric(T: Transform4DoF, dataset: SyncedDataset) -> float:
     t4 = np.einsum("ij,ij->i", c12, u3)
     terms = -f1 * t1 + f2 * t2 - f3 * t3 + f4 * t4
     return float(np.sum(terms**2)) / dataset.sigma_r**8
-
-
-# parameters of each reduced problem of `det_fim_subproblem`
-_SUBPROBLEM_SIZES = {"3d_known_theta": 3, "2d_unknown_theta": 3, "2d_known_theta": 2}
-
-
-def det_fim_subproblem(variant: str, dataset: SyncedDataset, T: Transform4DoF) -> float:
-    """det(F) for the reduced estimation problems.
-
-    variant "3d_known_theta": state (t_x, t_y, t_z); sum of squared
-    triple products over row triples.
-    variant "2d_unknown_theta": state (t_x, t_y, theta) on the projected
-    geometry (z elements zeroed); signed planar angles with heading terms.
-    variant "2d_known_theta": state (t_x, t_y); squared planar sines over
-    row pairs.
-    """
-    if variant not in _SUBPROBLEM_SIZES:
-        raise ValueError(f"unknown variant {variant!r}")
-    size = _SUBPROBLEM_SIZES[variant]
-    J = _jacobian(T, dataset, planar=variant != "3d_known_theta")
-    if len(J) < size:
-        raise InsufficientDataError(f"need at least {size} measurements, got {len(J)}")
-    sets = _subsets(len(J), size)
-    u = [J[sets[:, i], :3] for i in range(size)]
-    if variant == "3d_known_theta":
-        terms = np.einsum("ij,ij->i", np.cross(u[0], u[1]), u[2])
-    elif variant == "2d_unknown_theta":
-        f1, f2, f3 = (J[sets[:, i], 3] for i in range(3))
-        s23 = np.cross(u[1], u[2])[:, 2]
-        s13 = np.cross(u[0], u[2])[:, 2]
-        s12 = np.cross(u[0], u[1])[:, 2]
-        terms = f1 * s23 - f2 * s13 + f3 * s12
-    else:
-        terms = np.cross(u[0], u[1])[:, 2]
-    return float(np.sum(terms**2)) / dataset.sigma_r ** (2 * size)
 
 
 def confidence_intervals(T_hat: Transform4DoF, rep: FimReport) -> np.ndarray:

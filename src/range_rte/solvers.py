@@ -1,71 +1,49 @@
 """Self-contained numerical engines for the estimation pipeline.
 
-Provides a dense primal-dual interior-point solver for small semidefinite
-programs (the lifted relaxation is 9x9 with at most 5 equality
-constraints), one damped (Levenberg-Marquardt) least-squares minimizer
-that refines a stack of starts in lockstep, and symmetric
-eigendecomposition helpers for rank-one recovery and information-matrix
-analysis. The minimizer takes exact-Hessian Newton steps on square-root
-factors of the `qcqp` costs, and Gauss-Newton steps on the raw range
-residuals of the `nls` baseline.
+Provides a dense primal-dual interior-point solver that runs a stack of
+small semidefinite programs in lockstep (the lifted relaxation is 9x9
+with at most 5 equality constraints), one damped (Levenberg-Marquardt)
+least-squares minimizer that refines a stack of starts in lockstep, and
+a sorted symmetric eigendecomposition. The minimizer takes exact-Hessian
+Newton steps on square-root factors of the `qcqp` costs, and
+Gauss-Newton steps on the raw range residuals of the `nls` baseline.
 
 The SDP solver is an infeasible-start path-following method with the
 HKM search direction and a Mehrotra predictor-corrector step. Problem
-sizes here are tiny (n <= 16, m <= 8), so everything is dense.
+sizes here are tiny (n <= 16, m <= 8), so everything is dense, and a
+stack pays numpy's per-call cost once per iteration instead of once per
+problem. It has no infeasibility exit: lift(T) lift(T)' is a feasible
+point of every relaxation in this package.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 
 @dataclass
 class SolveDiagnostics:
-    """Outcome of one solver run."""
+    """Outcome of `sdp_solve`, one entry per problem of the stack."""
 
-    iterations: int
-    primal_obj: float
-    dual_obj: float
-    gap: float
-    status: str  # optimal | max_iter | infeasible | numerical
-
-    def __post_init__(self):
-        valid = {"optimal", "max_iter", "infeasible", "numerical"}
-        if self.status not in valid:
-            raise ValueError(f"unknown status {self.status!r}")
-
-
-@dataclass
-class SdpStandardForm:
-    """min Tr(C X)  s.t.  Tr(A_i X) = b_i,  X >= 0 (PSD).
-
-    All matrices must be symmetric; sizes are expected to stay small
-    (n <= 16, m <= 8 by design).
-    """
-
-    C: np.ndarray
-    A: Sequence[np.ndarray]
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.C = np.asarray(self.C, dtype=float)
-        self.A = [np.asarray(a, dtype=float) for a in self.A]
-        self.b = np.asarray(self.b, dtype=float)
-        for name, mat in [("C", self.C)] + [(f"A[{i}]", a) for i, a in enumerate(self.A)]:
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ValueError(f"{name} must be square")
-            if np.max(np.abs(mat - mat.T)) > 1e-12 * max(1.0, np.max(np.abs(mat))):
-                raise ValueError(f"{name} must be symmetric")
-        if len(self.b) != len(self.A):
-            raise ValueError("b must have one entry per constraint matrix")
+    iterations: np.ndarray
+    primal_obj: np.ndarray
+    dual_obj: np.ndarray
+    gap: np.ndarray
+    status: np.ndarray  # optimal | max_iter | numerical; the relaxation is always feasible
 
 
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.swapaxes(-1, -2))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products of the problems of two stacks, one BLAS dot each: a
+    problem's value has the bits of np.dot on it alone, in any stack."""
+    return (a.reshape(len(a), 1, -1) @ b.reshape(len(b), -1, 1))[:, 0, 0]
 
 
 def _steps(Li: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -75,108 +53,150 @@ def _steps(Li: np.ndarray, D: np.ndarray) -> np.ndarray:
     return -0.95 / np.minimum(lam, -0.95)
 
 
-def sdp_solve(
-    problem: SdpStandardForm,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-) -> tuple[np.ndarray, np.ndarray, SolveDiagnostics]:
-    """Solve a small dense SDP in standard primal form.
+def _hkm_step(X, Z, A, rp, Rd, mu):
+    """The predictor-corrector step of a stack of w problems: (dX, dy, dZ,
+    primal step, dual step). A (w, m, n, n) holds each problem's scaled
+    constraints. Raises LinAlgError where a factorisation fails."""
+    w, m, n = A.shape[:3]
+    A_rows = A.reshape(w, m, n * n)
+    Li = np.linalg.inv(np.linalg.cholesky(np.concatenate((X, Z))))
+    Zi = Li[w:].swapaxes(-1, -2) @ Li[w:]
+    M = (A @ X[:, None]).reshape(w, m, n * n) @ (Zi[:, None] @ A).reshape(w, m, n * n).swapaxes(-1, -2)
+    XRdZi = X @ Rd @ Zi
 
-    Infeasible-start path following with the HKM direction in the
-    original basis and a Mehrotra predictor-corrector: M dy = r_p -
+    def direction(R):
+        r = rp - (A_rows @ (R - XRdZi).reshape(w, n * n, 1))[..., 0]
+        dy = np.linalg.solve(M, r[..., None])[..., 0]
+        dZ = Rd - (dy[:, None] @ A_rows).reshape(w, n, n)
+        return _sym(R - X @ dZ @ Zi), dy, dZ
+
+    dX, _, dZ = direction(-X)
+    ap, ad = _steps(Li, np.concatenate((dX, dZ))).reshape(2, w)
+    mu_aff = _dot(X + ap[:, None, None] * dX, Z + ad[:, None, None] * dZ) / n
+    # Python's float power (libm's pow): numpy's ** rounds some cubes differently
+    sigma = np.minimum(1.0, np.maximum([q**3 for q in (mu_aff / mu).tolist()], 0.05))
+    dX, dy, dZ = direction((sigma * mu)[:, None, None] * Zi - X - _sym(dX @ dZ @ Zi))
+    ap, ad = _steps(Li, np.concatenate((dX, dZ))).reshape(2, w)
+    return dX, dy, dZ, ap, ad
+
+
+def _hkm_steps(state: tuple) -> tuple:
+    """`_hkm_step` on a stack; where a factorisation fails, on each half of
+    it, down to the single problems that fail, which step by zero."""
+    try:
+        return _hkm_step(*state)
+    except np.linalg.LinAlgError:
+        X, _, _, rp, _, mu = state
+        if len(X) == 1:
+            return np.zeros_like(X), np.zeros_like(rp), np.zeros_like(X), np.zeros_like(mu), np.zeros_like(mu)
+        h = len(X) // 2
+        halves = _hkm_steps(tuple(v[:h] for v in state)), _hkm_steps(tuple(v[h:] for v in state))
+        return tuple(np.concatenate(parts) for parts in zip(*halves))
+
+
+def sdp_solve(C, A, b, tol: float = 1e-8, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray, SolveDiagnostics]:
+    """Solve W small dense SDPs  min Tr(C_w X)  s.t.  Tr(A_i X) = b_wi,  X PSD,
+    in lockstep.
+
+    C (W, n, n) and b (W, m) hold the problems and A (m, n, n) their shared
+    constraint matrices; C and A must be symmetric, which is checked once
+    for the stack. Infeasible-start path following with the HKM direction
+    in the original basis and a Mehrotra predictor-corrector: M dy = r_p -
     A(R - X R_d Z^-1) with M_ij = Tr(A_i X A_j Z^-1), dZ = R_d - A*(dy),
     dX = sym(R - X dZ Z^-1); R = -X predicts, R = sigma mu Z^-1 - X -
     sym(dX_a dZ_a Z^-1) corrects. X and (y, Z) each step 0.95 of the way
     to the boundary of the cone, at most 1. Without the corrector a
     singular relaxation reads as rank one; the centering floor
-    sigma >= 0.05 saves iterations; the iterate returned is the best by
-    certified duality gap, not the last, which rounding may corrupt.
+    sigma >= 0.05 saves iterations.
 
-    Returns (X, y, diagnostics). Status "optimal": feasibility residuals
-    below max(tol, 1e-9) and relative duality gap below tol (or mu below
-    tol times the scale of b), or, once a factorization fails or both
-    steps vanish, a best iterate within a contract floor of 1e-8; else
-    "numerical". Also "infeasible" (a primal infeasibility certificate)
-    and "max_iter".
+    Each iteration is one batched Cholesky and inverse of the stack
+    (X, Z), one batched solve of the M systems and one batched
+    `eigvalsh` for the step lengths, over the problems still running. A
+    problem leaves the stack at its own stop, and every reduction is per
+    problem, so its iterates are those it has in a stack of one. Where a
+    factorisation fails, the step is retaken on each half of the stack,
+    down to the problems that fail, which stop.
+
+    Returns X (W, n, n), y (W, m) and the diagnostics. Status "optimal":
+    feasibility residuals below max(tol, 1e-9) and relative duality gap
+    below tol (or mu below tol times the scale of b), or, once a
+    factorization fails or both steps vanish, a best iterate within a
+    contract floor of 1e-8; else "numerical"; and "max_iter". The iterate
+    returned is the best by certified duality gap, not the last, which
+    rounding may corrupt: on a far relaxation without d0 (d0 100 m, D 20 m)
+    the last iterate's primal residual rose to 1.2e-8, past the floor,
+    where an earlier one met it. There is no infeasibility test: the
+    relaxations of this package are always feasible, and an infeasible
+    problem ends "numerical" or "max_iter".
     """
-    n, m = problem.C.shape[0], len(problem.A)
-    A = np.array(problem.A, dtype=float).reshape(m, n, n)
+    C, b = np.asarray(C, dtype=float), np.asarray(b, dtype=float)
+    W, n = len(C), C.shape[-1]
+    A = np.asarray(A, dtype=float).reshape(-1, n, n)
+    m = len(A)
+    if C.shape != (W, n, n) or b.shape != (W, m):
+        raise ValueError(f"need C (W, n, n), A (m, n, n) and b (W, m); got {C.shape}, {A.shape}, {b.shape}")
+    for name, M in (("C", C), ("A", A)):
+        if np.abs(M - M.swapaxes(-1, -2)).max(initial=0.0) > 1e-12 * max(1.0, np.abs(M).max(initial=0.0)):
+            raise ValueError(f"{name} must be symmetric")
     contract_tol = max(tol, 1e-8)
-
-    # Scale objective and constraints to O(1); undo on report.
-    c_scale = max(1.0, float(np.max(np.abs(problem.C))))
-    C = problem.C / c_scale
-    a_scale = np.maximum(1.0, np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(problem.b)))
-    A = A / a_scale[:, None, None]
-    b = problem.b / a_scale
-    # the constraints as rows of one (m, n^2) matrix: every inner product
-    # <A_i, X> at once is A_rows @ X.ravel(), and sum_i y_i A_i is y @ A_rows
-    A_rows = A.reshape(m, n * n)
-
-    xi = float(np.abs(b).max(initial=1.0))
-    X = np.eye(n) * xi
-    Z = np.eye(n) * max(1.0, float(np.linalg.norm(C, ord="fro")) / math.sqrt(n))
-    y = np.zeros(m)
-
-    norm_b = 1.0 + np.linalg.norm(b)
-    norm_c = 1.0 + np.linalg.norm(C, ord="fro")
     feas_tol = max(tol, 1e-9)
-    best_X, best_y, best_score = X, y, np.inf
 
-    status, it = "max_iter", 0
-    for it in range(1, max_iter + 1):
-        rp = b - A_rows @ X.ravel()
-        Rd = C - Z - (y @ A_rows).reshape(n, n)
-        mu = float(np.tensordot(X, Z)) / n
-        prim_inf = np.linalg.norm(rp) / norm_b
-        dual_inf = np.linalg.norm(Rd, ord="fro") / norm_c
-        pobj = float(np.tensordot(C, X))
-        dobj = float(b @ y)
-        rel_gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    # Scale objectives and constraints to O(1); undo on report.
+    c_scale = np.maximum(1.0, np.abs(C).max(axis=(1, 2)))
+    C = C / c_scale[:, None, None]
+    a_scale = np.maximum(1.0, np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(b)))
+    A = A / a_scale[:, :, None, None]
+    b = b / a_scale
 
-        feas_ok = prim_inf <= contract_tol and dual_inf <= 10.0 * contract_tol
-        score = rel_gap if feas_ok else 1.0 + max(prim_inf, dual_inf)
-        if score < best_score:
-            best_X, best_y, best_score = X, y, score
+    xi = np.abs(b).max(axis=1, initial=1.0)
+    X = np.eye(n) * xi[:, None, None]
+    norm_c = np.sqrt(_dot(C, C))
+    Z = np.eye(n) * np.maximum(1.0, norm_c / math.sqrt(n))[:, None, None]
+    y = np.zeros((W, m))
+    norm_b, norm_c = 1.0 + np.sqrt(_dot(b, b)), 1.0 + norm_c
+    C_all, b_all = C, b
+    best_X, best_y, best_score = X.copy(), y.copy(), np.full(W, np.inf)
+    iterations = np.zeros(W, dtype=int)
+    status = np.full(W, "max_iter", dtype=object)
 
-        if prim_inf <= feas_tol and dual_inf <= feas_tol and (rel_gap <= tol or mu <= tol * xi):
-            status = "optimal"
-            break
-
-        # Primal infeasibility certificate: y with b'y > 0 and sum y_i A_i <= 0.
-        y_norm = np.linalg.norm(y)
-        if y_norm > 1e6 and dobj > 1.0:
-            if np.linalg.eigvalsh((y @ A_rows).reshape(n, n))[-1] <= 1e-8 * y_norm:
-                status = "infeasible"
+    act = np.arange(W)  # the problems still running, and their state below
+    # an infeasible problem diverges: it ends numerical or max_iter, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            if not len(act):
                 break
+            iterations[act] = it
+            A_rows = A.reshape(-1, m, n * n)
+            rp = b - (A_rows @ X.reshape(-1, n * n, 1))[..., 0]
+            Rd = C - Z - (y[:, None] @ A_rows).reshape(-1, n, n)
+            mu = _dot(X, Z) / n
+            prim_inf = np.sqrt(_dot(rp, rp)) / norm_b
+            dual_inf = np.sqrt(_dot(Rd, Rd)) / norm_c
+            pobj, dobj = _dot(C, X), _dot(b, y)
+            rel_gap = np.abs(pobj - dobj) / (1.0 + np.abs(pobj) + np.abs(dobj))
+            optimal = (prim_inf <= feas_tol) & (dual_inf <= feas_tol) & ((rel_gap <= tol) | (mu <= tol * xi))
+            feas = (prim_inf <= contract_tol) & (dual_inf <= 10.0 * contract_tol)
+            score = np.where(feas, rel_gap, 1.0 + np.maximum(prim_inf, dual_inf))
+            better = score < best_score[act]
+            best_score[act[better]] = score[better]
+            best_X[act[better]], best_y[act[better]] = X[better], y[better]
 
-        def direction(R):
-            dy = np.linalg.solve(M, rp - A_rows @ (R - X @ Rd @ Zi).ravel())
-            dZ = Rd - (dy @ A_rows).reshape(n, n)
-            return _sym(R - X @ dZ @ Zi), dy, dZ
+            dX, dy, dZ, ap, ad = _hkm_steps((X, Z, A, rp, Rd, mu))
+            stuck = ~optimal & (ap <= 1e-12) & (ad <= 1e-12)
+            stop = optimal | stuck
+            if stop.any():
+                status[act[optimal]] = "optimal"
+                status[act[stuck]] = np.where(best_score[act[stuck]] <= contract_tol, "optimal", "numerical")
+                keep = ~stop
+                X, Z, y, dX, dy, dZ, ap, ad = (v[keep] for v in (X, Z, y, dX, dy, dZ, ap, ad))
+                C, A, b, xi, norm_b, norm_c, act = (v[keep] for v in (C, A, b, xi, norm_b, norm_c, act))
+            X = _sym(X + ap[:, None, None] * dX)
+            y = y + ad[:, None] * dy
+            Z = _sym(Z + ad[:, None, None] * dZ)
 
-        try:
-            Li = np.linalg.inv(np.linalg.cholesky(np.stack((X, Z))))
-            Zi = Li[1].T @ Li[1]
-            M = (A @ X).reshape(m, n * n) @ (Zi @ A).reshape(m, n * n).T
-            dX, _, dZ = direction(-X)
-            ap, ad = _steps(Li, np.stack((dX, dZ)))
-            mu_aff = float(np.tensordot(X + ap * dX, Z + ad * dZ)) / n
-            sigma = min(1.0, max((mu_aff / mu) ** 3, 0.05))
-            dX, dy, dZ = direction(sigma * mu * Zi - X - _sym(dX @ dZ @ Zi))
-            ap, ad = _steps(Li, np.stack((dX, dZ)))
-        except np.linalg.LinAlgError:
-            ap = ad = 0.0
-        if ap <= 1e-12 and ad <= 1e-12:
-            status = "optimal" if best_score <= contract_tol else "numerical"
-            break
-        X = _sym(X + ap * dX)
-        y = y + ad * dy
-        Z = _sym(Z + ad * dZ)
-
-    pobj, dobj = float(np.tensordot(C, best_X)) * c_scale, float(b @ best_y) * c_scale
-    diag = SolveDiagnostics(iterations=it, primal_obj=pobj, dual_obj=dobj, gap=abs(pobj - dobj), status=status)
-    return _sym(best_X), best_y / a_scale * c_scale, diag
+    pobj, dobj = _dot(C_all, best_X) * c_scale, _dot(b_all, best_y) * c_scale
+    diag = SolveDiagnostics(iterations=iterations, primal_obj=pobj, dual_obj=dobj, gap=np.abs(pobj - dobj), status=status)
+    return best_X, best_y / a_scale * c_scale[:, None], diag
 
 
 # stopping tolerances of `lockstep_newton` (see there) and its initial

@@ -352,6 +352,19 @@ class TestFimCommand:
         assert rep["det_geometric"] == pytest.approx(rep["det_direct"], rel=1e-8)
         assert rep["ci95"] is not None and len(rep["ci95"]) == 4
 
+    def test_above_cap_note_and_no_det_geometric(self, tmp_path):
+        # above DET_SUBSET_CAP rows the expansion is omitted with a note, as
+        # below 4 rows; det_direct stays
+        from range_rte.fisher import DET_SUBSET_CAP
+
+        scen = write_json(tmp_path / "scen.json", {"trials": 1, "n_poses": DET_SUBSET_CAP + 1, "seed": 3})
+        out = str(tmp_path / "fim.json")
+        rc = main(["fim", "--scenario", scen, "--theta", "3.0", "0.5", "0.2", "0.4", "--out", out])
+        assert rc == 0
+        rep = read_json(out)
+        assert rep["k"] == DET_SUBSET_CAP + 1
+        assert "note" in rep and "det_geometric" not in rep and rep["det_direct"] > 0.0
+
     def test_config_lever_arms_reach_the_fim(self, tmp_path):
         # turning agents with antennas off their body origins: fim's F is
         # the information of the logs synced with the config's lever arms

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -697,8 +698,9 @@ class TestLockstepNewton:
 
 
 class TestStackedWindows:
-    """`sliding_window_estimate` solves its qcqp windows in one stacked pass;
-    each window must come out as `qcqp_estimate` of that window alone."""
+    """`sliding_window_estimate` solves its qcqp and sdp windows in one
+    stacked pass; each window must come out as `qcqp_estimate` or
+    `sdp_estimate` of that window alone."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -724,6 +726,38 @@ class TestStackedWindows:
             assert w.report.fim.kappa == pytest.approx(ref.fim.kappa, rel=1e-9)
             assert w.skipped == (not ref.fim.kappa <= WINDOW_KAPPA_LIMIT)
             assert w.t_end == data.t[-1]
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        window=st.integers(10, 40),
+        stride=st.integers(1, 45),
+        n_windows=st.integers(1, 8),
+        parked=st.one_of(st.none(), st.integers(0, 7)),
+    )
+    def test_sdp_stack_equals_sdp_estimate(self, seed, window, stride, n_windows, parked):
+        # the sdp windows are one lockstep relaxation: each must come out as
+        # `sdp_estimate` of that window alone, bit for bit, errors included
+        rng = np.random.default_rng(seed)
+        stream = random_stream(rng, window + stride * (n_windows - 1))
+        if parked is not None:
+            a = stride * (parked % n_windows)
+            stream = park(stream, a, a + window)
+        refs = []
+        try:
+            for start in range(0, stride * n_windows, stride):
+                refs.append(sdp_estimate(stream.window(start, start + window)))
+        except (DegenerateSolutionError, HeadingUndefinedError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                sliding_window_estimate(stream, window=window, stride=stride, estimator="sdp")
+            return
+        windows = sliding_window_estimate(stream, window=window, stride=stride, estimator="sdp")
+        assert len(windows) == len(refs) == n_windows
+        for w, ref in zip(windows, refs):
+            assert np.array_equal(w.report.theta_hat.as_vector(), ref.theta_hat.as_vector()), w.index
+            assert {**w.report.solver, "wall_ms": 0} == {**ref.solver, "wall_ms": 0}
+            assert np.array_equal(w.report.fim.F, ref.fim.F)
+            assert w.skipped == (not ref.fim.kappa <= WINDOW_KAPPA_LIMIT)
 
     @settings(max_examples=15, deadline=None)
     @given(

@@ -12,12 +12,12 @@ from range_rte.fisher import (
     DEFAULT_KAPPA_THRESHOLD,
     DET_SUBSET_CAP,
     STD_CEILING,
+    ExpansionTooLargeError,
     InsufficientDataError,
     SingularFimError,
     SingularGeometryError,
     confidence_intervals,
     det_fim_geometric,
-    det_fim_subproblem,
     fim,
     fim_reports,
     jacobian_matrix,
@@ -190,12 +190,15 @@ class TestDetGeometric:
         assert det_fim_geometric(T, ds) <= 1e-10 * abs(baseline)
 
     def test_subsampling_cap(self):
+        # the expansion is the exact determinant up to the cap, and above it
+        # is not evaluated at all: no subsample stands in for the full sum
         rng = np.random.default_rng(11)
-        ds = random_dataset(rng, k=DET_SUBSET_CAP + 5)
         T = Transform4DoF(t=[3.0, 0.0, 0.0], theta=0.2)
-        # capped evaluation must run and stay positive for observable data
-        val = det_fim_geometric(T, ds)
-        assert val > 0
+        ds = random_dataset(rng, k=DET_SUBSET_CAP + 1)
+        at_cap = ds.select(np.arange(len(ds)) < DET_SUBSET_CAP)
+        assert det_fim_geometric(T, at_cap) == pytest.approx(fim(T, at_cap).det_f, rel=1e-8)
+        with pytest.raises(ExpansionTooLargeError):
+            det_fim_geometric(T, ds)
 
     def test_counts_the_rows_fim_counts(self):
         # a d0 other than the first range is one more row of F, and of
@@ -209,68 +212,6 @@ class TestDetGeometric:
         assert len(jacobian_matrix(T, ds)) == len(ds)
         assert det_fim_geometric(T, ds) == pytest.approx(fim(T, ds).det_f, rel=1e-9)
         assert not det_fim_geometric(T, ds) == pytest.approx(rep.det_f, rel=1e-3)
-
-
-class TestDetSubproblems:
-    def _reduced_det(self, variant, ds, T):
-        """Oracle: determinant of the reduced J' J / sigma^2."""
-        pa, pb = ds.pa.copy(), ds.pb.copy()
-        if variant.startswith("2d"):
-            pa[:, 2] = 0.0
-            pb[:, 2] = 0.0
-        W = T.t + pb @ T.rotation().T - pa
-        if variant.startswith("2d"):
-            W[:, 2] = 0.0
-        d = np.linalg.norm(W, axis=1)
-        U = W / d[:, None]
-        rot_b = pb @ T.rotation().T
-        phi = np.einsum("ij,ij->i", np.cross(np.broadcast_to([0.0, 0.0, 1.0], rot_b.shape), rot_b), U)
-        if variant == "3d_known_theta":
-            J = U
-        elif variant == "2d_unknown_theta":
-            J = np.column_stack([U[:, 0], U[:, 1], phi])
-        else:
-            J = U[:, :2]
-        F = J.T @ J / ds.sigma_r**2
-        return float(np.linalg.det(F))
-
-    @pytest.mark.parametrize("variant", ["3d_known_theta", "2d_unknown_theta", "2d_known_theta"])
-    def test_matches_reduced_jacobian_oracle(self, variant):
-        rng = np.random.default_rng(12)
-        for k in (4, 7, 10):
-            ds = random_dataset(rng, k=k)
-            T = Transform4DoF(t=[3.0, 0.5, 0.3], theta=0.6)
-            got = det_fim_subproblem(variant, ds, T)
-            assert got == pytest.approx(self._reduced_det(variant, ds, T), rel=1e-8)
-
-    def test_planar_parallel_vanishes(self):
-        # all relative vectors parallel in the plane: sin^2(alpha) = 0
-        T = Transform4DoF(t=[2.0, 0.0, 0.0], theta=0.0)
-        pa = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        pb = pa.copy()  # identical motion: relative vector fixed
-        ds = SyncedDataset(t=np.arange(3.0), d=np.full(3, 2.0), pa=pa, pb=pb, sigma_r=0.1)
-        assert det_fim_subproblem("2d_known_theta", ds, T) == pytest.approx(0.0, abs=1e-18)
-
-    def test_static_target_vanishes(self):
-        rng = np.random.default_rng(13)
-        pa = rng.normal(size=(5, 3))
-        ds = SyncedDataset(t=np.arange(5.0), d=np.full(5, 3.0), pa=pa, pb=np.zeros((5, 3)), sigma_r=0.1)
-        T = Transform4DoF(t=[3.0, 1.0, 0.0], theta=0.7)
-        assert det_fim_subproblem("2d_unknown_theta", ds, T) == pytest.approx(0.0, abs=1e-18)
-
-    def test_nonnegative(self):
-        rng = np.random.default_rng(14)
-        for variant in ("3d_known_theta", "2d_unknown_theta", "2d_known_theta"):
-            for _ in range(5):
-                ds = random_dataset(rng, k=6)
-                T = Transform4DoF(t=[3.0, 0.0, 0.0], theta=0.1)
-                assert det_fim_subproblem(variant, ds, T) >= 0.0
-
-    def test_unknown_variant_rejected(self):
-        rng = np.random.default_rng(15)
-        ds = random_dataset(rng, k=5)
-        with pytest.raises(ValueError):
-            det_fim_subproblem("6dof", ds, Transform4DoF(t=[1, 0, 0], theta=0.0))
 
 
 def report_of(F):
