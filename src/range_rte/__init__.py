@@ -61,6 +61,6 @@ from .simulation import (
     singular_scenario,
     synthesize_measurements,
 )
-from .solvers import SolveDiagnostics, eig_sym, sdp_solve
+from .solvers import SolveDiagnostics, sdp_solve
 
 __version__ = "0.1.0"

@@ -50,18 +50,26 @@ of the solve, with no LAPACK call and no matmul per heading: the 3x3
 eigenproblems in closed form (`_eigh3_planes`), the roots bracketed by
 bisection and polished by Newton steps, the points and their costs. So
 one problem's data cannot fail another's, and a problem gets the same
-bits alone as in any chunk. Then the candidates of all windows are
-refined together by one `solvers.lockstep_newton` call, and one batched
-eigendecomposition of the stacked Fisher information gives every window
-its kappa, CRLB and flags. A single dataset is a stack of one. The
+bits alone as in any chunk. Then the candidates of all problems are
+refined together by one `solvers.lockstep_newton` call.
+
+Each stacked estimator has two stages. Its point stage, which its
+`ESTIMATORS` entry runs on an assembled stack, gives every problem of the
+stack its estimate and solver scalars, and records the error of every
+problem that fails. Then `_reports`, for the callers that need reports,
+takes one batched eigendecomposition of the stacked Fisher information
+at the estimates, which gives every problem its kappa, CRLB and flags,
+and raises the first problem's error as a one-by-one loop would. A
+single dataset is a stack of one. The
 sliding-window runner for drift tracking estimates each window on its
 own: `qcqp` and `sdp` solve all windows in one stacked pass, and `nls`
-starts from the previous window's estimate, window by window.
+starts from the previous window's estimate, window by window. A
+Monte-Carlo cell (`simulation.monte_carlo_run`) stacks its trials and
+needs their point stage alone.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -195,7 +203,9 @@ class QcqpProblem:
     P0 = B' diag(1/sigma_s) B keeps the true weighted-least-squares
     scale; `weights` are the per-row inverse variances used to rebuild
     the cost row-wise during refinement. A stack of W problems carries a
-    leading axis of W on P0, B and weights.
+    leading axis of W on P0, B and weights; a constraint's right-hand
+    side is one value for the whole stack, or a (W,) array
+    (`stack_problems`).
     """
 
     P0: np.ndarray
@@ -259,20 +269,25 @@ def solve_sdp_relaxation(problem: QcqpProblem) -> tuple[np.ndarray, SolveDiagnos
     shape (9, 9) is one problem, (W, 9, 9) a stack; X has P0's shape and
     the diagnostics hold one entry per problem.
 
-    With d0, the solver sees the lift in units of d0: t, u and v over d0
-    and tau over d0^2 (D A_i D = k_i A_i for D the scaling). The optimum's
-    entries, up to ||t||^4, are then O(1) like the start X = I: at d0 50 m
-    with D 20 m the median iteration count falls from 32 to 22.
+    With d0, the solver sees each problem's lift in units of its d0: t, u
+    and v over d0 and tau over d0^2 (D A_i D = k_i A_i for D the
+    scaling). The optimum's entries, up to ||t||^4, are then O(1) like the
+    start X = I: at d0 50 m with D 20 m the median iteration count falls
+    from 32 to 22. The scaled right-hand sides are (1, 0, 0, 0, 1) for
+    every d0, so a stack of problems with different d0 shares them too.
     """
-    b = np.array([r for _, r in problem.constraints])
-    r2 = b[4] if problem.has_d0 else 1.0
-    r = math.sqrt(r2)
-    D = np.array([r, r, r, 1.0, 1.0, r, r, r2, 1.0])
-    k = np.array([1.0, r, r, r2, r2])[: len(b)]
-    P0 = problem.P0.reshape(-1, 9, 9) * D[:, None] * D
-    b = np.broadcast_to(b / k, (len(P0), len(b)))
-    X, _, diag = sdp_solve(P0, [P for P, _ in problem.constraints], b, tol=SDP_TOL, max_iter=SDP_MAX_ITER)
-    return (X * D[:, None] * D).reshape(problem.P0.shape), diag
+    P0 = problem.P0.reshape(-1, 9, 9)
+    W = len(P0)
+    # (W, m): a constraint's right-hand side is one value, or one per problem of a stack
+    b = np.stack([np.broadcast_to(np.asarray(r, dtype=float), (W,)) for _, r in problem.constraints], axis=1)
+    one = np.ones(W)
+    r2 = b[:, 4] if problem.has_d0 else one
+    r = np.sqrt(r2)
+    D = np.stack([r, r, r, one, one, r, r, r2, one], axis=1)
+    k = np.stack([one, r, r, r2, r2], axis=1)[:, : b.shape[1]]
+    C = P0 * D[:, :, None] * D[:, None, :]
+    X, _, diag = sdp_solve(C, [P for P, _ in problem.constraints], b / k, tol=SDP_TOL, max_iter=SDP_MAX_ITER)
+    return (X * D[:, :, None] * D[:, None, :]).reshape(problem.P0.shape), diag
 
 
 def _homogenized(lam0: float, q: np.ndarray) -> np.ndarray:
@@ -368,15 +383,16 @@ def _lift_stack(p: np.ndarray) -> np.ndarray:
 _UPPER = np.triu(np.ones((9, 9), dtype=bool))
 
 
-def _sqrt_factor(problem: QcqpProblem, n: int) -> np.ndarray:
-    """R (n, 9, 9), upper triangular, with R'R = B_w' B_w for the scaled rows B_w of the first n problems.
+def _sqrt_factor(B: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """R (n, 9, 9), upper triangular, with R'R = B_w' B_w for the scaled rows B_w of n problems (B (n, k, 9)).
 
     One batched Householder QR; fewer rows than 9 leave zero rows at the bottom.
     R is the upper triangle of the "raw" factorisation, as mode="r" takes
     it, bit for bit, but with a constant mask in place of the one that
     mode builds on every call.
     """
-    h, _ = np.linalg.qr(_scaled_rows(problem.B[:n], problem.weights[:n]), mode="raw")
+    n = len(B)
+    h, _ = np.linalg.qr(_scaled_rows(B, weights), mode="raw")
     k = min(h.shape[-1], 9)  # h is the transposed (n, 9, rows) factorisation
     R = np.where(_UPPER[:k], h.swapaxes(-1, -2)[:, :k], 0.0)
     if k < 9:
@@ -650,30 +666,35 @@ def _sweep_stack(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, di
     return t, heading, count, errors
 
 
-def _reports(T_hats: list, pa: np.ndarray, pb: np.ndarray, sigma_r: float, solvers: list) -> list[EstimateReport]:
-    """Reports of W estimates from one stacked FIM: pa and pb (W, k, 3) are each estimate's range rows."""
-    if not T_hats:
-        return []
-    t = np.array([T.t for T in T_hats])
-    reps = fim_stack(t, np.array([T.theta for T in T_hats]), pa[: len(t)], pb[: len(t)], sigma_r)
-    return [EstimateReport(theta_hat=T, solver=solver, fim=rep) for T, rep, solver in zip(T_hats, reps, solvers)]
+def _reports(points: tuple, pa: np.ndarray, pb: np.ndarray, sigma_r: float) -> list[EstimateReport]:
+    """Reports of a point stage's W estimates from one stacked FIM, as a one-by-one loop gives them.
+
+    points is (estimates, solver scalars, {problem: error}) of
+    `_qcqp_points` or `_sdp_points`; pa and pb (W, k, 3) are each
+    problem's range rows. The first failing problem's error is raised, once
+    the problems before it have their FIM, whose zero range raises first.
+    """
+    T_hats, solvers, errors = points
+    n = min(errors, default=len(T_hats))
+    reports = []
+    if n:
+        t = np.array([T.t for T in T_hats[:n]])
+        reps = fim_stack(t, np.array([T.theta for T in T_hats[:n]]), pa[:n], pb[:n], sigma_r)
+        reports = [EstimateReport(theta_hat=T, solver=solver, fim=rep) for T, rep, solver in zip(T_hats, reps, solvers)]
+    if errors:
+        raise errors[n]
+    return reports
 
 
-def _report(T_hat: Transform4DoF, dataset: SyncedDataset, solver: dict) -> EstimateReport:
-    pa, pb, _ = range_rows(dataset)
-    return _reports([T_hat], pa[None], pb[None], dataset.sigma_r, [solver])[0]
+def _sdp_points(problem: QcqpProblem) -> tuple[list, list, dict]:
+    """Point stage of `sdp_estimate` for a stack of W problems.
 
-
-def _sdp_stack(problem: QcqpProblem, pa: np.ndarray, pb: np.ndarray, sigma_r: float) -> list[EstimateReport]:
-    """`sdp_estimate` for a stack of W problems, in problem order.
-
-    pa and pb (W, k, 3) are the antenna positions of each problem's rows
-    of B, for its FIM. One `sdp_solve` call relaxes every problem, and one
-    batched eigh of the X stack gives each its rank-one state, rank_x and
-    lambda_ratio. Errors are those of a one-by-one loop, as in
-    `_solve_stack`: the first problem whose relaxation ended other than
-    optimal or whose rank-one state has no heading raises, after the
-    reports of the problems before it.
+    One `sdp_solve` call relaxes every problem, and one batched eigh of
+    the X stack gives each its rank-one state, rank_x and lambda_ratio.
+    Returns each problem's estimate and solver scalars (None where it
+    failed) and {problem index: error} for every problem whose relaxation
+    ended other than optimal or whose rank-one state has no heading. Each
+    error is the one `sdp_estimate` raises on that problem alone.
     """
     start = time.perf_counter()
     X, diag = solve_sdp_relaxation(problem)
@@ -681,7 +702,7 @@ def _sdp_stack(problem: QcqpProblem, pa: np.ndarray, pb: np.ndarray, sigma_r: fl
     lam = np.maximum(lam[:, ::-1], 0.0)
     rank = np.sum(lam > 1e-6 * lam[:, :1], axis=1)
     wall_ms = (time.perf_counter() - start) * 1e3 / len(X)
-    T_hats, solvers, error = [], [], None
+    T_hats, solvers, errors = [None] * len(X), [None] * len(X), {}
     scalars = (diag.status, diag.iterations.tolist(), diag.gap.tolist(), lam[:, :2].tolist(), rank.tolist())
     for i, (status, n_it, gap, (lam0, lam1), rank_x) in enumerate(zip(*scalars)):
         try:
@@ -689,93 +710,104 @@ def _sdp_stack(problem: QcqpProblem, pa: np.ndarray, pb: np.ndarray, sigma_r: fl
                 raise DegenerateSolutionError(f"SDP relaxation ended {status} after {n_it} iterations")
             T = extract_transform(_homogenized(lam0, Q[i, :, -1]))
         except (DegenerateSolutionError, HeadingUndefinedError) as exc:
-            error = exc
-            break
+            errors[i] = exc
+            continue
         x = lift_transform(T)
-        T_hats.append(T)
-        solvers.append(
-            {
-                "method": "sdp",
-                "iterations": n_it,
-                "status": status,
-                "gap": gap,
-                "rank_x": rank_x,
-                "lambda_ratio": lam1 / lam0,
-                "final_cost": float(x @ problem.P0[i] @ x),
-                "wall_ms": wall_ms,
-            }
-        )
-    reports = _reports(T_hats, pa, pb, sigma_r, solvers)
-    if error is not None:
-        raise error
-    return reports
+        T_hats[i] = T
+        solvers[i] = {
+            "method": "sdp",
+            "iterations": n_it,
+            "status": status,
+            "gap": gap,
+            "rank_x": rank_x,
+            "lambda_ratio": lam1 / lam0,
+            "final_cost": float(x @ problem.P0[i] @ x),
+            "wall_ms": wall_ms,
+        }
+    return T_hats, solvers, errors
 
 
-def _solve_stack(problem: QcqpProblem, pa: np.ndarray, pb: np.ndarray, sigma_r: float) -> list[EstimateReport]:
-    """`solve_qcqp` for a stack of W problems, in problem order.
+def _qcqp_points(problem: QcqpProblem) -> tuple[list, list, dict]:
+    """Point stage of `solve_qcqp` for a stack of W problems.
 
-    pa and pb (W, k, 3) are the antenna positions of each problem's rows
-    of B, for its FIM. The sweep candidates of all problems form one
-    stack of starts, refined by one `lockstep_newton` call on the 9x9
-    triangle R of each problem's scaled rows. ||R x||^2 is the cost
-    x' P0 x over max w, taken from residuals: the quadratic form itself
-    has an absolute rounding floor (~1e-13) that would stall noiseless
-    problems ~1e-8 m from the truth. Each problem keeps its start of
-    lowest cost. An error raised for problem i (a sweep without a
-    candidate, every refinement diverged, a zero range in the FIM) is
-    the error a one-by-one loop would raise first: problems after i are
-    not refined, and those before it are reported first.
+    The sweep candidates of all problems form one stack of starts,
+    refined by one `lockstep_newton` call on the 9x9 triangle R of each
+    problem's scaled rows. ||R x||^2 is the cost x' P0 x over max w, taken
+    from residuals: the quadratic form itself has an absolute rounding
+    floor (~1e-13) that would stall noiseless problems ~1e-8 m from the
+    truth. Each problem keeps its start of lowest cost. Returns each
+    problem's estimate and solver scalars (None where it failed) and
+    {problem index: error} for every problem that failed: a sweep without
+    a candidate, or every refinement start diverged. No problem's outcome
+    depends on the others of the stack, so each error is the one
+    `qcqp_estimate` raises on that problem alone (its FIM aside).
     """
     start = time.perf_counter()
     cand_t, cand_heading, count, errors = _sweep_stack(problem.P0)
-    n_win = min(errors, default=len(count))  # windows before the first sweep error
-    sweep_ms = (time.perf_counter() - start) * 1e3 / max(len(count), 1)
-    if n_win == 0:
-        raise errors[0]
+    W = len(count)
+    sweep_ms = (time.perf_counter() - start) * 1e3 / W
+    T_hats, solvers = [None] * W, [None] * W
+    live = np.flatnonzero(count)  # the problems with a candidate
+    if not len(live):
+        return T_hats, solvers, errors
     start = time.perf_counter()
-    count = count[:n_win]
-    first = np.cumsum(count) - count  # each window's first start
+    n = count[live]
+    first = np.cumsum(n) - n  # each live problem's first start
     slot = np.flatnonzero(np.arange(SWEEP_CANDIDATES) < count[:, None])  # candidate slots in use
-    win = slot // SWEEP_CANDIDATES
     p0 = np.concatenate((cand_t, _SWEEP_THETA[cand_heading][..., None]), axis=-1).reshape(-1, 4)[slot]
-    res = lockstep_newton(_sqrt_factor(problem, n_win)[win], _lift_stack, p0, REFINE_MAX_ITER)
+    owner = np.repeat(np.arange(len(live)), n)  # each start's live problem
+    res = lockstep_newton(_sqrt_factor(problem.B[live], problem.weights[live])[owner], _lift_stack, p0, REFINE_MAX_ITER)
     p = res.p
-    cost = 2.0 * problem.weights[:n_win].max(axis=-1)[win] * res.cost  # x' P0 x = max w ||R x||^2
-    # per window, the first start of lowest cost; diverged starts rank after the others
+    cost = 2.0 * problem.weights[live].max(axis=-1)[owner] * res.cost  # x' P0 x = max w ||R x||^2
+    # per problem, the first start of lowest cost; diverged starts rank after the others
     finite = res.status != NON_FINITE
-    best = np.lexsort((cost, ~finite, win))[first]
+    best = np.lexsort((cost, ~finite, owner))[first]
     iterations = np.add.reduceat(res.iterations, first)
     converged = np.add.reduceat(res.status == CONVERGED, first, dtype=int)
-    if not finite[best].all():
-        n_win = int(np.argmin(finite[best]))
-        errors[n_win] = DegenerateSolutionError("all refinement starts diverged")
-    refine_ms = (time.perf_counter() - start) * 1e3 / max(n_win, 1)
-    chosen = best[:n_win].tolist()
-    T_hats = [Transform4DoF(t=p[b, :3], theta=p[b, 3]) for b in chosen]
-    # per-window scalars from one .tolist() each; zip stops at the n_win windows
-    final_cost = cost.tolist()
-    solvers = [
-        {
+    wall_ms = sweep_ms + (time.perf_counter() - start) * 1e3 / len(live)
+    # per-problem scalars from one .tolist() each
+    final_cost, ok = cost.tolist(), finite[best].tolist()
+    for i, b, good, n_it, n_starts, n_conv in zip(
+        live.tolist(), best.tolist(), ok, iterations.tolist(), n.tolist(), converged.tolist()
+    ):
+        if not good:
+            errors[i] = DegenerateSolutionError("all refinement starts diverged")
+            continue
+        T_hats[i] = Transform4DoF(t=p[b, :3], theta=p[b, 3])
+        solvers[i] = {
             "method": "qcqp",
             "iterations": n_it,
             "restarts": n_starts,
             "restarts_converged": n_conv,
             "final_cost": final_cost[b],
-            "wall_ms": sweep_ms + refine_ms,
+            "wall_ms": wall_ms,
         }
-        for n_it, n_starts, n_conv, b in zip(iterations.tolist(), count.tolist(), converged.tolist(), chosen)
-    ]
-    reports = _reports(T_hats, pa, pb, sigma_r, solvers)
-    if n_win in errors:
-        raise errors[n_win]
-    return reports
+    return T_hats, solvers, errors
 
 
-def _stack_of_one(problem: QcqpProblem, dataset: SyncedDataset, solve) -> EstimateReport:
-    """`solve` (`_solve_stack` or `_sdp_stack`) on one problem of the dataset."""
-    stack = dataclasses.replace(problem, P0=problem.P0[None], B=problem.B[None], weights=problem.weights[None])
+def stack_problems(problems: Sequence[QcqpProblem]) -> QcqpProblem:
+    """W single problems with equal row counts and the same constraint set as one stack.
+
+    Each constraint's right-hand side becomes the (W,) array of the
+    problems' values: d0^2 differs from problem to problem.
+    """
+    first = problems[0]
+    if any(p.B.shape != first.B.shape or p.has_d0 != first.has_d0 for p in problems):
+        raise ValueError("stacked problems need equal row counts and the same constraints")
+    rhs = zip(*([r for _, r in p.constraints] for p in problems))  # each constraint's values
+    return QcqpProblem(
+        P0=np.array([p.P0 for p in problems]),
+        constraints=[(P, np.array(r)) for (P, _), r in zip(first.constraints, rhs)],
+        B=np.array([p.B for p in problems]),
+        has_d0=first.has_d0,
+        weights=np.array([p.weights for p in problems]),
+    )
+
+
+def _stack_of_one(problem: QcqpProblem, dataset: SyncedDataset, points) -> EstimateReport:
+    """The point stage `points` (`_qcqp_points` or `_sdp_points`) and its report, on one problem of the dataset."""
     pa, pb, _ = range_rows(dataset)
-    return solve(stack, pa[None], pb[None], dataset.sigma_r)[0]
+    return _reports(points(stack_problems([problem])), pa[None], pb[None], dataset.sigma_r)[0]
 
 
 def solve_qcqp(problem: QcqpProblem, dataset: SyncedDataset) -> EstimateReport:
@@ -788,7 +820,7 @@ def solve_qcqp(problem: QcqpProblem, dataset: SyncedDataset) -> EstimateReport:
     distance enters the cost as an ordinary row of B. Runs as a stack of
     one problem.
     """
-    return _stack_of_one(problem, dataset, _solve_stack)
+    return _stack_of_one(problem, dataset, _qcqp_points)
 
 
 def qcqp_estimate(dataset: SyncedDataset) -> EstimateReport:
@@ -800,7 +832,7 @@ def sdp_estimate(dataset: SyncedDataset) -> EstimateReport:
     approximation (no local refinement). A relaxation that ends other
     than optimal raises DegenerateSolutionError. Runs as a stack of one
     problem."""
-    return _stack_of_one(assemble_qcqp(dataset), dataset, _sdp_stack)
+    return _stack_of_one(assemble_qcqp(dataset), dataset, _sdp_points)
 
 
 def nls_estimate(dataset: SyncedDataset, init: Optional[Transform4DoF] = None) -> EstimateReport:
@@ -843,14 +875,33 @@ def nls_estimate(dataset: SyncedDataset, init: Optional[Transform4DoF] = None) -
         "converged": status == CONVERGED,
         "wall_ms": (time.perf_counter() - start) * 1e3,
     }
-    return _report(Transform4DoF(t=res.p[0, :3], theta=res.p[0, 3]), dataset, solver)
+    T_hat = Transform4DoF(t=res.p[0, :3], theta=res.p[0, 3])
+    return _reports(([T_hat], [solver], {}), pa[None], pb[None], sigma)[0]
 
 
-# Every entry takes (dataset, init=None). `init` is a starting point for a
-# local method; the global `qcqp` and `sdp` ignore it.
+def _stacked(estimate, points):
+    """Registry entry of a stacked estimator: `estimate` of a dataset, and
+    the point stage `points` of an assembled stack of problems."""
+
+    def entry(data, init=None):
+        return points(data) if isinstance(data, QcqpProblem) else estimate(data)
+
+    return entry
+
+
+# Every entry takes (dataset, init=None) and returns the dataset's
+# EstimateReport. `init` is a starting point for a local method; the global
+# `qcqp` and `sdp` ignore it. Those two also take, in place of the dataset,
+# an assembled stack of W problems (a QcqpProblem with a leading axis, from
+# `assemble_qcqp` with rows or from `stack_problems`). They return its point
+# stage then: each problem's estimate and solver scalars (None where it
+# failed) and {problem index: error} for every failing problem, with no
+# FIM and no report. The sliding windows and the Monte-Carlo cells estimate
+# through this form, so every estimate goes through the registry, where
+# the benchmark's tracer (perfbench/tracing.py) times the estimate layer.
 ESTIMATORS = {
-    "qcqp": lambda ds, init=None: qcqp_estimate(ds),
-    "sdp": lambda ds, init=None: sdp_estimate(ds),
+    "qcqp": _stacked(qcqp_estimate, _qcqp_points),
+    "sdp": _stacked(sdp_estimate, _sdp_points),
     "nls": nls_estimate,
 }
 
@@ -885,13 +936,13 @@ def sliding_window_estimate(
     inter-origin-distance constraint is dropped inside windows: under
     drift the initial distance is stale.
 
-    `qcqp` and `sdp` solve all windows in one stacked pass
-    (`_solve_stack`, `_sdp_stack`): one assembly without d0 and one
-    batched FIM eigendecomposition; for `qcqp` a yaw sweep in chunks of
-    SWEEP_CHUNK windows, which caps its temporaries, and one refinement
-    per candidate, for `sdp` one lockstep `sdp_solve` call. Their results
-    and errors equal a window-by-window loop. Only `nls` runs window by
-    window.
+    `qcqp` and `sdp` solve all windows in one stacked pass (their
+    `ESTIMATORS` entry on the stack, then `_reports`): one assembly without d0 and
+    one batched FIM eigendecomposition; for `qcqp` a yaw sweep in chunks
+    of SWEEP_CHUNK windows, which caps its temporaries, and one
+    refinement per candidate, for `sdp` one lockstep `sdp_solve` call.
+    Their results and errors equal a window-by-window loop: the first
+    failing window's error is raised. Only `nls` runs window by window.
     """
     if window < 10:
         raise ValueError(f"window must be >= 10, got {window}")
@@ -904,8 +955,8 @@ def sliding_window_estimate(
     starts = np.arange(0, len(stream) - window + 1, stride)
     if estimator != "nls" and len(starts):
         rows = starts[:, None] + np.arange(window)
-        solve = _solve_stack if estimator == "qcqp" else _sdp_stack
-        stacked = iter(solve(assemble_qcqp(stream, rows), stream.pa[rows], stream.pb[rows], stream.sigma_r))
+        points = ESTIMATORS[estimator](assemble_qcqp(stream, rows))
+        stacked = iter(_reports(points, stream.pa[rows], stream.pb[rows], stream.sigma_r))
 
     results = []
     prev: Optional[Transform4DoF] = None

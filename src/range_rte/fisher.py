@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -230,13 +230,20 @@ def fim_stack(t, theta, pa, pb, sigma_r: float) -> list[FimReport]:
     return fim_reports((J.swapaxes(-1, -2) @ J) / sigma_r**2)
 
 
-def fim(T: Transform4DoF, dataset: SyncedDataset) -> FimReport:
+def fim(T: Transform4DoF | Sequence[Transform4DoF], dataset) -> FimReport | list[FimReport]:
     """Fisher information of the dataset about (t, theta), with CRLB.
 
-    `fim_stack` for one problem, on the rows of `range_rows`.
+    `fim_stack` for one problem, on the rows of `range_rows`. Given a
+    sequence of transforms and one of datasets with equal row counts and
+    sigma_r instead, the list of their reports from one `fim_stack`, as a
+    Monte-Carlo cell takes the bounds at its truths.
     """
-    pa, pb, _ = range_rows(dataset)
-    return fim_stack(T.t[None], np.array([T.theta]), pa[None], pb[None], dataset.sigma_r)[0]
+    if isinstance(T, Transform4DoF):
+        pa, pb, _ = range_rows(dataset)
+        return fim_stack(T.t[None], np.array([T.theta]), pa[None], pb[None], dataset.sigma_r)[0]
+    pa, pb, _ = zip(*map(range_rows, dataset))
+    t = np.array([T_i.t for T_i in T])
+    return fim_stack(t, np.array([T_i.theta for T_i in T]), np.array(pa), np.array(pb), dataset[0].sigma_r)
 
 
 def det_fim_geometric(T: Transform4DoF, dataset: SyncedDataset) -> float:

@@ -5,7 +5,11 @@ odometry and range data, builds the canonical degenerate trajectory
 classes, and aggregates estimator errors against the information bound.
 Every run is keyed by a 64-bit seed through a counter-based generator
 (Philox) with one substream per trial, so trials are reproducible and
-independent of the order they run in.
+independent of the order they run in. That is what lets a cell run its
+`qcqp` and `sdp` trials as stacks: the trials of a cell are generated one
+by one, then estimated in one stacked pass per group of equal row counts,
+with the bounds at their truths from one stacked FIM, and each trial's
+estimate is bit for bit the one its estimator gives on it alone.
 """
 
 from __future__ import annotations
@@ -18,10 +22,17 @@ from typing import Optional
 
 import numpy as np
 
-from .estimators import ESTIMATORS, WindowEstimate, align_target_trajectory, sliding_window_estimate
+from .estimators import (
+    ESTIMATORS,
+    WindowEstimate,
+    align_target_trajectory,
+    assemble_qcqp,
+    sliding_window_estimate,
+    stack_problems,
+)
 from .fisher import fim
 from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, quat_to_matrix, wrap_angle, yaw_matrices
-from .measurement import SIGMA_R_FLOOR, SyncedDataset, at_frame_origins, true_range
+from .measurement import SIGMA_R_FLOOR, SyncedDataset, at_frame_origins, range_rows, true_range
 
 SCENARIO_KINDS = ("parallel", "planar_linear", "static_target", "static_host")
 
@@ -163,18 +174,29 @@ def generate_trajectory(
         raise ValueError("D must be positive")
     if n_poses < 1:
         raise ValueError("n_poses must be >= 1")
-    p = np.zeros(3)
-    positions = np.empty((n_poses, 3))
-    yaws = np.empty(n_poses)
-    for i in range(n_poses):
-        positions[i] = p
-        yaws[i] = rng.uniform(-math.pi, math.pi)
-        step = rng.standard_normal(3) * (step_scale * D)
-        p = p + step
-        r = np.linalg.norm(p)
+    # the walk runs on Python floats, whose arithmetic rounds as numpy's
+    # elementwise arithmetic does. r is np.linalg.norm's own computation
+    # for a vector, the square root of a BLAS dot, which sums in its own
+    # order: math.sqrt(x * x + y * y + z * z) would change most walks in
+    # their last bits
+    scale = step_scale * D
+    x = y = z = 0.0
+    positions, yaws = [], []
+    for _ in range(n_poses):
+        positions.append((x, y, z))
+        yaws.append(rng.uniform(-math.pi, math.pi))
+        dx, dy, dz = rng.standard_normal(3).tolist()
+        x, y, z = x + dx * scale, y + dy * scale, z + dz * scale
+        p = np.array((x, y, z))
+        r = math.sqrt(p.dot(p))
         if r > D:  # reflect back inside
-            p = p * (2.0 * D - r) / r if r < 2.0 * D else p * (D / r) * rng.uniform(0.0, 1.0)
-    return positions, yaws
+            if r < 2.0 * D:
+                k = 2.0 * D - r
+                x, y, z = x * k / r, y * k / r, z * k / r
+            else:
+                f, u = D / r, rng.uniform(0.0, 1.0)
+                x, y, z = x * f * u, y * f * u, z * f * u
+    return np.array(positions), np.array(yaws)
 
 
 def _antenna_positions(positions: np.ndarray, yaws: np.ndarray, arm: LeverArm) -> np.ndarray:
@@ -281,33 +303,88 @@ def trial_data(cfg: ScenarioConfig, trial: int) -> tuple[Transform4DoF, SyncedDa
     return T_true, synthesize_measurements(T_true, traj_a, traj_b, cfg, rng)
 
 
+def _trial_errors(T_hat: Transform4DoF, T_true: Transform4DoF) -> tuple[float, float]:
+    return float(np.linalg.norm(T_hat.t - T_true.t)), abs(float(wrap_angle(T_hat.theta - T_true.theta)))
+
+
+def _failure(trial: int, exc: Exception) -> str:
+    return f"trial {trial}: {type(exc).__name__}: {exc}"
+
+
 def _run_trial(cfg: ScenarioConfig, estimator: str, trial: int):
     T_true, dataset = trial_data(cfg, trial)
     bound = fim(T_true, dataset)
     start = time.perf_counter()
     try:
-        report = ESTIMATORS[estimator](dataset)
-        err_t = float(np.linalg.norm(report.theta_hat.t - T_true.t))
-        err_th = abs(float(wrap_angle(report.theta_hat.theta - T_true.theta)))
+        err_t, err_th = _trial_errors(ESTIMATORS[estimator](dataset).theta_hat, T_true)
         failure = None
     except Exception as exc:  # noqa: BLE001 - failed trials are data, not crashes
-        err_t = math.nan
-        err_th = math.nan
-        failure = f"trial {trial}: {type(exc).__name__}: {exc}"
+        err_t = err_th = math.nan
+        failure = _failure(trial, exc)
     ms = (time.perf_counter() - start) * 1e3
     return err_t, err_th, bound.crlb_t, bound.crlb_theta, ms, failure
+
+
+def _stacked_trials(cfg: ScenarioConfig, estimator: str) -> list:
+    """The rows of `_run_trial` for every trial of a cell, from stacked passes.
+
+    Trials with equal row counts, constraint sets and sigma_r form one
+    group. `fim` on the group's truths gives the bounds from one
+    `fim_stack`, and the estimator's `ESTIMATORS` entry on the stack of
+    their problems gives the estimates (its point stage), with no report
+    or FIM at them. Each trial is assembled on its own, so an assembly
+    error fails its trial alone. solve_ms is the group's wall time
+    (assembly and point stage) over its trials.
+    """
+    data = [trial_data(cfg, i) for i in range(cfg.trials)]
+    groups: dict = {}
+    for i, (_, ds) in enumerate(data):
+        groups.setdefault((len(range_rows(ds)[0]), ds.d0 is not None, ds.sigma_r), []).append(i)
+    rows = [None] * cfg.trials
+    for trials in groups.values():
+        bounds = fim([data[i][0] for i in trials], [data[i][1] for i in trials])
+        start = time.perf_counter()
+        problems, errors = [], {}
+        for i in trials:
+            try:
+                problems.append((i, assemble_qcqp(data[i][1])))
+            except Exception as exc:  # noqa: BLE001 - failed trials are data, not crashes
+                errors[i] = exc
+        T_hats = {}
+        if problems:
+            solved, stack = zip(*problems)
+            estimates, _, failed = ESTIMATORS[estimator](stack_problems(stack))
+            T_hats = dict(zip(solved, estimates))
+            errors.update((solved[j], exc) for j, exc in failed.items())
+        ms = (time.perf_counter() - start) * 1e3 / len(trials)
+        for i, bound in zip(trials, bounds):
+            if i in errors:
+                rows[i] = math.nan, math.nan, bound.crlb_t, bound.crlb_theta, ms, _failure(i, errors[i])
+            else:
+                rows[i] = *_trial_errors(T_hats[i], data[i][0]), bound.crlb_t, bound.crlb_theta, ms, None
+    return rows
 
 
 def monte_carlo_run(cfg: ScenarioConfig, estimator: str = "qcqp") -> ErrorStats:
     """Repeated-trial evaluation of one estimator on one scenario cell.
 
     Each trial draws a fresh truth, trajectories and noise from its own
-    substream. Failed trials are recorded, not dropped; aggregates are
-    over the successful ones.
+    substream. Failed trials are recorded, not dropped, as "trial i:
+    Type: message"; aggregates are over the successful ones. The bounds
+    are the CRLB at each trial's truth.
+
+    `qcqp` and `sdp` solve the trials of a cell in stacked passes
+    (`_stacked_trials`): each trial's estimate and error are those of its
+    estimator run on it alone, bit for bit, and solve_ms is a group's
+    wall time divided by its trials. `nls` runs trial by trial, and its
+    solve_ms is each trial's own estimator call.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
-    rows = [_run_trial(cfg, estimator, i) for i in range(cfg.trials)]
+    if estimator != "nls":
+        rows = _stacked_trials(cfg, estimator)
+    else:
+        rows = [_run_trial(cfg, estimator, i) for i in range(cfg.trials)]
     # a bound of None (singular information matrix) becomes NaN in the float table
     return ErrorStats([r[:5] for r in rows], failures=[r[5] for r in rows if r[5] is not None])
 

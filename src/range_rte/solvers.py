@@ -2,11 +2,11 @@
 
 Provides a dense primal-dual interior-point solver that runs a stack of
 small semidefinite programs in lockstep (the lifted relaxation is 9x9
-with at most 5 equality constraints), one damped (Levenberg-Marquardt)
-least-squares minimizer that refines a stack of starts in lockstep, and
-a sorted symmetric eigendecomposition. The minimizer takes exact-Hessian
-Newton steps on square-root factors of the `qcqp` costs, and
-Gauss-Newton steps on the raw range residuals of the `nls` baseline.
+with at most 5 equality constraints) and one damped (Levenberg-Marquardt)
+least-squares minimizer that refines a stack of starts in lockstep. The
+minimizer takes exact-Hessian Newton steps on square-root factors of the
+`qcqp` costs, and Gauss-Newton steps on the raw range residuals of the
+`nls` baseline.
 
 The SDP solver is an infeasible-start path-following method with the
 HKM search direction and a Mehrotra predictor-corrector step. Problem
@@ -368,16 +368,3 @@ def lockstep_newton(
         p=S[:, :d], cost=0.5 * S[:, C], iterations=S[:, IT].astype(int), evals=S[:, EV].astype(int), status=status
     )
 
-
-def eig_sym(M) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix, sorted descending.
-
-    Returns (eigenvalues, eigenvectors) with eigenvectors in columns,
-    so M == Q diag(lam) Q.T up to floating-point error.
-    """
-    M = np.asarray(M, dtype=float)
-    if np.max(np.abs(M - M.T)) > 1e-9 * max(1.0, float(np.max(np.abs(M)))):
-        raise ValueError("matrix must be symmetric")
-    lam, Q = np.linalg.eigh(_sym(M))
-    order = np.argsort(lam)[::-1]
-    return lam[order], Q[:, order]

@@ -10,13 +10,13 @@ from lm_reference import lift_jacobian, lm_least_squares, lm_refine
 from sweep_reference import clear_decisions, reference_sweep
 
 from range_rte.estimators import (
+    ESTIMATORS,
     SWEEP_CANDIDATES,
     SWEEP_HEADINGS,
     WINDOW_KAPPA_LIMIT,
     DegenerateSolutionError,
     EstimateReport,
     HeadingUndefinedError,
-    QcqpProblem,
     WindowEstimate,
     _eigh3,
     _lift_stack,
@@ -539,7 +539,7 @@ class TestSqrtFactor:
         w = rng.uniform(0.1, 10.0, size=(n, rows))
         R = np.linalg.qr(_scaled_rows(B, w), mode="r")
         want = np.concatenate([R, np.zeros((n, 9 - R.shape[1], 9))], axis=1)  # zero rows below fewer than 9
-        got = _sqrt_factor(QcqpProblem(P0=None, constraints=[], B=B, has_d0=False, weights=w), n)
+        got = _sqrt_factor(B, w)
         assert got.shape == (n, 9, 9) and got.tobytes() == want.tobytes()
 
 
@@ -791,6 +791,43 @@ class TestStackedWindows:
             with pytest.raises(type(expected)) as got:
                 sliding_window_estimate(stream, window=window, stride=stride)
         assert str(got.value) == str(expected)
+
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        window=st.integers(10, 30),
+        stride=st.integers(1, 35),
+        n_windows=st.integers(2, 12),
+        bad=st.lists(st.integers(0, 11), min_size=2, max_size=2),
+        scales=st.permutations([1e140, 1e153]),
+        estimator=st.sampled_from(["qcqp", "sdp"]),
+    )
+    def test_point_stage_records_every_problems_own_error(self, seed, window, stride, n_windows, bad, scales, estimator):
+        # the point stage runs every problem of the stack, failing or not:
+        # each problem's error, estimate and solver scalars are those of the
+        # estimator on that problem alone
+        rng = np.random.default_rng(seed)
+        stream = random_stream(rng, window + stride * (n_windows - 1))
+        d = stream.d.copy()
+        for j, scale in zip(bad, scales):
+            a = stride * (j % n_windows)
+            d[a : a + window] = stream.d[a : a + window] * scale
+        stream = dataclasses.replace(stream, d=d)
+        starts = np.arange(n_windows) * stride
+        with np.errstate(all="ignore"):
+            T_hats, solvers, errors = ESTIMATORS[estimator](assemble_qcqp(stream, starts[:, None] + np.arange(window)))
+            assert errors
+            for i, start in enumerate(starts.tolist()):
+                try:
+                    ref = ESTIMATORS[estimator](stream.window(start, start + window))
+                except Exception as exc:  # noqa: BLE001 - the estimator's own error is the reference
+                    assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc), i
+                    assert T_hats[i] is None and solvers[i] is None
+                    continue
+                assert i not in errors
+                assert np.array_equal(T_hats[i].as_vector(), ref.theta_hat.as_vector()), i
+                assert {**solvers[i], "wall_ms": 0} == {**ref.solver, "wall_ms": 0}
 
 
 class TestYawSweep:

@@ -11,7 +11,6 @@ from range_rte.simulation import SCENARIO_KINDS, ScenarioConfig, singular_scenar
 from range_rte.solvers import (
     CONVERGED,
     NON_FINITE,
-    eig_sym,
     lockstep_newton,
     sdp_solve,
 )
@@ -208,33 +207,3 @@ class TestLmMinimize:
         assert res.status[0] == NON_FINITE
         np.testing.assert_array_equal(res.p[0], [1.0])
 
-
-class TestEigSym:
-    def test_sorted_descending(self):
-        lam, Q = eig_sym(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(lam, [3.0, 2.0, 1.0])
-
-    def test_rank_one(self):
-        x = np.array([1.0, -2.0, 0.5])
-        lam, Q = eig_sym(np.outer(x, x))
-        assert lam[0] == pytest.approx(float(x @ x))
-        assert np.allclose(lam[1:], 0.0, atol=1e-12)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(7)
-        S = rng.normal(size=(9, 9))
-        M = 0.5 * (S + S.T)
-        lam, Q = eig_sym(M)
-        assert np.linalg.norm(Q @ np.diag(lam) @ Q.T - M) <= 1e-10 * np.linalg.norm(M)
-        assert np.allclose(Q.T @ Q, np.eye(9), atol=1e-12)
-
-    def test_eigenvalue_sum_is_trace(self):
-        rng = np.random.default_rng(8)
-        S = rng.normal(size=(6, 6))
-        M = 0.5 * (S + S.T)
-        lam, _ = eig_sym(M)
-        assert np.sum(lam) == pytest.approx(np.trace(M), abs=1e-10 * np.linalg.norm(M))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
