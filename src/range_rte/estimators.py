@@ -70,6 +70,7 @@ needs their point stage alone.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -81,6 +82,7 @@ from .fisher import FimReport, SingularityFlags, fim_stack
 from .geometry import Transform4DoF
 from .measurement import (
     SyncedDataset,
+    SyncedStack,
     d0_is_extra_range,
     debias_ranges,
     debias_squared,
@@ -164,7 +166,7 @@ def build_data_rows(pa, pb, s) -> np.ndarray:
 
 
 def _sym_from_triplets(triplets) -> np.ndarray:
-    """Symmetric 9x9 matrix from (i, j, value) triplets (0-indexed).
+    """Symmetric 9x9 read-only matrix from (i, j, value) triplets (0-indexed).
 
     Off-diagonal triplets split half/half across (i, j) and (j, i) so the
     quadratic form x' P x reproduces the stated bilinear relation.
@@ -176,23 +178,40 @@ def _sym_from_triplets(triplets) -> np.ndarray:
         else:
             P[i, j] += 0.5 * v
             P[j, i] += 0.5 * v
+    P.flags.writeable = False
     return P
 
 
-def constraint_matrices(d0: Optional[float]) -> list[tuple[np.ndarray, float]]:
+# the four structural constraints of the lift, then the norm constraint
+# ||t||^2 = d0^2; only a right-hand side varies from problem to problem
+_CONSTRAINT_MATRICES = tuple(
+    _sym_from_triplets(triplets)
+    for triplets in (
+        [(3, 3, 1.0), (4, 4, 1.0)],
+        [(0, 3, 1.0), (1, 4, 1.0), (8, 5, -1.0)],
+        [(1, 3, 1.0), (0, 4, -1.0), (8, 6, -1.0)],
+        [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (7, 8, -1.0)],
+        [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)],
+    )
+)
+_STRUCTURAL_RHS = (1.0, 0.0, 0.0, 0.0)
+
+
+def constraint_matrices(d0: Optional[float | np.ndarray]) -> list[tuple[np.ndarray, float | np.ndarray]]:
     """Quadratic consistency constraints (P_i, r_i) of the lifted state.
 
     Four structural constraints always apply; the norm constraint
-    ||t||^2 = d0^2 is appended only when d0 is available.
+    ||t||^2 = d0^2 is appended only when d0 is available. d0 is a float,
+    or a (W,) array for a stack of problems, whose right-hand side is then
+    the (W,) array of their d0^2. Each d0^2 is a Python float's square,
+    as for a single problem: libm's pow, which numpy's square of an array
+    does not always match in the last bit. The matrices are shared and
+    read-only.
     """
-    cons = [
-        (_sym_from_triplets([(3, 3, 1.0), (4, 4, 1.0)]), 1.0),
-        (_sym_from_triplets([(0, 3, 1.0), (1, 4, 1.0), (8, 5, -1.0)]), 0.0),
-        (_sym_from_triplets([(1, 3, 1.0), (0, 4, -1.0), (8, 6, -1.0)]), 0.0),
-        (_sym_from_triplets([(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (7, 8, -1.0)]), 0.0),
-    ]
+    cons = list(zip(_CONSTRAINT_MATRICES, _STRUCTURAL_RHS))
     if d0 is not None:
-        cons.append((_sym_from_triplets([(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]), d0**2))
+        rhs = np.array([r**2 for r in d0.tolist()]) if isinstance(d0, np.ndarray) else d0**2
+        cons.append((_CONSTRAINT_MATRICES[4], rhs))
     return cons
 
 
@@ -204,8 +223,8 @@ class QcqpProblem:
     scale; `weights` are the per-row inverse variances used to rebuild
     the cost row-wise during refinement. A stack of W problems carries a
     leading axis of W on P0, B and weights; a constraint's right-hand
-    side is one value for the whole stack, or a (W,) array
-    (`stack_problems`).
+    side is one value for the whole stack, or a (W,) array (the d0^2 of
+    an assembled `SyncedStack`).
     """
 
     P0: np.ndarray
@@ -232,25 +251,31 @@ class EstimateReport:
         return self.fim.flags
 
 
-def assemble_qcqp(dataset: SyncedDataset, rows: Optional[np.ndarray] = None) -> QcqpProblem:
+def assemble_qcqp(dataset: SyncedDataset | SyncedStack, rows: Optional[np.ndarray] = None) -> QcqpProblem:
     """Build the lifted quadratic program from a synced dataset.
 
     B has one row per range, plus a last row for d0 when
     `d0_is_extra_range`. With `rows`, an integer array of shape (W, n),
     the result is the stack of the W problems on the dataset rows
-    rows[i], without d0 (a stale d0 does not belong to a window).
+    rows[i], without d0 (a stale d0 does not belong to a window). A
+    `SyncedStack` gives the stack of its W problems, each with its first
+    range as d0 when the stack has d0: each problem of it is, bit for bit,
+    the one its dataset alone gives.
     """
-    if len(dataset) < 1:
+    if len(dataset.t) < 1:
         raise ValueError("need at least one synced sample")
     stats = debias_squared(dataset)
     pa, pb, s, w = dataset.pa, dataset.pb, stats.s, 1.0 / stats.sigma_s_diag
-    d0 = dataset.d0 if rows is None else None
-    if rows is not None:
-        pa, pb, s, w = pa[rows], pb[rows], s[rows], w[rows]
-    elif d0_is_extra_range(dataset):
-        pa, pb, _ = range_rows(dataset)
-        origin = debias_ranges([dataset.d0], dataset.sigma_r)
-        s, w = np.append(s, origin.s), np.append(w, 1.0 / origin.sigma_s_diag)
+    if isinstance(dataset, SyncedStack):
+        d0 = dataset.d[:, 0] if dataset.has_d0 else None
+    else:
+        d0 = dataset.d0 if rows is None else None
+        if rows is not None:
+            pa, pb, s, w = pa[rows], pb[rows], s[rows], w[rows]
+        elif d0_is_extra_range(dataset):
+            pa, pb, _ = range_rows(dataset)
+            origin = debias_ranges([dataset.d0], dataset.sigma_r)
+            s, w = np.append(s, origin.s), np.append(w, 1.0 / origin.sigma_s_diag)
     B = build_data_rows(pa, pb, s)
     P0 = (B * w[..., None]).swapaxes(-1, -2) @ B
     P0 = 0.5 * (P0 + P0.swapaxes(-1, -2))
@@ -785,29 +810,11 @@ def _qcqp_points(problem: QcqpProblem) -> tuple[list, list, dict]:
     return T_hats, solvers, errors
 
 
-def stack_problems(problems: Sequence[QcqpProblem]) -> QcqpProblem:
-    """W single problems with equal row counts and the same constraint set as one stack.
-
-    Each constraint's right-hand side becomes the (W,) array of the
-    problems' values: d0^2 differs from problem to problem.
-    """
-    first = problems[0]
-    if any(p.B.shape != first.B.shape or p.has_d0 != first.has_d0 for p in problems):
-        raise ValueError("stacked problems need equal row counts and the same constraints")
-    rhs = zip(*([r for _, r in p.constraints] for p in problems))  # each constraint's values
-    return QcqpProblem(
-        P0=np.array([p.P0 for p in problems]),
-        constraints=[(P, np.array(r)) for (P, _), r in zip(first.constraints, rhs)],
-        B=np.array([p.B for p in problems]),
-        has_d0=first.has_d0,
-        weights=np.array([p.weights for p in problems]),
-    )
-
-
 def _stack_of_one(problem: QcqpProblem, dataset: SyncedDataset, points) -> EstimateReport:
     """The point stage `points` (`_qcqp_points` or `_sdp_points`) and its report, on one problem of the dataset."""
     pa, pb, _ = range_rows(dataset)
-    return _reports(points(stack_problems([problem])), pa[None], pb[None], dataset.sigma_r)[0]
+    stack = dataclasses.replace(problem, P0=problem.P0[None], B=problem.B[None], weights=problem.weights[None])
+    return _reports(points(stack), pa[None], pb[None], dataset.sigma_r)[0]
 
 
 def solve_qcqp(problem: QcqpProblem, dataset: SyncedDataset) -> EstimateReport:
@@ -893,7 +900,7 @@ def _stacked(estimate, points):
 # EstimateReport. `init` is a starting point for a local method; the global
 # `qcqp` and `sdp` ignore it. Those two also take, in place of the dataset,
 # an assembled stack of W problems (a QcqpProblem with a leading axis, from
-# `assemble_qcqp` with rows or from `stack_problems`). They return its point
+# `assemble_qcqp` with rows or on a `SyncedStack`). They return its point
 # stage then: each problem's estimate and solver scalars (None where it
 # failed) and {problem index: error} for every failing problem, with no
 # FIM and no report. The sliding windows and the Monte-Carlo cells estimate

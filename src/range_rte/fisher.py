@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -230,20 +230,19 @@ def fim_stack(t, theta, pa, pb, sigma_r: float) -> list[FimReport]:
     return fim_reports((J.swapaxes(-1, -2) @ J) / sigma_r**2)
 
 
-def fim(T: Transform4DoF | Sequence[Transform4DoF], dataset) -> FimReport | list[FimReport]:
+def fim(T: Transform4DoF | tuple, dataset) -> FimReport | list[FimReport]:
     """Fisher information of the dataset about (t, theta), with CRLB.
 
     `fim_stack` for one problem, on the rows of `range_rows`. Given a
-    sequence of transforms and one of datasets with equal row counts and
-    sigma_r instead, the list of their reports from one `fim_stack`, as a
-    Monte-Carlo cell takes the bounds at its truths.
+    `SyncedStack` and T the pair (t (W, 3), theta (W,)) of its W
+    transforms instead, the list of their reports from one `fim_stack`,
+    as a Monte-Carlo cell takes the bounds at its truths.
     """
     if isinstance(T, Transform4DoF):
         pa, pb, _ = range_rows(dataset)
         return fim_stack(T.t[None], np.array([T.theta]), pa[None], pb[None], dataset.sigma_r)[0]
-    pa, pb, _ = zip(*map(range_rows, dataset))
-    t = np.array([T_i.t for T_i in T])
-    return fim_stack(t, np.array([T_i.theta for T_i in T]), np.array(pa), np.array(pb), dataset[0].sigma_r)
+    t, theta = T
+    return fim_stack(t, theta, dataset.pa, dataset.pb, dataset.sigma_r)
 
 
 def det_fim_geometric(T: Transform4DoF, dataset: SyncedDataset) -> float:

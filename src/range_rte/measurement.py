@@ -18,7 +18,9 @@ odometry logs gets each agent's pose at its timestamp: the logged pose
 itself on a coinciding stamp, otherwise the position interpolated
 linearly and the attitude spherically between the two bracketing poses;
 the lever arm is then rotated into the local frame. Uncovered ranges are
-dropped, never extrapolated.
+dropped, never extrapolated. `SyncedStack` holds W datasets of equal
+length as arrays with a leading axis of W, as a Monte-Carlo cell makes
+them.
 
 Also here: the squared-distance debiasing used by the weighted
 least-squares pipeline and the odometry-bounded range-rate gate that
@@ -191,6 +193,44 @@ class SyncedDataset:
         return self._rows(np.asarray(keep, dtype=bool), keep_d0)
 
 
+@dataclass(frozen=True, eq=False)
+class SyncedStack:
+    """W synced datasets of k rows each, as arrays with a leading axis of W.
+
+    Dataset i has the ranges d[i] (shape (W, k) in all) and the antenna
+    positions pa[i] and pb[i] ((W, k, 3)), as in `SyncedDataset`; all
+    share the timestamps t (k,) and sigma_r. With has_d0, each dataset's
+    d0 is its own first range d[i, 0]; a stack holds no d0 that would be
+    one more row. The arrays are kept as given, not copied; the
+    constructor checks their shapes, that the ranges are positive and the
+    antenna positions finite.
+    """
+
+    t: np.ndarray
+    d: np.ndarray
+    pa: np.ndarray
+    pb: np.ndarray
+    sigma_r: float
+    has_d0: bool = False
+
+    def __post_init__(self):
+        W, k = self.d.shape[0], self.d.shape[-1]
+        if self.d.ndim != 2 or self.t.shape != (k,) or self.pa.shape != (W, k, 3) or self.pb.shape != (W, k, 3):
+            raise ValueError(
+                "need t (k,), d (W, k), pa and pb (W, k, 3); "
+                f"got {self.t.shape}, {self.d.shape}, {self.pa.shape} and {self.pb.shape}"
+            )
+        if not ((self.d > 0).all() and np.isfinite(self.pa).all() and np.isfinite(self.pb).all()):
+            raise ValueError("ranges must be positive and antenna positions finite")
+        if not self.sigma_r > 0:
+            raise ValueError(f"sigma_r must be positive, got {self.sigma_r}")
+
+    def dataset(self, i: int) -> SyncedDataset:
+        """Dataset i of the stack."""
+        d0 = float(self.d[i, 0]) if self.has_d0 else None
+        return SyncedDataset(t=self.t, d=self.d[i], pa=self.pa[i], pb=self.pb[i], sigma_r=self.sigma_r, d0=d0)
+
+
 def d0_is_extra_range(dataset: SyncedDataset) -> bool:
     """True when d0 is known but is not the first range itself: the fit
     and the information matrix then take it as one more range, between
@@ -307,8 +347,8 @@ def ingest_logs(
     return dataset, len(ranges) - len(t)
 
 
-def debias_squared(dataset: SyncedDataset) -> SquaredStats:
-    """Debiased squared distances of a dataset's ranges (`debias_ranges`)."""
+def debias_squared(dataset: SyncedDataset | SyncedStack) -> SquaredStats:
+    """Debiased squared distances of a dataset's or a stack's ranges (`debias_ranges`)."""
     return debias_ranges(dataset.d, dataset.sigma_r)
 
 

@@ -5,11 +5,19 @@ odometry and range data, builds the canonical degenerate trajectory
 classes, and aggregates estimator errors against the information bound.
 Every run is keyed by a 64-bit seed through a counter-based generator
 (Philox) with one substream per trial, so trials are reproducible and
-independent of the order they run in. That is what lets a cell run its
-`qcqp` and `sdp` trials as stacks: the trials of a cell are generated one
-by one, then estimated in one stacked pass per group of equal row counts,
-with the bounds at their truths from one stacked FIM, and each trial's
-estimate is bit for bit the one its estimator gives on it alone.
+independent of the order they run in.
+
+A Monte-Carlo cell is one array pipeline. `trial_data` on a range of
+trials loops over them once, for each trial's truth and two walks, which
+run on Python floats; each trial's noise is drawn from its own generator
+after them. The antenna geometry, the true ranges, the noise and d0
+follow once on (W, n, 3) arrays, as a `SyncedStack`. Its row count,
+sigma_r and d0 follow from the config alone, since d0 is the first
+range, present only with zero lever arms. So a whole cell is one stack:
+one `fim` call gives the bounds at the truths from one stacked FIM, one
+assembly and one point stage of the estimator's `ESTIMATORS` entry give
+the `qcqp` and `sdp` estimates, and the errors are taken on arrays. Each
+trial's estimate is bit for bit the one its estimator gives on it alone.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,11 +36,10 @@ from .estimators import (
     align_target_trajectory,
     assemble_qcqp,
     sliding_window_estimate,
-    stack_problems,
 )
 from .fisher import fim
 from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, quat_to_matrix, wrap_angle, yaw_matrices
-from .measurement import SIGMA_R_FLOOR, SyncedDataset, at_frame_origins, range_rows, true_range
+from .measurement import SIGMA_R_FLOOR, SyncedDataset, SyncedStack
 
 SCENARIO_KINDS = ("parallel", "planar_linear", "static_target", "static_host")
 
@@ -143,16 +150,65 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(trial)]))
 
 
-def sample_ground_truth(d0: float, rng: np.random.Generator) -> Transform4DoF:
-    """Truth transform: ||t|| = d0 with uniform direction, uniform heading."""
-    if not d0 > 0:
-        raise ValueError("d0 must be positive")
+def _heading(rng: np.random.Generator) -> float:
+    """A uniform heading in [-pi, pi): the value rng.uniform(-pi, pi) draws,
+    for the same draw, without its argument handling."""
+    return -math.pi + TWO_PI * rng.random()
+
+
+def _direction(rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """A standard normal 3-vector and its norm, redrawn while the norm is below 1e-12."""
     v = rng.standard_normal(3)
     n = np.linalg.norm(v)
     while n < 1e-12:
         v = rng.standard_normal(3)
         n = np.linalg.norm(v)
-    return Transform4DoF(t=d0 * v / n, theta=rng.uniform(-math.pi, math.pi))
+    return v, n
+
+
+def sample_ground_truth(d0: float, rng: np.random.Generator) -> Transform4DoF:
+    """Truth transform: ||t|| = d0 with uniform direction, uniform heading."""
+    if not d0 > 0:
+        raise ValueError("d0 must be positive")
+    v, n = _direction(rng)
+    return Transform4DoF(t=d0 * v / n, theta=_heading(rng))
+
+
+def _walk(D: float, n_poses: int, rng: np.random.Generator, step_scale: float = 0.5) -> tuple[list, list]:
+    """`generate_trajectory` as Python lists: n_poses (x, y, z) tuples and n_poses headings."""
+    if not D > 0:
+        raise ValueError("D must be positive")
+    if n_poses < 1:
+        raise ValueError("n_poses must be >= 1")
+    # the walk runs on Python floats, whose arithmetic rounds as numpy's
+    # elementwise arithmetic does. r is np.linalg.norm's own computation
+    # for a vector, the square root of a BLAS dot, which sums in its own
+    # order: math.sqrt(x * x + y * y + z * z) would change most walks in
+    # their last bits. Only a reflection reads r, and a position whose
+    # x * x + y * y + z * z is below D^2 (1 - 1e-12) lies inside the ball
+    # whatever the order of the sum. Outside 1e-140 < D < 1e140 the squares
+    # may be subnormal or overflow, so r is then taken at every step
+    scale = step_scale * D
+    inside = D * D * (1.0 - 1e-12) if 1e-140 < D < 1e140 else 0.0
+    x = y = z = 0.0
+    positions, yaws = [], []
+    for _ in range(n_poses):
+        positions.append((x, y, z))
+        yaws.append(_heading(rng))
+        dx, dy, dz = rng.standard_normal(3).tolist()
+        x, y, z = x + dx * scale, y + dy * scale, z + dz * scale
+        if x * x + y * y + z * z < inside:
+            continue
+        p = np.array((x, y, z))
+        r = math.sqrt(p.dot(p))
+        if r > D:  # reflect back inside
+            if r < 2.0 * D:
+                k = 2.0 * D - r
+                x, y, z = x * k / r, y * k / r, z * k / r
+            else:
+                f, u = D / r, rng.random()
+                x, y, z = x * f * u, y * f * u, z * f * u
+    return positions, yaws
 
 
 def generate_trajectory(
@@ -168,52 +224,31 @@ def generate_trajectory(
     sample i is taken at i * dt of the scenario. D -> 0 degenerates to a
     parked agent. The draws stay scalar and in the order heading, step,
     then a reflection fraction only when one is needed, so a seed gives
-    the same walk whatever the batch size.
+    the same walk whatever the batch size. The heading is drawn as
+    -pi + 2 pi rng.random() and the fraction as rng.random(): the values
+    rng.uniform(-pi, pi) and rng.uniform(0, 1) give for the same draws.
     """
-    if not D > 0:
-        raise ValueError("D must be positive")
-    if n_poses < 1:
-        raise ValueError("n_poses must be >= 1")
-    # the walk runs on Python floats, whose arithmetic rounds as numpy's
-    # elementwise arithmetic does. r is np.linalg.norm's own computation
-    # for a vector, the square root of a BLAS dot, which sums in its own
-    # order: math.sqrt(x * x + y * y + z * z) would change most walks in
-    # their last bits
-    scale = step_scale * D
-    x = y = z = 0.0
-    positions, yaws = [], []
-    for _ in range(n_poses):
-        positions.append((x, y, z))
-        yaws.append(rng.uniform(-math.pi, math.pi))
-        dx, dy, dz = rng.standard_normal(3).tolist()
-        x, y, z = x + dx * scale, y + dy * scale, z + dz * scale
-        p = np.array((x, y, z))
-        r = math.sqrt(p.dot(p))
-        if r > D:  # reflect back inside
-            if r < 2.0 * D:
-                k = 2.0 * D - r
-                x, y, z = x * k / r, y * k / r, z * k / r
-            else:
-                f, u = D / r, rng.uniform(0.0, 1.0)
-                x, y, z = x * f * u, y * f * u, z * f * u
+    positions, yaws = _walk(D, n_poses, rng, step_scale)
     return np.array(positions), np.array(yaws)
 
 
-def _antenna_positions(positions: np.ndarray, yaws: np.ndarray, arm: LeverArm) -> np.ndarray:
+def _antenna_positions(positions: np.ndarray, yaws: np.ndarray, arms: np.ndarray) -> np.ndarray:
     """p_i + R(q_i) r for the heading-only attitude q_i = (0, 0,
-    sin(yaw_i/2), cos(yaw_i/2)), shape (n, 3), as `ingest_logs` computes it."""
-    q = np.zeros((len(yaws), 4))
-    q[:, 2], q[:, 3] = np.sin(0.5 * yaws), np.cos(0.5 * yaws)
-    return positions + quat_to_matrix(q) @ arm.r
+    sin(yaw_i/2), cos(yaw_i/2)), as `ingest_logs` computes it: positions
+    (A, W, n, 3) and headings (A, W, n) of A agents, arms (A, 3) their
+    lever arms r; shape (A, W, n, 3)."""
+    q = np.zeros(yaws.shape + (4,))
+    q[..., 2], q[..., 3] = np.sin(0.5 * yaws), np.cos(0.5 * yaws)
+    return positions + (quat_to_matrix(q) @ arms[:, None, None, :, None])[..., 0]
 
 
 def synthesize_measurements(
-    T_true: Transform4DoF,
+    T_true: Transform4DoF | tuple[np.ndarray, np.ndarray],
     traj_a: tuple[np.ndarray, np.ndarray],
     traj_b: tuple[np.ndarray, np.ndarray],
     cfg: ScenarioConfig,
-    rng: np.random.Generator,
-) -> SyncedDataset:
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> SyncedDataset | SyncedStack:
     """Noisy synced dataset from ground-truth trajectories.
 
     Each trajectory is (positions (n, 3), headings (n,)), sampled every
@@ -223,19 +258,45 @@ def synthesize_measurements(
     see them. The first noisy range is recorded as the inter-origin
     distance d0 only when both first true antenna positions sit at their
     frame origins; otherwise it does not measure ||t|| and d0 stays None.
+
+    With a leading trial axis, T_true is the pair (t (W, 3), theta (W,))
+    of W truths, each trajectory is (positions (W, n, 3), headings
+    (W, n)), rng holds one generator per trial, and the result is a
+    `SyncedStack`; there the first true antenna positions of every trial
+    or of none sit at their frame origins. Each generator draws its
+    trial's range noise, then its odometry noise, host before target, and
+    each trial comes out as it would alone, bit for bit.
     """
-    arm_a, arm_b = cfg.lever_arms
-    n = min(len(traj_a[1]), len(traj_b[1]))
-    pa_true = _antenna_positions(traj_a[0][:n], traj_a[1][:n], arm_a)
-    pb_true = _antenna_positions(traj_b[0][:n], traj_b[1][:n], arm_b)
-    d = true_range(T_true, pa_true, pb_true)
-    d_meas = d + cfg.sigma_r * rng.standard_normal(n) if cfg.sigma_r > 0 else d.copy()
+    if isinstance(T_true, Transform4DoF):
+        T_true = T_true.t[None], np.array([T_true.theta])
+        traj_a, traj_b = ((p[None], yaw[None]) for p, yaw in (traj_a, traj_b))
+        return synthesize_measurements(T_true, traj_a, traj_b, cfg, [rng]).dataset(0)
+    t, theta = T_true
+    n = min(traj_a[1].shape[1], traj_b[1].shape[1])
+    positions, yaws = (np.stack((a[:, :n], b[:, :n])) for a, b in zip(traj_a, traj_b))
+    antennas = _antenna_positions(positions, yaws, np.array([arm.r for arm in cfg.lever_arms]))
+    pa_true, pb_true = antennas
+    # math.cos and math.sin round as Transform4DoF.rotation does
+    R = yaw_matrices([math.cos(th) for th in theta.tolist()], [math.sin(th) for th in theta.tolist()])
+    d = np.linalg.norm(t[:, None, :] + pb_true @ R.swapaxes(-1, -2) - pa_true, axis=-1)
+    d_meas = d + cfg.sigma_r * np.array([g.standard_normal(n) for g in rng]) if cfg.sigma_r > 0 else d
     np.maximum(d_meas, 1e-9, out=d_meas)
-    pa = pa_true + cfg.sigma_o * rng.standard_normal((n, 3)) if cfg.sigma_o > 0 else pa_true
-    pb = pb_true + cfg.sigma_o * rng.standard_normal((n, 3)) if cfg.sigma_o > 0 else pb_true
-    d0 = float(d_meas[0]) if at_frame_origins(pa_true[0], pb_true[0]) else None
-    return SyncedDataset(
-        t=np.arange(n) * cfg.dt, d=d_meas, pa=pa, pb=pb, sigma_r=max(cfg.sigma_r, SIGMA_R_FLOOR), d0=d0
+    if cfg.sigma_o > 0:
+        noise = [(g.standard_normal((n, 3)), g.standard_normal((n, 3))) for g in rng]
+        pa = pa_true + cfg.sigma_o * np.array([a for a, _ in noise])
+        pb = pb_true + cfg.sigma_o * np.array([b for _, b in noise])
+    else:
+        pa, pb = pa_true, pb_true
+    at_origins = ~antennas[:, :, 0].any(axis=(0, 2))
+    if at_origins.any() and not at_origins.all():
+        raise ValueError("the first antenna positions sit at their frame origins in some trials only")
+    return SyncedStack(
+        t=np.arange(n) * cfg.dt,
+        d=d_meas,
+        pa=pa,
+        pb=pb,
+        sigma_r=max(cfg.sigma_r, SIGMA_R_FLOOR),
+        has_d0=bool(at_origins.all()),
     )
 
 
@@ -294,75 +355,44 @@ def singular_scenario(
     return T, synthesize_measurements(T, traj_a, traj_b, cfg, rng)
 
 
-def trial_data(cfg: ScenarioConfig, trial: int) -> tuple[Transform4DoF, SyncedDataset]:
-    """Ground truth and synthesized dataset of one trial (reproducible)."""
-    rng = trial_rng(cfg.seed, trial)
-    T_true = sample_ground_truth(cfg.d0, rng)
-    traj_a = generate_trajectory(cfg.D, cfg.n_poses, rng)
-    traj_b = generate_trajectory(cfg.D, cfg.n_poses, rng)
-    return T_true, synthesize_measurements(T_true, traj_a, traj_b, cfg, rng)
+def trial_data(cfg: ScenarioConfig, trials: int | Sequence[int]) -> tuple:
+    """Ground truth and synthesized dataset of one trial (reproducible).
 
-
-def _trial_errors(T_hat: Transform4DoF, T_true: Transform4DoF) -> tuple[float, float]:
-    return float(np.linalg.norm(T_hat.t - T_true.t)), abs(float(wrap_angle(T_hat.theta - T_true.theta)))
+    A trial index gives (Transform4DoF, SyncedDataset). A sequence of W
+    indices, such as range(cfg.trials), gives the trials as arrays: the
+    truths as the pair (t (W, 3), theta (W,)) and the datasets as one
+    `SyncedStack`. Each trial draws from its own substream (`trial_rng`),
+    in this order: the truth, the host's walk, the target's walk, then
+    the range noise and the odometry noise. The one loop over the trials
+    draws the truths and runs the walks; `synthesize_measurements` then
+    draws each trial's noise from its generator and computes the antenna
+    geometry, the ranges and d0 once on (W, n, 3) arrays. `trial_data(cfg,
+    i)` is row 0 of `trial_data(cfg, range(i, i + 1))`, and every row of
+    a stack is, bit for bit, that trial on its own.
+    """
+    if isinstance(trials, numbers.Integral):
+        (t, theta), cell = trial_data(cfg, range(trials, trials + 1))
+        # theta is already wrapped, and wrapping a wrapped heading leaves its bits
+        return Transform4DoF(t=t[0], theta=theta[0]), cell.dataset(0)
+    rngs = [trial_rng(cfg.seed, i) for i in trials]
+    directions, norms, headings, walk_a, walk_b = [], [], [], [], []
+    for rng in rngs:
+        v, n = _direction(rng)
+        directions.append(v)
+        norms.append(n)
+        headings.append(_heading(rng))
+        for walks in (walk_a, walk_b):
+            walks.append(_walk(cfg.D, cfg.n_poses, rng))
+    # the truths as sample_ground_truth gives them: d0 v / ||v||, and the
+    # heading wrapped as Transform4DoF wraps it
+    t = cfg.d0 * np.array(directions) / np.array(norms)[:, None]
+    theta = (np.array(headings) + math.pi) % TWO_PI - math.pi
+    traj_a, traj_b = ((np.array([p for p, _ in w]), np.array([yaw for _, yaw in w])) for w in (walk_a, walk_b))
+    return (t, theta), synthesize_measurements((t, theta), traj_a, traj_b, cfg, rngs)
 
 
 def _failure(trial: int, exc: Exception) -> str:
     return f"trial {trial}: {type(exc).__name__}: {exc}"
-
-
-def _run_trial(cfg: ScenarioConfig, estimator: str, trial: int):
-    T_true, dataset = trial_data(cfg, trial)
-    bound = fim(T_true, dataset)
-    start = time.perf_counter()
-    try:
-        err_t, err_th = _trial_errors(ESTIMATORS[estimator](dataset).theta_hat, T_true)
-        failure = None
-    except Exception as exc:  # noqa: BLE001 - failed trials are data, not crashes
-        err_t = err_th = math.nan
-        failure = _failure(trial, exc)
-    ms = (time.perf_counter() - start) * 1e3
-    return err_t, err_th, bound.crlb_t, bound.crlb_theta, ms, failure
-
-
-def _stacked_trials(cfg: ScenarioConfig, estimator: str) -> list:
-    """The rows of `_run_trial` for every trial of a cell, from stacked passes.
-
-    Trials with equal row counts, constraint sets and sigma_r form one
-    group. `fim` on the group's truths gives the bounds from one
-    `fim_stack`, and the estimator's `ESTIMATORS` entry on the stack of
-    their problems gives the estimates (its point stage), with no report
-    or FIM at them. Each trial is assembled on its own, so an assembly
-    error fails its trial alone. solve_ms is the group's wall time
-    (assembly and point stage) over its trials.
-    """
-    data = [trial_data(cfg, i) for i in range(cfg.trials)]
-    groups: dict = {}
-    for i, (_, ds) in enumerate(data):
-        groups.setdefault((len(range_rows(ds)[0]), ds.d0 is not None, ds.sigma_r), []).append(i)
-    rows = [None] * cfg.trials
-    for trials in groups.values():
-        bounds = fim([data[i][0] for i in trials], [data[i][1] for i in trials])
-        start = time.perf_counter()
-        problems, errors = [], {}
-        for i in trials:
-            try:
-                problems.append((i, assemble_qcqp(data[i][1])))
-            except Exception as exc:  # noqa: BLE001 - failed trials are data, not crashes
-                errors[i] = exc
-        T_hats = {}
-        if problems:
-            solved, stack = zip(*problems)
-            estimates, _, failed = ESTIMATORS[estimator](stack_problems(stack))
-            T_hats = dict(zip(solved, estimates))
-            errors.update((solved[j], exc) for j, exc in failed.items())
-        ms = (time.perf_counter() - start) * 1e3 / len(trials)
-        for i, bound in zip(trials, bounds):
-            if i in errors:
-                rows[i] = math.nan, math.nan, bound.crlb_t, bound.crlb_theta, ms, _failure(i, errors[i])
-            else:
-                rows[i] = *_trial_errors(T_hats[i], data[i][0]), bound.crlb_t, bound.crlb_theta, ms, None
-    return rows
 
 
 def monte_carlo_run(cfg: ScenarioConfig, estimator: str = "qcqp") -> ErrorStats:
@@ -373,20 +403,45 @@ def monte_carlo_run(cfg: ScenarioConfig, estimator: str = "qcqp") -> ErrorStats:
     Type: message"; aggregates are over the successful ones. The bounds
     are the CRLB at each trial's truth.
 
-    `qcqp` and `sdp` solve the trials of a cell in stacked passes
-    (`_stacked_trials`): each trial's estimate and error are those of its
-    estimator run on it alone, bit for bit, and solve_ms is a group's
-    wall time divided by its trials. `nls` runs trial by trial, and its
-    solve_ms is each trial's own estimator call.
+    The cell is one array pipeline: `trial_data` on every trial gives the
+    truths and a `SyncedStack`, `fim` on them gives every bound from one
+    `fim_stack`, and the errors are taken on arrays. `qcqp` and `sdp`
+    estimate through their `ESTIMATORS` entry on the stack's assembled
+    problems (their point stage, with no FIM at the estimates); each
+    trial's estimate and error are those of its estimator run on it
+    alone, bit for bit, and solve_ms is the cell's assembly and point
+    stage over its trials. `nls` runs trial by trial on each trial's
+    dataset, and its solve_ms is each trial's own estimator call.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
-    if estimator != "nls":
-        rows = _stacked_trials(cfg, estimator)
+    (t, theta), cell = trial_data(cfg, range(cfg.trials))
+    bounds = fim((t, theta), cell)
+    if estimator == "nls":
+        T_hats, errors, solve_ms = [None] * cfg.trials, {}, []
+        for i in range(cfg.trials):
+            dataset = cell.dataset(i)
+            start = time.perf_counter()
+            try:
+                T_hats[i] = ESTIMATORS[estimator](dataset).theta_hat
+            except Exception as exc:  # noqa: BLE001 - failed trials are data, not crashes
+                errors[i] = exc
+            solve_ms.append((time.perf_counter() - start) * 1e3)
     else:
-        rows = [_run_trial(cfg, estimator, i) for i in range(cfg.trials)]
+        start = time.perf_counter()
+        T_hats, _, errors = ESTIMATORS[estimator](assemble_qcqp(cell))
+        solve_ms = (time.perf_counter() - start) * 1e3 / cfg.trials
+    estimates = np.array([(*T.t.tolist(), T.theta) if T is not None else (0.0,) * 4 for T in T_hats])
+    dt = estimates[:, :3] - t
+    table = np.empty((cfg.trials, 5))
+    table[:, 0] = np.sqrt((dt[:, None, :] @ dt[:, :, None])[:, 0, 0])  # np.linalg.norm's BLAS dot, row by row
+    table[:, 1] = np.abs(wrap_angle(estimates[:, 3] - theta))
+    if errors:
+        table[list(errors), :2] = math.nan
     # a bound of None (singular information matrix) becomes NaN in the float table
-    return ErrorStats([r[:5] for r in rows], failures=[r[5] for r in rows if r[5] is not None])
+    table[:, 2:4] = np.array([(b.crlb_t, b.crlb_theta) for b in bounds], dtype=float)
+    table[:, 4] = solve_ms
+    return ErrorStats(table, failures=[_failure(i, errors[i]) for i in sorted(errors)])
 
 
 @dataclass

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
+from walk_reference import generate_trajectory as reference_walk
 
 from range_rte import simulation
 from range_rte.estimators import ESTIMATORS
@@ -70,6 +73,35 @@ class TestTrajectory:
         # sample i of a trajectory is taken at i * dt of the scenario
         _, ds = trial_data(ScenarioConfig(n_poses=8, dt=0.5, trials=1, seed=6), 0)
         assert ds.t.tolist() == [0.5 * i for i in range(8)]
+
+
+class TestWalkDraws:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        D=st.floats(-12.0, 6.0).map(lambda e: 10.0**e),
+        n_poses=st.integers(1, 30),
+        step_scale=st.floats(0.0, 5.0),
+    )
+    @example(seed=14, D=1e-9, n_poses=12, step_scale=0.5)  # the D of TestStackedCell's failing cell
+    @example(seed=0, D=1e-12, n_poses=30, step_scale=0.5)
+    @example(seed=1, D=1e6, n_poses=30, step_scale=4.0)  # steps past 2 D: reflection fractions are drawn
+    def test_walk_equals_reference_bit_for_bit(self, seed, D, n_poses, step_scale):
+        rng, ref = trial_rng(seed, 0), trial_rng(seed, 0)
+        positions, yaws = generate_trajectory(D, n_poses, rng, step_scale)
+        want_positions, want_yaws = reference_walk(D, n_poses, ref, step_scale)
+        assert positions.tobytes() == want_positions.tobytes() and yaws.tobytes() == want_yaws.tobytes()
+        assert rng.random() == ref.random()  # both consumed the same draws
+
+    def test_heading_draw_equals_uniform(self):
+        # -pi + 2 pi u rounds twice, as rng.uniform(-pi, pi) does for the same
+        # u; a numpy whose uniform contracts into one fused multiply-add would
+        # fail here, rather than shift the walks and the benchmark's inputs
+        uniform, heading = trial_rng(0, 0), trial_rng(0, 0)
+        want = uniform.uniform(-math.pi, math.pi, 10**5)
+        got = np.array([simulation._heading(heading) for _ in range(10**5)])
+        assert got.tobytes() == want.tobytes()
+        assert uniform.random() == heading.random()
 
 
 def reference_trajectory(D, n, rng, step_scale=0.5):
@@ -295,31 +327,34 @@ def reference_cell(cfg, estimator):
 
 
 def spoil_trials(monkeypatch):
-    """Ranges of trial 1 scaled by 1e153 (the sweep has no finite grid cost;
-    d0 stays, so it is one more row) and of trial 2 by 1e140 (no finite
-    refinement start; without d0): two failing trials, each in a group of
-    its own row count or constraint set."""
+    """Ranges of trial 1 scaled by 1e153 (the sweep has no finite grid cost)
+    and of trial 2 by 1e140 (no finite refinement start), d0 with them:
+    two failing trials. The seam is the cell arrays, which `trial_data`
+    makes for a range of trials; a single trial is row 0 of its own range,
+    so the per-trial reference loop sees the same spoilt trials."""
     trial_data = simulation.trial_data
 
-    def spoilt(cfg, trial):
-        T, ds = trial_data(cfg, trial)
-        if trial == 1:
-            ds = dataclasses.replace(ds, d=ds.d * 1e153)
-        elif trial == 2:
-            ds = dataclasses.replace(ds, d=ds.d * 1e140, d0=None)
-        return T, ds
+    def spoilt(cfg, trials):
+        if isinstance(trials, int):
+            return trial_data(cfg, trials)
+        truth, cell = trial_data(cfg, trials)
+        d = cell.d.copy()
+        for row, trial in enumerate(trials):
+            d[row] *= {1: 1e153, 2: 1e140}.get(trial, 1.0)
+        return truth, dataclasses.replace(cell, d=d)
 
     monkeypatch.setattr(simulation, "trial_data", spoilt)
 
 
 class TestStackedCell:
     """`monte_carlo_run` solves the `qcqp` and `sdp` trials of a cell in
-    stacked passes; each trial must come out as its estimator on it alone."""
+    one stacked pass; each trial must come out as its estimator on it alone."""
 
     CELLS = {
         "default": {},
         "d0 20 m": {"d0": 20.0},
         "n 8": {"n_poses": 8},
+        "lever arms": {"lever_arms": (LeverArm([-0.02, 0.1, -0.05]), LeverArm([-0.05, 0.15, -0.15]))},  # no d0
         "failing": {"D": 1e-9, "n_poses": 12, "sigma_o": 0.0},  # a static host, and two spoilt trials
     }
 
@@ -336,6 +371,30 @@ class TestStackedCell:
         assert stats.failures == want_failures
         assert len(want_failures) == (2 if cell == "failing" else 0)
         assert np.isfinite(stats.solve_ms).all()
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        {},
+        {"lever_arms": (LeverArm([-0.02, 0.1, -0.05]), LeverArm([-0.05, 0.15, -0.15]))},
+        {"sigma_r": 0.0},
+        {"sigma_o": 0.0},
+        {"sigma_r": 0.0, "sigma_o": 0.0, "lever_arms": (LeverArm([0.1, 0.0, 0.0]), LeverArm())},
+    ],
+)
+def test_cell_rows_equal_single_trials(cell):
+    # the cell arrays are made in one batch; row i must be trial i made alone
+    cfg = ScenarioConfig(**cell, n_poses=9, trials=7, seed=21)
+    (t, theta), stack = trial_data(cfg, range(cfg.trials))
+    assert stack.has_d0 == ("lever_arms" not in cell)
+    for i in range(cfg.trials):
+        T, ds = trial_data(cfg, i)
+        assert T.t.tobytes() == t[i].tobytes() and T.theta == theta[i]
+        assert ds.t.tobytes() == stack.t.tobytes() and ds.sigma_r == stack.sigma_r
+        for got, want in ((stack.d[i], ds.d), (stack.pa[i], ds.pa), (stack.pb[i], ds.pb)):
+            assert got.tobytes() == want.tobytes()
+        assert ds.d0 == (ds.d[0] if stack.has_d0 else None)
 
 
 # float32 digests of trial_data: (seed, trial, cell) -> first 16 hex digits
