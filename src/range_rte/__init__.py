@@ -16,7 +16,6 @@ from .estimators import (
     recover_rank_one,
     sdp_estimate,
     sliding_window_estimate,
-    solve_qcqp,
     solve_sdp_relaxation,
     yaw_sweep,
 )

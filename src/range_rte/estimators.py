@@ -40,9 +40,10 @@ minimizes the raw range residuals with the same damped engine,
 start. Every entry of `ESTIMATORS` takes (dataset, init=None); only
 `nls`, a local method, uses the starting point.
 
-The `qcqp` layers work on stacks of problems: `assemble_qcqp` builds P0
-for W windows of a stream at once, and the yaw sweep runs on P0 of shape
-(W, 9, 9) in chunks of SWEEP_CHUNK problems, which caps its temporaries.
+Every estimator reads its problems as a `measurement.SyncedStack`.
+`assemble_qcqp` builds P0 for all W problems of a stack at once, and the
+yaw sweep runs on P0 of shape (W, 9, 9) in chunks of SWEEP_CHUNK
+problems, which caps its temporaries.
 The sweep's heading matrices are quadratic in (cos, sin) of the heading,
 so two matmuls with constant factors give all of them. From there every
 stage is elementwise arithmetic on (W, 72) planes, one array per scalar
@@ -70,7 +71,6 @@ needs their point stage alone.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -80,14 +80,7 @@ import numpy as np
 
 from .fisher import FimReport, SingularityFlags, fim_stack
 from .geometry import Transform4DoF
-from .measurement import (
-    SyncedDataset,
-    SyncedStack,
-    d0_is_extra_range,
-    debias_ranges,
-    debias_squared,
-    range_rows,
-)
+from .measurement import SyncedDataset, SyncedStack, debias_squared
 from .solvers import CONVERGED, MAX_ITER, NON_FINITE, SolveDiagnostics, lockstep_newton, sdp_solve
 
 SWEEP_HEADINGS = 72  # yaw grid of `yaw_sweep`, 5 degree steps
@@ -182,8 +175,8 @@ def _sym_from_triplets(triplets) -> np.ndarray:
     return P
 
 
-# the four structural constraints of the lift, then the norm constraint
-# ||t||^2 = d0^2; only a right-hand side varies from problem to problem
+# the constraints x' P_i x = r_i of the lift: four structural ones, r = (1,
+# 0, 0, 0), then ||t||^2 = d0^2 for a problem with d0. Shared and read-only
 _CONSTRAINT_MATRICES = tuple(
     _sym_from_triplets(triplets)
     for triplets in (
@@ -194,44 +187,21 @@ _CONSTRAINT_MATRICES = tuple(
         [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)],
     )
 )
-_STRUCTURAL_RHS = (1.0, 0.0, 0.0, 0.0)
-
-
-def constraint_matrices(d0: Optional[float | np.ndarray]) -> list[tuple[np.ndarray, float | np.ndarray]]:
-    """Quadratic consistency constraints (P_i, r_i) of the lifted state.
-
-    Four structural constraints always apply; the norm constraint
-    ||t||^2 = d0^2 is appended only when d0 is available. d0 is a float,
-    or a (W,) array for a stack of problems, whose right-hand side is then
-    the (W,) array of their d0^2. Each d0^2 is a Python float's square,
-    as for a single problem: libm's pow, which numpy's square of an array
-    does not always match in the last bit. The matrices are shared and
-    read-only.
-    """
-    cons = list(zip(_CONSTRAINT_MATRICES, _STRUCTURAL_RHS))
-    if d0 is not None:
-        rhs = np.array([r**2 for r in d0.tolist()]) if isinstance(d0, np.ndarray) else d0**2
-        cons.append((_CONSTRAINT_MATRICES[4], rhs))
-    return cons
-
-
 @dataclass
 class QcqpProblem:
-    """Lifted quadratic cost with its consistency constraints.
+    """Lifted quadratic cost, minimized subject to `_CONSTRAINT_MATRICES`.
 
     P0 = B' diag(1/sigma_s) B keeps the true weighted-least-squares
     scale; `weights` are the per-row inverse variances used to rebuild
-    the cost row-wise during refinement. A stack of W problems carries a
-    leading axis of W on P0, B and weights; a constraint's right-hand
-    side is one value for the whole stack, or a (W,) array (the d0^2 of
-    an assembled `SyncedStack`).
+    the cost row-wise during refinement. d0 is the norm-constraint value,
+    None without one. A stack of W problems carries a leading axis of W
+    on P0, B and weights, and d0 is then (W,) or None.
     """
 
     P0: np.ndarray
-    constraints: list
     B: np.ndarray
-    has_d0: bool
     weights: np.ndarray
+    d0: Optional[float | np.ndarray]
 
 
 @dataclass
@@ -251,35 +221,26 @@ class EstimateReport:
         return self.fim.flags
 
 
-def assemble_qcqp(dataset: SyncedDataset | SyncedStack, rows: Optional[np.ndarray] = None) -> QcqpProblem:
-    """Build the lifted quadratic program from a synced dataset.
+def assemble_qcqp(data: SyncedDataset | SyncedStack) -> QcqpProblem:
+    """Build the lifted quadratic program of a `SyncedStack`: the stack of
+    its W problems, one row of B per range row.
 
-    B has one row per range, plus a last row for d0 when
-    `d0_is_extra_range`. With `rows`, an integer array of shape (W, n),
-    the result is the stack of the W problems on the dataset rows
-    rows[i], without d0 (a stale d0 does not belong to a window). A
-    `SyncedStack` gives the stack of its W problems, each with its first
-    range as d0 when the stack has d0: each problem of it is, bit for bit,
-    the one its dataset alone gives.
+    A dataset gives the one problem of `data.stack()`, without the
+    leading axis: B has one row per range, plus a last row for d0 when d0
+    is not the first range. Each problem of a stack is, bit for bit, the
+    one its own stack of one gives.
     """
-    if len(dataset.t) < 1:
+    stack = data.stack() if isinstance(data, SyncedDataset) else data
+    if stack.d.shape[1] < 1:
         raise ValueError("need at least one synced sample")
-    stats = debias_squared(dataset)
-    pa, pb, s, w = dataset.pa, dataset.pb, stats.s, 1.0 / stats.sigma_s_diag
-    if isinstance(dataset, SyncedStack):
-        d0 = dataset.d[:, 0] if dataset.has_d0 else None
-    else:
-        d0 = dataset.d0 if rows is None else None
-        if rows is not None:
-            pa, pb, s, w = pa[rows], pb[rows], s[rows], w[rows]
-        elif d0_is_extra_range(dataset):
-            pa, pb, _ = range_rows(dataset)
-            origin = debias_ranges([dataset.d0], dataset.sigma_r)
-            s, w = np.append(s, origin.s), np.append(w, 1.0 / origin.sigma_s_diag)
-    B = build_data_rows(pa, pb, s)
+    stats = debias_squared(stack)
+    w = 1.0 / stats.sigma_s_diag
+    B = build_data_rows(stack.pa, stack.pb, stats.s)
     P0 = (B * w[..., None]).swapaxes(-1, -2) @ B
     P0 = 0.5 * (P0 + P0.swapaxes(-1, -2))
-    return QcqpProblem(P0=P0, constraints=constraint_matrices(d0), B=B, has_d0=d0 is not None, weights=w)
+    if stack is data:
+        return QcqpProblem(P0=P0, B=B, weights=w, d0=stack.d0)
+    return QcqpProblem(P0=P0[0], B=B[0], weights=w[0], d0=None if stack.d0 is None else stack.d0[0])
 
 
 def sd_wls_cost(problem: QcqpProblem, T: Transform4DoF) -> float:
@@ -292,7 +253,8 @@ def solve_sdp_relaxation(problem: QcqpProblem) -> tuple[np.ndarray, SolveDiagnos
     """Solve the lifted problem with the rank constraint dropped, to
     SDP_TOL within SDP_MAX_ITER iterations, in one `sdp_solve` call. P0 of
     shape (9, 9) is one problem, (W, 9, 9) a stack; X has P0's shape and
-    the diagnostics hold one entry per problem.
+    the diagnostics hold one entry per problem. The constraints are
+    `_CONSTRAINT_MATRICES`, the last one only with d0.
 
     With d0, the solver sees each problem's lift in units of its d0: t, u
     and v over d0 and tau over d0^2 (D A_i D = k_i A_i for D the
@@ -300,18 +262,19 @@ def solve_sdp_relaxation(problem: QcqpProblem) -> tuple[np.ndarray, SolveDiagnos
     start X = I: at d0 50 m with D 20 m the median iteration count falls
     from 32 to 22. The scaled right-hand sides are (1, 0, 0, 0, 1) for
     every d0, so a stack of problems with different d0 shares them too.
+    Each d0^2 is a Python float's square, libm's pow, which numpy's
+    square of an array does not always match in the last bit.
     """
     P0 = problem.P0.reshape(-1, 9, 9)
     W = len(P0)
-    # (W, m): a constraint's right-hand side is one value, or one per problem of a stack
-    b = np.stack([np.broadcast_to(np.asarray(r, dtype=float), (W,)) for _, r in problem.constraints], axis=1)
     one = np.ones(W)
-    r2 = b[:, 4] if problem.has_d0 else one
+    r2 = one if problem.d0 is None else np.array([r**2 for r in np.reshape(problem.d0, -1).tolist()])
     r = np.sqrt(r2)
     D = np.stack([r, r, r, one, one, r, r, r2, one], axis=1)
-    k = np.stack([one, r, r, r2, r2], axis=1)[:, : b.shape[1]]
+    m = 4 if problem.d0 is None else 5
+    b = np.broadcast_to([1.0, 0.0, 0.0, 0.0, 1.0][:m], (W, m))
     C = P0 * D[:, :, None] * D[:, None, :]
-    X, _, diag = sdp_solve(C, [P for P, _ in problem.constraints], b / k, tol=SDP_TOL, max_iter=SDP_MAX_ITER)
+    X, _, diag = sdp_solve(C, _CONSTRAINT_MATRICES[:m], b, tol=SDP_TOL, max_iter=SDP_MAX_ITER)
     return (X * D[:, :, None] * D[:, None, :]).reshape(problem.P0.shape), diag
 
 
@@ -691,20 +654,20 @@ def _sweep_stack(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, di
     return t, heading, count, errors
 
 
-def _reports(points: tuple, pa: np.ndarray, pb: np.ndarray, sigma_r: float) -> list[EstimateReport]:
+def _reports(points: tuple, stack: SyncedStack) -> list[EstimateReport]:
     """Reports of a point stage's W estimates from one stacked FIM, as a one-by-one loop gives them.
 
     points is (estimates, solver scalars, {problem: error}) of
-    `_qcqp_points` or `_sdp_points`; pa and pb (W, k, 3) are each
-    problem's range rows. The first failing problem's error is raised, once
-    the problems before it have their FIM, whose zero range raises first.
+    `_qcqp_points`, `_sdp_points` or `nls_estimate` on the W problems of
+    the stack. The first failing problem's error is raised, once the
+    problems before it have their FIM, whose zero range raises first.
     """
     T_hats, solvers, errors = points
     n = min(errors, default=len(T_hats))
     reports = []
     if n:
         t = np.array([T.t for T in T_hats[:n]])
-        reps = fim_stack(t, np.array([T.theta for T in T_hats[:n]]), pa[:n], pb[:n], sigma_r)
+        reps = fim_stack(t, np.array([T.theta for T in T_hats[:n]]), stack.pa[:n], stack.pb[:n], stack.sigma_r)
         reports = [EstimateReport(theta_hat=T, solver=solver, fim=rep) for T, rep, solver in zip(T_hats, reps, solvers)]
     if errors:
         raise errors[n]
@@ -753,7 +716,7 @@ def _sdp_points(problem: QcqpProblem) -> tuple[list, list, dict]:
 
 
 def _qcqp_points(problem: QcqpProblem) -> tuple[list, list, dict]:
-    """Point stage of `solve_qcqp` for a stack of W problems.
+    """Point stage of `qcqp_estimate` for a stack of W problems.
 
     The sweep candidates of all problems form one stack of starts,
     refined by one `lockstep_newton` call on the 9x9 triangle R of each
@@ -810,28 +773,18 @@ def _qcqp_points(problem: QcqpProblem) -> tuple[list, list, dict]:
     return T_hats, solvers, errors
 
 
-def _stack_of_one(problem: QcqpProblem, dataset: SyncedDataset, points) -> EstimateReport:
-    """The point stage `points` (`_qcqp_points` or `_sdp_points`) and its report, on one problem of the dataset."""
-    pa, pb, _ = range_rows(dataset)
-    stack = dataclasses.replace(problem, P0=problem.P0[None], B=problem.B[None], weights=problem.weights[None])
-    return _reports(points(stack), pa[None], pb[None], dataset.sigma_r)[0]
-
-
-def solve_qcqp(problem: QcqpProblem, dataset: SyncedDataset) -> EstimateReport:
+def qcqp_estimate(dataset: SyncedDataset) -> EstimateReport:
     """Minimize the lifted cost over all feasible transforms.
 
     Each minimum of `yaw_sweep` is refined over (t, theta) by damped
     Newton steps on the square-root factor of the cost; the lowest-cost
     result wins. The constraints hold by construction of the
     parameterization, and ||t|| is left free: a measured inter-origin
-    distance enters the cost as an ordinary row of B. Runs as a stack of
-    one problem.
+    distance enters the cost as a range row of `dataset.stack()`. Runs as
+    a stack of one problem.
     """
-    return _stack_of_one(problem, dataset, _qcqp_points)
-
-
-def qcqp_estimate(dataset: SyncedDataset) -> EstimateReport:
-    return solve_qcqp(assemble_qcqp(dataset), dataset)
+    stack = dataset.stack()
+    return _reports(_qcqp_points(assemble_qcqp(stack)), stack)[0]
 
 
 def sdp_estimate(dataset: SyncedDataset) -> EstimateReport:
@@ -839,7 +792,8 @@ def sdp_estimate(dataset: SyncedDataset) -> EstimateReport:
     approximation (no local refinement). A relaxation that ends other
     than optimal raises DegenerateSolutionError. Runs as a stack of one
     problem."""
-    return _stack_of_one(assemble_qcqp(dataset), dataset, _sdp_points)
+    stack = dataset.stack()
+    return _reports(_sdp_points(assemble_qcqp(stack)), stack)[0]
 
 
 def nls_estimate(dataset: SyncedDataset, init: Optional[Transform4DoF] = None) -> EstimateReport:
@@ -853,8 +807,8 @@ def nls_estimate(dataset: SyncedDataset, init: Optional[Transform4DoF] = None) -
     """
     start = time.perf_counter()
     T0 = init if init is not None else Transform4DoF(t=np.zeros(3), theta=0.0)
-    sigma = dataset.sigma_r
-    pa, pb, d_meas = range_rows(dataset)
+    stack = dataset.stack()
+    sigma, pa, pb, d_meas = stack.sigma_r, stack.pa[0], stack.pb[0], stack.d[0]
 
     def lift(p):
         # the residuals (||w|| - d) / sigma, w = t + C(theta) pb - pa, and
@@ -883,7 +837,7 @@ def nls_estimate(dataset: SyncedDataset, init: Optional[Transform4DoF] = None) -
         "wall_ms": (time.perf_counter() - start) * 1e3,
     }
     T_hat = Transform4DoF(t=res.p[0, :3], theta=res.p[0, 3])
-    return _reports(([T_hat], [solver], {}), pa[None], pb[None], sigma)[0]
+    return _reports(([T_hat], [solver], {}), stack)[0]
 
 
 def _stacked(estimate, points):
@@ -900,10 +854,10 @@ def _stacked(estimate, points):
 # EstimateReport. `init` is a starting point for a local method; the global
 # `qcqp` and `sdp` ignore it. Those two also take, in place of the dataset,
 # an assembled stack of W problems (a QcqpProblem with a leading axis, from
-# `assemble_qcqp` with rows or on a `SyncedStack`). They return its point
-# stage then: each problem's estimate and solver scalars (None where it
-# failed) and {problem index: error} for every failing problem, with no
-# FIM and no report. The sliding windows and the Monte-Carlo cells estimate
+# `assemble_qcqp` on a `SyncedStack`). They return its point stage then:
+# each problem's estimate and solver scalars (None where it failed) and
+# {problem index: error} for every failing problem, with no FIM and no
+# report. The sliding windows and the Monte-Carlo cells estimate
 # through this form, so every estimate goes through the registry, where
 # the benchmark's tracer (perfbench/tracing.py) times the estimate layer.
 ESTIMATORS = {
@@ -944,10 +898,11 @@ def sliding_window_estimate(
     drift the initial distance is stale.
 
     `qcqp` and `sdp` solve all windows in one stacked pass (their
-    `ESTIMATORS` entry on the stack, then `_reports`): one assembly without d0 and
-    one batched FIM eigendecomposition; for `qcqp` a yaw sweep in chunks
-    of SWEEP_CHUNK windows, which caps its temporaries, and one
-    refinement per candidate, for `sdp` one lockstep `sdp_solve` call.
+    `ESTIMATORS` entry on the stack of `stream.windows`, then `_reports`):
+    one assembly without d0 and one batched FIM eigendecomposition; for
+    `qcqp` a yaw sweep in chunks of SWEEP_CHUNK windows, which caps its
+    temporaries, and one refinement per candidate, for `sdp` one lockstep
+    `sdp_solve` call.
     Their results and errors equal a window-by-window loop: the first
     failing window's error is raised. Only `nls` runs window by window.
     """
@@ -961,9 +916,8 @@ def sliding_window_estimate(
         raise ValueError(f"stride must be >= 1, got {stride}")
     starts = np.arange(0, len(stream) - window + 1, stride)
     if estimator != "nls" and len(starts):
-        rows = starts[:, None] + np.arange(window)
-        points = ESTIMATORS[estimator](assemble_qcqp(stream, rows))
-        stacked = iter(_reports(points, stream.pa[rows], stream.pb[rows], stream.sigma_r))
+        windows = stream.windows(starts, window)
+        stacked = iter(_reports(ESTIMATORS[estimator](assemble_qcqp(windows)), windows))
 
     results = []
     prev: Optional[Transform4DoF] = None

@@ -4,11 +4,11 @@ everything derived from it, and the determinant decomposition.
 Each range row contributes one Jacobian row [u^T, phi]: u is the unit
 vector along the inter-antenna line in the host frame and phi couples the
 range to the heading through the target's horizontal displacement. The
-rows are those of `measurement.range_rows`, the rows the estimators fit:
-one per range, plus one for a d0 that is not the first range itself,
-between the two frame origins (u = t / ||t||, phi = 0). `fim`,
-`jacobian_matrix` and the determinant expansion count exactly these
-rows, through the one Jacobian `_jacobian_stack`.
+rows of a dataset are those of its `SyncedDataset.stack()`, the rows the
+estimators fit: one per range, plus one for a d0 that is not the first
+range itself, between the two frame origins (u = t / ||t||, phi = 0).
+`fim`, `jacobian_matrix` and the determinant expansion count exactly
+these rows, through the one Jacobian `_jacobian_stack`.
 
 The FIM is the noise-weighted Gram matrix of the rows. `fim_reports`
 derives every quantity of a stack of FIMs in one pass, from one
@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import Transform4DoF, yaw_matrices
-from .measurement import SyncedDataset, range_rows
+from .measurement import SyncedDataset, SyncedStack
 
 # kappa of the FIM at the estimate above which a configuration is
 # singular. Measured with `qcqp` at sigma_o 1 mm: the four singular kinds
@@ -83,9 +83,8 @@ class SingularityFlags:
 class FimReport:
     """FIM with its derived uncertainty quantities.
 
-    lam and Q are the eigenpairs of F, largest first (Q holds them in
-    columns). crlb, the scalar translation/heading bounds and std_errors
-    (the roots of the CRLB diagonal) are present only when the FIM is
+    crlb, the scalar translation/heading bounds and std_errors (the
+    roots of the CRLB diagonal) are present only when the FIM is
     invertible at RCOND. flags hold the verdicts at
     DEFAULT_KAPPA_THRESHOLD.
     """
@@ -98,8 +97,6 @@ class FimReport:
     det_f: float
     kappa: float
     rank: int
-    lam: np.ndarray
-    Q: np.ndarray
     flags: SingularityFlags
 
 
@@ -124,9 +121,9 @@ def _jacobian_stack(t: np.ndarray, theta: np.ndarray, pa: np.ndarray, pb: np.nda
 
 
 def jacobian_matrix(T: Transform4DoF, dataset: SyncedDataset) -> np.ndarray:
-    """Stacked (k, 4) Jacobian, one row [u^T, phi] per row of `range_rows`."""
-    pa, pb, _ = range_rows(dataset)
-    return _jacobian_stack(T.t[None], np.array([T.theta]), pa[None], pb[None])[0]
+    """Stacked (k, 4) Jacobian, one row [u^T, phi] per row of `dataset.stack()`."""
+    stack = dataset.stack()
+    return _jacobian_stack(T.t[None], np.array([T.theta]), stack.pa, stack.pb)[0]
 
 
 def fim_reports(F) -> list[FimReport]:
@@ -135,8 +132,8 @@ def fim_reports(F) -> list[FimReport]:
 
     F (W, n, n) holds symmetric positive semidefinite matrices: an
     asymmetry above 1e-9 max(|F|, 1) over the stack or an eigenvalue below
-    -1e-8 max(lam_max, 1) raises ValueError. Per FIM: the eigenpairs,
-    largest first; kappa, infinite unless the smallest eigenvalue is
+    -1e-8 max(lam_max, 1) raises ValueError. Per FIM, from its
+    eigenpairs (lam, Q): kappa, infinite unless the smallest eigenvalue is
     positive; the rank at RCOND; det; the CRLB Q diag(1/lam) Q', its
     translation trace and heading entry, and the standard errors, the
     roots of its diagonal, when the FIM is invertible at RCOND; and the
@@ -195,20 +192,16 @@ def fim_reports(F) -> list[FimReport]:
             det_f=det,
             kappa=k,
             rank=r,
-            lam=lam_i,
-            Q=Q_i,
             flags=SingularityFlags(
                 configuration_singular=k > DEFAULT_KAPPA_THRESHOLD,
                 per_param_unobservable=tuple(unobs),
                 kappa_threshold=DEFAULT_KAPPA_THRESHOLD,
             ),
         )
-        for F_i, crlb_i, std_i, lam_i, Q_i, inv, c, det, k, r, unobs in zip(
+        for F_i, crlb_i, std_i, inv, c, det, k, r, unobs in zip(
             F,
             crlb,
             std,
-            lam,
-            Q,
             invertible.tolist(),
             diag.tolist(),
             det_f.tolist(),
@@ -230,19 +223,18 @@ def fim_stack(t, theta, pa, pb, sigma_r: float) -> list[FimReport]:
     return fim_reports((J.swapaxes(-1, -2) @ J) / sigma_r**2)
 
 
-def fim(T: Transform4DoF | tuple, dataset) -> FimReport | list[FimReport]:
+def fim(T: Transform4DoF | tuple, data: SyncedDataset | SyncedStack) -> FimReport | list[FimReport]:
     """Fisher information of the dataset about (t, theta), with CRLB.
 
-    `fim_stack` for one problem, on the rows of `range_rows`. Given a
+    `fim_stack` for one problem, on the rows of `data.stack()`. Given a
     `SyncedStack` and T the pair (t (W, 3), theta (W,)) of its W
     transforms instead, the list of their reports from one `fim_stack`,
     as a Monte-Carlo cell takes the bounds at its truths.
     """
     if isinstance(T, Transform4DoF):
-        pa, pb, _ = range_rows(dataset)
-        return fim_stack(T.t[None], np.array([T.theta]), pa[None], pb[None], dataset.sigma_r)[0]
+        return fim((T.t[None], np.array([T.theta])), data.stack())[0]
     t, theta = T
-    return fim_stack(t, theta, dataset.pa, dataset.pb, dataset.sigma_r)
+    return fim_stack(t, theta, data.pa, data.pb, data.sigma_r)
 
 
 def det_fim_geometric(T: Transform4DoF, dataset: SyncedDataset) -> float:

@@ -18,9 +18,10 @@ odometry logs gets each agent's pose at its timestamp: the logged pose
 itself on a coinciding stamp, otherwise the position interpolated
 linearly and the attitude spherically between the two bracketing poses;
 the lever arm is then rotated into the local frame. Uncovered ranges are
-dropped, never extrapolated. `SyncedStack` holds W datasets of equal
-length as arrays with a leading axis of W, as a Monte-Carlo cell makes
-them.
+dropped, never extrapolated. `SyncedStack`, the fit problem that the
+estimators and the Fisher information read, holds W problems as arrays
+with a leading axis of W: a dataset's own (`SyncedDataset.stack`), a
+stream's windows (`SyncedDataset.windows`) or a Monte-Carlo cell.
 
 Also here: the squared-distance debiasing used by the weighted
 least-squares pipeline and the odometry-bounded range-rate gate that
@@ -55,6 +56,11 @@ class NoOverlapError(ValueError):
     """No range measurement is covered by both odometry streams."""
 
 
+def _positive_finite(x: np.ndarray) -> np.ndarray:
+    """Mask of the entries of x that are positive and finite."""
+    return (x > 0) & (x < np.inf)
+
+
 def _first_bad_row(checks) -> Optional[tuple[int, str]]:
     """(row, message) of the first row that fails one of the (mask,
     message) checks, the earlier check first on a tie; None if none fails."""
@@ -85,13 +91,13 @@ def odometry_problem(log) -> Optional[tuple[int, str]]:
 
 def range_problem(log) -> Optional[tuple[int, str]]:
     """First row of a range log with a non-finite timestamp, a range that
-    is not positive or a timestamp not later than its predecessor's, as
-    (row, message), or None."""
+    is not positive and finite or a timestamp not later than its
+    predecessor's, as (row, message), or None."""
     t = log["t"]
     return _first_bad_row(
         (
             (~np.isfinite(t), "timestamp must be finite"),
-            (~(log["d"] > 0), "measured range must be positive"),
+            (~_positive_finite(log["d"]), "measured range must be positive and finite"),
             (~(np.diff(t, prepend=-np.inf) > 0), "timestamps must be strictly increasing"),
         )
     )
@@ -158,8 +164,8 @@ class SyncedDataset:
             object.__setattr__(self, name, _read_only_copy(getattr(self, name), name, row_shape))
         if not len(self.t) == len(self.d) == len(self.pa) == len(self.pb):
             raise ValueError("t, d, pa and pb must have the same length")
-        if not (self.d > 0).all():
-            raise ValueError("ranges must be positive")
+        if not _positive_finite(self.d).all():
+            raise ValueError("ranges must be positive and finite")
         if not (np.isfinite(self.pa).all() and np.isfinite(self.pb).all()):
             raise ValueError("antenna positions must be finite")
         if not np.isfinite(self.t).all():
@@ -168,8 +174,8 @@ class SyncedDataset:
             raise ValueError("sample timestamps must be strictly increasing")
         if not self.sigma_r > 0:
             raise ValueError(f"sigma_r must be positive, got {self.sigma_r}")
-        if self.d0 is not None and not self.d0 > 0:
-            raise ValueError(f"d0 must be positive when present, got {self.d0}")
+        if self.d0 is not None and not 0 < self.d0 < math.inf:
+            raise ValueError(f"d0 must be positive and finite when present, got {self.d0}")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -192,60 +198,62 @@ class SyncedDataset:
         """Dataset restricted to the rows where the boolean mask is True."""
         return self._rows(np.asarray(keep, dtype=bool), keep_d0)
 
+    def stack(self) -> "SyncedStack":
+        """The dataset's fit problem, as a stack of one.
+
+        Its rows are the dataset's ranges, plus a last row (0, 0, d0)
+        between the two frame origins when d0 is known but is not the
+        first range itself; d0 is the stack's norm-constraint value.
+        """
+        d, pa, pb = self.d, self.pa, self.pb
+        if self.d0 is not None and self.d0 not in d[:1]:
+            origin = np.zeros((1, 3))
+            d, pa, pb = np.append(d, self.d0), np.vstack([pa, origin]), np.vstack([pb, origin])
+        d0 = None if self.d0 is None else np.array([self.d0])
+        return SyncedStack(d=d[None], pa=pa[None], pb=pb[None], sigma_r=self.sigma_r, d0=d0)
+
+    def windows(self, starts, length: int) -> "SyncedStack":
+        """The windows of rows a:a + length, for a in starts, as a stack
+        without d0: a d0 measured at the start goes stale under drift."""
+        rows = np.asarray(starts)[:, None] + np.arange(length)
+        return SyncedStack(d=self.d[rows], pa=self.pa[rows], pb=self.pb[rows], sigma_r=self.sigma_r)
+
 
 @dataclass(frozen=True, eq=False)
 class SyncedStack:
-    """W synced datasets of k rows each, as arrays with a leading axis of W.
+    """W fit problems of k range rows each, as arrays with a leading axis
+    of W: the one problem type that the estimators and the FIM read.
 
-    Dataset i has the ranges d[i] (shape (W, k) in all) and the antenna
-    positions pa[i] and pb[i] ((W, k, 3)), as in `SyncedDataset`; all
-    share the timestamps t (k,) and sigma_r. With has_d0, each dataset's
-    d0 is its own first range d[i, 0]; a stack holds no d0 that would be
-    one more row. The arrays are kept as given, not copied; the
-    constructor checks their shapes, that the ranges are positive and the
-    antenna positions finite.
+    Problem i has the ranges d[i] (shape (W, k) in all) and the antenna
+    positions pa[i] and pb[i] ((W, k, 3)), and all share sigma_r. d0,
+    (W,) or None, is each problem's norm-constraint value; any range row
+    for it is already among the k rows, which `SyncedDataset.stack`,
+    `SyncedDataset.windows` and `simulation.synthesize_measurements`
+    decide. The arrays are kept as given, not copied; the constructor
+    checks their shapes, that the ranges and d0 are positive and finite
+    and the antenna positions finite.
     """
 
-    t: np.ndarray
     d: np.ndarray
     pa: np.ndarray
     pb: np.ndarray
     sigma_r: float
-    has_d0: bool = False
+    d0: Optional[np.ndarray] = None
 
     def __post_init__(self):
         W, k = self.d.shape[0], self.d.shape[-1]
-        if self.d.ndim != 2 or self.t.shape != (k,) or self.pa.shape != (W, k, 3) or self.pb.shape != (W, k, 3):
+        d0_shape = (W,) if self.d0 is None else self.d0.shape
+        if self.d.ndim != 2 or self.pa.shape != (W, k, 3) or self.pb.shape != (W, k, 3) or d0_shape != (W,):
             raise ValueError(
-                "need t (k,), d (W, k), pa and pb (W, k, 3); "
-                f"got {self.t.shape}, {self.d.shape}, {self.pa.shape} and {self.pb.shape}"
+                "need d (W, k), pa and pb (W, k, 3) and d0 (W,) or None; "
+                f"got {self.d.shape}, {self.pa.shape}, {self.pb.shape} and {d0_shape}"
             )
-        if not ((self.d > 0).all() and np.isfinite(self.pa).all() and np.isfinite(self.pb).all()):
-            raise ValueError("ranges must be positive and antenna positions finite")
+        if not (_positive_finite(self.d).all() and (self.d0 is None or _positive_finite(self.d0).all())):
+            raise ValueError("ranges and d0 must be positive and finite")
+        if not (np.isfinite(self.pa).all() and np.isfinite(self.pb).all()):
+            raise ValueError("antenna positions must be finite")
         if not self.sigma_r > 0:
             raise ValueError(f"sigma_r must be positive, got {self.sigma_r}")
-
-    def dataset(self, i: int) -> SyncedDataset:
-        """Dataset i of the stack."""
-        d0 = float(self.d[i, 0]) if self.has_d0 else None
-        return SyncedDataset(t=self.t, d=self.d[i], pa=self.pa[i], pb=self.pb[i], sigma_r=self.sigma_r, d0=d0)
-
-
-def d0_is_extra_range(dataset: SyncedDataset) -> bool:
-    """True when d0 is known but is not the first range itself: the fit
-    and the information matrix then take it as one more range, between
-    the two frame origins."""
-    return dataset.d0 is not None and dataset.d0 != dataset.d[0]
-
-
-def range_rows(dataset: SyncedDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pa, pb, d) of every range the fit and the FIM use: the dataset's
-    rows, plus a last row (0, 0, d0) between the frame origins when
-    `d0_is_extra_range`."""
-    if not d0_is_extra_range(dataset):
-        return dataset.pa, dataset.pb, dataset.d
-    origin = np.zeros((1, 3))
-    return np.vstack([dataset.pa, origin]), np.vstack([dataset.pb, origin]), np.append(dataset.d, dataset.d0)
 
 
 @dataclass(frozen=True)
@@ -348,19 +356,14 @@ def ingest_logs(
 
 
 def debias_squared(dataset: SyncedDataset | SyncedStack) -> SquaredStats:
-    """Debiased squared distances of a dataset's or a stack's ranges (`debias_ranges`)."""
-    return debias_ranges(dataset.d, dataset.sigma_r)
-
-
-def debias_ranges(d, sigma_r: float) -> SquaredStats:
-    """Debiased squared distances with their (diagonal) covariance.
+    """Debiased squared distances of a dataset's or a stack's ranges, with
+    their (diagonal) covariance.
 
     The noise on d~^2 is nu = 2 d eta + eta^2 with mean sigma_r^2 and
     variance sigma_r^2 (4 d~^2 + 2 sigma_r^2); subtracting the mean gives
     an approximately Gaussian squared-distance error.
     """
-    var_r = sigma_r**2
-    d = np.asarray(d, dtype=float)
+    var_r, d = dataset.sigma_r**2, dataset.d
     s = d**2 - var_r
     sigma_s = var_r * (4.0 * d**2 + 2.0 * var_r)
     return SquaredStats(s=s, sigma_s_diag=sigma_s)

@@ -261,16 +261,17 @@ def synthesize_measurements(
 
     With a leading trial axis, T_true is the pair (t (W, 3), theta (W,))
     of W truths, each trajectory is (positions (W, n, 3), headings
-    (W, n)), rng holds one generator per trial, and the result is a
-    `SyncedStack`; there the first true antenna positions of every trial
-    or of none sit at their frame origins. Each generator draws its
-    trial's range noise, then its odometry noise, host before target, and
-    each trial comes out as it would alone, bit for bit.
+    (W, n)), rng holds one generator per trial, and the result is the
+    cell's fit problems as a `SyncedStack`, with each trial's first range
+    as its d0 when the first true antenna positions sit at their frame
+    origins, which must hold in every trial or in none. Each generator
+    draws its trial's range noise, then its odometry noise, host before
+    target, and each trial comes out as it would alone, bit for bit.
     """
     if isinstance(T_true, Transform4DoF):
         T_true = T_true.t[None], np.array([T_true.theta])
         traj_a, traj_b = ((p[None], yaw[None]) for p, yaw in (traj_a, traj_b))
-        return synthesize_measurements(T_true, traj_a, traj_b, cfg, [rng]).dataset(0)
+        return _trial_dataset(synthesize_measurements(T_true, traj_a, traj_b, cfg, [rng]), 0, cfg.dt)
     t, theta = T_true
     n = min(traj_a[1].shape[1], traj_b[1].shape[1])
     positions, yaws = (np.stack((a[:, :n], b[:, :n])) for a, b in zip(traj_a, traj_b))
@@ -290,14 +291,16 @@ def synthesize_measurements(
     at_origins = ~antennas[:, :, 0].any(axis=(0, 2))
     if at_origins.any() and not at_origins.all():
         raise ValueError("the first antenna positions sit at their frame origins in some trials only")
-    return SyncedStack(
-        t=np.arange(n) * cfg.dt,
-        d=d_meas,
-        pa=pa,
-        pb=pb,
-        sigma_r=max(cfg.sigma_r, SIGMA_R_FLOOR),
-        has_d0=bool(at_origins.all()),
-    )
+    d0 = d_meas[:, 0] if at_origins.all() else None
+    return SyncedStack(d=d_meas, pa=pa, pb=pb, sigma_r=max(cfg.sigma_r, SIGMA_R_FLOOR), d0=d0)
+
+
+def _trial_dataset(cell: SyncedStack, i: int, dt: float) -> SyncedDataset:
+    """Trial i of a cell as a dataset sampled every dt seconds. A cell's d0
+    is its first range, so the dataset's `stack()` has the trial's rows."""
+    d0 = None if cell.d0 is None else float(cell.d0[i])
+    t = np.arange(cell.d.shape[1]) * dt
+    return SyncedDataset(t=t, d=cell.d[i], pa=cell.pa[i], pb=cell.pb[i], sigma_r=cell.sigma_r, d0=d0)
 
 
 def _linear_local_trajectory(start, direction, length, n, rng):
@@ -373,7 +376,7 @@ def trial_data(cfg: ScenarioConfig, trials: int | Sequence[int]) -> tuple:
     if isinstance(trials, numbers.Integral):
         (t, theta), cell = trial_data(cfg, range(trials, trials + 1))
         # theta is already wrapped, and wrapping a wrapped heading leaves its bits
-        return Transform4DoF(t=t[0], theta=theta[0]), cell.dataset(0)
+        return Transform4DoF(t=t[0], theta=theta[0]), _trial_dataset(cell, 0, cfg.dt)
     rngs = [trial_rng(cfg.seed, i) for i in trials]
     directions, norms, headings, walk_a, walk_b = [], [], [], [], []
     for rng in rngs:
@@ -420,7 +423,7 @@ def monte_carlo_run(cfg: ScenarioConfig, estimator: str = "qcqp") -> ErrorStats:
     if estimator == "nls":
         T_hats, errors, solve_ms = [None] * cfg.trials, {}, []
         for i in range(cfg.trials):
-            dataset = cell.dataset(i)
+            dataset = _trial_dataset(cell, i, cfg.dt)
             start = time.perf_counter()
             try:
                 T_hats[i] = ESTIMATORS[estimator](dataset).theta_hat

@@ -644,6 +644,24 @@ class TestBadRangesRejected:
         err = capsys.readouterr().err
         assert f"ranges_bad.csv:{line}: timestamps must be strictly increasing" in err
 
+    @pytest.mark.parametrize("outlier_mode", ["odometry", "none"])
+    @pytest.mark.parametrize("estimator", ["qcqp", "sdp"])
+    def test_infinite_range_names_file_and_line(self, tmp_path, capsys, outlier_mode, estimator):
+        # once read as data: the default gate then dropped it as an outlier,
+        # and without the gate the estimate ended in a solver failure (exit 4)
+        pa, pb, ranges, _ = synthetic_logs(tmp_path, seed=1)
+        lines = open(ranges).read().splitlines()
+        lines[5] = lines[5].split(",")[0] + ",inf"  # line 6: the header is line 1
+        bad = tmp_path / "ranges_bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"ranges_bad\.csv:6: measured range must be positive and finite"):
+            read_ranges_csv(str(bad))
+        cfg = write_json(tmp_path / "cfg.json", {"outlier_mode": outlier_mode, "estimator": estimator})
+        out = str(tmp_path / "r.json")
+        rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", str(bad), "--config", cfg, "--out", out])
+        assert rc == 2
+        assert "ranges_bad.csv:6: measured range must be positive and finite" in capsys.readouterr().err
+
 
 class TestTimeShiftInvariance:
     @settings(max_examples=8, deadline=None)

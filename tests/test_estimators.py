@@ -14,6 +14,7 @@ from range_rte.estimators import (
     SWEEP_CANDIDATES,
     SWEEP_HEADINGS,
     WINDOW_KAPPA_LIMIT,
+    _CONSTRAINT_MATRICES,
     DegenerateSolutionError,
     EstimateReport,
     HeadingUndefinedError,
@@ -34,13 +35,12 @@ from range_rte.estimators import (
     sd_wls_cost,
     sdp_estimate,
     sliding_window_estimate,
-    solve_qcqp,
     solve_sdp_relaxation,
     yaw_sweep,
 )
 from range_rte.fisher import confidence_intervals, fim, fim_reports
 from range_rte.geometry import Transform4DoF, heading_rotation, wrap_angle
-from range_rte.measurement import SyncedDataset, debias_squared, range_rows, true_range
+from range_rte.measurement import SyncedDataset, debias_squared, true_range
 from range_rte.solvers import CONVERGED, _gram, lockstep_newton
 from range_rte.simulation import (
     DriftConfig,
@@ -192,11 +192,17 @@ class TestDataRow:
         assert np.array_equal(build_data_rows(pa, pb, s), expected)
 
 
+def constraints(prob):
+    """(P_i, r_i) of a single problem: the four structural constraints, then ||t||^2 = d0^2 when it has d0."""
+    rhs = (1.0, 0.0, 0.0, 0.0) if prob.d0 is None else (1.0, 0.0, 0.0, 0.0, prob.d0**2)
+    return list(zip(_CONSTRAINT_MATRICES, rhs))
+
+
 class TestAssemble:
     def test_unit_circle_constraint(self):
         T, ds = noiseless_instance(0)
         prob = assemble_qcqp(ds)
-        P1, r1 = prob.constraints[0]
+        P1, r1 = constraints(prob)[0]
         for phi in np.linspace(-math.pi, math.pi, 7):
             x = np.zeros(9)
             x[3], x[4] = math.cos(phi), math.sin(phi)
@@ -210,9 +216,9 @@ class TestAssemble:
         direction /= np.linalg.norm(direction)
         T2 = Transform4DoF(t=ds.d0 * direction, theta=0.7)
         prob = assemble_qcqp(ds)
-        assert prob.has_d0 and len(prob.constraints) == 5
+        assert prob.d0 == ds.d0 and len(constraints(prob)) == 5
         x = lift_transform(T2)
-        for P, r in prob.constraints:
+        for P, r in constraints(prob):
             assert x @ P @ x == pytest.approx(r, abs=1e-12 * max(1.0, abs(r)))
 
     def test_noiseless_cost_zero_at_truth(self):
@@ -226,7 +232,7 @@ class TestAssemble:
         T, ds = noiseless_instance(3)
         no_d0 = dataclasses.replace(ds, d0=None)
         prob = assemble_qcqp(no_d0)
-        assert not prob.has_d0 and len(prob.constraints) == 4
+        assert prob.d0 is None and len(constraints(prob)) == 4
 
     def test_cost_equals_direct_weighted_residuals(self):
         T, ds = noisy_instance(4)
@@ -241,6 +247,39 @@ class TestAssemble:
             assert sd_wls_cost(prob, Tq) == pytest.approx(direct, rel=1e-10)
 
 
+class TestOneProblemType:
+    """A dataset, a stream's windows and a cell are all `SyncedStack`s; a
+    dataset's problem and information are those of its stack of one."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), variant=st.sampled_from(["absent", "first", "off"]))
+    def test_dataset_equals_its_stack_of_one(self, seed, n, variant):
+        T, ds = noisy_instance(seed, n=n)
+        ds = dataclasses.replace(ds, d0={"absent": None, "first": ds.d[0], "off": ds.d[0] + 0.05}[variant])
+        one, stacked = assemble_qcqp(ds), assemble_qcqp(ds.stack())
+        assert one.B.shape[0] == len(ds) + (variant == "off")
+        for name in ("P0", "B", "weights"):
+            assert getattr(one, name).tobytes() == getattr(stacked, name)[0].tobytes()
+        if variant == "absent":
+            assert one.d0 is None and stacked.d0 is None
+        else:
+            assert one.d0 == ds.d0 and stacked.d0.tolist() == [ds.d0]
+        F = fim((T.t[None], np.array([T.theta])), ds.stack())[0].F
+        assert fim(T, ds).F.tobytes() == F.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 30), stride=st.integers(1, 20), W=st.integers(1, 8))
+    def test_window_stack_equals_each_window(self, seed, length, stride, W):
+        stream = random_stream(np.random.default_rng(seed), length + stride * (W - 1))
+        starts = np.arange(W) * stride
+        stacked = assemble_qcqp(stream.windows(starts, length))
+        assert stacked.d0 is None
+        for i, a in enumerate(starts.tolist()):
+            one = assemble_qcqp(stream.window(a, a + length))
+            for name in ("P0", "B", "weights"):
+                assert getattr(one, name).tobytes() == getattr(stacked, name)[i].tobytes()
+
+
 class TestSdpRelaxation:
     def test_noiseless_rank_one_and_recovery(self):
         T, ds = noiseless_instance(6)
@@ -253,7 +292,7 @@ class TestSdpRelaxation:
         et, eth = errors(T_hat, T)
         assert et <= 1e-6 and eth <= 1e-6
         # constraint feasibility of the returned matrix
-        for P, r in prob.constraints:
+        for P, r in constraints(prob):
             assert abs(np.tensordot(P, X) - r) <= 1e-7 * max(1.0, abs(r))
 
     def test_scale_similarity(self):
@@ -298,7 +337,7 @@ class TestSdpRelaxation:
         assert diag.status == "optimal"
         lam = np.linalg.eigvalsh(X)
         assert lam[0] >= -1e-8 * lam[-1]
-        for P, r in prob.constraints:
+        for P, r in constraints(prob):
             assert abs(np.tensordot(P, X) - r) <= 1e-7 * max(1.0, abs(r))
         # a relaxation's optimum is no higher than any feasible point's cost
         assert np.tensordot(prob.P0, X) <= (1 + 1e-6) * qcqp_estimate(ds).solver["final_cost"]
@@ -343,7 +382,7 @@ class TestSolveQcqp:
     def test_noiseless_exact(self):
         for seed in range(3):
             T, ds = noiseless_instance(20 + seed)
-            rep = solve_qcqp(assemble_qcqp(ds), ds)
+            rep = qcqp_estimate(ds)
             et, eth = errors(rep.theta_hat, T)
             assert et <= 1e-6 and eth <= 1e-6
 
@@ -356,14 +395,14 @@ class TestSolveQcqp:
         # point (||t|| pinned to the measured inter-origin distance)
         t_proj = T_sdp.t * (ds.d0 / np.linalg.norm(T_sdp.t))
         T_start = Transform4DoF(t=t_proj, theta=T_sdp.theta)
-        rep = solve_qcqp(prob, ds)
+        rep = qcqp_estimate(ds)
         assert rep.solver["final_cost"] <= sd_wls_cost(prob, T_start) + 1e-9
         # and without the norm constraint the raw point itself is the start
         ds_free = dataclasses.replace(ds, d0=None)
         prob_free = assemble_qcqp(ds_free)
         X2, _ = solve_sdp_relaxation(prob_free)
         T_sdp2 = extract_transform(recover_rank_one(X2))
-        rep2 = solve_qcqp(prob_free, ds_free)
+        rep2 = qcqp_estimate(ds_free)
         assert rep2.solver["final_cost"] <= sd_wls_cost(prob_free, T_sdp2) + 1e-9
 
     def test_mirror_solutions_equal_cost_on_planar_instance(self):
@@ -383,7 +422,7 @@ class TestSolveQcqp:
             cand = Transform4DoF(t=[2.1, 0.9, dz], theta=0.45)
             mirror = Transform4DoF(t=[2.1, 0.9, -dz], theta=0.45)
             assert sd_wls_cost(prob, mirror) == pytest.approx(sd_wls_cost(prob, cand), rel=1e-9)
-        rep = solve_qcqp(prob, ds)
+        rep = qcqp_estimate(ds)
         assert rep.flags.configuration_singular
 
     @pytest.mark.parametrize("pb_z", [0.0, 0.4])
@@ -492,7 +531,7 @@ class TestSolveQcqp:
         T, ds = noisy_instance(seed, d0=d0, n=n, sigma_r=sigma_r)
         if not keep_d0:
             ds = dataclasses.replace(ds, d0=None)
-        rep = solve_qcqp(assemble_qcqp(ds), ds)
+        rep = qcqp_estimate(ds)
         # the reference refines over all four parameters, ||t|| free
         prob = assemble_qcqp(dataclasses.replace(ds, d0=None))
         rng = np.random.default_rng(seed)
@@ -816,7 +855,7 @@ class TestStackedWindows:
         stream = dataclasses.replace(stream, d=d)
         starts = np.arange(n_windows) * stride
         with np.errstate(all="ignore"):
-            T_hats, solvers, errors = ESTIMATORS[estimator](assemble_qcqp(stream, starts[:, None] + np.arange(window)))
+            T_hats, solvers, errors = ESTIMATORS[estimator](assemble_qcqp(stream.windows(starts, window)))
             assert errors
             for i, start in enumerate(starts.tolist()):
                 try:
@@ -990,7 +1029,8 @@ class TestNls:
         b = nls_estimate(ds, init=qcqp_estimate(ds).theta_hat)
         assert a.solver["converged"] and b.solver["converged"]
         assert np.linalg.norm(a.theta_hat.t - b.theta_hat.t) <= 1e-3
-        pa, pb, d = range_rows(ds)
+        rows = ds.stack()
+        pa, pb, d = rows.pa[0], rows.pb[0], rows.d[0]
         dist = np.linalg.norm(b.theta_hat.t + pb @ b.theta_hat.rotation().T - pa, axis=1)
         rounding = np.finfo(float).eps * float(np.abs(dist - d) @ (dist + d)) / ds.sigma_r**2
         assert abs(a.solver["final_cost"] - b.solver["final_cost"]) <= 4.0 * rounding

@@ -16,6 +16,7 @@ from range_rte.geometry import (
 from range_rte.measurement import (
     NoOverlapError,
     SyncedDataset,
+    SyncedStack,
     at_frame_origins,
     debias_squared,
     ingest_logs,
@@ -350,15 +351,41 @@ class TestSyncedDataset:
             ("t", [0.0, math.nan, 2.0]),
             ("d", [1.0, 2.0]),
             ("d", [1.0, 0.0, 2.0]),
+            ("d", [1.0, math.inf, 2.0]),
             ("pb", [[0.0, 0.0, 0.0], [0.0, math.inf, 0.0], [1.0, 1.0, 1.0]]),
+            ("d0", math.inf),
+            ("d0", math.nan),
         ],
-        ids=["nan_timestamp", "mismatched_length", "non_positive_range", "non_finite_pb"],
+        ids=["nan_timestamp", "mismatched_length", "non_positive_range", "infinite_range", "non_finite_pb",
+             "infinite_d0", "nan_d0"],
     )
     def test_invalid_inputs_rejected(self, name, value):
         fields = self._fields()
         fields[name] = value
         with pytest.raises(ValueError):
             SyncedDataset(**fields, sigma_r=0.1)
+
+    @pytest.mark.parametrize("d0, extra", [(None, False), ("first", False), (2.5, True)])
+    def test_stack_adds_an_origin_row_for_a_d0_off_the_first_range(self, d0, extra):
+        fields = self._fields()
+        ds = SyncedDataset(**fields, sigma_r=0.1, d0=fields["d"][0] if d0 == "first" else d0)
+        stack = ds.stack()
+        k = len(ds) + extra
+        assert stack.d.shape == (1, k) and stack.pa.shape == stack.pb.shape == (1, k, 3)
+        assert stack.sigma_r == ds.sigma_r
+        assert np.array_equal(stack.d[0, : len(ds)], ds.d) and np.array_equal(stack.pa[0, : len(ds)], ds.pa)
+        if extra:
+            assert stack.d[0, -1] == d0 and not stack.pa[0, -1].any() and not stack.pb[0, -1].any()
+        assert (stack.d0 is None) if d0 is None else stack.d0.tolist() == [ds.d0]
+
+    def test_windows_slice_rows_and_drop_d0(self):
+        ds = SyncedDataset(**self._fields(12), sigma_r=0.1, d0=2.5)
+        stack = ds.windows([0, 3, 7], 5)
+        assert stack.d0 is None and stack.d.shape == (3, 5)
+        for i, a in enumerate([0, 3, 7]):
+            window = ds.window(a, a + 5)
+            for name in ("d", "pa", "pb"):
+                assert np.array_equal(getattr(stack, name)[i], getattr(window, name))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), k=st.integers(0, 8), d0=st.sampled_from([None, 2.5]), keep_d0=st.booleans())
@@ -385,6 +412,37 @@ class TestSyncedDataset:
         empty = ds.select([False, False, False])
         assert len(empty) == 0
         assert empty.pa.shape == empty.pb.shape == (0, 3)
+
+
+class TestSyncedStack:
+    def _fields(self, W=2, k=3):
+        rng = np.random.default_rng(k)
+        return dict(d=rng.uniform(1.0, 3.0, (W, k)), pa=rng.normal(size=(W, k, 3)), pb=rng.normal(size=(W, k, 3)))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("d", np.ones(3)),
+            ("pb", np.zeros((2, 4, 3))),
+            ("d0", np.ones(3)),
+            ("d", [[1.0, math.inf, 2.0], [1.0, 1.0, 1.0]]),
+            ("d", [[1.0, 0.0, 2.0], [1.0, 1.0, 1.0]]),
+            ("d0", np.array([2.0, math.inf])),
+            ("d0", np.array([2.0, 0.0])),
+            ("pa", np.full((2, 3, 3), math.nan)),
+        ],
+        ids=["flat_d", "pb_rows", "d0_length", "infinite_range", "zero_range", "infinite_d0", "zero_d0", "nan_pa"],
+    )
+    def test_invalid_inputs_rejected(self, name, value):
+        fields = self._fields()
+        fields[name] = np.asarray(value, dtype=float)
+        with pytest.raises(ValueError):
+            SyncedStack(**fields, sigma_r=0.1)
+
+
+def test_range_log_rejects_an_infinite_range():
+    with pytest.raises(ValueError, match="row 1: measured range must be positive and finite"):
+        range_log([0.0, 1.0], [1.0, math.inf])
 
 
 def test_dataset_requires_increasing_timestamps():

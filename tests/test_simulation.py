@@ -10,7 +10,7 @@ from scipy import stats as scipy_stats
 from walk_reference import generate_trajectory as reference_walk
 
 from range_rte import simulation
-from range_rte.estimators import ESTIMATORS
+from range_rte.estimators import ESTIMATORS, assemble_qcqp
 from range_rte.fisher import det_fim_geometric, fim, jacobian_matrix
 from range_rte.geometry import LeverArm, Transform4DoF, quat_to_matrix, wrap_angle, yaw_quat
 from range_rte.measurement import true_range
@@ -338,10 +338,9 @@ def spoil_trials(monkeypatch):
         if isinstance(trials, int):
             return trial_data(cfg, trials)
         truth, cell = trial_data(cfg, trials)
-        d = cell.d.copy()
-        for row, trial in enumerate(trials):
-            d[row] *= {1: 1e153, 2: 1e140}.get(trial, 1.0)
-        return truth, dataclasses.replace(cell, d=d)
+        scale = np.array([{1: 1e153, 2: 1e140}.get(trial, 1.0) for trial in trials])
+        d0 = None if cell.d0 is None else cell.d0 * scale
+        return truth, dataclasses.replace(cell, d=cell.d * scale[:, None], d0=d0)
 
     monkeypatch.setattr(simulation, "trial_data", spoilt)
 
@@ -387,14 +386,15 @@ def test_cell_rows_equal_single_trials(cell):
     # the cell arrays are made in one batch; row i must be trial i made alone
     cfg = ScenarioConfig(**cell, n_poses=9, trials=7, seed=21)
     (t, theta), stack = trial_data(cfg, range(cfg.trials))
-    assert stack.has_d0 == ("lever_arms" not in cell)
+    assert (stack.d0 is not None) == ("lever_arms" not in cell)
     for i in range(cfg.trials):
         T, ds = trial_data(cfg, i)
         assert T.t.tobytes() == t[i].tobytes() and T.theta == theta[i]
-        assert ds.t.tobytes() == stack.t.tobytes() and ds.sigma_r == stack.sigma_r
+        assert ds.t.tobytes() == (np.arange(cfg.n_poses) * cfg.dt).tobytes() and ds.sigma_r == stack.sigma_r
         for got, want in ((stack.d[i], ds.d), (stack.pa[i], ds.pa), (stack.pb[i], ds.pb)):
             assert got.tobytes() == want.tobytes()
-        assert ds.d0 == (ds.d[0] if stack.has_d0 else None)
+        assert ds.d0 == (ds.d[0] if stack.d0 is not None else None)
+        assert stack.d0 is None or stack.d0[i] == ds.d[0]
 
 
 # float32 digests of trial_data: (seed, trial, cell) -> first 16 hex digits
@@ -428,6 +428,37 @@ def test_trial_data_pinned(key):
     # hash float32 roundings, so that a last-bit difference of another
     # CPU's BLAS kernels in the float64 values almost never fails them
     assert trial_digest(*key) == TRIAL_DIGESTS[key]
+
+
+# float32 digests of P0 and B of assemble_qcqp on a trial_data dataset with
+# d0 as its first range, off it by 5 cm or absent: (seed, trial, cell, d0)
+# -> first 16 hex digits. A change of the rows a problem fits fails them
+PROBLEM_DIGESTS = {
+    (11, 0, "default", "first"): "97155a229287403e",
+    (3, 7, "d0 20 m", "off"): "513a1863d4be32fc",
+    (5, 2, "n 8, sigma_r 0.5 m, sigma_o 1 cm", "absent"): "5dfae6c1d38cb1ac",
+    (1, 4, "D 0.3 m, lever arms", "off"): "0cdd4fad66ad9e7b",
+}
+
+
+@pytest.mark.parametrize("key", PROBLEM_DIGESTS)
+def test_assembled_problem_pinned(key):
+    seed, trial, cell, variant = key
+    _, ds = trial_data(ScenarioConfig(**DIGEST_CELLS[cell], trials=trial + 1, seed=seed), trial)
+    prob = assemble_qcqp(dataclasses.replace(ds, d0={"first": ds.d[0], "off": ds.d[0] + 0.05, "absent": None}[variant]))
+    assert prob.B.shape[0] == len(ds) + (variant == "off")
+    h = hashlib.sha256()
+    for a in (prob.P0, prob.B):
+        h.update(np.asarray(a, dtype=np.float32).tobytes())
+    assert h.hexdigest()[:16] == PROBLEM_DIGESTS[key]
+
+
+@pytest.mark.parametrize("estimator", ["qcqp", "sdp"])
+def test_cell_with_overflowing_ranges_is_rejected(estimator):
+    # 1e200 m apart: the true ranges overflow to inf, which the cell's stack
+    # rejects, where the relaxation once crashed in its eigendecomposition
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="positive and finite"):
+        monte_carlo_run(ScenarioConfig(d0=1e200, trials=4, seed=2), estimator)
 
 
 class TestDrift:

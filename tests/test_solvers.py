@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from range_rte.estimators import SDP_TOL, assemble_qcqp
+from range_rte.estimators import _CONSTRAINT_MATRICES, SDP_TOL, assemble_qcqp
 from range_rte.simulation import SCENARIO_KINDS, ScenarioConfig, singular_scenario, trial_data
 from range_rte.solvers import (
     CONVERGED,
@@ -133,7 +133,7 @@ def relaxation(seed):
         )
         _, ds = trial_data(cfg, 0)
     problem = assemble_qcqp(ds.select(np.ones(len(ds), dtype=bool), keep_d0=False))
-    return problem.P0, [P for P, _ in problem.constraints], np.array([r for _, r in problem.constraints])
+    return problem.P0, _CONSTRAINT_MATRICES[:4], np.array([1.0, 0.0, 0.0, 0.0])
 
 
 class TestSdpStack:
