@@ -43,16 +43,18 @@ start. Every entry of `ESTIMATORS` takes (dataset, init=None); only
 Every estimator reads its problems as a `measurement.SyncedStack`.
 `assemble_qcqp` builds P0 for all W problems of a stack at once, and the
 yaw sweep runs on P0 of shape (W, 9, 9) in chunks of SWEEP_CHUNK
-problems, which caps its temporaries.
-The sweep's heading matrices are quadratic in (cos, sin) of the heading,
-so two matmuls with constant factors give all of them. From there every
-stage is elementwise arithmetic on (W, 72) planes, one array per scalar
-of the solve, with no LAPACK call and no matmul per heading: the 3x3
-eigenproblems in closed form (`_eigh3_planes`), the roots bracketed by
-bisection and polished by Newton steps, the points and their costs. So
-one problem's data cannot fail another's, and a problem gets the same
-bits alone as in any chunk. Then the candidates of all problems are
-refined together by one `solvers.lockstep_newton` call.
+problems. The sweep's heading matrices are quadratic in (cos, sin) of
+the heading, so two matmuls with constant factors give all of them.
+From there every stage is elementwise arithmetic on (W, 72) planes, one
+array per scalar of the solve, with no LAPACK call and no matmul per
+heading: the 3x3 eigenproblems in closed form (`_eigh3_planes`), the
+roots bracketed by bisection and polished by Newton steps, the points
+and their costs. Each stage is a helper whose planes die when it
+returns, so a chunk holds about 50 planes per problem at once, and 64
+problems, every window of a 120 s drift stream, sweep in one pass. One
+problem's data cannot fail another's, and a problem gets the same bits
+alone as in any chunk. Then the candidates of all problems are refined
+together by one `solvers.lockstep_newton` call.
 
 Each stacked estimator has two stages. Its point stage, which its
 `ESTIMATORS` entry runs on an assembled stack, gives every problem of the
@@ -85,11 +87,15 @@ from .solvers import CONVERGED, MAX_ITER, NON_FINITE, SolveDiagnostics, lockstep
 
 SWEEP_HEADINGS = 72  # yaw grid of `yaw_sweep`, 5 degree steps
 SWEEP_CANDIDATES = 3  # grid minima handed to the local refinement
-# problems per batched sweep: caps its temporaries. Three 120 s drift runs
-# in one process peak at 42.2 MB with 16 (42.6 MB when each heading's
-# matrix was its own matmul); 32 and 64 save ~2 ms of a run for +1.0 and
-# +2.5 MB
-SWEEP_CHUNK = 16
+# problems per batched sweep. The sweep frees each (W, 72) plane after its
+# last read, so its traced peak is 28.4 KB per problem (57.9 KB when every
+# plane lived to the end): at the peak, in the 2x2 rotation of
+# `_eigh3_planes`, 50 float planes per problem are alive (M's 15, 2 w, the
+# Schur complement's 6 and 28 of the eigensolver's) and 2 bool planes.
+# Time per problem falls up to ~48 problems and is flat to 128 (1900 bench
+# problems); 64 sweeps the 60 windows of a 120 s drift stream in one pass,
+# at a bench drift peak RSS of 44.5 MB (43.7 MB with 16 and no freeing)
+SWEEP_CHUNK = 64
 # lockstep iterations per refinement start (one solve and at most one
 # evaluation each). With the exact Hessian the steps converge
 # quadratically: bench drift starts and large-residual stress cases
@@ -411,10 +417,33 @@ def _eigh3_planes(a00, a11, a22, a01, a02, a12) -> tuple[list, list]:
     projected onto the orthogonal complement gives the other two pairs, so
     repeated eigenvalues cost no accuracy. Residuals ||A U - U mu|| are
     within a few eps ||A||, as LAPACK's. Never raises: a non-finite matrix
-    gives non-finite pairs.
+    gives non-finite pairs. Each stage is a helper whose temporaries die
+    when it returns.
     """
     m = (a00 + a11 + a22) / 3.0
-    k00, k11, k22 = a00 - m, a11 - m, a22 - m
+    lam, top, v, lo, hi, u, w = _eigh3_shifted(a00 - m, a11 - m, a22 - m, a01, a02, a12)
+    # lam is outermost up to rounding where all three nearly coincide: clamp it
+    mu = [np.where(top, lo, np.minimum(lam, lo)), np.where(top, hi, lo), np.where(top, np.maximum(lam, hi), hi)]
+    # columns [u, w, v] where lam is the largest, [v, u, w] where it is the smallest
+    U = [np.where(top, *pair) for i in range(3) for pair in ((u[i], v[i]), (w[i], u[i]), (v[i], w[i]))]
+    return [x + m for x in mu], U
+
+
+def _eigh3_shifted(k00, k11, k22, a01, a02, a12) -> tuple:
+    """The pairs of K = A - m I that `_eigh3_planes` orders: lam, the
+    eigenvalue farthest from the other two, where it is the largest (top),
+    its eigenvector v, and the pairs (lo, u) and (hi, w) on v's complement."""
+    lam, top = _outer_eigenvalue(k00, k11, k22, a01, a02, a12)
+    v = _outer_eigenvector(k00, k11, k22, a01, a02, a12, lam)
+    a, b = _complement_basis(*v)
+    lo, hi, c, s = _jacobi_rotation(*_projected(k00, k11, k22, a01, a02, a12, a, b))
+    u = tuple(c * ai - s * bi for ai, bi in zip(a, b))  # eigenvector of lo
+    w = tuple(s * ai + c * bi for ai, bi in zip(a, b))  # of hi
+    return lam, top, v, lo, hi, u, w
+
+
+def _outer_eigenvalue(k00, k11, k22, a01, a02, a12):
+    """The eigenvalue of K (trace zero) farthest from the other two, and where it is the largest."""
     p = np.sqrt((k00 * k00 + k11 * k11 + k22 * k22 + 2.0 * (a01 * a01 + a02 * a02 + a12 * a12)) / 6.0)
     # eigenvalues of K are 2 p cos(acos(r) / 3 + 2 pi j / 3), with r half
     # the determinant of K / p; r >= 0 sets the largest (j = 0) apart from
@@ -424,7 +453,11 @@ def _eigh3_planes(a00, a11, a22, a01, a02, a12) -> tuple[list, list]:
     det = n00 * (n11 * n22 - n12 * n12) + n01 * (2.0 * n12 * n02 - n01 * n22) - n11 * n02 * n02
     r = np.minimum(np.maximum(0.5 * det, -1.0), 1.0)
     top = r >= 0.0
-    lam = 2.0 * p * np.cos(np.arccos(r) / 3.0 + (2.0 * math.pi / 3.0) * ~top)
+    return 2.0 * p * np.cos(np.arccos(r) / 3.0 + (2.0 * math.pi / 3.0) * ~top), top
+
+
+def _outer_eigenvector(k00, k11, k22, a01, a02, a12, lam) -> tuple:
+    """Unit eigenvector (vx, vy, vz) of K for lam: the largest column of adj(K - lam I)."""
     b00, b11, b22 = k00 - lam, k11 - lam, k22 - lam
     c00, c11, c22 = b11 * b22 - a12 * a12, b00 * b22 - a02 * a02, b00 * b11 - a01 * a01
     c01, c02, c12 = a02 * a12 - a01 * b22, a01 * a12 - a02 * b11, a01 * a02 - b00 * a12
@@ -438,17 +471,29 @@ def _eigh3_planes(a00, a11, a22, a01, a02, a12) -> tuple[list, list]:
     n2 = vx * vx + vy * vy + vz * vz
     flat = n2 == 0.0  # K = 0: any basis
     n = np.sqrt(n2) + flat
-    vx, vy, vz = (vx + flat) / n, vy / n, vz / n
-    # a, b: orthonormal basis of v's complement (Duff et al., JCGT 2017)
+    return (vx + flat) / n, vy / n, vz / n
+
+
+def _complement_basis(vx, vy, vz) -> tuple:
+    """a, b: orthonormal basis of the unit vector v's complement (Duff et al., JCGT 2017)."""
     sg = np.copysign(1.0, vz)
     h = -1.0 / (sg + vz)
     xy = vx * vy * h
-    ax, ay, az = 1.0 + sg * vx * vx * h, sg * xy, -sg * vx
-    bx, by, bz = xy, sg + vy * vy * h, -vy
+    return (1.0 + sg * vx * vx * h, sg * xy, -sg * vx), (xy, sg + vy * vy * h, -vy)
+
+
+def _projected(k00, k11, k22, a01, a02, a12, a, b) -> tuple:
+    """a' K a, b' K b and a' K b."""
+    (ax, ay, az), (bx, by, bz) = a, b
     kax, kay, kaz = k00 * ax + a01 * ay + a02 * az, a01 * ax + k11 * ay + a12 * az, a02 * ax + a12 * ay + k22 * az
     kbx, kby, kbz = k00 * bx + a01 * by + a02 * bz, a01 * bx + k11 * by + a12 * bz, a02 * bx + a12 * by + k22 * bz
-    al, be, ga = ax * kax + ay * kay + az * kaz, bx * kbx + by * kby + bz * kbz, ax * kbx + ay * kby + az * kbz
-    # the rotation of [[al, ga], [ga, be]] by its smaller angle, t = tan
+    return ax * kax + ay * kay + az * kaz, bx * kbx + by * kby + bz * kbz, ax * kbx + ay * kby + az * kbz
+
+
+def _jacobi_rotation(al, be, ga) -> tuple:
+    """Eigenvalues lo <= hi of [[al, ga], [ga, be]] and the rotation (c, s)
+    whose columns (c, -s) and (s, c) are their eigenvectors."""
+    # the rotation by the smaller angle, t = tan
     dl = 0.5 * (be - al)
     den = dl + np.copysign(np.hypot(dl, ga), dl)
     t = ga / (den + (den == 0.0))
@@ -457,14 +502,7 @@ def _eigh3_planes(a00, a11, a22, a01, a02, a12) -> tuple[list, list]:
     tg = t * ga
     lo, hi = np.minimum(al - tg, be + tg), np.maximum(al - tg, be + tg)
     # al - t ga is the upper one where al > be: rotate by a quarter turn more
-    c, s = np.where(dl < 0.0, s, c), np.where(dl < 0.0, -c, s)
-    ux, uy, uz = c * ax - s * bx, c * ay - s * by, c * az - s * bz  # eigenvector of lo
-    wx, wy, wz = s * ax + c * bx, s * ay + c * by, s * az + c * bz  # of hi
-    # lam is outermost up to rounding where all three nearly coincide: clamp it
-    mu = [np.where(top, lo, np.minimum(lam, lo)), np.where(top, hi, lo), np.where(top, np.maximum(lam, hi), hi)]
-    # columns [u, w, v] where lam is the largest, [v, u, w] where it is the smallest
-    U = [np.where(top, a, b) for a, b in zip((ux, wx, vx, uy, wy, vy, uz, wz, vz), (vx, ux, wx, vy, uy, wy, vz, uz, wz))]
-    return [x + m for x in mu], U
+    return lo, hi, np.where(dl < 0.0, s, c), np.where(dl < 0.0, -c, s)
 
 
 _SWEEP_THETA = np.linspace(-math.pi, math.pi, SWEEP_HEADINGS, endpoint=False)
@@ -514,17 +552,80 @@ def _sweep(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     padding. A problem with no finite grid cost has no candidate. After
     the two matmuls that give M, every stage is elementwise arithmetic on
     (W, SWEEP_HEADINGS) planes, one per scalar; the two points of a
-    heading add a leading axis of 2.
+    heading add a leading axis of 2. The stages that hold the most planes
+    are helpers, so their planes die when they return (see SWEEP_CHUNK).
     """
     W, m = len(P0), SWEEP_HEADINGS
+    t, cost = _sweep_grid(P0)
+    best = cost.min(axis=(0, 2))[:, None]
+    # the nearer point of the heading next door continues a branch, point 1
+    # only where it is strictly nearer. dist[b, k]: squared distance from
+    # point b of heading j to point k of heading j + 1
+    dist = (t[0][:, None] - t[0][None, :, :, _NEXT_HEADING]) ** 2
+    dist += (t[1][:, None] - t[1][None, :, :, _NEXT_HEADING]) ** 2
+    dist += (t[2][:, None] - t[2][None, :, :, _NEXT_HEADING]) ** 2
+    succ = np.where(dist[:, 1] < dist[:, 0], cost[1][:, _NEXT_HEADING], cost[0][:, _NEXT_HEADING])
+    # from point k of heading j - 1 to point b of heading j
+    back = (dist[1] < dist[0])[..., _PREV_HEADING]
+    prev = np.where(back, cost[1][:, _PREV_HEADING], cost[0][:, _PREV_HEADING])
+    curv = 0.5 * (prev + succ) - cost
+    local_min = (cost <= prev) & (cost <= succ) & ((cost == best) | (16.0 * curv * (cost - best) <= (prev - succ) ** 2))
+    ranked = np.where(local_min & (best < math.inf), cost, math.inf).transpose(1, 0, 2).reshape(W, -1)
+    order = np.argsort(ranked, axis=1, kind="stable")[:, :SWEEP_CANDIDATES]
+    count = np.minimum(np.sum(ranked < math.inf, axis=1), SWEEP_CANDIDATES)
+    b, j, rows = order // m, order % m, np.arange(W)[:, None]
+    return np.stack([ti[b, rows, j] for ti in t], axis=-1), j, count
+
+
+def _sweep_grid(P0: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Both points of every heading, (t0, t1, t2) of shape (2, W, m) each,
+    and their costs (2, W, m), +inf where not finite: point b of heading j
+    at [b, :, j], b = 1 the mirror point."""
+    W = len(P0)
     # each column of L sums at most two entries of P0, exactly in any order;
     # Phi is applied problem by problem, so that BLAS sums the same way
     # whatever W is and a problem's bits do not depend on its chunk
     M = ((P0.reshape(W, 81) @ _SWEEP_L).reshape(W, 15, 6) @ _SWEEP_PHI).transpose(1, 0, 2)
     # rows of M's upper triangle over [t, tau, 1]; w is the sum of the row weights
     m00, m01, m02, m03, m04, m11, m12, m13, m14, m22, m23, m24, w, g_tau, m44 = M
+    U, z = _eigenbasis_points(M)
+    t0, t1, t2 = (_dot3(U[3 * i : 3 * i + 3], z) for i in range(3))
+    tau = t0 * t0 + t1 * t1 + t2 * t2
+    # y' M y with y = [t, tau, 1], one row of the upper triangle at a time
+    cost = (
+        t0 * (m00 * t0 + 2.0 * (m01 * t1 + m02 * t2 + m03 * tau + m04))
+        + t1 * (m11 * t1 + 2.0 * (m12 * t2 + m13 * tau + m14))
+        + t2 * (m22 * t2 + 2.0 * (m23 * tau + m24))
+        + tau * (w * tau + 2.0 * g_tau)
+        + m44
+    )
+    cost[~np.isfinite(cost)] = math.inf
+    return (t0, t1, t2), cost
+
+
+def _eigenbasis_points(M: np.ndarray) -> tuple[list, tuple]:
+    """The eigenvectors U of the Schur complement and both points in their
+    basis, z = U' t: z[0] of shape (2, W, m), z[1] and z[2] (W, m)."""
+    w = M[12]
+    two_w = 2.0 * w
+    U, e, c, beta, d1, d2, x_top = _secular_equation(M, two_w)
+    e0, e1, e2 = e
+    last, x = _secular_root(e, d1, d2, beta, two_w, 0.5 / w, x_top)
+    v1, v2 = e1 / (d1 + x), e2 / (d2 + x)
+    # hard case: f < 0 down to the floor; planar data (pb_z - pa_z
+    # constant) put every heading here, with U_0 the vertical
+    hard = last < 0
+    v0 = np.sqrt(np.maximum(x / two_w - beta - (v1 * v1 + v2 * v2), 0.0))
+    v0 = np.where(hard, np.copysign(v0, e0), e0 / x)
+    # the mirror point takes the U_0 component of the other sign
+    return U, (np.stack([v0, -v0]) - 0.5 * c[0], v1 - 0.5 * c[1], v2 - 0.5 * c[2])
+
+
+def _secular_equation(M: np.ndarray, two_w: np.ndarray) -> tuple:
+    """U, e, c, beta, d1 = mu_1 - mu_0, d2 = mu_2 - mu_0 and the upper
+    bound x_top of the root of f, at every heading (see `yaw_sweep`)."""
+    m00, m01, m02, m03, m04, m11, m12, m13, m14, m22, m23, m24, w, g_tau, m44 = M
     q = (m03, m13, m23)
-    two_w, half_w, g = 2.0 * w, 0.5 / w, g_tau / w
     mu, U = _eigh3_planes(
         m00 - q[0] * q[0] / w,
         m11 - q[1] * q[1] / w,
@@ -534,18 +635,24 @@ def _sweep(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         m12 - q[1] * q[2] / w,
     )
     cols = [U[k::3] for k in range(3)]  # eigenvector k
+    g = g_tau / w
     r = (q[0] * g - m04, q[1] * g - m14, q[2] * g - m24)
     c = [_dot3(u, q) / w for u in cols]
-    e0, e1, e2 = (_dot3(u, r) + 0.5 * mu_k * c_k for u, mu_k, c_k in zip(cols, mu, c))
+    e = tuple(_dot3(u, r) + 0.5 * mu_k * c_k for u, mu_k, c_k in zip(cols, mu, c))
     d1, d2 = mu[1] - mu[0], mu[2] - mu[0]
     beta = g - 0.25 * _dot3(c, c) + mu[0] / two_w
     # f(x) <= ||e||^2 / x^2 + beta - x / (2 w), which is negative at x_hi;
     # the floor keeps the grid positive where e and beta vanish (static data)
-    x_hi = np.maximum(4.0 * w * beta, np.cbrt(4.0 * w * (e0 * e0 + e1 * e1 + e2 * e2)))
-    x_top = np.maximum(x_hi, 1e-12 * mu[2] + 1e-300)
+    x_hi = np.maximum(4.0 * w * beta, np.cbrt(4.0 * w * (e[0] * e[0] + e[1] * e[1] + e[2] * e[2])))
+    return U, e, c, beta, d1, d2, np.maximum(x_hi, 1e-12 * mu[2] + 1e-300)
+
+
+def _secular_root(e, d1, d2, beta, two_w, half_w, x_top) -> tuple:
+    """The last grid point where f > 0 (-1 where none is) and the root of f, Newton-polished from there."""
+    e0, e1, e2 = e
     # the last grid point where f > 0, by bisection: f decreases in x, and
     # so does its rounded value (each operation rounds monotonically), so
-    # this is the point a scan of the whole grid finds; -1 where none is
+    # this is the point a scan of the whole grid finds
     last = np.full(x_top.shape, -1)
     for stride in _ROOT_STRIDES:
         x = x_top * _ROOT_PROBES[last + stride]
@@ -558,42 +665,7 @@ def _sweep(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         r0, r1, r2 = (e0 / x) ** 2, (e1 / x1) ** 2, (e2 / x2) ** 2
         step = (r0 + r1 + r2 + beta - x / two_w) / (2.0 * (r0 / x + r1 / x1 + r2 / x2) + half_w)
         x = np.maximum(x + step, x_floor)
-    v1, v2 = e1 / (d1 + x), e2 / (d2 + x)
-    # hard case: f < 0 down to the floor; planar data (pb_z - pa_z
-    # constant) put every heading here, with U_0 the vertical
-    hard = last < 0
-    v0 = np.sqrt(np.maximum(x / two_w - beta - (v1 * v1 + v2 * v2), 0.0))
-    v0 = np.where(hard, np.copysign(v0, e0), e0 / x)
-    # shape (2, W, m) from here: point b of heading j at [b, :, j], b = 1 the mirror point
-    z = (np.stack([v0, -v0]) - 0.5 * c[0], v1 - 0.5 * c[1], v2 - 0.5 * c[2])
-    t0, t1, t2 = (_dot3(U[3 * i : 3 * i + 3], z) for i in range(3))
-    tau = t0 * t0 + t1 * t1 + t2 * t2
-    # y' M y with y = [t, tau, 1], one row of the upper triangle at a time
-    cost = (
-        t0 * (m00 * t0 + 2.0 * (m01 * t1 + m02 * t2 + m03 * tau + m04))
-        + t1 * (m11 * t1 + 2.0 * (m12 * t2 + m13 * tau + m14))
-        + t2 * (m22 * t2 + 2.0 * (m23 * tau + m24))
-        + tau * (w * tau + 2.0 * g_tau)
-        + m44
-    )
-    cost[~np.isfinite(cost)] = math.inf
-    best = cost.min(axis=(0, 2))[:, None]
-    # the nearer point of the heading next door continues a branch, point 1
-    # only where it is strictly nearer. dist[b, k]: squared distance from
-    # point b of heading j to point k of heading j + 1
-    dist = [(ti[:, None] - ti[None, :, :, _NEXT_HEADING]) ** 2 for ti in (t0, t1, t2)]
-    dist = dist[0] + dist[1] + dist[2]
-    nxt, prv = cost[..., _NEXT_HEADING], cost[..., _PREV_HEADING]
-    succ = np.where(dist[:, 1] < dist[:, 0], nxt[1], nxt[0])
-    dist = dist[..., _PREV_HEADING]  # dist[k, b]: from point k of heading j - 1 to point b of heading j
-    prev = np.where(dist[1] < dist[0], prv[1], prv[0])
-    curv = 0.5 * (prev + succ) - cost
-    local_min = (cost <= prev) & (cost <= succ) & ((cost == best) | (16.0 * curv * (cost - best) <= (prev - succ) ** 2))
-    ranked = np.where(local_min & (best < math.inf), cost, math.inf).transpose(1, 0, 2).reshape(W, -1)
-    order = np.argsort(ranked, axis=1, kind="stable")[:, :SWEEP_CANDIDATES]
-    count = np.minimum(np.sum(ranked < math.inf, axis=1), SWEEP_CANDIDATES)
-    b, j, rows = order // m, order % m, np.arange(W)[:, None]
-    return np.stack([ti[b, rows, j] for ti in (t0, t1, t2)], axis=-1), j, count
+    return last, x
 
 
 def yaw_sweep(problem: QcqpProblem) -> list[Transform4DoF]:
@@ -641,12 +713,11 @@ def _sweep_stack(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, di
     """`_sweep` over a stack of W >= 1 problems in chunks of SWEEP_CHUNK.
 
     The chunks cap the sweep's temporaries, (W, 72) planes that grow with
-    the number of problems. Each problem's result does not depend on the
-    others in its chunk, bit for bit (see `_sweep`), and the sweep never
-    raises. Also
-    returns {problem index: DegenerateSolutionError} for the problems with
-    no finite grid cost (a non-finite problem among them); they have no
-    candidate.
+    the number of problems (see SWEEP_CHUNK). Each problem's result does
+    not depend on the others in its chunk, bit for bit (see `_sweep`), and
+    the sweep never raises. Also returns {problem index:
+    DegenerateSolutionError} for the problems with no finite grid cost (a
+    non-finite problem among them); they have no candidate.
     """
     parts = [_sweep(P0[lo : lo + SWEEP_CHUNK]) for lo in range(0, len(P0), SWEEP_CHUNK)]
     t, heading, count = (np.concatenate(a) for a in zip(*parts))
@@ -900,9 +971,10 @@ def sliding_window_estimate(
     `qcqp` and `sdp` solve all windows in one stacked pass (their
     `ESTIMATORS` entry on the stack of `stream.windows`, then `_reports`):
     one assembly without d0 and one batched FIM eigendecomposition; for
-    `qcqp` a yaw sweep in chunks of SWEEP_CHUNK windows, which caps its
-    temporaries, and one refinement per candidate, for `sdp` one lockstep
-    `sdp_solve` call.
+    `qcqp` one yaw sweep pass per SWEEP_CHUNK windows (one pass for the 60
+    windows of a 120 s stream at the CLI default, five for 600 s) and one
+    refinement of every candidate, for `sdp` one lockstep `sdp_solve`
+    call.
     Their results and errors equal a window-by-window loop: the first
     failing window's error is raised. Only `nls` runs window by window.
     """

@@ -56,9 +56,15 @@ class NoOverlapError(ValueError):
     """No range measurement is covered by both odometry streams."""
 
 
-def _positive_finite(x: np.ndarray) -> np.ndarray:
-    """Mask of the entries of x that are positive and finite."""
-    return (x > 0) & (x < np.inf)
+def _valid_range(x) -> np.ndarray:
+    """Mask of the entries of x that are positive with a finite square.
+
+    The fit reads squared ranges, so a range whose square overflows is
+    rejected with the non-finite ones.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):
+        return (x > 0) & np.isfinite(np.square(x))
 
 
 def _first_bad_row(checks) -> Optional[tuple[int, str]]:
@@ -91,13 +97,13 @@ def odometry_problem(log) -> Optional[tuple[int, str]]:
 
 def range_problem(log) -> Optional[tuple[int, str]]:
     """First row of a range log with a non-finite timestamp, a range that
-    is not positive and finite or a timestamp not later than its
+    is not positive with a finite square or a timestamp not later than its
     predecessor's, as (row, message), or None."""
     t = log["t"]
     return _first_bad_row(
         (
             (~np.isfinite(t), "timestamp must be finite"),
-            (~_positive_finite(log["d"]), "measured range must be positive and finite"),
+            (~_valid_range(log["d"]), "measured range must be positive and finite, and so must its square"),
             (~(np.diff(t, prepend=-np.inf) > 0), "timestamps must be strictly increasing"),
         )
     )
@@ -164,8 +170,8 @@ class SyncedDataset:
             object.__setattr__(self, name, _read_only_copy(getattr(self, name), name, row_shape))
         if not len(self.t) == len(self.d) == len(self.pa) == len(self.pb):
             raise ValueError("t, d, pa and pb must have the same length")
-        if not _positive_finite(self.d).all():
-            raise ValueError("ranges must be positive and finite")
+        if not _valid_range(self.d).all():
+            raise ValueError("ranges must be positive and finite, and so must their squares")
         if not (np.isfinite(self.pa).all() and np.isfinite(self.pb).all()):
             raise ValueError("antenna positions must be finite")
         if not np.isfinite(self.t).all():
@@ -174,8 +180,8 @@ class SyncedDataset:
             raise ValueError("sample timestamps must be strictly increasing")
         if not self.sigma_r > 0:
             raise ValueError(f"sigma_r must be positive, got {self.sigma_r}")
-        if self.d0 is not None and not 0 < self.d0 < math.inf:
-            raise ValueError(f"d0 must be positive and finite when present, got {self.d0}")
+        if self.d0 is not None and not _valid_range(self.d0):
+            raise ValueError(f"d0 must be positive and finite, and so must its square, when present; got {self.d0}")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -230,8 +236,8 @@ class SyncedStack:
     for it is already among the k rows, which `SyncedDataset.stack`,
     `SyncedDataset.windows` and `simulation.synthesize_measurements`
     decide. The arrays are kept as given, not copied; the constructor
-    checks their shapes, that the ranges and d0 are positive and finite
-    and the antenna positions finite.
+    checks their shapes, that the ranges and d0 are positive with finite
+    squares and the antenna positions finite.
     """
 
     d: np.ndarray
@@ -248,8 +254,8 @@ class SyncedStack:
                 "need d (W, k), pa and pb (W, k, 3) and d0 (W,) or None; "
                 f"got {self.d.shape}, {self.pa.shape}, {self.pb.shape} and {d0_shape}"
             )
-        if not (_positive_finite(self.d).all() and (self.d0 is None or _positive_finite(self.d0).all())):
-            raise ValueError("ranges and d0 must be positive and finite")
+        if not (_valid_range(self.d).all() and (self.d0 is None or _valid_range(self.d0).all())):
+            raise ValueError("ranges and d0 must be positive and finite, and so must their squares")
         if not (np.isfinite(self.pa).all() and np.isfinite(self.pb).all()):
             raise ValueError("antenna positions must be finite")
         if not self.sigma_r > 0:

@@ -133,6 +133,19 @@ class TestEstimateCommand:
         assert rc == 3
         assert "zero range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("estimator", ["qcqp", "sdp", "nls"])
+    def test_d0_whose_square_overflows_exits_parse_error(self, tmp_path, capsys, estimator):
+        # 1e200 m: d0^2 overflows. Each estimator once failed in its own way
+        # (sdp an uncaught OverflowError, qcqp no finite grid cost, nls a zero
+        # range); the dataset rejects it before any of them runs
+        pa, pb, ranges, _ = synthetic_logs(tmp_path, noise=0.02, seed=5)
+        cfg = write_json(tmp_path / "cfg.json", {"d0_m": 1e200, "estimator": estimator})
+        out = str(tmp_path / "report.json")
+        assert main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "d0 must be positive and finite, and so must its square, when present; got 1e+200" in err
+        assert not os.path.exists(out)
+
     def test_explicit_d0_other_than_first_range_is_fitted(self, tmp_path):
         # the first antenna positions are off the frame origins, so no d0 is
         # read off the logs; a supplied one is one more range to fit

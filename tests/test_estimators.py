@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sweep_reference import clear_decisions, reference_sweep
 from range_rte.estimators import (
     ESTIMATORS,
     SWEEP_CANDIDATES,
+    SWEEP_CHUNK,
     SWEEP_HEADINGS,
     WINDOW_KAPPA_LIMIT,
     _CONSTRAINT_MATRICES,
@@ -23,6 +25,7 @@ from range_rte.estimators import (
     _lift_stack,
     _scaled_rows,
     _sqrt_factor,
+    _sweep,
     _sweep_stack,
     align_target_trajectory,
     assemble_qcqp,
@@ -805,18 +808,19 @@ class TestStackedWindows:
         stride=st.integers(1, 35),
         n_windows=st.integers(2, 20),
         bad=st.lists(st.integers(0, 19), min_size=2, max_size=2),
-        scales=st.permutations([1e140, 1e153]),
+        scales=st.permutations([1e141, 1e154]),
     )
     def test_degenerate_window_raises_what_one_by_one_raises(self, seed, window, stride, n_windows, bad, scales):
-        # ranges of ~1e141 m leave the refinement no finite start; ~1e154 m
-        # leave the sweep no finite grid cost: two windows spoilt apart
-        # tell whose error is raised
+        # a window whose largest range is 1e141 m leaves the refinement no
+        # finite start; 1e154 m, whose square is still finite as the dataset
+        # requires, leaves the sweep no finite grid cost: two windows spoilt
+        # apart tell whose error is raised
         rng = np.random.default_rng(seed)
         stream = random_stream(rng, window + stride * (n_windows - 1))
         d = stream.d.copy()
         for j, scale in zip(bad, scales):
             a = stride * (j % n_windows)
-            d[a : a + window] = stream.d[a : a + window] * scale
+            d[a : a + window] = stream.d[a : a + window] * (scale / stream.d[a : a + window].max())
         stream = dataclasses.replace(stream, d=d)
         expected = None
         with np.errstate(all="ignore"):
@@ -839,7 +843,7 @@ class TestStackedWindows:
         stride=st.integers(1, 35),
         n_windows=st.integers(2, 12),
         bad=st.lists(st.integers(0, 11), min_size=2, max_size=2),
-        scales=st.permutations([1e140, 1e153]),
+        scales=st.permutations([1e141, 1e154]),
         estimator=st.sampled_from(["qcqp", "sdp"]),
     )
     def test_point_stage_records_every_problems_own_error(self, seed, window, stride, n_windows, bad, scales, estimator):
@@ -851,7 +855,7 @@ class TestStackedWindows:
         d = stream.d.copy()
         for j, scale in zip(bad, scales):
             a = stride * (j % n_windows)
-            d[a : a + window] = stream.d[a : a + window] * scale
+            d[a : a + window] = stream.d[a : a + window] * (scale / stream.d[a : a + window].max())
         stream = dataclasses.replace(stream, d=d)
         starts = np.arange(n_windows) * stride
         with np.errstate(all="ignore"):
@@ -996,6 +1000,44 @@ class TestSweepAgainstReference:
             keep = rows != i
             for got, want in zip((t_bad, heading_bad, count_bad), (t, heading, count)):
                 assert got[keep].tobytes() == want[keep].tobytes()
+
+
+class TestSweepChunks:
+    """`_sweep_stack` across chunk boundaries, and the planes a chunk holds at once."""
+
+    def test_problems_across_chunk_boundaries_match_each_alone(self):
+        # three chunks, the last one partial: every problem gets the bits it gets alone
+        kinds = ["noisy", "few", "near_planar", "static"]
+        W = 2 * SWEEP_CHUNK + 3
+        P0 = np.array([sweep_problem(kinds[i % len(kinds)], 7000 + i) for i in range(W)])
+        t, heading, count, errors = _sweep_stack(P0)
+        assert not errors and t.shape == (W, SWEEP_CANDIDATES, 3)
+        for i in range(W):
+            alone = _sweep_stack(P0[i : i + 1])
+            for got, want in zip(alone[:3], (t, heading, count)):
+                assert got.tobytes() == want[i : i + 1].tobytes(), i
+
+    def test_peak_memory_is_the_live_planes_of_the_rotation(self):
+        # the SWEEP_CHUNK comment's budget per problem: at the sweep's peak, in
+        # the 2x2 rotation of `_eigh3_planes`, the live (SWEEP_HEADINGS,)
+        # planes are M's 15, 2 w, the Schur complement's 6 and the
+        # eigensolver's 28: the mean m, K's diagonal (3), lam, v (3), the
+        # complement basis a, b (6), the projected block (3), the rotation's
+        # dl, den, t, c, s, t ga, lo, hi and its two results with -c (3).
+        # Bool planes are 1/8 of a float plane: top and one dl < 0
+        budget = (15 + 1 + 6 + 28 + 2 / 8) * SWEEP_HEADINGS * np.dtype(float).itemsize
+        P0 = np.array([sweep_problem("noisy", i) for i in range(SWEEP_CHUNK)])
+        peaks = []
+        for stack in (P0[:1], P0):
+            _sweep(stack)  # first-call allocations are not the sweep's
+            tracemalloc.start()
+            try:
+                _sweep(stack)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # what does not grow with the stack (Python objects, scalars) cancels
+        assert peaks[1] - peaks[0] <= (SWEEP_CHUNK - 1) * budget
 
 
 class TestNls:

@@ -355,9 +355,11 @@ class TestSyncedDataset:
             ("pb", [[0.0, 0.0, 0.0], [0.0, math.inf, 0.0], [1.0, 1.0, 1.0]]),
             ("d0", math.inf),
             ("d0", math.nan),
+            ("d", [1.0, 1e200, 2.0]),
+            ("d0", 1e200),
         ],
         ids=["nan_timestamp", "mismatched_length", "non_positive_range", "infinite_range", "non_finite_pb",
-             "infinite_d0", "nan_d0"],
+             "infinite_d0", "nan_d0", "overflowing_range", "overflowing_d0"],
     )
     def test_invalid_inputs_rejected(self, name, value):
         fields = self._fields()
@@ -430,8 +432,11 @@ class TestSyncedStack:
             ("d0", np.array([2.0, math.inf])),
             ("d0", np.array([2.0, 0.0])),
             ("pa", np.full((2, 3, 3), math.nan)),
+            ("d", [[1.0, 1e200, 2.0], [1.0, 1.0, 1.0]]),
+            ("d0", np.array([2.0, 1e200])),
         ],
-        ids=["flat_d", "pb_rows", "d0_length", "infinite_range", "zero_range", "infinite_d0", "zero_d0", "nan_pa"],
+        ids=["flat_d", "pb_rows", "d0_length", "infinite_range", "zero_range", "infinite_d0", "zero_d0", "nan_pa",
+             "overflowing_range", "overflowing_d0"],
     )
     def test_invalid_inputs_rejected(self, name, value):
         fields = self._fields()
@@ -448,3 +453,24 @@ def test_range_log_rejects_an_infinite_range():
 def test_dataset_requires_increasing_timestamps():
     with pytest.raises(ValueError):
         SyncedDataset(t=[0.0, 0.0], d=[1.0, 1.0], pa=np.zeros((2, 3)), pb=np.ones((2, 3)), sigma_r=0.1)
+
+
+def test_range_log_rejects_a_range_whose_square_overflows():
+    with pytest.raises(ValueError, match="row 2: measured range must be positive and finite, and so must its square"):
+        range_log([0.0, 1.0, 2.0], [1.0, 2.0, 1e200])
+
+
+def test_the_largest_range_with_a_finite_square_is_accepted():
+    # the fit squares every range and d0: the last double whose square is
+    # finite passes, the next one is rejected
+    top = math.sqrt(np.finfo(float).max)
+    over = math.nextafter(top, math.inf)
+    assert math.isfinite(top * top) and not math.isfinite(over * over)
+    fields = dict(pa=np.zeros((1, 2, 3)), pb=np.zeros((1, 2, 3)), sigma_r=0.1)
+    SyncedStack(d=np.array([[1.0, top]]), d0=np.array([top]), **fields)
+    SyncedDataset(t=[0.0, 1.0], d=[1.0, top], pa=np.zeros((2, 3)), pb=np.zeros((2, 3)), sigma_r=0.1, d0=top)
+    for d, d0 in (([1.0, over], top), ([1.0, top], over)):
+        with pytest.raises(ValueError, match="so must"):
+            SyncedStack(d=np.array([d]), d0=np.array([d0]), **fields)
+        with pytest.raises(ValueError, match="so must"):
+            SyncedDataset(t=[0.0, 1.0], d=d, pa=np.zeros((2, 3)), pb=np.zeros((2, 3)), sigma_r=0.1, d0=d0)
