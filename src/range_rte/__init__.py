@@ -17,7 +17,6 @@ from .estimators import (
     sdp_estimate,
     sliding_window_estimate,
     solve_sdp_relaxation,
-    yaw_sweep,
 )
 from .fisher import (
     FimReport,

@@ -14,12 +14,12 @@ the lifted state is linear in (t, tau = ||t||^2), so the cost is linear
 least squares in (t, tau) under the one constraint tau = ||t||^2: the
 squared-range localisation problem, which a Lagrange multiplier solves
 exactly (variable projection, Golub & Pereyra 1973, with the inner
-solve of Beck, Stoica & Li 2008). `yaw_sweep` solves it on a fixed
-heading grid in one batched pass and keeps the grid's lowest local
-minima; each one is refined by damped Newton steps over the natural
-parameters (t, theta), which satisfy the constraints by construction.
-The refinement minimizes ||R x(t, theta)||^2, with R the 9x9 triangle
-of a QR of the scaled rows of B: that is x' P0 x over max w, taken from
+solve of Beck, Stoica & Li 2008). `_sweep` solves it on a fixed heading
+grid in one batched pass and keeps the grid's lowest local minima; each
+one is refined by damped Newton steps over the natural parameters
+(t, theta), which satisfy the constraints by construction. The
+refinement minimizes ||R x(t, theta)||^2, with R the 9x9 triangle of a
+QR of the scaled rows of B: that is x' P0 x over max w, taken from
 residuals, so it keeps its relative precision down to a zero residual
 where the quadratic form itself has an absolute rounding floor. Its
 gradient and exact Hessian come from the lift's first and second
@@ -30,15 +30,13 @@ is fitted as one more range, taken between the two frame origins.
 
 The `sdp` estimator keeps the paper's semidefinite relaxation, with
 ||t||^2 = d0^2 as a fifth constraint when d0 is known, and reads its
-rank-one approximation off without refinement. It works on stacks too:
-one `solvers.sdp_solve` call relaxes every problem in lockstep, and one
-batched eigh of the X stack gives each problem its rank-one state, rank
-and eigenvalue ratio. The relaxation is always feasible (lift(T)
-lift(T)' is, for every T), so it has no infeasible exit. The `nls` baseline
-minimizes the raw range residuals with the same damped engine,
-`solvers.lockstep_newton` with R = I, taking Gauss-Newton steps from one
-start. Every entry of `ESTIMATORS` takes (dataset, init=None); only
-`nls`, a local method, uses the starting point.
+rank-one approximation off without refinement: one `solvers.sdp_solve`
+call relaxes every problem in lockstep, and one batched eigh of the X
+stack gives each problem its rank-one state, rank and eigenvalue ratio.
+The relaxation is always feasible (lift(T) lift(T)' is, for every T), so
+it has no infeasible exit. The `nls` baseline minimizes the raw range
+residuals with the same damped engine, `solvers.lockstep_newton` with
+R = I, taking Gauss-Newton steps from each problem's own start.
 
 Every estimator reads its problems as a `measurement.SyncedStack`.
 `assemble_qcqp` builds P0 for all W problems of a stack at once, and the
@@ -56,19 +54,22 @@ problem's data cannot fail another's, and a problem gets the same bits
 alone as in any chunk. Then the candidates of all problems are refined
 together by one `solvers.lockstep_newton` call.
 
-Each stacked estimator has two stages. Its point stage, which its
-`ESTIMATORS` entry runs on an assembled stack, gives every problem of the
-stack its estimate and solver scalars, and records the error of every
-problem that fails. Then `_reports`, for the callers that need reports,
-takes one batched eigendecomposition of the stacked Fisher information
-at the estimates, which gives every problem its kappa, CRLB and flags,
-and raises the first problem's error as a one-by-one loop would. A
-single dataset is a stack of one. The
-sliding-window runner for drift tracking estimates each window on its
-own: `qcqp` and `sdp` solve all windows in one stacked pass, and `nls`
-starts from the previous window's estimate, window by window. A
-Monte-Carlo cell (`simulation.monte_carlo_run`) stacks its trials and
-needs their point stage alone.
+Every estimator has one contract. Its point stage (`_qcqp_points`,
+`_sdp_points`, `_nls_points`) takes a stack of W problems, plus a (W, 4)
+array of starts that only the local `nls` reads, and gives every
+problem its estimate and solver scalars, and the error of every problem
+that fails; a problem gets the same bits as in a stack of one. Its
+`ESTIMATORS` entry takes either form of the data. A stack in gives the
+point stage. A dataset in gives its `EstimateReport`: the point stage of
+`dataset.stack()`, a stack of one, then `_reports`, the stacked Fisher
+information at the estimate with its kappa, CRLB and flags, which
+raises the problem's error. A Monte-Carlo cell
+(`simulation.monte_carlo_run`) stacks its trials and needs their point
+stage alone, whatever the estimator. The sliding-window runner for
+drift tracking estimates each window on its own: `qcqp` and `sdp` run
+the point stage of every window at once, then `_reports` of the stack,
+and `nls` starts each window from the previous estimate, window by
+window, through the dataset form.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from .geometry import Transform4DoF
 from .measurement import SyncedDataset, SyncedStack, debias_squared
 from .solvers import CONVERGED, MAX_ITER, NON_FINITE, SolveDiagnostics, lockstep_newton, sdp_solve
 
-SWEEP_HEADINGS = 72  # yaw grid of `yaw_sweep`, 5 degree steps
+SWEEP_HEADINGS = 72  # yaw grid of `_sweep`, 5 degree steps
 SWEEP_CANDIDATES = 3  # grid minima handed to the local refinement
 # problems per batched sweep. The sweep frees each (W, 72) plane after its
 # last read, so its traced peak is 28.4 KB per problem (57.9 KB when every
@@ -394,16 +395,6 @@ def _sqrt_factor(B: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return R
 
 
-def _eigh3(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues, ascending, and unit eigenvectors (columns) of a stack of symmetric 3x3 matrices.
-
-    `_eigh3_planes` on the six unique entries of each matrix.
-    """
-    shape = A.shape[:-2]
-    mu, U = _eigh3_planes(*A.reshape(-1, 9).T[[0, 4, 8, 1, 2, 5]])
-    return np.stack(mu, axis=-1).reshape(shape + (3,)), np.stack(U, axis=-1).reshape(shape + (3, 3))
-
-
 def _eigh3_planes(a00, a11, a22, a01, a02, a12) -> tuple[list, list]:
     """Eigenpairs of symmetric 3x3 matrices given as six arrays of equal shape, one per unique entry.
 
@@ -544,16 +535,46 @@ def _dot3(a, b):
 
 
 def _sweep(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`yaw_sweep` of a stack of W problems, P0 of shape (W, 9, 9).
+    """Starting points for the local refinement of W problems, P0 of shape (W, 9, 9).
+
+    At grid heading theta_j the cost is [y, 1]' M_j [y, 1] with
+    M_j = N_j' P0 N_j: least squares in y = (t, tau) under the one
+    constraint tau = ||t||^2, the squared-range localisation problem that
+    a Lagrange multiplier solves exactly (Beck, Stoica & Li 2008). With
+    tau eliminated and (mu, U) the eigenpairs of the Schur complement of
+    the tau block, the constrained minimiser is
+        U' t = e / (mu - mu_0 + x) - c / 2,
+    where x > 0 is the one root of the convex, decreasing
+        f(x) = sum_k e_k^2 / (mu_k - mu_0 + x)^2 + beta - x / (2 w).
+    N_j is N_0 + cos(theta_j) N_c + sin(theta_j) N_s, so M_j is a fixed
+    combination of [1, c, s, c^2, c s, s^2] at the heading, with
+    coefficients linear in P0: one matmul with a constant (81, 90) matrix
+    and one with the (6, 72) table of those functions give every M_j.
+    The rest is elementwise over (W, SWEEP_HEADINGS) planes, one per
+    scalar: the eigenpairs in closed form (`_eigh3_planes`), a bisection
+    over a log grid that brackets every heading's root at once, Newton
+    steps from the bracket's left end that converge on it without
+    overshooting, the points and their costs y' M_j y. Where f has no
+    positive root (the hard case, e_0 = 0) the minimiser sits at x = 0 and
+    moves along U_0 until tau = ||t||^2 holds. The stages that hold the
+    most planes are helpers, so their planes die when they return (see
+    SWEEP_CHUNK).
+
+    The mirror point, with the U_0 component of the other sign, is the
+    second basin of near-planar data, and the 5 degree step can hide its
+    minimum behind the first one's. So both points of every heading are
+    kept (a leading axis of 2), and each continues to the nearer point of
+    the next heading (compared on squared distances; point 0 where the
+    two tie). The minima along these two branches are the candidates,
+    lowest cost first and at most SWEEP_CANDIDATES, unless the parabola
+    through a minimum and its two neighbours stays above the lowest grid
+    cost.
 
     Returns the candidates' translations (W, SWEEP_CANDIDATES, 3), their
     grid heading indices (W, SWEEP_CANDIDATES) and each problem's number
     of candidates (W,), lowest cost first; the slots past that number are
-    padding. A problem with no finite grid cost has no candidate. After
-    the two matmuls that give M, every stage is elementwise arithmetic on
-    (W, SWEEP_HEADINGS) planes, one per scalar; the two points of a
-    heading add a leading axis of 2. The stages that hold the most planes
-    are helpers, so their planes die when they return (see SWEEP_CHUNK).
+    padding. A problem with no finite grid cost, as for non-finite data,
+    has no candidate; the sweep raises nothing.
     """
     W, m = len(P0), SWEEP_HEADINGS
     t, cost = _sweep_grid(P0)
@@ -623,7 +644,7 @@ def _eigenbasis_points(M: np.ndarray) -> tuple[list, tuple]:
 
 def _secular_equation(M: np.ndarray, two_w: np.ndarray) -> tuple:
     """U, e, c, beta, d1 = mu_1 - mu_0, d2 = mu_2 - mu_0 and the upper
-    bound x_top of the root of f, at every heading (see `yaw_sweep`)."""
+    bound x_top of the root of f, at every heading (see `_sweep`)."""
     m00, m01, m02, m03, m04, m11, m12, m13, m14, m22, m23, m24, w, g_tau, m44 = M
     q = (m03, m13, m23)
     mu, U = _eigh3_planes(
@@ -668,47 +689,6 @@ def _secular_root(e, d1, d2, beta, two_w, half_w, x_top) -> tuple:
     return last, x
 
 
-def yaw_sweep(problem: QcqpProblem) -> list[Transform4DoF]:
-    """Starting points for the local refinement, lowest cost first.
-
-    At grid heading theta_j the cost is [y, 1]' M_j [y, 1] with
-    M_j = N_j' P0 N_j: least squares in y = (t, tau) under the one
-    constraint tau = ||t||^2, the squared-range localisation problem that
-    a Lagrange multiplier solves exactly (Beck, Stoica & Li 2008). With
-    tau eliminated and (mu, U) the eigenpairs of the Schur complement of
-    the tau block, the constrained minimiser is
-        U' t = e / (mu - mu_0 + x) - c / 2,
-    where x > 0 is the one root of the convex, decreasing
-        f(x) = sum_k e_k^2 / (mu_k - mu_0 + x)^2 + beta - x / (2 w).
-    N_j is N_0 + cos(theta_j) N_c + sin(theta_j) N_s, so M_j is a fixed
-    combination of [1, c, s, c^2, c s, s^2] at the heading, with
-    coefficients linear in P0: one matmul with a constant (81, 90) matrix
-    and one with the (6, 72) table of those functions give every M_j.
-    The rest is elementwise over (problem, heading) planes: the eigenpairs
-    in closed form (`_eigh3_planes`), a bisection over a log grid that
-    brackets every heading's root at once, Newton steps from the
-    bracket's left end that converge on it without overshooting, the
-    points and their costs y' M_j y. Where f has no positive root (the
-    hard case, e_0 = 0) the minimiser sits at x = 0 and moves along U_0
-    until tau = ||t||^2 holds.
-
-    The mirror point, with the U_0 component of the other sign, is the
-    second basin of near-planar data, and the 5 degree step can hide its
-    minimum behind the first one's. So both points of every heading are
-    kept, and each continues to the nearer point of the next heading
-    (compared on squared distances; point 0 where the two tie). The
-    minima along these two branches are the candidates, lowest cost first
-    and at most SWEEP_CANDIDATES, unless the parabola through a minimum
-    and its two neighbours stays above the lowest grid cost. Raises
-    DegenerateSolutionError when no grid heading has a finite cost, as
-    for non-finite data; the sweep raises nothing else.
-    """
-    t, heading, count, errors = _sweep_stack(problem.P0[None])
-    if errors:
-        raise errors[0]
-    return [Transform4DoF(t=t[0, i], theta=float(_SWEEP_THETA[heading[0, i]])) for i in range(count[0])]
-
-
 def _sweep_stack(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """`_sweep` over a stack of W >= 1 problems in chunks of SWEEP_CHUNK.
 
@@ -729,7 +709,7 @@ def _reports(points: tuple, stack: SyncedStack) -> list[EstimateReport]:
     """Reports of a point stage's W estimates from one stacked FIM, as a one-by-one loop gives them.
 
     points is (estimates, solver scalars, {problem: error}) of
-    `_qcqp_points`, `_sdp_points` or `nls_estimate` on the W problems of
+    `_qcqp_points`, `_sdp_points` or `_nls_points` on the W problems of
     the stack. The first failing problem's error is raised, once the
     problems before it have their FIM, whose zero range raises first.
     """
@@ -745,16 +725,18 @@ def _reports(points: tuple, stack: SyncedStack) -> list[EstimateReport]:
     return reports
 
 
-def _sdp_points(problem: QcqpProblem) -> tuple[list, list, dict]:
-    """Point stage of `sdp_estimate` for a stack of W problems.
+def _sdp_points(stack: SyncedStack, starts=None) -> tuple[list, list, dict]:
+    """Point stage of `sdp` for a stack of W problems: the relaxation
+    alone, read off without refinement. `starts` is ignored.
 
-    One `sdp_solve` call relaxes every problem, and one batched eigh of
-    the X stack gives each its rank-one state, rank_x and lambda_ratio.
-    Returns each problem's estimate and solver scalars (None where it
-    failed) and {problem index: error} for every problem whose relaxation
-    ended other than optimal or whose rank-one state has no heading. Each
-    error is the one `sdp_estimate` raises on that problem alone.
+    One assembly, then one `sdp_solve` call relaxes every problem, and one
+    batched eigh of the X stack gives each its rank-one state, rank_x and
+    lambda_ratio. Returns each problem's estimate and solver scalars (None
+    where it failed) and {problem index: error} for every problem whose
+    relaxation ended other than optimal (DegenerateSolutionError) or whose
+    rank-one state has no heading.
     """
+    problem = assemble_qcqp(stack)
     start = time.perf_counter()
     X, diag = solve_sdp_relaxation(problem)
     lam, Q = np.linalg.eigh(X)
@@ -786,21 +768,26 @@ def _sdp_points(problem: QcqpProblem) -> tuple[list, list, dict]:
     return T_hats, solvers, errors
 
 
-def _qcqp_points(problem: QcqpProblem) -> tuple[list, list, dict]:
-    """Point stage of `qcqp_estimate` for a stack of W problems.
+def _qcqp_points(stack: SyncedStack, starts=None) -> tuple[list, list, dict]:
+    """Point stage of `qcqp` for a stack of W problems: the lifted cost
+    minimized over all feasible transforms. `starts` is ignored: the
+    sweep searches every heading.
 
-    The sweep candidates of all problems form one stack of starts,
-    refined by one `lockstep_newton` call on the 9x9 triangle R of each
-    problem's scaled rows. ||R x||^2 is the cost x' P0 x over max w, taken
-    from residuals: the quadratic form itself has an absolute rounding
-    floor (~1e-13) that would stall noiseless problems ~1e-8 m from the
-    truth. Each problem keeps its start of lowest cost. Returns each
+    One assembly, then the sweep candidates of all problems form one
+    stack of starts, refined by damped Newton steps in one
+    `lockstep_newton` call on the 9x9 triangle R of each problem's scaled
+    rows. ||R x||^2 is the cost x' P0 x over max w, taken from residuals:
+    the quadratic form itself has an absolute rounding floor (~1e-13)
+    that would stall noiseless problems ~1e-8 m from the truth. The
+    constraints hold by construction of the parameterization, and ||t|| is
+    left free: a measured inter-origin distance is a range row of the
+    stack. Each problem keeps its start of lowest cost. Returns each
     problem's estimate and solver scalars (None where it failed) and
     {problem index: error} for every problem that failed: a sweep without
-    a candidate, or every refinement start diverged. No problem's outcome
-    depends on the others of the stack, so each error is the one
-    `qcqp_estimate` raises on that problem alone (its FIM aside).
+    a candidate, or every refinement start diverged
+    (DegenerateSolutionError).
     """
+    problem = assemble_qcqp(stack)
     start = time.perf_counter()
     cand_t, cand_heading, count, errors = _sweep_stack(problem.P0)
     W = len(count)
@@ -844,98 +831,83 @@ def _qcqp_points(problem: QcqpProblem) -> tuple[list, list, dict]:
     return T_hats, solvers, errors
 
 
-def qcqp_estimate(dataset: SyncedDataset) -> EstimateReport:
-    """Minimize the lifted cost over all feasible transforms.
+def _nls_points(stack: SyncedStack, starts: Optional[np.ndarray] = None) -> tuple[list, list, dict]:
+    """Point stage of `nls` for a stack of W problems: damped Gauss-Newton
+    least squares on the raw range residuals, from starts (W, 4) of
+    (t_x, t_y, t_z, theta).
 
-    Each minimum of `yaw_sweep` is refined over (t, theta) by damped
-    Newton steps on the square-root factor of the cost; the lowest-cost
-    result wins. The constraints hold by construction of the
-    parameterization, and ||t|| is left free: a measured inter-origin
-    distance enters the cost as a range row of `dataset.stack()`. Runs as
-    a stack of one problem.
-    """
-    stack = dataset.stack()
-    return _reports(_qcqp_points(assemble_qcqp(stack)), stack)[0]
-
-
-def sdp_estimate(dataset: SyncedDataset) -> EstimateReport:
-    """Relaxation-only estimator: solve the SDP and read off the rank-one
-    approximation (no local refinement). A relaxation that ends other
-    than optimal raises DegenerateSolutionError. Runs as a stack of one
-    problem."""
-    stack = dataset.stack()
-    return _reports(_sdp_points(assemble_qcqp(stack)), stack)[0]
-
-
-def nls_estimate(dataset: SyncedDataset, init: Optional[Transform4DoF] = None) -> EstimateReport:
-    """Damped Gauss-Newton least squares on the raw range residuals.
-
-    The initial guess defaults to zero (no prior knowledge); like any
-    local method this can settle in a poor minimum on hard geometry,
-    which is reported rather than hidden. A d0 other than the first range
-    is one more residual, between the two frame origins. Runs
-    `lockstep_newton` with R = I on one start.
+    The starts default to zero (no prior knowledge); like any local method
+    this can settle in a poor minimum on hard geometry, which the solver
+    scalars report rather than hide. One `lockstep_newton` call with R = I
+    refines every problem from its own start on its own rows (d, pa, pb).
+    The engine never raises, so no problem fails: the errors are {}.
     """
     start = time.perf_counter()
-    T0 = init if init is not None else Transform4DoF(t=np.zeros(3), theta=0.0)
-    stack = dataset.stack()
-    sigma, pa, pb, d_meas = stack.sigma_r, stack.pa[0], stack.pb[0], stack.d[0]
+    sigma = stack.sigma_r
 
-    def lift(p):
+    def lift(p, d, pa, pb):
         # the residuals (||w|| - d) / sigma, w = t + C(theta) pb - pa, and
-        # their gradients; the second-derivative rows stay zero, so every
-        # step is a Gauss-Newton step, which ends at better minima from a
-        # zero start than exact-Hessian steps do
+        # their gradients, for the rows of each start; the second-derivative
+        # rows stay zero, so every step is a Gauss-Newton step, which ends at
+        # better minima from a zero start than exact-Hessian steps do
         c, s = np.cos(p[:, 3:]), np.sin(p[:, 3:])
-        bx, by = c * pb[:, 0] - s * pb[:, 1], s * pb[:, 0] + c * pb[:, 1]
-        dz = np.broadcast_to(pb[:, 2] - pa[:, 2], bx.shape)
-        w = np.stack((bx - pa[:, 0], by - pa[:, 1], dz), axis=1) + p[:, :3, None]
+        bx, by = c * pb[..., 0] - s * pb[..., 1], s * pb[..., 0] + c * pb[..., 1]
+        w = np.stack((bx - pa[..., 0], by - pa[..., 1], pb[..., 2] - pa[..., 2]), axis=1) + p[:, :3, None]
         dist = np.sqrt((w * w).sum(axis=1))
-        rows = np.zeros((len(p), 21, len(d_meas)))
-        rows[:, 0] = (dist - d_meas) / sigma
+        rows = np.zeros((len(p), 21, d.shape[1]))
+        rows[:, 0] = (dist - d) / sigma
         rows[:, 1:4] = w / (sigma * np.maximum(dist, 1e-12))[:, None]
         rows[:, 4] = bx * rows[:, 2] - by * rows[:, 1]  # d w / d theta = (-by, bx, 0)
         return rows
 
-    res = lockstep_newton(None, lift, T0.as_vector()[None], REFINE_MAX_ITER)
-    status = int(res.status[0])
-    solver = {
-        "method": "nls",
-        "iterations": int(res.iterations[0]),
-        "status": {CONVERGED: "converged", MAX_ITER: "max_iter", NON_FINITE: "non_finite"}[status],
-        "final_cost": float(res.cost[0]),
-        "converged": status == CONVERGED,
-        "wall_ms": (time.perf_counter() - start) * 1e3,
-    }
-    T_hat = Transform4DoF(t=res.p[0, :3], theta=res.p[0, 3])
-    return _reports(([T_hat], [solver], {}), stack)[0]
+    W = len(stack.d)
+    p0 = np.zeros((W, 4)) if starts is None else starts
+    res = lockstep_newton(None, lift, p0, REFINE_MAX_ITER, data=(stack.d, stack.pa, stack.pb))
+    wall_ms = (time.perf_counter() - start) * 1e3 / W
+    names = {CONVERGED: "converged", MAX_ITER: "max_iter", NON_FINITE: "non_finite"}
+    solvers = [
+        {
+            "method": "nls",
+            "iterations": n_it,
+            "status": names[status],
+            "final_cost": cost,
+            "converged": status == CONVERGED,
+            "wall_ms": wall_ms,
+        }
+        for n_it, status, cost in zip(res.iterations.tolist(), res.status.tolist(), res.cost.tolist())
+    ]
+    return [Transform4DoF(t=p[:3], theta=p[3]) for p in res.p], solvers, {}
 
 
-def _stacked(estimate, points):
-    """Registry entry of a stacked estimator: `estimate` of a dataset, and
-    the point stage `points` of an assembled stack of problems."""
+def _estimator(points):
+    """The `ESTIMATORS` entry of a point stage: see the comment there."""
 
-    def entry(data, init=None):
-        return points(data) if isinstance(data, QcqpProblem) else estimate(data)
+    def estimate(data: SyncedDataset | SyncedStack, init=None):
+        if isinstance(data, SyncedStack):
+            return points(data, init)
+        stack = data.stack()
+        return _reports(points(stack, None if init is None else init.as_vector()[None]), stack)[0]
 
-    return entry
+    return estimate
 
 
-# Every entry takes (dataset, init=None) and returns the dataset's
-# EstimateReport. `init` is a starting point for a local method; the global
-# `qcqp` and `sdp` ignore it. Those two also take, in place of the dataset,
-# an assembled stack of W problems (a QcqpProblem with a leading axis, from
-# `assemble_qcqp` on a `SyncedStack`). They return its point stage then:
-# each problem's estimate and solver scalars (None where it failed) and
-# {problem index: error} for every failing problem, with no FIM and no
-# report. The sliding windows and the Monte-Carlo cells estimate
-# through this form, so every estimate goes through the registry, where
-# the benchmark's tracer (perfbench/tracing.py) times the estimate layer.
-ESTIMATORS = {
-    "qcqp": _stacked(qcqp_estimate, _qcqp_points),
-    "sdp": _stacked(sdp_estimate, _sdp_points),
-    "nls": nls_estimate,
-}
+qcqp_estimate = _estimator(_qcqp_points)
+sdp_estimate = _estimator(_sdp_points)
+nls_estimate = _estimator(_nls_points)
+
+# One contract for every entry. A `SyncedStack` of W problems in gives its
+# point stage: each problem's estimate and solver scalars (None where it
+# failed) and {problem index: error} for every failing problem, with no FIM
+# and no report; init is then None or a (W, 4) array of starts. A
+# `SyncedDataset` in gives its EstimateReport, the point stage of
+# `dataset.stack()` with `_reports`, which raises the problem's error; init
+# is then None or a Transform4DoF. Only the local `nls` reads init, from zero
+# by default; the global `qcqp` and `sdp` ignore it. The Monte-Carlo cells
+# and the `qcqp` and `sdp` windows estimate through the stack form, the CLI's
+# `estimate` and the `nls` windows through the dataset form, so every
+# estimate goes through the registry, where the benchmark's tracer
+# (perfbench/tracing.py) times the estimate layer.
+ESTIMATORS = {"qcqp": qcqp_estimate, "sdp": sdp_estimate, "nls": nls_estimate}
 
 
 @dataclass
@@ -989,7 +961,7 @@ def sliding_window_estimate(
     starts = np.arange(0, len(stream) - window + 1, stride)
     if estimator != "nls" and len(starts):
         windows = stream.windows(starts, window)
-        stacked = iter(_reports(ESTIMATORS[estimator](assemble_qcqp(windows)), windows))
+        stacked = iter(_reports(ESTIMATORS[estimator](windows), windows))
 
     results = []
     prev: Optional[Transform4DoF] = None

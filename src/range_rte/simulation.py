@@ -14,10 +14,10 @@ after them. The antenna geometry, the true ranges, the noise and d0
 follow once on (W, n, 3) arrays, as a `SyncedStack`. Its row count,
 sigma_r and d0 follow from the config alone, since d0 is the first
 range, present only with zero lever arms. So a whole cell is one stack:
-one `fim` call gives the bounds at the truths from one stacked FIM, one
-assembly and one point stage of the estimator's `ESTIMATORS` entry give
-the `qcqp` and `sdp` estimates, and the errors are taken on arrays. Each
-trial's estimate is bit for bit the one its estimator gives on it alone.
+one `fim` call gives the bounds at the truths from one stacked FIM, the
+estimator's `ESTIMATORS` entry on the stack gives every estimate from
+one point stage, and the errors are taken on arrays. Each trial's
+estimate is bit for bit the one its estimator gives on it alone.
 """
 
 from __future__ import annotations
@@ -30,13 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import (
-    ESTIMATORS,
-    WindowEstimate,
-    align_target_trajectory,
-    assemble_qcqp,
-    sliding_window_estimate,
-)
+from .estimators import ESTIMATORS, WindowEstimate, align_target_trajectory, sliding_window_estimate
 from .fisher import fim
 from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, quat_to_matrix, wrap_angle, yaw_matrices
 from .measurement import SIGMA_R_FLOOR, SyncedDataset, SyncedStack
@@ -406,34 +400,22 @@ def monte_carlo_run(cfg: ScenarioConfig, estimator: str = "qcqp") -> ErrorStats:
     Type: message"; aggregates are over the successful ones. The bounds
     are the CRLB at each trial's truth.
 
-    The cell is one array pipeline: `trial_data` on every trial gives the
-    truths and a `SyncedStack`, `fim` on them gives every bound from one
-    `fim_stack`, and the errors are taken on arrays. `qcqp` and `sdp`
-    estimate through their `ESTIMATORS` entry on the stack's assembled
-    problems (their point stage, with no FIM at the estimates); each
-    trial's estimate and error are those of its estimator run on it
-    alone, bit for bit, and solve_ms is the cell's assembly and point
-    stage over its trials. `nls` runs trial by trial on each trial's
-    dataset, and its solve_ms is each trial's own estimator call.
+    The cell is one array pipeline, the same for every estimator:
+    `trial_data` on every trial gives the truths and a `SyncedStack`,
+    `fim` on them gives every bound from one `fim_stack`, the estimator's
+    `ESTIMATORS` entry on the stack gives its point stage (every estimate,
+    with no FIM at the estimates), and the errors are taken on arrays.
+    Each trial's estimate and error are those of its estimator run on it
+    alone, bit for bit (`nls` from zero), and solve_ms is the point
+    stage's time per trial.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     (t, theta), cell = trial_data(cfg, range(cfg.trials))
     bounds = fim((t, theta), cell)
-    if estimator == "nls":
-        T_hats, errors, solve_ms = [None] * cfg.trials, {}, []
-        for i in range(cfg.trials):
-            dataset = _trial_dataset(cell, i, cfg.dt)
-            start = time.perf_counter()
-            try:
-                T_hats[i] = ESTIMATORS[estimator](dataset).theta_hat
-            except Exception as exc:  # noqa: BLE001 - failed trials are data, not crashes
-                errors[i] = exc
-            solve_ms.append((time.perf_counter() - start) * 1e3)
-    else:
-        start = time.perf_counter()
-        T_hats, _, errors = ESTIMATORS[estimator](assemble_qcqp(cell))
-        solve_ms = (time.perf_counter() - start) * 1e3 / cfg.trials
+    start = time.perf_counter()
+    T_hats, _, errors = ESTIMATORS[estimator](cell)
+    solve_ms = (time.perf_counter() - start) * 1e3 / cfg.trials
     estimates = np.array([(*T.t.tolist(), T.theta) if T is not None else (0.0,) * 4 for T in T_hats])
     dt = estimates[:, :3] - t
     table = np.empty((cfg.trials, 5))

@@ -255,19 +255,22 @@ def _batched_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def lockstep_newton(
     R: Optional[np.ndarray],
-    lift: Callable[[np.ndarray], np.ndarray],
+    lift: Callable[..., np.ndarray],
     p0: np.ndarray,
     max_iter: int = 100,
+    data: tuple = (),
 ) -> LockstepResult:
     """Minimize f_i = 0.5 ||R_i x(p)||^2 from every start p0[i] at once.
 
     R (n, m, m) is a square-root factor of each start's cost, such as the
     triangle of a QR of its residual rows, or None for R = I, where x(p)
-    is the residual itself. lift(p) maps parameters (k, d) to
-    (k, 1 + d + d^2, m): x(p), its first and its second derivatives. The
-    cost, gradient and curvature come from r = R x, not from the
-    quadratic form R'R, so they keep their relative precision down to a
-    zero residual.
+    is the residual itself. lift(p, *data) maps parameters (k, d) to
+    (k, 1 + d + d^2, m): x(p), its first and its second derivatives.
+    data holds per-start arrays, each with a leading axis of n, such as
+    each start's own residual rows; like R, they are passed for the k
+    starts still running. The cost, gradient and curvature come from
+    r = R x, not from the quadratic form R'R, so they keep their relative
+    precision down to a zero residual.
 
     Steps solve (H + mu I) step = -g with H the Gauss-Newton block plus
     the curvature terms of the second-derivative rows: with exact rows
@@ -295,20 +298,20 @@ def lockstep_newton(
     GN = slice(CURV.stop, CURV.stop + d * d)
     MU, NU, IT, EV = GN.stop, GN.stop + 1, GN.stop + 2, GN.stop + 3
 
-    def state(p, R, tail):
-        M = _gram(R, lift(p), d)
+    def state(p, R, data, tail):
+        M = _gram(R, lift(p, *data), d)
         return np.concatenate((p, M[:, :, 0], M[:, 1 : d + 1, 1:].reshape(-1, d * d), tail), axis=1)
 
     count = np.array([0.0, 0.0, 1.0, 1.0])  # added to mu, nu, steps, evaluations at a trial
     with np.errstate(all="ignore"):  # a non-finite start ends NON_FINITE, without a warning
-        S = state(p0, R, np.zeros((n, 4)))
+        S = state(p0, R, data, np.zeros((n, 4)))
         S[:, NU] = 2.0
         S[:, MU] = DAMPING_INIT * np.maximum(S[:, GN][:, :: d + 1].max(axis=1), 1e-300)
         finite = np.isfinite(S[:, C])
         status = np.where(finite, CONVERGED, NON_FINITE)
         act = np.flatnonzero(finite & (np.abs(S[:, G]).max(axis=1) > GTOL * np.maximum(1.0, 0.5 * S[:, C])))
         status[act] = _RUNNING
-        s, Ra = S[act], R if R is None else R[act]  # the running starts only
+        s, Ra, Da = S[act], R if R is None else R[act], tuple(a[act] for a in data)  # the running starts only
         for _ in range(max_iter):
             if not len(act):
                 break
@@ -326,7 +329,7 @@ def lockstep_newton(
             accepted = False
             if trial.any():
                 # the trial point; it counts one more step and evaluation, undone below if rejected
-                new = state(s[:, :d] - u, Ra, s[:, MU:] + count)
+                new = state(s[:, :d] - u, Ra, Da, s[:, MU:] + count)
                 dc = c - new[:, C]
                 rho = dc / pred2
                 acc = trial & (rho > 0.0)  # False for a trial whose f is not finite
@@ -361,7 +364,7 @@ def lockstep_newton(
                 status[done[status[done] == _RUNNING]] = CONVERGED
                 keep = ~stop
                 s, act = s[keep], act[keep]
-                Ra = Ra if R is None else Ra[keep]
+                Ra, Da = Ra if R is None else Ra[keep], tuple(a[keep] for a in Da)
     S[act] = s
     status[act] = MAX_ITER
     return LockstepResult(

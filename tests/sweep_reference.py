@@ -4,7 +4,7 @@ The sweep as a loop over matrices: M_j = N_j' P0 N_j by matmul at every
 heading, LAPACK's `np.linalg.eigh` for the eigenpairs of the Schur
 complement, and a scan of the whole root grid for the bracket. It shares
 no code with `estimators._sweep`, only the grid and the selection rules
-of `yaw_sweep`, so a test that compares the two checks one against the
+of `_sweep`, so a test that compares the two checks one against the
 other. Besides the candidates it returns the grid costs, the quantities
 the selection compares and first-order bounds on the rounding of the
 costs and translations, so a test can tell a near-tie, which rounding

@@ -251,16 +251,19 @@ class TestSimulateCommand:
             {"trials": 5, "n_poses": 15, "seed": 7, "estimator": "nls", "d0_m": 50.0, "radius_m": 20.0},
         )
         # Whether NLS from a zero start settles in a poor minimum on this
-        # cell depends on the draw, so the failure is injected: the
-        # estimator raises on trial 2's dataset, whatever the thread count.
+        # cell depends on the draw, so the failure is injected: the point
+        # stage of the cell's stack records an error for trial 2's problem,
+        # whatever the thread count.
         scen = _scenario_from_config(load_config(cfg, set(SIM_DEFAULTS), SIM_DEFAULTS))
         _, doomed = trial_data(scen, 2)
         nls = range_rte.estimators.ESTIMATORS["nls"]
 
-        def flaky_nls(dataset, *args, **kwargs):
-            if np.array_equal(dataset.d, doomed.d):
-                raise FloatingPointError("injected divergence")
-            return nls(dataset, *args, **kwargs)
+        def flaky_nls(stack, *args, **kwargs):
+            T_hats, solvers, errors = nls(stack, *args, **kwargs)
+            for i in np.flatnonzero((stack.d == doomed.d).all(axis=1)).tolist():
+                T_hats[i] = solvers[i] = None
+                errors[i] = FloatingPointError("injected divergence")
+            return T_hats, solvers, errors
 
         monkeypatch.setitem(range_rte.estimators.ESTIMATORS, "nls", flaky_nls)
         out = tmp_path / "out"

@@ -21,7 +21,8 @@ from range_rte.estimators import (
     EstimateReport,
     HeadingUndefinedError,
     WindowEstimate,
-    _eigh3,
+    _SWEEP_THETA,
+    _eigh3_planes,
     _lift_stack,
     _scaled_rows,
     _sqrt_factor,
@@ -39,7 +40,6 @@ from range_rte.estimators import (
     sdp_estimate,
     sliding_window_estimate,
     solve_sdp_relaxation,
-    yaw_sweep,
 )
 from range_rte.fisher import confidence_intervals, fim, fim_reports
 from range_rte.geometry import Transform4DoF, heading_rotation, wrap_angle
@@ -611,6 +611,15 @@ def spectral_matrix(rng, kind: str) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
+def eigh3(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_eigh3_planes` on a stack of symmetric 3x3 matrices: the
+    eigenvalues (..., 3), ascending, and the unit eigenvectors as columns
+    (..., 3, 3), from the six unique entries of each matrix."""
+    shape = A.shape[:-2]
+    mu, U = _eigh3_planes(*A.reshape(-1, 9).T[[0, 4, 8, 1, 2, 5]])
+    return np.stack(mu, axis=-1).reshape(shape + (3,)), np.stack(U, axis=-1).reshape(shape + (3, 3))
+
+
 class TestEigh3:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -623,14 +632,14 @@ class TestEigh3:
         A = np.array([spectral_matrix(rng, kind) for kind in kinds]) * 10.0**log_scale
         eps = np.finfo(float).eps
         norm = np.linalg.norm(A, axis=(1, 2))
-        mu, U = _eigh3(A)
+        mu, U = eigh3(A)
         assert np.all(np.diff(mu, axis=1) >= 0.0)
         assert np.all(np.linalg.norm(A @ U - U * mu[:, None, :], axis=(1, 2)) <= 8 * eps * norm)
         assert np.all(np.linalg.norm(U.swapaxes(1, 2) @ U - np.eye(3), axis=(1, 2)) <= 8 * eps)
         assert np.all(np.abs(mu - np.linalg.eigh(A)[0]) <= 8 * eps * norm[:, None])
         # elementwise over the stack: a matrix alone gives the same bits
         i = int(rng.integers(len(A)))
-        alone = _eigh3(A[i : i + 1])
+        alone = eigh3(A[i : i + 1])
         assert alone[0].tobytes() == mu[i : i + 1].tobytes() and alone[1].tobytes() == U[i : i + 1].tobytes()
 
     def test_nearly_equal_eigenvalues_still_ascend(self):
@@ -642,7 +651,7 @@ class TestEigh3:
         Q = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
         lam = 1.0 + rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-17.0, -13.0, size=(n, 1))
         A = (Q * lam[:, None, :]) @ Q.swapaxes(1, 2)
-        mu, _ = _eigh3(0.5 * (A + A.swapaxes(1, 2)))
+        mu, _ = eigh3(0.5 * (A + A.swapaxes(1, 2)))
         assert np.all(np.diff(mu, axis=1) >= 0.0)
 
     def test_non_finite_matrix_spoils_only_itself(self):
@@ -652,9 +661,9 @@ class TestEigh3:
         with np.errstate(all="ignore"):
             bad = A.copy()
             bad[2] = np.inf
-            mu, U = _eigh3(bad)
+            mu, U = eigh3(bad)
         assert not np.isfinite(mu[1]).any() and not np.isfinite(mu[2]).any()
-        good = _eigh3(A[:1])
+        good = eigh3(A[:1])
         assert good[0].tobytes() == mu[:1].tobytes() and good[1].tobytes() == U[:1].tobytes()
 
 
@@ -712,7 +721,7 @@ class TestLockstepNewton:
         starts = []
         for s in [seed, *others]:
             T, ds = noisy_instance(s, d0=float(np.random.default_rng(s).uniform(1.0, 40.0)), n=10, sigma_r=0.4)
-            cand = yaw_sweep(assemble_qcqp(ds))[-1]
+            cand = sweep_candidates(assemble_qcqp(ds))[-1]
             starts.append((sqrt_factor(ds), cand.as_vector()))
         at = min(at, len(others))
         stack = starts[1:]
@@ -859,7 +868,7 @@ class TestStackedWindows:
         stream = dataclasses.replace(stream, d=d)
         starts = np.arange(n_windows) * stride
         with np.errstate(all="ignore"):
-            T_hats, solvers, errors = ESTIMATORS[estimator](assemble_qcqp(stream.windows(starts, window)))
+            T_hats, solvers, errors = ESTIMATORS[estimator](stream.windows(starts, window))
             assert errors
             for i, start in enumerate(starts.tolist()):
                 try:
@@ -873,6 +882,14 @@ class TestStackedWindows:
                 assert {**solvers[i], "wall_ms": 0} == {**ref.solver, "wall_ms": 0}
 
 
+def sweep_candidates(prob) -> list[Transform4DoF]:
+    """The sweep's candidates of one assembled problem, lowest cost first:
+    `_sweep_stack` on a stack of one, which must record no error."""
+    t, heading, count, errors = _sweep_stack(prob.P0[None])
+    assert not errors
+    return [Transform4DoF(t=t[0, i], theta=float(_SWEEP_THETA[heading[0, i]])) for i in range(count[0])]
+
+
 class TestYawSweep:
     @pytest.mark.parametrize("keep_d0", [True, False])
     def test_noiseless_candidate_brackets_true_heading(self, keep_d0):
@@ -883,7 +900,7 @@ class TestYawSweep:
             T, ds = noiseless_instance(60 + seed, d0=1.0 + 2.5 * seed)
             if not keep_d0:
                 ds = dataclasses.replace(ds, d0=None)
-            cands = yaw_sweep(assemble_qcqp(ds))
+            cands = sweep_candidates(assemble_qcqp(ds))
             assert 1 <= len(cands) <= SWEEP_CANDIDATES
             assert min(abs(float(wrap_angle(c.theta - T.theta))) for c in cands) < step
 
@@ -895,7 +912,7 @@ class TestYawSweep:
         prob = assemble_qcqp(dataclasses.replace(ds, d0=None))
         Bw = prob.B * np.sqrt(prob.weights)[:, None]
         rng = np.random.default_rng(81)
-        cand = yaw_sweep(prob)[0]
+        cand = sweep_candidates(prob)[0]
         th = cand.theta
 
         def residuals(t):
@@ -915,7 +932,7 @@ class TestYawSweep:
         n = 10
         for pa, pb in [(np.zeros((n, 3)), np.zeros((n, 3))), (np.ones((n, 3)), np.tile([0.0, 2.0, 0.0], (n, 1)))]:
             ds = SyncedDataset(t=np.arange(float(n)), d=np.linspace(2.9, 3.1, n), pa=pa, pb=pb, sigma_r=0.1)
-            cands = yaw_sweep(assemble_qcqp(ds))
+            cands = sweep_candidates(assemble_qcqp(ds))
             assert 1 <= len(cands) <= SWEEP_CANDIDATES
             for c in cands:
                 assert np.all(np.isfinite(c.t)) and math.isfinite(c.theta)
@@ -924,7 +941,7 @@ class TestYawSweep:
     def test_candidates_sorted_by_cost(self):
         T, ds = noisy_instance(80, d0=20.0, sigma_r=0.4)
         prob = assemble_qcqp(ds)
-        costs = [sd_wls_cost(prob, c) for c in yaw_sweep(prob)]
+        costs = [sd_wls_cost(prob, c) for c in sweep_candidates(prob)]
         assert costs == sorted(costs)
 
 

@@ -371,6 +371,31 @@ class TestStackedCell:
         assert len(want_failures) == (2 if cell == "failing" else 0)
         assert np.isfinite(stats.solve_ms).all()
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d0=st.floats(1.0, 50.0),
+        n=st.integers(8, 30),
+        sigma_r=st.floats(0.01, 0.5),
+        arms=st.booleans(),
+        trials=st.integers(1, 6),
+    )
+    def test_nls_cell_equals_per_trial_loop(self, seed, d0, n, sigma_r, arms, trials):
+        # one lockstep refinement of every trial from zero: each trial gets
+        # the estimate and solver scalars of `nls` on its dataset alone
+        lever_arms = self.CELLS["lever arms"]["lever_arms"] if arms else (LeverArm(), LeverArm())
+        cfg = ScenarioConfig(d0=d0, n_poses=n, sigma_r=sigma_r, lever_arms=lever_arms, trials=trials, seed=seed)
+        want, want_failures = reference_cell(cfg, "nls")
+        stats = monte_carlo_run(cfg, "nls")
+        assert stats.table[:, :4].tobytes() == want.tobytes()
+        assert stats.failures == want_failures == ()
+        T_hats, solvers, errors = ESTIMATORS["nls"](trial_data(cfg, range(trials))[1])
+        assert not errors
+        for i in range(trials):
+            ref = ESTIMATORS["nls"](trial_data(cfg, i)[1])
+            assert T_hats[i].as_vector().tobytes() == ref.theta_hat.as_vector().tobytes(), i
+            assert {**solvers[i], "wall_ms": 0} == {**ref.solver, "wall_ms": 0}, i
+
 
 @pytest.mark.parametrize(
     "cell",
