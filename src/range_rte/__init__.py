@@ -8,6 +8,8 @@ a Fisher-information analysis layer and a Monte-Carlo evaluation harness.
 from .estimators import (
     EstimateReport,
     QcqpProblem,
+    WindowTrack,
+    align_target_trajectory,
     assemble_qcqp,
     extract_transform,
     lift_transform,
@@ -19,11 +21,13 @@ from .estimators import (
     solve_sdp_relaxation,
 )
 from .fisher import (
+    FimArrays,
     FimReport,
     SingularityFlags,
     confidence_intervals,
     det_fim_geometric,
     fim,
+    fim_arrays,
     fim_reports,
 )
 from .geometry import (

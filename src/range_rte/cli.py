@@ -397,15 +397,14 @@ def cmd_drift(args) -> int:
         drift=drift,
     )
     result = drift_scenario(scen, estimator=cfg["estimator"])
+    track = result.windows
     windows = []
-    for w in result.windows:
+    columns = (track.t_end, track.skipped, track.kappa, track.estimate, track.cost)
+    for i, (t_end, skipped, kappa, estimate, cost) in enumerate(zip(*(c.tolist() for c in columns))):
         # every window carries its kappa, which says why a skipped one was skipped
-        status = "skipped" if w.skipped else "estimated"
-        entry = {"index": w.index, "t_end_s": w.t_end, "status": status, "kappa": w.report.fim.kappa}
-        if not w.skipped:
-            entry["t_m"] = w.report.theta_hat.t.tolist()
-            entry["theta_rad"] = w.report.theta_hat.theta
-            entry["cost"] = w.report.solver.get("final_cost")
+        entry = {"index": i, "t_end_s": t_end, "status": "skipped" if skipped else "estimated", "kappa": kappa}
+        if not skipped:
+            entry["t_m"], entry["theta_rad"], entry["cost"] = estimate[:3], estimate[3], cost
         windows.append(entry)
     payload = {
         "command": "drift",
@@ -415,7 +414,7 @@ def cmd_drift(args) -> int:
         "nc_rmse_m": result.nc_rmse,
         "corrected_rmse_m": result.corrected_rmse,
         "improvement_ratio": (result.corrected_rmse / result.nc_rmse) if result.nc_rmse else None,
-        "n_windows": len(result.windows),
+        "n_windows": len(track),
         "n_skipped": result.n_skipped,
         "windows": windows,
     }

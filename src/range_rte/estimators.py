@@ -56,20 +56,23 @@ together by one `solvers.lockstep_newton` call.
 
 Every estimator has one contract. Its point stage (`_qcqp_points`,
 `_sdp_points`, `_nls_points`) takes a stack of W problems, plus a (W, 4)
-array of starts that only the local `nls` reads, and gives every
-problem its estimate and solver scalars, and the error of every problem
-that fails; a problem gets the same bits as in a stack of one. Its
-`ESTIMATORS` entry takes either form of the data. A stack in gives the
-point stage. A dataset in gives its `EstimateReport`: the point stage of
-`dataset.stack()`, a stack of one, then `_reports`, the stacked Fisher
-information at the estimate with its kappa, CRLB and flags, which
+array of starts that only the local `nls` reads, and returns arrays: the
+estimates (W, 4) of (t_x, t_y, t_z, theta), theta wrapped into [-pi, pi)
+as `Transform4DoF` wraps it and NaN rows where a problem failed, one (W,)
+array per solver scalar, and the error of every problem that fails. A
+problem gets the same bits as in a stack of one. Its `ESTIMATORS` entry
+takes either form of the data. A stack in gives the point stage. A
+dataset in gives its `EstimateReport`: the point stage of
+`dataset.stack()`, a stack of one, then `_report`, the only place that
+builds a `Transform4DoF`, a solver dict and a `fisher.FimReport`, which
 raises the problem's error. A Monte-Carlo cell
-(`simulation.monte_carlo_run`) stacks its trials and needs their point
-stage alone, whatever the estimator. The sliding-window runner for
-drift tracking estimates each window on its own: `qcqp` and `sdp` run
-the point stage of every window at once, then `_reports` of the stack,
-and `nls` starts each window from the previous estimate, window by
-window, through the dataset form.
+(`simulation.monte_carlo_run`) stacks its trials and reads the estimate
+array of their point stage, whatever the estimator. The sliding-window
+runner for drift tracking returns a `WindowTrack` of arrays: `qcqp` and
+`sdp` run the point stage of every window at once, then one stacked
+Fisher pass (`fisher.fim_stack`) at every estimate gives the kappa that
+gates each window, and the CRLB; `nls` starts each window from the
+previous kept estimate, window by window, each window a stack of one.
 """
 
 from __future__ import annotations
@@ -77,12 +80,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .fisher import FimReport, SingularityFlags, fim_stack
-from .geometry import Transform4DoF
+from .fisher import FimArrays, FimReport, SingularityFlags, fim_stack
+from .geometry import Transform4DoF, wrap_angle
 from .measurement import SyncedDataset, SyncedStack, debias_squared
 from .solvers import CONVERGED, MAX_ITER, NON_FINITE, SolveDiagnostics, lockstep_newton, sdp_solve
 
@@ -126,14 +129,16 @@ class HeadingUndefinedError(RuntimeError):
     """The (cos, sin) block of the lifted state has no usable direction."""
 
 
-def _lift(tx: float, ty: float, tz: float, theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([tx, ty, tz, c, s, tx * c + ty * s, ty * c - tx * s, tx * tx + ty * ty + tz * tz, 1.0])
+def _lift(tx, ty, tz, c, s) -> np.ndarray:
+    """Lifted 9-vectors, along the last axis, of translations and the
+    cosines and sines of their headings: floats, or (W,) arrays for W."""
+    x = [tx, ty, tz, c, s, tx * c + ty * s, ty * c - tx * s, tx * tx + ty * ty + tz * tz, np.ones_like(c)]
+    return np.stack(x, axis=-1)
 
 
 def lift_transform(T: Transform4DoF) -> np.ndarray:
     """Lifted 9-vector of a transform (last element is the homogenizer 1)."""
-    return _lift(*T.t.tolist(), T.theta)
+    return _lift(*T.t.tolist(), math.cos(T.theta), math.sin(T.theta))
 
 
 def build_data_rows(pa, pb, s) -> np.ndarray:
@@ -285,14 +290,38 @@ def solve_sdp_relaxation(problem: QcqpProblem) -> tuple[np.ndarray, SolveDiagnos
     return (X * D[:, :, None] * D[:, None, :]).reshape(problem.P0.shape), diag
 
 
-def _homogenized(lam0: float, q: np.ndarray) -> np.ndarray:
-    """The rank-one state x = sqrt(lam0) q rescaled to a homogenizer of exactly one."""
-    if not lam0 > 0:
-        raise DegenerateSolutionError("matrix has no positive spectrum")
-    x = math.sqrt(lam0) * q
-    if abs(x[8]) < 1e-9 * np.linalg.norm(x):
-        raise DegenerateSolutionError("homogenization component vanished")
-    return x / x[8]
+def _rank_one_states(lam0: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The rank-one lifted states sqrt(lam0) q of W problems, lam0 (W,) and
+    q (W, 9), each rescaled to a homogenizer of exactly one, which also
+    fixes its sign; and {problem index: DegenerateSolutionError} for the
+    problems with no positive spectrum or a vanished homogenizer."""
+    errors = {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.sqrt(lam0)[:, None] * q
+        norm = np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])  # np.linalg.norm's BLAS dot, row by row
+        for reason, failed in (
+            ("matrix has no positive spectrum", ~(lam0 > 0)),
+            ("homogenization component vanished", np.abs(x[:, 8]) < 1e-9 * norm),
+        ):
+            for i in np.flatnonzero(failed).tolist():
+                errors.setdefault(i, DegenerateSolutionError(reason))
+        return x / x[:, 8:], errors
+
+
+def _headings(x: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The headings of normalized lifted states x (W, 9), their (cos, sin)
+    block renormalized to the unit circle, and {problem index:
+    HeadingUndefinedError} where that block is too small (heading NaN).
+    On Python floats: numpy's hypot and arctan2 differ from math's in the
+    last bit."""
+    theta, errors = np.full(len(x), math.nan), {}
+    for i, (c, s) in enumerate(x[:, 3:5].tolist()):
+        norm = math.hypot(c, s)
+        if norm < 1e-6:
+            errors[i] = HeadingUndefinedError("cos/sin block too small to define a heading")
+        else:
+            theta[i] = math.atan2(s / norm, c / norm)
+    return theta, errors
 
 
 def recover_rank_one(X) -> np.ndarray:
@@ -302,7 +331,10 @@ def recover_rank_one(X) -> np.ndarray:
     is exactly one, which also fixes its sign.
     """
     lam, Q = np.linalg.eigh(X)
-    return _homogenized(lam[-1], Q[:, -1])
+    x, errors = _rank_one_states(lam[-1:], Q[None, :, -1])
+    if errors:
+        raise errors[0]
+    return x[0]
 
 
 def extract_transform(x) -> Transform4DoF:
@@ -314,11 +346,10 @@ def extract_transform(x) -> Transform4DoF:
     x = np.asarray(x, dtype=float)
     if abs(x[8] - 1.0) > 1e-6:
         raise ValueError(f"lifted state not normalized: x9 = {x[8]}")
-    c, s = x[3], x[4]
-    norm = math.hypot(c, s)
-    if norm < 1e-6:
-        raise HeadingUndefinedError("cos/sin block too small to define a heading")
-    return Transform4DoF(t=x[:3].copy(), theta=math.atan2(s / norm, c / norm))
+    theta, errors = _headings(x[None])
+    if errors:
+        raise errors[0]
+    return Transform4DoF(t=x[:3].copy(), theta=theta[0])
 
 
 def _scaled_rows(B: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -705,36 +736,47 @@ def _sweep_stack(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, di
     return t, heading, count, errors
 
 
-def _reports(points: tuple, stack: SyncedStack) -> list[EstimateReport]:
-    """Reports of a point stage's W estimates from one stacked FIM, as a one-by-one loop gives them.
+def _information(points: tuple, stack: SyncedStack) -> FimArrays:
+    """The stacked FIM at a point stage's W estimates, as a one-by-one loop
+    gives it: the first failing problem's error is raised, once the
+    problems before it have their FIM, whose zero range raises first.
 
     points is (estimates, solver scalars, {problem: error}) of
-    `_qcqp_points`, `_sdp_points` or `_nls_points` on the W problems of
-    the stack. The first failing problem's error is raised, once the
-    problems before it have their FIM, whose zero range raises first.
+    `_qcqp_points`, `_sdp_points` or `_nls_points` on the stack.
     """
-    T_hats, solvers, errors = points
-    n = min(errors, default=len(T_hats))
-    reports = []
-    if n:
-        t = np.array([T.t for T in T_hats[:n]])
-        reps = fim_stack(t, np.array([T.theta for T in T_hats[:n]]), stack.pa[:n], stack.pb[:n], stack.sigma_r)
-        reports = [EstimateReport(theta_hat=T, solver=solver, fim=rep) for T, rep, solver in zip(T_hats, reps, solvers)]
+    estimates, _, errors = points
+    n = min(errors, default=len(estimates))
+    info = fim_stack(estimates[:n, :3], estimates[:n, 3], stack.pa[:n], stack.pb[:n], stack.sigma_r) if n else None
     if errors:
         raise errors[n]
-    return reports
+    return info
 
 
-def _sdp_points(stack: SyncedStack, starts=None) -> tuple[list, list, dict]:
+def _report(method: str, points: tuple, stack: SyncedStack) -> EstimateReport:
+    """The EstimateReport of a point stage on a stack of one: its estimate,
+    its solver scalars under "method" and its FIM (see `_information`)."""
+    info = _information(points, stack)
+    estimates, scalars, _ = points
+    return EstimateReport(
+        theta_hat=Transform4DoF(t=estimates[0, :3], theta=estimates[0, 3]),
+        solver={"method": method, **{name: values.tolist()[0] for name, values in scalars.items()}},
+        fim=info.reports()[0],
+    )
+
+
+def _sdp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dict]:
     """Point stage of `sdp` for a stack of W problems: the relaxation
     alone, read off without refinement. `starts` is ignored.
 
     One assembly, then one `sdp_solve` call relaxes every problem, and one
-    batched eigh of the X stack gives each its rank-one state, rank_x and
-    lambda_ratio. Returns each problem's estimate and solver scalars (None
-    where it failed) and {problem index: error} for every problem whose
-    relaxation ended other than optimal (DegenerateSolutionError) or whose
-    rank-one state has no heading.
+    batched eigh of the X stack gives each its rank-one state
+    (`_rank_one_states`) and heading (`_headings`), which
+    `recover_rank_one` and `extract_transform` read the same way, rank_x
+    and lambda_ratio. Returns the estimates (W, 4), the solver scalars
+    (iterations, status, gap, rank_x, lambda_ratio, final_cost, wall_ms),
+    one (W,) array each, and {problem index: error} for every problem
+    whose relaxation ended other than optimal (DegenerateSolutionError)
+    or whose rank-one state has no heading; their rows are NaN.
     """
     problem = assemble_qcqp(stack)
     start = time.perf_counter()
@@ -742,33 +784,43 @@ def _sdp_points(stack: SyncedStack, starts=None) -> tuple[list, list, dict]:
     lam, Q = np.linalg.eigh(X)
     lam = np.maximum(lam[:, ::-1], 0.0)
     rank = np.sum(lam > 1e-6 * lam[:, :1], axis=1)
-    wall_ms = (time.perf_counter() - start) * 1e3 / len(X)
-    T_hats, solvers, errors = [None] * len(X), [None] * len(X), {}
-    scalars = (diag.status, diag.iterations.tolist(), diag.gap.tolist(), lam[:, :2].tolist(), rank.tolist())
-    for i, (status, n_it, gap, (lam0, lam1), rank_x) in enumerate(zip(*scalars)):
-        try:
-            if status != "optimal":
-                raise DegenerateSolutionError(f"SDP relaxation ended {status} after {n_it} iterations")
-            T = extract_transform(_homogenized(lam0, Q[i, :, -1]))
-        except (DegenerateSolutionError, HeadingUndefinedError) as exc:
-            errors[i] = exc
-            continue
-        x = lift_transform(T)
-        T_hats[i] = T
-        solvers[i] = {
-            "method": "sdp",
-            "iterations": n_it,
-            "status": status,
-            "gap": gap,
-            "rank_x": rank_x,
-            "lambda_ratio": lam1 / lam0,
-            "final_cost": float(x @ problem.P0[i] @ x),
-            "wall_ms": wall_ms,
-        }
-    return T_hats, solvers, errors
+    W = len(X)
+    wall_ms = (time.perf_counter() - start) * 1e3 / W
+    errors = {
+        i: DegenerateSolutionError(f"SDP relaxation ended {diag.status[i]} after {diag.iterations[i]} iterations")
+        for i in np.flatnonzero(diag.status != "optimal").tolist()
+    }
+    x, degenerate = _rank_one_states(lam[:, 0], Q[:, :, -1])
+    theta, undefined = _headings(x)
+    for found in (degenerate, undefined):  # a problem's first error counts
+        for i, exc in found.items():
+            errors.setdefault(i, exc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lambda_ratio = lam[:, 1] / lam[:, 0]
+    estimates = np.column_stack((x[:, :3], wrap_angle(theta)))
+    estimates[list(errors)] = math.nan
+    scalars = {
+        "iterations": diag.iterations,
+        "status": diag.status,
+        "gap": diag.gap,
+        "rank_x": rank,
+        "lambda_ratio": lambda_ratio,
+        "final_cost": _lifted_cost(problem.P0, estimates),
+        "wall_ms": np.full(W, wall_ms),
+    }
+    return estimates, scalars, errors
 
 
-def _qcqp_points(stack: SyncedStack, starts=None) -> tuple[list, list, dict]:
+def _lifted_cost(P0: np.ndarray, estimates: np.ndarray) -> np.ndarray:
+    """x' P0 x of each problem at the lift x of its estimate, with the bits
+    of `lift_transform` and `sd_wls_cost` on it alone."""
+    # math.cos and math.sin round as `lift_transform` does
+    theta = estimates[:, 3].tolist()
+    x = _lift(*estimates[:, :3].T, np.array([math.cos(th) for th in theta]), np.array([math.sin(th) for th in theta]))
+    return ((x[:, None, :] @ P0) @ x[:, :, None])[:, 0, 0]
+
+
+def _qcqp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dict]:
     """Point stage of `qcqp` for a stack of W problems: the lifted cost
     minimized over all feasible transforms. `starts` is ignored: the
     sweep searches every heading.
@@ -781,57 +833,59 @@ def _qcqp_points(stack: SyncedStack, starts=None) -> tuple[list, list, dict]:
     that would stall noiseless problems ~1e-8 m from the truth. The
     constraints hold by construction of the parameterization, and ||t|| is
     left free: a measured inter-origin distance is a range row of the
-    stack. Each problem keeps its start of lowest cost. Returns each
-    problem's estimate and solver scalars (None where it failed) and
+    stack. Each problem keeps its start of lowest cost. Returns the
+    estimates (W, 4), the solver scalars (iterations, restarts,
+    restarts_converged, final_cost, wall_ms), one (W,) array each, and
     {problem index: error} for every problem that failed: a sweep without
     a candidate, or every refinement start diverged
-    (DegenerateSolutionError).
+    (DegenerateSolutionError); their rows are NaN.
     """
     problem = assemble_qcqp(stack)
     start = time.perf_counter()
     cand_t, cand_heading, count, errors = _sweep_stack(problem.P0)
     W = len(count)
     sweep_ms = (time.perf_counter() - start) * 1e3 / W
-    T_hats, solvers = [None] * W, [None] * W
+    estimates = np.full((W, 4), math.nan)
+    iterations, converged, final_cost = np.zeros(W, dtype=int), np.zeros(W, dtype=int), np.full(W, math.nan)
     live = np.flatnonzero(count)  # the problems with a candidate
-    if not len(live):
-        return T_hats, solvers, errors
-    start = time.perf_counter()
-    n = count[live]
-    first = np.cumsum(n) - n  # each live problem's first start
-    slot = np.flatnonzero(np.arange(SWEEP_CANDIDATES) < count[:, None])  # candidate slots in use
-    p0 = np.concatenate((cand_t, _SWEEP_THETA[cand_heading][..., None]), axis=-1).reshape(-1, 4)[slot]
-    owner = np.repeat(np.arange(len(live)), n)  # each start's live problem
-    res = lockstep_newton(_sqrt_factor(problem.B[live], problem.weights[live])[owner], _lift_stack, p0, REFINE_MAX_ITER)
-    p = res.p
-    cost = 2.0 * problem.weights[live].max(axis=-1)[owner] * res.cost  # x' P0 x = max w ||R x||^2
-    # per problem, the first start of lowest cost; diverged starts rank after the others
-    finite = res.status != NON_FINITE
-    best = np.lexsort((cost, ~finite, owner))[first]
-    iterations = np.add.reduceat(res.iterations, first)
-    converged = np.add.reduceat(res.status == CONVERGED, first, dtype=int)
-    wall_ms = sweep_ms + (time.perf_counter() - start) * 1e3 / len(live)
-    # per-problem scalars from one .tolist() each
-    final_cost, ok = cost.tolist(), finite[best].tolist()
-    for i, b, good, n_it, n_starts, n_conv in zip(
-        live.tolist(), best.tolist(), ok, iterations.tolist(), n.tolist(), converged.tolist()
-    ):
-        if not good:
+    wall_ms = sweep_ms
+    if len(live):
+        start = time.perf_counter()
+        n = count[live]
+        first = np.cumsum(n) - n  # each live problem's first start
+        slot = np.flatnonzero(np.arange(SWEEP_CANDIDATES) < count[:, None])  # candidate slots in use
+        p0 = np.concatenate((cand_t, _SWEEP_THETA[cand_heading][..., None]), axis=-1).reshape(-1, 4)[slot]
+        owner = np.repeat(np.arange(len(live)), n)  # each start's live problem
+        R = _sqrt_factor(problem.B[live], problem.weights[live])[owner]
+        res = lockstep_newton(R, _lift_stack, p0, REFINE_MAX_ITER)
+        cost = 2.0 * problem.weights[live].max(axis=-1)[owner] * res.cost  # x' P0 x = max w ||R x||^2
+        # per problem, the first start of lowest cost; diverged starts rank after the others
+        finite = res.status != NON_FINITE
+        best = np.lexsort((cost, ~finite, owner))[first]
+        iterations[live] = np.add.reduceat(res.iterations, first)
+        converged[live] = np.add.reduceat(res.status == CONVERGED, first, dtype=int)
+        final_cost[live] = cost[best]
+        ok = finite[best]
+        estimates[live[ok]] = res.p[best[ok]]
+        estimates[:, 3] = wrap_angle(estimates[:, 3])
+        for i in live[~ok].tolist():
             errors[i] = DegenerateSolutionError("all refinement starts diverged")
-            continue
-        T_hats[i] = Transform4DoF(t=p[b, :3], theta=p[b, 3])
-        solvers[i] = {
-            "method": "qcqp",
-            "iterations": n_it,
-            "restarts": n_starts,
-            "restarts_converged": n_conv,
-            "final_cost": final_cost[b],
-            "wall_ms": wall_ms,
-        }
-    return T_hats, solvers, errors
+        wall_ms += (time.perf_counter() - start) * 1e3 / len(live)
+    scalars = {
+        "iterations": iterations,
+        "restarts": count,
+        "restarts_converged": converged,
+        "final_cost": final_cost,
+        "wall_ms": np.full(W, wall_ms),
+    }
+    return estimates, scalars, errors
 
 
-def _nls_points(stack: SyncedStack, starts: Optional[np.ndarray] = None) -> tuple[list, list, dict]:
+_NLS_STATUS = np.empty(3, dtype=object)
+_NLS_STATUS[[CONVERGED, MAX_ITER, NON_FINITE]] = "converged", "max_iter", "non_finite"
+
+
+def _nls_points(stack: SyncedStack, starts: Optional[np.ndarray] = None) -> tuple[np.ndarray, dict, dict]:
     """Point stage of `nls` for a stack of W problems: damped Gauss-Newton
     least squares on the raw range residuals, from starts (W, 4) of
     (t_x, t_y, t_z, theta).
@@ -840,7 +894,9 @@ def _nls_points(stack: SyncedStack, starts: Optional[np.ndarray] = None) -> tupl
     this can settle in a poor minimum on hard geometry, which the solver
     scalars report rather than hide. One `lockstep_newton` call with R = I
     refines every problem from its own start on its own rows (d, pa, pb).
-    The engine never raises, so no problem fails: the errors are {}.
+    Returns the estimates (W, 4), the solver scalars (iterations, status,
+    final_cost, converged, wall_ms), one (W,) array each, and the errors:
+    the engine never raises, so no problem fails and they are {}.
     """
     start = time.perf_counter()
     sigma = stack.sigma_r
@@ -864,62 +920,71 @@ def _nls_points(stack: SyncedStack, starts: Optional[np.ndarray] = None) -> tupl
     p0 = np.zeros((W, 4)) if starts is None else starts
     res = lockstep_newton(None, lift, p0, REFINE_MAX_ITER, data=(stack.d, stack.pa, stack.pb))
     wall_ms = (time.perf_counter() - start) * 1e3 / W
-    names = {CONVERGED: "converged", MAX_ITER: "max_iter", NON_FINITE: "non_finite"}
-    solvers = [
-        {
-            "method": "nls",
-            "iterations": n_it,
-            "status": names[status],
-            "final_cost": cost,
-            "converged": status == CONVERGED,
-            "wall_ms": wall_ms,
-        }
-        for n_it, status, cost in zip(res.iterations.tolist(), res.status.tolist(), res.cost.tolist())
-    ]
-    return [Transform4DoF(t=p[:3], theta=p[3]) for p in res.p], solvers, {}
+    scalars = {
+        "iterations": res.iterations,
+        "status": _NLS_STATUS[res.status],
+        "final_cost": res.cost,
+        "converged": res.status == CONVERGED,
+        "wall_ms": np.full(W, wall_ms),
+    }
+    return np.column_stack((res.p[:, :3], wrap_angle(res.p[:, 3]))), scalars, {}
 
 
-def _estimator(points):
+def _estimator(method: str, points):
     """The `ESTIMATORS` entry of a point stage: see the comment there."""
 
     def estimate(data: SyncedDataset | SyncedStack, init=None):
         if isinstance(data, SyncedStack):
             return points(data, init)
         stack = data.stack()
-        return _reports(points(stack, None if init is None else init.as_vector()[None]), stack)[0]
+        return _report(method, points(stack, None if init is None else init.as_vector()[None]), stack)
 
     return estimate
 
 
-qcqp_estimate = _estimator(_qcqp_points)
-sdp_estimate = _estimator(_sdp_points)
-nls_estimate = _estimator(_nls_points)
+qcqp_estimate = _estimator("qcqp", _qcqp_points)
+sdp_estimate = _estimator("sdp", _sdp_points)
+nls_estimate = _estimator("nls", _nls_points)
 
 # One contract for every entry. A `SyncedStack` of W problems in gives its
-# point stage: each problem's estimate and solver scalars (None where it
-# failed) and {problem index: error} for every failing problem, with no FIM
-# and no report; init is then None or a (W, 4) array of starts. A
-# `SyncedDataset` in gives its EstimateReport, the point stage of
-# `dataset.stack()` with `_reports`, which raises the problem's error; init
-# is then None or a Transform4DoF. Only the local `nls` reads init, from zero
-# by default; the global `qcqp` and `sdp` ignore it. The Monte-Carlo cells
-# and the `qcqp` and `sdp` windows estimate through the stack form, the CLI's
-# `estimate` and the `nls` windows through the dataset form, so every
-# estimate goes through the registry, where the benchmark's tracer
-# (perfbench/tracing.py) times the estimate layer.
+# point stage: the estimates as one (W, 4) array of (t_x, t_y, t_z, theta),
+# theta wrapped into [-pi, pi) and NaN rows where a problem failed, one
+# (W,) array per solver scalar and {problem index: error} for every failing
+# problem, with no FIM and no report; init is then None or a (W, 4) array
+# of starts. A `SyncedDataset` in gives its EstimateReport, the point stage
+# of `dataset.stack()` with `_report`, which raises the problem's error;
+# init is then None or a Transform4DoF. Only the local `nls` reads init,
+# from zero by default; the global `qcqp` and `sdp` ignore it. The
+# Monte-Carlo cells and the drift windows estimate through the stack form,
+# the CLI's `estimate` through the dataset form, so every estimate goes
+# through the registry, where the benchmark's tracer (perfbench/tracing.py)
+# times the estimate layer.
 ESTIMATORS = {"qcqp": qcqp_estimate, "sdp": sdp_estimate, "nls": nls_estimate}
 
 
-@dataclass
-class WindowEstimate:
-    """One sliding-window step: sample range [start, stop) and outcome."""
+@dataclass(frozen=True)
+class WindowTrack:
+    """The sliding windows of a stream, one row per window.
 
-    index: int
-    start: int
-    stop: int
-    t_end: float
-    skipped: bool
-    report: EstimateReport
+    Window i covers the samples [start[i], stop[i]) and ends at time
+    t_end[i]. estimate (W, 4) is its (t_x, t_y, t_z, theta), theta wrapped
+    into [-pi, pi), and cost (W,) its solver's final cost. kappa (W,) and
+    crlb (W, 4, 4) come from the Fisher information at the estimate; crlb
+    is NaN where that is not invertible. skipped (W,) marks the windows
+    whose kappa is not within WINDOW_KAPPA_LIMIT.
+    """
+
+    start: np.ndarray
+    stop: np.ndarray
+    t_end: np.ndarray
+    estimate: np.ndarray
+    cost: np.ndarray
+    kappa: np.ndarray
+    crlb: np.ndarray
+    skipped: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.start)
 
 
 def sliding_window_estimate(
@@ -927,7 +992,7 @@ def sliding_window_estimate(
     window: int = 50,
     stride: Optional[int] = None,
     estimator: str = "qcqp",
-) -> list[WindowEstimate]:
+) -> WindowTrack:
     """Run the estimator over a stream in sliding windows.
 
     A window starts every `stride` samples (None: every `window`), and
@@ -940,15 +1005,15 @@ def sliding_window_estimate(
     inter-origin-distance constraint is dropped inside windows: under
     drift the initial distance is stale.
 
-    `qcqp` and `sdp` solve all windows in one stacked pass (their
-    `ESTIMATORS` entry on the stack of `stream.windows`, then `_reports`):
-    one assembly without d0 and one batched FIM eigendecomposition; for
-    `qcqp` one yaw sweep pass per SWEEP_CHUNK windows (one pass for the 60
-    windows of a 120 s stream at the CLI default, five for 600 s) and one
-    refinement of every candidate, for `sdp` one lockstep `sdp_solve`
-    call.
-    Their results and errors equal a window-by-window loop: the first
-    failing window's error is raised. Only `nls` runs window by window.
+    `qcqp` and `sdp` solve all windows in one stacked pass: their
+    `ESTIMATORS` entry on the stack of `stream.windows`, one assembly
+    without d0, then one stacked FIM (`fisher.fim_stack`) at every
+    estimate. For `qcqp` that is one yaw sweep pass per SWEEP_CHUNK
+    windows (one pass for the 60 windows of a 120 s stream at the CLI
+    default, five for 600 s) and one refinement of every candidate, for
+    `sdp` one lockstep `sdp_solve` call. Their results and errors equal a
+    window-by-window loop: the first failing window's error is raised.
+    `nls` runs window by window, each window a stack of one.
     """
     if window < 10:
         raise ValueError(f"window must be >= 10, got {window}")
@@ -959,48 +1024,63 @@ def sliding_window_estimate(
     elif stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     starts = np.arange(0, len(stream) - window + 1, stride)
-    if estimator != "nls" and len(starts):
+    W = len(starts)
+    estimate, cost, kappa, crlb = np.empty((W, 4)), np.empty(W), np.empty(W), np.empty((W, 4, 4))
+    if estimator == "nls":
+        prev = None
+        for i, a in enumerate(starts.tolist()):
+            one = stream.windows([a], window)
+            points = ESTIMATORS["nls"](one, prev)
+            info = _information(points, one)
+            estimate[i], cost[i] = points[0][0], points[1]["final_cost"][0]
+            kappa[i], crlb[i] = info.kappa[0], info.crlb[0]
+            if kappa[i] <= WINDOW_KAPPA_LIMIT:
+                prev = points[0]
+    elif W:
         windows = stream.windows(starts, window)
-        stacked = iter(_reports(ESTIMATORS[estimator](windows), windows))
-
-    results = []
-    prev: Optional[Transform4DoF] = None
-    ends = stream.t[starts + window - 1].tolist()
-    for idx, (a, b, t_end) in enumerate(zip(starts.tolist(), (starts + window).tolist(), ends)):
-        report = next(stacked) if estimator != "nls" else ESTIMATORS["nls"](stream.window(a, b), init=prev)
-        skipped = not report.fim.kappa <= WINDOW_KAPPA_LIMIT
-        if not skipped:
-            prev = report.theta_hat
-        results.append(WindowEstimate(index=idx, start=a, stop=b, t_end=t_end, skipped=skipped, report=report))
-    return results
+        points = ESTIMATORS[estimator](windows)
+        info = _information(points, windows)
+        estimate, cost, kappa, crlb = points[0], points[1]["final_cost"], info.kappa, info.crlb
+    return WindowTrack(
+        start=starts,
+        stop=starts + window,
+        t_end=stream.t[starts + window - 1],
+        estimate=estimate,
+        cost=cost,
+        kappa=kappa,
+        crlb=crlb,
+        skipped=~(kappa <= WINDOW_KAPPA_LIMIT),
+    )
 
 
 def align_target_trajectory(
     stream: SyncedDataset,
-    estimates: Sequence[WindowEstimate],
+    track: WindowTrack,
     initial: Optional[Transform4DoF] = None,
 ) -> np.ndarray:
     """Target positions mapped into the host frame, shape (k, 3).
 
     Each sample uses the most recent completed (non-skipped) window
-    estimate; samples before the first estimate fall back to `initial`
-    (NaN rows when no fallback is given). One `searchsorted` over the
-    sorted window stops picks every sample's estimate, and one batched
-    rotation maps all samples.
+    estimate of the track; samples before the first estimate fall back to
+    `initial` (NaN rows when no fallback is given). One `searchsorted`
+    over the sorted window stops picks every sample's estimate, and one
+    batched rotation maps all samples.
     """
-    done = sorted((e for e in estimates if not e.skipped), key=lambda e: e.stop)
+    kept = ~track.skipped
+    order = np.argsort(track.stop[kept], kind="stable")
     # an estimate holds from its window's last sample until the next one's;
-    # of windows ending together, the last one listed holds
-    first = [max(e.stop - 1, 0) for e in done]
+    # of windows ending together, the last one in the track holds
+    first = np.maximum(track.stop[kept][order] - 1, 0)
     current = np.searchsorted(first, np.arange(len(stream)), side="right")  # 0: before every estimate
-    # (t, cos, sin) of each estimate, NaN for a missing `initial`; math.cos
-    # and math.sin round as Transform4DoF.rotation does
-    params = np.array(
-        [
-            [*T.t.tolist(), math.cos(T.theta), math.sin(T.theta)] if T is not None else [math.nan] * 5
-            for T in [initial] + [e.report.theta_hat for e in done]
-        ]
-    )
+    # (t, cos, sin) of each estimate, row 0 the fallback, NaN for a missing
+    # `initial`; math.cos and math.sin round as Transform4DoF.rotation does
+    estimates = track.estimate[kept][order]
+    params = np.full((len(estimates) + 1, 5), math.nan)
+    if initial is not None:
+        params[0] = [*initial.t.tolist(), math.cos(initial.theta), math.sin(initial.theta)]
+    params[1:, :3] = estimates[:, :3]
+    params[1:, 3] = [math.cos(th) for th in estimates[:, 3].tolist()]
+    params[1:, 4] = [math.sin(th) for th in estimates[:, 3].tolist()]
     tx, ty, tz, c, s = params[current].T
     px, py, pz = stream.pb.T
     return np.column_stack((tx + (c * px - s * py), ty + (s * px + c * py), tz + pz))

@@ -10,15 +10,19 @@ range itself, between the two frame origins (u = t / ||t||, phi = 0).
 `fim`, `jacobian_matrix` and the determinant expansion count exactly
 these rows, through the one Jacobian `_jacobian_stack`.
 
-The FIM is the noise-weighted Gram matrix of the rows. `fim_reports`
+The FIM is the noise-weighted Gram matrix of the rows. `fim_arrays`
 derives every quantity of a stack of FIMs in one pass, from one
-eigendecomposition each: the eigenpairs, kappa, rank, CRLB, standard
-errors, det and the singularity flags. The standard errors, the
-per-parameter flags and `confidence_intervals` all read the same CRLB
-diagonal. The determinant expands over all 4-subsets of rows into
-products of parallelepiped volumes, which is what makes the degenerate
-trajectory classes (parallel motion, coplanar lines, static agents)
-visible in closed form; it is evaluated up to DET_SUBSET_CAP rows.
+eigendecomposition each, as stacked arrays (`FimArrays`): kappa, rank,
+CRLB, standard errors, det and the singularity flags. It is the one FIM
+code path: `fim_stack` takes it at W transforms, a Monte-Carlo cell
+reads its bounds and a drift track its kappa and CRLB, and
+`fim_reports` (`FimArrays.reports`) wraps it as one `FimReport` per
+FIM for a dataset's report. The standard errors, the per-parameter
+flags and `confidence_intervals` all read the same CRLB diagonal. The
+determinant expands over all 4-subsets of rows into products of
+parallelepiped volumes, which is what makes the degenerate trajectory
+classes (parallel motion, coplanar lines, static agents) visible in
+closed form; it is evaluated up to DET_SUBSET_CAP rows.
 """
 
 from __future__ import annotations
@@ -126,7 +130,63 @@ def jacobian_matrix(T: Transform4DoF, dataset: SyncedDataset) -> np.ndarray:
     return _jacobian_stack(T.t[None], np.array([T.theta]), stack.pa, stack.pb)[0]
 
 
-def fim_reports(F) -> list[FimReport]:
+@dataclass
+class FimArrays:
+    """Every information quantity of a stack of W FIMs (n x n), as arrays.
+
+    crlb (W, n, n), std_errors (W, n), crlb_t and crlb_theta (W,) are NaN
+    where the FIM is not invertible at RCOND. singular is kappa above
+    DEFAULT_KAPPA_THRESHOLD, and unobservable (W, n) the per-parameter
+    flags.
+    """
+
+    F: np.ndarray
+    crlb: np.ndarray
+    crlb_t: np.ndarray
+    crlb_theta: np.ndarray
+    std_errors: np.ndarray
+    det_f: np.ndarray
+    kappa: np.ndarray
+    rank: np.ndarray
+    invertible: np.ndarray
+    singular: np.ndarray
+    unobservable: np.ndarray
+
+    def reports(self) -> list[FimReport]:
+        """One FimReport per FIM, its scalars from one .tolist() per quantity."""
+        return [
+            FimReport(
+                F=F,
+                crlb=crlb if inv else None,
+                crlb_t=crlb_t if inv else None,
+                crlb_theta=crlb_theta if inv else None,
+                std_errors=std if inv else None,
+                det_f=det,
+                kappa=kappa,
+                rank=rank,
+                flags=SingularityFlags(
+                    configuration_singular=singular,
+                    per_param_unobservable=tuple(unobservable),
+                    kappa_threshold=DEFAULT_KAPPA_THRESHOLD,
+                ),
+            )
+            for F, crlb, std, inv, crlb_t, crlb_theta, det, kappa, rank, singular, unobservable in zip(
+                self.F,
+                self.crlb,
+                self.std_errors,
+                self.invertible.tolist(),
+                self.crlb_t.tolist(),
+                self.crlb_theta.tolist(),
+                self.det_f.tolist(),
+                self.kappa.tolist(),
+                self.rank.tolist(),
+                self.singular.tolist(),
+                self.unobservable.tolist(),
+            )
+        ]
+
+
+def fim_arrays(F) -> FimArrays:
     """Every information quantity of a stack of FIMs, from one
     eigendecomposition each.
 
@@ -166,73 +226,64 @@ def fim_reports(F) -> list[FimReport]:
         raise ValueError("FIM must be positive semidefinite within tolerance")
     invertible = (lam_max > 0) & (lam[:, -1] > RCOND * lam_max)
     rank = np.where(lam_max > 0, np.sum(lam > RCOND * lam_max[:, None], axis=1), 0)
-    det_f = np.linalg.det(F)
     # a subnormal smallest eigenvalue overflows kappa and 1 / lam: kappa is
     # then infinite, and the FIM is not invertible at RCOND
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kappa = np.where(lam[:, -1] > 0, lam[:, 0] / lam[:, -1], math.inf)
         crlb = (Q * (1.0 / lam)[:, None, :]) @ Q.swapaxes(-1, -2)
         crlb = 0.5 * (crlb + crlb.swapaxes(-1, -2))
-        diag = np.diagonal(crlb, axis1=1, axis2=2)
-        std = np.sqrt(diag)
+        std = np.sqrt(np.diagonal(crlb, axis1=1, axis2=2))
     std[~invertible] = 0.0  # no standard errors: every parameter is flagged
     # the median from two middle entries: np.median costs ~5x as much on rows this short
     ranked = np.sort(std, axis=1)
     median = 0.5 * (ranked[:, (F.shape[1] - 1) // 2] + ranked[:, F.shape[1] // 2])
     unobservable = (std > STD_CEILING * median[:, None]) | ~invertible[:, None]
-    # per-FIM scalars come from one .tolist() per quantity; the translation
-    # trace sums (c00 + c11) + c22, np.trace's order, so its bits match
-    return [
-        FimReport(
-            F=F_i,
-            crlb=crlb_i if inv else None,
-            crlb_t=(c[0] + c[1]) + c[2] if inv else None,
-            crlb_theta=c[3] if inv else None,
-            std_errors=std_i if inv else None,
-            det_f=det,
-            kappa=k,
-            rank=r,
-            flags=SingularityFlags(
-                configuration_singular=k > DEFAULT_KAPPA_THRESHOLD,
-                per_param_unobservable=tuple(unobs),
-                kappa_threshold=DEFAULT_KAPPA_THRESHOLD,
-            ),
-        )
-        for F_i, crlb_i, std_i, inv, c, det, k, r, unobs in zip(
-            F,
-            crlb,
-            std,
-            invertible.tolist(),
-            diag.tolist(),
-            det_f.tolist(),
-            kappa.tolist(),
-            rank.tolist(),
-            unobservable.tolist(),
-        )
-    ]
+    crlb[~invertible] = math.nan
+    std[~invertible] = math.nan
+    diag = np.diagonal(crlb, axis1=1, axis2=2)
+    return FimArrays(
+        F=F,
+        crlb=crlb,
+        crlb_t=(diag[:, 0] + diag[:, 1]) + diag[:, 2],  # np.trace's order, so its bits match
+        crlb_theta=diag[:, 3].copy(),
+        std_errors=std,
+        det_f=np.linalg.det(F),
+        kappa=kappa,
+        rank=rank,
+        invertible=invertible,
+        singular=kappa > DEFAULT_KAPPA_THRESHOLD,
+        unobservable=unobservable,
+    )
 
 
-def fim_stack(t, theta, pa, pb, sigma_r: float) -> list[FimReport]:
+def fim_reports(F) -> list[FimReport]:
+    """`fim_arrays` of a stack of FIMs as one FimReport per FIM."""
+    return fim_arrays(F).reports()
+
+
+def fim_stack(t, theta, pa, pb, sigma_r: float) -> FimArrays:
     """Fisher information of W problems about their (t, theta).
 
     t (W, 3) and theta (W,) are the transforms, pa and pb (W, k, 3) the
     antenna positions of each problem's ranges. F = sigma_r^-2 J^T J,
-    reported by `fim_reports`.
+    derived by `fim_arrays`.
     """
     J = _jacobian_stack(np.asarray(t, dtype=float), np.asarray(theta, dtype=float), pa, pb)
-    return fim_reports((J.swapaxes(-1, -2) @ J) / sigma_r**2)
+    return fim_arrays((J.swapaxes(-1, -2) @ J) / sigma_r**2)
 
 
-def fim(T: Transform4DoF | tuple, data: SyncedDataset | SyncedStack) -> FimReport | list[FimReport]:
+def fim(T: Transform4DoF | tuple, data: SyncedDataset | SyncedStack) -> FimReport | FimArrays:
     """Fisher information of the dataset about (t, theta), with CRLB.
 
-    `fim_stack` for one problem, on the rows of `data.stack()`. Given a
-    `SyncedStack` and T the pair (t (W, 3), theta (W,)) of its W
-    transforms instead, the list of their reports from one `fim_stack`,
-    as a Monte-Carlo cell takes the bounds at its truths.
+    `fim_stack` for one problem, on the rows of `data.stack()`, as a
+    FimReport. Given a `SyncedStack` and T the pair (t (W, 3), theta (W,))
+    of its W transforms instead, the `FimArrays` of one `fim_stack`, as a
+    Monte-Carlo cell takes the bounds at its truths and a drift track at
+    its window estimates.
     """
     if isinstance(T, Transform4DoF):
-        return fim((T.t[None], np.array([T.theta])), data.stack())[0]
+        stack = data.stack()
+        return fim_stack(T.t[None], np.array([T.theta]), stack.pa, stack.pb, stack.sigma_r).reports()[0]
     t, theta = T
     return fim_stack(t, theta, data.pa, data.pb, data.sigma_r)
 

@@ -27,7 +27,7 @@ Also here: the squared-distance debiasing used by the weighted
 least-squares pipeline and the odometry-bounded range-rate gate that
 rejects UWB outliers. Nothing here judges whether the motion pins the
 transform down: that is the Fisher information's job, at the estimate
-(the flags of `fisher.fim_reports`).
+(the flags of `fisher.fim_arrays`).
 """
 
 from __future__ import annotations
@@ -56,15 +56,21 @@ class NoOverlapError(ValueError):
     """No range measurement is covered by both odometry streams."""
 
 
-def _valid_range(x) -> np.ndarray:
-    """Mask of the entries of x that are positive with a finite square.
+# the largest double d whose 4 d^2 is finite; 4 d^2 of the next one overflows
+_LARGEST_RANGE = math.sqrt(np.finfo(float).max / 4.0)
 
-    The fit reads squared ranges, so a range whose square overflows is
-    rejected with the non-finite ones.
+
+def _valid_range(x) -> np.ndarray:
+    """Mask of the entries of x that are positive with a finite 4 x^2.
+
+    The fit reads squared ranges, and `debias_squared` weights each by
+    the inverse of a variance with the term 4 d^2. So a range whose square,
+    or four times it, overflows (d above _LARGEST_RANGE, ~6.7e153 m) is
+    rejected with the non-finite ones: its weight would silently be 0.
+    4 d^2 rounds monotonically in d, so one comparison decides.
     """
     x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore"):
-        return (x > 0) & np.isfinite(np.square(x))
+    return (x > 0) & (x <= _LARGEST_RANGE)
 
 
 def _first_bad_row(checks) -> Optional[tuple[int, str]]:

@@ -15,9 +15,9 @@ follow once on (W, n, 3) arrays, as a `SyncedStack`. Its row count,
 sigma_r and d0 follow from the config alone, since d0 is the first
 range, present only with zero lever arms. So a whole cell is one stack:
 one `fim` call gives the bounds at the truths from one stacked FIM, the
-estimator's `ESTIMATORS` entry on the stack gives every estimate from
-one point stage, and the errors are taken on arrays. Each trial's
-estimate is bit for bit the one its estimator gives on it alone.
+estimator's `ESTIMATORS` entry on the stack gives every estimate as one
+array from one point stage, and the errors are taken on arrays. Each
+trial's estimate is bit for bit the one its estimator gives on it alone.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .estimators import ESTIMATORS, WindowEstimate, align_target_trajectory, sliding_window_estimate
+from .estimators import ESTIMATORS, WindowTrack, align_target_trajectory, sliding_window_estimate
 from .fisher import fim
 from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, quat_to_matrix, wrap_angle, yaw_matrices
 from .measurement import SIGMA_R_FLOOR, SyncedDataset, SyncedStack
@@ -402,29 +402,28 @@ def monte_carlo_run(cfg: ScenarioConfig, estimator: str = "qcqp") -> ErrorStats:
 
     The cell is one array pipeline, the same for every estimator:
     `trial_data` on every trial gives the truths and a `SyncedStack`,
-    `fim` on them gives every bound from one `fim_stack`, the estimator's
-    `ESTIMATORS` entry on the stack gives its point stage (every estimate,
-    with no FIM at the estimates), and the errors are taken on arrays.
-    Each trial's estimate and error are those of its estimator run on it
-    alone, bit for bit (`nls` from zero), and solve_ms is the point
-    stage's time per trial.
+    `fim` on them gives every bound as arrays from one `fim_stack`, the
+    estimator's `ESTIMATORS` entry on the stack gives its point stage (the
+    (trials, 4) estimate array, NaN rows for the failed trials, with no FIM
+    at the estimates), and the errors are taken on those arrays. Each
+    trial's estimate and error are those of its estimator run on it alone,
+    bit for bit (`nls` from zero), and solve_ms is the point stage's time
+    per trial.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     (t, theta), cell = trial_data(cfg, range(cfg.trials))
     bounds = fim((t, theta), cell)
     start = time.perf_counter()
-    T_hats, _, errors = ESTIMATORS[estimator](cell)
+    estimates, _, errors = ESTIMATORS[estimator](cell)
     solve_ms = (time.perf_counter() - start) * 1e3 / cfg.trials
-    estimates = np.array([(*T.t.tolist(), T.theta) if T is not None else (0.0,) * 4 for T in T_hats])
     dt = estimates[:, :3] - t
     table = np.empty((cfg.trials, 5))
+    # a failed trial's estimate is NaN, and so are its errors
     table[:, 0] = np.sqrt((dt[:, None, :] @ dt[:, :, None])[:, 0, 0])  # np.linalg.norm's BLAS dot, row by row
     table[:, 1] = np.abs(wrap_angle(estimates[:, 3] - theta))
-    if errors:
-        table[list(errors), :2] = math.nan
-    # a bound of None (singular information matrix) becomes NaN in the float table
-    table[:, 2:4] = np.array([(b.crlb_t, b.crlb_theta) for b in bounds], dtype=float)
+    # NaN bounds where the information matrix is singular
+    table[:, 2], table[:, 3] = bounds.crlb_t, bounds.crlb_theta
     table[:, 4] = solve_ms
     return ErrorStats(table, failures=[_failure(i, errors[i]) for i in sorted(errors)])
 
@@ -438,7 +437,7 @@ class DriftResult:
     corrected_error: np.ndarray
     nc_rmse: float
     corrected_rmse: float
-    windows: list
+    windows: WindowTrack
     n_skipped: int
 
 
@@ -446,8 +445,10 @@ def _drift_truth_series(cfg: ScenarioConfig, n: int, dt: float, rng) -> tuple[Tr
     """Initial transform plus its random-walk perturbation over time.
 
     Returns T0, the translations, shape (n, 3), and the headings, shape
-    (n,), wrapped after every step. Row i of the noise drives step i:
-    three translation draws, then one heading draw.
+    (n,). Row i of the noise drives step i: three translation draws, then
+    one heading draw. Each walk is one cumulative sum, which adds in
+    sequence as a loop of float additions does; the headings are wrapped
+    into [-pi, pi) once, after the sum.
     """
     drift = cfg.drift
     T0 = sample_ground_truth(cfg.d0, rng)
@@ -455,10 +456,8 @@ def _drift_truth_series(cfg: ScenarioConfig, n: int, dt: float, rng) -> tuple[Tr
     sig_t = drift.sigma_t * math.sqrt(dt)
     sig_th = drift.sigma_theta * math.sqrt(dt)
     t = np.cumsum(np.vstack([T0.t, sig_t * noise[:-1, :3]]), axis=0)[:n]
-    theta = [T0.theta]
-    for step in (sig_th * noise[:-1, 3]).tolist():
-        theta.append((theta[-1] + step + math.pi) % TWO_PI - math.pi)
-    return T0, t, np.array(theta[:n])
+    theta = np.cumsum(np.append(T0.theta, sig_th * noise[:-1, 3]))
+    return T0, t, wrap_angle(theta)
 
 
 def _sinuous(t, amplitudes, freqs, phases):
@@ -546,5 +545,5 @@ def drift_scenario(
         nc_rmse=nc_rmse,
         corrected_rmse=corr_rmse,
         windows=windows,
-        n_skipped=sum(1 for w in windows if w.skipped),
+        n_skipped=int(windows.skipped.sum()),
     )

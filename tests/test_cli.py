@@ -146,6 +146,28 @@ class TestEstimateCommand:
         assert "d0 must be positive and finite, and so must its square, when present; got 1e+200" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("estimator", ["qcqp", "sdp", "nls"])
+    @pytest.mark.parametrize("where", ["range", "d0"])
+    def test_range_whose_debias_variance_overflows_exits_parse_error(self, tmp_path, capsys, estimator, where):
+        # 1e154 m: its square is finite, but the term 4 d^2 of its debias
+        # variance overflows. Such a range once passed every check and got
+        # weight 0 in qcqp and sdp, while nls returned a zero estimate; the
+        # input is now rejected before any estimator runs
+        pa, pb, ranges, _ = synthetic_logs(tmp_path, noise=0.02, seed=5)
+        cfg = {"estimator": estimator}
+        if where == "range":
+            lines = open(ranges).read().splitlines()
+            lines[11] = lines[11].split(",")[0] + ",1e154"  # line 12 of the file
+            open(ranges, "w").write("\n".join(lines) + "\n")
+        else:
+            cfg["d0_m"] = 1e154
+        out = str(tmp_path / "report.json")
+        cfg = write_json(tmp_path / "cfg.json", cfg)
+        assert main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert ("ranges.csv:12: measured range" if where == "range" else "got 1e+154") in err and "so must its square" in err
+        assert not os.path.exists(out)
+
     def test_explicit_d0_other_than_first_range_is_fitted(self, tmp_path):
         # the first antenna positions are off the frame origins, so no d0 is
         # read off the logs; a supplied one is one more range to fit
@@ -259,11 +281,11 @@ class TestSimulateCommand:
         nls = range_rte.estimators.ESTIMATORS["nls"]
 
         def flaky_nls(stack, *args, **kwargs):
-            T_hats, solvers, errors = nls(stack, *args, **kwargs)
+            estimates, scalars, errors = nls(stack, *args, **kwargs)
             for i in np.flatnonzero((stack.d == doomed.d).all(axis=1)).tolist():
-                T_hats[i] = solvers[i] = None
+                estimates[i] = math.nan
                 errors[i] = FloatingPointError("injected divergence")
-            return T_hats, solvers, errors
+            return estimates, scalars, errors
 
         monkeypatch.setitem(range_rte.estimators.ESTIMATORS, "nls", flaky_nls)
         out = tmp_path / "out"

@@ -18,9 +18,8 @@ from range_rte.estimators import (
     WINDOW_KAPPA_LIMIT,
     _CONSTRAINT_MATRICES,
     DegenerateSolutionError,
-    EstimateReport,
     HeadingUndefinedError,
-    WindowEstimate,
+    WindowTrack,
     _SWEEP_THETA,
     _eigh3_planes,
     _lift_stack,
@@ -267,7 +266,7 @@ class TestOneProblemType:
             assert one.d0 is None and stacked.d0 is None
         else:
             assert one.d0 == ds.d0 and stacked.d0.tolist() == [ds.d0]
-        F = fim((T.t[None], np.array([T.theta])), ds.stack())[0].F
+        F = fim((T.t[None], np.array([T.theta])), ds.stack()).F[0]
         assert fim(T, ds).F.tobytes() == F.tobytes()
 
     @settings(max_examples=30, deadline=None)
@@ -748,10 +747,16 @@ class TestLockstepNewton:
         assert np.allclose(res.p[0], T.as_vector(), atol=1e-9)
 
 
+# a window whose largest range is 1e141 m leaves the refinement no finite
+# start; 6e153 m, whose 4 d^2 is still finite as the dataset requires,
+# leaves the sweep no finite grid cost
+SPOILT_SCALES = [1e141, 6e153]
+
+
 class TestStackedWindows:
     """`sliding_window_estimate` solves its qcqp and sdp windows in one
-    stacked pass; each window must come out as `qcqp_estimate` or
-    `sdp_estimate` of that window alone."""
+    stacked pass; each window of its track must come out as `qcqp_estimate`
+    or `sdp_estimate` of that window alone."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -768,15 +773,17 @@ class TestStackedWindows:
         if parked is not None:
             a = stride * (parked % n_windows)
             stream = park(stream, a, a + window)
-        windows = sliding_window_estimate(stream, window=window, stride=stride)
-        assert [w.start for w in windows] == [stride * i for i in range(n_windows)]
-        for w in windows:
-            data = stream.window(w.start, w.stop)
+        track = sliding_window_estimate(stream, window=window, stride=stride)
+        assert isinstance(track, WindowTrack)
+        assert track.start.tolist() == [stride * i for i in range(n_windows)]
+        for i, (a, b) in enumerate(zip(track.start.tolist(), track.stop.tolist())):
+            data = stream.window(a, b)
             ref = qcqp_estimate(data)
-            assert w.report.solver["final_cost"] == pytest.approx(ref.solver["final_cost"], rel=1e-9)
-            assert w.report.fim.kappa == pytest.approx(ref.fim.kappa, rel=1e-9)
-            assert w.skipped == (not ref.fim.kappa <= WINDOW_KAPPA_LIMIT)
-            assert w.t_end == data.t[-1]
+            assert track.estimate[i].tobytes() == ref.theta_hat.as_vector().tobytes(), i
+            assert track.cost[i] == ref.solver["final_cost"]
+            assert track.kappa[i] == ref.fim.kappa
+            assert track.skipped[i] == (not ref.fim.kappa <= WINDOW_KAPPA_LIMIT)
+            assert track.t_end[i] == data.t[-1]
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -802,13 +809,44 @@ class TestStackedWindows:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 sliding_window_estimate(stream, window=window, stride=stride, estimator="sdp")
             return
-        windows = sliding_window_estimate(stream, window=window, stride=stride, estimator="sdp")
-        assert len(windows) == len(refs) == n_windows
-        for w, ref in zip(windows, refs):
-            assert np.array_equal(w.report.theta_hat.as_vector(), ref.theta_hat.as_vector()), w.index
-            assert {**w.report.solver, "wall_ms": 0} == {**ref.solver, "wall_ms": 0}
-            assert np.array_equal(w.report.fim.F, ref.fim.F)
-            assert w.skipped == (not ref.fim.kappa <= WINDOW_KAPPA_LIMIT)
+        track = sliding_window_estimate(stream, window=window, stride=stride, estimator="sdp")
+        assert len(track) == len(refs) == n_windows
+        for i, ref in enumerate(refs):
+            assert track.estimate[i].tobytes() == ref.theta_hat.as_vector().tobytes(), i
+            assert track.cost[i] == ref.solver["final_cost"]
+            assert track.kappa[i] == ref.fim.kappa
+            assert track.skipped[i] == (not ref.fim.kappa <= WINDOW_KAPPA_LIMIT)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        window=st.integers(10, 40),
+        stride=st.integers(1, 45),
+        n_windows=st.integers(1, 10),
+        parked=st.one_of(st.none(), st.integers(0, 9)),
+        estimator=st.sampled_from(["qcqp", "sdp", "nls"]),
+    )
+    def test_track_information_is_the_fim_at_each_estimate(self, seed, window, stride, n_windows, parked, estimator):
+        # kappa and the CRLB of every window, skipped or not, are those of
+        # `fim` at the window's estimate on the window alone, bit for bit;
+        # NaN where that CRLB does not exist
+        rng = np.random.default_rng(seed)
+        stream = random_stream(rng, window + stride * (n_windows - 1))
+        if parked is not None:
+            a = stride * (parked % n_windows)
+            stream = park(stream, a, a + window)
+        try:
+            track = sliding_window_estimate(stream, window=window, stride=stride, estimator=estimator)
+        except (DegenerateSolutionError, HeadingUndefinedError):
+            assert estimator == "sdp"  # a loose relaxation: the sdp test above covers its error
+            return
+        for i, (a, b) in enumerate(zip(track.start.tolist(), track.stop.tolist())):
+            ref = fim(Transform4DoF(t=track.estimate[i, :3], theta=track.estimate[i, 3]), stream.window(a, b))
+            assert track.kappa[i] == ref.kappa, i
+            if ref.crlb is None:
+                assert np.isnan(track.crlb[i]).all(), i
+            else:
+                assert track.crlb[i].tobytes() == ref.crlb.tobytes(), i
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -817,13 +855,10 @@ class TestStackedWindows:
         stride=st.integers(1, 35),
         n_windows=st.integers(2, 20),
         bad=st.lists(st.integers(0, 19), min_size=2, max_size=2),
-        scales=st.permutations([1e141, 1e154]),
+        scales=st.permutations(SPOILT_SCALES),
     )
     def test_degenerate_window_raises_what_one_by_one_raises(self, seed, window, stride, n_windows, bad, scales):
-        # a window whose largest range is 1e141 m leaves the refinement no
-        # finite start; 1e154 m, whose square is still finite as the dataset
-        # requires, leaves the sweep no finite grid cost: two windows spoilt
-        # apart tell whose error is raised
+        # two windows spoilt apart tell whose error is raised
         rng = np.random.default_rng(seed)
         stream = random_stream(rng, window + stride * (n_windows - 1))
         d = stream.d.copy()
@@ -852,13 +887,13 @@ class TestStackedWindows:
         stride=st.integers(1, 35),
         n_windows=st.integers(2, 12),
         bad=st.lists(st.integers(0, 11), min_size=2, max_size=2),
-        scales=st.permutations([1e141, 1e154]),
+        scales=st.permutations(SPOILT_SCALES),
         estimator=st.sampled_from(["qcqp", "sdp"]),
     )
     def test_point_stage_records_every_problems_own_error(self, seed, window, stride, n_windows, bad, scales, estimator):
         # the point stage runs every problem of the stack, failing or not:
         # each problem's error, estimate and solver scalars are those of the
-        # estimator on that problem alone
+        # estimator on that problem alone, and a failed problem's estimate is NaN
         rng = np.random.default_rng(seed)
         stream = random_stream(rng, window + stride * (n_windows - 1))
         d = stream.d.copy()
@@ -868,18 +903,19 @@ class TestStackedWindows:
         stream = dataclasses.replace(stream, d=d)
         starts = np.arange(n_windows) * stride
         with np.errstate(all="ignore"):
-            T_hats, solvers, errors = ESTIMATORS[estimator](stream.windows(starts, window))
-            assert errors
+            estimates, scalars, errors = ESTIMATORS[estimator](stream.windows(starts, window))
+            assert errors and estimates.shape == (n_windows, 4)
             for i, start in enumerate(starts.tolist()):
                 try:
                     ref = ESTIMATORS[estimator](stream.window(start, start + window))
                 except Exception as exc:  # noqa: BLE001 - the estimator's own error is the reference
                     assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc), i
-                    assert T_hats[i] is None and solvers[i] is None
+                    assert np.isnan(estimates[i]).all()
                     continue
                 assert i not in errors
-                assert np.array_equal(T_hats[i].as_vector(), ref.theta_hat.as_vector()), i
-                assert {**solvers[i], "wall_ms": 0} == {**ref.solver, "wall_ms": 0}
+                assert estimates[i].tobytes() == ref.theta_hat.as_vector().tobytes(), i
+                solver = {"method": estimator, **{name: values.tolist()[i] for name, values in scalars.items()}}
+                assert {**solver, "wall_ms": 0} == {**ref.solver, "wall_ms": 0}
 
 
 def sweep_candidates(prob) -> list[Transform4DoF]:
@@ -1111,18 +1147,23 @@ class TestNls:
         assert rep.solver["iterations"] > 100
 
 
-def per_sample_alignment(stream, windows, initial):
+def per_sample_alignment(stream, track, initial):
     """Reference of `align_target_trajectory`: each sample mapped by the
-    latest non-skipped window ending at or before it, one sample at a time."""
-    done = sorted((w for w in windows if not w.skipped), key=lambda w: w.stop)
+    latest non-skipped window ending at or before it, one sample at a time;
+    of windows ending together, the last one in the track."""
+    done = sorted((i for i in range(len(track)) if not track.skipped[i]), key=lambda i: track.stop[i])
     ref, current, j = np.full((len(stream), 3), np.nan), initial, 0
     for i in range(len(stream)):
-        while j < len(done) and done[j].stop <= i + 1:
-            current = done[j].report.theta_hat
+        while j < len(done) and track.stop[done[j]] <= i + 1:
+            current = Transform4DoF(t=track.estimate[done[j], :3], theta=track.estimate[done[j], 3])
             j += 1
         if current is not None:
             ref[i] = current.t + current.rotation() @ stream.pb[i]
     return ref
+
+
+def window_estimate(track, i):
+    return Transform4DoF(t=track.estimate[i, :3], theta=track.estimate[i, 3])
 
 
 def random_transform(rng):
@@ -1141,20 +1182,20 @@ class TestSlidingWindow:
 
     def test_constant_truth_estimates_stay_put(self):
         T, stream = self._constant_truth_stream(30)
-        windows = sliding_window_estimate(stream, window=50, stride=50)
-        done = [w for w in windows if not w.skipped]
+        track = sliding_window_estimate(stream, window=50, stride=50)
+        done = np.flatnonzero(~track.skipped).tolist()
         assert len(done) >= 3
-        for w in done:
-            et, eth = errors(w.report.theta_hat, T)
+        for i in done:
+            et, eth = errors(window_estimate(track, i), T)
             assert et < 0.5 and eth < 0.3
 
     def test_hovering_segment_skipped(self):
         _, stream = self._constant_truth_stream(31, n=100)
         # both agents hover over the second half
-        windows = sliding_window_estimate(park(stream, 49, 100), window=50, stride=25)
+        track = sliding_window_estimate(park(stream, 49, 100), window=50, stride=25)
         # the all-hover window's ranges are all alike: its FIM has rank 1
-        assert windows[-1].skipped and not windows[-1].report.fim.kappa <= WINDOW_KAPPA_LIMIT
-        assert any(not w.skipped for w in windows[:2])
+        assert track.skipped[-1] and not track.kappa[-1] <= WINDOW_KAPPA_LIMIT
+        assert not track.skipped[:2].all()
 
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_window_cost_not_above_previous_estimate_starts(self, seed, monkeypatch):
@@ -1171,21 +1212,21 @@ class TestSlidingWindow:
         monkeypatch.setattr(simulation, "sliding_window_estimate", recording)
         dc = DriftConfig(duration=30.0, rate=25.0)
         cfg = ScenarioConfig(d0=15.0, D=2.0, n_poses=1, sigma_r=0.1, sigma_o=0.001, trials=1, seed=seed, drift=dc)
-        windows = simulation.drift_scenario(cfg).windows
+        track = simulation.drift_scenario(cfg).windows
         prev, checked = None, 0
-        for w in windows:
+        for i, (a, b) in enumerate(zip(track.start.tolist(), track.stop.tolist())):
             if prev is not None:
-                prob = assemble_qcqp(streams[0].window(w.start, w.stop))
+                prob = assemble_qcqp(streams[0].window(a, b))
                 starts = (
                     prev,
                     Transform4DoF(t=prev.t, theta=prev.theta + math.pi),
                     Transform4DoF(t=prev.t * [1.0, 1.0, -1.0], theta=prev.theta),
                 )
                 reference = min(lm_refine(prob, T0)[1] for T0 in starts)
-                assert w.report.solver["final_cost"] <= reference * (1 + 1e-9), w.index
+                assert track.cost[i] <= reference * (1 + 1e-9), i
                 checked += 1
-            if not w.skipped:
-                prev = w.report.theta_hat
+            if not track.skipped[i]:
+                prev = window_estimate(track, i)
         assert checked >= 10
 
     @settings(max_examples=15, deadline=None)
@@ -1205,23 +1246,24 @@ class TestSlidingWindow:
         if parked is not None:
             a = stride * (parked % n_windows)
             stream = park(stream, a, a + window)
-        windows = sliding_window_estimate(stream, window=window, stride=stride, estimator="nls")
-        assert len(windows) == n_windows
+        track = sliding_window_estimate(stream, window=window, stride=stride, estimator="nls")
+        assert len(track) == n_windows
         prev = None
-        for w in windows:
-            ref = nls_estimate(stream.window(w.start, w.stop), init=prev)
-            assert np.array_equal(w.report.theta_hat.as_vector(), ref.theta_hat.as_vector()), w.index
-            assert w.report.solver["final_cost"] == ref.solver["final_cost"]
-            assert w.skipped == (not ref.fim.kappa <= WINDOW_KAPPA_LIMIT)
-            if not w.skipped:
-                prev = w.report.theta_hat
+        for i, (a, b) in enumerate(zip(track.start.tolist(), track.stop.tolist())):
+            ref = nls_estimate(stream.window(a, b), init=prev)
+            assert track.estimate[i].tobytes() == ref.theta_hat.as_vector().tobytes(), i
+            assert track.cost[i] == ref.solver["final_cost"]
+            assert track.kappa[i] == ref.fim.kappa
+            assert track.skipped[i] == (not ref.fim.kappa <= WINDOW_KAPPA_LIMIT)
+            if not track.skipped[i]:
+                prev = ref.theta_hat
 
     @pytest.mark.parametrize("initial", [None, Transform4DoF(t=[1.0, 2.0, 0.5], theta=0.3)])
     def test_alignment_equals_per_sample_reference(self, initial):
         _, stream = self._constant_truth_stream(33, n=200)
-        windows = sliding_window_estimate(stream, window=50, stride=30)
-        got = align_target_trajectory(stream, windows, initial=initial)
-        ref = per_sample_alignment(stream, windows, initial)
+        track = sliding_window_estimate(stream, window=50, stride=30)
+        got = align_target_trajectory(stream, track, initial=initial)
+        ref = per_sample_alignment(stream, track, initial)
         assert np.isnan(ref).any() == (initial is None)
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=8 * np.finfo(float).eps * np.nanmax(np.abs(ref)))
 
@@ -1238,24 +1280,27 @@ class TestSlidingWindow:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         starts = range(0, n - window + 1, stride)
         skipped = data.draw(st.lists(st.booleans(), min_size=len(starts), max_size=len(starts)), label="skipped")
-        windows = [
-            WindowEstimate(
-                index=i,
-                start=a,
-                stop=a + window,
-                t_end=float(a + window - 1),
-                skipped=skip,
-                report=EstimateReport(theta_hat=random_transform(rng), solver={}, fim=None),
-            )
-            for i, (a, skip) in enumerate(zip(starts, skipped))
-        ]
-        repeated = data.draw(st.lists(st.sampled_from(windows), max_size=3), label="repeated") if windows else []
-        windows += [dataclasses.replace(w, report=EstimateReport(theta_hat=random_transform(rng), solver={}, fim=None)) for w in repeated]
-        windows = data.draw(st.permutations(windows), label="order")
+        rows = [(a, skip, random_transform(rng).as_vector()) for a, skip in zip(starts, skipped)]
+        repeated = data.draw(st.lists(st.sampled_from(rows), max_size=3), label="repeated") if rows else []
+        rows += [(a, skip, random_transform(rng).as_vector()) for a, skip, _ in repeated]
+        rows = data.draw(st.permutations(rows), label="order")
+        start = np.array([a for a, _, _ in rows], dtype=int)
+        skipped = np.array([skip for _, skip, _ in rows], dtype=bool)
+        W = len(rows)
+        track = WindowTrack(
+            start=start,
+            stop=start + window,
+            t_end=(start + window - 1).astype(float),
+            estimate=np.array([est for _, _, est in rows]).reshape(W, 4),
+            cost=np.zeros(W),
+            kappa=np.where(skipped, math.inf, 1.0),
+            crlb=np.zeros((W, 4, 4)),
+            skipped=skipped,
+        )
         initial = random_transform(rng) if data.draw(st.booleans(), label="has_initial") else None
         stream = SyncedDataset(t=np.arange(float(n)), d=np.ones(n), pa=np.zeros((n, 3)), pb=rng.normal(0.0, 10.0, (n, 3)), sigma_r=0.1)
-        got = align_target_trajectory(stream, windows, initial=initial)
-        ref = per_sample_alignment(stream, windows, initial)
+        got = align_target_trajectory(stream, track, initial=initial)
+        ref = per_sample_alignment(stream, track, initial)
         assert got.shape == (n, 3)
         assert np.array_equal(np.isnan(got), np.isnan(ref))
         scale = np.nanmax(np.abs(ref), initial=1.0)

@@ -460,12 +460,17 @@ def test_range_log_rejects_a_range_whose_square_overflows():
         range_log([0.0, 1.0, 2.0], [1.0, 2.0, 1e200])
 
 
-def test_the_largest_range_with_a_finite_square_is_accepted():
-    # the fit squares every range and d0: the last double whose square is
-    # finite passes, the next one is rejected
-    top = math.sqrt(np.finfo(float).max)
+def test_the_largest_range_with_a_finite_debias_variance_is_accepted():
+    # the fit squares every range and d0, and the debias variance takes 4
+    # times that square: the last double whose 4 d^2 is finite passes, the
+    # next one is rejected
+    top = math.sqrt(np.finfo(float).max / 4.0)
+    while math.isfinite(4.0 * (math.nextafter(top, math.inf) ** 2)):
+        top = math.nextafter(top, math.inf)
+    while not math.isfinite(4.0 * top * top):
+        top = math.nextafter(top, 0.0)
     over = math.nextafter(top, math.inf)
-    assert math.isfinite(top * top) and not math.isfinite(over * over)
+    assert math.isfinite(4.0 * top * top) and not math.isfinite(4.0 * over * over)
     fields = dict(pa=np.zeros((1, 2, 3)), pb=np.zeros((1, 2, 3)), sigma_r=0.1)
     SyncedStack(d=np.array([[1.0, top]]), d0=np.array([top]), **fields)
     SyncedDataset(t=[0.0, 1.0], d=[1.0, top], pa=np.zeros((2, 3)), pb=np.zeros((2, 3)), sigma_r=0.1, d0=top)
@@ -474,3 +479,5 @@ def test_the_largest_range_with_a_finite_square_is_accepted():
             SyncedStack(d=np.array([d]), d0=np.array([d0]), **fields)
         with pytest.raises(ValueError, match="so must"):
             SyncedDataset(t=[0.0, 1.0], d=d, pa=np.zeros((2, 3)), pb=np.zeros((2, 3)), sigma_r=0.1, d0=d0)
+    with pytest.raises(ValueError, match="row 1: measured range must be positive and finite"):
+        range_log([0.0, 1.0], [1.0, over])
