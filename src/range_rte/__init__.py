@@ -22,13 +22,11 @@ from .estimators import (
 )
 from .fisher import (
     FimArrays,
-    FimReport,
     SingularityFlags,
     confidence_intervals,
     det_fim_geometric,
     fim,
     fim_arrays,
-    fim_reports,
 )
 from .geometry import (
     LeverArm,

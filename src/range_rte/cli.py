@@ -26,7 +26,7 @@ from .fisher import (
     DEFAULT_KAPPA_THRESHOLD,
     DET_SUBSET_CAP,
     ExpansionTooLargeError,
-    FimReport,
+    FimArrays,
     InsufficientDataError,
     SingularGeometryError,
     confidence_intervals,
@@ -114,18 +114,22 @@ class CliError(Exception):
         self.code = code
 
 
-def _flags_payload(rep: FimReport, kappa_threshold: float) -> dict:
-    """The report's flags, the configuration tested at kappa_threshold."""
+def _information_payload(info: FimArrays, T: Transform4DoF, kappa_threshold: float) -> dict:
+    """kappa, std_errors, flags and ci95 of a FIM of one at T, the
+    configuration tested at kappa_threshold. std_errors and ci95 are None
+    where the FIM is not invertible."""
+    invertible = info.invertible.tolist()[0]
+    kappa = info.kappa.tolist()[0]
     return {
-        "configuration_singular": rep.kappa > kappa_threshold,
-        "per_param_unobservable": list(rep.flags.per_param_unobservable),
-        "kappa_threshold": kappa_threshold,
+        "kappa": kappa,
+        "std_errors": info.std_errors[0] if invertible else None,
+        "flags": {
+            "configuration_singular": kappa > kappa_threshold,
+            "per_param_unobservable": info.unobservable.tolist()[0],
+            "kappa_threshold": kappa_threshold,
+        },
+        "ci95": confidence_intervals(T.as_vector()[None], info)[0] if invertible else None,
     }
-
-
-def _ci95(T: Transform4DoF, rep: FimReport):
-    """`confidence_intervals`, or None when the FIM is singular."""
-    return None if rep.std_errors is None else confidence_intervals(T, rep)
 
 
 def _scenario_from_config(cfg: dict) -> ScenarioConfig:
@@ -198,11 +202,8 @@ def cmd_estimate(args) -> int:
     }
     est = ESTIMATORS[cfg["estimator"]](dataset)
     report["estimate"] = {"t_m": est.theta_hat.t, "theta_rad": est.theta_hat.theta}
-    report["std_errors"] = est.fim.std_errors
-    report["kappa"] = est.fim.kappa
-    report["flags"] = _flags_payload(est.fim, cfg["kappa_threshold"])
+    report.update(_information_payload(est.fim, est.theta_hat, cfg["kappa_threshold"]))
     report["solver"] = est.solver
-    report["ci95"] = _ci95(est.theta_hat, est.fim)
     iof.dump_json(args.out, report)
     if report["flags"]["configuration_singular"]:
         return EXIT_SINGULAR
@@ -338,20 +339,20 @@ def cmd_fim(args) -> int:
         kappa_threshold = cfg["kappa_threshold"]
         meta = {"source": "logs", "config": cfg, "config_hash": iof.config_hash(cfg)}
 
-    rep = fim(theta, dataset)
+    info = fim(theta, dataset)
     payload = {
         "command": "fim",
         **meta,
         "k": len(dataset),
         "theta": {"t_m": theta.t, "theta_rad": theta.theta},
-        "F": rep.F,
-        "kappa": rep.kappa,
-        "rank": rep.rank,
-        "crlb_t": rep.crlb_t,
-        "crlb_theta": rep.crlb_theta,
-        "det_direct": rep.det_f,
-        "flags": _flags_payload(rep, kappa_threshold),
+        "F": info.F[0],
+        "rank": info.rank[0],
+        "crlb_t": info.crlb_t[0],
+        "crlb_theta": info.crlb_theta[0],
+        "det_direct": info.det_f[0],
+        **_information_payload(info, theta, kappa_threshold),
     }
+    payload.pop("std_errors")  # the fim report gives the bounds as crlb_t, crlb_theta and ci95
     try:
         payload["det_geometric"] = det_fim_geometric(theta, dataset)
     except InsufficientDataError:
@@ -359,7 +360,6 @@ def cmd_fim(args) -> int:
         payload.pop("det_direct")
     except ExpansionTooLargeError:
         payload["note"] = f"more than {DET_SUBSET_CAP} range rows: determinant decomposition not evaluated"
-    payload["ci95"] = _ci95(theta, rep)
     iof.dump_json(args.out, payload)
     return EXIT_OK
 
@@ -415,7 +415,7 @@ def cmd_drift(args) -> int:
         "corrected_rmse_m": result.corrected_rmse,
         "improvement_ratio": (result.corrected_rmse / result.nc_rmse) if result.nc_rmse else None,
         "n_windows": len(track),
-        "n_skipped": result.n_skipped,
+        "n_skipped": int(track.skipped.sum()),
         "windows": windows,
     }
     iof.dump_json(args.out, payload)

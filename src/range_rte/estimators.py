@@ -64,8 +64,9 @@ problem gets the same bits as in a stack of one. Its `ESTIMATORS` entry
 takes either form of the data. A stack in gives the point stage. A
 dataset in gives its `EstimateReport`: the point stage of
 `dataset.stack()`, a stack of one, then `_report`, the only place that
-builds a `Transform4DoF`, a solver dict and a `fisher.FimReport`, which
-raises the problem's error. A Monte-Carlo cell
+builds a `Transform4DoF`, a solver dict and the `SingularityFlags` of
+row 0 of the stack's `fisher.FimArrays`, which raises the problem's
+error. A Monte-Carlo cell
 (`simulation.monte_carlo_run`) stacks its trials and reads the estimate
 array of their point stage, whatever the estimator. The sliding-window
 runner for drift tracking returns a `WindowTrack` of arrays: `qcqp` and
@@ -84,7 +85,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fisher import FimArrays, FimReport, SingularityFlags, fim_stack
+from .fisher import DEFAULT_KAPPA_THRESHOLD, FimArrays, SingularityFlags, fim_stack
 from .geometry import Transform4DoF, wrap_angle
 from .measurement import SyncedDataset, SyncedStack, debias_squared
 from .solvers import CONVERGED, MAX_ITER, NON_FINITE, SolveDiagnostics, lockstep_newton, sdp_solve
@@ -121,8 +122,8 @@ SDP_MAX_ITER = 200
 
 class DegenerateSolutionError(RuntimeError):
     """No estimate can be read off a solution: the SDP relaxation ended
-    other than optimal, or rank-one recovery failed (non-positive
-    spectrum or vanished scale)."""
+    other than optimal, rank-one recovery failed (non-positive spectrum or
+    vanished scale), or every refinement start diverged."""
 
 
 class HeadingUndefinedError(RuntimeError):
@@ -220,17 +221,14 @@ class QcqpProblem:
 class EstimateReport:
     """Estimate plus uncertainty and solver diagnostics.
 
-    `fim` is the information at the estimate, with its kappa, standard
-    errors and flags.
+    `fim` is the information at the estimate, the `FimArrays` of a stack
+    of one, and `flags` the verdicts of its row 0.
     """
 
     theta_hat: Transform4DoF
     solver: dict
-    fim: FimReport
-
-    @property
-    def flags(self) -> SingularityFlags:
-        return self.fim.flags
+    fim: FimArrays
+    flags: SingularityFlags
 
 
 def assemble_qcqp(data: SyncedDataset | SyncedStack) -> QcqpProblem:
@@ -754,13 +752,19 @@ def _information(points: tuple, stack: SyncedStack) -> FimArrays:
 
 def _report(method: str, points: tuple, stack: SyncedStack) -> EstimateReport:
     """The EstimateReport of a point stage on a stack of one: its estimate,
-    its solver scalars under "method" and its FIM (see `_information`)."""
+    its solver scalars under "method", its FIM (see `_information`) and
+    the flags of that FIM."""
     info = _information(points, stack)
     estimates, scalars, _ = points
     return EstimateReport(
         theta_hat=Transform4DoF(t=estimates[0, :3], theta=estimates[0, 3]),
         solver={"method": method, **{name: values.tolist()[0] for name, values in scalars.items()}},
-        fim=info.reports()[0],
+        fim=info,
+        flags=SingularityFlags(
+            configuration_singular=info.singular.tolist()[0],
+            per_param_unobservable=tuple(info.unobservable.tolist()[0]),
+            kappa_threshold=DEFAULT_KAPPA_THRESHOLD,
+        ),
     )
 
 
@@ -895,8 +899,9 @@ def _nls_points(stack: SyncedStack, starts: Optional[np.ndarray] = None) -> tupl
     scalars report rather than hide. One `lockstep_newton` call with R = I
     refines every problem from its own start on its own rows (d, pa, pb).
     Returns the estimates (W, 4), the solver scalars (iterations, status,
-    final_cost, converged, wall_ms), one (W,) array each, and the errors:
-    the engine never raises, so no problem fails and they are {}.
+    final_cost, converged, wall_ms), one (W,) array each, and
+    {problem index: error} for every problem whose refinement ended
+    non_finite (DegenerateSolutionError); their rows are NaN.
     """
     start = time.perf_counter()
     sigma = stack.sigma_r
@@ -927,7 +932,10 @@ def _nls_points(stack: SyncedStack, starts: Optional[np.ndarray] = None) -> tupl
         "converged": res.status == CONVERGED,
         "wall_ms": np.full(W, wall_ms),
     }
-    return np.column_stack((res.p[:, :3], wrap_angle(res.p[:, 3]))), scalars, {}
+    estimates = np.column_stack((res.p[:, :3], wrap_angle(res.p[:, 3])))
+    diverged = np.flatnonzero(res.status == NON_FINITE).tolist()
+    estimates[diverged] = math.nan
+    return estimates, scalars, {i: DegenerateSolutionError("the refinement diverged") for i in diverged}
 
 
 def _estimator(method: str, points):

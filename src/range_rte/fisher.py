@@ -14,15 +14,16 @@ The FIM is the noise-weighted Gram matrix of the rows. `fim_arrays`
 derives every quantity of a stack of FIMs in one pass, from one
 eigendecomposition each, as stacked arrays (`FimArrays`): kappa, rank,
 CRLB, standard errors, det and the singularity flags. It is the one FIM
-code path: `fim_stack` takes it at W transforms, a Monte-Carlo cell
-reads its bounds and a drift track its kappa and CRLB, and
-`fim_reports` (`FimArrays.reports`) wraps it as one `FimReport` per
-FIM for a dataset's report. The standard errors, the per-parameter
-flags and `confidence_intervals` all read the same CRLB diagonal. The
-determinant expands over all 4-subsets of rows into products of
-parallelepiped volumes, which is what makes the degenerate trajectory
-classes (parallel motion, coplanar lines, static agents) visible in
-closed form; it is evaluated up to DET_SUBSET_CAP rows.
+code path and `FimArrays` the one information type: `fim_stack` takes
+it at W transforms, a Monte-Carlo cell reads its bounds, a drift track
+its kappa and CRLB, and a dataset's report row 0 of the stack of one.
+Every quantity that needs an invertible F is NaN where F is not. The
+standard errors, the per-parameter flags and `confidence_intervals` all
+read the same CRLB diagonal. The determinant expands over all 4-subsets
+of rows into products of parallelepiped volumes, which is what makes the
+degenerate trajectory classes (parallel motion, coplanar lines, static
+agents) visible in closed form; it is evaluated up to DET_SUBSET_CAP
+rows.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
@@ -68,40 +68,13 @@ class ExpansionTooLargeError(ValueError):
     """More rows than DET_SUBSET_CAP: the determinant expansion is not evaluated."""
 
 
-class SingularFimError(ValueError):
-    """Requested quantity needs an invertible FIM. Carries the flags."""
-
-    def __init__(self, message: str, flags: "SingularityFlags"):
-        super().__init__(message)
-        self.flags = flags
-
-
 @dataclass
 class SingularityFlags:
+    """The verdicts of one row of a `FimArrays`, as Python scalars."""
+
     configuration_singular: bool
     per_param_unobservable: tuple
     kappa_threshold: float
-
-
-@dataclass
-class FimReport:
-    """FIM with its derived uncertainty quantities.
-
-    crlb, the scalar translation/heading bounds and std_errors (the
-    roots of the CRLB diagonal) are present only when the FIM is
-    invertible at RCOND. flags hold the verdicts at
-    DEFAULT_KAPPA_THRESHOLD.
-    """
-
-    F: np.ndarray
-    crlb: Optional[np.ndarray]
-    crlb_t: Optional[float]
-    crlb_theta: Optional[float]
-    std_errors: Optional[np.ndarray]
-    det_f: float
-    kappa: float
-    rank: int
-    flags: SingularityFlags
 
 
 def _jacobian_stack(t: np.ndarray, theta: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
@@ -132,7 +105,8 @@ def jacobian_matrix(T: Transform4DoF, dataset: SyncedDataset) -> np.ndarray:
 
 @dataclass
 class FimArrays:
-    """Every information quantity of a stack of W FIMs (n x n), as arrays.
+    """Every information quantity of a stack of W FIMs (n x n), as arrays:
+    the one FIM result of the package, a single FIM being a stack of one.
 
     crlb (W, n, n), std_errors (W, n), crlb_t and crlb_theta (W,) are NaN
     where the FIM is not invertible at RCOND. singular is kappa above
@@ -151,39 +125,6 @@ class FimArrays:
     invertible: np.ndarray
     singular: np.ndarray
     unobservable: np.ndarray
-
-    def reports(self) -> list[FimReport]:
-        """One FimReport per FIM, its scalars from one .tolist() per quantity."""
-        return [
-            FimReport(
-                F=F,
-                crlb=crlb if inv else None,
-                crlb_t=crlb_t if inv else None,
-                crlb_theta=crlb_theta if inv else None,
-                std_errors=std if inv else None,
-                det_f=det,
-                kappa=kappa,
-                rank=rank,
-                flags=SingularityFlags(
-                    configuration_singular=singular,
-                    per_param_unobservable=tuple(unobservable),
-                    kappa_threshold=DEFAULT_KAPPA_THRESHOLD,
-                ),
-            )
-            for F, crlb, std, inv, crlb_t, crlb_theta, det, kappa, rank, singular, unobservable in zip(
-                self.F,
-                self.crlb,
-                self.std_errors,
-                self.invertible.tolist(),
-                self.crlb_t.tolist(),
-                self.crlb_theta.tolist(),
-                self.det_f.tolist(),
-                self.kappa.tolist(),
-                self.rank.tolist(),
-                self.singular.tolist(),
-                self.unobservable.tolist(),
-            )
-        ]
 
 
 def fim_arrays(F) -> FimArrays:
@@ -256,11 +197,6 @@ def fim_arrays(F) -> FimArrays:
     )
 
 
-def fim_reports(F) -> list[FimReport]:
-    """`fim_arrays` of a stack of FIMs as one FimReport per FIM."""
-    return fim_arrays(F).reports()
-
-
 def fim_stack(t, theta, pa, pb, sigma_r: float) -> FimArrays:
     """Fisher information of W problems about their (t, theta).
 
@@ -272,18 +208,17 @@ def fim_stack(t, theta, pa, pb, sigma_r: float) -> FimArrays:
     return fim_arrays((J.swapaxes(-1, -2) @ J) / sigma_r**2)
 
 
-def fim(T: Transform4DoF | tuple, data: SyncedDataset | SyncedStack) -> FimReport | FimArrays:
-    """Fisher information of the dataset about (t, theta), with CRLB.
+def fim(T: Transform4DoF | tuple, data: SyncedDataset | SyncedStack) -> FimArrays:
+    """Fisher information of the data about (t, theta), with CRLB.
 
-    `fim_stack` for one problem, on the rows of `data.stack()`, as a
-    FimReport. Given a `SyncedStack` and T the pair (t (W, 3), theta (W,))
-    of its W transforms instead, the `FimArrays` of one `fim_stack`, as a
-    Monte-Carlo cell takes the bounds at its truths and a drift track at
-    its window estimates.
+    `fim_stack` on the rows of `data.stack()`. A `Transform4DoF` with a
+    dataset gives the `FimArrays` of its stack of one. Given a
+    `SyncedStack` and T the pair (t (W, 3), theta (W,)) of its W
+    transforms instead, a Monte-Carlo cell takes the bounds at its truths
+    and a drift track at its window estimates.
     """
     if isinstance(T, Transform4DoF):
-        stack = data.stack()
-        return fim_stack(T.t[None], np.array([T.theta]), stack.pa, stack.pb, stack.sigma_r).reports()[0]
+        data, T = data.stack(), (T.t[None], np.array([T.theta]))
     t, theta = T
     return fim_stack(t, theta, data.pa, data.pb, data.sigma_r)
 
@@ -298,7 +233,7 @@ def det_fim_geometric(T: Transform4DoF, dataset: SyncedDataset) -> float:
     4-parameter problem).
 
     The expansion has C(k, 4) terms: above DET_SUBSET_CAP rows it raises
-    ExpansionTooLargeError, and `FimReport.det_f` is the determinant (an
+    ExpansionTooLargeError, and `FimArrays.det_f` is the determinant (an
     analysis tool, not an estimator path).
     """
     J = jacobian_matrix(T, dataset)
@@ -320,15 +255,13 @@ def det_fim_geometric(T: Transform4DoF, dataset: SyncedDataset) -> float:
     return float(np.sum(terms**2)) / dataset.sigma_r**8
 
 
-def confidence_intervals(T_hat: Transform4DoF, rep: FimReport) -> np.ndarray:
-    """95% confidence intervals for (t_x, t_y, t_z, theta), shape (4, 2).
+def confidence_intervals(estimates, info: FimArrays) -> np.ndarray:
+    """95% confidence intervals of W estimates (W, 4) of (t_x, t_y, t_z,
+    theta), shape (W, 4, 2).
 
-    Centered on the estimate with half-width 1.96 times the report's
-    standard errors. Raises SingularFimError (carrying the report's
-    flags) when the FIM is not invertible at RCOND.
+    Centered on each estimate with half-width 1.96 times its standard
+    errors in `info`, the `FimArrays` of the W problems: NaN rows where
+    the FIM is not invertible at RCOND.
     """
-    if rep.std_errors is None:
-        raise SingularFimError("confidence intervals unavailable: FIM is singular", rep.flags)
-    half = 1.96 * rep.std_errors
-    center = T_hat.as_vector()
-    return np.column_stack([center - half, center + half])
+    half = 1.96 * info.std_errors
+    return np.stack([estimates - half, estimates + half], axis=-1)

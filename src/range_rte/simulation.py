@@ -432,13 +432,9 @@ def monte_carlo_run(cfg: ScenarioConfig, estimator: str = "qcqp") -> ErrorStats:
 class DriftResult:
     """Sliding-window drift correction versus the uncorrected odometry."""
 
-    times: np.ndarray
-    nc_error: np.ndarray
-    corrected_error: np.ndarray
     nc_rmse: float
     corrected_rmse: float
     windows: WindowTrack
-    n_skipped: int
 
 
 def _drift_truth_series(cfg: ScenarioConfig, n: int, dt: float, rng) -> tuple[Transform4DoF, np.ndarray, np.ndarray]:
@@ -538,12 +534,4 @@ def drift_scenario(
     valid = np.isfinite(corr_err)
     nc_rmse = float(np.sqrt(np.mean(nc_err[valid] ** 2))) if valid.any() else math.nan
     corr_rmse = float(np.sqrt(np.mean(corr_err[valid] ** 2))) if valid.any() else math.nan
-    return DriftResult(
-        times=t_axis,
-        nc_error=nc_err,
-        corrected_error=corr_err,
-        nc_rmse=nc_rmse,
-        corrected_rmse=corr_rmse,
-        windows=windows,
-        n_skipped=int(windows.skipped.sum()),
-    )
+    return DriftResult(nc_rmse=nc_rmse, corrected_rmse=corr_rmse, windows=windows)

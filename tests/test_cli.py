@@ -103,6 +103,7 @@ class TestEstimateCommand:
         assert rc == 3
         rep = read_json(out)
         assert any(rep["flags"]["per_param_unobservable"])
+        assert rep["std_errors"] is None and rep["ci95"] is None
 
     @staticmethod
     def _static_pair_at_origins(tmp_path):
@@ -123,6 +124,7 @@ class TestEstimateCommand:
         assert rc == 3
         rep = read_json(out)
         assert any(rep["flags"]["per_param_unobservable"])
+        assert rep["std_errors"] is None and rep["ci95"] is None
 
     def test_static_pair_at_origins_exits_singular_with_nls(self, tmp_path, capsys):
         # nls stays at its zero start, where every modelled range is zero and
@@ -427,9 +429,9 @@ class TestFimCommand:
         assert rc == 0
         rep = read_json(out)
         arm_a, arm_b = LeverArm(arms["lever_arm_a_m"]), LeverArm(arms["lever_arm_b_m"])
-        want = fim(T, ingest_logs(*logs, ranges, arm_a=arm_a, arm_b=arm_b, sigma_r=0.05)[0]).F
+        want = fim(T, ingest_logs(*logs, ranges, arm_a=arm_a, arm_b=arm_b, sigma_r=0.05)[0]).F[0]
         np.testing.assert_array_equal(np.array(rep["F"]), want)
-        assert not np.allclose(want, fim(T, ingest_logs(*logs, ranges, sigma_r=0.05)[0]).F)
+        assert not np.allclose(want, fim(T, ingest_logs(*logs, ranges, sigma_r=0.05)[0]).F[0])
         assert rep["flags"]["kappa_threshold"] == 1.0
 
     def test_config_unknown_key_or_with_scenario_rejected(self, tmp_path):
@@ -462,6 +464,7 @@ class TestFimCommand:
         assert rc == 0
         rep = read_json(out)
         assert rep["flags"]["configuration_singular"] is True
+        assert rep["crlb_t"] is None and rep["crlb_theta"] is None and rep["ci95"] is None
         assert rep["det_geometric"] <= 1e-6 * max(1.0, rep["kappa"])
         assert '"inf"' not in (tmp_path / "fim.json").read_text()
 

@@ -40,7 +40,7 @@ from range_rte.estimators import (
     sliding_window_estimate,
     solve_sdp_relaxation,
 )
-from range_rte.fisher import confidence_intervals, fim, fim_reports
+from range_rte.fisher import DEFAULT_KAPPA_THRESHOLD, confidence_intervals, fim, fim_arrays
 from range_rte.geometry import Transform4DoF, heading_rotation, wrap_angle
 from range_rte.measurement import SyncedDataset, debias_squared, true_range
 from range_rte.solvers import CONVERGED, _gram, lockstep_newton
@@ -484,8 +484,8 @@ class TestSolveQcqp:
     def test_report_fields(self):
         T, ds = noisy_instance(24)
         rep = qcqp_estimate(ds)
-        assert rep.fim.std_errors is not None and rep.fim.std_errors.shape == (4,)
-        assert rep.fim.kappa > 1.0
+        assert rep.fim.invertible.tolist() == [True] and rep.fim.std_errors.shape == (1, 4)
+        assert rep.fim.kappa[0] > 1.0
         assert "final_cost" in rep.solver and "wall_ms" in rep.solver
 
     def test_report_carries_the_fim_it_was_built_from(self):
@@ -495,11 +495,16 @@ class TestSolveQcqp:
         for estimate, data in runs:
             rep = estimate(data)
             ref = fim(rep.theta_hat, data)
-            assert np.array_equal(rep.fim.F, ref.F) and rep.fim.kappa == ref.kappa
-            assert np.array_equal(rep.fim.std_errors, np.sqrt(np.diag(ref.crlb)))
-            assert rep.flags is rep.fim.flags and rep.flags == ref.flags == fim_reports(ref.F[None])[0].flags
-            ci = confidence_intervals(rep.theta_hat, rep.fim)
-            assert np.array_equal(ci, confidence_intervals(rep.theta_hat, ref))
+            assert np.array_equal(rep.fim.F, ref.F) and rep.fim.kappa[0] == ref.kappa[0]
+            assert np.array_equal(rep.fim.std_errors[0], np.sqrt(np.diag(ref.crlb[0])))
+            # the flags are row 0 of the report's FIM, of fim there and of fim_arrays of F
+            assert rep.flags.kappa_threshold == DEFAULT_KAPPA_THRESHOLD
+            for info in (rep.fim, ref, fim_arrays(ref.F)):
+                assert rep.flags.configuration_singular is info.singular.tolist()[0]
+                assert rep.flags.per_param_unobservable == tuple(info.unobservable.tolist()[0])
+            center = rep.theta_hat.as_vector()[None]
+            ci = confidence_intervals(center, rep.fim)
+            assert np.array_equal(ci, confidence_intervals(center, ref))
 
     def test_noiseless_exact_without_d0(self):
         for seed in range(3):
@@ -781,8 +786,8 @@ class TestStackedWindows:
             ref = qcqp_estimate(data)
             assert track.estimate[i].tobytes() == ref.theta_hat.as_vector().tobytes(), i
             assert track.cost[i] == ref.solver["final_cost"]
-            assert track.kappa[i] == ref.fim.kappa
-            assert track.skipped[i] == (not ref.fim.kappa <= WINDOW_KAPPA_LIMIT)
+            assert track.kappa[i] == ref.fim.kappa[0]
+            assert track.skipped[i] == (not ref.fim.kappa[0] <= WINDOW_KAPPA_LIMIT)
             assert track.t_end[i] == data.t[-1]
 
     @settings(max_examples=10, deadline=None)
@@ -814,8 +819,8 @@ class TestStackedWindows:
         for i, ref in enumerate(refs):
             assert track.estimate[i].tobytes() == ref.theta_hat.as_vector().tobytes(), i
             assert track.cost[i] == ref.solver["final_cost"]
-            assert track.kappa[i] == ref.fim.kappa
-            assert track.skipped[i] == (not ref.fim.kappa <= WINDOW_KAPPA_LIMIT)
+            assert track.kappa[i] == ref.fim.kappa[0]
+            assert track.skipped[i] == (not ref.fim.kappa[0] <= WINDOW_KAPPA_LIMIT)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -842,11 +847,8 @@ class TestStackedWindows:
             return
         for i, (a, b) in enumerate(zip(track.start.tolist(), track.stop.tolist())):
             ref = fim(Transform4DoF(t=track.estimate[i, :3], theta=track.estimate[i, 3]), stream.window(a, b))
-            assert track.kappa[i] == ref.kappa, i
-            if ref.crlb is None:
-                assert np.isnan(track.crlb[i]).all(), i
-            else:
-                assert track.crlb[i].tobytes() == ref.crlb.tobytes(), i
+            assert track.kappa[i] == ref.kappa[0], i
+            assert track.crlb[i].tobytes() == ref.crlb[0].tobytes(), i
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -1253,8 +1255,8 @@ class TestSlidingWindow:
             ref = nls_estimate(stream.window(a, b), init=prev)
             assert track.estimate[i].tobytes() == ref.theta_hat.as_vector().tobytes(), i
             assert track.cost[i] == ref.solver["final_cost"]
-            assert track.kappa[i] == ref.fim.kappa
-            assert track.skipped[i] == (not ref.fim.kappa <= WINDOW_KAPPA_LIMIT)
+            assert track.kappa[i] == ref.fim.kappa[0]
+            assert track.skipped[i] == (not ref.fim.kappa[0] <= WINDOW_KAPPA_LIMIT)
             if not track.skipped[i]:
                 prev = ref.theta_hat
 

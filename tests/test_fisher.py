@@ -14,12 +14,11 @@ from range_rte.fisher import (
     STD_CEILING,
     ExpansionTooLargeError,
     InsufficientDataError,
-    SingularFimError,
     SingularGeometryError,
     confidence_intervals,
     det_fim_geometric,
     fim,
-    fim_reports,
+    fim_arrays,
     jacobian_matrix,
 )
 from range_rte.geometry import Transform4DoF, heading_rotation
@@ -101,9 +100,9 @@ class TestFim:
         ds = random_dataset(rng, k=3)
         T = Transform4DoF(t=[3.0, 0.5, -0.2], theta=0.3)
         rep = fim(T, ds)
-        assert rep.rank <= 3
-        assert rep.crlb is None
-        assert rep.crlb_t is None
+        assert rep.rank[0] <= 3
+        assert np.isnan(rep.crlb[0]).all()
+        assert np.isnan(rep.crlb_t[0])
 
     def test_invariant_under_common_world_offset(self):
         # translate the whole world (host trajectory and the target frame
@@ -125,8 +124,8 @@ class TestFim:
         T = Transform4DoF(t=[3.0, 0.5, -0.2], theta=0.3)
         rep1, rep2 = fim(T, ds1), fim(T, ds2)
         assert np.allclose(rep2.F, rep1.F / 4.0)
-        assert rep2.crlb_t == pytest.approx(rep1.crlb_t * 4.0)
-        assert rep2.crlb_theta == pytest.approx(rep1.crlb_theta * 4.0)
+        assert rep2.crlb_t[0] == pytest.approx(rep1.crlb_t[0] * 4.0)
+        assert rep2.crlb_theta[0] == pytest.approx(rep1.crlb_theta[0] * 4.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -141,9 +140,9 @@ class TestFim:
         ds = random_dataset(rng, k=12)
         T = Transform4DoF(t=[3.0, 1.0, 0.2], theta=0.9)
         rep = fim(T, ds)
-        inv = np.linalg.inv(rep.F)
-        assert rep.crlb_t == pytest.approx(np.trace(inv[:3, :3]), rel=1e-9)
-        assert rep.crlb_theta == pytest.approx(inv[3, 3], rel=1e-9)
+        inv = np.linalg.inv(rep.F[0])
+        assert rep.crlb_t[0] == pytest.approx(np.trace(inv[:3, :3]), rel=1e-9)
+        assert rep.crlb_theta[0] == pytest.approx(inv[3, 3], rel=1e-9)
 
     def test_explicit_d0_adds_origin_row(self):
         rng = np.random.default_rng(7)
@@ -167,7 +166,7 @@ class TestDetGeometric:
             T = Transform4DoF(t=[3.0, -0.5, 0.7], theta=1.1)
             rep = fim(T, ds)
             det_geo = det_fim_geometric(T, ds)
-            assert det_geo == pytest.approx(rep.det_f, rel=1e-8)
+            assert det_geo == pytest.approx(rep.det_f[0], rel=1e-8)
 
     def test_insufficient_data(self):
         rng = np.random.default_rng(8)
@@ -196,7 +195,7 @@ class TestDetGeometric:
         T = Transform4DoF(t=[3.0, 0.0, 0.0], theta=0.2)
         ds = random_dataset(rng, k=DET_SUBSET_CAP + 1)
         at_cap = ds.select(np.arange(len(ds)) < DET_SUBSET_CAP)
-        assert det_fim_geometric(T, at_cap) == pytest.approx(fim(T, at_cap).det_f, rel=1e-8)
+        assert det_fim_geometric(T, at_cap) == pytest.approx(fim(T, at_cap).det_f[0], rel=1e-8)
         with pytest.raises(ExpansionTooLargeError):
             det_fim_geometric(T, ds)
 
@@ -207,60 +206,62 @@ class TestDetGeometric:
         extra = dataclasses.replace(ds, d0=float(np.linalg.norm(T.t)) + 0.05)
         rep = fim(T, extra)
         assert len(jacobian_matrix(T, extra)) == len(ds) + 1
-        assert det_fim_geometric(T, extra) == pytest.approx(np.linalg.det(rep.F), rel=1e-9)
+        assert det_fim_geometric(T, extra) == pytest.approx(np.linalg.det(rep.F[0]), rel=1e-9)
         # ds takes d0 off its first range, which is no extra row
         assert len(jacobian_matrix(T, ds)) == len(ds)
-        assert det_fim_geometric(T, ds) == pytest.approx(fim(T, ds).det_f, rel=1e-9)
-        assert not det_fim_geometric(T, ds) == pytest.approx(rep.det_f, rel=1e-3)
+        assert det_fim_geometric(T, ds) == pytest.approx(fim(T, ds).det_f[0], rel=1e-9)
+        assert not det_fim_geometric(T, ds) == pytest.approx(rep.det_f[0], rel=1e-3)
 
 
 def report_of(F):
-    return fim_reports(np.asarray(F, dtype=float)[None])[0]
+    """`fim_arrays` of one FIM: a stack of one."""
+    return fim_arrays(np.asarray(F, dtype=float)[None])
 
 
 class TestSingularityReport:
     def test_identity_not_singular(self):
-        flags = report_of(np.eye(4)).flags
-        assert flags.configuration_singular is False
-        assert flags.per_param_unobservable == (False,) * 4
+        rep = report_of(np.eye(4))
+        assert rep.singular.tolist() == [False]
+        assert rep.unobservable.tolist() == [[False] * 4]
 
     def test_rank_deficient_flags_heading(self):
-        flags = report_of(np.diag([1.0, 1.0, 1.0, 0.0])).flags
-        assert flags.configuration_singular is True
-        assert flags.per_param_unobservable[3] is True
+        rep = report_of(np.diag([1.0, 1.0, 1.0, 0.0]))
+        assert rep.singular.tolist() == [True]
+        assert rep.unobservable.tolist()[0][3] is True
 
     def test_planar_scenario_flagged(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=20, sigma_r=0.1, sigma_o=0.0, trials=1, seed=0)
         T, ds = singular_scenario("planar_linear", cfg, trial_rng(2, 0))
         rep = fim(T, ds)
-        assert rep.flags == report_of(rep.F).flags
-        assert rep.flags.configuration_singular is True
-        assert any(rep.flags.per_param_unobservable[:3])
+        ref = report_of(rep.F[0])
+        assert np.array_equal(rep.singular, ref.singular) and np.array_equal(rep.unobservable, ref.unobservable)
+        assert rep.singular.tolist() == [True]
+        assert any(rep.unobservable[0, :3])
 
     def test_selective_flag_with_invertible_fim(self):
         # one parameter much worse than the rest, but still invertible
-        flags = report_of(np.diag([1.0, 1.0, 1.0, 1e-4])).flags
-        assert flags.configuration_singular is False  # kappa = 1e4
-        assert flags.per_param_unobservable == (False, False, False, True)
+        rep = report_of(np.diag([1.0, 1.0, 1.0, 1e-4]))
+        assert rep.singular.tolist() == [False]  # kappa = 1e4
+        assert rep.unobservable.tolist() == [[False, False, False, True]]
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
-            fim_reports(np.diag([1.0, 1.0, 1.0, -0.5])[None])
+            fim_arrays(np.diag([1.0, 1.0, 1.0, -0.5])[None])
 
     def test_rejects_asymmetric_or_unstacked(self):
         for F in (np.triu(np.ones((4, 4)))[None], np.eye(4)):
             with pytest.raises(ValueError):
-                fim_reports(F)
+                fim_arrays(F)
 
     def test_subnormal_eigenvalue_gives_infinite_kappa_without_warning(self):
         # lam_max / lam_min and 1 / lam_min overflow here
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = fim_reports(np.diag([1.9e3, 45.4, 39.7, 1e-310])[None])[0]
-        assert rep.kappa == math.inf
-        assert rep.flags.configuration_singular is True
-        assert rep.std_errors is None and rep.crlb is None and rep.crlb_t is None
-        assert rep.flags.per_param_unobservable == (True,) * 4
+            rep = fim_arrays(np.diag([1.9e3, 45.4, 39.7, 1e-310])[None])
+        assert rep.kappa.tolist() == [math.inf]
+        assert rep.singular.tolist() == [True]
+        assert np.isnan(rep.std_errors).all() and np.isnan(rep.crlb).all() and np.isnan(rep.crlb_t).all()
+        assert rep.unobservable.tolist() == [[True] * 4]
 
 
 class TestSingularityVerdicts:
@@ -292,24 +293,26 @@ class TestSingularityVerdicts:
 
 class TestConfidenceIntervals:
     def test_scaled_identity(self):
-        T = Transform4DoF(t=np.zeros(3), theta=0.0)
-        ci = confidence_intervals(T, report_of(4.0 * np.eye(4)))
+        ci = confidence_intervals(np.zeros((1, 4)), report_of(4.0 * np.eye(4)))[0]
         assert np.allclose(ci[:, 0], -0.98)
         assert np.allclose(ci[:, 1], 0.98)
 
     def test_half_width(self):
         T = Transform4DoF(t=[1.0, 2.0, 3.0], theta=0.5)
-        ci = confidence_intervals(T, report_of(100.0 * np.eye(4)))
+        ci = confidence_intervals(T.as_vector()[None], report_of(100.0 * np.eye(4)))[0]
         widths = ci[:, 1] - ci[:, 0]
         assert np.allclose(widths, 2 * 0.196)
         assert np.allclose(ci.mean(axis=1), T.as_vector())
 
-    def test_singular_raises_with_flags(self):
-        T = Transform4DoF(t=np.zeros(3), theta=0.0)
-        rep = report_of(np.diag([1.0, 1.0, 1.0, 0.0]))
-        with pytest.raises(SingularFimError) as err:
-            confidence_intervals(T, rep)
-        assert err.value.flags is rep.flags and rep.flags.configuration_singular is True
+    def test_singular_row_gives_nan_intervals_and_flags(self):
+        # in a stack, the row whose FIM is not invertible has NaN intervals
+        # and every parameter flagged; the invertible row keeps its own
+        rep = fim_arrays(np.stack([np.diag([1.0, 1.0, 1.0, 0.0]), 4.0 * np.eye(4)]))
+        ci = confidence_intervals(np.zeros((2, 4)), rep)
+        assert ci.shape == (2, 4, 2)
+        assert np.isnan(ci[0]).all() and np.allclose(ci[1], [-0.98, 0.98])
+        assert rep.singular.tolist() == [True, False]
+        assert rep.unobservable.tolist() == [[True] * 4, [False] * 4]
 
     def test_std_errors_intervals_and_flags_share_one_crlb(self):
         # standard errors, 95 % half-widths and per-parameter flags all
@@ -321,17 +324,19 @@ class TestConfidenceIntervals:
         for ds in cases:
             est = qcqp_estimate(ds)
             rep = est.fim
-            assert est.flags is rep.flags
-            if rep.std_errors is None:
-                assert rep.flags.per_param_unobservable == (True,) * 4
+            assert est.flags.configuration_singular is rep.singular.tolist()[0]
+            assert est.flags.per_param_unobservable == tuple(rep.unobservable.tolist()[0])
+            center = est.theta_hat.as_vector()
+            ci = confidence_intervals(center[None], rep)[0]
+            if not rep.invertible[0]:
+                assert np.isnan(rep.std_errors).all() and np.isnan(ci).all()
+                assert est.flags.per_param_unobservable == (True,) * 4
                 continue
             checked += 1
-            se = np.sqrt(np.diag(rep.crlb))
-            assert np.array_equal(rep.std_errors, se)
-            center = est.theta_hat.as_vector()
-            ci = confidence_intervals(est.theta_hat, rep)
+            se = np.sqrt(np.diag(rep.crlb[0]))
+            assert np.array_equal(rep.std_errors[0], se)
             assert np.array_equal(ci, np.column_stack([center - 1.96 * se, center + 1.96 * se]))
-            assert rep.flags.per_param_unobservable == tuple(se > STD_CEILING * np.median(se))
+            assert est.flags.per_param_unobservable == tuple(se > STD_CEILING * np.median(se))
         assert checked >= 30
 
 
@@ -343,4 +348,4 @@ def test_jacobian_matrix_consistent_with_rows():
     for data in (ds, dataclasses.replace(ds, d0=2.5)):
         J = jacobian_matrix(T, data)
         assert len(J) == len(ds) + (data.d0 is not None)
-        np.testing.assert_allclose(J.T @ J / ds.sigma_r**2, fim(T, data).F, rtol=1e-12)
+        np.testing.assert_allclose(J.T @ J / ds.sigma_r**2, fim(T, data).F[0], rtol=1e-12)
