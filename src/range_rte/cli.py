@@ -6,6 +6,12 @@ Subcommands:
   fim        information analysis of a dataset at a given transform
   drift      sliding-window drift-correction scenario
 
+Every command loads its JSON config through `_config`, which allows the
+keys of one defaults table and fills in the rest from it: ESTIMATE_DEFAULTS
+(`estimate`, `fim` on logs), SIM_DEFAULTS (`simulate`, `fim --scenario`)
+or DRIFT_DEFAULTS (`drift`). A key's suffix names its unit (_m, _rad, _s,
+_hz).
+
 Exit codes: 0 success, 2 parse/config error, 3 insufficient or singular
 data, 4 solver failure.
 """
@@ -65,7 +71,6 @@ ESTIMATE_DEFAULTS = {
     # fit it, and the FIM counts it, as one more range between the frame
     # origins, unless it is the first range itself
     "d0_m": None,
-    "use_first_range_as_d0": True,
     # "odometry" rejects the synced ranges that break the odometry-bounded
     # range rate (measurement.range_rate_outliers); "none" keeps them all
     "outlier_mode": "odometry",
@@ -96,9 +101,9 @@ DRIFT_DEFAULTS = {
     "sigma_o_m": 0.001,
     "seed": 0,
     "estimator": "qcqp",
+    # random-walk intensities of the true transform, per sqrt(second)
     "sigma_t_m": 0.1,
-    "sigma_theta_rad": None,
-    "sigma_theta_deg": None,
+    "sigma_theta_rad": 0.1,
     "duration_s": 600.0,
     "window": 50,
     "rate_hz": 25.0,
@@ -106,12 +111,6 @@ DRIFT_DEFAULTS = {
 }
 
 CELL_KEYS = {"d0_m", "radius_m", "n_poses", "sigma_r_m", "sigma_o_m", "trials", "estimator", "seed"}
-
-
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
 
 
 def _information_payload(info: FimArrays, T: Transform4DoF, kappa_threshold: float) -> dict:
@@ -132,6 +131,27 @@ def _information_payload(info: FimArrays, T: Transform4DoF, kappa_threshold: flo
     }
 
 
+def _config(path, defaults: dict, args) -> dict:
+    """The config at path over `defaults` (a key not in them fails), or
+    the defaults when path is None. --seed and --estimator of args, where
+    the command has them, override the config's keys, and the estimator
+    named is checked. (A simulate cell's own estimator is checked by
+    `monte_carlo_run`.)"""
+    cfg = iof.load_config(path, set(defaults), defaults) if path else dict(defaults)
+    if "seed" in cfg and getattr(args, "seed", None) is not None:
+        cfg["seed"] = args.seed
+    if getattr(args, "estimator", None):
+        cfg["estimator"] = args.estimator
+    if cfg["estimator"] not in ESTIMATORS:
+        raise iof.ParseError(f"unknown estimator {cfg['estimator']!r}")
+    return cfg
+
+
+def _lever_arms(cfg: dict) -> tuple[LeverArm, LeverArm]:
+    """The host and target lever arms of a config."""
+    return tuple(LeverArm(np.asarray(cfg[key], dtype=float)) for key in ("lever_arm_a_m", "lever_arm_b_m"))
+
+
 def _scenario_from_config(cfg: dict) -> ScenarioConfig:
     return ScenarioConfig(
         d0=cfg["d0_m"],
@@ -141,45 +161,27 @@ def _scenario_from_config(cfg: dict) -> ScenarioConfig:
         sigma_o=cfg["sigma_o_m"],
         trials=cfg["trials"],
         seed=cfg["seed"],
-        lever_arms=(
-            LeverArm(np.asarray(cfg["lever_arm_a_m"], dtype=float)),
-            LeverArm(np.asarray(cfg["lever_arm_b_m"], dtype=float)),
-        ),
+        lever_arms=_lever_arms(cfg),
     )
-
-
-def _estimate_config(path) -> dict:
-    """The `estimate` config at path (unknown keys fail), or the defaults."""
-    return iof.load_config(path, set(ESTIMATE_DEFAULTS), ESTIMATE_DEFAULTS) if path else dict(ESTIMATE_DEFAULTS)
 
 
 def _ingest(args, cfg: dict):
     """Read the three CSV logs of args and sync them as `cfg` says: lever
-    arms, sigma_r_m and the d0 keys. Returns (ranges read, dataset, uncovered dropped)."""
+    arms, sigma_r_m and d0_m. Returns (ranges read, dataset, uncovered dropped)."""
     odom_a = iof.read_odometry_csv(args.odom_a)
     odom_b = iof.read_odometry_csv(args.odom_b)
     ranges = iof.read_ranges_csv(args.ranges)
+    arm_a, arm_b = _lever_arms(cfg)
     dataset, n_dropped = ingest_logs(
-        odom_a,
-        odom_b,
-        ranges,
-        arm_a=LeverArm(np.asarray(cfg["lever_arm_a_m"], dtype=float)),
-        arm_b=LeverArm(np.asarray(cfg["lever_arm_b_m"], dtype=float)),
-        sigma_r=cfg["sigma_r_m"],
-        d0=cfg["d0_m"],
-        use_first_range_as_d0=cfg["use_first_range_as_d0"],
+        odom_a, odom_b, ranges, arm_a=arm_a, arm_b=arm_b, sigma_r=cfg["sigma_r_m"], d0=cfg["d0_m"]
     )
     return len(ranges), dataset, n_dropped
 
 
 def cmd_estimate(args) -> int:
-    cfg = _estimate_config(args.config)
-    if args.estimator:
-        cfg["estimator"] = args.estimator
-    if cfg["estimator"] not in ESTIMATORS:
-        raise CliError(f"unknown estimator {cfg['estimator']!r}", EXIT_PARSE)
+    cfg = _config(args.config, ESTIMATE_DEFAULTS, args)
     if cfg["outlier_mode"] not in OUTLIER_MODES:
-        raise CliError(f"unknown outlier_mode {cfg['outlier_mode']!r}; expected one of {OUTLIER_MODES}", EXIT_PARSE)
+        raise iof.ParseError(f"unknown outlier_mode {cfg['outlier_mode']!r}; expected one of {OUTLIER_MODES}")
 
     n_ranges, dataset, n_dropped = _ingest(args, cfg)
     n_outliers = 0
@@ -255,11 +257,7 @@ def _emit_trial_logs(out_dir, cell_idx, trial, cfg_cell, T_true, dataset):
 
 
 def cmd_simulate(args) -> int:
-    cfg = iof.load_config(args.config, set(SIM_DEFAULTS), SIM_DEFAULTS)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.estimator:
-        cfg["estimator"] = args.estimator
+    cfg = _config(args.config, SIM_DEFAULTS, args)
     chash = iof.config_hash(cfg)
 
     out_dir = args.out_dir or "."
@@ -271,8 +269,6 @@ def cmd_simulate(args) -> int:
     rows = ["cell,trial,e_t,e_theta,crlb_t,crlb_theta,solve_ms,status"]
     summary_cells = []
     for ci, cell in enumerate(cells):
-        if cell["estimator"] not in ESTIMATORS:
-            raise CliError(f"unknown estimator {cell['estimator']!r}", EXIT_PARSE)
         scen = _scenario_from_config({**cfg, **cell})
         stats = monte_carlo_run(scen, estimator=cell["estimator"])
         ok = np.isfinite(stats.e_t)
@@ -311,8 +307,6 @@ def cmd_simulate(args) -> int:
 
 
 def _csv_num(x) -> str:
-    if x is None:
-        return "nan"
     x = float(x)
     return "nan" if math.isnan(x) else repr(x)
 
@@ -322,27 +316,22 @@ def cmd_fim(args) -> int:
     kappa_threshold = DEFAULT_KAPPA_THRESHOLD
     if args.scenario:
         if args.config:
-            raise CliError("--config applies to --odom-a/--odom-b/--ranges, not to --scenario", EXIT_PARSE)
-        cfg = iof.load_config(args.scenario, set(SIM_DEFAULTS), SIM_DEFAULTS)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        scen = _scenario_from_config(cfg)
-        _, dataset = trial_data(scen, 0)
-        meta = {"source": "scenario", "config": cfg, "config_hash": iof.config_hash(cfg)}
+            raise iof.ParseError("--config applies to --odom-a/--odom-b/--ranges, not to --scenario")
+        cfg = _config(args.scenario, SIM_DEFAULTS, args)
+        _, dataset = trial_data(_scenario_from_config(cfg), 0)
     else:
         if not (args.odom_a and args.odom_b and args.ranges):
-            raise CliError("either --scenario or --odom-a/--odom-b/--ranges required", EXIT_PARSE)
-        cfg = _estimate_config(args.config)
-        if args.sigma_r is not None:
-            cfg["sigma_r_m"] = args.sigma_r
+            raise iof.ParseError("either --scenario or --odom-a/--odom-b/--ranges required")
+        cfg = _config(args.config, ESTIMATE_DEFAULTS, args)
         _, dataset, _ = _ingest(args, cfg)
         kappa_threshold = cfg["kappa_threshold"]
-        meta = {"source": "logs", "config": cfg, "config_hash": iof.config_hash(cfg)}
 
     info = fim(theta, dataset)
     payload = {
         "command": "fim",
-        **meta,
+        "source": "scenario" if args.scenario else "logs",
+        "config": cfg,
+        "config_hash": iof.config_hash(cfg),
         "k": len(dataset),
         "theta": {"t_m": theta.t, "theta_rad": theta.theta},
         "F": info.F[0],
@@ -365,38 +354,20 @@ def cmd_fim(args) -> int:
 
 
 def cmd_drift(args) -> int:
-    cfg = iof.load_config(args.config, set(DRIFT_DEFAULTS), DRIFT_DEFAULTS)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.estimator:
-        cfg["estimator"] = args.estimator
-    if cfg["estimator"] not in ESTIMATORS:
-        raise CliError(f"unknown estimator {cfg['estimator']!r}", EXIT_PARSE)
-    if cfg["sigma_theta_rad"] is not None and cfg["sigma_theta_deg"] is not None:
-        raise iof.ParseError("specify only one of sigma_theta_rad / sigma_theta_deg")
-    if cfg["sigma_theta_deg"] is not None:
-        sigma_theta = math.radians(cfg["sigma_theta_deg"])
-    else:
-        sigma_theta = cfg["sigma_theta_rad"] if cfg["sigma_theta_rad"] is not None else 0.1
-
+    cfg = _config(args.config, DRIFT_DEFAULTS, args)
     drift = DriftConfig(
+        d0=cfg["d0_m"],
+        sigma_r=cfg["sigma_r_m"],
+        sigma_o=cfg["sigma_o_m"],
+        seed=cfg["seed"],
         sigma_t=cfg["sigma_t_m"],
-        sigma_theta=sigma_theta,
+        sigma_theta=cfg["sigma_theta_rad"],
         duration=cfg["duration_s"],
         window=cfg["window"],
         rate=cfg["rate_hz"],
         stride=cfg["stride"],
     )
-    scen = ScenarioConfig(
-        d0=cfg["d0_m"],
-        n_poses=1,
-        sigma_r=cfg["sigma_r_m"],
-        sigma_o=cfg["sigma_o_m"],
-        trials=1,
-        seed=cfg["seed"],
-        drift=drift,
-    )
-    result = drift_scenario(scen, estimator=cfg["estimator"])
+    result = drift_scenario(drift, estimator=cfg["estimator"])
     track = result.windows
     windows = []
     columns = (track.t_end, track.skipped, track.kappa, track.estimate, track.cost)
@@ -448,11 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--odom-a")
     pf.add_argument("--odom-b")
     pf.add_argument("--ranges")
-    # an `estimate` config: its lever arms, sigma_r_m, d0 keys and
+    # an `estimate` config: its lever arms, sigma_r_m, d0_m and
     # kappa_threshold apply to the logs (the estimator and outlier keys
     # do not apply to an information analysis)
     pf.add_argument("--config")
-    pf.add_argument("--sigma-r", type=float, help="overrides the config's sigma_r_m (default 0.1)")
     pf.add_argument("--scenario")
     pf.add_argument("--seed", type=int)
     pf.add_argument("--theta", type=float, nargs=4, required=True, metavar=("TX", "TY", "TZ", "YAW"))
@@ -479,19 +449,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except iof.ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (NoOverlapError, InsufficientDataError, SingularGeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (DegenerateSolutionError, HeadingUndefinedError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:
+    except ValueError as exc:  # iof.ParseError, or a config value that a constructor rejects
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -121,9 +121,10 @@ SDP_MAX_ITER = 200
 
 
 class DegenerateSolutionError(RuntimeError):
-    """No estimate can be read off a solution: the SDP relaxation ended
-    other than optimal, rank-one recovery failed (non-positive spectrum or
-    vanished scale), or every refinement start diverged."""
+    """No estimate can be read off a solution: the lifted cost P0 is not
+    finite, the SDP relaxation ended other than optimal, rank-one recovery
+    failed (non-positive spectrum or vanished scale), or every refinement
+    start diverged."""
 
 
 class HeadingUndefinedError(RuntimeError):
@@ -238,7 +239,9 @@ def assemble_qcqp(data: SyncedDataset | SyncedStack) -> QcqpProblem:
     A dataset gives the one problem of `data.stack()`, without the
     leading axis: B has one row per range, plus a last row for d0 when d0
     is not the first range. Each problem of a stack is, bit for bit, the
-    one its own stack of one gives.
+    one its own stack of one gives. From ranges near 1e152 m, the weighted
+    products of B's d^2 terms overflow P0, silently: the point stages fail
+    such a problem on its own (`_sweep_stack`, `_sdp_points`).
     """
     stack = data.stack() if isinstance(data, SyncedDataset) else data
     if stack.d.shape[1] < 1:
@@ -246,8 +249,9 @@ def assemble_qcqp(data: SyncedDataset | SyncedStack) -> QcqpProblem:
     stats = debias_squared(stack)
     w = 1.0 / stats.sigma_s_diag
     B = build_data_rows(stack.pa, stack.pb, stats.s)
-    P0 = (B * w[..., None]).swapaxes(-1, -2) @ B
-    P0 = 0.5 * (P0 + P0.swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        P0 = (B * w[..., None]).swapaxes(-1, -2) @ B
+        P0 = 0.5 * (P0 + P0.swapaxes(-1, -2))
     if stack is data:
         return QcqpProblem(P0=P0, B=B, weights=w, d0=stack.d0)
     return QcqpProblem(P0=P0[0], B=B[0], weights=w[0], d0=None if stack.d0 is None else stack.d0[0])
@@ -719,18 +723,29 @@ def _secular_root(e, d1, d2, beta, two_w, half_w, x_top) -> tuple:
 
 
 def _sweep_stack(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """`_sweep` over a stack of W >= 1 problems in chunks of SWEEP_CHUNK.
+    """`_sweep` over the problems of a stack of W >= 1 whose P0 is finite,
+    in chunks of SWEEP_CHUNK.
 
     The chunks cap the sweep's temporaries, (W, 72) planes that grow with
     the number of problems (see SWEEP_CHUNK). Each problem's result does
     not depend on the others in its chunk, bit for bit (see `_sweep`), and
-    the sweep never raises. Also returns {problem index:
-    DegenerateSolutionError} for the problems with no finite grid cost (a
-    non-finite problem among them); they have no candidate.
+    the sweep never raises. A problem whose P0 is not finite is not swept,
+    so its arithmetic cannot overflow. Also returns {problem index:
+    DegenerateSolutionError} for the problems without a candidate: those
+    not swept, and those with no finite grid cost.
     """
-    parts = [_sweep(P0[lo : lo + SWEEP_CHUNK]) for lo in range(0, len(P0), SWEEP_CHUNK)]
-    t, heading, count = (np.concatenate(a) for a in zip(*parts))
-    errors = {int(i): DegenerateSolutionError("no grid heading has a finite cost") for i in np.flatnonzero(count == 0)}
+    W = len(P0)
+    finite = np.isfinite(P0).all(axis=(1, 2))
+    swept = P0[finite]
+    parts = [_sweep(swept[lo : lo + SWEEP_CHUNK]) for lo in range(0, len(swept), SWEEP_CHUNK)]
+    t, heading = np.zeros((W, SWEEP_CANDIDATES, 3)), np.zeros((W, SWEEP_CANDIDATES), dtype=np.intp)
+    count = np.zeros(W, dtype=np.intp)
+    if parts:
+        t[finite], heading[finite], count[finite] = (np.concatenate(a) for a in zip(*parts))
+    errors = {
+        i: DegenerateSolutionError("no grid heading has a finite cost" if finite[i] else "the lifted cost is not finite")
+        for i in np.flatnonzero(count == 0).tolist()
+    }
     return t, heading, count, errors
 
 
@@ -772,27 +787,37 @@ def _sdp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dict
     """Point stage of `sdp` for a stack of W problems: the relaxation
     alone, read off without refinement. `starts` is ignored.
 
-    One assembly, then one `sdp_solve` call relaxes every problem, and one
-    batched eigh of the X stack gives each its rank-one state
-    (`_rank_one_states`) and heading (`_headings`), which
+    One assembly, then one `sdp_solve` call relaxes every problem whose P0
+    is finite, and one batched eigh of the X stack gives each its rank-one
+    state (`_rank_one_states`) and heading (`_headings`), which
     `recover_rank_one` and `extract_transform` read the same way, rank_x
-    and lambda_ratio. Returns the estimates (W, 4), the solver scalars
-    (iterations, status, gap, rank_x, lambda_ratio, final_cost, wall_ms),
-    one (W,) array each, and {problem index: error} for every problem
-    whose relaxation ended other than optimal (DegenerateSolutionError)
-    or whose rank-one state has no heading; their rows are NaN.
+    and lambda_ratio. A problem whose P0 is not finite is not relaxed: its
+    X stays zero and its status reads "not_finite". Returns the estimates
+    (W, 4), the solver scalars (iterations, status, gap, rank_x,
+    lambda_ratio, final_cost, wall_ms), one (W,) array each, and
+    {problem index: error} for every problem not relaxed or whose
+    relaxation ended other than optimal (DegenerateSolutionError), or
+    whose rank-one state has no heading; their rows are NaN.
     """
     problem = assemble_qcqp(stack)
+    W = len(stack.d)
+    relaxed = np.isfinite(problem.P0).all(axis=(1, 2))
     start = time.perf_counter()
-    X, diag = solve_sdp_relaxation(problem)
+    X, iterations = np.zeros((W, 9, 9)), np.zeros(W, dtype=int)
+    status, gap = np.full(W, "not_finite", dtype=object), np.full(W, math.nan)
+    if relaxed.any():
+        d0 = None if problem.d0 is None else problem.d0[relaxed]
+        X[relaxed], diag = solve_sdp_relaxation(QcqpProblem(problem.P0[relaxed], problem.B[relaxed], problem.weights[relaxed], d0))
+        iterations[relaxed], status[relaxed], gap[relaxed] = diag.iterations, diag.status, diag.gap
     lam, Q = np.linalg.eigh(X)
     lam = np.maximum(lam[:, ::-1], 0.0)
     rank = np.sum(lam > 1e-6 * lam[:, :1], axis=1)
-    W = len(X)
     wall_ms = (time.perf_counter() - start) * 1e3 / W
     errors = {
-        i: DegenerateSolutionError(f"SDP relaxation ended {diag.status[i]} after {diag.iterations[i]} iterations")
-        for i in np.flatnonzero(diag.status != "optimal").tolist()
+        i: DegenerateSolutionError(
+            f"SDP relaxation ended {status[i]} after {iterations[i]} iterations" if relaxed[i] else "the lifted cost is not finite"
+        )
+        for i in np.flatnonzero(status != "optimal").tolist()
     }
     x, degenerate = _rank_one_states(lam[:, 0], Q[:, :, -1])
     theta, undefined = _headings(x)
@@ -803,13 +828,15 @@ def _sdp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dict
         lambda_ratio = lam[:, 1] / lam[:, 0]
     estimates = np.column_stack((x[:, :3], wrap_angle(theta)))
     estimates[list(errors)] = math.nan
+    final_cost = np.full(W, math.nan)
+    final_cost[relaxed] = _lifted_cost(problem.P0[relaxed], estimates[relaxed])
     scalars = {
-        "iterations": diag.iterations,
-        "status": diag.status,
-        "gap": diag.gap,
+        "iterations": iterations,
+        "status": status,
+        "gap": gap,
         "rank_x": rank,
         "lambda_ratio": lambda_ratio,
-        "final_cost": _lifted_cost(problem.P0, estimates),
+        "final_cost": final_cost,
         "wall_ms": np.full(W, wall_ms),
     }
     return estimates, scalars, errors
@@ -1061,18 +1088,14 @@ def sliding_window_estimate(
     )
 
 
-def align_target_trajectory(
-    stream: SyncedDataset,
-    track: WindowTrack,
-    initial: Optional[Transform4DoF] = None,
-) -> np.ndarray:
+def align_target_trajectory(stream: SyncedDataset, track: WindowTrack) -> np.ndarray:
     """Target positions mapped into the host frame, shape (k, 3).
 
     Each sample uses the most recent completed (non-skipped) window
-    estimate of the track; samples before the first estimate fall back to
-    `initial` (NaN rows when no fallback is given). One `searchsorted`
-    over the sorted window stops picks every sample's estimate, and one
-    batched rotation maps all samples.
+    estimate of the track; a sample before the first estimate has none,
+    and its row is NaN. One `searchsorted` over the sorted window stops
+    picks every sample's estimate, and one batched rotation maps all
+    samples.
     """
     kept = ~track.skipped
     order = np.argsort(track.stop[kept], kind="stable")
@@ -1080,12 +1103,10 @@ def align_target_trajectory(
     # of windows ending together, the last one in the track holds
     first = np.maximum(track.stop[kept][order] - 1, 0)
     current = np.searchsorted(first, np.arange(len(stream)), side="right")  # 0: before every estimate
-    # (t, cos, sin) of each estimate, row 0 the fallback, NaN for a missing
-    # `initial`; math.cos and math.sin round as Transform4DoF.rotation does
+    # (t, cos, sin) of each estimate after a NaN row 0, the samples before
+    # every estimate; math.cos and math.sin round as Transform4DoF.rotation does
     estimates = track.estimate[kept][order]
     params = np.full((len(estimates) + 1, 5), math.nan)
-    if initial is not None:
-        params[0] = [*initial.t.tolist(), math.cos(initial.theta), math.sin(initial.theta)]
     params[1:, :3] = estimates[:, :3]
     params[1:, 3] = [math.cos(th) for th in estimates[:, 3].tolist()]
     params[1:, 4] = [math.sin(th) for th in estimates[:, 3].tolist()]

@@ -330,7 +330,6 @@ def ingest_logs(
     arm_b: LeverArm = LeverArm(),
     sigma_r: float = 0.1,
     d0: Optional[float] = None,
-    use_first_range_as_d0: bool = True,
 ) -> tuple[SyncedDataset, int]:
     """Synchronize a range log against both odometry logs.
 
@@ -340,10 +339,10 @@ def ingest_logs(
     are dropped (no extrapolation). The logs must satisfy the contracts
     that `odometry_log` and `range_log` check.
 
-    With use_first_range_as_d0 and no explicit d0, the first synced range
-    becomes d0 only when both first antenna positions are exactly at their
-    frame origins, the one case where a range measures ||t||; otherwise d0
-    stays unset and the first range is only a row of the range model.
+    Without an explicit d0 (m), the first synced range becomes d0 only
+    when both first antenna positions are exactly at their frame origins,
+    the one case where a range measures ||t||; otherwise d0 stays unset
+    and the first range is only a row of the range model.
 
     Returns (dataset, n_dropped). Raises NoOverlapError when no range
     falls inside the common odometry window.
@@ -361,7 +360,7 @@ def ingest_logs(
         p, q = poses_at(odom, t)
         antennas.append(p + quat_to_matrix(q) @ arm.r)
     pa, pb = antennas
-    if d0 is None and use_first_range_as_d0 and at_frame_origins(pa[0], pb[0]):
+    if d0 is None and at_frame_origins(pa[0], pb[0]):
         d0 = float(d[0])
     dataset = SyncedDataset(t=t, d=d, pa=pa, pb=pb, sigma_r=max(sigma_r, SIGMA_R_FLOOR), d0=d0)
     return dataset, len(ranges) - len(t)

@@ -38,25 +38,44 @@ from .measurement import SIGMA_R_FLOOR, SyncedDataset, SyncedStack
 SCENARIO_KINDS = ("parallel", "planar_linear", "static_target", "static_host")
 
 
+def _check_scenario(d0, **levels) -> None:
+    """The checks a Monte-Carlo cell and a drift run share: d0 (m) positive
+    and finite, and each noise or walk level nonnegative and finite."""
+    if not (isinstance(d0, numbers.Real) and 0 < d0 < math.inf):
+        raise ValueError(f"d0 must be positive and finite, got {d0!r}")
+    for name, value in levels.items():
+        if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+            raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DriftConfig:
-    """Random-walk drift on the true transform.
+    """A drift run's whole config (`drift_scenario`).
 
-    sigma_t (m) and sigma_theta (rad) are per-sqrt-second random-walk
-    intensities on the translation axes and the heading. The stream has
-    round(duration * rate) samples, at least one window of `window` >= 10
-    samples; a window starts every `stride` >= 1 samples, or every
-    `window` when stride is None.
+    The truth starts at ||t|| = d0 (m) and random-walks: sigma_t (m) and
+    sigma_theta (rad) are per-sqrt-second intensities on the translation
+    axes and the heading. Ranges carry Gaussian noise sigma_r (m) and the
+    odometry positions sigma_o (m) per axis; `seed` keys the run's
+    generator. The stream has round(duration * rate) samples, at least one
+    window of `window` >= 10 samples; a window starts every `stride` >= 1
+    samples, or every `window` when stride is None.
     """
 
+    d0: float = 15.0
+    sigma_r: float = 0.1
+    sigma_o: float = 0.001
+    seed: int = 0
     sigma_t: float = 0.1
     sigma_theta: float = 0.1
     duration: float = 600.0
     window: int = 50
-    rate: float = 10.0
+    rate: float = 25.0
     stride: Optional[int] = None
 
     def __post_init__(self):
+        _check_scenario(
+            self.d0, sigma_r=self.sigma_r, sigma_o=self.sigma_o, sigma_t=self.sigma_t, sigma_theta=self.sigma_theta
+        )
         if not _is_int(self.window) or self.window < 10:
             raise ValueError(f"window must be an integer >= 10, got {self.window!r}")
         if self.stride is not None and (not _is_int(self.stride) or self.stride < 1):
@@ -76,6 +95,12 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
+    """A Monte-Carlo cell (`monte_carlo_run`): `trials` truths with ||t||
+    = d0 (m), drawn from the substreams of `seed`, each with two walks of
+    n_poses samples, one a second, inside a ball of radius D (m), antennas
+    at `lever_arms` (host, target), range noise sigma_r (m) and odometry
+    noise sigma_o (m) per axis."""
+
     d0: float = 3.0
     D: float = 1.0
     n_poses: int = 20
@@ -84,14 +109,11 @@ class ScenarioConfig:
     trials: int = 100
     seed: int = 0
     lever_arms: tuple = (LeverArm(), LeverArm())
-    drift: Optional[DriftConfig] = None
-    dt: float = 1.0
 
     def __post_init__(self):
-        if not (self.d0 > 0 and self.D > 0):
-            raise ValueError("d0 and D must be positive")
-        if self.sigma_r < 0 or self.sigma_o < 0:
-            raise ValueError("noise levels must be nonnegative")
+        _check_scenario(self.d0, sigma_r=self.sigma_r, sigma_o=self.sigma_o)
+        if not self.D > 0:
+            raise ValueError("D must be positive")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -215,7 +237,7 @@ def generate_trajectory(
 
     Gaussian steps reflected at the ball boundary, random headings.
     Returns positions, shape (n_poses, 3), and headings, shape (n_poses,);
-    sample i is taken at i * dt of the scenario. D -> 0 degenerates to a
+    sample i is taken at i seconds. D -> 0 degenerates to a
     parked agent. The draws stay scalar and in the order heading, step,
     then a reflection fraction only when one is needed, so a seed gives
     the same walk whatever the batch size. The heading is drawn as
@@ -245,8 +267,8 @@ def synthesize_measurements(
 ) -> SyncedDataset | SyncedStack:
     """Noisy synced dataset from ground-truth trajectories.
 
-    Each trajectory is (positions (n, 3), headings (n,)), sampled every
-    cfg.dt seconds. Ranges come from the true antenna geometry plus
+    Each trajectory is (positions (n, 3), headings (n,)), sample i taken
+    at i seconds. Ranges come from the true antenna geometry plus
     Gaussian range noise; the recorded antenna positions come from
     odometry perturbed by per-axis Gaussian noise, as an estimator would
     see them. The first noisy range is recorded as the inter-origin
@@ -265,7 +287,7 @@ def synthesize_measurements(
     if isinstance(T_true, Transform4DoF):
         T_true = T_true.t[None], np.array([T_true.theta])
         traj_a, traj_b = ((p[None], yaw[None]) for p, yaw in (traj_a, traj_b))
-        return _trial_dataset(synthesize_measurements(T_true, traj_a, traj_b, cfg, [rng]), 0, cfg.dt)
+        return _trial_dataset(synthesize_measurements(T_true, traj_a, traj_b, cfg, [rng]), 0)
     t, theta = T_true
     n = min(traj_a[1].shape[1], traj_b[1].shape[1])
     positions, yaws = (np.stack((a[:, :n], b[:, :n])) for a, b in zip(traj_a, traj_b))
@@ -289,11 +311,11 @@ def synthesize_measurements(
     return SyncedStack(d=d_meas, pa=pa, pb=pb, sigma_r=max(cfg.sigma_r, SIGMA_R_FLOOR), d0=d0)
 
 
-def _trial_dataset(cell: SyncedStack, i: int, dt: float) -> SyncedDataset:
-    """Trial i of a cell as a dataset sampled every dt seconds. A cell's d0
+def _trial_dataset(cell: SyncedStack, i: int) -> SyncedDataset:
+    """Trial i of a cell as a dataset, sample j taken at j seconds. A cell's d0
     is its first range, so the dataset's `stack()` has the trial's rows."""
     d0 = None if cell.d0 is None else float(cell.d0[i])
-    t = np.arange(cell.d.shape[1]) * dt
+    t = np.arange(cell.d.shape[1], dtype=float)
     return SyncedDataset(t=t, d=cell.d[i], pa=cell.pa[i], pb=cell.pb[i], sigma_r=cell.sigma_r, d0=d0)
 
 
@@ -370,7 +392,7 @@ def trial_data(cfg: ScenarioConfig, trials: int | Sequence[int]) -> tuple:
     if isinstance(trials, numbers.Integral):
         (t, theta), cell = trial_data(cfg, range(trials, trials + 1))
         # theta is already wrapped, and wrapping a wrapped heading leaves its bits
-        return Transform4DoF(t=t[0], theta=theta[0]), _trial_dataset(cell, 0, cfg.dt)
+        return Transform4DoF(t=t[0], theta=theta[0]), _trial_dataset(cell, 0)
     rngs = [trial_rng(cfg.seed, i) for i in trials]
     directions, norms, headings, walk_a, walk_b = [], [], [], [], []
     for rng in rngs:
@@ -437,7 +459,7 @@ class DriftResult:
     windows: WindowTrack
 
 
-def _drift_truth_series(cfg: ScenarioConfig, n: int, dt: float, rng) -> tuple[Transform4DoF, np.ndarray, np.ndarray]:
+def _drift_truth_series(cfg: DriftConfig, n: int, dt: float, rng) -> tuple[Transform4DoF, np.ndarray, np.ndarray]:
     """Initial transform plus its random-walk perturbation over time.
 
     Returns T0, the translations, shape (n, 3), and the headings, shape
@@ -446,11 +468,10 @@ def _drift_truth_series(cfg: ScenarioConfig, n: int, dt: float, rng) -> tuple[Tr
     sequence as a loop of float additions does; the headings are wrapped
     into [-pi, pi) once, after the sum.
     """
-    drift = cfg.drift
     T0 = sample_ground_truth(cfg.d0, rng)
     noise = rng.standard_normal((n, 4))
-    sig_t = drift.sigma_t * math.sqrt(dt)
-    sig_th = drift.sigma_theta * math.sqrt(dt)
+    sig_t = cfg.sigma_t * math.sqrt(dt)
+    sig_th = cfg.sigma_theta * math.sqrt(dt)
     t = np.cumsum(np.vstack([T0.t, sig_t * noise[:-1, :3]]), axis=0)[:n]
     theta = np.cumsum(np.append(T0.theta, sig_th * noise[:-1, 3]))
     return T0, t, wrap_angle(theta)
@@ -462,24 +483,21 @@ def _sinuous(t, amplitudes, freqs, phases):
     )
 
 
-def drift_scenario(
-    cfg: ScenarioConfig,
-    estimator: str = "qcqp",
-) -> DriftResult:
-    """Long-duration run with a drifting true transform.
+def drift_scenario(cfg: DriftConfig, estimator: str = "qcqp") -> DriftResult:
+    """Long-duration run with a drifting true transform, all of it set by
+    `cfg`.
 
     The host holds accurate localization and flies a sinuous 3D pattern;
     the target scans a larger area while its odometry registration
     random-walks away from the world frame. A sliding-window estimator
     re-aligns the target trajectory; the no-correction baseline keeps the
-    initial registration for the whole run.
+    initial registration for the whole run. Samples before the first
+    estimated window have no corrected position, and both RMSEs are taken
+    over the samples that have one.
     """
-    if cfg.drift is None:
-        raise ValueError("drift configuration required")
-    drift = cfg.drift
     rng = trial_rng(cfg.seed, 0)
-    dt = 1.0 / drift.rate
-    n = int(round(drift.duration * drift.rate))
+    dt = 1.0 / cfg.rate
+    n = int(round(cfg.duration * cfg.rate))
     t_axis = np.arange(n) * dt
 
     T0, t_true, theta_true = _drift_truth_series(cfg, n, dt, rng)
@@ -499,7 +517,7 @@ def drift_scenario(
     target_local = _sinuous(
         t_axis,
         amplitudes=(6.0, 5.0, 1.5),
-        freqs=(2.5 / drift.duration, 4.0 / drift.duration, 0.05),
+        freqs=(2.5 / cfg.duration, 4.0 / cfg.duration, 0.05),
         phases=(0.3, 1.9, 0.7),
     ) + _sinuous(
         t_axis,
@@ -518,13 +536,8 @@ def drift_scenario(
     pb = pb_true + cfg.sigma_o * rng.standard_normal((n, 3)) if cfg.sigma_o > 0 else pb_true
     stream = SyncedDataset(t=t_axis, d=d_meas, pa=pa, pb=pb, sigma_r=max(cfg.sigma_r, SIGMA_R_FLOOR))
 
-    windows = sliding_window_estimate(
-        stream,
-        window=drift.window,
-        stride=drift.stride,
-        estimator=estimator,
-    )
-    aligned = align_target_trajectory(stream, windows, initial=None)
+    windows = sliding_window_estimate(stream, window=cfg.window, stride=cfg.stride, estimator=estimator)
+    aligned = align_target_trajectory(stream, windows)
 
     nc = apply_transform(T0, stream.pb)
     nc_err = np.linalg.norm(nc - target_world, axis=1)

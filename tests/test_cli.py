@@ -213,7 +213,9 @@ class TestEstimateCommand:
     @pytest.mark.parametrize(
         "extra", [{"outlier_mode": "absolute"}, {"outlier_mode": "increase"}, {"outlier_mode": "gate"},
                   {"outlier_window": 20}, {"outlier_threshold_m2": 0.005},
-                  {"excitation_var_m2": 0.05}, {"excitation_n": 100}]
+                  {"excitation_var_m2": 0.05}, {"excitation_n": 100},
+                  # the first range is d0 whenever both first antennas sit at their frame origins
+                  {"use_first_range_as_d0": True}, {"use_first_range_as_d0": False}]
     )
     def test_removed_or_unknown_outlier_options_rejected(self, tmp_path, extra):
         pa, pb, ranges, _ = synthetic_logs(tmp_path, seed=4)
@@ -445,6 +447,14 @@ class TestFimCommand:
         good = write_json(tmp_path / "good.json", {"lever_arm_a_m": [0.1, 0.0, 0.0]})
         assert main(["fim", "--scenario", scen, "--config", good, "--theta", *theta, "--out", out]) == 2
 
+    def test_sigma_r_option_removed(self, tmp_path):
+        # the range noise of logs is the config's sigma_r_m, with no second knob
+        pa, pb, ranges, T = synthetic_logs(tmp_path, n=10, seed=14)
+        with pytest.raises(SystemExit) as exc:
+            main(["fim", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--sigma-r", "0.05",
+                  "--theta", *[str(v) for v in T.as_vector()], "--out", str(tmp_path / "fim.json")])
+        assert exc.value.code == 2
+
     def test_parallel_scenario_flagged(self, tmp_path):
         # build parallel-motion logs directly
         rng = np.random.default_rng(12)
@@ -487,7 +497,7 @@ class TestDriftCommand:
     def test_drift_improvement_and_window_status(self, tmp_path):
         cfg = write_json(
             tmp_path / "cfg.json",
-            {"sigma_t_m": 0.05, "sigma_theta_deg": 0.05, "duration_s": 60.0, "window": 50, "rate_hz": 10.0, "seed": 14},
+            {"sigma_t_m": 0.05, "sigma_theta_rad": math.radians(0.05), "duration_s": 60.0, "window": 50, "rate_hz": 10.0, "seed": 14},
         )
         out = str(tmp_path / "drift.json")
         assert main(["drift", "--config", cfg, "--out", out]) == 0
@@ -496,17 +506,10 @@ class TestDriftCommand:
         statuses = {w["status"] for w in rep["windows"]}
         assert statuses <= {"estimated", "skipped"}
 
-    def test_both_units_rejected(self, tmp_path):
-        cfg = write_json(
-            tmp_path / "cfg.json",
-            {"sigma_theta_rad": 0.1, "sigma_theta_deg": 0.1, "duration_s": 10.0},
-        )
-        rc = main(["drift", "--config", cfg, "--out", str(tmp_path / "d.json")])
-        assert rc == 2
-
-    @pytest.mark.parametrize("extra", [{"radius_m": 2.0}, {"sigma_theta": 0.1}])
+    @pytest.mark.parametrize("extra", [{"radius_m": 2.0}, {"sigma_theta": 0.1}, {"sigma_theta_deg": 5.0}])
     def test_removed_or_unknown_keys_rejected(self, tmp_path, extra):
-        # radius_m never reached the drift scenario; a config that still sets it fails loudly
+        # radius_m never reached the drift scenario, and the heading walk is
+        # set in radians only; a config that still sets either fails loudly
         cfg = write_json(tmp_path / "cfg.json", {"duration_s": 10.0, **extra})
         assert main(["drift", "--config", cfg, "--out", str(tmp_path / "d.json")]) == 2
 
@@ -523,15 +526,20 @@ class TestDriftCommand:
         cfg = write_json(tmp_path / "cfg.json", bad)
         assert main(["drift", "--config", cfg, "--out", str(tmp_path / "d.json")]) == 2
 
-    def test_theta_units_agree(self, tmp_path):
-        reports = []
-        for key, value in (("sigma_theta_deg", 5.0), ("sigma_theta_rad", math.radians(5.0))):
-            cfg = write_json(tmp_path / f"{key}.json", {key: value, "duration_s": 20.0, "rate_hz": 10.0, "seed": 4})
-            out = str(tmp_path / f"{key}_report.json")
-            assert main(["drift", "--config", cfg, "--out", out]) == 0
-            reports.append(read_json(out))
-        deg, rad = ({k: v for k, v in rep.items() if k not in ("config", "config_hash")} for rep in reports)
-        assert deg == rad
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"duration_s": 12.0, "sigma_t_m": -0.1, "sigma_theta_rad": -0.1, "seed": 3},
+            {"duration_s": 12.0, "sigma_t_m": -0.1},
+            {"duration_s": 12.0, "sigma_theta_rad": -0.1},
+            {"duration_s": 12.0, "sigma_t_m": math.inf},
+            {"duration_s": 12.0, "sigma_theta_rad": math.nan},
+            {"duration_s": 12.0, "sigma_theta_rad": None},  # no hidden default behind null
+        ],
+    )
+    def test_negative_or_non_finite_walk_rejected(self, tmp_path, bad):
+        cfg = write_json(tmp_path / "cfg.json", bad)
+        assert main(["drift", "--config", cfg, "--out", str(tmp_path / "d.json")]) == 2
 
     def test_every_window_carries_its_kappa(self, tmp_path):
         from range_rte.estimators import WINDOW_KAPPA_LIMIT

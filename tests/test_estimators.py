@@ -1149,12 +1149,13 @@ class TestNls:
         assert rep.solver["iterations"] > 100
 
 
-def per_sample_alignment(stream, track, initial):
+def per_sample_alignment(stream, track):
     """Reference of `align_target_trajectory`: each sample mapped by the
     latest non-skipped window ending at or before it, one sample at a time;
-    of windows ending together, the last one in the track."""
+    of windows ending together, the last one in the track. A sample before
+    every estimate stays NaN."""
     done = sorted((i for i in range(len(track)) if not track.skipped[i]), key=lambda i: track.stop[i])
-    ref, current, j = np.full((len(stream), 3), np.nan), initial, 0
+    ref, current, j = np.full((len(stream), 3), np.nan), None, 0
     for i in range(len(stream)):
         while j < len(done) and track.stop[done[j]] <= i + 1:
             current = Transform4DoF(t=track.estimate[done[j], :3], theta=track.estimate[done[j], 3])
@@ -1212,8 +1213,7 @@ class TestSlidingWindow:
             return sliding_window_estimate(stream, **kwargs)
 
         monkeypatch.setattr(simulation, "sliding_window_estimate", recording)
-        dc = DriftConfig(duration=30.0, rate=25.0)
-        cfg = ScenarioConfig(d0=15.0, D=2.0, n_poses=1, sigma_r=0.1, sigma_o=0.001, trials=1, seed=seed, drift=dc)
+        cfg = DriftConfig(d0=15.0, sigma_r=0.1, sigma_o=0.001, seed=seed, duration=30.0, rate=25.0)
         track = simulation.drift_scenario(cfg).windows
         prev, checked = None, 0
         for i, (a, b) in enumerate(zip(track.start.tolist(), track.stop.tolist())):
@@ -1260,13 +1260,12 @@ class TestSlidingWindow:
             if not track.skipped[i]:
                 prev = ref.theta_hat
 
-    @pytest.mark.parametrize("initial", [None, Transform4DoF(t=[1.0, 2.0, 0.5], theta=0.3)])
-    def test_alignment_equals_per_sample_reference(self, initial):
+    def test_alignment_equals_per_sample_reference(self):
         _, stream = self._constant_truth_stream(33, n=200)
         track = sliding_window_estimate(stream, window=50, stride=30)
-        got = align_target_trajectory(stream, track, initial=initial)
-        ref = per_sample_alignment(stream, track, initial)
-        assert np.isnan(ref).any() == (initial is None)
+        got = align_target_trajectory(stream, track)
+        ref = per_sample_alignment(stream, track)
+        assert np.isnan(ref).any()  # the samples before the first estimate
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=8 * np.finfo(float).eps * np.nanmax(np.abs(ref)))
 
     @settings(max_examples=150, deadline=None)
@@ -1299,10 +1298,9 @@ class TestSlidingWindow:
             crlb=np.zeros((W, 4, 4)),
             skipped=skipped,
         )
-        initial = random_transform(rng) if data.draw(st.booleans(), label="has_initial") else None
         stream = SyncedDataset(t=np.arange(float(n)), d=np.ones(n), pa=np.zeros((n, 3)), pb=rng.normal(0.0, 10.0, (n, 3)), sigma_r=0.1)
-        got = align_target_trajectory(stream, track, initial=initial)
-        ref = per_sample_alignment(stream, track, initial)
+        got = align_target_trajectory(stream, track)
+        ref = per_sample_alignment(stream, track)
         assert got.shape == (n, 3)
         assert np.array_equal(np.isnan(got), np.isnan(ref))
         scale = np.nanmax(np.abs(ref), initial=1.0)

@@ -70,9 +70,9 @@ class TestTrajectory:
         assert np.array_equal(p1, p2) and np.array_equal(y1, y2)
 
     def test_timestamps_uniform(self):
-        # sample i of a trajectory is taken at i * dt of the scenario
-        _, ds = trial_data(ScenarioConfig(n_poses=8, dt=0.5, trials=1, seed=6), 0)
-        assert ds.t.tolist() == [0.5 * i for i in range(8)]
+        # sample i of a trajectory is taken at i seconds
+        _, ds = trial_data(ScenarioConfig(n_poses=8, trials=1, seed=6), 0)
+        assert ds.t.tolist() == [float(i) for i in range(8)]
 
 
 class TestWalkDraws:
@@ -136,7 +136,7 @@ class TestArraysEqualPerStepReference:
 
     @pytest.mark.parametrize("seed", range(1, 4))
     def test_drift_truth_series(self, seed):
-        cfg = ScenarioConfig(d0=15.0, seed=seed, drift=DriftConfig(sigma_t=0.1, sigma_theta=0.1))
+        cfg = DriftConfig(d0=15.0, seed=seed, sigma_t=0.1, sigma_theta=0.1)
         n, dt = 500, 0.04
         T0, t, theta = _drift_truth_series(cfg, n, dt, trial_rng(seed, 0))
         rng = trial_rng(seed, 0)
@@ -287,6 +287,16 @@ class TestMonteCarlo:
         stats = monte_carlo_run(cfg, estimator="qcqp")
         assert len(stats.e_t) == 3
 
+    @pytest.mark.parametrize("estimator", ["qcqp", "sdp"])
+    def test_overflowing_lifted_cost_is_a_failed_trial(self, estimator):
+        # d0 1e153 m: every range is admitted, but the weighted products of
+        # its d^2 terms overflow P0; each trial fails on its own, without a
+        # floating-point warning (pytest turns one into an error)
+        cfg = ScenarioConfig(d0=1e153, sigma_r=0.01, trials=3, seed=1)
+        stats = monte_carlo_run(cfg, estimator=estimator)
+        assert stats.failures == tuple(f"trial {i}: DegenerateSolutionError: the lifted cost is not finite" for i in range(3))
+        assert np.isnan(stats.e_t).all() and np.isnan(stats.e_theta).all()
+
     def test_diverged_nls_refinement_is_a_failed_trial(self):
         # d0 1e153 m: every nls refinement from zero ends non_finite, which
         # leaves no estimate, so each trial fails and has no error
@@ -336,8 +346,8 @@ def reference_cell(cfg, estimator):
 
 
 def spoil_trials(monkeypatch):
-    """Ranges of trial 1 scaled by 1e153 (the sweep has no finite grid cost)
-    and of trial 2 by 1e140 (no finite refinement start), d0 with them:
+    """Ranges of trial 1 scaled by 1e153 (P0 is not finite) and of trial 2
+    by 1e140 (no finite refinement start), d0 with them:
     two failing trials. The seam is the cell arrays, which `trial_data`
     makes for a range of trials; a single trial is row 0 of its own range,
     so the per-trial reference loop sees the same spoilt trials."""
@@ -425,7 +435,7 @@ def test_cell_rows_equal_single_trials(cell):
     for i in range(cfg.trials):
         T, ds = trial_data(cfg, i)
         assert T.t.tobytes() == t[i].tobytes() and T.theta == theta[i]
-        assert ds.t.tobytes() == (np.arange(cfg.n_poses) * cfg.dt).tobytes() and ds.sigma_r == stack.sigma_r
+        assert ds.t.tobytes() == np.arange(float(cfg.n_poses)).tobytes() and ds.sigma_r == stack.sigma_r
         for got, want in ((stack.d[i], ds.d), (stack.pa[i], ds.pa), (stack.pb[i], ds.pb)):
             assert got.tobytes() == want.tobytes()
         assert ds.d0 == (ds.d[0] if stack.d0 is not None else None)
@@ -498,22 +508,25 @@ def test_cell_with_overflowing_ranges_is_rejected(estimator):
 
 class TestDrift:
     def test_zero_drift_baseline_near_zero(self):
-        dc = DriftConfig(sigma_t=0.0, sigma_theta=0.0, duration=30.0, window=50, rate=10.0)
-        cfg = ScenarioConfig(d0=5.0, D=2.0, n_poses=1, sigma_r=0.05, sigma_o=0.0, trials=1, seed=16, drift=dc)
+        cfg = DriftConfig(d0=5.0, sigma_r=0.05, sigma_o=0.0, seed=16, sigma_t=0.0, sigma_theta=0.0, duration=30.0, window=50, rate=10.0)
         res = drift_scenario(cfg, estimator="sdp")
         assert res.nc_rmse < 1e-9
         assert res.corrected_rmse < 0.5
 
     def test_correction_improves_under_drift(self):
-        dc = DriftConfig(sigma_t=0.05, sigma_theta=math.radians(0.05), duration=60.0, window=50, rate=10.0)
-        cfg = ScenarioConfig(d0=5.0, D=2.0, n_poses=1, sigma_r=0.1, sigma_o=0.001, trials=1, seed=17, drift=dc)
+        cfg = DriftConfig(
+            d0=5.0, sigma_r=0.1, sigma_o=0.001, seed=17, sigma_t=0.05, sigma_theta=math.radians(0.05), duration=60.0, window=50, rate=10.0
+        )
         res = drift_scenario(cfg, estimator="qcqp")
         assert res.corrected_rmse < res.nc_rmse
 
-    def test_requires_drift_config(self):
-        cfg = ScenarioConfig(d0=5.0, D=2.0, n_poses=1, sigma_r=0.1, sigma_o=0.0, trials=1, seed=0)
+    @pytest.mark.parametrize(
+        "bad",
+        [{"d0": 0.0}, {"d0": math.inf}, {"sigma_r": -0.1}, {"sigma_o": math.nan}, {"sigma_t": -0.1}, {"sigma_theta": math.inf}],
+    )
+    def test_scenario_and_walk_levels_checked(self, bad):
         with pytest.raises(ValueError):
-            drift_scenario(cfg)
+            DriftConfig(**bad)
 
 
 def test_dataset_determinism_bitwise():

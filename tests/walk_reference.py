@@ -22,7 +22,7 @@ def generate_trajectory(
 
     Gaussian steps reflected at the ball boundary, random headings.
     Returns positions, shape (n_poses, 3), and headings, shape (n_poses,);
-    sample i is taken at i * dt of the scenario. D -> 0 degenerates to a
+    sample i is taken at i seconds. D -> 0 degenerates to a
     parked agent. The draws stay scalar and in the order heading, step,
     then a reflection fraction only when one is needed, so a seed gives
     the same walk whatever the batch size.
