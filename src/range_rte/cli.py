@@ -12,13 +12,15 @@ keys of one defaults table and fills in the rest from it: ESTIMATE_DEFAULTS
 or DRIFT_DEFAULTS (`drift`). A key's suffix names its unit (_m, _rad, _s,
 _hz).
 
-Exit codes: 0 success, 2 parse/config error, 3 insufficient or singular
-data, 4 solver failure.
+Exit codes: 0 success, 2 parse/config error, 3 insufficient data or a
+singular configuration (`fisher.FimArrays.singular` at the estimate), 4
+solver failure (`DegenerateSolutionError`).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -27,9 +29,8 @@ import sys
 import numpy as np
 
 from . import io_formats as iof
-from .estimators import DegenerateSolutionError, ESTIMATORS, HeadingUndefinedError
+from .estimators import DegenerateSolutionError, ESTIMATORS
 from .fisher import (
-    DEFAULT_KAPPA_THRESHOLD,
     DET_SUBSET_CAP,
     ExpansionTooLargeError,
     FimArrays,
@@ -38,6 +39,7 @@ from .fisher import (
     confidence_intervals,
     det_fim_geometric,
     fim,
+    singularity_flags,
 )
 from .geometry import LeverArm, Transform4DoF
 from .measurement import (
@@ -74,9 +76,6 @@ ESTIMATE_DEFAULTS = {
     # "odometry" rejects the synced ranges that break the odometry-bounded
     # range rate (measurement.range_rate_outliers); "none" keeps them all
     "outlier_mode": "odometry",
-    # the configuration is singular when kappa of the FIM at the estimate
-    # exceeds this (exit 3)
-    "kappa_threshold": DEFAULT_KAPPA_THRESHOLD,
 }
 
 SIM_DEFAULTS = {
@@ -90,7 +89,6 @@ SIM_DEFAULTS = {
     "estimator": "qcqp",
     "lever_arm_a_m": [0.0, 0.0, 0.0],
     "lever_arm_b_m": [0.0, 0.0, 0.0],
-    "record_timing": True,
     "emit_logs": False,
     "cells": None,
 }
@@ -113,20 +111,15 @@ DRIFT_DEFAULTS = {
 CELL_KEYS = {"d0_m", "radius_m", "n_poses", "sigma_r_m", "sigma_o_m", "trials", "estimator", "seed"}
 
 
-def _information_payload(info: FimArrays, T: Transform4DoF, kappa_threshold: float) -> dict:
-    """kappa, std_errors, flags and ci95 of a FIM of one at T, the
-    configuration tested at kappa_threshold. std_errors and ci95 are None
+def _information_payload(info: FimArrays, T: Transform4DoF) -> dict:
+    """kappa, std_errors, flags and ci95 of a FIM of one at T, the flags
+    those of `fisher.singularity_flags`. std_errors and ci95 are None
     where the FIM is not invertible."""
     invertible = info.invertible.tolist()[0]
-    kappa = info.kappa.tolist()[0]
     return {
-        "kappa": kappa,
+        "kappa": info.kappa.tolist()[0],
         "std_errors": info.std_errors[0] if invertible else None,
-        "flags": {
-            "configuration_singular": kappa > kappa_threshold,
-            "per_param_unobservable": info.unobservable.tolist()[0],
-            "kappa_threshold": kappa_threshold,
-        },
+        "flags": dataclasses.asdict(singularity_flags(info)),
         "ci95": confidence_intervals(T.as_vector()[None], info)[0] if invertible else None,
     }
 
@@ -204,10 +197,10 @@ def cmd_estimate(args) -> int:
     }
     est = ESTIMATORS[cfg["estimator"]](dataset)
     report["estimate"] = {"t_m": est.theta_hat.t, "theta_rad": est.theta_hat.theta}
-    report.update(_information_payload(est.fim, est.theta_hat, cfg["kappa_threshold"]))
+    report.update(_information_payload(est.fim, est.theta_hat))
     report["solver"] = est.solver
     iof.dump_json(args.out, report)
-    if report["flags"]["configuration_singular"]:
+    if est.flags.configuration_singular:
         return EXIT_SINGULAR
     return EXIT_OK
 
@@ -273,11 +266,10 @@ def cmd_simulate(args) -> int:
         stats = monte_carlo_run(scen, estimator=cell["estimator"])
         ok = np.isfinite(stats.e_t)
         for trial in range(scen.trials):
-            ms = repr(float(stats.solve_ms[trial])) if cfg["record_timing"] else ""
             rows.append(
                 f"{ci},{trial},{_csv_num(stats.e_t[trial])},{_csv_num(stats.e_theta[trial])},"
                 f"{_csv_num(stats.crlb_t[trial])},{_csv_num(stats.crlb_theta[trial])},"
-                f"{ms},{'ok' if ok[trial] else 'failed'}"
+                f"{float(stats.solve_ms[trial])!r},{'ok' if ok[trial] else 'failed'}"
             )
         summary_cells.append(
             {
@@ -313,7 +305,6 @@ def _csv_num(x) -> str:
 
 def cmd_fim(args) -> int:
     theta = Transform4DoF(t=np.array(args.theta[:3], dtype=float), theta=float(args.theta[3]))
-    kappa_threshold = DEFAULT_KAPPA_THRESHOLD
     if args.scenario:
         if args.config:
             raise iof.ParseError("--config applies to --odom-a/--odom-b/--ranges, not to --scenario")
@@ -324,7 +315,6 @@ def cmd_fim(args) -> int:
             raise iof.ParseError("either --scenario or --odom-a/--odom-b/--ranges required")
         cfg = _config(args.config, ESTIMATE_DEFAULTS, args)
         _, dataset, _ = _ingest(args, cfg)
-        kappa_threshold = cfg["kappa_threshold"]
 
     info = fim(theta, dataset)
     payload = {
@@ -339,7 +329,7 @@ def cmd_fim(args) -> int:
         "crlb_t": info.crlb_t[0],
         "crlb_theta": info.crlb_theta[0],
         "det_direct": info.det_f[0],
-        **_information_payload(info, theta, kappa_threshold),
+        **_information_payload(info, theta),
     }
     payload.pop("std_errors")  # the fim report gives the bounds as crlb_t, crlb_theta and ci95
     try:
@@ -419,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--odom-a")
     pf.add_argument("--odom-b")
     pf.add_argument("--ranges")
-    # an `estimate` config: its lever arms, sigma_r_m, d0_m and
-    # kappa_threshold apply to the logs (the estimator and outlier keys
-    # do not apply to an information analysis)
+    # an `estimate` config: its lever arms, sigma_r_m and d0_m apply to
+    # the logs (the estimator and outlier keys do not apply to an
+    # information analysis)
     pf.add_argument("--config")
     pf.add_argument("--scenario")
     pf.add_argument("--seed", type=int)
@@ -452,7 +442,7 @@ def main(argv=None) -> int:
     except (NoOverlapError, InsufficientDataError, SingularGeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (DegenerateSolutionError, HeadingUndefinedError) as exc:
+    except DegenerateSolutionError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:  # iof.ParseError, or a config value that a constructor rejects

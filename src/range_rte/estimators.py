@@ -61,19 +61,21 @@ estimates (W, 4) of (t_x, t_y, t_z, theta), theta wrapped into [-pi, pi)
 as `Transform4DoF` wraps it and NaN rows where a problem failed, one (W,)
 array per solver scalar, and the error of every problem that fails. A
 problem gets the same bits as in a stack of one. Its `ESTIMATORS` entry
-takes either form of the data. A stack in gives the point stage. A
-dataset in gives its `EstimateReport`: the point stage of
-`dataset.stack()`, a stack of one, then `_report`, the only place that
-builds a `Transform4DoF`, a solver dict and the `SingularityFlags` of
-row 0 of the stack's `fisher.FimArrays`, which raises the problem's
-error. A Monte-Carlo cell
-(`simulation.monte_carlo_run`) stacks its trials and reads the estimate
-array of their point stage, whatever the estimator. The sliding-window
-runner for drift tracking returns a `WindowTrack` of arrays: `qcqp` and
-`sdp` run the point stage of every window at once, then one stacked
-Fisher pass (`fisher.fim_stack`) at every estimate gives the kappa that
-gates each window, and the CRLB; `nls` starts each window from the
-previous kept estimate, window by window, each window a stack of one.
+takes either form of the data and is the one timer: it times the point
+stage once and adds its time per problem as the solver scalar wall_ms. A
+stack in gives the point stage. A dataset in gives its `EstimateReport`:
+the point stage of `dataset.stack()`, a stack of one, then `_report`,
+the only place that builds a `Transform4DoF`, a solver dict and, through
+`fisher.singularity_flags`, the `SingularityFlags` of row 0 of the
+stack's `fisher.FimArrays`, which raises the problem's error. A
+Monte-Carlo cell (`simulation.monte_carlo_run`) stacks its trials and
+reads the estimate array and wall_ms of their point stage, whatever the
+estimator. The sliding-window runner for drift tracking returns a
+`WindowTrack` of arrays: `qcqp` and `sdp` run the point stage of every
+window at once, then one stacked Fisher pass (`fisher.fim_stack`) at
+every estimate gives the kappa that gates each window, and the CRLB;
+`nls` starts each window from the previous kept estimate, window by
+window, each window a stack of one.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fisher import DEFAULT_KAPPA_THRESHOLD, FimArrays, SingularityFlags, fim_stack
+from .fisher import FimArrays, SingularityFlags, fim_stack, singularity_flags
 from .geometry import Transform4DoF, wrap_angle
 from .measurement import SyncedDataset, SyncedStack, debias_squared
 from .solvers import CONVERGED, MAX_ITER, NON_FINITE, SolveDiagnostics, lockstep_newton, sdp_solve
@@ -123,12 +125,9 @@ SDP_MAX_ITER = 200
 class DegenerateSolutionError(RuntimeError):
     """No estimate can be read off a solution: the lifted cost P0 is not
     finite, the SDP relaxation ended other than optimal, rank-one recovery
-    failed (non-positive spectrum or vanished scale), or every refinement
-    start diverged."""
-
-
-class HeadingUndefinedError(RuntimeError):
-    """The (cos, sin) block of the lifted state has no usable direction."""
+    failed (non-positive spectrum or vanished scale), the (cos, sin) block
+    of the lifted state has no usable direction, or every refinement start
+    diverged. The CLI's exit code 4."""
 
 
 def _lift(tx, ty, tz, c, s) -> np.ndarray:
@@ -289,7 +288,11 @@ def solve_sdp_relaxation(problem: QcqpProblem) -> tuple[np.ndarray, SolveDiagnos
     b = np.broadcast_to([1.0, 0.0, 0.0, 0.0, 1.0][:m], (W, m))
     C = P0 * D[:, :, None] * D[:, None, :]
     X, _, diag = sdp_solve(C, _CONSTRAINT_MATRICES[:m], b, tol=SDP_TOL, max_iter=SDP_MAX_ITER)
-    return (X * D[:, :, None] * D[:, None, :]).reshape(problem.P0.shape), diag
+    # from d0 ~1e80 the lifted state's ||t||^4 entry is past the float range:
+    # X then overflows, and its readout fails the problem (`_rank_one_states`)
+    with np.errstate(over="ignore"):
+        X = X * D[:, :, None] * D[:, None, :]
+    return X.reshape(problem.P0.shape), diag
 
 
 def _rank_one_states(lam0: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -313,14 +316,14 @@ def _rank_one_states(lam0: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, dict]
 def _headings(x: np.ndarray) -> tuple[np.ndarray, dict]:
     """The headings of normalized lifted states x (W, 9), their (cos, sin)
     block renormalized to the unit circle, and {problem index:
-    HeadingUndefinedError} where that block is too small (heading NaN).
+    DegenerateSolutionError} where that block is too small (heading NaN).
     On Python floats: numpy's hypot and arctan2 differ from math's in the
     last bit."""
     theta, errors = np.full(len(x), math.nan), {}
     for i, (c, s) in enumerate(x[:, 3:5].tolist()):
         norm = math.hypot(c, s)
         if norm < 1e-6:
-            errors[i] = HeadingUndefinedError("cos/sin block too small to define a heading")
+            errors[i] = DegenerateSolutionError("cos/sin block too small to define a heading")
         else:
             theta[i] = math.atan2(s / norm, c / norm)
     return theta, errors
@@ -623,7 +626,10 @@ def _sweep(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     back = (dist[1] < dist[0])[..., _PREV_HEADING]
     prev = np.where(back, cost[1][:, _PREV_HEADING], cost[0][:, _PREV_HEADING])
     curv = 0.5 * (prev + succ) - cost
-    local_min = (cost <= prev) & (cost <= succ) & ((cost == best) | (16.0 * curv * (cost - best) <= (prev - succ) ** 2))
+    # the products overflow from d0 ~1e90, whose refinement then diverges
+    with np.errstate(over="ignore"):
+        flat = 16.0 * curv * (cost - best) <= (prev - succ) ** 2
+    local_min = (cost <= prev) & (cost <= succ) & ((cost == best) | flat)
     ranked = np.where(local_min & (best < math.inf), cost, math.inf).transpose(1, 0, 2).reshape(W, -1)
     order = np.argsort(ranked, axis=1, kind="stable")[:, :SWEEP_CANDIDATES]
     count = np.minimum(np.sum(ranked < math.inf, axis=1), SWEEP_CANDIDATES)
@@ -714,11 +720,12 @@ def _secular_root(e, d1, d2, beta, two_w, half_w, x_top) -> tuple:
         last = np.where(f > 0.0, last + stride, last)
     x_floor = x_top * _ROOT_GRID[0]
     x = x_top * _ROOT_GRID[np.maximum(last, 0)]
-    for _ in range(8):
-        x1, x2 = d1 + x, d2 + x
-        r0, r1, r2 = (e0 / x) ** 2, (e1 / x1) ** 2, (e2 / x2) ** 2
-        step = (r0 + r1 + r2 + beta - x / two_w) / (2.0 * (r0 / x + r1 / x1 + r2 / x2) + half_w)
-        x = np.maximum(x + step, x_floor)
+    with np.errstate(over="ignore"):  # the step overflows from d0 ~1e120, which the sweep then fails
+        for _ in range(8):
+            x1, x2 = d1 + x, d2 + x
+            r0, r1, r2 = (e0 / x) ** 2, (e1 / x1) ** 2, (e2 / x2) ** 2
+            step = (r0 + r1 + r2 + beta - x / two_w) / (2.0 * (r0 / x + r1 / x1 + r2 / x2) + half_w)
+            x = np.maximum(x + step, x_floor)
     return last, x
 
 
@@ -775,11 +782,7 @@ def _report(method: str, points: tuple, stack: SyncedStack) -> EstimateReport:
         theta_hat=Transform4DoF(t=estimates[0, :3], theta=estimates[0, 3]),
         solver={"method": method, **{name: values.tolist()[0] for name, values in scalars.items()}},
         fim=info,
-        flags=SingularityFlags(
-            configuration_singular=info.singular.tolist()[0],
-            per_param_unobservable=tuple(info.unobservable.tolist()[0]),
-            kappa_threshold=DEFAULT_KAPPA_THRESHOLD,
-        ),
+        flags=singularity_flags(info),
     )
 
 
@@ -794,7 +797,7 @@ def _sdp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dict
     and lambda_ratio. A problem whose P0 is not finite is not relaxed: its
     X stays zero and its status reads "not_finite". Returns the estimates
     (W, 4), the solver scalars (iterations, status, gap, rank_x,
-    lambda_ratio, final_cost, wall_ms), one (W,) array each, and
+    lambda_ratio, final_cost), one (W,) array each, and
     {problem index: error} for every problem not relaxed or whose
     relaxation ended other than optimal (DegenerateSolutionError), or
     whose rank-one state has no heading; their rows are NaN.
@@ -802,7 +805,6 @@ def _sdp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dict
     problem = assemble_qcqp(stack)
     W = len(stack.d)
     relaxed = np.isfinite(problem.P0).all(axis=(1, 2))
-    start = time.perf_counter()
     X, iterations = np.zeros((W, 9, 9)), np.zeros(W, dtype=int)
     status, gap = np.full(W, "not_finite", dtype=object), np.full(W, math.nan)
     if relaxed.any():
@@ -812,7 +814,6 @@ def _sdp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dict
     lam, Q = np.linalg.eigh(X)
     lam = np.maximum(lam[:, ::-1], 0.0)
     rank = np.sum(lam > 1e-6 * lam[:, :1], axis=1)
-    wall_ms = (time.perf_counter() - start) * 1e3 / W
     errors = {
         i: DegenerateSolutionError(
             f"SDP relaxation ended {status[i]} after {iterations[i]} iterations" if relaxed[i] else "the lifted cost is not finite"
@@ -837,7 +838,6 @@ def _sdp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dict
         "rank_x": rank,
         "lambda_ratio": lambda_ratio,
         "final_cost": final_cost,
-        "wall_ms": np.full(W, wall_ms),
     }
     return estimates, scalars, errors
 
@@ -866,22 +866,18 @@ def _qcqp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dic
     left free: a measured inter-origin distance is a range row of the
     stack. Each problem keeps its start of lowest cost. Returns the
     estimates (W, 4), the solver scalars (iterations, restarts,
-    restarts_converged, final_cost, wall_ms), one (W,) array each, and
+    restarts_converged, final_cost), one (W,) array each, and
     {problem index: error} for every problem that failed: a sweep without
     a candidate, or every refinement start diverged
     (DegenerateSolutionError); their rows are NaN.
     """
     problem = assemble_qcqp(stack)
-    start = time.perf_counter()
     cand_t, cand_heading, count, errors = _sweep_stack(problem.P0)
     W = len(count)
-    sweep_ms = (time.perf_counter() - start) * 1e3 / W
     estimates = np.full((W, 4), math.nan)
     iterations, converged, final_cost = np.zeros(W, dtype=int), np.zeros(W, dtype=int), np.full(W, math.nan)
     live = np.flatnonzero(count)  # the problems with a candidate
-    wall_ms = sweep_ms
     if len(live):
-        start = time.perf_counter()
         n = count[live]
         first = np.cumsum(n) - n  # each live problem's first start
         slot = np.flatnonzero(np.arange(SWEEP_CANDIDATES) < count[:, None])  # candidate slots in use
@@ -901,13 +897,11 @@ def _qcqp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dic
         estimates[:, 3] = wrap_angle(estimates[:, 3])
         for i in live[~ok].tolist():
             errors[i] = DegenerateSolutionError("all refinement starts diverged")
-        wall_ms += (time.perf_counter() - start) * 1e3 / len(live)
     scalars = {
         "iterations": iterations,
         "restarts": count,
         "restarts_converged": converged,
         "final_cost": final_cost,
-        "wall_ms": np.full(W, wall_ms),
     }
     return estimates, scalars, errors
 
@@ -926,11 +920,10 @@ def _nls_points(stack: SyncedStack, starts: Optional[np.ndarray] = None) -> tupl
     scalars report rather than hide. One `lockstep_newton` call with R = I
     refines every problem from its own start on its own rows (d, pa, pb).
     Returns the estimates (W, 4), the solver scalars (iterations, status,
-    final_cost, converged, wall_ms), one (W,) array each, and
+    final_cost, converged), one (W,) array each, and
     {problem index: error} for every problem whose refinement ended
     non_finite (DegenerateSolutionError); their rows are NaN.
     """
-    start = time.perf_counter()
     sigma = stack.sigma_r
 
     def lift(p, d, pa, pb):
@@ -951,13 +944,11 @@ def _nls_points(stack: SyncedStack, starts: Optional[np.ndarray] = None) -> tupl
     W = len(stack.d)
     p0 = np.zeros((W, 4)) if starts is None else starts
     res = lockstep_newton(None, lift, p0, REFINE_MAX_ITER, data=(stack.d, stack.pa, stack.pb))
-    wall_ms = (time.perf_counter() - start) * 1e3 / W
     scalars = {
         "iterations": res.iterations,
         "status": _NLS_STATUS[res.status],
         "final_cost": res.cost,
         "converged": res.status == CONVERGED,
-        "wall_ms": np.full(W, wall_ms),
     }
     estimates = np.column_stack((res.p[:, :3], wrap_angle(res.p[:, 3])))
     diverged = np.flatnonzero(res.status == NON_FINITE).tolist()
@@ -966,13 +957,21 @@ def _nls_points(stack: SyncedStack, starts: Optional[np.ndarray] = None) -> tupl
 
 
 def _estimator(method: str, points):
-    """The `ESTIMATORS` entry of a point stage: see the comment there."""
+    """The `ESTIMATORS` entry of a point stage: see the comment there. It
+    is the one timer of the estimators: wall_ms, a solver scalar of every
+    problem, is the point stage's wall time over the number of problems."""
 
     def estimate(data: SyncedDataset | SyncedStack, init=None):
         if isinstance(data, SyncedStack):
-            return points(data, init)
-        stack = data.stack()
-        return _report(method, points(stack, None if init is None else init.as_vector()[None]), stack)
+            stack, starts = data, init
+        else:
+            stack, starts = data.stack(), None if init is None else init.as_vector()[None]
+        start = time.perf_counter()
+        estimates, scalars, errors = points(stack, starts)
+        scalars["wall_ms"] = np.full(len(estimates), (time.perf_counter() - start) * 1e3 / len(estimates))
+        if stack is data:
+            return estimates, scalars, errors
+        return _report(method, (estimates, scalars, errors), stack)
 
     return estimate
 
@@ -986,10 +985,12 @@ nls_estimate = _estimator("nls", _nls_points)
 # theta wrapped into [-pi, pi) and NaN rows where a problem failed, one
 # (W,) array per solver scalar and {problem index: error} for every failing
 # problem, with no FIM and no report; init is then None or a (W, 4) array
-# of starts. A `SyncedDataset` in gives its EstimateReport, the point stage
-# of `dataset.stack()` with `_report`, which raises the problem's error;
-# init is then None or a Transform4DoF. Only the local `nls` reads init,
-# from zero by default; the global `qcqp` and `sdp` ignore it. The
+# of starts. A `SyncedDataset` in gives its EstimateReport, the point
+# stage of `dataset.stack()` with `_report`, which raises the problem's
+# error; init is then None or a Transform4DoF. Only the local `nls` reads
+# init, from zero by default; the global `qcqp` and `sdp` ignore it. The
+# entry times the point stage, assembly included, and adds the solver
+# scalar wall_ms, that time over W; the point stages time nothing. The
 # Monte-Carlo cells and the drift windows estimate through the stack form,
 # the CLI's `estimate` through the dataset form, so every estimate goes
 # through the registry, where the benchmark's tracer (perfbench/tracing.py)

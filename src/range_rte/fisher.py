@@ -14,16 +14,16 @@ The FIM is the noise-weighted Gram matrix of the rows. `fim_arrays`
 derives every quantity of a stack of FIMs in one pass, from one
 eigendecomposition each, as stacked arrays (`FimArrays`): kappa, rank,
 CRLB, standard errors, det and the singularity flags. It is the one FIM
-code path and `FimArrays` the one information type: `fim_stack` takes
-it at W transforms, a Monte-Carlo cell reads its bounds, a drift track
-its kappa and CRLB, and a dataset's report row 0 of the stack of one.
-Every quantity that needs an invertible F is NaN where F is not. The
-standard errors, the per-parameter flags and `confidence_intervals` all
-read the same CRLB diagonal. The determinant expands over all 4-subsets
-of rows into products of parallelepiped volumes, which is what makes the
-degenerate trajectory classes (parallel motion, coplanar lines, static
-agents) visible in closed form; it is evaluated up to DET_SUBSET_CAP
-rows.
+code path and `FimArrays` the one information type: `fim_stack` takes it
+at W transforms, a Monte-Carlo cell reads its bounds, a drift track its
+kappa and CRLB, and a dataset's report row 0 of the stack of one, its
+verdicts through `singularity_flags`. Every quantity that needs an
+invertible F is NaN where F is not. The standard errors, the
+per-parameter flags and `confidence_intervals` all read the same CRLB
+diagonal. The determinant expands over all 4-subsets of rows into
+products of parallelepiped volumes, which is what makes the degenerate
+trajectory classes (parallel motion, coplanar lines, static agents)
+visible in closed form; it is evaluated up to DET_SUBSET_CAP rows.
 """
 
 from __future__ import annotations
@@ -195,6 +195,11 @@ def fim_arrays(F) -> FimArrays:
         singular=kappa > DEFAULT_KAPPA_THRESHOLD,
         unobservable=unobservable,
     )
+
+
+def singularity_flags(info: FimArrays) -> SingularityFlags:
+    """The verdicts of row 0 of `info`, the package's one singularity test."""
+    return SingularityFlags(info.singular.tolist()[0], tuple(info.unobservable.tolist()[0]), DEFAULT_KAPPA_THRESHOLD)
 
 
 def fim_stack(t, theta, pa, pb, sigma_r: float) -> FimArrays:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,13 +35,18 @@ from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, quat_to_
 from .measurement import SIGMA_R_FLOOR, SyncedDataset, SyncedStack
 
 SCENARIO_KINDS = ("parallel", "planar_linear", "static_target", "static_host")
+# standard deviation of a walk step per axis, in units of the ball radius D
+STEP_SCALE = 0.5
 
 
-def _check_scenario(d0, **levels) -> None:
+def _check_scenario(d0, seed, **levels) -> None:
     """The checks a Monte-Carlo cell and a drift run share: d0 (m) positive
-    and finite, and each noise or walk level nonnegative and finite."""
+    and finite, the seed an integer that a 64-bit key holds, and each noise
+    or walk level nonnegative and finite."""
     if not (isinstance(d0, numbers.Real) and 0 < d0 < math.inf):
         raise ValueError(f"d0 must be positive and finite, got {d0!r}")
+    if not (_is_int(seed) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     for name, value in levels.items():
         if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
             raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
@@ -55,10 +59,11 @@ class DriftConfig:
     The truth starts at ||t|| = d0 (m) and random-walks: sigma_t (m) and
     sigma_theta (rad) are per-sqrt-second intensities on the translation
     axes and the heading. Ranges carry Gaussian noise sigma_r (m) and the
-    odometry positions sigma_o (m) per axis; `seed` keys the run's
-    generator. The stream has round(duration * rate) samples, at least one
-    window of `window` >= 10 samples; a window starts every `stride` >= 1
-    samples, or every `window` when stride is None.
+    odometry positions sigma_o (m) per axis; `seed`, an integer in
+    [0, 2**64), keys the run's generator. The stream has round(duration *
+    rate) samples, at least one window of `window` >= 10 samples; a window
+    starts every `stride` >= 1 samples, or every `window` when stride is
+    None.
     """
 
     d0: float = 15.0
@@ -74,7 +79,7 @@ class DriftConfig:
 
     def __post_init__(self):
         _check_scenario(
-            self.d0, sigma_r=self.sigma_r, sigma_o=self.sigma_o, sigma_t=self.sigma_t, sigma_theta=self.sigma_theta
+            self.d0, self.seed, sigma_r=self.sigma_r, sigma_o=self.sigma_o, sigma_t=self.sigma_t, sigma_theta=self.sigma_theta
         )
         if not _is_int(self.window) or self.window < 10:
             raise ValueError(f"window must be an integer >= 10, got {self.window!r}")
@@ -95,11 +100,12 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
-    """A Monte-Carlo cell (`monte_carlo_run`): `trials` truths with ||t||
-    = d0 (m), drawn from the substreams of `seed`, each with two walks of
-    n_poses samples, one a second, inside a ball of radius D (m), antennas
-    at `lever_arms` (host, target), range noise sigma_r (m) and odometry
-    noise sigma_o (m) per axis."""
+    """A Monte-Carlo cell (`monte_carlo_run`): `trials` >= 1 truths with
+    ||t|| = d0 (m), drawn from the substreams of `seed`, an integer in
+    [0, 2**64), each with two walks of n_poses >= 1 samples, one a second,
+    inside a ball of radius D (m), antennas at `lever_arms` (host,
+    target), range noise sigma_r (m) and odometry noise sigma_o (m) per
+    axis."""
 
     d0: float = 3.0
     D: float = 1.0
@@ -111,11 +117,13 @@ class ScenarioConfig:
     lever_arms: tuple = (LeverArm(), LeverArm())
 
     def __post_init__(self):
-        _check_scenario(self.d0, sigma_r=self.sigma_r, sigma_o=self.sigma_o)
+        _check_scenario(self.d0, self.seed, sigma_r=self.sigma_r, sigma_o=self.sigma_o)
         if not self.D > 0:
             raise ValueError("D must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("trials", "n_poses"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class ErrorStats:
@@ -190,7 +198,7 @@ def sample_ground_truth(d0: float, rng: np.random.Generator) -> Transform4DoF:
     return Transform4DoF(t=d0 * v / n, theta=_heading(rng))
 
 
-def _walk(D: float, n_poses: int, rng: np.random.Generator, step_scale: float = 0.5) -> tuple[list, list]:
+def _walk(D: float, n_poses: int, rng: np.random.Generator) -> tuple[list, list]:
     """`generate_trajectory` as Python lists: n_poses (x, y, z) tuples and n_poses headings."""
     if not D > 0:
         raise ValueError("D must be positive")
@@ -204,7 +212,7 @@ def _walk(D: float, n_poses: int, rng: np.random.Generator, step_scale: float = 
     # x * x + y * y + z * z is below D^2 (1 - 1e-12) lies inside the ball
     # whatever the order of the sum. Outside 1e-140 < D < 1e140 the squares
     # may be subnormal or overflow, so r is then taken at every step
-    scale = step_scale * D
+    scale = STEP_SCALE * D
     inside = D * D * (1.0 - 1e-12) if 1e-140 < D < 1e140 else 0.0
     x = y = z = 0.0
     positions, yaws = [], []
@@ -227,15 +235,11 @@ def _walk(D: float, n_poses: int, rng: np.random.Generator, step_scale: float = 
     return positions, yaws
 
 
-def generate_trajectory(
-    D: float,
-    n_poses: int,
-    rng: np.random.Generator,
-    step_scale: float = 0.5,
-) -> tuple[np.ndarray, np.ndarray]:
+def generate_trajectory(D: float, n_poses: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Bounded random walk inside the ball of radius D around the origin.
 
-    Gaussian steps reflected at the ball boundary, random headings.
+    Gaussian steps of STEP_SCALE * D per axis, reflected at the ball
+    boundary, random headings.
     Returns positions, shape (n_poses, 3), and headings, shape (n_poses,);
     sample i is taken at i seconds. D -> 0 degenerates to a
     parked agent. The draws stay scalar and in the order heading, step,
@@ -244,7 +248,7 @@ def generate_trajectory(
     -pi + 2 pi rng.random() and the fraction as rng.random(): the values
     rng.uniform(-pi, pi) and rng.uniform(0, 1) give for the same draws.
     """
-    positions, yaws = _walk(D, n_poses, rng, step_scale)
+    positions, yaws = _walk(D, n_poses, rng)
     return np.array(positions), np.array(yaws)
 
 
@@ -429,16 +433,14 @@ def monte_carlo_run(cfg: ScenarioConfig, estimator: str = "qcqp") -> ErrorStats:
     (trials, 4) estimate array, NaN rows for the failed trials, with no FIM
     at the estimates), and the errors are taken on those arrays. Each
     trial's estimate and error are those of its estimator run on it alone,
-    bit for bit (`nls` from zero), and solve_ms is the point stage's time
-    per trial.
+    bit for bit (`nls` from zero), and solve_ms is the entry's wall_ms, the
+    point stage's time per trial.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     (t, theta), cell = trial_data(cfg, range(cfg.trials))
     bounds = fim((t, theta), cell)
-    start = time.perf_counter()
-    estimates, _, errors = ESTIMATORS[estimator](cell)
-    solve_ms = (time.perf_counter() - start) * 1e3 / cfg.trials
+    estimates, scalars, errors = ESTIMATORS[estimator](cell)
     dt = estimates[:, :3] - t
     table = np.empty((cfg.trials, 5))
     # a failed trial's estimate is NaN, and so are its errors
@@ -446,7 +448,7 @@ def monte_carlo_run(cfg: ScenarioConfig, estimator: str = "qcqp") -> ErrorStats:
     table[:, 1] = np.abs(wrap_angle(estimates[:, 3] - theta))
     # NaN bounds where the information matrix is singular
     table[:, 2], table[:, 3] = bounds.crlb_t, bounds.crlb_theta
-    table[:, 4] = solve_ms
+    table[:, 4] = scalars["wall_ms"]
     return ErrorStats(table, failures=[_failure(i, errors[i]) for i in sorted(errors)])
 
 

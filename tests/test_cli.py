@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from range_rte.cli import ESTIMATE_DEFAULTS, main
+from range_rte.estimators import ESTIMATORS
 from range_rte.geometry import LeverArm, Transform4DoF, wrap_angle, yaw_quat
 from range_rte.io_formats import (
     ParseError,
@@ -26,6 +28,10 @@ from range_rte.measurement import ingest_logs, odometry_log, range_log, true_ran
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def csv_rows(path):
+    return [line.split(",") for line in path.read_text().strip().split("\n")]
 
 
 def write_json(path, payload):
@@ -199,16 +205,37 @@ class TestEstimateCommand:
         rc = main(["estimate", "--odom-a", str(bad), "--odom-b", str(bad), "--ranges", str(bad), "--out", str(tmp_path / "r.json")])
         assert rc == 2
 
-    def test_kappa_threshold_honoured_when_estimating(self, tmp_path):
-        pa, pb, ranges, _ = synthetic_logs(tmp_path, noise=0.05, seed=1)
+    def test_kappa_threshold_key_rejected(self, tmp_path):
+        # FimArrays.singular is the one singular verdict; a config that
+        # still sets a threshold for it fails loudly, in estimate and in fim
+        pa, pb, ranges, T = synthetic_logs(tmp_path, noise=0.05, seed=1)
         out = str(tmp_path / "report.json")
         cfg = write_json(tmp_path / "cfg.json", {"kappa_threshold": 1.0})
-        rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out])
-        rep = read_json(out)
-        assert rep["kappa"] > 1.0
-        assert rep["flags"]["kappa_threshold"] == 1.0
-        assert rep["flags"]["configuration_singular"] is True
-        assert rc == 3
+        logs = ["--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]
+        assert main(["estimate", *logs]) == 2
+        assert main(["fim", *logs, "--theta", *[str(v) for v in T.as_vector()]]) == 2
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_report_flags_are_the_estimate_flags(self, tmp_path, estimator, singular):
+        # the report writes the SingularityFlags that the estimator records,
+        # on emitted regular logs (exit 0) and on singular ones, a target that
+        # barely moves and no odometry noise (exit 3)
+        scenario = {"trials": 1, "n_poses": 20, "seed": 3, "emit_logs": True}
+        if singular:
+            scenario.update(radius_m=1e-9, sigma_o_m=0.0)
+        assert main(["simulate", "--config", write_json(tmp_path / "sim.json", scenario), "--out-dir", str(tmp_path)]) == 0
+        stem = tmp_path / "logs" / "cell00_trial000"
+        paths = [f"{stem}_{name}.csv" for name in ("odom_a", "odom_b", "ranges")]
+        out = str(tmp_path / "report.json")
+        rc = main(["estimate", "--odom-a", paths[0], "--odom-b", paths[1], "--ranges", paths[2],
+                   "--config", f"{stem}_estimate_config.json", "--estimator", estimator, "--out", out])
+        cfg = read_json(f"{stem}_estimate_config.json")
+        logs = read_odometry_csv(paths[0]), read_odometry_csv(paths[1]), read_ranges_csv(paths[2])
+        est = ESTIMATORS[estimator](ingest_logs(*logs, sigma_r=cfg["sigma_r_m"], d0=cfg["d0_m"])[0])
+        assert rc == (3 if singular else 0) == (3 if est.flags.configuration_singular else 0)
+        assert read_json(out)["flags"] == json.loads(json.dumps(dataclasses.asdict(est.flags)))
 
     @pytest.mark.parametrize(
         "extra", [{"outlier_mode": "absolute"}, {"outlier_mode": "increase"}, {"outlier_mode": "gate"},
@@ -240,13 +267,16 @@ class TestEstimateCommand:
 
 class TestSimulateCommand:
     def test_single_trial_deterministic_row(self, tmp_path):
-        cfg = write_json(tmp_path / "cfg.json", {"trials": 1, "n_poses": 15, "seed": 5, "record_timing": False})
+        cfg = write_json(tmp_path / "cfg.json", {"trials": 1, "n_poses": 15, "seed": 5})
         d1, d2 = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", "--config", cfg, "--out-dir", str(d1)]) == 0
         assert main(["simulate", "--config", cfg, "--out-dir", str(d2)]) == 0
-        assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
-        rows = (d1 / "results.csv").read_text().strip().split("\n")
-        assert len(rows) == 2  # header + one trial
+        # every column but solve_ms, the wall time, is the same
+        (h1, *rows1), (h2, *rows2) = (csv_rows(d / "results.csv") for d in (d1, d2))
+        timing = h1.index("solve_ms")
+        assert h1 == h2 and len(rows1) == len(rows2) == 1
+        assert [r[:timing] + r[timing + 1 :] for r in rows1] == [r[:timing] + r[timing + 1 :] for r in rows2]
+        assert float(rows1[0][timing]) >= 0.0
 
     def test_sweep_produces_blocks(self, tmp_path):
         cfg = write_json(
@@ -325,12 +355,12 @@ class TestSimulateCommand:
             ]
         )
         assert rc == 0
-        # the emitted config overrides no default gate, and the replay passes it
+        # the emitted config sets every key of an estimate config, and the replay passes it
         emitted = read_json(f"{stem}_estimate_config.json")
-        assert emitted["kappa_threshold"] == ESTIMATE_DEFAULTS["kappa_threshold"] == DEFAULT_KAPPA_THRESHOLD
         assert set(emitted) == set(ESTIMATE_DEFAULTS)
         rep = read_json(report)
         assert rep["flags"]["configuration_singular"] is False
+        assert rep["flags"]["kappa_threshold"] == DEFAULT_KAPPA_THRESHOLD
         truth = read_json(f"{stem}_truth.json")
         e_t_replayed = float(np.linalg.norm(np.array(rep["estimate"]["t_m"]) - np.array(truth["t_m"])))
         assert e_t_replayed == e_t_inprocess  # bit-for-bit reproduction
@@ -366,6 +396,33 @@ class TestSimulateCommand:
         # the thread pool is gone; an old config that still sets it fails loudly
         cfg = write_json(tmp_path / "cfg.json", {"trials": 1, "threads": 2})
         assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+
+    def test_record_timing_key_rejected(self, tmp_path):
+        # solve_ms is always written; a config that still switches it fails loudly
+        cfg = write_json(tmp_path / "cfg.json", {"trials": 1, "record_timing": False})
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"trials": 1.5, "n_poses": 5},
+            {"trials": True},
+            {"trials": 2, "n_poses": 2.0},
+            {"trials": 1, "n_poses": 0},
+            {"trials": 1, "seed": -1},
+            {"trials": 1, "seed": 2**64},
+            {"trials": 1, "seed": 1.0},
+            {"trials": 1, "cells": [{"trials": 0.5}]},
+        ],
+    )
+    def test_bad_integer_rejected(self, tmp_path, bad):
+        cfg = write_json(tmp_path / "cfg.json", bad)
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    def test_negative_seed_option_rejected(self, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", {"trials": 1})
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--seed", "-1"]) == 2
 
 
 class TestFimCommand:
@@ -422,7 +479,7 @@ class TestFimCommand:
             write_odometry_csv(str(tmp_path / f"{name}.csv"), logs[-1])
         ranges = range_log(t_axis, rng.uniform(2.0, 5.0, n))
         write_ranges_csv(str(tmp_path / "r.csv"), ranges)
-        cfg = write_json(tmp_path / "cfg.json", {**arms, "sigma_r_m": 0.05, "kappa_threshold": 1.0})
+        cfg = write_json(tmp_path / "cfg.json", {**arms, "sigma_r_m": 0.05})
         T = Transform4DoF(t=[2.0, -1.0, 0.5], theta=0.8)
         out = str(tmp_path / "fim.json")
         rc = main(["fim", "--odom-a", str(tmp_path / "a.csv"), "--odom-b", str(tmp_path / "b.csv"),
@@ -434,7 +491,6 @@ class TestFimCommand:
         want = fim(T, ingest_logs(*logs, ranges, arm_a=arm_a, arm_b=arm_b, sigma_r=0.05)[0]).F[0]
         np.testing.assert_array_equal(np.array(rep["F"]), want)
         assert not np.allclose(want, fim(T, ingest_logs(*logs, ranges, sigma_r=0.05)[0]).F[0])
-        assert rep["flags"]["kappa_threshold"] == 1.0
 
     def test_config_unknown_key_or_with_scenario_rejected(self, tmp_path):
         pa, pb, ranges, T = synthetic_logs(tmp_path, n=10, seed=14)
@@ -540,6 +596,12 @@ class TestDriftCommand:
     def test_negative_or_non_finite_walk_rejected(self, tmp_path, bad):
         cfg = write_json(tmp_path / "cfg.json", bad)
         assert main(["drift", "--config", cfg, "--out", str(tmp_path / "d.json")]) == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+    def test_bad_seed_rejected(self, tmp_path, seed):
+        cfg = write_json(tmp_path / "cfg.json", {"duration_s": 12.0, "seed": seed})
+        assert main(["drift", "--config", cfg, "--out", str(tmp_path / "d.json")]) == 2
+        assert not (tmp_path / "d.json").exists()
 
     def test_every_window_carries_its_kappa(self, tmp_path):
         from range_rte.estimators import WINDOW_KAPPA_LIMIT

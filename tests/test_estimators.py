@@ -18,7 +18,6 @@ from range_rte.estimators import (
     WINDOW_KAPPA_LIMIT,
     _CONSTRAINT_MATRICES,
     DegenerateSolutionError,
-    HeadingUndefinedError,
     WindowTrack,
     _SWEEP_THETA,
     _eigh3_planes,
@@ -139,7 +138,7 @@ class TestLift:
     def test_heading_undefined(self):
         x = lift_transform(Transform4DoF(t=[1.0, 0.0, 0.0], theta=0.0))
         x[3] = x[4] = 1e-9
-        with pytest.raises(HeadingUndefinedError):
+        with pytest.raises(DegenerateSolutionError, match="cos/sin block too small to define a heading"):
             extract_transform(x)
 
     def test_extract_requires_normalized(self):
@@ -810,7 +809,7 @@ class TestStackedWindows:
         try:
             for start in range(0, stride * n_windows, stride):
                 refs.append(sdp_estimate(stream.window(start, start + window)))
-        except (DegenerateSolutionError, HeadingUndefinedError) as exc:
+        except DegenerateSolutionError as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 sliding_window_estimate(stream, window=window, stride=stride, estimator="sdp")
             return
@@ -842,7 +841,7 @@ class TestStackedWindows:
             stream = park(stream, a, a + window)
         try:
             track = sliding_window_estimate(stream, window=window, stride=stride, estimator=estimator)
-        except (DegenerateSolutionError, HeadingUndefinedError):
+        except DegenerateSolutionError:
             assert estimator == "sdp"  # a loose relaxation: the sdp test above covers its error
             return
         for i, (a, b) in enumerate(zip(track.start.tolist(), track.stop.tolist())):
