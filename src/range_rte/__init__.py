@@ -11,11 +11,8 @@ from .estimators import (
     WindowTrack,
     align_target_trajectory,
     assemble_qcqp,
-    extract_transform,
-    lift_transform,
     nls_estimate,
     qcqp_estimate,
-    recover_rank_one,
     sdp_estimate,
     sliding_window_estimate,
     solve_sdp_relaxation,
@@ -42,6 +39,7 @@ from .measurement import (
     RANGE_DTYPE,
     SquaredStats,
     SyncedDataset,
+    SyncedStack,
     debias_squared,
     ingest_logs,
     odometry_log,

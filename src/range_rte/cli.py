@@ -12,7 +12,8 @@ keys of one defaults table and fills in the rest from it: ESTIMATE_DEFAULTS
 or DRIFT_DEFAULTS (`drift`). A key's suffix names its unit (_m, _rad, _s,
 _hz).
 
-Exit codes: 0 success, 2 parse/config error, 3 insufficient data or a
+Exit codes: 0 success, 2 parse/config error, 3 insufficient data (no
+range covered by both odometry logs or left after the outlier gate) or a
 singular configuration (`fisher.FimArrays.singular` at the estimate), 4
 solver failure (`DegenerateSolutionError`).
 """
@@ -181,6 +182,8 @@ def cmd_estimate(args) -> int:
     if cfg["outlier_mode"] == "odometry":
         outliers = range_rate_outliers(dataset)
         n_outliers = int(outliers.sum())
+        if n_outliers == len(dataset):
+            raise InsufficientDataError(f"the outlier gate rejected all {n_outliers} ranges: none is left to fit")
         # a d0 read off a rejected first range goes with it
         dataset = dataset.select(~outliers, keep_d0=cfg["d0_m"] is not None or not outliers[0])
 
@@ -316,7 +319,8 @@ def cmd_fim(args) -> int:
         cfg = _config(args.config, ESTIMATE_DEFAULTS, args)
         _, dataset, _ = _ingest(args, cfg)
 
-    info = fim(theta, dataset)
+    stack = dataset.stack()
+    info = fim(theta.t[None], np.array([theta.theta]), stack.pa, stack.pb, stack.sigma_r)
     payload = {
         "command": "fim",
         "source": "scenario" if args.scenario else "logs",

@@ -60,19 +60,22 @@ array of starts that only the local `nls` reads, and returns arrays: the
 estimates (W, 4) of (t_x, t_y, t_z, theta), theta wrapped into [-pi, pi)
 as `Transform4DoF` wraps it and NaN rows where a problem failed, one (W,)
 array per solver scalar, and the error of every problem that fails. A
-problem gets the same bits as in a stack of one. Its `ESTIMATORS` entry
-takes either form of the data and is the one timer: it times the point
-stage once and adds its time per problem as the solver scalar wall_ms. A
-stack in gives the point stage. A dataset in gives its `EstimateReport`:
-the point stage of `dataset.stack()`, a stack of one, then `_report`,
-the only place that builds a `Transform4DoF`, a solver dict and, through
-`fisher.singularity_flags`, the `SingularityFlags` of row 0 of the
-stack's `fisher.FimArrays`, which raises the problem's error. A
-Monte-Carlo cell (`simulation.monte_carlo_run`) stacks its trials and
-reads the estimate array and wall_ms of their point stage, whatever the
-estimator. The sliding-window runner for drift tracking returns a
-`WindowTrack` of arrays: `qcqp` and `sdp` run the point stage of every
-window at once, then one stacked Fisher pass (`fisher.fim_stack`) at
+problem gets the same bits as in a stack of one. Below the `ESTIMATORS`
+entries every function takes that one form, a stack, and gives arrays:
+the lift (`_lift`), its cost (`_lifted_cost`), the relaxation
+(`solve_sdp_relaxation`), its rank-one readout (`_rank_one_states`,
+`_headings`) and the FIM (`fisher.fim`). An entry is the one timer: it
+times the point stage once and adds its time per problem as the solver
+scalar wall_ms. A stack in gives the point stage. A dataset in gives its
+`EstimateReport`: the point stage of `dataset.stack()`, a stack of one,
+then `_report`, the only place that builds a `Transform4DoF`, a solver
+dict and, through `fisher.singularity_flags`, the `SingularityFlags` of
+row 0 of the stack's `fisher.FimArrays`, which raises the problem's
+error. A Monte-Carlo cell (`simulation.monte_carlo_run`) stacks its
+trials and reads the estimate array and wall_ms of their point stage,
+whatever the estimator. The sliding-window runner for drift tracking
+returns a `WindowTrack` of arrays: `qcqp` and `sdp` run the point stage
+of every window at once, then one stacked Fisher pass (`fisher.fim`) at
 every estimate gives the kappa that gates each window, and the CRLB;
 `nls` starts each window from the previous kept estimate, window by
 window, each window a stack of one.
@@ -87,7 +90,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fisher import FimArrays, SingularityFlags, fim_stack, singularity_flags
+from .fisher import FimArrays, SingularityFlags, fim, singularity_flags
 from .geometry import Transform4DoF, wrap_angle
 from .measurement import SyncedDataset, SyncedStack, debias_squared
 from .solvers import CONVERGED, MAX_ITER, NON_FINITE, SolveDiagnostics, lockstep_newton, sdp_solve
@@ -135,11 +138,6 @@ def _lift(tx, ty, tz, c, s) -> np.ndarray:
     cosines and sines of their headings: floats, or (W,) arrays for W."""
     x = [tx, ty, tz, c, s, tx * c + ty * s, ty * c - tx * s, tx * tx + ty * ty + tz * tz, np.ones_like(c)]
     return np.stack(x, axis=-1)
-
-
-def lift_transform(T: Transform4DoF) -> np.ndarray:
-    """Lifted 9-vector of a transform (last element is the homogenizer 1)."""
-    return _lift(*T.t.tolist(), math.cos(T.theta), math.sin(T.theta))
 
 
 def build_data_rows(pa, pb, s) -> np.ndarray:
@@ -206,15 +204,14 @@ class QcqpProblem:
 
     P0 = B' diag(1/sigma_s) B keeps the true weighted-least-squares
     scale; `weights` are the per-row inverse variances used to rebuild
-    the cost row-wise during refinement. d0 is the norm-constraint value,
-    None without one. A stack of W problems carries a leading axis of W
-    on P0, B and weights, and d0 is then (W,) or None.
+    the cost row-wise during refinement. A stack of W problems carries a
+    leading axis of W on P0, B and weights; the norm-constraint values
+    are the stack's own d0.
     """
 
     P0: np.ndarray
     B: np.ndarray
     weights: np.ndarray
-    d0: Optional[float | np.ndarray]
 
 
 @dataclass
@@ -252,22 +249,16 @@ def assemble_qcqp(data: SyncedDataset | SyncedStack) -> QcqpProblem:
         P0 = (B * w[..., None]).swapaxes(-1, -2) @ B
         P0 = 0.5 * (P0 + P0.swapaxes(-1, -2))
     if stack is data:
-        return QcqpProblem(P0=P0, B=B, weights=w, d0=stack.d0)
-    return QcqpProblem(P0=P0[0], B=B[0], weights=w[0], d0=None if stack.d0 is None else stack.d0[0])
+        return QcqpProblem(P0=P0, B=B, weights=w)
+    return QcqpProblem(P0=P0[0], B=B[0], weights=w[0])
 
 
-def sd_wls_cost(problem: QcqpProblem, T: Transform4DoF) -> float:
-    """Weighted squared-distance cost of a transform: x(T)' P0 x(T)."""
-    x = lift_transform(T)
-    return float(x @ problem.P0 @ x)
-
-
-def solve_sdp_relaxation(problem: QcqpProblem) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Solve the lifted problem with the rank constraint dropped, to
-    SDP_TOL within SDP_MAX_ITER iterations, in one `sdp_solve` call. P0 of
-    shape (9, 9) is one problem, (W, 9, 9) a stack; X has P0's shape and
-    the diagnostics hold one entry per problem. The constraints are
-    `_CONSTRAINT_MATRICES`, the last one only with d0.
+def solve_sdp_relaxation(P0: np.ndarray, d0: Optional[np.ndarray]) -> tuple[np.ndarray, SolveDiagnostics]:
+    """Solve W lifted problems, P0 of shape (W, 9, 9), with the rank
+    constraint dropped, to SDP_TOL within SDP_MAX_ITER iterations, in one
+    `sdp_solve` call. X has P0's shape and the diagnostics hold one entry
+    per problem. The constraints are `_CONSTRAINT_MATRICES`, the last one,
+    ||t||^2 = d0^2, only with d0 (W,).
 
     With d0, the solver sees each problem's lift in units of its d0: t, u
     and v over d0 and tau over d0^2 (D A_i D = k_i A_i for D the
@@ -278,13 +269,12 @@ def solve_sdp_relaxation(problem: QcqpProblem) -> tuple[np.ndarray, SolveDiagnos
     Each d0^2 is a Python float's square, libm's pow, which numpy's
     square of an array does not always match in the last bit.
     """
-    P0 = problem.P0.reshape(-1, 9, 9)
     W = len(P0)
     one = np.ones(W)
-    r2 = one if problem.d0 is None else np.array([r**2 for r in np.reshape(problem.d0, -1).tolist()])
+    r2 = one if d0 is None else np.array([r**2 for r in d0.tolist()])
     r = np.sqrt(r2)
     D = np.stack([r, r, r, one, one, r, r, r2, one], axis=1)
-    m = 4 if problem.d0 is None else 5
+    m = 4 if d0 is None else 5
     b = np.broadcast_to([1.0, 0.0, 0.0, 0.0, 1.0][:m], (W, m))
     C = P0 * D[:, :, None] * D[:, None, :]
     X, _, diag = sdp_solve(C, _CONSTRAINT_MATRICES[:m], b, tol=SDP_TOL, max_iter=SDP_MAX_ITER)
@@ -292,7 +282,7 @@ def solve_sdp_relaxation(problem: QcqpProblem) -> tuple[np.ndarray, SolveDiagnos
     # X then overflows, and its readout fails the problem (`_rank_one_states`)
     with np.errstate(over="ignore"):
         X = X * D[:, :, None] * D[:, None, :]
-    return X.reshape(problem.P0.shape), diag
+    return X, diag
 
 
 def _rank_one_states(lam0: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -327,34 +317,6 @@ def _headings(x: np.ndarray) -> tuple[np.ndarray, dict]:
         else:
             theta[i] = math.atan2(s / norm, c / norm)
     return theta, errors
-
-
-def recover_rank_one(X) -> np.ndarray:
-    """Best rank-one lifted state from a PSD matrix.
-
-    Takes the dominant eigenpair and rescales it so that the homogenizer
-    is exactly one, which also fixes its sign.
-    """
-    lam, Q = np.linalg.eigh(X)
-    x, errors = _rank_one_states(lam[-1:], Q[None, :, -1])
-    if errors:
-        raise errors[0]
-    return x[0]
-
-
-def extract_transform(x) -> Transform4DoF:
-    """Transform from a normalized lifted state (homogenizer must be 1).
-
-    The (cos, sin) pair is renormalized to the unit circle before the
-    heading is read off.
-    """
-    x = np.asarray(x, dtype=float)
-    if abs(x[8] - 1.0) > 1e-6:
-        raise ValueError(f"lifted state not normalized: x9 = {x[8]}")
-    theta, errors = _headings(x[None])
-    if errors:
-        raise errors[0]
-    return Transform4DoF(t=x[:3].copy(), theta=theta[0])
 
 
 def _scaled_rows(B: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -766,7 +728,7 @@ def _information(points: tuple, stack: SyncedStack) -> FimArrays:
     """
     estimates, _, errors = points
     n = min(errors, default=len(estimates))
-    info = fim_stack(estimates[:n, :3], estimates[:n, 3], stack.pa[:n], stack.pb[:n], stack.sigma_r) if n else None
+    info = fim(estimates[:n, :3], estimates[:n, 3], stack.pa[:n], stack.pb[:n], stack.sigma_r) if n else None
     if errors:
         raise errors[n]
     return info
@@ -792,9 +754,8 @@ def _sdp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dict
 
     One assembly, then one `sdp_solve` call relaxes every problem whose P0
     is finite, and one batched eigh of the X stack gives each its rank-one
-    state (`_rank_one_states`) and heading (`_headings`), which
-    `recover_rank_one` and `extract_transform` read the same way, rank_x
-    and lambda_ratio. A problem whose P0 is not finite is not relaxed: its
+    state (`_rank_one_states`), heading (`_headings`), rank_x and
+    lambda_ratio. A problem whose P0 is not finite is not relaxed: its
     X stays zero and its status reads "not_finite". Returns the estimates
     (W, 4), the solver scalars (iterations, status, gap, rank_x,
     lambda_ratio, final_cost), one (W,) array each, and
@@ -808,8 +769,7 @@ def _sdp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dict
     X, iterations = np.zeros((W, 9, 9)), np.zeros(W, dtype=int)
     status, gap = np.full(W, "not_finite", dtype=object), np.full(W, math.nan)
     if relaxed.any():
-        d0 = None if problem.d0 is None else problem.d0[relaxed]
-        X[relaxed], diag = solve_sdp_relaxation(QcqpProblem(problem.P0[relaxed], problem.B[relaxed], problem.weights[relaxed], d0))
+        X[relaxed], diag = solve_sdp_relaxation(problem.P0[relaxed], None if stack.d0 is None else stack.d0[relaxed])
         iterations[relaxed], status[relaxed], gap[relaxed] = diag.iterations, diag.status, diag.gap
     lam, Q = np.linalg.eigh(X)
     lam = np.maximum(lam[:, ::-1], 0.0)
@@ -843,9 +803,9 @@ def _sdp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dict
 
 
 def _lifted_cost(P0: np.ndarray, estimates: np.ndarray) -> np.ndarray:
-    """x' P0 x of each problem at the lift x of its estimate, with the bits
-    of `lift_transform` and `sd_wls_cost` on it alone."""
-    # math.cos and math.sin round as `lift_transform` does
+    """x' P0 x of each problem at the lift x of its estimate, the same
+    bits in any stack."""
+    # math.cos and math.sin round as Transform4DoF.rotation does
     theta = estimates[:, 3].tolist()
     x = _lift(*estimates[:, :3].T, np.array([math.cos(th) for th in theta]), np.array([math.sin(th) for th in theta]))
     return ((x[:, None, :] @ P0) @ x[:, :, None])[:, 0, 0]
@@ -961,11 +921,8 @@ def _estimator(method: str, points):
     is the one timer of the estimators: wall_ms, a solver scalar of every
     problem, is the point stage's wall time over the number of problems."""
 
-    def estimate(data: SyncedDataset | SyncedStack, init=None):
-        if isinstance(data, SyncedStack):
-            stack, starts = data, init
-        else:
-            stack, starts = data.stack(), None if init is None else init.as_vector()[None]
+    def estimate(data: SyncedDataset | SyncedStack, starts: Optional[np.ndarray] = None):
+        stack = data if isinstance(data, SyncedStack) else data.stack()
         start = time.perf_counter()
         estimates, scalars, errors = points(stack, starts)
         scalars["wall_ms"] = np.full(len(estimates), (time.perf_counter() - start) * 1e3 / len(estimates))
@@ -984,17 +941,17 @@ nls_estimate = _estimator("nls", _nls_points)
 # point stage: the estimates as one (W, 4) array of (t_x, t_y, t_z, theta),
 # theta wrapped into [-pi, pi) and NaN rows where a problem failed, one
 # (W,) array per solver scalar and {problem index: error} for every failing
-# problem, with no FIM and no report; init is then None or a (W, 4) array
-# of starts. A `SyncedDataset` in gives its EstimateReport, the point
-# stage of `dataset.stack()` with `_report`, which raises the problem's
-# error; init is then None or a Transform4DoF. Only the local `nls` reads
-# init, from zero by default; the global `qcqp` and `sdp` ignore it. The
-# entry times the point stage, assembly included, and adds the solver
-# scalar wall_ms, that time over W; the point stages time nothing. The
-# Monte-Carlo cells and the drift windows estimate through the stack form,
-# the CLI's `estimate` through the dataset form, so every estimate goes
-# through the registry, where the benchmark's tracer (perfbench/tracing.py)
-# times the estimate layer.
+# problem, with no FIM and no report. starts is None or a (W, 4) array;
+# only the local `nls` reads it, from zero by default, and the global
+# `qcqp` and `sdp` ignore it. A `SyncedDataset` in gives its
+# EstimateReport: the point stage of `dataset.stack()`, a stack of one,
+# with `_report`, which raises the problem's error. The entry times the
+# point stage, assembly included, and adds the solver scalar wall_ms, that
+# time over W; the point stages time nothing. The Monte-Carlo cells and
+# the drift windows estimate through the stack form, the CLI's `estimate`
+# through the dataset form, so every estimate goes through the registry,
+# where the benchmark's tracer (perfbench/tracing.py) times the estimate
+# layer.
 ESTIMATORS = {"qcqp": qcqp_estimate, "sdp": sdp_estimate, "nls": nls_estimate}
 
 
@@ -1043,7 +1000,7 @@ def sliding_window_estimate(
 
     `qcqp` and `sdp` solve all windows in one stacked pass: their
     `ESTIMATORS` entry on the stack of `stream.windows`, one assembly
-    without d0, then one stacked FIM (`fisher.fim_stack`) at every
+    without d0, then one stacked FIM (`fisher.fim`) at every
     estimate. For `qcqp` that is one yaw sweep pass per SWEEP_CHUNK
     windows (one pass for the 60 windows of a 120 s stream at the CLI
     default, five for 600 s) and one refinement of every candidate, for

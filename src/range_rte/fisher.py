@@ -4,19 +4,22 @@ everything derived from it, and the determinant decomposition.
 Each range row contributes one Jacobian row [u^T, phi]: u is the unit
 vector along the inter-antenna line in the host frame and phi couples the
 range to the heading through the target's horizontal displacement. The
-rows of a dataset are those of its `SyncedDataset.stack()`, the rows the
-estimators fit: one per range, plus one for a d0 that is not the first
-range itself, between the two frame origins (u = t / ||t||, phi = 0).
-`fim`, `jacobian_matrix` and the determinant expansion count exactly
-these rows, through the one Jacobian `_jacobian_stack`.
+rows of a problem are those of its `measurement.SyncedStack`, the rows
+the estimators fit; a dataset's are those of its `SyncedDataset.stack()`:
+one per range, plus one for a d0 that is not the first range itself,
+between the two frame origins (u = t / ||t||, phi = 0). `fim` and the
+determinant expansion count exactly these rows, through the one Jacobian
+`_jacobian_stack`.
 
 The FIM is the noise-weighted Gram matrix of the rows. `fim_arrays`
 derives every quantity of a stack of FIMs in one pass, from one
 eigendecomposition each, as stacked arrays (`FimArrays`): kappa, rank,
 CRLB, standard errors, det and the singularity flags. It is the one FIM
-code path and `FimArrays` the one information type: `fim_stack` takes it
-at W transforms, a Monte-Carlo cell reads its bounds, a drift track its
-kappa and CRLB, and a dataset's report row 0 of the stack of one, its
+code path and `FimArrays` the one information type. `fim` takes it at
+the W transforms of W problems, given as arrays the way a `SyncedStack`
+holds them; one problem is a stack of one. A Monte-Carlo cell reads its
+bounds at the truths, a drift track its kappa and CRLB at the window
+estimates, and a dataset's report row 0 of the stack of one, its
 verdicts through `singularity_flags`. Every quantity that needs an
 invertible F is NaN where F is not. The standard errors, the
 per-parameter flags and `confidence_intervals` all read the same CRLB
@@ -35,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import Transform4DoF, yaw_matrices
-from .measurement import SyncedDataset, SyncedStack
+from .measurement import SyncedDataset
 
 # kappa of the FIM at the estimate above which a configuration is
 # singular. Measured with `qcqp` at sigma_o 1 mm: the four singular kinds
@@ -61,7 +64,9 @@ class SingularGeometryError(ValueError):
 
 
 class InsufficientDataError(ValueError):
-    """Fewer measurements than the determinant expansion needs."""
+    """Too few measurements: fewer rows than the determinant expansion
+    needs, or, in the CLI's `estimate`, no range left after the outlier
+    gate. The CLI's exit code 3."""
 
 
 class ExpansionTooLargeError(ValueError):
@@ -95,12 +100,6 @@ def _jacobian_stack(t: np.ndarray, theta: np.ndarray, pa: np.ndarray, pb: np.nda
     U = W / d[..., None]
     phi = -rotated_b[..., 1] * U[..., 0] + rotated_b[..., 0] * U[..., 1]  # [uz x (C pb)] . u
     return np.concatenate([U, phi[..., None]], axis=-1)
-
-
-def jacobian_matrix(T: Transform4DoF, dataset: SyncedDataset) -> np.ndarray:
-    """Stacked (k, 4) Jacobian, one row [u^T, phi] per row of `dataset.stack()`."""
-    stack = dataset.stack()
-    return _jacobian_stack(T.t[None], np.array([T.theta]), stack.pa, stack.pb)[0]
 
 
 @dataclass
@@ -202,34 +201,20 @@ def singularity_flags(info: FimArrays) -> SingularityFlags:
     return SingularityFlags(info.singular.tolist()[0], tuple(info.unobservable.tolist()[0]), DEFAULT_KAPPA_THRESHOLD)
 
 
-def fim_stack(t, theta, pa, pb, sigma_r: float) -> FimArrays:
-    """Fisher information of W problems about their (t, theta).
+def fim(t, theta, pa, pb, sigma_r: float) -> FimArrays:
+    """Fisher information of W problems about their (t, theta), with CRLB.
 
     t (W, 3) and theta (W,) are the transforms, pa and pb (W, k, 3) the
-    antenna positions of each problem's ranges. F = sigma_r^-2 J^T J,
-    derived by `fim_arrays`.
+    antenna positions of each problem's ranges, as a `SyncedStack` holds
+    them. F = sigma_r^-2 J^T J, derived by `fim_arrays`.
     """
     J = _jacobian_stack(np.asarray(t, dtype=float), np.asarray(theta, dtype=float), pa, pb)
     return fim_arrays((J.swapaxes(-1, -2) @ J) / sigma_r**2)
 
 
-def fim(T: Transform4DoF | tuple, data: SyncedDataset | SyncedStack) -> FimArrays:
-    """Fisher information of the data about (t, theta), with CRLB.
-
-    `fim_stack` on the rows of `data.stack()`. A `Transform4DoF` with a
-    dataset gives the `FimArrays` of its stack of one. Given a
-    `SyncedStack` and T the pair (t (W, 3), theta (W,)) of its W
-    transforms instead, a Monte-Carlo cell takes the bounds at its truths
-    and a drift track at its window estimates.
-    """
-    if isinstance(T, Transform4DoF):
-        data, T = data.stack(), (T.t[None], np.array([T.theta]))
-    t, theta = T
-    return fim_stack(t, theta, data.pa, data.pb, data.sigma_r)
-
-
 def det_fim_geometric(T: Transform4DoF, dataset: SyncedDataset) -> float:
-    """det(F) by expansion over all 4-subsets of the rows.
+    """det(F) by expansion over all 4-subsets of the rows of
+    `dataset.stack()`, at T.
 
     Each subset contributes the squared signed combination of the
     heading terms with the triple-product volumes of the remaining three
@@ -241,7 +226,8 @@ def det_fim_geometric(T: Transform4DoF, dataset: SyncedDataset) -> float:
     ExpansionTooLargeError, and `FimArrays.det_f` is the determinant (an
     analysis tool, not an estimator path).
     """
-    J = jacobian_matrix(T, dataset)
+    stack = dataset.stack()
+    J = _jacobian_stack(T.t[None], np.array([T.theta]), stack.pa, stack.pb)[0]
     if len(J) < 4:
         raise InsufficientDataError(f"need at least 4 measurements, got {len(J)}")
     if len(J) > DET_SUBSET_CAP:

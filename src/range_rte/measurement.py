@@ -18,10 +18,13 @@ odometry logs gets each agent's pose at its timestamp: the logged pose
 itself on a coinciding stamp, otherwise the position interpolated
 linearly and the attitude spherically between the two bracketing poses;
 the lever arm is then rotated into the local frame. Uncovered ranges are
-dropped, never extrapolated. `SyncedStack`, the fit problem that the
-estimators and the Fisher information read, holds W problems as arrays
-with a leading axis of W: a dataset's own (`SyncedDataset.stack`), a
-stream's windows (`SyncedDataset.windows`) or a Monte-Carlo cell.
+dropped, never extrapolated. `SyncedStack`, the one fit-problem form
+that the estimators and the Fisher information read, holds W problems as
+arrays with a leading axis of W: a dataset's own (`SyncedDataset.stack`),
+a stream's windows (`SyncedDataset.windows`) or a Monte-Carlo cell
+(`simulation.synthesize_measurements`). A dataset is a log's synced
+rows: the outlier gate keeps some of them (`SyncedDataset.select`), and
+it is fitted only through its stack.
 
 Also here: the squared-distance debiasing used by the weighted
 least-squares pipeline and the odometry-bounded range-rate gate that
@@ -192,23 +195,17 @@ class SyncedDataset:
     def __len__(self) -> int:
         return len(self.t)
 
-    def _rows(self, index, keep_d0: bool) -> "SyncedDataset":
+    def select(self, keep, keep_d0: bool = True) -> "SyncedDataset":
+        """Dataset restricted to the rows where the boolean mask is True."""
+        keep = np.asarray(keep, dtype=bool)
         return SyncedDataset(
-            t=self.t[index],
-            d=self.d[index],
-            pa=self.pa[index],
-            pb=self.pb[index],
+            t=self.t[keep],
+            d=self.d[keep],
+            pa=self.pa[keep],
+            pb=self.pb[keep],
             sigma_r=self.sigma_r,
             d0=self.d0 if keep_d0 else None,
         )
-
-    def window(self, start: int, stop: int, keep_d0: bool = False) -> "SyncedDataset":
-        """Dataset restricted to rows start:stop."""
-        return self._rows(slice(start, stop), keep_d0)
-
-    def select(self, keep, keep_d0: bool = True) -> "SyncedDataset":
-        """Dataset restricted to the rows where the boolean mask is True."""
-        return self._rows(np.asarray(keep, dtype=bool), keep_d0)
 
     def stack(self) -> "SyncedStack":
         """The dataset's fit problem, as a stack of one.

@@ -263,35 +263,27 @@ def _antenna_positions(positions: np.ndarray, yaws: np.ndarray, arms: np.ndarray
 
 
 def synthesize_measurements(
-    T_true: Transform4DoF | tuple[np.ndarray, np.ndarray],
+    T_true: tuple[np.ndarray, np.ndarray],
     traj_a: tuple[np.ndarray, np.ndarray],
     traj_b: tuple[np.ndarray, np.ndarray],
     cfg: ScenarioConfig,
-    rng: np.random.Generator | Sequence[np.random.Generator],
-) -> SyncedDataset | SyncedStack:
-    """Noisy synced dataset from ground-truth trajectories.
+    rngs: Sequence[np.random.Generator],
+) -> SyncedStack:
+    """Noisy fit problems of W trials from their ground-truth trajectories.
 
-    Each trajectory is (positions (n, 3), headings (n,)), sample i taken
-    at i seconds. Ranges come from the true antenna geometry plus
-    Gaussian range noise; the recorded antenna positions come from
-    odometry perturbed by per-axis Gaussian noise, as an estimator would
-    see them. The first noisy range is recorded as the inter-origin
-    distance d0 only when both first true antenna positions sit at their
-    frame origins; otherwise it does not measure ||t|| and d0 stays None.
-
-    With a leading trial axis, T_true is the pair (t (W, 3), theta (W,))
-    of W truths, each trajectory is (positions (W, n, 3), headings
-    (W, n)), rng holds one generator per trial, and the result is the
-    cell's fit problems as a `SyncedStack`, with each trial's first range
-    as its d0 when the first true antenna positions sit at their frame
-    origins, which must hold in every trial or in none. Each generator
-    draws its trial's range noise, then its odometry noise, host before
-    target, and each trial comes out as it would alone, bit for bit.
+    T_true is the pair (t (W, 3), theta (W,)) of the W truths, each
+    trajectory is (positions (W, n, 3), headings (W, n)), sample i taken
+    at i seconds, and rngs holds one generator per trial. Ranges come
+    from the true antenna geometry plus Gaussian range noise; the
+    recorded antenna positions come from odometry perturbed by per-axis
+    Gaussian noise, as an estimator would see them. The result is the
+    trials as a `SyncedStack`. A trial's first noisy range is its d0 only
+    when both first true antenna positions sit at their frame origins,
+    which must hold in every trial or in none; otherwise it does not
+    measure ||t|| and d0 stays None. Each generator draws its trial's
+    range noise, then its odometry noise, host before target, and each
+    trial comes out as it would in a stack of one, bit for bit.
     """
-    if isinstance(T_true, Transform4DoF):
-        T_true = T_true.t[None], np.array([T_true.theta])
-        traj_a, traj_b = ((p[None], yaw[None]) for p, yaw in (traj_a, traj_b))
-        return _trial_dataset(synthesize_measurements(T_true, traj_a, traj_b, cfg, [rng]), 0)
     t, theta = T_true
     n = min(traj_a[1].shape[1], traj_b[1].shape[1])
     positions, yaws = (np.stack((a[:, :n], b[:, :n])) for a, b in zip(traj_a, traj_b))
@@ -300,10 +292,10 @@ def synthesize_measurements(
     # math.cos and math.sin round as Transform4DoF.rotation does
     R = yaw_matrices([math.cos(th) for th in theta.tolist()], [math.sin(th) for th in theta.tolist()])
     d = np.linalg.norm(t[:, None, :] + pb_true @ R.swapaxes(-1, -2) - pa_true, axis=-1)
-    d_meas = d + cfg.sigma_r * np.array([g.standard_normal(n) for g in rng]) if cfg.sigma_r > 0 else d
+    d_meas = d + cfg.sigma_r * np.array([g.standard_normal(n) for g in rngs]) if cfg.sigma_r > 0 else d
     np.maximum(d_meas, 1e-9, out=d_meas)
     if cfg.sigma_o > 0:
-        noise = [(g.standard_normal((n, 3)), g.standard_normal((n, 3))) for g in rng]
+        noise = [(g.standard_normal((n, 3)), g.standard_normal((n, 3))) for g in rngs]
         pa = pa_true + cfg.sigma_o * np.array([a for a, _ in noise])
         pb = pb_true + cfg.sigma_o * np.array([b for _, b in noise])
     else:
@@ -375,7 +367,9 @@ def singular_scenario(
     else:  # static_host
         traj_a = np.zeros((n, 3)), np.zeros(n)
         traj_b = generate_trajectory(D, n, rng)
-    return T, synthesize_measurements(T, traj_a, traj_b, cfg, rng)
+    # a stack of one trial: a leading axis of 1 on every array
+    trajs = [(p[None], yaw[None]) for p, yaw in (traj_a, traj_b)]
+    return T, _trial_dataset(synthesize_measurements((T.t[None], np.array([T.theta])), *trajs, cfg, [rng]), 0)
 
 
 def trial_data(cfg: ScenarioConfig, trials: int | Sequence[int]) -> tuple:
@@ -428,7 +422,7 @@ def monte_carlo_run(cfg: ScenarioConfig, estimator: str = "qcqp") -> ErrorStats:
 
     The cell is one array pipeline, the same for every estimator:
     `trial_data` on every trial gives the truths and a `SyncedStack`,
-    `fim` on them gives every bound as arrays from one `fim_stack`, the
+    `fim` on them gives every bound as arrays from one stacked FIM, the
     estimator's `ESTIMATORS` entry on the stack gives its point stage (the
     (trials, 4) estimate array, NaN rows for the failed trials, with no FIM
     at the estimates), and the errors are taken on those arrays. Each
@@ -439,7 +433,7 @@ def monte_carlo_run(cfg: ScenarioConfig, estimator: str = "qcqp") -> ErrorStats:
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
     (t, theta), cell = trial_data(cfg, range(cfg.trials))
-    bounds = fim((t, theta), cell)
+    bounds = fim(t, theta, cell.pa, cell.pb, cell.sigma_r)
     estimates, scalars, errors = ESTIMATORS[estimator](cell)
     dt = estimates[:, :3] - t
     table = np.empty((cfg.trials, 5))

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.optimize import least_squares
 
-from range_rte.estimators import lift_transform
+from range_rte.estimators import _lift
 from range_rte.geometry import Transform4DoF
 
 # MINPACK's stopping tolerances, a few eps: the reference runs down to the
@@ -49,7 +49,7 @@ def lm_refine(problem, T0: Transform4DoF) -> tuple[Transform4DoF, float]:
     Bw = problem.B * np.sqrt(problem.weights / problem.weights.max())[:, None]
 
     def residuals(p):
-        return Bw @ lift_transform(Transform4DoF(t=p[:3], theta=p[3]))
+        return Bw @ _lift(*p[:3], math.cos(p[3]), math.sin(p[3]))
 
     def jacobian(p):
         return Bw @ lift_jacobian(p[:3], p[3])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from one_problem import dataset_fim
 
 from range_rte.cli import ESTIMATE_DEFAULTS, main
 from range_rte.estimators import ESTIMATORS
@@ -21,7 +22,7 @@ from range_rte.io_formats import (
     write_odometry_csv,
     write_ranges_csv,
 )
-from range_rte.fisher import DEFAULT_KAPPA_THRESHOLD, fim
+from range_rte.fisher import DEFAULT_KAPPA_THRESHOLD
 from range_rte.measurement import ingest_logs, odometry_log, range_log, true_range
 
 
@@ -140,6 +141,24 @@ class TestEstimateCommand:
                    "--out", str(tmp_path / "report.json")])
         assert rc == 3
         assert "zero range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimator", ["qcqp", "sdp", "nls"])
+    @pytest.mark.parametrize("d0", [None, 1.0])
+    def test_gate_rejecting_every_range_exits_insufficient_data(self, tmp_path, capsys, estimator, d0):
+        # two static agents at their origins whose ranges, 1 m then 5 m, break the
+        # range-rate bound with each other: the gate rejects both. With nothing
+        # left to fit, every estimator exits 3 with the gate's message, with or
+        # without a d0 (each once failed in its own way: exit 2, 3 or 4)
+        odom = odometry_log([0.0, 1.0], np.zeros((2, 3)), yaw_quat(0.0))
+        pa, pb, ranges = (str(tmp_path / name) for name in ("odom_a.csv", "odom_b.csv", "ranges.csv"))
+        write_odometry_csv(pa, odom)
+        write_odometry_csv(pb, odom)
+        write_ranges_csv(ranges, range_log([0.0, 1.0], [1.0, 5.0]))
+        cfg = write_json(tmp_path / "cfg.json", {"d0_m": d0, "estimator": estimator})
+        out = str(tmp_path / "report.json")
+        assert main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]) == 3
+        assert capsys.readouterr().err.strip() == "error: the outlier gate rejected all 2 ranges: none is left to fit"
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("estimator", ["qcqp", "sdp", "nls"])
     def test_d0_whose_square_overflows_exits_parse_error(self, tmp_path, capsys, estimator):
@@ -488,9 +507,9 @@ class TestFimCommand:
         assert rc == 0
         rep = read_json(out)
         arm_a, arm_b = LeverArm(arms["lever_arm_a_m"]), LeverArm(arms["lever_arm_b_m"])
-        want = fim(T, ingest_logs(*logs, ranges, arm_a=arm_a, arm_b=arm_b, sigma_r=0.05)[0]).F[0]
+        want = dataset_fim(T, ingest_logs(*logs, ranges, arm_a=arm_a, arm_b=arm_b, sigma_r=0.05)[0]).F[0]
         np.testing.assert_array_equal(np.array(rep["F"]), want)
-        assert not np.allclose(want, fim(T, ingest_logs(*logs, ranges, sigma_r=0.05)[0]).F[0])
+        assert not np.allclose(want, dataset_fim(T, ingest_logs(*logs, ranges, sigma_r=0.05)[0]).F[0])
 
     def test_config_unknown_key_or_with_scenario_rejected(self, tmp_path):
         pa, pb, ranges, T = synthetic_logs(tmp_path, n=10, seed=14)
@@ -621,7 +640,7 @@ class TestDriftCommand:
         import dataclasses
 
         from range_rte import simulation
-        from range_rte.estimators import DegenerateSolutionError, qcqp_estimate
+        from range_rte.estimators import DegenerateSolutionError, _information, qcqp_estimate
 
         real = simulation.sliding_window_estimate
         spoilt = []
@@ -636,8 +655,9 @@ class TestDriftCommand:
         cfg = write_json(tmp_path / "cfg.json", {"duration_s": 12.0, "seed": 3})
         with np.errstate(all="ignore"):
             rc = main(["drift", "--config", cfg, "--out", str(tmp_path / "d.json")])
+            window = spoilt[0].windows([100], 50)
             with pytest.raises(DegenerateSolutionError) as one:
-                qcqp_estimate(spoilt[0].window(100, 150))
+                _information(qcqp_estimate(window), window)  # raises the window's error
         assert rc == 4
         assert capsys.readouterr().err.strip() == f"solver failure: {one.value}"
 

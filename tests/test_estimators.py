@@ -21,7 +21,12 @@ from range_rte.estimators import (
     WindowTrack,
     _SWEEP_THETA,
     _eigh3_planes,
+    _headings,
+    _information,
+    _lift,
     _lift_stack,
+    _lifted_cost,
+    _rank_one_states,
     _scaled_rows,
     _sqrt_factor,
     _sweep,
@@ -29,12 +34,8 @@ from range_rte.estimators import (
     align_target_trajectory,
     assemble_qcqp,
     build_data_rows,
-    extract_transform,
-    lift_transform,
     nls_estimate,
     qcqp_estimate,
-    recover_rank_one,
-    sd_wls_cost,
     sdp_estimate,
     sliding_window_estimate,
     solve_sdp_relaxation,
@@ -43,33 +44,40 @@ from range_rte.fisher import DEFAULT_KAPPA_THRESHOLD, confidence_intervals, fim,
 from range_rte.geometry import Transform4DoF, heading_rotation, wrap_angle
 from range_rte.measurement import SyncedDataset, debias_squared, true_range
 from range_rte.solvers import CONVERGED, _gram, lockstep_newton
-from range_rte.simulation import (
-    DriftConfig,
-    ScenarioConfig,
-    generate_trajectory,
-    sample_ground_truth,
-    synthesize_measurements,
-    trial_data,
-    trial_rng,
-)
+from range_rte.simulation import DriftConfig, ScenarioConfig, trial_data, trial_rng
 
 
 def noiseless_instance(seed, d0=3.0, D=1.0, n=20):
-    cfg = ScenarioConfig(d0=d0, D=D, n_poses=n, sigma_r=0.0, sigma_o=0.0, trials=1, seed=seed)
-    rng = trial_rng(seed, 0)
-    T = sample_ground_truth(d0, rng)
-    ta = generate_trajectory(D, n, rng)
-    tb = generate_trajectory(D, n, rng)
-    return T, synthesize_measurements(T, ta, tb, cfg, rng)
+    return trial_data(ScenarioConfig(d0=d0, D=D, n_poses=n, sigma_r=0.0, sigma_o=0.0, trials=1, seed=seed), 0)
 
 
 def noisy_instance(seed, d0=3.0, D=1.0, n=30, sigma_r=0.1, sigma_o=0.001):
-    cfg = ScenarioConfig(d0=d0, D=D, n_poses=n, sigma_r=sigma_r, sigma_o=sigma_o, trials=1, seed=seed)
-    rng = trial_rng(seed, 0)
-    T = sample_ground_truth(d0, rng)
-    ta = generate_trajectory(D, n, rng)
-    tb = generate_trajectory(D, n, rng)
-    return T, synthesize_measurements(T, ta, tb, cfg, rng)
+    return trial_data(ScenarioConfig(d0=d0, D=D, n_poses=n, sigma_r=sigma_r, sigma_o=sigma_o, trials=1, seed=seed), 0)
+
+
+def lift(T: Transform4DoF) -> np.ndarray:
+    """The lifted 9-vector of a transform: `_lift` at its translation and
+    the cosine and sine of its heading."""
+    return _lift(*T.t, math.cos(T.theta), math.sin(T.theta))
+
+
+def lifted_cost(prob, T: Transform4DoF) -> float:
+    """x' P0 x of one assembled problem at the lift x of T: `_lifted_cost`
+    on a stack of one."""
+    return float(_lifted_cost(prob.P0[None], T.as_vector()[None])[0])
+
+
+def relax(ds) -> tuple[np.ndarray, str]:
+    """X (9, 9) and the status of a dataset's relaxation:
+    `solve_sdp_relaxation` on its stack of one."""
+    stack = ds.stack()
+    X, diag = solve_sdp_relaxation(assemble_qcqp(stack).P0, stack.d0)
+    return X[0], diag.status[0]
+
+
+def fim_at(estimates, stack):
+    """`fim` of the problems of a stack at their estimates (W, 4)."""
+    return fim(estimates[:, :3], estimates[:, 3], stack.pa, stack.pb, stack.sigma_r)
 
 
 def near_planar_instance(seed, n=20):
@@ -112,40 +120,41 @@ def errors(T_hat, T):
 
 
 class TestLift:
+    """`_lift` and the heading readout of normalized lifted states (`_headings`)."""
+
     def test_roundtrip(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             T = Transform4DoF(t=rng.normal(size=3), theta=rng.uniform(-math.pi, math.pi))
-            x = lift_transform(T)
+            x = lift(T)
             assert x[8] == 1.0
             assert x[3] ** 2 + x[4] ** 2 == pytest.approx(1.0)
             assert x[7] == pytest.approx(float(T.t @ T.t))
-            back = extract_transform(x)
-            assert np.allclose(back.t, T.t)
-            assert back.theta == pytest.approx(T.theta)
+            theta, errors = _headings(x[None])
+            assert not errors
+            assert np.allclose(x[:3], T.t)
+            assert theta[0] == pytest.approx(T.theta)
 
     def test_extract_renormalizes_heading(self):
-        x = lift_transform(Transform4DoF(t=[1.0, 2.0, 3.0], theta=math.atan2(0.8, 0.6)))
+        x = lift(Transform4DoF(t=[1.0, 2.0, 3.0], theta=math.atan2(0.8, 0.6)))
         x[3], x[4] = 0.59, 0.81  # slightly off the unit circle
-        T = extract_transform(x)
-        assert T.theta == pytest.approx(math.atan2(0.81, 0.59))
+        theta, errors = _headings(x[None])
+        assert not errors and theta[0] == pytest.approx(math.atan2(0.81, 0.59))
 
     def test_extract_wraps_pi(self):
-        x = lift_transform(Transform4DoF(t=np.zeros(3), theta=-math.pi))
-        T = extract_transform(x)
-        assert -math.pi <= T.theta < math.pi
+        # the readout gives atan2's +pi, which the point stage wraps, as `_sdp_points` does
+        x = lift(Transform4DoF(t=np.zeros(3), theta=-math.pi))
+        theta, errors = _headings(x[None])
+        assert not errors and -math.pi <= wrap_angle(theta)[0] < math.pi
 
     def test_heading_undefined(self):
-        x = lift_transform(Transform4DoF(t=[1.0, 0.0, 0.0], theta=0.0))
-        x[3] = x[4] = 1e-9
-        with pytest.raises(DegenerateSolutionError, match="cos/sin block too small to define a heading"):
-            extract_transform(x)
-
-    def test_extract_requires_normalized(self):
-        x = lift_transform(Transform4DoF(t=[1.0, 0.0, 0.0], theta=0.0))
-        x[8] = 2.0
-        with pytest.raises(ValueError):
-            extract_transform(x)
+        # the problem with no heading gets a NaN heading and its error; the others keep theirs
+        x = np.array([lift(Transform4DoF(t=[1.0, 0.0, 0.0], theta=th)) for th in (0.0, 0.5)])
+        x[0, 3] = x[0, 4] = 1e-9
+        theta, errors = _headings(x)
+        assert list(errors) == [0] and isinstance(errors[0], DegenerateSolutionError)
+        assert str(errors[0]) == "cos/sin block too small to define a heading"
+        assert math.isnan(theta[0]) and theta[1] == pytest.approx(0.5)
 
 
 class TestDataRow:
@@ -165,7 +174,7 @@ class TestDataRow:
             d2 = float(true_range(T, pa, pb)) ** 2
             s_val = rng.uniform(0.5, 4.0)
             row = build_data_rows([pa], [pb], [s_val])[0]
-            assert row @ lift_transform(T) == pytest.approx(d2 - s_val, rel=1e-12, abs=1e-12)
+            assert row @ lift(T) == pytest.approx(d2 - s_val, rel=1e-12, abs=1e-12)
 
     def test_rows_equal_row_by_row_reference(self):
         def reference_row(pa, pb, s_i):
@@ -193,17 +202,18 @@ class TestDataRow:
         assert np.array_equal(build_data_rows(pa, pb, s), expected)
 
 
-def constraints(prob):
-    """(P_i, r_i) of a single problem: the four structural constraints, then ||t||^2 = d0^2 when it has d0."""
-    rhs = (1.0, 0.0, 0.0, 0.0) if prob.d0 is None else (1.0, 0.0, 0.0, 0.0, prob.d0**2)
+def constraints(ds):
+    """(P_i, r_i) of a dataset's one problem: the four structural
+    constraints, then ||t||^2 = d0^2 when its stack has d0."""
+    d0 = ds.stack().d0
+    rhs = (1.0, 0.0, 0.0, 0.0) if d0 is None else (1.0, 0.0, 0.0, 0.0, float(d0[0]) ** 2)
     return list(zip(_CONSTRAINT_MATRICES, rhs))
 
 
 class TestAssemble:
     def test_unit_circle_constraint(self):
         T, ds = noiseless_instance(0)
-        prob = assemble_qcqp(ds)
-        P1, r1 = constraints(prob)[0]
+        P1, r1 = constraints(ds)[0]
         for phi in np.linspace(-math.pi, math.pi, 7):
             x = np.zeros(9)
             x[3], x[4] = math.cos(phi), math.sin(phi)
@@ -216,24 +226,22 @@ class TestAssemble:
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         T2 = Transform4DoF(t=ds.d0 * direction, theta=0.7)
-        prob = assemble_qcqp(ds)
-        assert prob.d0 == ds.d0 and len(constraints(prob)) == 5
-        x = lift_transform(T2)
-        for P, r in constraints(prob):
+        assert ds.stack().d0.tolist() == [ds.d0] and len(constraints(ds)) == 5
+        x = lift(T2)
+        for P, r in constraints(ds):
             assert x @ P @ x == pytest.approx(r, abs=1e-12 * max(1.0, abs(r)))
 
     def test_noiseless_cost_zero_at_truth(self):
         T, ds = noiseless_instance(2)
         prob = assemble_qcqp(ds)
-        x = lift_transform(T)
+        x = lift(T)
         cost = float(x @ prob.P0 @ x)
         assert cost <= 1e-10 * np.abs(prob.P0).max()
 
     def test_constraint_count_without_d0(self):
         T, ds = noiseless_instance(3)
         no_d0 = dataclasses.replace(ds, d0=None)
-        prob = assemble_qcqp(no_d0)
-        assert prob.d0 is None and len(constraints(prob)) == 4
+        assert no_d0.stack().d0 is None and len(constraints(no_d0)) == 4
 
     def test_cost_equals_direct_weighted_residuals(self):
         T, ds = noisy_instance(4)
@@ -245,7 +253,7 @@ class TestAssemble:
             W = Tq.t + ds.pb @ Tq.rotation().T - ds.pa
             e_s = np.einsum("ij,ij->i", W, W) - stats.s
             direct = float(e_s @ (e_s / stats.sigma_s_diag))
-            assert sd_wls_cost(prob, Tq) == pytest.approx(direct, rel=1e-10)
+            assert lifted_cost(prob, Tq) == pytest.approx(direct, rel=1e-10)
 
 
 class TestOneProblemType:
@@ -257,51 +265,46 @@ class TestOneProblemType:
     def test_dataset_equals_its_stack_of_one(self, seed, n, variant):
         T, ds = noisy_instance(seed, n=n)
         ds = dataclasses.replace(ds, d0={"absent": None, "first": ds.d[0], "off": ds.d[0] + 0.05}[variant])
-        one, stacked = assemble_qcqp(ds), assemble_qcqp(ds.stack())
+        stack = ds.stack()
+        one, stacked = assemble_qcqp(ds), assemble_qcqp(stack)
         assert one.B.shape[0] == len(ds) + (variant == "off")
         for name in ("P0", "B", "weights"):
             assert getattr(one, name).tobytes() == getattr(stacked, name)[0].tobytes()
-        if variant == "absent":
-            assert one.d0 is None and stacked.d0 is None
-        else:
-            assert one.d0 == ds.d0 and stacked.d0.tolist() == [ds.d0]
-        F = fim((T.t[None], np.array([T.theta])), ds.stack()).F[0]
-        assert fim(T, ds).F.tobytes() == F.tobytes()
+        # the relaxation's norm constraint reads the stack's d0
+        assert stack.d0 is None if variant == "absent" else stack.d0.tolist() == [ds.d0]
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 30), stride=st.integers(1, 20), W=st.integers(1, 8))
     def test_window_stack_equals_each_window(self, seed, length, stride, W):
         stream = random_stream(np.random.default_rng(seed), length + stride * (W - 1))
         starts = np.arange(W) * stride
-        stacked = assemble_qcqp(stream.windows(starts, length))
-        assert stacked.d0 is None
+        windows = stream.windows(starts, length)
+        stacked = assemble_qcqp(windows)
+        assert windows.d0 is None
         for i, a in enumerate(starts.tolist()):
-            one = assemble_qcqp(stream.window(a, a + length))
+            one = assemble_qcqp(stream.windows([a], length))
             for name in ("P0", "B", "weights"):
-                assert getattr(one, name).tobytes() == getattr(stacked, name)[i].tobytes()
+                assert getattr(one, name)[0].tobytes() == getattr(stacked, name)[i].tobytes()
 
 
 class TestSdpRelaxation:
     def test_noiseless_rank_one_and_recovery(self):
         T, ds = noiseless_instance(6)
-        prob = assemble_qcqp(ds)
-        X, diag = solve_sdp_relaxation(prob)
+        X, _ = relax(ds)
         lam = np.linalg.eigvalsh(X)
         assert lam[-2] / lam[-1] <= 1e-6
         assert lam[0] >= -1e-8 * lam[-1]
-        T_hat = extract_transform(recover_rank_one(X))
-        et, eth = errors(T_hat, T)
+        et, eth = errors(sdp_estimate(ds).theta_hat, T)
         assert et <= 1e-6 and eth <= 1e-6
         # constraint feasibility of the returned matrix
-        for P, r in constraints(prob):
+        for P, r in constraints(ds):
             assert abs(np.tensordot(P, X) - r) <= 1e-7 * max(1.0, abs(r))
 
     def test_scale_similarity(self):
         T, ds = noiseless_instance(7)
         c = 2.5
         scaled = SyncedDataset(t=ds.t, d=c * ds.d, pa=c * ds.pa, pb=c * ds.pb, sigma_r=ds.sigma_r, d0=c * ds.d0)
-        T1 = extract_transform(recover_rank_one(solve_sdp_relaxation(assemble_qcqp(ds))[0]))
-        T2 = extract_transform(recover_rank_one(solve_sdp_relaxation(assemble_qcqp(scaled))[0]))
+        T1, T2 = sdp_estimate(ds).theta_hat, sdp_estimate(scaled).theta_hat
         assert np.allclose(T2.t, c * T1.t, atol=1e-5)
         assert T2.theta == pytest.approx(T1.theta, abs=1e-5)
 
@@ -310,22 +313,21 @@ class TestSdpRelaxation:
 
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=20, sigma_r=0.0, sigma_o=0.0, trials=1, seed=0)
         T, ds = singular_scenario("parallel", cfg, trial_rng(3, 0))
-        prob = assemble_qcqp(ds)
-        X, diag = solve_sdp_relaxation(prob)
+        X, _ = relax(ds)
         lam = np.maximum(np.linalg.eigvalsh(X)[::-1], 0.0)
         assert lam[1] / lam[0] > 1e-6  # relaxation not tight: ambiguity survives
 
     def test_sdp_is_lower_bound_over_feasible_lifts(self):
         T, ds = noisy_instance(8)
         prob = assemble_qcqp(ds)
-        X, _ = solve_sdp_relaxation(prob)
+        X, _ = relax(ds)
         opt = float(np.tensordot(prob.P0, X))
         rng = np.random.default_rng(9)
         for _ in range(25):
             direction = rng.normal(size=3)
             direction /= np.linalg.norm(direction)
             Tf = Transform4DoF(t=ds.d0 * direction, theta=rng.uniform(-math.pi, math.pi))
-            assert opt <= sd_wls_cost(prob, Tf) + 1e-6 * (1 + abs(opt))
+            assert opt <= lifted_cost(prob, Tf) + 1e-6 * (1 + abs(opt))
 
     @pytest.mark.parametrize("trial", [1, 2, 3, 4, 6, 13])
     def test_far_relaxation_without_d0_is_solved(self, trial):
@@ -334,11 +336,11 @@ class TestSdpRelaxation:
         _, ds = trial_data(ScenarioConfig(d0=50.0, D=20.0, trials=1, seed=21), trial)
         ds = ds.select(np.arange(len(ds)) > 0, keep_d0=False)
         prob = assemble_qcqp(ds)
-        X, diag = solve_sdp_relaxation(prob)
-        assert diag.status == "optimal"
+        X, status = relax(ds)
+        assert status == "optimal"
         lam = np.linalg.eigvalsh(X)
         assert lam[0] >= -1e-8 * lam[-1]
-        for P, r in constraints(prob):
+        for P, r in constraints(ds):
             assert abs(np.tensordot(P, X) - r) <= 1e-7 * max(1.0, abs(r))
         # a relaxation's optimum is no higher than any feasible point's cost
         assert np.tensordot(prob.P0, X) <= (1 + 1e-6) * qcqp_estimate(ds).solver["final_cost"]
@@ -355,28 +357,38 @@ class TestSdpRelaxation:
         assert len(stats.failures) == 2
 
 
+def rank_one_states(*X):
+    """`_rank_one_states` of the dominant eigenpair of each PSD matrix X (9, 9)."""
+    lam, Q = np.linalg.eigh(np.array(X))
+    return _rank_one_states(lam[:, -1], Q[:, :, -1])
+
+
 class TestRankOne:
     def test_exact_rank_one(self):
-        x = lift_transform(Transform4DoF(t=[1.0, -2.0, 0.5], theta=0.9))
-        got = recover_rank_one(np.outer(x, x))
-        assert np.allclose(got, x, atol=1e-9)
+        x = lift(Transform4DoF(t=[1.0, -2.0, 0.5], theta=0.9))
+        got, errors = rank_one_states(np.outer(x, x))
+        assert not errors and np.allclose(got[0], x, atol=1e-9)
 
     def test_sign_fixed(self):
-        x = lift_transform(Transform4DoF(t=[1.0, -2.0, 0.5], theta=0.9))
-        got = recover_rank_one(np.outer(-x, -x))
-        assert np.allclose(got, x, atol=1e-9)
+        x = lift(Transform4DoF(t=[1.0, -2.0, 0.5], theta=0.9))
+        got, errors = rank_one_states(np.outer(-x, -x))
+        assert not errors and np.allclose(got[0], x, atol=1e-9)
 
     def test_dominant_direction(self):
-        x = lift_transform(Transform4DoF(t=[1.0, 0.0, 0.0], theta=0.3))
+        x = lift(Transform4DoF(t=[1.0, 0.0, 0.0], theta=0.3))
         y = np.zeros(9)
         y[2] = np.linalg.norm(x)  # orthogonal direction with smaller weight
         X = 0.9 * np.outer(x, x) + 0.1 * np.outer(y, y)
-        got = recover_rank_one(X)
-        assert np.allclose(got / np.linalg.norm(got), x / np.linalg.norm(x), atol=1e-9)
+        got, errors = rank_one_states(X)
+        assert not errors and np.allclose(got[0] / np.linalg.norm(got[0]), x / np.linalg.norm(x), atol=1e-9)
 
-    def test_degenerate_raises(self):
-        with pytest.raises(DegenerateSolutionError):
-            recover_rank_one(np.zeros((9, 9)))
+    def test_degenerate_is_an_error(self):
+        # the zero matrix has no positive spectrum: its error is recorded, and the other matrix keeps its state
+        x = lift(Transform4DoF(t=[1.0, -2.0, 0.5], theta=0.9))
+        got, errors = rank_one_states(np.zeros((9, 9)), np.outer(x, x))
+        assert list(errors) == [0] and isinstance(errors[0], DegenerateSolutionError)
+        assert str(errors[0]) == "matrix has no positive spectrum"
+        assert np.allclose(got[1], x, atol=1e-9)
 
 
 class TestSolveQcqp:
@@ -390,21 +402,19 @@ class TestSolveQcqp:
     def test_refinement_never_worse_than_sdp_point(self):
         T, ds = noisy_instance(21, D=0.3, n=20)  # short-arc style instance
         prob = assemble_qcqp(ds)
-        X, _ = solve_sdp_relaxation(prob)
-        T_sdp = extract_transform(recover_rank_one(X))
+        T_sdp = sdp_estimate(ds).theta_hat
         # the refinement starts from the feasible projection of the SDP
         # point (||t|| pinned to the measured inter-origin distance)
         t_proj = T_sdp.t * (ds.d0 / np.linalg.norm(T_sdp.t))
         T_start = Transform4DoF(t=t_proj, theta=T_sdp.theta)
         rep = qcqp_estimate(ds)
-        assert rep.solver["final_cost"] <= sd_wls_cost(prob, T_start) + 1e-9
+        assert rep.solver["final_cost"] <= lifted_cost(prob, T_start) + 1e-9
         # and without the norm constraint the raw point itself is the start
         ds_free = dataclasses.replace(ds, d0=None)
         prob_free = assemble_qcqp(ds_free)
-        X2, _ = solve_sdp_relaxation(prob_free)
-        T_sdp2 = extract_transform(recover_rank_one(X2))
+        T_sdp2 = sdp_estimate(ds_free).theta_hat
         rep2 = qcqp_estimate(ds_free)
-        assert rep2.solver["final_cost"] <= sd_wls_cost(prob_free, T_sdp2) + 1e-9
+        assert rep2.solver["final_cost"] <= lifted_cost(prob_free, T_sdp2) + 1e-9
 
     def test_mirror_solutions_equal_cost_on_planar_instance(self):
         # both agents on lines in the world z = 0 plane (so the true t_z is
@@ -422,7 +432,7 @@ class TestSolveQcqp:
         for dz in (0.3, 0.7, 1.4):
             cand = Transform4DoF(t=[2.1, 0.9, dz], theta=0.45)
             mirror = Transform4DoF(t=[2.1, 0.9, -dz], theta=0.45)
-            assert sd_wls_cost(prob, mirror) == pytest.approx(sd_wls_cost(prob, cand), rel=1e-9)
+            assert lifted_cost(prob, mirror) == pytest.approx(lifted_cost(prob, cand), rel=1e-9)
         rep = qcqp_estimate(ds)
         assert rep.flags.configuration_singular
 
@@ -463,10 +473,11 @@ class TestSolveQcqp:
         assert prob.B.shape[0] == len(ds) + 1 and prob_free.B.shape[0] == len(ds)
         var_r = ds.sigma_r**2
         origin_term = (float(T.t @ T.t) - (d0**2 - var_r)) ** 2 / (var_r * (4.0 * d0**2 + 2.0 * var_r))
-        assert sd_wls_cost(prob, T) == pytest.approx(sd_wls_cost(prob_free, T) + origin_term, rel=1e-10)
-        # the short d0 pulls ||t|| down, in qcqp and in nls alike
-        for estimate in (qcqp_estimate, lambda d: nls_estimate(d, init=T)):
-            assert np.linalg.norm(estimate(extra).theta_hat.t) < np.linalg.norm(estimate(free).theta_hat.t)
+        assert lifted_cost(prob, T) == pytest.approx(lifted_cost(prob_free, T) + origin_term, rel=1e-10)
+        # the short d0 pulls ||t|| down, in qcqp and in nls (started at the truth) alike
+        for estimate in (qcqp_estimate, nls_estimate):
+            t_extra, t_free = (estimate(data.stack(), T.as_vector()[None])[0][0, :3] for data in (extra, free))
+            assert np.linalg.norm(t_extra) < np.linalg.norm(t_free)
 
     def test_rigid_motion_equivariance(self):
         T, ds = noiseless_instance(23)
@@ -490,10 +501,15 @@ class TestSolveQcqp:
     def test_report_carries_the_fim_it_was_built_from(self):
         T, ds = noisy_instance(24)
         extra = dataclasses.replace(ds, d0=0.8 * float(np.linalg.norm(T.t)))
-        runs = ((qcqp_estimate, ds), (qcqp_estimate, extra), (lambda d: nls_estimate(d, init=T), ds), (sdp_estimate, ds))
+        runs = (
+            (qcqp_estimate, ds),
+            (qcqp_estimate, extra),
+            (lambda d: nls_estimate(d, T.as_vector()[None]), ds),
+            (sdp_estimate, ds),
+        )
         for estimate, data in runs:
             rep = estimate(data)
-            ref = fim(rep.theta_hat, data)
+            ref = fim_at(rep.theta_hat.as_vector()[None], data.stack())
             assert np.array_equal(rep.fim.F, ref.F) and rep.fim.kappa[0] == ref.kappa[0]
             assert np.array_equal(rep.fim.std_errors[0], np.sqrt(np.diag(ref.crlb[0])))
             # the flags are row 0 of the report's FIM, of fim there and of fim_arrays of F
@@ -567,7 +583,7 @@ class TestQcqpInvariance:
         perm = np.random.default_rng(seed).permutation(n)
         permuted = qcqp_estimate(dataclasses.replace(ds, d=ds.d[perm], pa=ds.pa[perm], pb=ds.pb[perm]))
         prob = assemble_qcqp(ds)
-        x = lift_transform(rep.theta_hat)
+        x = lift(rep.theta_hat)
         rounding = np.finfo(float).eps * float(prob.weights @ (np.abs(prob.B) @ np.abs(x)) ** 2)
         cost = rep.solver["final_cost"]
         assert permuted.solver["final_cost"] == pytest.approx(cost, rel=1e-9, abs=4.0 * rounding)
@@ -697,7 +713,7 @@ class TestLockstepNewton:
 
         f, g, H = model(p)
         for i in range(n):
-            r = R[i] @ lift_transform(Transform4DoF(t=p[i, :3], theta=p[i, 3]))
+            r = R[i] @ lift(Transform4DoF(t=p[i, :3], theta=p[i, 3]))
             assert f[i] == pytest.approx(0.5 * float(r @ r), rel=1e-12)
         np.testing.assert_array_equal(H, H.swapaxes(1, 2))
         h = 1e-5 * np.maximum(1.0, np.abs(p))
@@ -781,13 +797,14 @@ class TestStackedWindows:
         assert isinstance(track, WindowTrack)
         assert track.start.tolist() == [stride * i for i in range(n_windows)]
         for i, (a, b) in enumerate(zip(track.start.tolist(), track.stop.tolist())):
-            data = stream.window(a, b)
-            ref = qcqp_estimate(data)
-            assert track.estimate[i].tobytes() == ref.theta_hat.as_vector().tobytes(), i
-            assert track.cost[i] == ref.solver["final_cost"]
-            assert track.kappa[i] == ref.fim.kappa[0]
-            assert track.skipped[i] == (not ref.fim.kappa[0] <= WINDOW_KAPPA_LIMIT)
-            assert track.t_end[i] == data.t[-1]
+            one = stream.windows([a], b - a)
+            estimates, scalars, _ = points = qcqp_estimate(one)
+            info = _information(points, one)
+            assert track.estimate[i].tobytes() == estimates[0].tobytes(), i
+            assert track.cost[i] == scalars["final_cost"][0]
+            assert track.kappa[i] == info.kappa[0]
+            assert track.skipped[i] == (not info.kappa[0] <= WINDOW_KAPPA_LIMIT)
+            assert track.t_end[i] == stream.t[b - 1]
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -808,18 +825,20 @@ class TestStackedWindows:
         refs = []
         try:
             for start in range(0, stride * n_windows, stride):
-                refs.append(sdp_estimate(stream.window(start, start + window)))
+                one = stream.windows([start], window)
+                points = sdp_estimate(one)
+                refs.append((points, _information(points, one)))  # which raises the window's error
         except DegenerateSolutionError as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 sliding_window_estimate(stream, window=window, stride=stride, estimator="sdp")
             return
         track = sliding_window_estimate(stream, window=window, stride=stride, estimator="sdp")
         assert len(track) == len(refs) == n_windows
-        for i, ref in enumerate(refs):
-            assert track.estimate[i].tobytes() == ref.theta_hat.as_vector().tobytes(), i
-            assert track.cost[i] == ref.solver["final_cost"]
-            assert track.kappa[i] == ref.fim.kappa[0]
-            assert track.skipped[i] == (not ref.fim.kappa[0] <= WINDOW_KAPPA_LIMIT)
+        for i, ((estimates, scalars, _), info) in enumerate(refs):
+            assert track.estimate[i].tobytes() == estimates[0].tobytes(), i
+            assert track.cost[i] == scalars["final_cost"][0]
+            assert track.kappa[i] == info.kappa[0]
+            assert track.skipped[i] == (not info.kappa[0] <= WINDOW_KAPPA_LIMIT)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -845,7 +864,7 @@ class TestStackedWindows:
             assert estimator == "sdp"  # a loose relaxation: the sdp test above covers its error
             return
         for i, (a, b) in enumerate(zip(track.start.tolist(), track.stop.tolist())):
-            ref = fim(Transform4DoF(t=track.estimate[i, :3], theta=track.estimate[i, 3]), stream.window(a, b))
+            ref = fim_at(track.estimate[i : i + 1], stream.windows([a], b - a))
             assert track.kappa[i] == ref.kappa[0], i
             assert track.crlb[i].tobytes() == ref.crlb[0].tobytes(), i
 
@@ -870,8 +889,9 @@ class TestStackedWindows:
         expected = None
         with np.errstate(all="ignore"):
             for start in range(0, stride * n_windows, stride):
+                one = stream.windows([start], window)
                 try:
-                    qcqp_estimate(stream.window(start, start + window))
+                    _information(qcqp_estimate(one), one)  # raises the window's error
                 except Exception as exc:  # noqa: BLE001 - the first error of the loop is the reference
                     expected = exc
                     break
@@ -907,16 +927,17 @@ class TestStackedWindows:
             estimates, scalars, errors = ESTIMATORS[estimator](stream.windows(starts, window))
             assert errors and estimates.shape == (n_windows, 4)
             for i, start in enumerate(starts.tolist()):
-                try:
-                    ref = ESTIMATORS[estimator](stream.window(start, start + window))
-                except Exception as exc:  # noqa: BLE001 - the estimator's own error is the reference
+                ref_estimates, ref_scalars, ref_errors = ESTIMATORS[estimator](stream.windows([start], window))
+                if ref_errors:  # the estimator's own error is the reference
+                    exc = ref_errors[0]
                     assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc), i
                     assert np.isnan(estimates[i]).all()
                     continue
                 assert i not in errors
-                assert estimates[i].tobytes() == ref.theta_hat.as_vector().tobytes(), i
-                solver = {"method": estimator, **{name: values.tolist()[i] for name, values in scalars.items()}}
-                assert {**solver, "wall_ms": 0} == {**ref.solver, "wall_ms": 0}
+                assert estimates[i].tobytes() == ref_estimates[0].tobytes(), i
+                solver = {name: values.tolist()[i] for name, values in scalars.items()}
+                ref = {name: values.tolist()[0] for name, values in ref_scalars.items()}
+                assert {**solver, "wall_ms": 0} == {**ref, "wall_ms": 0}
 
 
 def sweep_candidates(prob) -> list[Transform4DoF]:
@@ -953,15 +974,15 @@ class TestYawSweep:
         th = cand.theta
 
         def residuals(t):
-            return Bw @ lift_transform(Transform4DoF(t=t, theta=th))
+            return Bw @ lift(Transform4DoF(t=t, theta=th))
 
         def jac(t):
             return Bw @ lift_jacobian(t, th)[:, :3]
 
         for t0 in [T.t, *(15.0 * rng.standard_normal((10, 3)))]:
             res = lm_least_squares(residuals, jac, t0)
-            local = sd_wls_cost(prob, Transform4DoF(t=res.x, theta=th))
-            assert sd_wls_cost(prob, cand) <= local * (1 + 1e-9)
+            local = lifted_cost(prob, Transform4DoF(t=res.x, theta=th))
+            assert lifted_cost(prob, cand) <= local * (1 + 1e-9)
 
     def test_static_agents_give_candidates_on_the_range_sphere(self):
         # static data puts every heading in the hard case: the candidates
@@ -978,7 +999,7 @@ class TestYawSweep:
     def test_candidates_sorted_by_cost(self):
         T, ds = noisy_instance(80, d0=20.0, sigma_r=0.4)
         prob = assemble_qcqp(ds)
-        costs = [sd_wls_cost(prob, c) for c in sweep_candidates(prob)]
+        costs = [lifted_cost(prob, c) for c in sweep_candidates(prob)]
         assert costs == sorted(costs)
 
 
@@ -1099,7 +1120,7 @@ class TestNls:
         T, ds = noiseless_instance(25)
         # nominal sigma keeps ulp-level residuals below the gradient tolerance
         ds = dataclasses.replace(ds, sigma_r=0.1)
-        rep = nls_estimate(ds, init=T)
+        rep = nls_estimate(ds, T.as_vector()[None])
         assert rep.solver["iterations"] <= 2
         assert rep.solver["final_cost"] <= 1e-12
         et, eth = errors(rep.theta_hat, T)
@@ -1108,7 +1129,7 @@ class TestNls:
     def test_perturbed_start_converges_back(self):
         T, ds = noisy_instance(26, sigma_r=0.01, sigma_o=0.0)
         T0 = Transform4DoF(t=T.t + 0.1, theta=T.theta + 0.1)
-        rep = nls_estimate(ds, init=T0)
+        rep = nls_estimate(ds, T0.as_vector()[None])
         assert rep.solver["iterations"] <= 10
         et, eth = errors(rep.theta_hat, T)
         assert et <= 0.05 and eth <= 0.05
@@ -1121,8 +1142,8 @@ class TestNls:
         # nls reaches one minimum, and the two final costs differ by no more
         # than the rounding of the cost, eps * sum_i |r_i| (d_i + d_meas_i) / sigma
         T, ds = noisy_instance(seed, d0=d0, n=n, sigma_r=0.01)
-        a = nls_estimate(ds, init=T)
-        b = nls_estimate(ds, init=qcqp_estimate(ds).theta_hat)
+        a = nls_estimate(ds, T.as_vector()[None])
+        b = nls_estimate(ds, qcqp_estimate(ds).theta_hat.as_vector()[None])
         assert a.solver["converged"] and b.solver["converged"]
         assert np.linalg.norm(a.theta_hat.t - b.theta_hat.t) <= 1e-3
         rows = ds.stack()
@@ -1175,11 +1196,7 @@ def random_transform(rng):
 class TestSlidingWindow:
     def _constant_truth_stream(self, seed, n=200):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=n, sigma_r=0.05, sigma_o=0.0, trials=1, seed=seed)
-        rng = trial_rng(seed, 0)
-        T = sample_ground_truth(cfg.d0, rng)
-        ta = generate_trajectory(cfg.D, n, rng)
-        tb = generate_trajectory(cfg.D, n, rng)
-        ds = synthesize_measurements(T, ta, tb, cfg, rng)
+        T, ds = trial_data(cfg, 0)
         return T, dataclasses.replace(ds, d0=None)
 
     def test_constant_truth_estimates_stay_put(self):
@@ -1217,7 +1234,8 @@ class TestSlidingWindow:
         prev, checked = None, 0
         for i, (a, b) in enumerate(zip(track.start.tolist(), track.stop.tolist())):
             if prev is not None:
-                prob = assemble_qcqp(streams[0].window(a, b))
+                stacked = assemble_qcqp(streams[0].windows([a], b - a))
+                prob = dataclasses.replace(stacked, P0=stacked.P0[0], B=stacked.B[0], weights=stacked.weights[0])
                 starts = (
                     prev,
                     Transform4DoF(t=prev.t, theta=prev.theta + math.pi),
@@ -1251,13 +1269,15 @@ class TestSlidingWindow:
         assert len(track) == n_windows
         prev = None
         for i, (a, b) in enumerate(zip(track.start.tolist(), track.stop.tolist())):
-            ref = nls_estimate(stream.window(a, b), init=prev)
-            assert track.estimate[i].tobytes() == ref.theta_hat.as_vector().tobytes(), i
-            assert track.cost[i] == ref.solver["final_cost"]
-            assert track.kappa[i] == ref.fim.kappa[0]
-            assert track.skipped[i] == (not ref.fim.kappa[0] <= WINDOW_KAPPA_LIMIT)
+            one = stream.windows([a], b - a)
+            estimates, scalars, _ = points = nls_estimate(one, prev)
+            info = _information(points, one)
+            assert track.estimate[i].tobytes() == estimates[0].tobytes(), i
+            assert track.cost[i] == scalars["final_cost"][0]
+            assert track.kappa[i] == info.kappa[0]
+            assert track.skipped[i] == (not info.kappa[0] <= WINDOW_KAPPA_LIMIT)
             if not track.skipped[i]:
-                prev = ref.theta_hat
+                prev = estimates
 
     def test_alignment_equals_per_sample_reference(self):
         _, stream = self._constant_truth_stream(33, n=200)

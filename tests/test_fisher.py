@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from one_problem import dataset_fim, dataset_jacobian
 
 from range_rte.estimators import qcqp_estimate
 from range_rte.fisher import (
@@ -19,7 +20,6 @@ from range_rte.fisher import (
     det_fim_geometric,
     fim,
     fim_arrays,
-    jacobian_matrix,
 )
 from range_rte.geometry import Transform4DoF, heading_rotation
 from range_rte.measurement import SyncedDataset, true_range
@@ -51,7 +51,7 @@ coordinates = st.floats(-5.0, 5.0, allow_nan=False)
 
 
 class TestRangeJacobian:
-    """`jacobian_matrix`, the one Jacobian of the package."""
+    """`_jacobian_stack`, the one Jacobian of the package."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -70,7 +70,7 @@ class TestRangeJacobian:
         ranges = true_range(T, pa, pb)
         assume(ranges.min() > 0.5 and (d0 is None or np.linalg.norm(T.t) > 0.5))
         ds = SyncedDataset(t=np.arange(float(len(pa))), d=ranges + 1.0, pa=pa, pb=pb, sigma_r=0.1, d0=d0)
-        J = jacobian_matrix(T, ds)
+        J = dataset_jacobian(T, ds)
         if d0 is not None:
             pa, pb = np.vstack([pa, np.zeros(3)]), np.vstack([pb, np.zeros(3)])
         assert J.shape == (len(pa), 4)
@@ -81,17 +81,17 @@ class TestRangeJacobian:
         rng = np.random.default_rng(0)
         ds = SyncedDataset(t=np.arange(10.0), d=np.ones(10), pa=rng.normal(size=(10, 3)), pb=np.zeros((10, 3)), sigma_r=0.1)
         T = Transform4DoF(t=rng.normal(size=3) + 2.0, theta=rng.uniform(-math.pi, math.pi))
-        assert np.all(jacobian_matrix(T, ds)[:, 3] == 0.0)
+        assert np.all(dataset_jacobian(T, ds)[:, 3] == 0.0)
 
     def test_axis_aligned_example(self):
         ds = SyncedDataset(t=[0.0], d=[1.0], pa=np.zeros((1, 3)), pb=np.zeros((1, 3)), sigma_r=0.1)
-        J = jacobian_matrix(Transform4DoF(t=[1.0, 0.0, 0.0], theta=0.0), ds)
+        J = dataset_jacobian(Transform4DoF(t=[1.0, 0.0, 0.0], theta=0.0), ds)
         assert np.array_equal(J, [[1.0, 0.0, 0.0, 0.0]])
 
     def test_zero_range_raises(self):
         ds = SyncedDataset(t=[0.0], d=[1.0], pa=np.zeros((1, 3)), pb=np.zeros((1, 3)), sigma_r=0.1)
         with pytest.raises(SingularGeometryError):
-            jacobian_matrix(Transform4DoF(t=np.zeros(3), theta=0.0), ds)
+            dataset_jacobian(Transform4DoF(t=np.zeros(3), theta=0.0), ds)
 
 
 class TestFim:
@@ -99,7 +99,7 @@ class TestFim:
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, k=3)
         T = Transform4DoF(t=[3.0, 0.5, -0.2], theta=0.3)
-        rep = fim(T, ds)
+        rep = dataset_fim(T, ds)
         assert rep.rank[0] <= 3
         assert np.isnan(rep.crlb[0]).all()
         assert np.isnan(rep.crlb_t[0])
@@ -110,11 +110,11 @@ class TestFim:
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, k=8)
         T = Transform4DoF(t=[3.0, 0.5, -0.2], theta=0.3)
-        rep1 = fim(T, ds)
+        rep1 = dataset_fim(T, ds)
         c = rng.normal(size=3)
         T2 = Transform4DoF(t=T.t + c, theta=T.theta)
         shifted = dataclasses.replace(ds, pa=ds.pa + c)
-        rep2 = fim(T2, shifted)
+        rep2 = dataset_fim(T2, shifted)
         assert np.allclose(rep1.F, rep2.F, rtol=1e-9, atol=1e-9)
 
     def test_noise_scaling(self):
@@ -122,7 +122,7 @@ class TestFim:
         ds1 = random_dataset(rng, k=8, sigma_r=0.1)
         ds2 = dataclasses.replace(ds1, sigma_r=0.2)
         T = Transform4DoF(t=[3.0, 0.5, -0.2], theta=0.3)
-        rep1, rep2 = fim(T, ds1), fim(T, ds2)
+        rep1, rep2 = dataset_fim(T, ds1), dataset_fim(T, ds2)
         assert np.allclose(rep2.F, rep1.F / 4.0)
         assert rep2.crlb_t[0] == pytest.approx(rep1.crlb_t[0] * 4.0)
         assert rep2.crlb_theta[0] == pytest.approx(rep1.crlb_theta[0] * 4.0)
@@ -133,13 +133,13 @@ class TestFim:
         T = Transform4DoF(t=[2.5, 0.0, 0.5], theta=-0.4)
         perm = rng.permutation(7)
         permuted = dataclasses.replace(ds, d=ds.d[perm], pa=ds.pa[perm], pb=ds.pb[perm])
-        assert np.allclose(fim(T, ds).F, fim(T, permuted).F, rtol=1e-12)
+        assert np.allclose(dataset_fim(T, ds).F, dataset_fim(T, permuted).F, rtol=1e-12)
 
     def test_crlb_blocks(self):
         rng = np.random.default_rng(6)
         ds = random_dataset(rng, k=12)
         T = Transform4DoF(t=[3.0, 1.0, 0.2], theta=0.9)
-        rep = fim(T, ds)
+        rep = dataset_fim(T, ds)
         inv = np.linalg.inv(rep.F[0])
         assert rep.crlb_t[0] == pytest.approx(np.trace(inv[:3, :3]), rel=1e-9)
         assert rep.crlb_theta[0] == pytest.approx(inv[3, 3], rel=1e-9)
@@ -148,14 +148,27 @@ class TestFim:
         rng = np.random.default_rng(7)
         ds = random_dataset(rng, k=8)
         T = Transform4DoF(t=[3.0, 0.5, -0.2], theta=0.3)
-        base = fim(T, ds).F
+        base = dataset_fim(T, ds).F
         row = np.append(T.t / np.linalg.norm(T.t), 0.0)
-        with_d0 = fim(T, dataclasses.replace(ds, d0=2.5)).F
+        with_d0 = dataset_fim(T, dataclasses.replace(ds, d0=2.5)).F
         assert np.allclose(with_d0, base + np.outer(row, row) / ds.sigma_r**2, rtol=1e-12, atol=1e-12)
         # a d0 read off the first range is already a row: F stays bit-identical
-        assert np.array_equal(fim(T, dataclasses.replace(ds, d0=float(ds.d[0]))).F, base)
+        assert np.array_equal(dataset_fim(T, dataclasses.replace(ds, d0=float(ds.d[0]))).F, base)
         with pytest.raises(SingularGeometryError):
-            fim(Transform4DoF(t=np.zeros(3), theta=0.3), dataclasses.replace(ds, d0=2.5))
+            dataset_fim(Transform4DoF(t=np.zeros(3), theta=0.3), dataclasses.replace(ds, d0=2.5))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), W=st.integers(1, 6), k=st.integers(1, 12))
+    def test_stack_rows_equal_each_problem_alone(self, seed, W, k):
+        # each problem of a stack gets the information it gets in a stack of one, bit for bit
+        rng = np.random.default_rng(seed)
+        t, theta = rng.normal(0.0, 5.0, (W, 3)), rng.uniform(-math.pi, math.pi, W)
+        pa, pb = rng.normal(size=(W, k, 3)), rng.normal(size=(W, k, 3))
+        stacked = fim(t, theta, pa, pb, 0.1)
+        for i in range(W):
+            alone = fim(t[i : i + 1], theta[i : i + 1], pa[i : i + 1], pb[i : i + 1], 0.1)
+            for name in ("F", "crlb", "kappa", "std_errors", "singular"):
+                assert getattr(stacked, name)[i].tobytes() == getattr(alone, name)[0].tobytes(), name
 
 
 class TestDetGeometric:
@@ -164,7 +177,7 @@ class TestDetGeometric:
         for k in range(4, 11):
             ds = random_dataset(rng, k=k)
             T = Transform4DoF(t=[3.0, -0.5, 0.7], theta=1.1)
-            rep = fim(T, ds)
+            rep = dataset_fim(T, ds)
             det_geo = det_fim_geometric(T, ds)
             assert det_geo == pytest.approx(rep.det_f[0], rel=1e-8)
 
@@ -195,7 +208,7 @@ class TestDetGeometric:
         T = Transform4DoF(t=[3.0, 0.0, 0.0], theta=0.2)
         ds = random_dataset(rng, k=DET_SUBSET_CAP + 1)
         at_cap = ds.select(np.arange(len(ds)) < DET_SUBSET_CAP)
-        assert det_fim_geometric(T, at_cap) == pytest.approx(fim(T, at_cap).det_f[0], rel=1e-8)
+        assert det_fim_geometric(T, at_cap) == pytest.approx(dataset_fim(T, at_cap).det_f[0], rel=1e-8)
         with pytest.raises(ExpansionTooLargeError):
             det_fim_geometric(T, ds)
 
@@ -204,12 +217,12 @@ class TestDetGeometric:
         # the determinant expansion
         T, ds = trial_data(ScenarioConfig(seed=3, trials=1, n_poses=12), 0)
         extra = dataclasses.replace(ds, d0=float(np.linalg.norm(T.t)) + 0.05)
-        rep = fim(T, extra)
-        assert len(jacobian_matrix(T, extra)) == len(ds) + 1
+        rep = dataset_fim(T, extra)
+        assert len(dataset_jacobian(T, extra)) == len(ds) + 1
         assert det_fim_geometric(T, extra) == pytest.approx(np.linalg.det(rep.F[0]), rel=1e-9)
         # ds takes d0 off its first range, which is no extra row
-        assert len(jacobian_matrix(T, ds)) == len(ds)
-        assert det_fim_geometric(T, ds) == pytest.approx(fim(T, ds).det_f[0], rel=1e-9)
+        assert len(dataset_jacobian(T, ds)) == len(ds)
+        assert det_fim_geometric(T, ds) == pytest.approx(dataset_fim(T, ds).det_f[0], rel=1e-9)
         assert not det_fim_geometric(T, ds) == pytest.approx(rep.det_f[0], rel=1e-3)
 
 
@@ -232,7 +245,7 @@ class TestSingularityReport:
     def test_planar_scenario_flagged(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=20, sigma_r=0.1, sigma_o=0.0, trials=1, seed=0)
         T, ds = singular_scenario("planar_linear", cfg, trial_rng(2, 0))
-        rep = fim(T, ds)
+        rep = dataset_fim(T, ds)
         ref = report_of(rep.F[0])
         assert np.array_equal(rep.singular, ref.singular) and np.array_equal(rep.unobservable, ref.unobservable)
         assert rep.singular.tolist() == [True]
@@ -346,6 +359,6 @@ def test_jacobian_matrix_consistent_with_rows():
     ds = random_dataset(rng, k=6)
     T = Transform4DoF(t=[3.0, 0.2, -0.1], theta=0.8)
     for data in (ds, dataclasses.replace(ds, d0=2.5)):
-        J = jacobian_matrix(T, data)
+        J = dataset_jacobian(T, data)
         assert len(J) == len(ds) + (data.d0 is not None)
-        np.testing.assert_allclose(J.T @ J / ds.sigma_r**2, fim(T, data).F[0], rtol=1e-12)
+        np.testing.assert_allclose(J.T @ J / ds.sigma_r**2, dataset_fim(T, data).F[0], rtol=1e-12)

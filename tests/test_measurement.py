@@ -385,9 +385,8 @@ class TestSyncedDataset:
         stack = ds.windows([0, 3, 7], 5)
         assert stack.d0 is None and stack.d.shape == (3, 5)
         for i, a in enumerate([0, 3, 7]):
-            window = ds.window(a, a + 5)
             for name in ("d", "pa", "pb"):
-                assert np.array_equal(getattr(stack, name)[i], getattr(window, name))
+                assert np.array_equal(getattr(stack, name)[i], getattr(ds, name)[a : a + 5])
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), k=st.integers(0, 8), d0=st.sampled_from([None, 2.5]), keep_d0=st.booleans())
@@ -397,8 +396,6 @@ class TestSyncedDataset:
         stop = data.draw(st.integers(start, k))
         mask = np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)), dtype=bool)
         cases = [
-            (ds.window(start, stop, keep_d0=keep_d0), slice(start, stop), keep_d0),
-            (ds.window(start, stop), slice(start, stop), False),
             (ds.select(mask, keep_d0=keep_d0), mask, keep_d0),
             (ds.select(mask), mask, True),
         ]
@@ -408,6 +405,11 @@ class TestSyncedDataset:
             assert sub.pa.shape == sub.pb.shape == (len(sub), 3)
             assert sub.sigma_r == ds.sigma_r
             assert sub.d0 == (d0 if kept_d0 else None)
+        # the window of rows start:stop, a stack of one without d0
+        window = ds.windows([start], stop - start)
+        for name in ("d", "pa", "pb"):
+            assert np.array_equal(getattr(window, name)[0], getattr(ds, name)[start:stop])
+        assert window.sigma_r == ds.sigma_r and window.d0 is None
 
     def test_select_nothing_gives_empty_dataset(self):
         ds = SyncedDataset(**self._fields(), sigma_r=0.1, d0=2.0)

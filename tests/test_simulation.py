@@ -9,11 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
+from one_problem import dataset_fim, dataset_jacobian
 from walk_reference import generate_trajectory as reference_walk
 
 from range_rte import simulation
 from range_rte.estimators import ESTIMATORS, assemble_qcqp
-from range_rte.fisher import det_fim_geometric, fim, jacobian_matrix
+from range_rte.fisher import det_fim_geometric, fim
 from range_rte.geometry import LeverArm, Transform4DoF, quat_to_matrix, wrap_angle, yaw_quat
 from range_rte.measurement import true_range
 from range_rte.simulation import (
@@ -31,6 +32,12 @@ from range_rte.simulation import (
     trial_data,
     trial_rng,
 )
+
+
+def synthesize_one(T, traj_a, traj_b, cfg, rng):
+    """`synthesize_measurements` on one trial: a stack of one."""
+    one = [(p[None], yaw[None]) for p, yaw in (traj_a, traj_b)]
+    return synthesize_measurements((T.t[None], np.array([T.theta])), *one, cfg, [rng])
 
 
 class TestGroundTruth:
@@ -160,8 +167,8 @@ class TestSynthesize:
         T = sample_ground_truth(cfg.d0, rng)
         ta = generate_trajectory(cfg.D, cfg.n_poses, rng)
         tb = generate_trajectory(cfg.D, cfg.n_poses, rng)
-        ds = synthesize_measurements(T, ta, tb, cfg, rng)
-        assert np.allclose(ds.d, true_range(T, ds.pa, ds.pb), atol=1e-14)
+        one = synthesize_one(T, ta, tb, cfg, rng)
+        assert np.allclose(one.d[0], true_range(T, one.pa[0], one.pb[0]), atol=1e-14)
 
     def test_range_noise_level(self):
         cfg = ScenarioConfig(d0=5.0, D=0.001, n_poses=10_000, sigma_r=0.1, sigma_o=0.0, trials=1, seed=8)
@@ -169,8 +176,8 @@ class TestSynthesize:
         T = sample_ground_truth(cfg.d0, rng)
         ta = generate_trajectory(cfg.D, cfg.n_poses, rng)
         tb = generate_trajectory(cfg.D, cfg.n_poses, rng)
-        ds = synthesize_measurements(T, ta, tb, cfg, rng)
-        resid = ds.d - true_range(T, ds.pa, ds.pb)
+        one = synthesize_one(T, ta, tb, cfg, rng)
+        resid = one.d[0] - true_range(T, one.pa[0], one.pb[0])
         assert np.std(resid) == pytest.approx(0.1, rel=0.03)
 
     def test_lever_arm_range_bound(self):
@@ -188,8 +195,8 @@ class TestSynthesize:
         _ = sample_ground_truth(3.0, rng1)  # keep streams aligned
         ta1 = generate_trajectory(1.0, 20, rng1)
         tb1 = generate_trajectory(1.0, 20, rng1)
-        d_plain = synthesize_measurements(T, ta, tb, cfg0, rng0).d
-        d_armed = synthesize_measurements(T, ta1, tb1, cfg1, rng1).d
+        d_plain = synthesize_one(T, ta, tb, cfg0, rng0).d
+        d_armed = synthesize_one(T, ta1, tb1, cfg1, rng1).d
         bound = 2 * (np.linalg.norm(arms[0].r) + np.linalg.norm(arms[1].r))
         assert np.all(np.abs(d_armed - d_plain) <= bound)
 
@@ -216,7 +223,7 @@ class TestSingularScenarios:
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=20, sigma_r=0.0, sigma_o=0.0, trials=1, seed=0)
         for i in range(5):
             T, ds = singular_scenario(kind, cfg, trial_rng(20, i))
-            assert fim(T, ds).rank[0] < 4
+            assert dataset_fim(T, ds).rank[0] < 4
 
     def test_parallel_determinant_zero(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=12, sigma_r=0.1, sigma_o=0.0, trials=1, seed=0)
@@ -228,21 +235,23 @@ class TestSingularScenarios:
     def test_static_target_phi_zero(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=12, sigma_r=0.1, sigma_o=0.0, trials=1, seed=0)
         T, ds = singular_scenario("static_target", cfg, trial_rng(22, 0))
-        J = jacobian_matrix(T, ds)
+        J = dataset_jacobian(T, ds)
         assert np.allclose(J[:, 3], 0.0, atol=1e-12)
 
     def test_static_host_rank(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=20, sigma_r=0.0, sigma_o=0.0, trials=1, seed=0)
         T, ds = singular_scenario("static_host", cfg, trial_rng(23, 0))
-        assert fim(T, ds).rank[0] < 4
+        assert dataset_fim(T, ds).rank[0] < 4
 
     def test_flags_persist_as_k_grows(self):
         # near-singular data: flagged parameters stay flagged as more
         # measurements arrive (no information accumulates for them)
         base = ScenarioConfig(d0=3.0, D=1.0, n_poses=60, sigma_r=0.1, sigma_o=1e-6, trials=1, seed=0)
         T, ds = singular_scenario("static_target", base, trial_rng(24, 0))
+        stack = ds.stack()  # d0 is the first range, no extra row
         for k in (20, 40, 60):
-            assert fim(T, ds.window(0, k)).unobservable.tolist()[0][3] is True
+            rep = fim(T.t[None], np.array([T.theta]), stack.pa[:, :k], stack.pb[:, :k], stack.sigma_r)
+            assert rep.unobservable.tolist()[0][3] is True
 
     def test_unknown_kind_rejected(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=10, sigma_r=0.1, sigma_o=0.0, trials=1, seed=0)
@@ -256,7 +265,7 @@ class TestFarField:
         # position vectors obeys sin(alpha_max) ~ D / d0
         cfg = ScenarioConfig(d0=40.0, D=2.0, n_poses=30, sigma_r=0.0, sigma_o=0.0, trials=1, seed=11)
         T, ds = trial_data(cfg, 0)
-        U = jacobian_matrix(T, ds)[:, :3]
+        U = dataset_jacobian(T, ds)[:, :3]
         worst = 0.0
         for i in range(len(ds)):
             for j in range(i + 1, len(ds)):
@@ -362,7 +371,7 @@ def reference_cell(cfg, estimator):
     rows, failures = [], []
     for i in range(cfg.trials):
         T, ds = simulation.trial_data(cfg, i)
-        bound = fim(T, ds)
+        bound = dataset_fim(T, ds)
         try:
             T_hat = ESTIMATORS[estimator](ds).theta_hat
             errs = float(np.linalg.norm(T_hat.t - T.t)), abs(float(wrap_angle(T_hat.theta - T.theta)))
