@@ -1,28 +1,29 @@
-"""Command-line entry points.
+"""Command-line entry points and their options.
 
-Subcommands:
   estimate   one-shot transform estimate from odometry + range CSV logs
-  simulate   Monte-Carlo evaluation cells from a JSON config
-  fim        information analysis of a dataset at a given transform
-  drift      sliding-window drift-correction scenario
+             (--odom-a, --odom-b, --ranges, --config, --out)
+  simulate   Monte-Carlo evaluation cells (--config, --out-dir, which
+             receives results.csv and summary.json)
+  fim        information analysis of CSV logs at a given transform
+             (--odom-a, --odom-b, --ranges, --config, --theta, --out)
+  drift      sliding-window drift-correction scenario (--config, --out)
 
-Every command loads its JSON config through `_config`, which allows the
-keys of one defaults table and fills in the rest from it: ESTIMATE_DEFAULTS
-(`estimate`, `fim` on logs), SIM_DEFAULTS (`simulate`, `fim --scenario`)
-or DRIFT_DEFAULTS (`drift`). A key's suffix names its unit (_m, _rad, _s,
-_hz).
+Every other setting is a key of the command's JSON config, loaded by
+`_config` over one defaults table: ESTIMATE_DEFAULTS (`estimate`, `fim`),
+SIM_DEFAULTS (`simulate`) or DRIFT_DEFAULTS (`drift`). A key's suffix
+names its unit (_m, _rad, _s, _hz).
 
-Exit codes: 0 success, 2 parse/config error, 3 insufficient data (no
-range covered by both odometry logs or left after the outlier gate) or a
-singular configuration (`fisher.FimArrays.singular` at the estimate), 4
-solver failure (`DegenerateSolutionError`).
+Exit codes: 0 success, 2 parse/config error or an output that cannot be
+written, 3 insufficient data (no range covered by both odometry logs or
+left after the outlier gate) or a singular configuration
+(`fisher.FimArrays.singular` at the estimate), 4 solver failure
+(`DegenerateSolutionError`).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import math
 import os
 import sys
@@ -44,6 +45,7 @@ from .fisher import (
 )
 from .geometry import LeverArm, Transform4DoF
 from .measurement import (
+    SIGMA_R_FLOOR,
     NoOverlapError,
     ingest_logs,
     odometry_log,
@@ -112,6 +114,39 @@ DRIFT_DEFAULTS = {
 CELL_KEYS = {"d0_m", "radius_m", "n_poses", "sigma_r_m", "sigma_o_m", "trials", "estimator", "seed"}
 
 
+NUMBER = ((int, float), "a number")
+# The JSON type of a config value, as (the types json.load gives it, its
+# name), by the type of its key's default; a number is never a bool,
+# whose type is bool. A key whose default is null also takes null
+VALUE_TYPES = {bool: ((bool,), "a boolean"), int: NUMBER, float: NUMBER, str: ((str,), "a string"),
+               list: ((list,), "a list of numbers")}
+NULL_DEFAULT_TYPES = {"d0_m": NUMBER, "stride": ((int,), "an integer"), "cells": ((list,), "a list")}
+CHOICES = {"estimator": tuple(sorted(ESTIMATORS)), "outlier_mode": OUTLIER_MODES}
+
+
+def _check_values(values: dict, defaults: dict, where) -> None:
+    """Raise ParseError naming `where` and the key unless each value has
+    its JSON type (VALUE_TYPES) or, for a key of CHOICES, is one of its
+    names. Each simulate cell must be an object of CELL_KEYS, whose
+    values are checked the same way."""
+    for key, value in values.items():
+        default = defaults[key]
+        if key in CHOICES:
+            if not (type(value) is str and value in CHOICES[key]):
+                raise iof.ParseError(f"{where}: {key} must be one of {list(CHOICES[key])}, got {value!r}")
+            continue
+        types, name = NULL_DEFAULT_TYPES[key] if default is None else VALUE_TYPES[type(default)]
+        ok = type(value) in types or default is None and value is None
+        if type(default) is list:  # a lever arm
+            ok = ok and all(type(v) in NUMBER[0] for v in value)
+        if not ok:
+            raise iof.ParseError(f"{where}: {key} must be {name}, got {value!r}")
+    for i, cell in enumerate(values.get("cells") or ()):
+        if type(cell) is not dict or set(cell) - CELL_KEYS:
+            raise iof.ParseError(f"{where}: cells[{i}] must be an object of keys in {sorted(CELL_KEYS)}, got {cell!r}")
+        _check_values(cell, defaults, f"{where}: cells[{i}]")
+
+
 def _information_payload(info: FimArrays, T: Transform4DoF) -> dict:
     """kappa, std_errors, flags and ci95 of a FIM of one at T, the flags
     those of `fisher.singularity_flags`. std_errors and ci95 are None
@@ -125,19 +160,11 @@ def _information_payload(info: FimArrays, T: Transform4DoF) -> dict:
     }
 
 
-def _config(path, defaults: dict, args) -> dict:
+def _config(path, defaults: dict) -> dict:
     """The config at path over `defaults` (a key not in them fails), or
-    the defaults when path is None. --seed and --estimator of args, where
-    the command has them, override the config's keys, and the estimator
-    named is checked. (A simulate cell's own estimator is checked by
-    `monte_carlo_run`.)"""
-    cfg = iof.load_config(path, set(defaults), defaults) if path else dict(defaults)
-    if "seed" in cfg and getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "estimator", None):
-        cfg["estimator"] = args.estimator
-    if cfg["estimator"] not in ESTIMATORS:
-        raise iof.ParseError(f"unknown estimator {cfg['estimator']!r}")
+    the defaults when path is None, checked by `_check_values`."""
+    cfg = iof.load_config(path, defaults) if path else dict(defaults)
+    _check_values(cfg, defaults, path)
     return cfg
 
 
@@ -173,10 +200,7 @@ def _ingest(args, cfg: dict):
 
 
 def cmd_estimate(args) -> int:
-    cfg = _config(args.config, ESTIMATE_DEFAULTS, args)
-    if cfg["outlier_mode"] not in OUTLIER_MODES:
-        raise iof.ParseError(f"unknown outlier_mode {cfg['outlier_mode']!r}; expected one of {OUTLIER_MODES}")
-
+    cfg = _config(args.config, ESTIMATE_DEFAULTS)
     n_ranges, dataset, n_dropped = _ingest(args, cfg)
     n_outliers = 0
     if cfg["outlier_mode"] == "odometry":
@@ -210,20 +234,7 @@ def cmd_estimate(args) -> int:
 
 def _expand_cells(cfg: dict) -> list[dict]:
     base = {k: cfg[k] for k in CELL_KEYS}
-    cells = cfg.get("cells")
-    if not cells:
-        return [base]
-    out = []
-    for i, overrides in enumerate(cells):
-        if not isinstance(overrides, dict):
-            raise iof.ParseError(f"cells[{i}] must be an object")
-        unknown = set(overrides) - CELL_KEYS
-        if unknown:
-            raise iof.ParseError(f"cells[{i}]: unknown keys {sorted(unknown)}")
-        cell = dict(base)
-        cell.update(overrides)
-        out.append(cell)
-    return out
+    return [{**base, **overrides} for overrides in cfg["cells"] or [{}]]
 
 
 def _emit_trial_logs(out_dir, cell_idx, trial, cfg_cell, T_true, dataset):
@@ -241,7 +252,7 @@ def _emit_trial_logs(out_dir, cell_idx, trial, cfg_cell, T_true, dataset):
     iof.write_odometry_csv(stem + "_odom_b.csv", odometry_log(dataset.t, dataset.pb))
     iof.write_ranges_csv(stem + "_ranges.csv", range_log(dataset.t, dataset.d))
     estimate_cfg = dict(ESTIMATE_DEFAULTS)
-    estimate_cfg["sigma_r_m"] = max(cfg_cell["sigma_r_m"], 1e-9)
+    estimate_cfg["sigma_r_m"] = max(cfg_cell["sigma_r_m"], SIGMA_R_FLOOR)
     estimate_cfg["estimator"] = cfg_cell["estimator"]
     # Exact reproduction of the in-process path, which rejects no outliers
     # and takes d0 from the simulation (the noisy first positions are off
@@ -253,13 +264,11 @@ def _emit_trial_logs(out_dir, cell_idx, trial, cfg_cell, T_true, dataset):
 
 
 def cmd_simulate(args) -> int:
-    cfg = _config(args.config, SIM_DEFAULTS, args)
+    cfg = _config(args.config, SIM_DEFAULTS)
     chash = iof.config_hash(cfg)
 
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    results_path = args.results or os.path.join(out_dir, "results.csv")
-    summary_path = args.summary or os.path.join(out_dir, "summary.json")
 
     cells = _expand_cells(cfg)
     rows = ["cell,trial,e_t,e_theta,crlb_t,crlb_theta,solve_ms,status"]
@@ -293,9 +302,9 @@ def cmd_simulate(args) -> int:
                 T_true, dataset = trial_data(scen, trial)
                 _emit_trial_logs(out_dir, ci, trial, {**cfg, **cell}, T_true, dataset)
 
-    iof.atomic_write_text(results_path, "\n".join(rows) + "\n")
+    iof.atomic_write_text(os.path.join(out_dir, "results.csv"), "\n".join(rows) + "\n")
     iof.dump_json(
-        summary_path,
+        os.path.join(out_dir, "summary.json"),
         {"command": "simulate", "config": cfg, "config_hash": chash, "seed": cfg["seed"], "cells": summary_cells},
     )
     return EXIT_OK
@@ -308,22 +317,12 @@ def _csv_num(x) -> str:
 
 def cmd_fim(args) -> int:
     theta = Transform4DoF(t=np.array(args.theta[:3], dtype=float), theta=float(args.theta[3]))
-    if args.scenario:
-        if args.config:
-            raise iof.ParseError("--config applies to --odom-a/--odom-b/--ranges, not to --scenario")
-        cfg = _config(args.scenario, SIM_DEFAULTS, args)
-        _, dataset = trial_data(_scenario_from_config(cfg), 0)
-    else:
-        if not (args.odom_a and args.odom_b and args.ranges):
-            raise iof.ParseError("either --scenario or --odom-a/--odom-b/--ranges required")
-        cfg = _config(args.config, ESTIMATE_DEFAULTS, args)
-        _, dataset, _ = _ingest(args, cfg)
-
+    cfg = _config(args.config, ESTIMATE_DEFAULTS)
+    _, dataset, _ = _ingest(args, cfg)
     stack = dataset.stack()
     info = fim(theta.t[None], np.array([theta.theta]), stack.pa, stack.pb, stack.sigma_r)
     payload = {
         "command": "fim",
-        "source": "scenario" if args.scenario else "logs",
         "config": cfg,
         "config_hash": iof.config_hash(cfg),
         "k": len(dataset),
@@ -348,7 +347,7 @@ def cmd_fim(args) -> int:
 
 
 def cmd_drift(args) -> int:
-    cfg = _config(args.config, DRIFT_DEFAULTS, args)
+    cfg = _config(args.config, DRIFT_DEFAULTS)
     drift = DriftConfig(
         d0=cfg["d0_m"],
         sigma_r=cfg["sigma_r_m"],
@@ -390,57 +389,44 @@ def cmd_drift(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="range-rte", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    # the CSV logs that `estimate` and `fim` read
+    logs = argparse.ArgumentParser(add_help=False)
+    for option in ("--odom-a", "--odom-b", "--ranges"):
+        logs.add_argument(option, required=True)
 
-    pe = sub.add_parser("estimate", help="estimate the transform from CSV logs")
-    pe.add_argument("--odom-a", required=True)
-    pe.add_argument("--odom-b", required=True)
-    pe.add_argument("--ranges", required=True)
+    pe = sub.add_parser("estimate", parents=[logs], help="estimate the transform from CSV logs")
     pe.add_argument("--config")
-    pe.add_argument("--estimator", choices=sorted(ESTIMATORS))
     pe.add_argument("--out", default="report.json")
     pe.set_defaults(func=cmd_estimate)
 
     ps = sub.add_parser("simulate", help="Monte-Carlo evaluation")
     ps.add_argument("--config", required=True)
     ps.add_argument("--out-dir")
-    ps.add_argument("--results")
-    ps.add_argument("--summary")
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--estimator", choices=sorted(ESTIMATORS))
     ps.set_defaults(func=cmd_simulate)
 
-    pf = sub.add_parser("fim", help="information analysis at a given transform")
-    pf.add_argument("--odom-a")
-    pf.add_argument("--odom-b")
-    pf.add_argument("--ranges")
-    # an `estimate` config: its lever arms, sigma_r_m and d0_m apply to
-    # the logs (the estimator and outlier keys do not apply to an
-    # information analysis)
+    pf = sub.add_parser("fim", parents=[logs], help="information analysis at a given transform")
+    # an `estimate` config, such as the <stem>_estimate_config.json that
+    # `simulate` emits beside a trial's logs: its lever arms, sigma_r_m and
+    # d0_m apply to the logs (the estimator and outlier keys do not apply
+    # to an information analysis)
     pf.add_argument("--config")
-    pf.add_argument("--scenario")
-    pf.add_argument("--seed", type=int)
     pf.add_argument("--theta", type=float, nargs=4, required=True, metavar=("TX", "TY", "TZ", "YAW"))
     pf.add_argument("--out", default="fim.json")
     pf.set_defaults(func=cmd_fim)
 
     pd = sub.add_parser("drift", help="sliding-window drift correction scenario")
     pd.add_argument("--config", required=True)
-    pd.add_argument("--seed", type=int)
-    pd.add_argument("--estimator", choices=sorted(ESTIMATORS))
     pd.add_argument("--out", default="drift_report.json")
     pd.set_defaults(func=cmd_drift)
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # building the parser costs ~1.4 ms, more than parsing; in-process
-    # callers run main() once per command
-    return build_parser()
+# built once per process: building costs ~1.4 ms, more than a parse
+PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (NoOverlapError, InsufficientDataError, SingularGeometryError) as exc:
@@ -449,7 +435,7 @@ def main(argv=None) -> int:
     except DegenerateSolutionError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:  # iof.ParseError, or a config value that a constructor rejects
+    except (ValueError, OSError) as exc:  # iof.ParseError, a config value that a constructor rejects, or a write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -107,8 +107,8 @@ def read_ranges_csv(path: str) -> np.ndarray:
     return _read_table(path, RANGE_HEADER, RANGE_DTYPE, range_problem)
 
 
-def load_config(path: str, allowed_keys: set, defaults: dict) -> dict:
-    """Strict config loader: unknown keys are rejected, defaults filled in."""
+def load_config(path: str, defaults: dict) -> dict:
+    """Strict config loader: keys not in `defaults` are rejected, defaults filled in."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -116,7 +116,7 @@ def load_config(path: str, allowed_keys: set, defaults: dict) -> dict:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: config must be a JSON object")
-    unknown = set(raw) - allowed_keys
+    unknown = set(raw) - set(defaults)
     if unknown:
         raise ParseError(f"{path}: unknown config keys: {sorted(unknown)}")
     cfg = dict(defaults)

@@ -341,9 +341,13 @@ def ingest_logs(
     the one case where a range measures ||t||; otherwise d0 stays unset
     and the first range is only a row of the range model.
 
+    sigma_r (m), nonnegative and finite, is floored at SIGMA_R_FLOOR.
+
     Returns (dataset, n_dropped). Raises NoOverlapError when no range
     falls inside the common odometry window.
     """
+    if not 0 <= sigma_r < math.inf:
+        raise ValueError(f"sigma_r must be nonnegative and finite, got {sigma_r!r}")
     if not len(odom_a) or not len(odom_b):
         raise NoOverlapError("empty odometry stream")
     lo = max(odom_a["t"][0], odom_b["t"][0])

@@ -137,7 +137,8 @@ class TestEstimateCommand:
         # nls stays at its zero start, where every modelled range is zero and
         # the FIM is undefined: singular data, not a bad config
         pa, pb, ranges = self._static_pair_at_origins(tmp_path)
-        rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--estimator", "nls",
+        cfg = write_json(tmp_path / "cfg.json", {"estimator": "nls"})
+        rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg,
                    "--out", str(tmp_path / "report.json")])
         assert rc == 3
         assert "zero range" in capsys.readouterr().err
@@ -213,7 +214,8 @@ class TestEstimateCommand:
 
         monkeypatch.setattr(estimators, "SDP_MAX_ITER", 3)
         pa, pb, ranges, _ = synthetic_logs(tmp_path, noise=0.02, seed=4)
-        rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--estimator", "sdp",
+        cfg = write_json(tmp_path / "cfg.json", {"estimator": "sdp"})
+        rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg,
                    "--out", str(tmp_path / "report.json")])
         assert rc == 4
         assert "max_iter" in capsys.readouterr().err
@@ -248,9 +250,9 @@ class TestEstimateCommand:
         stem = tmp_path / "logs" / "cell00_trial000"
         paths = [f"{stem}_{name}.csv" for name in ("odom_a", "odom_b", "ranges")]
         out = str(tmp_path / "report.json")
+        cfg = {**read_json(f"{stem}_estimate_config.json"), "estimator": estimator}
         rc = main(["estimate", "--odom-a", paths[0], "--odom-b", paths[1], "--ranges", paths[2],
-                   "--config", f"{stem}_estimate_config.json", "--estimator", estimator, "--out", out])
-        cfg = read_json(f"{stem}_estimate_config.json")
+                   "--config", write_json(tmp_path / "cfg.json", cfg), "--out", out])
         logs = read_odometry_csv(paths[0]), read_odometry_csv(paths[1]), read_ranges_csv(paths[2])
         est = ESTIMATORS[estimator](ingest_logs(*logs, sigma_r=cfg["sigma_r_m"], d0=cfg["d0_m"])[0])
         assert rc == (3 if singular else 0) == (3 if est.flags.configuration_singular else 0)
@@ -329,7 +331,7 @@ class TestSimulateCommand:
         # cell depends on the draw, so the failure is injected: the point
         # stage of the cell's stack records an error for trial 2's problem,
         # whatever the thread count.
-        scen = _scenario_from_config(load_config(cfg, set(SIM_DEFAULTS), SIM_DEFAULTS))
+        scen = _scenario_from_config(load_config(cfg, SIM_DEFAULTS))
         _, doomed = trial_data(scen, 2)
         nls = range_rte.estimators.ESTIMATORS["nls"]
 
@@ -439,10 +441,6 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out" / "results.csv").exists()
 
-    def test_negative_seed_option_rejected(self, tmp_path):
-        cfg = write_json(tmp_path / "cfg.json", {"trials": 1})
-        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--seed", "-1"]) == 2
-
 
 class TestFimCommand:
     def test_three_samples_note_and_no_det(self, tmp_path):
@@ -454,17 +452,23 @@ class TestFimCommand:
         rep = read_json(out)
         assert "note" in rep and "det_geometric" not in rep
 
-    def test_observable_scenario_det_equivalence(self, tmp_path):
-        scen = write_json(tmp_path / "scen.json", {"trials": 1, "n_poses": 10, "seed": 11})
-        out = str(tmp_path / "fim.json")
-        # evaluate at the scenario's own truth: extract it via the library
-        from range_rte.cli import SIM_DEFAULTS, _scenario_from_config
-        from range_rte.io_formats import load_config
-        from range_rte.simulation import trial_data
+    @staticmethod
+    def _emitted_logs(tmp_path, scenario):
+        """`fim`'s log options and config for trial 0 of a simulated
+        scenario, and its truth as --theta values."""
+        sim = write_json(tmp_path / "sim.json", {**scenario, "trials": 1, "emit_logs": True})
+        assert main(["simulate", "--config", sim, "--out-dir", str(tmp_path)]) == 0
+        stem = tmp_path / "logs" / "cell00_trial000"
+        truth = read_json(f"{stem}_truth.json")
+        logs = ["--odom-a", f"{stem}_odom_a.csv", "--odom-b", f"{stem}_odom_b.csv", "--ranges", f"{stem}_ranges.csv",
+                "--config", f"{stem}_estimate_config.json"]
+        return logs, [str(v) for v in [*truth["t_m"], truth["theta_rad"]]]
 
-        cfg = load_config(scen, set(SIM_DEFAULTS), SIM_DEFAULTS)
-        T, _ = trial_data(_scenario_from_config(cfg), 0)
-        rc = main(["fim", "--scenario", scen, "--theta", *[str(v) for v in T.as_vector()], "--out", out])
+    def test_observable_scenario_det_equivalence(self, tmp_path):
+        # evaluated at the scenario's own truth
+        logs, theta = self._emitted_logs(tmp_path, {"n_poses": 10, "seed": 11})
+        out = str(tmp_path / "fim.json")
+        rc = main(["fim", *logs, "--theta", *theta, "--out", out])
         assert rc == 0
         rep = read_json(out)
         assert rep["det_geometric"] == pytest.approx(rep["det_direct"], rel=1e-8)
@@ -475,9 +479,9 @@ class TestFimCommand:
         # below 4 rows; det_direct stays
         from range_rte.fisher import DET_SUBSET_CAP
 
-        scen = write_json(tmp_path / "scen.json", {"trials": 1, "n_poses": DET_SUBSET_CAP + 1, "seed": 3})
+        logs, _ = self._emitted_logs(tmp_path, {"n_poses": DET_SUBSET_CAP + 1, "seed": 3})
         out = str(tmp_path / "fim.json")
-        rc = main(["fim", "--scenario", scen, "--theta", "3.0", "0.5", "0.2", "0.4", "--out", out])
+        rc = main(["fim", *logs, "--theta", "3.0", "0.5", "0.2", "0.4", "--out", out])
         assert rc == 0
         rep = read_json(out)
         assert rep["k"] == DET_SUBSET_CAP + 1
@@ -511,16 +515,13 @@ class TestFimCommand:
         np.testing.assert_array_equal(np.array(rep["F"]), want)
         assert not np.allclose(want, dataset_fim(T, ingest_logs(*logs, ranges, sigma_r=0.05)[0]).F[0])
 
-    def test_config_unknown_key_or_with_scenario_rejected(self, tmp_path):
+    def test_config_unknown_key_rejected(self, tmp_path):
         pa, pb, ranges, T = synthetic_logs(tmp_path, n=10, seed=14)
         theta = [str(v) for v in T.as_vector()]
         bad = write_json(tmp_path / "bad.json", {"lever_arm_c_m": [0.0, 0.0, 0.0]})
         out = str(tmp_path / "fim.json")
         assert main(["fim", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", bad,
                      "--theta", *theta, "--out", out]) == 2
-        scen = write_json(tmp_path / "scen.json", {"trials": 1, "n_poses": 10, "seed": 11})
-        good = write_json(tmp_path / "good.json", {"lever_arm_a_m": [0.1, 0.0, 0.0]})
-        assert main(["fim", "--scenario", scen, "--config", good, "--theta", *theta, "--out", out]) == 2
 
     def test_sigma_r_option_removed(self, tmp_path):
         # the range noise of logs is the config's sigma_r_m, with no second knob
@@ -660,6 +661,93 @@ class TestDriftCommand:
                 _information(qcqp_estimate(window), window)  # raises the window's error
         assert rc == 4
         assert capsys.readouterr().err.strip() == f"solver failure: {one.value}"
+
+
+@pytest.fixture(scope="module")
+def emitted_logs(tmp_path_factory):
+    """The log options of trial 1 of a simulated two-trial cell."""
+    out = tmp_path_factory.mktemp("emitted")
+    sim = write_json(out / "sim.json", {"trials": 2, "n_poses": 20, "seed": 3, "emit_logs": True})
+    assert main(["simulate", "--config", sim, "--out-dir", str(out)]) == 0
+    stem = out / "logs" / "cell00_trial001"
+    return ["--odom-a", f"{stem}_odom_a.csv", "--odom-b", f"{stem}_odom_b.csv", "--ranges", f"{stem}_ranges.csv"]
+
+
+def run_command(command, cfg, logs, tmp_path, out_dir=None, extra=()):
+    """Exit code and output path (in out_dir, or else tmp_path) of
+    `command` run with the config `cfg` (over the base a command needs to
+    run), for estimate and fim on the logs, and with the extra arguments."""
+    base = {"simulate": {"trials": 1}, "drift": {"duration_s": 12.0}}.get(command, {})
+    config = write_json(tmp_path / "cfg.json", {**base, **cfg})
+    out = (out_dir or tmp_path) / "out"
+    argv = {
+        "estimate": [*logs, "--out", str(out)],
+        "fim": [*logs, "--theta", "1.0", "2.0", "0.5", "0.3", "--out", str(out)],
+        "simulate": ["--out-dir", str(out)],
+        "drift": ["--out", str(out)],
+    }[command]
+    return main([command, "--config", config, *argv, *extra]), out
+
+
+def test_removed_options_rejected(tmp_path, emitted_logs):
+    # every setting is a config key: the options that repeated one
+    # (--estimator, --seed) or set nothing (--results, --summary,
+    # --scenario) are gone, and each exits 2 as an unknown option
+    removed = [
+        *[(command, ["--estimator", "nls"]) for command in ("estimate", "simulate", "drift")],
+        *[(command, ["--seed", "1"]) for command in ("simulate", "fim", "drift")],
+        ("simulate", ["--results", str(tmp_path / "results.csv")]),
+        ("simulate", ["--summary", str(tmp_path / "summary.json")]),
+        ("fim", ["--scenario", write_json(tmp_path / "scenario.json", {"trials": 1})]),
+    ]
+    for command, extra in removed:
+        with pytest.raises(SystemExit) as exc:
+            run_command(command, {}, emitted_logs, tmp_path, extra=extra)
+        assert exc.value.code == 2, (command, extra)
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "command, cfg, key",
+        [
+            # each once exited 1 with a traceback
+            ("estimate", {"sigma_r_m": "0.1"}, "sigma_r_m"),
+            ("estimate", {"sigma_r_m": None}, "sigma_r_m"),
+            ("estimate", {"d0_m": "3"}, "d0_m"),
+            ("estimate", {"estimator": ["qcqp"]}, "estimator"),
+            ("simulate", {"cells": 5}, "cells"),
+            ("simulate", {"radius_m": "1"}, "radius_m"),
+            ("simulate", {"estimator": ["qcqp"]}, "estimator"),
+            ("simulate", {"cells": [{"estimator": ["qcqp"]}]}, "cells[0]: estimator"),
+            ("drift", {"estimator": {}}, "estimator"),
+            # each once exited 0, run as another value: true as 1, "no" as true
+            ("estimate", {"d0_m": True}, "d0_m"),
+            ("simulate", {"d0_m": True}, "d0_m"),
+            ("drift", {"d0_m": True}, "d0_m"),
+            ("simulate", {"radius_m": True}, "radius_m"),
+            ("simulate", {"sigma_r_m": True}, "sigma_r_m"),
+            ("drift", {"sigma_t_m": True}, "sigma_t_m"),
+            ("simulate", {"emit_logs": "no"}, "emit_logs"),
+            ("estimate", {"lever_arm_a_m": [True, 0.0, 0.0]}, "lever_arm_a_m"),
+            # -0.1 once ran floored at 1e-9 m; Infinity exited 4 (estimate) or 0 (fim)
+            ("estimate", {"sigma_r_m": -0.1}, "sigma_r"),
+            ("estimate", {"sigma_r_m": math.inf}, "sigma_r"),
+            ("fim", {"sigma_r_m": -0.1}, "sigma_r"),
+            ("fim", {"sigma_r_m": math.inf}, "sigma_r"),
+        ],
+    )
+    def test_mistyped_or_out_of_range_value_exits_parse_error(self, tmp_path, capsys, emitted_logs, command, cfg, key):
+        rc, out = run_command(command, cfg, emitted_logs, tmp_path)
+        assert rc == 2
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "drift"])
+    def test_unwritable_output_exits_parse_error(self, tmp_path, capsys, emitted_logs, command):
+        # once exited 1 with a traceback; the message names the missing directory
+        rc, _ = run_command(command, {}, emitted_logs, tmp_path, out_dir=tmp_path / "missing")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: [Errno 2] No such file or directory: '{tmp_path / 'missing'}")
 
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
