@@ -29,7 +29,6 @@ from .geometry import (
     LeverArm,
     Transform4DoF,
     apply_transform,
-    heading_rotation,
     interpolate_quats,
     quat_to_matrix,
     wrap_angle,
@@ -37,7 +36,6 @@ from .geometry import (
 from .measurement import (
     ODOMETRY_DTYPE,
     RANGE_DTYPE,
-    SquaredStats,
     SyncedDataset,
     SyncedStack,
     debias_squared,

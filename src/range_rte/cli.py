@@ -387,24 +387,26 @@ def cmd_drift(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="range-rte", description=__doc__)
+    # allow_abbrev=False on every parser: an option has one spelling, so
+    # `simulate --out` is an error, not `--out-dir`
+    p = argparse.ArgumentParser(prog="range-rte", description=__doc__, allow_abbrev=False)
     sub = p.add_subparsers(dest="command", required=True)
     # the CSV logs that `estimate` and `fim` read
-    logs = argparse.ArgumentParser(add_help=False)
+    logs = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     for option in ("--odom-a", "--odom-b", "--ranges"):
         logs.add_argument(option, required=True)
 
-    pe = sub.add_parser("estimate", parents=[logs], help="estimate the transform from CSV logs")
+    pe = sub.add_parser("estimate", parents=[logs], allow_abbrev=False, help="estimate the transform from CSV logs")
     pe.add_argument("--config")
     pe.add_argument("--out", default="report.json")
     pe.set_defaults(func=cmd_estimate)
 
-    ps = sub.add_parser("simulate", help="Monte-Carlo evaluation")
+    ps = sub.add_parser("simulate", allow_abbrev=False, help="Monte-Carlo evaluation")
     ps.add_argument("--config", required=True)
     ps.add_argument("--out-dir")
     ps.set_defaults(func=cmd_simulate)
 
-    pf = sub.add_parser("fim", parents=[logs], help="information analysis at a given transform")
+    pf = sub.add_parser("fim", parents=[logs], allow_abbrev=False, help="information analysis at a given transform")
     # an `estimate` config, such as the <stem>_estimate_config.json that
     # `simulate` emits beside a trial's logs: its lever arms, sigma_r_m and
     # d0_m apply to the logs (the estimator and outlier keys do not apply
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--out", default="fim.json")
     pf.set_defaults(func=cmd_fim)
 
-    pd = sub.add_parser("drift", help="sliding-window drift correction scenario")
+    pd = sub.add_parser("drift", allow_abbrev=False, help="sliding-window drift correction scenario")
     pd.add_argument("--config", required=True)
     pd.add_argument("--out", default="drift_report.json")
     pd.set_defaults(func=cmd_drift)

@@ -242,9 +242,9 @@ def assemble_qcqp(data: SyncedDataset | SyncedStack) -> QcqpProblem:
     stack = data.stack() if isinstance(data, SyncedDataset) else data
     if stack.d.shape[1] < 1:
         raise ValueError("need at least one synced sample")
-    stats = debias_squared(stack)
-    w = 1.0 / stats.sigma_s_diag
-    B = build_data_rows(stack.pa, stack.pb, stats.s)
+    s, variance = debias_squared(stack)
+    w = 1.0 / variance
+    B = build_data_rows(stack.pa, stack.pb, s)
     with np.errstate(over="ignore", invalid="ignore"):
         P0 = (B * w[..., None]).swapaxes(-1, -2) @ B
         P0 = 0.5 * (P0 + P0.swapaxes(-1, -2))

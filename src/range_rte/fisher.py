@@ -12,12 +12,13 @@ determinant expansion count exactly these rows, through the one Jacobian
 `_jacobian_stack`.
 
 The FIM is the noise-weighted Gram matrix of the rows. `fim_arrays`
-derives every quantity of a stack of FIMs in one pass, from one
-eigendecomposition each, as stacked arrays (`FimArrays`): kappa, rank,
-CRLB, standard errors, det and the singularity flags. It is the one FIM
-code path and `FimArrays` the one information type. `fim` takes it at
-the W transforms of W problems, given as arrays the way a `SyncedStack`
-holds them; one problem is a stack of one. A Monte-Carlo cell reads its
+derives every quantity of a stack of FIMs in one pass, as stacked
+arrays (`FimArrays`): kappa, rank, CRLB, standard errors and the
+singularity flags from one eigendecomposition each, and det from an LU
+factorisation. It is the one FIM code path and `FimArrays` the one
+information type. `fim` takes it at the W transforms of W problems,
+given as arrays the way a `SyncedStack` holds them; one problem is a
+stack of one. A Monte-Carlo cell reads its
 bounds at the truths, a drift track its kappa and CRLB at the window
 estimates, and a dataset's report row 0 of the stack of one, its
 verdicts through `singularity_flags`. Every quantity that needs an
@@ -127,14 +128,15 @@ class FimArrays:
 
 
 def fim_arrays(F) -> FimArrays:
-    """Every information quantity of a stack of FIMs, from one
+    """Every information quantity of a stack of FIMs: det from an LU
+    factorisation (`np.linalg.det`), every other one from one
     eigendecomposition each.
 
     F (W, n, n) holds symmetric positive semidefinite matrices: an
     asymmetry above 1e-9 max(|F|, 1) over the stack or an eigenvalue below
     -1e-8 max(lam_max, 1) raises ValueError. Per FIM, from its
     eigenpairs (lam, Q): kappa, infinite unless the smallest eigenvalue is
-    positive; the rank at RCOND; det; the CRLB Q diag(1/lam) Q', its
+    positive; the rank at RCOND; the CRLB Q diag(1/lam) Q', its
     translation trace and heading entry, and the standard errors, the
     roots of its diagonal, when the FIM is invertible at RCOND; and the
     flags. The configuration is singular when kappa exceeds

@@ -25,12 +25,6 @@ def wrap_angle(theta):
     return (np.asarray(theta) + math.pi) % TWO_PI - math.pi
 
 
-def heading_rotation(theta: float) -> np.ndarray:
-    """Rotation matrix about the +z axis by `theta` (counterclockwise)."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def yaw_matrices(c, s) -> np.ndarray:
     """Stacked rotations about +z, shape (n, 3, 3), from their cosines and sines."""
     R = np.zeros((len(c), 3, 3))
@@ -70,7 +64,9 @@ class Transform4DoF:
         object.__setattr__(self, "theta", (float(self.theta) + math.pi) % TWO_PI - math.pi)
 
     def rotation(self) -> np.ndarray:
-        return heading_rotation(self.theta)
+        """Rotation matrix about the +z axis by theta (counterclockwise)."""
+        c, s = math.cos(self.theta), math.sin(self.theta)
+        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
     def as_vector(self) -> np.ndarray:
         """Parameter vector [t_x, t_y, t_z, theta]."""

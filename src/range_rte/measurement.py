@@ -140,6 +140,21 @@ def range_log(t, d) -> np.ndarray:
     return _checked_log(RANGE_DTYPE, range_problem, t=t, d=d)
 
 
+def _check_rows(d, pa, pb, sigma_r: float, d0) -> None:
+    """Raise ValueError unless the ranges d and d0 (None, a float or an
+    array of them) are positive with finite squares, the antenna positions
+    pa and pb finite and sigma_r positive: what every fit problem, a
+    dataset's rows or a stack's, must hold."""
+    if not _valid_range(d).all():
+        raise ValueError("ranges must be positive and finite, and so must their squares")
+    if not (np.isfinite(pa).all() and np.isfinite(pb).all()):
+        raise ValueError("antenna positions must be finite")
+    if not sigma_r > 0:
+        raise ValueError(f"sigma_r must be positive, got {sigma_r}")
+    if d0 is not None and not _valid_range(d0).all():
+        raise ValueError(f"d0 must be positive and finite, and so must its square, when present; got {d0}")
+
+
 def _read_only_copy(x, name: str, row_shape: tuple = ()) -> np.ndarray:
     """Float copy of x with shape (k, *row_shape), locked against writes."""
     a = np.array(x, dtype=float, order="C")
@@ -179,18 +194,11 @@ class SyncedDataset:
             object.__setattr__(self, name, _read_only_copy(getattr(self, name), name, row_shape))
         if not len(self.t) == len(self.d) == len(self.pa) == len(self.pb):
             raise ValueError("t, d, pa and pb must have the same length")
-        if not _valid_range(self.d).all():
-            raise ValueError("ranges must be positive and finite, and so must their squares")
-        if not (np.isfinite(self.pa).all() and np.isfinite(self.pb).all()):
-            raise ValueError("antenna positions must be finite")
+        _check_rows(self.d, self.pa, self.pb, self.sigma_r, self.d0)
         if not np.isfinite(self.t).all():
             raise ValueError("sample timestamps must be finite")
         if (np.diff(self.t) <= 0).any():
             raise ValueError("sample timestamps must be strictly increasing")
-        if not self.sigma_r > 0:
-            raise ValueError(f"sigma_r must be positive, got {self.sigma_r}")
-        if self.d0 is not None and not _valid_range(self.d0):
-            raise ValueError(f"d0 must be positive and finite, and so must its square, when present; got {self.d0}")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -239,8 +247,7 @@ class SyncedStack:
     for it is already among the k rows, which `SyncedDataset.stack`,
     `SyncedDataset.windows` and `simulation.synthesize_measurements`
     decide. The arrays are kept as given, not copied; the constructor
-    checks their shapes, that the ranges and d0 are positive with finite
-    squares and the antenna positions finite.
+    checks their shapes and, as a dataset's does, their rows (`_check_rows`).
     """
 
     d: np.ndarray
@@ -257,26 +264,7 @@ class SyncedStack:
                 "need d (W, k), pa and pb (W, k, 3) and d0 (W,) or None; "
                 f"got {self.d.shape}, {self.pa.shape}, {self.pb.shape} and {d0_shape}"
             )
-        if not (_valid_range(self.d).all() and (self.d0 is None or _valid_range(self.d0).all())):
-            raise ValueError("ranges and d0 must be positive and finite, and so must their squares")
-        if not (np.isfinite(self.pa).all() and np.isfinite(self.pb).all()):
-            raise ValueError("antenna positions must be finite")
-        if not self.sigma_r > 0:
-            raise ValueError(f"sigma_r must be positive, got {self.sigma_r}")
-
-
-@dataclass(frozen=True)
-class SquaredStats:
-    """Debiased squared distances and the diagonal of their covariance."""
-
-    s: np.ndarray
-    sigma_s_diag: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", np.asarray(self.s, dtype=float))
-        object.__setattr__(self, "sigma_s_diag", np.asarray(self.sigma_s_diag, dtype=float))
-        if np.any(self.sigma_s_diag <= 0):
-            raise ValueError("squared-distance variances must be strictly positive")
+        _check_rows(self.d, self.pa, self.pb, self.sigma_r, self.d0)
 
 
 def at_frame_origins(pa, pb) -> bool:
@@ -367,18 +355,22 @@ def ingest_logs(
     return dataset, len(ranges) - len(t)
 
 
-def debias_squared(dataset: SyncedDataset | SyncedStack) -> SquaredStats:
-    """Debiased squared distances of a dataset's or a stack's ranges, with
-    their (diagonal) covariance.
+def debias_squared(dataset: SyncedDataset | SyncedStack) -> tuple[np.ndarray, np.ndarray]:
+    """Debiased squared distances s of a dataset's or a stack's ranges,
+    and their variances, the diagonal of their covariance: the pair
+    (s, variance), each of the ranges' shape.
 
     The noise on d~^2 is nu = 2 d eta + eta^2 with mean sigma_r^2 and
     variance sigma_r^2 (4 d~^2 + 2 sigma_r^2); subtracting the mean gives
-    an approximately Gaussian squared-distance error.
+    an approximately Gaussian squared-distance error. A variance that
+    underflows to 0 (sigma_r far below SIGMA_R_FLOOR) raises ValueError.
     """
     var_r, d = dataset.sigma_r**2, dataset.d
     s = d**2 - var_r
-    sigma_s = var_r * (4.0 * d**2 + 2.0 * var_r)
-    return SquaredStats(s=s, sigma_s_diag=sigma_s)
+    variance = var_r * (4.0 * d**2 + 2.0 * var_r)
+    if np.any(variance <= 0):
+        raise ValueError("squared-distance variances must be strictly positive")
+    return s, variance
 
 
 def range_rate_outliers(dataset: SyncedDataset) -> np.ndarray:

@@ -15,6 +15,7 @@ from range_rte.estimators import ESTIMATORS
 from range_rte.geometry import LeverArm, Transform4DoF, wrap_angle, yaw_quat
 from range_rte.io_formats import (
     ParseError,
+    atomic_write_text,
     dump_json,
     jsonable,
     read_odometry_csv,
@@ -689,21 +690,111 @@ def run_command(command, cfg, logs, tmp_path, out_dir=None, extra=()):
     return main([command, "--config", config, *argv, *extra]), out
 
 
-def test_removed_options_rejected(tmp_path, emitted_logs):
+def test_removed_options_rejected(tmp_path, capsys, emitted_logs):
     # every setting is a config key: the options that repeated one
     # (--estimator, --seed) or set nothing (--results, --summary,
-    # --scenario) are gone, and each exits 2 as an unknown option
+    # --scenario) are gone, and each exits 2 as an unknown option, writing
+    # nothing; so does a prefix of an option, which once ran as the option
+    # it abbreviates (--config, --out-dir and --out), `simulate --out` as
+    # the directory of results.csv
     removed = [
         *[(command, ["--estimator", "nls"]) for command in ("estimate", "simulate", "drift")],
         *[(command, ["--seed", "1"]) for command in ("simulate", "fim", "drift")],
         ("simulate", ["--results", str(tmp_path / "results.csv")]),
         ("simulate", ["--summary", str(tmp_path / "summary.json")]),
         ("fim", ["--scenario", write_json(tmp_path / "scenario.json", {"trials": 1})]),
+        ("estimate", ["--conf", write_json(tmp_path / "estimate.json", {})]),
+        ("simulate", ["--out", str(tmp_path / "d1")]),
+        ("fim", ["--ou", str(tmp_path / "fim.json")]),
+        ("drift", ["--o", str(tmp_path / "drift.json")]),
     ]
     for command, extra in removed:
         with pytest.raises(SystemExit) as exc:
             run_command(command, {}, emitted_logs, tmp_path, extra=extra)
         assert exc.value.code == 2, (command, extra)
+        assert f"error: unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "estimate.json", "scenario.json"]
+
+
+class TestBadInputFiles:
+    """A malformed log or config exits 2 through `main`, naming the file and
+    the line (the header is line 1) or the key, and writes no report."""
+
+    def _fails(self, capsys, argv, out):
+        assert main(argv) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
+
+    @staticmethod
+    def _fim_argv(logs, out):
+        return ["fim", *logs, "--theta", "1.0", "2.0", "0.5", "0.3", "--out", str(out)]
+
+    def test_blank_lines_are_skipped(self, tmp_path, emitted_logs):
+        padded = list(emitted_logs)
+        for i in (1, 3, 5):
+            lines = open(emitted_logs[i]).read().splitlines()
+            path = tmp_path / os.path.basename(emitted_logs[i])
+            path.write_text("\n".join([lines[0], "", *lines[1:3], "", "", *lines[3:], ""]) + "\n")
+            padded[i] = str(path)
+        reports = []
+        for k, logs in enumerate((emitted_logs, padded)):
+            out = tmp_path / f"fim{k}.json"
+            assert main(self._fim_argv(logs, out)) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "option, content, message",
+        [
+            ("--ranges", b"t,d\n0.5,3.0,1.0\n", ":2: expected 2 fields, got 3"),
+            ("--odom-b", b"t,px,py,pz,qx,qy,qz,qw\n0.0,0.0,0.0\n", ":2: expected 8 fields, got 3"),
+            # a blank line still counts as a line
+            ("--ranges", b"t,d\n0.5,3.0\n\n1.5,three\n", ":4: could not convert string to float: 'three'"),
+            ("--odom-a", b"t,px,py,pz,qx,qy,qz,qw\n0.0,0.0,0.0,x,0.0,0.0,0.0,1.0\n", ":2: could not convert string to float: 'x'"),
+            ("--ranges", b"t,d\n0.5,3.0\n1.5,\xff\n", ": 'utf-8' codec can't decode byte 0xff"),
+            ("--ranges", None, ": [Errno 2] No such file or directory"),
+        ],
+    )
+    def test_malformed_or_unreadable_log(self, tmp_path, capsys, emitted_logs, option, content, message):
+        bad = tmp_path / "bad.csv"
+        if content is not None:
+            bad.write_bytes(content)
+        logs = list(emitted_logs)
+        logs[logs.index(option) + 1] = str(bad)
+        out = tmp_path / "r.json"
+        for argv in (["estimate", *logs, "--out", str(out)], self._fim_argv(logs, out)):
+            assert f"error: {bad}{message}" in self._fails(capsys, argv, out)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("not json\n", "Expecting value: line 1 column 1 (char 0)"),
+            ("[1, 2]\n", "config must be a JSON object"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "drift"])
+    def test_config_that_is_not_a_json_object(self, tmp_path, capsys, emitted_logs, command, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        extra = {"estimate": [*emitted_logs, "--out"], "simulate": ["--out-dir"], "drift": ["--out"]}[command]
+        err = self._fails(capsys, [command, "--config", str(cfg), *extra, str(out)], out)
+        assert f"error: {cfg}: {message}" in err
+
+
+class TestAtomicWrite:
+    def test_failed_replace_leaves_the_old_report_and_no_temp_file(self, tmp_path, monkeypatch):
+        report = tmp_path / "report.json"
+        report.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            atomic_write_text(str(report), "new\n")
+        assert report.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 class TestConfigValues:
@@ -734,6 +825,11 @@ class TestConfigValues:
             ("estimate", {"sigma_r_m": math.inf}, "sigma_r"),
             ("fim", {"sigma_r_m": -0.1}, "sigma_r"),
             ("fim", {"sigma_r_m": math.inf}, "sigma_r"),
+            # a cell that is not an object of CELL_KEYS
+            ("simulate", {"cells": [5]}, "cells[0]"),
+            ("simulate", {"cells": [{"estimator": "nls"}, [{"estimator": "sdp"}]]}, "cells[1]"),
+            ("simulate", {"cells": [{"radius": 1.0}]}, "cells[0]"),
+            ("simulate", {"cells": [{"emit_logs": True}]}, "cells[0]"),
         ],
     )
     def test_mistyped_or_out_of_range_value_exits_parse_error(self, tmp_path, capsys, emitted_logs, command, cfg, key):

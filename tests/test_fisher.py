@@ -21,7 +21,7 @@ from range_rte.fisher import (
     fim,
     fim_arrays,
 )
-from range_rte.geometry import Transform4DoF, heading_rotation
+from range_rte.geometry import Transform4DoF
 from range_rte.measurement import SyncedDataset, true_range
 from range_rte.simulation import SCENARIO_KINDS, ScenarioConfig, singular_scenario, trial_data, trial_rng
 

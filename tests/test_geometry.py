@@ -8,12 +8,15 @@ from range_rte.geometry import (
     LeverArm,
     Transform4DoF,
     apply_transform,
-    heading_rotation,
     quat_to_matrix,
     wrap_angle,
     yaw_quat,
 )
 from range_rte.measurement import ingest_logs, odometry_log, poses_at, range_log
+
+
+def heading_rotation(theta):
+    return Transform4DoF(t=np.zeros(3), theta=theta).rotation()
 
 
 def test_heading_rotation_identity():

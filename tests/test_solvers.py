@@ -11,6 +11,7 @@ from range_rte.simulation import SCENARIO_KINDS, ScenarioConfig, singular_scenar
 from range_rte.solvers import (
     CONVERGED,
     NON_FINITE,
+    _batched_solve,
     lockstep_newton,
     sdp_solve,
 )
@@ -168,6 +169,20 @@ def residual_lift(r, J):
         return np.array(rows)
 
     return lift
+
+
+class TestBatchedSolve:
+    def test_singular_system_gives_a_nan_row_and_the_others_their_own_solution(self):
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(5, 4, 4))
+        b = rng.normal(size=(5, 4))
+        A[2, :, 3] = 0.0  # a zero column: exactly singular
+        with pytest.raises(np.linalg.LinAlgError):  # so the stacked solve fails and the systems go one by one
+            np.linalg.solve(A, b[..., None])
+        x = _batched_solve(A, b)
+        assert np.isnan(x[2]).all()
+        for i in (0, 1, 3, 4):
+            assert np.array_equal(x[i], np.linalg.solve(A[i], b[i]))
 
 
 class TestLmMinimize:
