@@ -10,8 +10,12 @@
 
 Every other setting is a key of the command's JSON config, loaded by
 `_config` over one defaults table: ESTIMATE_DEFAULTS (`estimate`, `fim`),
-SIM_DEFAULTS (`simulate`) or DRIFT_DEFAULTS (`drift`). A key's suffix
-names its unit (_m, _rad, _s, _hz).
+SIM_DEFAULTS (`simulate`) or DRIFT_DEFAULTS (`drift`). The `simulate` and
+`drift` defaults are those of their config objects,
+`simulation.ScenarioConfig` and `simulation.DriftConfig`, each field
+under its key of SIM_FIELDS or DRIFT_FIELDS; the estimator and lever-arm
+keys default as `estimate`'s. A key's suffix names its unit (_m, _rad,
+_s, _hz).
 
 Exit codes: 0 success, 2 parse/config error or an output that cannot be
 written, 3 insufficient data (no range covered by both odometry logs or
@@ -81,37 +85,32 @@ ESTIMATE_DEFAULTS = {
     "outlier_mode": "odometry",
 }
 
+# The config key of each field of `ScenarioConfig` (`simulate`) and of
+# `DriftConfig` (`drift`); ScenarioConfig.lever_arms is read from the two
+# lever-arm keys (`_lever_arms`). A key's default is its field's.
+SIM_FIELDS = {"d0_m": "d0", "radius_m": "D", "n_poses": "n_poses", "sigma_r_m": "sigma_r", "sigma_o_m": "sigma_o",
+              "trials": "trials", "seed": "seed"}
+# sigma_t_m and sigma_theta_rad: random-walk intensities of the true transform, per sqrt(second)
+DRIFT_FIELDS = {"d0_m": "d0", "sigma_r_m": "sigma_r", "sigma_o_m": "sigma_o", "seed": "seed", "sigma_t_m": "sigma_t",
+                "sigma_theta_rad": "sigma_theta", "duration_s": "duration", "window": "window", "rate_hz": "rate",
+                "stride": "stride"}
+
+
+def _field_defaults(config_type, fields: dict) -> dict:
+    """The default of each field of `fields` under its config key."""
+    defaults = {f.name: f.default for f in dataclasses.fields(config_type)}
+    return {key: defaults[name] for key, name in fields.items()}
+
+
 SIM_DEFAULTS = {
-    "d0_m": 3.0,
-    "radius_m": 1.0,
-    "n_poses": 20,
-    "sigma_r_m": 0.1,
-    "sigma_o_m": 0.001,
-    "trials": 100,
-    "seed": 0,
-    "estimator": "qcqp",
-    "lever_arm_a_m": [0.0, 0.0, 0.0],
-    "lever_arm_b_m": [0.0, 0.0, 0.0],
+    **_field_defaults(ScenarioConfig, SIM_FIELDS),
+    **{key: ESTIMATE_DEFAULTS[key] for key in ("estimator", "lever_arm_a_m", "lever_arm_b_m")},
     "emit_logs": False,
     "cells": None,
 }
-
-DRIFT_DEFAULTS = {
-    "d0_m": 15.0,
-    "sigma_r_m": 0.1,
-    "sigma_o_m": 0.001,
-    "seed": 0,
-    "estimator": "qcqp",
-    # random-walk intensities of the true transform, per sqrt(second)
-    "sigma_t_m": 0.1,
-    "sigma_theta_rad": 0.1,
-    "duration_s": 600.0,
-    "window": 50,
-    "rate_hz": 25.0,
-    "stride": None,
-}
-
-CELL_KEYS = {"d0_m", "radius_m", "n_poses", "sigma_r_m", "sigma_o_m", "trials", "estimator", "seed"}
+DRIFT_DEFAULTS = {**_field_defaults(DriftConfig, DRIFT_FIELDS), "estimator": ESTIMATE_DEFAULTS["estimator"]}
+# the keys a simulate cell may set
+CELL_KEYS = {*SIM_FIELDS, "estimator"}
 
 
 NUMBER = ((int, float), "a number")
@@ -174,16 +173,7 @@ def _lever_arms(cfg: dict) -> tuple[LeverArm, LeverArm]:
 
 
 def _scenario_from_config(cfg: dict) -> ScenarioConfig:
-    return ScenarioConfig(
-        d0=cfg["d0_m"],
-        D=cfg["radius_m"],
-        n_poses=cfg["n_poses"],
-        sigma_r=cfg["sigma_r_m"],
-        sigma_o=cfg["sigma_o_m"],
-        trials=cfg["trials"],
-        seed=cfg["seed"],
-        lever_arms=_lever_arms(cfg),
-    )
+    return ScenarioConfig(**{name: cfg[key] for key, name in SIM_FIELDS.items()}, lever_arms=_lever_arms(cfg))
 
 
 def _ingest(args, cfg: dict):
@@ -266,15 +256,16 @@ def _emit_trial_logs(out_dir, cell_idx, trial, cfg_cell, T_true, dataset):
 def cmd_simulate(args) -> int:
     cfg = _config(args.config, SIM_DEFAULTS)
     chash = iof.config_hash(cfg)
+    cells = _expand_cells(cfg)
+    # every cell's scenario is checked before anything is written
+    scenarios = [_scenario_from_config({**cfg, **cell}) for cell in cells]
 
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
 
-    cells = _expand_cells(cfg)
     rows = ["cell,trial,e_t,e_theta,crlb_t,crlb_theta,solve_ms,status"]
     summary_cells = []
-    for ci, cell in enumerate(cells):
-        scen = _scenario_from_config({**cfg, **cell})
+    for ci, (cell, scen) in enumerate(zip(cells, scenarios)):
         stats = monte_carlo_run(scen, estimator=cell["estimator"])
         ok = np.isfinite(stats.e_t)
         for trial in range(scen.trials):
@@ -348,18 +339,7 @@ def cmd_fim(args) -> int:
 
 def cmd_drift(args) -> int:
     cfg = _config(args.config, DRIFT_DEFAULTS)
-    drift = DriftConfig(
-        d0=cfg["d0_m"],
-        sigma_r=cfg["sigma_r_m"],
-        sigma_o=cfg["sigma_o_m"],
-        seed=cfg["seed"],
-        sigma_t=cfg["sigma_t_m"],
-        sigma_theta=cfg["sigma_theta_rad"],
-        duration=cfg["duration_s"],
-        window=cfg["window"],
-        rate=cfg["rate_hz"],
-        stride=cfg["stride"],
-    )
+    drift = DriftConfig(**{name: cfg[key] for key, name in DRIFT_FIELDS.items()})
     result = drift_scenario(drift, estimator=cfg["estimator"])
     track = result.windows
     windows = []

@@ -91,7 +91,7 @@ from typing import Optional
 import numpy as np
 
 from .fisher import FimArrays, SingularityFlags, fim, singularity_flags
-from .geometry import Transform4DoF, wrap_angle
+from .geometry import Transform4DoF, heading_cos_sin, wrap_angle
 from .measurement import SyncedDataset, SyncedStack, debias_squared
 from .solvers import CONVERGED, MAX_ITER, NON_FINITE, SolveDiagnostics, lockstep_newton, sdp_solve
 
@@ -805,9 +805,7 @@ def _sdp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dict
 def _lifted_cost(P0: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     """x' P0 x of each problem at the lift x of its estimate, the same
     bits in any stack."""
-    # math.cos and math.sin round as Transform4DoF.rotation does
-    theta = estimates[:, 3].tolist()
-    x = _lift(*estimates[:, :3].T, np.array([math.cos(th) for th in theta]), np.array([math.sin(th) for th in theta]))
+    x = _lift(*estimates[:, :3].T, *heading_cos_sin(estimates[:, 3]))
     return ((x[:, None, :] @ P0) @ x[:, :, None])[:, 0, 0]
 
 
@@ -1062,12 +1060,11 @@ def align_target_trajectory(stream: SyncedDataset, track: WindowTrack) -> np.nda
     first = np.maximum(track.stop[kept][order] - 1, 0)
     current = np.searchsorted(first, np.arange(len(stream)), side="right")  # 0: before every estimate
     # (t, cos, sin) of each estimate after a NaN row 0, the samples before
-    # every estimate; math.cos and math.sin round as Transform4DoF.rotation does
+    # every estimate
     estimates = track.estimate[kept][order]
     params = np.full((len(estimates) + 1, 5), math.nan)
     params[1:, :3] = estimates[:, :3]
-    params[1:, 3] = [math.cos(th) for th in estimates[:, 3].tolist()]
-    params[1:, 4] = [math.sin(th) for th in estimates[:, 3].tolist()]
+    params[1:, 3], params[1:, 4] = heading_cos_sin(estimates[:, 3])
     tx, ty, tz, c, s = params[current].T
     px, py, pz = stream.pb.T
     return np.column_stack((tx + (c * px - s * py), ty + (s * px + c * py), tz + pz))

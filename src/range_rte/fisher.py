@@ -38,7 +38,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import Transform4DoF, yaw_matrices
+from .geometry import Transform4DoF, heading_cos_sin, yaw_matrices
 from .measurement import SyncedDataset
 
 # kappa of the FIM at the estimate above which a configuration is
@@ -91,8 +91,7 @@ def _jacobian_stack(t: np.ndarray, theta: np.ndarray, pa: np.ndarray, pb: np.nda
     and phi = [uz x (C pb)] . u. Raises SingularGeometryError when two
     antennas coincide.
     """
-    # math.cos and math.sin round as Transform4DoF.rotation does
-    R = yaw_matrices([math.cos(th) for th in theta.tolist()], [math.sin(th) for th in theta.tolist()])
+    R = yaw_matrices(*heading_cos_sin(theta))
     rotated_b = pb @ R.swapaxes(-1, -2)
     W = t[:, None, :] + rotated_b - pa
     d = np.linalg.norm(W, axis=-1)

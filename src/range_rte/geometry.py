@@ -25,6 +25,16 @@ def wrap_angle(theta):
     return (np.asarray(theta) + math.pi) % TWO_PI - math.pi
 
 
+def heading_cos_sin(theta) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of an array of headings, each rounded by `math.cos` and
+    `math.sin`: the one rule by which a heading becomes a rotation, in
+    `Transform4DoF.rotation` and in every stack of transforms, so that a
+    heading rotates with the same bits alone and in any stack (np.cos and
+    np.sin may round an array differently in the last bit)."""
+    theta = np.asarray(theta).tolist()
+    return np.array([math.cos(th) for th in theta]), np.array([math.sin(th) for th in theta])
+
+
 def yaw_matrices(c, s) -> np.ndarray:
     """Stacked rotations about +z, shape (n, 3, 3), from their cosines and sines."""
     R = np.zeros((len(c), 3, 3))
@@ -65,8 +75,7 @@ class Transform4DoF:
 
     def rotation(self) -> np.ndarray:
         """Rotation matrix about the +z axis by theta (counterclockwise)."""
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        return yaw_matrices(*heading_cos_sin([self.theta]))[0]
 
     def as_vector(self) -> np.ndarray:
         """Parameter vector [t_x, t_y, t_z, theta]."""

@@ -17,10 +17,11 @@ antenna positions), one row per range. Each range covered by both
 odometry logs gets each agent's pose at its timestamp: the logged pose
 itself on a coinciding stamp, otherwise the position interpolated
 linearly and the attitude spherically between the two bracketing poses;
-the lever arm is then rotated into the local frame. Uncovered ranges are
-dropped, never extrapolated. `SyncedStack`, the one fit-problem form
-that the estimators and the Fisher information read, holds W problems as
-arrays with a leading axis of W: a dataset's own (`SyncedDataset.stack`),
+the lever arm is then rotated into the local frame (`antenna_positions`,
+which places the simulated antennas too). Uncovered ranges are dropped,
+never extrapolated. `SyncedStack`, the one fit-problem form that the
+estimators and the Fisher information read, holds W problems as arrays
+with a leading axis of W: a dataset's own (`SyncedDataset.stack`),
 a stream's windows (`SyncedDataset.windows`) or a Monte-Carlo cell
 (`simulation.synthesize_measurements`). A dataset is a log's synced
 rows: the outlier gate keeps some of them (`SyncedDataset.select`), and
@@ -284,6 +285,16 @@ def true_range(T: Transform4DoF, pa, pb):
     return np.linalg.norm(w, axis=-1)
 
 
+def antenna_positions(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Antenna positions p + R(q) r, shape (..., 3), of an agent whose body
+    sits at positions p (..., 3) with attitudes q (..., 4), unit
+    quaternions (x, y, z, w), and carries its antenna at lever arm r (3,)
+    in the body frame: the one placement rule, which `ingest_logs` applies
+    to logged poses and `simulation.synthesize_measurements` to simulated
+    ones."""
+    return p + quat_to_matrix(q) @ r
+
+
 def poses_at(odom: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     """Positions (k, 3) and quaternions (k, 4) of an odometry log at times t.
 
@@ -320,9 +331,9 @@ def ingest_logs(
 
     Each range inside the common odometry window gets both agents' poses
     at its timestamp (`poses_at`) and, from them, the antenna positions
-    p + R(q) r with each agent's lever arm r. Ranges outside the window
-    are dropped (no extrapolation). The logs must satisfy the contracts
-    that `odometry_log` and `range_log` check.
+    p + R(q) r with each agent's lever arm r (`antenna_positions`).
+    Ranges outside the window are dropped (no extrapolation). The logs
+    must satisfy the contracts that `odometry_log` and `range_log` check.
 
     Without an explicit d0 (m), the first synced range becomes d0 only
     when both first antenna positions are exactly at their frame origins,
@@ -344,11 +355,7 @@ def ingest_logs(
     if not covered.any():
         raise NoOverlapError("no range measurement inside the common odometry window")
     t, d = ranges["t"][covered], ranges["d"][covered]
-    antennas = []
-    for odom, arm in ((odom_a, arm_a), (odom_b, arm_b)):
-        p, q = poses_at(odom, t)
-        antennas.append(p + quat_to_matrix(q) @ arm.r)
-    pa, pb = antennas
+    pa, pb = (antenna_positions(*poses_at(odom, t), arm.r) for odom, arm in ((odom_a, arm_a), (odom_b, arm_b)))
     if d0 is None and at_frame_origins(pa[0], pb[0]):
         d0 = float(d[0])
     dataset = SyncedDataset(t=t, d=d, pa=pa, pb=pb, sigma_r=max(sigma_r, SIGMA_R_FLOOR), d0=d0)

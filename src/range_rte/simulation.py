@@ -31,8 +31,8 @@ import numpy as np
 
 from .estimators import ESTIMATORS, WindowTrack, align_target_trajectory, sliding_window_estimate
 from .fisher import fim
-from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, quat_to_matrix, wrap_angle, yaw_matrices
-from .measurement import SIGMA_R_FLOOR, SyncedDataset, SyncedStack
+from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, heading_cos_sin, wrap_angle, yaw_matrices
+from .measurement import SIGMA_R_FLOOR, SyncedDataset, SyncedStack, antenna_positions
 
 SCENARIO_KINDS = ("parallel", "planar_linear", "static_target", "static_host")
 # standard deviation of a walk step per axis, in units of the ball radius D
@@ -60,10 +60,10 @@ class DriftConfig:
     sigma_theta (rad) are per-sqrt-second intensities on the translation
     axes and the heading. Ranges carry Gaussian noise sigma_r (m) and the
     odometry positions sigma_o (m) per axis; `seed`, an integer in
-    [0, 2**64), keys the run's generator. The stream has round(duration *
-    rate) samples, at least one window of `window` >= 10 samples; a window
-    starts every `stride` >= 1 samples, or every `window` when stride is
-    None.
+    [0, 2**64), keys the run's generator. The stream has `n_samples`,
+    round(duration * rate), samples: at least one window of `window` >= 10
+    samples. A window starts every `stride` >= 1 samples, or every
+    `window` when stride is None.
     """
 
     d0: float = 15.0
@@ -89,9 +89,13 @@ class DriftConfig:
         if not (isinstance(rate, numbers.Real) and isinstance(duration, numbers.Real) and rate > 0 and duration > 0
                 and math.isfinite(rate * duration)):
             raise ValueError(f"rate and duration must be positive and finite, got {rate!r} and {duration!r}")
-        n = round(duration * rate)  # the stream's samples, as drift_scenario counts them
-        if n < self.window:
-            raise ValueError(f"duration * rate gives {n} samples, fewer than one window of {self.window}")
+        if self.n_samples < self.window:
+            raise ValueError(f"duration * rate gives {self.n_samples} samples, fewer than one window of {self.window}")
+
+    @property
+    def n_samples(self) -> int:
+        """The stream's sample count, round(duration * rate)."""
+        return round(self.duration * self.rate)
 
 
 def _is_int(value) -> bool:
@@ -190,12 +194,21 @@ def _direction(rng: np.random.Generator) -> tuple[np.ndarray, float]:
     return v, n
 
 
+def _truth(d0: float, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """The one truth draw, (t, theta): t = d0 v / ||v|| in a uniform
+    direction (`_direction`), then a uniform heading theta in [-pi, pi)
+    (`_heading`), not yet wrapped. `sample_ground_truth` makes it a
+    `Transform4DoF`, and `trial_data` stacks the draws of its trials."""
+    v, n = _direction(rng)
+    return d0 * v / n, _heading(rng)
+
+
 def sample_ground_truth(d0: float, rng: np.random.Generator) -> Transform4DoF:
     """Truth transform: ||t|| = d0 with uniform direction, uniform heading."""
     if not d0 > 0:
         raise ValueError("d0 must be positive")
-    v, n = _direction(rng)
-    return Transform4DoF(t=d0 * v / n, theta=_heading(rng))
+    t, theta = _truth(d0, rng)
+    return Transform4DoF(t=t, theta=theta)
 
 
 def _walk(D: float, n_poses: int, rng: np.random.Generator) -> tuple[list, list]:
@@ -252,16 +265,6 @@ def generate_trajectory(D: float, n_poses: int, rng: np.random.Generator) -> tup
     return np.array(positions), np.array(yaws)
 
 
-def _antenna_positions(positions: np.ndarray, yaws: np.ndarray, arms: np.ndarray) -> np.ndarray:
-    """p_i + R(q_i) r for the heading-only attitude q_i = (0, 0,
-    sin(yaw_i/2), cos(yaw_i/2)), as `ingest_logs` computes it: positions
-    (A, W, n, 3) and headings (A, W, n) of A agents, arms (A, 3) their
-    lever arms r; shape (A, W, n, 3)."""
-    q = np.zeros(yaws.shape + (4,))
-    q[..., 2], q[..., 3] = np.sin(0.5 * yaws), np.cos(0.5 * yaws)
-    return positions + (quat_to_matrix(q) @ arms[:, None, None, :, None])[..., 0]
-
-
 def synthesize_measurements(
     T_true: tuple[np.ndarray, np.ndarray],
     traj_a: tuple[np.ndarray, np.ndarray],
@@ -287,10 +290,11 @@ def synthesize_measurements(
     t, theta = T_true
     n = min(traj_a[1].shape[1], traj_b[1].shape[1])
     positions, yaws = (np.stack((a[:, :n], b[:, :n])) for a, b in zip(traj_a, traj_b))
-    antennas = _antenna_positions(positions, yaws, np.array([arm.r for arm in cfg.lever_arms]))
-    pa_true, pb_true = antennas
-    # math.cos and math.sin round as Transform4DoF.rotation does
-    R = yaw_matrices([math.cos(th) for th in theta.tolist()], [math.sin(th) for th in theta.tolist()])
+    # the heading-only attitudes (0, 0, sin(yaw / 2), cos(yaw / 2)) of both agents
+    q = np.zeros(yaws.shape + (4,))
+    q[..., 2], q[..., 3] = np.sin(0.5 * yaws), np.cos(0.5 * yaws)
+    pa_true, pb_true = map(antenna_positions, positions, q, [arm.r for arm in cfg.lever_arms])
+    R = yaw_matrices(*heading_cos_sin(theta))
     d = np.linalg.norm(t[:, None, :] + pb_true @ R.swapaxes(-1, -2) - pa_true, axis=-1)
     d_meas = d + cfg.sigma_r * np.array([g.standard_normal(n) for g in rngs]) if cfg.sigma_r > 0 else d
     np.maximum(d_meas, 1e-9, out=d_meas)
@@ -300,7 +304,7 @@ def synthesize_measurements(
         pb = pb_true + cfg.sigma_o * np.array([b for _, b in noise])
     else:
         pa, pb = pa_true, pb_true
-    at_origins = ~antennas[:, :, 0].any(axis=(0, 2))
+    at_origins = ~(pa_true[:, 0].any(axis=1) | pb_true[:, 0].any(axis=1))
     if at_origins.any() and not at_origins.all():
         raise ValueError("the first antenna positions sit at their frame origins in some trials only")
     d0 = d_meas[:, 0] if at_origins.all() else None
@@ -379,31 +383,27 @@ def trial_data(cfg: ScenarioConfig, trials: int | Sequence[int]) -> tuple:
     indices, such as range(cfg.trials), gives the trials as arrays: the
     truths as the pair (t (W, 3), theta (W,)) and the datasets as one
     `SyncedStack`. Each trial draws from its own substream (`trial_rng`),
-    in this order: the truth, the host's walk, the target's walk, then
-    the range noise and the odometry noise. The one loop over the trials
-    draws the truths and runs the walks; `synthesize_measurements` then
-    draws each trial's noise from its generator and computes the antenna
-    geometry, the ranges and d0 once on (W, n, 3) arrays. `trial_data(cfg,
-    i)` is row 0 of `trial_data(cfg, range(i, i + 1))`, and every row of
-    a stack is, bit for bit, that trial on its own.
+    in this order: the truth (`_truth`), the host's walk, the target's
+    walk, then the range noise and the odometry noise. The one loop over
+    the trials draws the truths and runs the walks;
+    `synthesize_measurements` then draws each trial's noise from its
+    generator and computes the antenna geometry, the ranges and d0 once on
+    (W, n, 3) arrays. `trial_data(cfg, i)` is row 0 of `trial_data(cfg,
+    range(i, i + 1))`, and every row of a stack is, bit for bit, that
+    trial on its own.
     """
     if isinstance(trials, numbers.Integral):
         (t, theta), cell = trial_data(cfg, range(trials, trials + 1))
         # theta is already wrapped, and wrapping a wrapped heading leaves its bits
         return Transform4DoF(t=t[0], theta=theta[0]), _trial_dataset(cell, 0)
     rngs = [trial_rng(cfg.seed, i) for i in trials]
-    directions, norms, headings, walk_a, walk_b = [], [], [], [], []
+    truths, walk_a, walk_b = [], [], []
     for rng in rngs:
-        v, n = _direction(rng)
-        directions.append(v)
-        norms.append(n)
-        headings.append(_heading(rng))
+        truths.append(_truth(cfg.d0, rng))
         for walks in (walk_a, walk_b):
             walks.append(_walk(cfg.D, cfg.n_poses, rng))
-    # the truths as sample_ground_truth gives them: d0 v / ||v||, and the
-    # heading wrapped as Transform4DoF wraps it
-    t = cfg.d0 * np.array(directions) / np.array(norms)[:, None]
-    theta = (np.array(headings) + math.pi) % TWO_PI - math.pi
+    t, headings = map(np.array, zip(*truths))
+    theta = wrap_angle(headings)
     traj_a, traj_b = ((np.array([p for p, _ in w]), np.array([yaw for _, yaw in w])) for w in (walk_a, walk_b))
     return (t, theta), synthesize_measurements((t, theta), traj_a, traj_b, cfg, rngs)
 
@@ -493,7 +493,7 @@ def drift_scenario(cfg: DriftConfig, estimator: str = "qcqp") -> DriftResult:
     """
     rng = trial_rng(cfg.seed, 0)
     dt = 1.0 / cfg.rate
-    n = int(round(cfg.duration * cfg.rate))
+    n = cfg.n_samples
     t_axis = np.arange(n) * dt
 
     T0, t_true, theta_true = _drift_truth_series(cfg, n, dt, rng)

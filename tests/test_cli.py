@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from one_problem import dataset_fim
 
-from range_rte.cli import ESTIMATE_DEFAULTS, main
+from range_rte.cli import DRIFT_DEFAULTS, DRIFT_FIELDS, ESTIMATE_DEFAULTS, SIM_DEFAULTS, SIM_FIELDS, main
 from range_rte.estimators import ESTIMATORS
 from range_rte.geometry import LeverArm, Transform4DoF, wrap_angle, yaw_quat
 from range_rte.io_formats import (
@@ -25,6 +25,7 @@ from range_rte.io_formats import (
 )
 from range_rte.fisher import DEFAULT_KAPPA_THRESHOLD
 from range_rte.measurement import ingest_logs, odometry_log, range_log, true_range
+from range_rte.simulation import DriftConfig, ScenarioConfig
 
 
 def read_json(path):
@@ -516,6 +517,16 @@ class TestFimCommand:
         np.testing.assert_array_equal(np.array(rep["F"]), want)
         assert not np.allclose(want, dataset_fim(T, ingest_logs(*logs, ranges, sigma_r=0.05)[0]).F[0])
 
+    @pytest.mark.parametrize(
+        "theta, message",
+        [(["nan", "2.0", "0.5", "0.3"], "translation must be finite"), (["1.0", "2.0", "0.5", "inf"], "heading must be finite")],
+    )
+    def test_non_finite_theta_exits_parse_error(self, tmp_path, capsys, emitted_logs, theta, message):
+        out = tmp_path / "fim.json"
+        assert main(["fim", *emitted_logs, "--theta", *theta, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_unknown_key_rejected(self, tmp_path):
         pa, pb, ranges, T = synthetic_logs(tmp_path, n=10, seed=14)
         theta = [str(v) for v in T.as_vector()]
@@ -597,11 +608,15 @@ class TestDriftCommand:
             {"duration_s": 1.0},  # 25 samples, fewer than one 50-sample window
             {"stride": 0},
             {"window": 50.5},
+            {"rate_hz": 0},
+            {"duration_s": -5},
+            {"rate_hz": 1e200, "duration_s": 1e200},  # each finite, their product not
         ],
     )
     def test_config_without_a_window_rejected(self, tmp_path, bad):
         cfg = write_json(tmp_path / "cfg.json", bad)
         assert main(["drift", "--config", cfg, "--out", str(tmp_path / "d.json")]) == 2
+        assert not (tmp_path / "d.json").exists()
 
     @pytest.mark.parametrize(
         "bad",
@@ -816,6 +831,9 @@ class TestConfigValues:
             ("simulate", {"d0_m": True}, "d0_m"),
             ("drift", {"d0_m": True}, "d0_m"),
             ("simulate", {"radius_m": True}, "radius_m"),
+            # a walk needs a ball of positive radius
+            ("simulate", {"radius_m": 0}, "D"),
+            ("simulate", {"radius_m": -1}, "D"),
             ("simulate", {"sigma_r_m": True}, "sigma_r_m"),
             ("drift", {"sigma_t_m": True}, "sigma_t_m"),
             ("simulate", {"emit_logs": "no"}, "emit_logs"),
@@ -873,6 +891,24 @@ report_payloads = st.dictionaries(
     ),
     max_size=6,
 )
+
+
+class TestConfigMaps:
+    """Each setting of `simulate` and `drift` is one field of its config
+    object, under one config key whose default is the field's."""
+
+    @pytest.mark.parametrize(
+        "config_type, fields, defaults, unkeyed",
+        [(ScenarioConfig, SIM_FIELDS, SIM_DEFAULTS, {"lever_arms"}), (DriftConfig, DRIFT_FIELDS, DRIFT_DEFAULTS, set())],
+        ids=["simulate", "drift"],
+    )
+    def test_every_field_has_one_key_with_its_default(self, config_type, fields, defaults, unkeyed):
+        names = [f.name for f in dataclasses.fields(config_type)]
+        assert sorted(fields.values()) == sorted(set(names) - unkeyed)
+        default = config_type()
+        for key, name in fields.items():
+            value = getattr(default, name)
+            assert defaults[key] == value and type(defaults[key]) is type(value), key
 
 
 class TestJsonEncoding:

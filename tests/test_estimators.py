@@ -1208,6 +1208,11 @@ class TestSlidingWindow:
             et, eth = errors(window_estimate(track, i), T)
             assert et < 0.5 and eth < 0.3
 
+    def test_unknown_estimator_rejected(self):
+        _, stream = self._constant_truth_stream(30, n=60)
+        with pytest.raises(ValueError, match="unknown estimator 'lm'"):
+            sliding_window_estimate(stream, window=50, estimator="lm")
+
     def test_hovering_segment_skipped(self):
         _, stream = self._constant_truth_stream(31, n=100)
         # both agents hover over the second half

@@ -8,8 +8,10 @@ from range_rte.geometry import (
     LeverArm,
     Transform4DoF,
     apply_transform,
+    heading_cos_sin,
     quat_to_matrix,
     wrap_angle,
+    yaw_matrices,
     yaw_quat,
 )
 from range_rte.measurement import ingest_logs, odometry_log, poses_at, range_log
@@ -33,6 +35,16 @@ def test_heading_rotation_direct_entries():
     assert C[0, 0] == pytest.approx(math.cos(0.3))
     assert C[1, 0] == pytest.approx(math.sin(0.3))
     assert C[2, 2] == 1.0
+
+
+def test_heading_cos_sin_rounds_as_math_alone_and_in_a_stack():
+    theta = wrap_angle(np.random.default_rng(5).uniform(-10.0, 10.0, 200))
+    c, s = heading_cos_sin(theta)
+    assert c.tolist() == [math.cos(th) for th in theta.tolist()]
+    assert s.tolist() == [math.sin(th) for th in theta.tolist()]
+    stacked = yaw_matrices(c, s)
+    for i, th in enumerate(theta.tolist()):
+        assert np.array_equal(stacked[i], heading_rotation(th))
 
 
 @pytest.mark.parametrize("theta", np.linspace(-math.pi, math.pi, 17))

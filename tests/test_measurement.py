@@ -16,6 +16,7 @@ from range_rte.measurement import (
     NoOverlapError,
     SyncedDataset,
     SyncedStack,
+    antenna_positions,
     at_frame_origins,
     debias_squared,
     ingest_logs,
@@ -105,6 +106,23 @@ class TestIngest:
         odom_b = self._odom(5, 1.0, offset=100.0)
         with pytest.raises(NoOverlapError):
             ingest_logs(odom_a, odom_b, range_log([2.0], [1.0]))
+
+    @pytest.mark.parametrize("empty", ["host", "target"])
+    def test_empty_odometry_raises(self, empty):
+        odom, nothing = self._odom(5, 1.0), odometry_log(np.empty(0), np.empty((0, 3)))
+        logs = (nothing, odom) if empty == "host" else (odom, nothing)
+        with pytest.raises(NoOverlapError, match="empty odometry stream"):
+            ingest_logs(*logs, range_log([2.0], [1.0]))
+
+    def test_antenna_positions_of_a_stack_are_those_of_each_pose(self):
+        # the placement rule has the same bits for one pose as in any stack
+        rng = np.random.default_rng(7)
+        p, yaw, r = rng.normal(size=(2, 50, 40, 3)), rng.uniform(-math.pi, math.pi, (2, 50, 40)), rng.normal(size=3)
+        q = np.zeros(yaw.shape + (4,))
+        q[..., 2], q[..., 3] = np.sin(0.5 * yaw), np.cos(0.5 * yaw)
+        stacked = antenna_positions(p, q, r)
+        one_by_one = np.array([p[i] + quat_to_matrix(q[i]) @ r for i in np.ndindex(yaw.shape)]).reshape(p.shape)
+        assert np.array_equal(stacked, one_by_one)
 
     def test_lever_arm_applied(self):
         pose = odometry_log(np.arange(3.0), np.tile([1.0, 0.0, 0.0], (3, 1)), yaw_quat(math.pi / 2))
@@ -256,6 +274,12 @@ class TestDebias:
         assert s[0] == pytest.approx(4.0, abs=1e-12)
         assert variance[0] < 1e-20
 
+    def test_variance_that_underflows_rejected(self):
+        # sigma_r^2 of 1e-200 m underflows to 0: every weight would be infinite
+        stack = SyncedStack(d=np.ones((1, 3)), pa=np.zeros((1, 3, 3)), pb=np.ones((1, 3, 3)), sigma_r=1e-200)
+        with pytest.raises(ValueError, match="variances must be strictly positive"):
+            debias_squared(stack)
+
     def test_elementwise_independence(self):
         ds = make_dataset(pa=[np.zeros(3)] * 2, pb=[np.ones(3)] * 2, d=[3.0, 3.0], sigma_r=0.2)
         s, variance = debias_squared(ds)
@@ -356,9 +380,10 @@ class TestSyncedDataset:
             ("d0", math.nan),
             ("d", [1.0, 1e200, 2.0]),
             ("d0", 1e200),
+            ("pa", np.zeros((3, 2))),
         ],
         ids=["nan_timestamp", "mismatched_length", "non_positive_range", "infinite_range", "non_finite_pb",
-             "infinite_d0", "nan_d0", "overflowing_range", "overflowing_d0"],
+             "infinite_d0", "nan_d0", "overflowing_range", "overflowing_d0", "pa_of_two_columns"],
     )
     def test_invalid_inputs_rejected(self, name, value):
         fields = self._fields()
@@ -435,15 +460,16 @@ class TestSyncedStack:
             ("pa", np.full((2, 3, 3), math.nan)),
             ("d", [[1.0, 1e200, 2.0], [1.0, 1.0, 1.0]]),
             ("d0", np.array([2.0, 1e200])),
+            ("sigma_r", 0.0),
         ],
         ids=["flat_d", "pb_rows", "d0_length", "infinite_range", "zero_range", "infinite_d0", "zero_d0", "nan_pa",
-             "overflowing_range", "overflowing_d0"],
+             "overflowing_range", "overflowing_d0", "zero_sigma_r"],
     )
     def test_invalid_inputs_rejected(self, name, value):
-        fields = self._fields()
-        fields[name] = np.asarray(value, dtype=float)
+        fields = {**self._fields(), "sigma_r": 0.1}
+        fields[name] = value if name == "sigma_r" else np.asarray(value, dtype=float)
         with pytest.raises(ValueError):
-            SyncedStack(**fields, sigma_r=0.1)
+            SyncedStack(**fields)
 
 
 def test_range_log_rejects_an_infinite_range():

@@ -290,6 +290,10 @@ class TestMonteCarlo:
         assert not stats.failures
         assert np.max(stats.e_t) <= 1e-9 and np.max(stats.e_theta) <= 1e-9
 
+    def test_unknown_estimator_rejected(self):
+        with pytest.raises(ValueError, match="unknown estimator 'lm'"):
+            monte_carlo_run(ScenarioConfig(trials=1), estimator="lm")
+
     def test_failures_recorded_not_dropped(self):
         # a static-host style degenerate cell: estimation may fail or err,
         # but every trial must be accounted for
@@ -564,6 +568,13 @@ class TestDrift:
     def test_scenario_and_walk_levels_checked(self, bad):
         with pytest.raises(ValueError):
             DriftConfig(**bad)
+
+    def test_stream_has_the_configured_sample_count(self):
+        cfg = DriftConfig(duration=12.2, rate=25.0, window=50, seed=3)
+        assert cfg.n_samples == 305
+        # 305 samples hold six windows of 50; the last stops at sample 300
+        track = drift_scenario(cfg).windows
+        assert len(track) == 6 and track.stop[-1] == 300
 
 
 def test_dataset_determinism_bitwise():
