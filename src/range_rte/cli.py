@@ -48,21 +48,8 @@ from .fisher import (
     singularity_flags,
 )
 from .geometry import LeverArm, Transform4DoF
-from .measurement import (
-    SIGMA_R_FLOOR,
-    NoOverlapError,
-    ingest_logs,
-    odometry_log,
-    range_log,
-    range_rate_outliers,
-)
-from .simulation import (
-    DriftConfig,
-    ScenarioConfig,
-    drift_scenario,
-    monte_carlo_run,
-    trial_data,
-)
+from .measurement import NoOverlapError, ingest_logs, odometry_log, range_log, range_rate_outliers
+from .simulation import DriftConfig, ScenarioConfig, drift_scenario, monte_carlo_run, trial_data, trial_dataset
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -227,8 +214,9 @@ def _expand_cells(cfg: dict) -> list[dict]:
     return [{**base, **overrides} for overrides in cfg["cells"] or [{}]]
 
 
-def _emit_trial_logs(out_dir, cell_idx, trial, cfg_cell, T_true, dataset):
-    """Write antenna-frame logs reproducing this trial's dataset.
+def _emit_trial_logs(out_dir, cell_idx, trial, estimator, truth, dataset):
+    """Write antenna-frame logs reproducing this trial's dataset, its truth
+    (t, theta) and the config that runs `estimator` on the logs.
 
     The odometry logs carry the (noisy) antenna positions directly with
     identity attitude at the range stamps, so re-ingestion with zero lever
@@ -242,15 +230,15 @@ def _emit_trial_logs(out_dir, cell_idx, trial, cfg_cell, T_true, dataset):
     iof.write_odometry_csv(stem + "_odom_b.csv", odometry_log(dataset.t, dataset.pb))
     iof.write_ranges_csv(stem + "_ranges.csv", range_log(dataset.t, dataset.d))
     estimate_cfg = dict(ESTIMATE_DEFAULTS)
-    estimate_cfg["sigma_r_m"] = max(cfg_cell["sigma_r_m"], SIGMA_R_FLOOR)
-    estimate_cfg["estimator"] = cfg_cell["estimator"]
+    estimate_cfg["sigma_r_m"] = dataset.sigma_r
+    estimate_cfg["estimator"] = estimator
     # Exact reproduction of the in-process path, which rejects no outliers
     # and takes d0 from the simulation (the noisy first positions are off
     # the origin, so ingest would drop it).
     estimate_cfg["d0_m"] = dataset.d0
     estimate_cfg["outlier_mode"] = "none"
     iof.dump_json(stem + "_estimate_config.json", estimate_cfg)
-    iof.dump_json(stem + "_truth.json", {"t_m": T_true.t, "theta_rad": T_true.theta, "d0_m": dataset.d0})
+    iof.dump_json(stem + "_truth.json", {"t_m": truth[0], "theta_rad": truth[1], "d0_m": dataset.d0})
 
 
 def cmd_simulate(args) -> int:
@@ -289,9 +277,9 @@ def cmd_simulate(args) -> int:
             }
         )
         if cfg["emit_logs"]:
-            for trial in range(scen.trials):
-                T_true, dataset = trial_data(scen, trial)
-                _emit_trial_logs(out_dir, ci, trial, {**cfg, **cell}, T_true, dataset)
+            (t, theta), trials = trial_data(scen, range(scen.trials))
+            for i in range(scen.trials):
+                _emit_trial_logs(out_dir, ci, i, cell["estimator"], (t[i], theta[i]), trial_dataset(trials, i))
 
     iof.atomic_write_text(os.path.join(out_dir, "results.csv"), "\n".join(rows) + "\n")
     iof.dump_json(

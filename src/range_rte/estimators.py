@@ -35,8 +35,8 @@ call relaxes every problem in lockstep, and one batched eigh of the X
 stack gives each problem its rank-one state, rank and eigenvalue ratio.
 The relaxation is always feasible (lift(T) lift(T)' is, for every T), so
 it has no infeasible exit. The `nls` baseline minimizes the raw range
-residuals with the same damped engine, `solvers.lockstep_newton` with
-R = I, taking Gauss-Newton steps from each problem's own start.
+residuals with the same damped engine, `solvers.lockstep_newton`, taking
+Gauss-Newton steps from each problem's own start.
 
 Every estimator reads its problems as a `measurement.SyncedStack`.
 `assemble_qcqp` builds P0 for all W problems of a stack at once, and the
@@ -371,6 +371,12 @@ def _lift_stack(p: np.ndarray) -> np.ndarray:
     np.multiply(outer[:, 1:, :1], outer[:, :1, 1:], out=outer[:, 1:, 1:])
     np.multiply(p[:, :3], p[:, :3], out=phi[:, 12:])
     return (phi @ _LIFT_K).reshape(n, 21, 9)
+
+
+def _factor_lift(p: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The `qcqp` refinement's residual rows: R x(p) and its derivatives,
+    (n, 21, 9), for starts p (n, 4) on their square-root factors R (n, 9, 9)."""
+    return _lift_stack(p) @ R.swapaxes(-1, -2)
 
 
 _UPPER = np.triu(np.ones((9, 9), dtype=bool))
@@ -816,13 +822,14 @@ def _qcqp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dic
 
     One assembly, then the sweep candidates of all problems form one
     stack of starts, refined by damped Newton steps in one
-    `lockstep_newton` call on the 9x9 triangle R of each problem's scaled
-    rows. ||R x||^2 is the cost x' P0 x over max w, taken from residuals:
-    the quadratic form itself has an absolute rounding floor (~1e-13)
-    that would stall noiseless problems ~1e-8 m from the truth. The
-    constraints hold by construction of the parameterization, and ||t|| is
-    left free: a measured inter-origin distance is a range row of the
-    stack. Each problem keeps its start of lowest cost. Returns the
+    `lockstep_newton` call on the residuals R x (`_factor_lift`), R the
+    9x9 triangle of each problem's scaled rows. ||R x||^2 is the cost
+    x' P0 x over max w, taken from residuals: the quadratic form itself
+    has an absolute rounding floor (~1e-13) that would stall noiseless
+    problems ~1e-8 m from the truth. The constraints hold by construction
+    of the parameterization, and ||t|| is left free: a measured
+    inter-origin distance is a range row of the stack. Each problem keeps
+    its start of lowest cost. Returns the
     estimates (W, 4), the solver scalars (iterations, restarts,
     restarts_converged, final_cost), one (W,) array each, and
     {problem index: error} for every problem that failed: a sweep without
@@ -842,7 +849,7 @@ def _qcqp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dic
         p0 = np.concatenate((cand_t, _SWEEP_THETA[cand_heading][..., None]), axis=-1).reshape(-1, 4)[slot]
         owner = np.repeat(np.arange(len(live)), n)  # each start's live problem
         R = _sqrt_factor(problem.B[live], problem.weights[live])[owner]
-        res = lockstep_newton(R, _lift_stack, p0, REFINE_MAX_ITER)
+        res = lockstep_newton(_factor_lift, p0, REFINE_MAX_ITER, data=(R,))
         cost = 2.0 * problem.weights[live].max(axis=-1)[owner] * res.cost  # x' P0 x = max w ||R x||^2
         # per problem, the first start of lowest cost; diverged starts rank after the others
         finite = res.status != NON_FINITE
@@ -875,8 +882,8 @@ def _nls_points(stack: SyncedStack, starts: Optional[np.ndarray] = None) -> tupl
 
     The starts default to zero (no prior knowledge); like any local method
     this can settle in a poor minimum on hard geometry, which the solver
-    scalars report rather than hide. One `lockstep_newton` call with R = I
-    refines every problem from its own start on its own rows (d, pa, pb).
+    scalars report rather than hide. One `lockstep_newton` call refines
+    every problem from its own start on its own rows (d, pa, pb).
     Returns the estimates (W, 4), the solver scalars (iterations, status,
     final_cost, converged), one (W,) array each, and
     {problem index: error} for every problem whose refinement ended
@@ -901,7 +908,7 @@ def _nls_points(stack: SyncedStack, starts: Optional[np.ndarray] = None) -> tupl
 
     W = len(stack.d)
     p0 = np.zeros((W, 4)) if starts is None else starts
-    res = lockstep_newton(None, lift, p0, REFINE_MAX_ITER, data=(stack.d, stack.pa, stack.pb))
+    res = lockstep_newton(lift, p0, REFINE_MAX_ITER, data=(stack.d, stack.pa, stack.pb))
     scalars = {
         "iterations": res.iterations,
         "status": _NLS_STATUS[res.status],

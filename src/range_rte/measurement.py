@@ -61,7 +61,7 @@ class NoOverlapError(ValueError):
 
 
 # the largest double d whose 4 d^2 is finite; 4 d^2 of the next one overflows
-_LARGEST_RANGE = math.sqrt(np.finfo(float).max / 4.0)
+LARGEST_RANGE = math.sqrt(np.finfo(float).max / 4.0)
 
 
 def _valid_range(x) -> np.ndarray:
@@ -69,12 +69,12 @@ def _valid_range(x) -> np.ndarray:
 
     The fit reads squared ranges, and `debias_squared` weights each by
     the inverse of a variance with the term 4 d^2. So a range whose square,
-    or four times it, overflows (d above _LARGEST_RANGE, ~6.7e153 m) is
+    or four times it, overflows (d above LARGEST_RANGE, ~6.7e153 m) is
     rejected with the non-finite ones: its weight would silently be 0.
     4 d^2 rounds monotonically in d, so one comparison decides.
     """
     x = np.asarray(x, dtype=float)
-    return (x > 0) & (x <= _LARGEST_RANGE)
+    return (x > 0) & (x <= LARGEST_RANGE)
 
 
 def _first_bad_row(checks) -> Optional[tuple[int, str]]:
@@ -268,10 +268,11 @@ class SyncedStack:
         _check_rows(self.d, self.pa, self.pb, self.sigma_r, self.d0)
 
 
-def at_frame_origins(pa, pb) -> bool:
-    """True when both antennas sit exactly at their frame origins, the one
-    configuration in which a range measures the inter-origin distance ||t||."""
-    return not (np.any(pa) or np.any(pb))
+def at_frame_origins(pa, pb) -> np.ndarray:
+    """Per row of antenna positions pa and pb (..., 3), True where both
+    antennas sit exactly at their frame origins, the one configuration in
+    which a range measures the inter-origin distance ||t||."""
+    return ~(np.any(pa, axis=-1) | np.any(pb, axis=-1))
 
 
 def true_range(T: Transform4DoF, pa, pb):

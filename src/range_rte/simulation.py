@@ -10,10 +10,12 @@ independent of the order they run in.
 A Monte-Carlo cell is one array pipeline. `trial_data` on a range of
 trials loops over them once, for each trial's truth and two walks, which
 run on Python floats; each trial's noise is drawn from its own generator
-after them. The antenna geometry, the true ranges, the noise and d0
-follow once on (W, n, 3) arrays, as a `SyncedStack`. Its row count,
-sigma_r and d0 follow from the config alone, since d0 is the first
-range, present only with zero lever arms. So a whole cell is one stack:
+after them. The antenna geometry and the true ranges follow once on
+(W, n, 3) arrays, then the noise and d0 in the one measurement step
+(`_measure`), which a drift stream passes through too, as a
+`SyncedStack`. Its row count, sigma_r and d0 follow from the config
+alone, since d0 is the first range, present only with zero lever arms.
+So a whole cell is one stack:
 one `fim` call gives the bounds at the truths from one stacked FIM, the
 estimator's `ESTIMATORS` entry on the stack gives every estimate as one
 array from one point stage, and the errors are taken on arrays. Each
@@ -32,23 +34,38 @@ import numpy as np
 from .estimators import ESTIMATORS, WindowTrack, align_target_trajectory, sliding_window_estimate
 from .fisher import fim
 from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, heading_cos_sin, wrap_angle, yaw_matrices
-from .measurement import SIGMA_R_FLOOR, SyncedDataset, SyncedStack, antenna_positions
+from .measurement import LARGEST_RANGE, SIGMA_R_FLOOR, SyncedDataset, SyncedStack, antenna_positions, at_frame_origins
 
 SCENARIO_KINDS = ("parallel", "planar_linear", "static_target", "static_host")
 # standard deviation of a walk step per axis, in units of the ball radius D
 STEP_SCALE = 0.5
 
 
+# The largest scenario length, d0 or D (m), that synthesis represents.
+# With zero lever arms a cell's true ranges are at most d0 + 2 D, so they
+# stay within three quarters of the range rule's largest range
+# (`measurement.LARGEST_RANGE`), a quarter left for noise and rounding. A
+# walk squares a position before it reflects it, at most D (1 + STEP_SCALE
+# |z|) from the origin for a standard normal step z; that square stays
+# finite, below (2 LARGEST_RANGE)^2, while |z| <= 14, which a 3-vector
+# passes with a chance of 3e-42.
+LARGEST_LENGTH = LARGEST_RANGE / 4.0
+
+
+def _check_length(name: str, value) -> None:
+    if not (_is_real(value) and 0 < value <= LARGEST_LENGTH):
+        raise ValueError(f"{name} must be positive and finite, at most {LARGEST_LENGTH:.4g} m, got {value!r}")
+
+
 def _check_scenario(d0, seed, **levels) -> None:
-    """The checks a Monte-Carlo cell and a drift run share: d0 (m) positive
-    and finite, the seed an integer that a 64-bit key holds, and each noise
-    or walk level nonnegative and finite."""
-    if not (isinstance(d0, numbers.Real) and 0 < d0 < math.inf):
-        raise ValueError(f"d0 must be positive and finite, got {d0!r}")
+    """The checks a Monte-Carlo cell and a drift run share: d0 (m) a
+    scenario length (`_check_length`), the seed an integer that a 64-bit
+    key holds, and each noise or walk level nonnegative and finite."""
+    _check_length("d0", d0)
     if not (_is_int(seed) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     for name, value in levels.items():
-        if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+        if not (_is_real(value) and 0 <= value < math.inf):
             raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
@@ -102,6 +119,10 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     """A Monte-Carlo cell (`monte_carlo_run`): `trials` >= 1 truths with
@@ -122,8 +143,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_scenario(self.d0, self.seed, sigma_r=self.sigma_r, sigma_o=self.sigma_o)
-        if not self.D > 0:
-            raise ValueError("D must be positive")
+        _check_length("D", self.D)
         for name in ("trials", "n_poses"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
@@ -276,16 +296,9 @@ def synthesize_measurements(
 
     T_true is the pair (t (W, 3), theta (W,)) of the W truths, each
     trajectory is (positions (W, n, 3), headings (W, n)), sample i taken
-    at i seconds, and rngs holds one generator per trial. Ranges come
-    from the true antenna geometry plus Gaussian range noise; the
-    recorded antenna positions come from odometry perturbed by per-axis
-    Gaussian noise, as an estimator would see them. The result is the
-    trials as a `SyncedStack`. A trial's first noisy range is its d0 only
-    when both first true antenna positions sit at their frame origins,
-    which must hold in every trial or in none; otherwise it does not
-    measure ||t|| and d0 stays None. Each generator draws its trial's
-    range noise, then its odometry noise, host before target, and each
-    trial comes out as it would in a stack of one, bit for bit.
+    at i seconds, and rngs holds one generator per trial. The true
+    antenna positions and ranges of all trials are computed once on
+    (W, n, 3) arrays, then made noisy by the measurement step (`_measure`).
     """
     t, theta = T_true
     n = min(traj_a[1].shape[1], traj_b[1].shape[1])
@@ -293,29 +306,44 @@ def synthesize_measurements(
     # the heading-only attitudes (0, 0, sin(yaw / 2), cos(yaw / 2)) of both agents
     q = np.zeros(yaws.shape + (4,))
     q[..., 2], q[..., 3] = np.sin(0.5 * yaws), np.cos(0.5 * yaws)
-    pa_true, pb_true = map(antenna_positions, positions, q, [arm.r for arm in cfg.lever_arms])
+    pa, pb = map(antenna_positions, positions, q, [arm.r for arm in cfg.lever_arms])
     R = yaw_matrices(*heading_cos_sin(theta))
-    d = np.linalg.norm(t[:, None, :] + pb_true @ R.swapaxes(-1, -2) - pa_true, axis=-1)
+    return _measure(np.linalg.norm(t[:, None, :] + pb @ R.swapaxes(-1, -2) - pa, axis=-1), pa, pb, cfg, rngs)
+
+
+def _measure(d, pa, pb, cfg: ScenarioConfig | DriftConfig, rngs: Sequence[np.random.Generator]) -> SyncedStack:
+    """The one measurement step of every simulated stream, a cell's or a
+    drift run's: W problems of true ranges d (W, n) between true antenna
+    positions pa and pb (W, n, 3) as a noisy `SyncedStack`. Generator i of
+    rngs draws problem i's range noise, cfg.sigma_r (m) per range, then
+    its odometry noise, cfg.sigma_o (m) per axis, host before target; a
+    zero level draws nothing. The ranges are floored at 1e-9 m and sigma_r
+    at SIGMA_R_FLOOR. The first range is d0 only where both first true
+    antennas sit at their frame origins (`at_frame_origins`), which must
+    hold in every problem or in none. Problem i comes out as it would in
+    a stack of one, bit for bit.
+    """
+    n = d.shape[1]
     d_meas = d + cfg.sigma_r * np.array([g.standard_normal(n) for g in rngs]) if cfg.sigma_r > 0 else d
     np.maximum(d_meas, 1e-9, out=d_meas)
+    pa_meas, pb_meas = pa, pb
     if cfg.sigma_o > 0:
         noise = [(g.standard_normal((n, 3)), g.standard_normal((n, 3))) for g in rngs]
-        pa = pa_true + cfg.sigma_o * np.array([a for a, _ in noise])
-        pb = pb_true + cfg.sigma_o * np.array([b for _, b in noise])
-    else:
-        pa, pb = pa_true, pb_true
-    at_origins = ~(pa_true[:, 0].any(axis=1) | pb_true[:, 0].any(axis=1))
+        pa_meas = pa + cfg.sigma_o * np.array([a for a, _ in noise])
+        pb_meas = pb + cfg.sigma_o * np.array([b for _, b in noise])
+    at_origins = at_frame_origins(pa[:, 0], pb[:, 0])
     if at_origins.any() and not at_origins.all():
         raise ValueError("the first antenna positions sit at their frame origins in some trials only")
     d0 = d_meas[:, 0] if at_origins.all() else None
-    return SyncedStack(d=d_meas, pa=pa, pb=pb, sigma_r=max(cfg.sigma_r, SIGMA_R_FLOOR), d0=d0)
+    return SyncedStack(d=d_meas, pa=pa_meas, pb=pb_meas, sigma_r=max(cfg.sigma_r, SIGMA_R_FLOOR), d0=d0)
 
 
-def _trial_dataset(cell: SyncedStack, i: int) -> SyncedDataset:
-    """Trial i of a cell as a dataset, sample j taken at j seconds. A cell's d0
-    is its first range, so the dataset's `stack()` has the trial's rows."""
+def trial_dataset(cell: SyncedStack, i: int, dt: float = 1.0) -> SyncedDataset:
+    """Trial i of a simulated stack as a dataset, sample j taken at j dt
+    seconds. A simulated d0 is the first range, so the dataset's `stack()`
+    has the trial's rows."""
     d0 = None if cell.d0 is None else float(cell.d0[i])
-    t = np.arange(cell.d.shape[1], dtype=float)
+    t = np.arange(cell.d.shape[1]) * dt
     return SyncedDataset(t=t, d=cell.d[i], pa=cell.pa[i], pb=cell.pb[i], sigma_r=cell.sigma_r, d0=d0)
 
 
@@ -373,7 +401,7 @@ def singular_scenario(
         traj_b = generate_trajectory(D, n, rng)
     # a stack of one trial: a leading axis of 1 on every array
     trajs = [(p[None], yaw[None]) for p, yaw in (traj_a, traj_b)]
-    return T, _trial_dataset(synthesize_measurements((T.t[None], np.array([T.theta])), *trajs, cfg, [rng]), 0)
+    return T, trial_dataset(synthesize_measurements((T.t[None], np.array([T.theta])), *trajs, cfg, [rng]), 0)
 
 
 def trial_data(cfg: ScenarioConfig, trials: int | Sequence[int]) -> tuple:
@@ -386,16 +414,16 @@ def trial_data(cfg: ScenarioConfig, trials: int | Sequence[int]) -> tuple:
     in this order: the truth (`_truth`), the host's walk, the target's
     walk, then the range noise and the odometry noise. The one loop over
     the trials draws the truths and runs the walks;
-    `synthesize_measurements` then draws each trial's noise from its
-    generator and computes the antenna geometry, the ranges and d0 once on
-    (W, n, 3) arrays. `trial_data(cfg, i)` is row 0 of `trial_data(cfg,
+    `synthesize_measurements` then computes the antenna geometry and the
+    ranges once on (W, n, 3) arrays and draws each trial's noise from its
+    generator. `trial_data(cfg, i)` is row 0 of `trial_data(cfg,
     range(i, i + 1))`, and every row of a stack is, bit for bit, that
-    trial on its own.
+    trial on its own; `trial_dataset` makes row i a dataset.
     """
     if isinstance(trials, numbers.Integral):
         (t, theta), cell = trial_data(cfg, range(trials, trials + 1))
         # theta is already wrapped, and wrapping a wrapped heading leaves its bits
-        return Transform4DoF(t=t[0], theta=theta[0]), _trial_dataset(cell, 0)
+        return Transform4DoF(t=t[0], theta=theta[0]), trial_dataset(cell, 0)
     rngs = [trial_rng(cfg.seed, i) for i in trials]
     truths, walk_a, walk_b = [], [], []
     for rng in rngs:
@@ -489,7 +517,9 @@ def drift_scenario(cfg: DriftConfig, estimator: str = "qcqp") -> DriftResult:
     re-aligns the target trajectory; the no-correction baseline keeps the
     initial registration for the whole run. Samples before the first
     estimated window have no corrected position, and both RMSEs are taken
-    over the samples that have one.
+    over the samples that have one. The stream's noise is drawn after the
+    truth series, in the measurement step (`_measure`); the host starts
+    at (0, 5 sin 1.3, 4 sin 2.1), off its origin, so it has no d0.
     """
     rng = trial_rng(cfg.seed, 0)
     dt = 1.0 / cfg.rate
@@ -526,11 +556,7 @@ def drift_scenario(cfg: DriftConfig, estimator: str = "qcqp") -> DriftResult:
     # row i: C(theta_i)' (target_world_i - t_i)
     pb_true = ((target_world - t_true)[:, None, :] @ yaw_matrices(np.cos(theta_true), np.sin(theta_true)))[:, 0]
     d = np.linalg.norm(target_world - host, axis=1)
-    d_meas = d + cfg.sigma_r * rng.standard_normal(n) if cfg.sigma_r > 0 else d.copy()
-    np.maximum(d_meas, 1e-9, out=d_meas)
-    pa = host + cfg.sigma_o * rng.standard_normal((n, 3)) if cfg.sigma_o > 0 else host
-    pb = pb_true + cfg.sigma_o * rng.standard_normal((n, 3)) if cfg.sigma_o > 0 else pb_true
-    stream = SyncedDataset(t=t_axis, d=d_meas, pa=pa, pb=pb, sigma_r=max(cfg.sigma_r, SIGMA_R_FLOOR))
+    stream = trial_dataset(_measure(d[None], host[None], pb_true[None], cfg, [rng]), 0, dt)
 
     windows = sliding_window_estimate(stream, window=cfg.window, stride=cfg.stride, estimator=estimator)
     aligned = align_target_trajectory(stream, windows)

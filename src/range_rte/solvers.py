@@ -3,10 +3,10 @@
 Provides a dense primal-dual interior-point solver that runs a stack of
 small semidefinite programs in lockstep (the lifted relaxation is 9x9
 with at most 5 equality constraints) and one damped (Levenberg-Marquardt)
-least-squares minimizer that refines a stack of starts in lockstep. The
-minimizer takes exact-Hessian Newton steps on square-root factors of the
-`qcqp` costs, and Gauss-Newton steps on the raw range residuals of the
-`nls` baseline.
+least-squares minimizer that refines a stack of starts in lockstep on
+the residual rows its caller's lift forms. It takes exact-Hessian Newton
+steps on R x, R a square-root factor of a `qcqp` cost, and Gauss-Newton
+steps on the raw range residuals of the `nls` baseline.
 
 The SDP solver is an infeasible-start path-following method with the
 HKM search direction and a Mehrotra predictor-corrector step. Problem
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -222,17 +222,15 @@ class LockstepResult:
     status: np.ndarray  # CONVERGED | MAX_ITER | NON_FINITE
 
 
-def _gram(R: Optional[np.ndarray], D: np.ndarray, d: int) -> np.ndarray:
-    """Products of the rows of D R' with its first 1 + d rows, shape (n, 1 + d + d^2, 1 + d).
+def _gram(D: np.ndarray, d: int) -> np.ndarray:
+    """Products of the rows of D with its first 1 + d rows, shape (n, 1 + d + d^2, 1 + d).
 
-    D (n, 1 + d + d^2, m) stacks x, its first and its second derivatives
-    as rows, and R is (n, m, m), or None for R = I. With r = R x, column 0
-    holds ||r||^2, the gradient (R dx)' r of f = 0.5 ||r||^2 and the
-    curvature terms sum_j r_j (R d2x)_j; rows and columns 1..d hold
-    (R dx)' (R dx).
+    D (n, 1 + d + d^2, m) stacks the residuals r, their first and their
+    second derivatives as rows. Column 0 holds ||r||^2, the gradient
+    dr' r of f = 0.5 ||r||^2 and the curvature terms sum_j r_j (d2r)_j;
+    rows and columns 1..d hold dr' dr.
     """
-    RD = D if R is None else D @ R.swapaxes(-1, -2)
-    return RD @ RD[:, : d + 1].swapaxes(-1, -2)
+    return D @ D[:, : d + 1].swapaxes(-1, -2)
 
 
 def _batched_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -254,23 +252,18 @@ def _batched_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def lockstep_newton(
-    R: Optional[np.ndarray],
-    lift: Callable[..., np.ndarray],
-    p0: np.ndarray,
-    max_iter: int = 100,
-    data: tuple = (),
+    lift: Callable[..., np.ndarray], p0: np.ndarray, max_iter: int = 100, data: tuple = ()
 ) -> LockstepResult:
-    """Minimize f_i = 0.5 ||R_i x(p)||^2 from every start p0[i] at once.
+    """Minimize f_i = 0.5 ||r_i(p)||^2 from every start p0[i] at once.
 
-    R (n, m, m) is a square-root factor of each start's cost, such as the
-    triangle of a QR of its residual rows, or None for R = I, where x(p)
-    is the residual itself. lift(p, *data) maps parameters (k, d) to
-    (k, 1 + d + d^2, m): x(p), its first and its second derivatives.
-    data holds per-start arrays, each with a leading axis of n, such as
-    each start's own residual rows; like R, they are passed for the k
-    starts still running. The cost, gradient and curvature come from
-    r = R x, not from the quadratic form R'R, so they keep their relative
-    precision down to a zero residual.
+    lift(p, *data) forms the residual rows: it maps parameters (k, d) to
+    (k, 1 + d + d^2, m), the residuals r(p), their first and their second
+    derivatives. data holds per-start arrays, each with a leading axis of
+    n, such as each start's own range rows or a square-root factor R of
+    its cost, whose lift gives r = R x(p); they are passed for the k starts
+    still running. The cost, gradient and curvature come from the
+    residuals, not from a quadratic form such as R'R, so they keep their
+    relative precision down to a zero residual.
 
     Steps solve (H + mu I) step = -g with H the Gauss-Newton block plus
     the curvature terms of the second-derivative rows: with exact rows
@@ -298,20 +291,20 @@ def lockstep_newton(
     GN = slice(CURV.stop, CURV.stop + d * d)
     MU, NU, IT, EV = GN.stop, GN.stop + 1, GN.stop + 2, GN.stop + 3
 
-    def state(p, R, data, tail):
-        M = _gram(R, lift(p, *data), d)
+    def state(p, data, tail):
+        M = _gram(lift(p, *data), d)
         return np.concatenate((p, M[:, :, 0], M[:, 1 : d + 1, 1:].reshape(-1, d * d), tail), axis=1)
 
     count = np.array([0.0, 0.0, 1.0, 1.0])  # added to mu, nu, steps, evaluations at a trial
     with np.errstate(all="ignore"):  # a non-finite start ends NON_FINITE, without a warning
-        S = state(p0, R, data, np.zeros((n, 4)))
+        S = state(p0, data, np.zeros((n, 4)))
         S[:, NU] = 2.0
         S[:, MU] = DAMPING_INIT * np.maximum(S[:, GN][:, :: d + 1].max(axis=1), 1e-300)
         finite = np.isfinite(S[:, C])
         status = np.where(finite, CONVERGED, NON_FINITE)
         act = np.flatnonzero(finite & (np.abs(S[:, G]).max(axis=1) > GTOL * np.maximum(1.0, 0.5 * S[:, C])))
         status[act] = _RUNNING
-        s, Ra, Da = S[act], R if R is None else R[act], tuple(a[act] for a in data)  # the running starts only
+        s, Da = S[act], tuple(a[act] for a in data)  # the running starts only
         for _ in range(max_iter):
             if not len(act):
                 break
@@ -329,7 +322,7 @@ def lockstep_newton(
             accepted = False
             if trial.any():
                 # the trial point; it counts one more step and evaluation, undone below if rejected
-                new = state(s[:, :d] - u, Ra, Da, s[:, MU:] + count)
+                new = state(s[:, :d] - u, Da, s[:, MU:] + count)
                 dc = c - new[:, C]
                 rho = dc / pred2
                 acc = trial & (rho > 0.0)  # False for a trial whose f is not finite
@@ -364,7 +357,7 @@ def lockstep_newton(
                 status[done[status[done] == _RUNNING]] = CONVERGED
                 keep = ~stop
                 s, act = s[keep], act[keep]
-                Ra, Da = Ra if R is None else Ra[keep], tuple(a[keep] for a in Da)
+                Da = tuple(a[keep] for a in Da)
     S[act] = s
     status[act] = MAX_ITER
     return LockstepResult(

@@ -25,7 +25,7 @@ from range_rte.io_formats import (
 )
 from range_rte.fisher import DEFAULT_KAPPA_THRESHOLD
 from range_rte.measurement import ingest_logs, odometry_log, range_log, true_range
-from range_rte.simulation import DriftConfig, ScenarioConfig
+from range_rte.simulation import LARGEST_LENGTH, DriftConfig, ScenarioConfig
 
 
 def read_json(path):
@@ -834,6 +834,16 @@ class TestConfigValues:
             # a walk needs a ball of positive radius
             ("simulate", {"radius_m": 0}, "D"),
             ("simulate", {"radius_m": -1}, "D"),
+            # and a length that synthesis represents: Infinity once failed on its
+            # ranges, 1e300 ran with every walk parked at its origin, and d0 1e160
+            # overflowed; each once left its output directory behind
+            ("simulate", {"radius_m": math.inf}, "D"),
+            ("simulate", {"radius_m": 1e300}, "D"),
+            ("simulate", {"radius_m": math.nextafter(LARGEST_LENGTH, math.inf)}, "D"),
+            ("simulate", {"d0_m": 1e160}, "d0"),
+            ("simulate", {"d0_m": math.nextafter(LARGEST_LENGTH, math.inf)}, "d0"),
+            ("drift", {"d0_m": 1e160}, "d0"),
+            ("drift", {"d0_m": math.nextafter(LARGEST_LENGTH, math.inf)}, "d0"),
             ("simulate", {"sigma_r_m": True}, "sigma_r_m"),
             ("drift", {"sigma_t_m": True}, "sigma_t_m"),
             ("simulate", {"emit_logs": "no"}, "emit_logs"),

@@ -21,10 +21,10 @@ from range_rte.estimators import (
     WindowTrack,
     _SWEEP_THETA,
     _eigh3_planes,
+    _factor_lift,
     _headings,
     _information,
     _lift,
-    _lift_stack,
     _lifted_cost,
     _rank_one_states,
     _scaled_rows,
@@ -708,7 +708,7 @@ class TestLockstepNewton:
 
         def model(q):
             # f, g and H as the refinement takes them from the products of its residual rows
-            M = _gram(R, _lift_stack(q), 4)
+            M = _gram(_factor_lift(q, R), 4)
             return 0.5 * M[:, 0, 0], M[:, 1:5, 0], M[:, 1:5, 1:] + M[:, 5:, 0].reshape(-1, 4, 4)
 
         f, g, H = model(p)
@@ -745,8 +745,8 @@ class TestLockstepNewton:
         at = min(at, len(others))
         stack = starts[1:]
         stack.insert(at, starts[0])
-        alone = lockstep_newton(starts[0][0][None], _lift_stack, starts[0][1][None], max_iter=60)
-        got = lockstep_newton(np.array([R for R, _ in stack]), _lift_stack, np.array([p for _, p in stack]), max_iter=60)
+        alone = lockstep_newton(_factor_lift, starts[0][1][None], max_iter=60, data=(starts[0][0][None],))
+        got = lockstep_newton(_factor_lift, np.array([p for _, p in stack]), max_iter=60, data=(np.array([R for R, _ in stack]),))
         for field in ("p", "cost", "iterations", "evals", "status"):
             np.testing.assert_array_equal(getattr(got, field)[at], getattr(alone, field)[0], err_msg=field)
 
@@ -762,7 +762,7 @@ class TestLockstepNewton:
         # the negligible-decrease test stops it at once
         T, ds = noiseless_instance(5)
         R = sqrt_factor(dataclasses.replace(ds, d0=None))
-        res = lockstep_newton(R[None], _lift_stack, T.as_vector()[None])
+        res = lockstep_newton(_factor_lift, T.as_vector()[None], data=(R[None],))
         assert res.status[0] == CONVERGED and res.evals[0] <= 2
         assert np.allclose(res.p[0], T.as_vector(), atol=1e-9)
 

@@ -16,8 +16,9 @@ from range_rte import simulation
 from range_rte.estimators import ESTIMATORS, assemble_qcqp
 from range_rte.fisher import det_fim_geometric, fim
 from range_rte.geometry import LeverArm, Transform4DoF, quat_to_matrix, wrap_angle, yaw_quat
-from range_rte.measurement import true_range
+from range_rte.measurement import SIGMA_R_FLOOR, true_range
 from range_rte.simulation import (
+    LARGEST_LENGTH,
     SCENARIO_KINDS,
     DriftConfig,
     ErrorStats,
@@ -215,6 +216,24 @@ class TestSynthesize:
         rng = np.random.default_rng(10)
         _, ds = singular_scenario("planar_linear", ScenarioConfig(d0=3.0, D=1.0, n_poses=10, trials=1), rng)
         assert ds.d0 is None
+
+    def test_frame_origins_in_some_trials_only_rejected(self):
+        # the host's first position is off its origin in the second trial
+        # only: the first range is d0 in one trial, so a stack of both fails
+        cfg = ScenarioConfig(n_poses=5, trials=2, seed=4)
+        target = np.zeros((2, 5, 3))
+        target[:, 1:] = np.random.default_rng(4).normal(scale=0.3, size=(2, 4, 3))
+        host, yaw = target[::-1].copy(), np.zeros((2, 5))
+        host[1, 0] = (0.2, 0.0, 0.0)
+        t, theta = np.array([[3.0, 0.0, 0.0], [0.0, 3.0, 0.0]]), np.array([0.5, -1.0])
+        with pytest.raises(ValueError, match="frame origins in some trials only"):
+            synthesize_measurements((t, theta), (host, yaw), (target, yaw), cfg, [trial_rng(4, i) for i in range(2)])
+        for i, has_d0 in ((0, True), (1, False)):
+            one = synthesize_measurements(
+                (t[i : i + 1], theta[i : i + 1]), (host[i : i + 1], yaw[i : i + 1]), (target[i : i + 1], yaw[i : i + 1]),
+                cfg, [trial_rng(4, i)],
+            )
+            assert (one.d0 is not None) == has_d0
 
 
 class TestSingularScenarios:
@@ -563,7 +582,19 @@ class TestDrift:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"d0": 0.0}, {"d0": math.inf}, {"sigma_r": -0.1}, {"sigma_o": math.nan}, {"sigma_t": -0.1}, {"sigma_theta": math.inf}],
+        [
+            {"d0": 0.0},
+            {"d0": math.inf},
+            {"sigma_r": -0.1},
+            {"sigma_o": math.nan},
+            {"sigma_t": -0.1},
+            {"sigma_theta": math.inf},
+            # a length past the largest that synthesis represents; d0 1e160 once overflowed in np.linalg.norm
+            {"d0": math.nextafter(LARGEST_LENGTH, math.inf)},
+            {"d0": 1e160},
+            {"d0": True},
+            {"sigma_r": True},
+        ],
     )
     def test_scenario_and_walk_levels_checked(self, bad):
         with pytest.raises(ValueError):
@@ -575,6 +606,64 @@ class TestDrift:
         # 305 samples hold six windows of 50; the last stops at sample 300
         track = drift_scenario(cfg).windows
         assert len(track) == 6 and track.stop[-1] == 300
+
+
+class _Captured(Exception):
+    pass
+
+
+def drift_stream(cfg, monkeypatch):
+    """The synced stream that `drift_scenario` builds for cfg, caught where
+    it enters the window estimator."""
+    seen = []
+
+    def capture(stream, **kwargs):
+        seen.append(stream)
+        raise _Captured
+
+    with monkeypatch.context() as m:
+        m.setattr(simulation, "sliding_window_estimate", capture)
+        with pytest.raises(_Captured):
+            drift_scenario(cfg)
+    return seen[0]
+
+
+# float32 digests of the (d, pa, pb) of drift_scenario's stream: config ->
+# first 16 hex digits. A change of the drift draws, of their order or of
+# the geometry fails them
+DRIFT_DIGESTS = {
+    "defaults": "17d9b7966bf8b162",
+    "sigma_r 0": "226bfded7dbea474",
+    "sigma_o 0": "f1076fe094f21d45",
+}
+DRIFT_DIGEST_CONFIGS = {"defaults": {}, "sigma_r 0": {"sigma_r": 0.0}, "sigma_o 0": {"sigma_o": 0.0}}
+
+
+@pytest.mark.parametrize("name", DRIFT_DIGESTS)
+def test_drift_stream_pinned(name, monkeypatch):
+    cfg = DriftConfig(**DRIFT_DIGEST_CONFIGS[name])
+    stream = drift_stream(cfg, monkeypatch)
+    # the host starts at (0, 5 sin 1.3, 4 sin 2.1), off its origin, so no range is d0
+    assert len(stream) == cfg.n_samples and stream.d0 is None
+    assert stream.sigma_r == max(cfg.sigma_r, SIGMA_R_FLOOR)
+    h = hashlib.sha256()
+    for a in (stream.d, stream.pa, stream.pb):
+        h.update(np.asarray(a, dtype=np.float32).tobytes())
+    assert h.hexdigest()[:16] == DRIFT_DIGESTS[name]
+
+
+def test_lengths_at_the_bound_are_synthesized(monkeypatch):
+    # d0 and D at LARGEST_LENGTH: every range is one that a stack takes and
+    # every squared walk position is finite, with no warning, and the walks
+    # still fill their balls (at D 1e300 every walk once parked at its origin)
+    cfg = ScenarioConfig(d0=LARGEST_LENGTH, D=LARGEST_LENGTH, trials=20, seed=3)
+    _, cell = trial_data(cfg, range(cfg.trials))
+    assert np.linalg.norm(cell.pa, axis=-1).max() > 0.5 * cfg.D
+    stream = drift_stream(DriftConfig(d0=LARGEST_LENGTH, duration=12.0, seed=3), monkeypatch)
+    assert np.isfinite(stream.d).all()
+    # numbers.Real admits a bool, which once built a cell at d0 1 m
+    with pytest.raises(ValueError, match="d0 must be positive and finite"):
+        ScenarioConfig(d0=True)
 
 
 def test_dataset_determinism_bitwise():

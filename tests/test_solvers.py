@@ -158,8 +158,9 @@ class TestSdpStack:
 
 
 def residual_lift(r, J):
-    """`lockstep_newton`'s lift for R = I: residuals r(x) (m,), their Jacobian J(x) (m, d)
-    and zero second-derivative rows, so that the steps are Gauss-Newton steps."""
+    """`lockstep_newton`'s lift of residuals r(x) (m,): the residuals, the rows of
+    their Jacobian J(x) (m, d) and zero second-derivative rows, so that the steps
+    are Gauss-Newton steps."""
 
     def lift(p):
         rows = []
@@ -186,14 +187,14 @@ class TestBatchedSolve:
 
 
 class TestLmMinimize:
-    """Levenberg-Marquardt on plain residuals: `lockstep_newton` with R = None minimizes 0.5 ||r(x)||^2."""
+    """Levenberg-Marquardt on plain residuals: `lockstep_newton` minimizes 0.5 ||r(x)||^2."""
 
     def test_linear_least_squares_two_iterations(self):
         rng = np.random.default_rng(6)
         A = rng.normal(size=(10, 3))
         b = rng.normal(size=10)
         x_star, *_ = np.linalg.lstsq(A, b, rcond=None)
-        res = lockstep_newton(None, residual_lift(lambda x: A @ x - b, lambda x: A), np.zeros((1, 3)))
+        res = lockstep_newton(residual_lift(lambda x: A @ x - b, lambda x: A), np.zeros((1, 3)))
         assert res.status[0] == CONVERGED
         assert res.iterations[0] <= 2
         assert np.allclose(res.p[0], x_star, atol=1e-8)
@@ -205,20 +206,20 @@ class TestLmMinimize:
         def J(x):
             return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
-        res = lockstep_newton(None, residual_lift(r, J), np.array([[-1.2, 1.0]]), max_iter=300)
+        res = lockstep_newton(residual_lift(r, J), np.array([[-1.2, 1.0]]), max_iter=300)
         assert res.status[0] == CONVERGED
         assert np.allclose(res.p[0], [1.0, 1.0], atol=1e-6)
 
     def test_zero_residual_start_returns_immediately(self):
         lift = residual_lift(lambda x: np.zeros(3), lambda x: np.zeros((3, 2)))
-        res = lockstep_newton(None, lift, np.array([[1.0, 2.0]]))
+        res = lockstep_newton(lift, np.array([[1.0, 2.0]]))
         assert res.iterations[0] == 0 and res.evals[0] == 0
         assert res.status[0] == CONVERGED
         np.testing.assert_array_equal(res.p[0], [1.0, 2.0])
 
     def test_non_finite_residual_reported(self):
         lift = residual_lift(lambda x: np.array([math.inf]), lambda x: np.array([[1.0]]))
-        res = lockstep_newton(None, lift, np.array([[1.0]]))
+        res = lockstep_newton(lift, np.array([[1.0]]))
         assert res.status[0] == NON_FINITE
         np.testing.assert_array_equal(res.p[0], [1.0])
 
