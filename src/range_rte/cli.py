@@ -245,16 +245,16 @@ def cmd_simulate(args) -> int:
     cfg = _config(args.config, SIM_DEFAULTS)
     chash = iof.config_hash(cfg)
     cells = _expand_cells(cfg)
-    # every cell's scenario is checked before anything is written
+    # every cell's scenario is checked, and every cell run, before anything is written
     scenarios = [_scenario_from_config({**cfg, **cell}) for cell in cells]
+    runs = [monte_carlo_run(scen, estimator=cell["estimator"]) for cell, scen in zip(cells, scenarios)]
 
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
 
     rows = ["cell,trial,e_t,e_theta,crlb_t,crlb_theta,solve_ms,status"]
     summary_cells = []
-    for ci, (cell, scen) in enumerate(zip(cells, scenarios)):
-        stats = monte_carlo_run(scen, estimator=cell["estimator"])
+    for ci, (cell, scen, stats) in enumerate(zip(cells, scenarios, runs)):
         ok = np.isfinite(stats.e_t)
         for trial in range(scen.trials):
             rows.append(

@@ -55,8 +55,8 @@ alone as in any chunk. Then the candidates of all problems are refined
 together by one `solvers.lockstep_newton` call.
 
 Every estimator has one contract. Its point stage (`_qcqp_points`,
-`_sdp_points`, `_nls_points`) takes a stack of W problems, plus a (W, 4)
-array of starts that only the local `nls` reads, and returns arrays: the
+`_sdp_points`, `_nls_points`) takes a stack of W problems, plus, for the
+local `nls` alone, a (W, 4) array of starts, and returns arrays: the
 estimates (W, 4) of (t_x, t_y, t_z, theta), theta wrapped into [-pi, pi)
 as `Transform4DoF` wraps it and NaN rows where a problem failed, one (W,)
 array per solver scalar, and the error of every problem that fails. A
@@ -265,7 +265,8 @@ def solve_sdp_relaxation(P0: np.ndarray, d0: Optional[np.ndarray]) -> tuple[np.n
     scaling). The optimum's entries, up to ||t||^4, are then O(1) like the
     start X = I: at d0 50 m with D 20 m the median iteration count falls
     from 32 to 22. The scaled right-hand sides are (1, 0, 0, 0, 1) for
-    every d0, so a stack of problems with different d0 shares them too.
+    every d0, so every problem of the stack, whatever its d0, shares the
+    one constraint set (A, b) of `sdp_solve`.
     Each d0^2 is a Python float's square, libm's pow, which numpy's
     square of an array does not always match in the last bit.
     """
@@ -275,7 +276,7 @@ def solve_sdp_relaxation(P0: np.ndarray, d0: Optional[np.ndarray]) -> tuple[np.n
     r = np.sqrt(r2)
     D = np.stack([r, r, r, one, one, r, r, r2, one], axis=1)
     m = 4 if d0 is None else 5
-    b = np.broadcast_to([1.0, 0.0, 0.0, 0.0, 1.0][:m], (W, m))
+    b = [1.0, 0.0, 0.0, 0.0, 1.0][:m]
     C = P0 * D[:, :, None] * D[:, None, :]
     X, _, diag = sdp_solve(C, _CONSTRAINT_MATRICES[:m], b, tol=SDP_TOL, max_iter=SDP_MAX_ITER)
     # from d0 ~1e80 the lifted state's ||t||^4 entry is past the float range:
@@ -754,9 +755,9 @@ def _report(method: str, points: tuple, stack: SyncedStack) -> EstimateReport:
     )
 
 
-def _sdp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dict]:
+def _sdp_points(stack: SyncedStack) -> tuple[np.ndarray, dict, dict]:
     """Point stage of `sdp` for a stack of W problems: the relaxation
-    alone, read off without refinement. `starts` is ignored.
+    alone, read off without refinement.
 
     One assembly, then one `sdp_solve` call relaxes every problem whose P0
     is finite, and one batched eigh of the X stack gives each its rank-one
@@ -815,10 +816,10 @@ def _lifted_cost(P0: np.ndarray, estimates: np.ndarray) -> np.ndarray:
     return ((x[:, None, :] @ P0) @ x[:, :, None])[:, 0, 0]
 
 
-def _qcqp_points(stack: SyncedStack, starts=None) -> tuple[np.ndarray, dict, dict]:
+def _qcqp_points(stack: SyncedStack) -> tuple[np.ndarray, dict, dict]:
     """Point stage of `qcqp` for a stack of W problems: the lifted cost
-    minimized over all feasible transforms. `starts` is ignored: the
-    sweep searches every heading.
+    minimized over all feasible transforms. It takes no start: the sweep
+    searches every heading.
 
     One assembly, then the sweep candidates of all problems form one
     stack of starts, refined by damped Newton steps in one
@@ -926,10 +927,10 @@ def _estimator(method: str, points):
     is the one timer of the estimators: wall_ms, a solver scalar of every
     problem, is the point stage's wall time over the number of problems."""
 
-    def estimate(data: SyncedDataset | SyncedStack, starts: Optional[np.ndarray] = None):
+    def estimate(data: SyncedDataset | SyncedStack, *starts):
         stack = data if isinstance(data, SyncedStack) else data.stack()
         start = time.perf_counter()
-        estimates, scalars, errors = points(stack, starts)
+        estimates, scalars, errors = points(stack, *starts)
         scalars["wall_ms"] = np.full(len(estimates), (time.perf_counter() - start) * 1e3 / len(estimates))
         if stack is data:
             return estimates, scalars, errors
@@ -938,26 +939,27 @@ def _estimator(method: str, points):
     return estimate
 
 
-qcqp_estimate = _estimator("qcqp", _qcqp_points)
-sdp_estimate = _estimator("sdp", _sdp_points)
-nls_estimate = _estimator("nls", _nls_points)
-
-# One contract for every entry. A `SyncedStack` of W problems in gives its
-# point stage: the estimates as one (W, 4) array of (t_x, t_y, t_z, theta),
-# theta wrapped into [-pi, pi) and NaN rows where a problem failed, one
-# (W,) array per solver scalar and {problem index: error} for every failing
-# problem, with no FIM and no report. starts is None or a (W, 4) array;
-# only the local `nls` reads it, from zero by default, and the global
-# `qcqp` and `sdp` ignore it. A `SyncedDataset` in gives its
-# EstimateReport: the point stage of `dataset.stack()`, a stack of one,
-# with `_report`, which raises the problem's error. The entry times the
-# point stage, assembly included, and adds the solver scalar wall_ms, that
-# time over W; the point stages time nothing. The Monte-Carlo cells and
-# the drift windows estimate through the stack form, the CLI's `estimate`
-# through the dataset form, so every estimate goes through the registry,
-# where the benchmark's tracer (perfbench/tracing.py) times the estimate
-# layer.
-ESTIMATORS = {"qcqp": qcqp_estimate, "sdp": sdp_estimate, "nls": nls_estimate}
+# One contract for every entry, and the one way to an estimator. A
+# `SyncedStack` of W problems in gives its point stage: the estimates as
+# one (W, 4) array of (t_x, t_y, t_z, theta), theta wrapped into [-pi, pi)
+# and NaN rows where a problem failed, one (W,) array per solver scalar and
+# {problem index: error} for every failing problem, with no FIM and no
+# report. A start after the data goes to the point stage: only the local
+# `nls` takes one, None or a (W, 4) array, from zero by default; the
+# global `qcqp` and `sdp` take none, and a start given to them raises
+# TypeError. A `SyncedDataset` in gives its EstimateReport: the point stage
+# of `dataset.stack()`, a stack of one, with `_report`, which raises the
+# problem's error. The entry times the point stage, assembly included, and
+# adds the solver scalar wall_ms, that time over W; the point stages time
+# nothing. The Monte-Carlo cells and the drift windows estimate through the
+# stack form, the CLI's `estimate` through the dataset form, so every
+# estimate goes through this table, where the benchmark's tracer
+# (perfbench/tracing.py) times the estimate layer.
+ESTIMATORS = {
+    "qcqp": _estimator("qcqp", _qcqp_points),
+    "sdp": _estimator("sdp", _sdp_points),
+    "nls": _estimator("nls", _nls_points),
+}
 
 
 @dataclass(frozen=True)

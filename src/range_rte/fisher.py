@@ -141,7 +141,9 @@ def fim_arrays(F) -> FimArrays:
     flags. The configuration is singular when kappa exceeds
     DEFAULT_KAPPA_THRESHOLD. A parameter is flagged unobservable when its
     standard error exceeds STD_CEILING times their median, and every
-    parameter is when the FIM is not invertible.
+    parameter is when the FIM is not invertible. A FIM with an entry that
+    is not finite, as past the float range, is analysed as a zero F: rank
+    0, kappa infinite and no CRLB; the other FIMs keep their bits.
 
     The configuration flag is the only singularity test of the package.
     It holds while odometry noise is small against the motion: kappa of
@@ -157,10 +159,18 @@ def fim_arrays(F) -> FimArrays:
     F = np.asarray(F, dtype=float)
     if F.ndim != 3 or F.shape[1] != F.shape[2]:
         raise ValueError(f"F must be a stack (W, n, n) of square matrices, got shape {F.shape}")
-    if np.abs(F - F.swapaxes(-1, -2)).max() > 1e-9 * max(1.0, np.abs(F).max()):
-        raise ValueError("FIM must be symmetric")
-    F = 0.5 * (F + F.swapaxes(-1, -2))
-    lam, Q = np.linalg.eigh(F)
+    # in a far cell det(F) passes the float range from a radius of ~1e150 m,
+    # and F itself from ~1e153 m: the det is then inf or NaN, and a row whose
+    # F is not finite is analysed as a zero F, all without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        asymmetry = np.abs(F - F.swapaxes(-1, -2))
+        finite = np.isfinite(F).all(axis=(1, 2))
+        if asymmetry[finite].max(initial=0.0) > 1e-9 * max(1.0, np.abs(F[finite]).max(initial=0.0)):
+            raise ValueError("FIM must be symmetric")
+        F = 0.5 * (F + F.swapaxes(-1, -2))
+        finite &= np.isfinite(F).all(axis=(1, 2))
+        det_f = np.linalg.det(F)
+    lam, Q = np.linalg.eigh(np.where(finite[:, None, None], F, 0.0))
     lam, Q = np.ascontiguousarray(lam[:, ::-1]), np.ascontiguousarray(Q[:, :, ::-1])
     lam_max = np.maximum(lam[:, 0], 0.0)
     if np.any(lam[:, -1] < -1e-8 * np.maximum(lam_max, 1.0)):
@@ -188,7 +198,7 @@ def fim_arrays(F) -> FimArrays:
         crlb_t=(diag[:, 0] + diag[:, 1]) + diag[:, 2],  # np.trace's order, so its bits match
         crlb_theta=diag[:, 3].copy(),
         std_errors=std,
-        det_f=np.linalg.det(F),
+        det_f=det_f,
         kappa=kappa,
         rank=rank,
         invertible=invertible,
@@ -210,7 +220,9 @@ def fim(t, theta, pa, pb, sigma_r: float) -> FimArrays:
     them. F = sigma_r^-2 J^T J, derived by `fim_arrays`.
     """
     J = _jacobian_stack(np.asarray(t, dtype=float), np.asarray(theta, dtype=float), pa, pb)
-    return fim_arrays((J.swapaxes(-1, -2) @ J) / sigma_r**2)
+    with np.errstate(over="ignore", invalid="ignore"):  # a row past the float range has no bound (`fim_arrays`)
+        F = (J.swapaxes(-1, -2) @ J) / sigma_r**2
+    return fim_arrays(F)
 
 
 def det_fim_geometric(T: Transform4DoF, dataset: SyncedDataset) -> float:

@@ -50,6 +50,15 @@ STEP_SCALE = 0.5
 # finite, below (2 LARGEST_RANGE)^2, while |z| <= 14, which a 3-vector
 # passes with a chance of 3e-42.
 LARGEST_LENGTH = LARGEST_RANGE / 4.0
+# The quarter left spans a lever arm of each agent and the noise. A lever
+# arm component at most LARGEST_LEVER_ARM puts an antenna at most
+# sqrt(3) / 8 < 0.22 LARGEST_LENGTH from its body, and a noise level, sigma_r
+# or sigma_o (m), at most LARGEST_NOISE moves a range by at most half
+# LARGEST_LENGTH while its standard normal draw stays within 16 (chance of
+# a larger one 1.3e-57). So a noisy range stays within LARGEST_RANGE, and
+# a noisy antenna position within 2.1 LARGEST_LENGTH of its frame origin
+LARGEST_LEVER_ARM = LARGEST_LENGTH / 8.0
+LARGEST_NOISE = LARGEST_LENGTH / 32.0
 
 
 def _check_length(name: str, value) -> None:
@@ -57,14 +66,18 @@ def _check_length(name: str, value) -> None:
         raise ValueError(f"{name} must be positive and finite, at most {LARGEST_LENGTH:.4g} m, got {value!r}")
 
 
-def _check_scenario(d0, seed, **levels) -> None:
+def _check_scenario(d0, seed, sigma_r, sigma_o, **walk_levels) -> None:
     """The checks a Monte-Carlo cell and a drift run share: d0 (m) a
     scenario length (`_check_length`), the seed an integer that a 64-bit
-    key holds, and each noise or walk level nonnegative and finite."""
+    key holds, the noise levels sigma_r and sigma_o (m) nonnegative and at
+    most LARGEST_NOISE, and each walk level nonnegative and finite."""
     _check_length("d0", d0)
     if not (_is_int(seed) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    for name, value in levels.items():
+    for name, value in (("sigma_r", sigma_r), ("sigma_o", sigma_o)):
+        if not (_is_real(value) and 0 <= value <= LARGEST_NOISE):
+            raise ValueError(f"{name} must be nonnegative and finite, at most {LARGEST_NOISE:.4g} m, got {value!r}")
+    for name, value in walk_levels.items():
         if not (_is_real(value) and 0 <= value < math.inf):
             raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
@@ -76,7 +89,8 @@ class DriftConfig:
     The truth starts at ||t|| = d0 (m) and random-walks: sigma_t (m) and
     sigma_theta (rad) are per-sqrt-second intensities on the translation
     axes and the heading. Ranges carry Gaussian noise sigma_r (m) and the
-    odometry positions sigma_o (m) per axis; `seed`, an integer in
+    odometry positions sigma_o (m) per axis, each at most LARGEST_NOISE,
+    and d0 is at most LARGEST_LENGTH; `seed`, an integer in
     [0, 2**64), keys the run's generator. The stream has `n_samples`,
     round(duration * rate), samples: at least one window of `window` >= 10
     samples. A window starts every `stride` >= 1 samples, or every
@@ -95,9 +109,7 @@ class DriftConfig:
     stride: Optional[int] = None
 
     def __post_init__(self):
-        _check_scenario(
-            self.d0, self.seed, sigma_r=self.sigma_r, sigma_o=self.sigma_o, sigma_t=self.sigma_t, sigma_theta=self.sigma_theta
-        )
+        _check_scenario(self.d0, self.seed, self.sigma_r, self.sigma_o, sigma_t=self.sigma_t, sigma_theta=self.sigma_theta)
         if not _is_int(self.window) or self.window < 10:
             raise ValueError(f"window must be an integer >= 10, got {self.window!r}")
         if self.stride is not None and (not _is_int(self.stride) or self.stride < 1):
@@ -130,7 +142,9 @@ class ScenarioConfig:
     [0, 2**64), each with two walks of n_poses >= 1 samples, one a second,
     inside a ball of radius D (m), antennas at `lever_arms` (host,
     target), range noise sigma_r (m) and odometry noise sigma_o (m) per
-    axis."""
+    axis. d0 and D are at most LARGEST_LENGTH, the noise levels at most
+    LARGEST_NOISE and each lever-arm component at most LARGEST_LEVER_ARM in
+    magnitude: what synthesis represents."""
 
     d0: float = 3.0
     D: float = 1.0
@@ -142,8 +156,11 @@ class ScenarioConfig:
     lever_arms: tuple = (LeverArm(), LeverArm())
 
     def __post_init__(self):
-        _check_scenario(self.d0, self.seed, sigma_r=self.sigma_r, sigma_o=self.sigma_o)
+        _check_scenario(self.d0, self.seed, self.sigma_r, self.sigma_o)
         _check_length("D", self.D)
+        for i, arm in enumerate(self.lever_arms):
+            if not np.abs(arm.r).max() <= LARGEST_LEVER_ARM:
+                raise ValueError(f"lever_arms[{i}] must be at most {LARGEST_LEVER_ARM:.4g} m per component, got {arm.r}")
         for name in ("trials", "n_poses"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
@@ -231,8 +248,19 @@ def sample_ground_truth(d0: float, rng: np.random.Generator) -> Transform4DoF:
     return Transform4DoF(t=t, theta=theta)
 
 
-def _walk(D: float, n_poses: int, rng: np.random.Generator) -> tuple[list, list]:
-    """`generate_trajectory` as Python lists: n_poses (x, y, z) tuples and n_poses headings."""
+def generate_trajectory(D: float, n_poses: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Bounded random walk inside the ball of radius D > 0 around the origin.
+
+    Gaussian steps of STEP_SCALE * D per axis, reflected at the ball
+    boundary, random headings.
+    Returns positions, shape (n_poses, 3), and headings, shape (n_poses,);
+    sample i is taken at i seconds. D -> 0 degenerates to a
+    parked agent. The draws stay scalar and in the order heading, step,
+    then a reflection fraction only when one is needed, so a seed gives
+    the same walk whatever the batch size. The heading is drawn as
+    -pi + 2 pi rng.random() and the fraction as rng.random(): the values
+    rng.uniform(-pi, pi) and rng.uniform(0, 1) give for the same draws.
+    """
     if not D > 0:
         raise ValueError("D must be positive")
     if n_poses < 1:
@@ -265,23 +293,6 @@ def _walk(D: float, n_poses: int, rng: np.random.Generator) -> tuple[list, list]
             else:
                 f, u = D / r, rng.random()
                 x, y, z = x * f * u, y * f * u, z * f * u
-    return positions, yaws
-
-
-def generate_trajectory(D: float, n_poses: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Bounded random walk inside the ball of radius D around the origin.
-
-    Gaussian steps of STEP_SCALE * D per axis, reflected at the ball
-    boundary, random headings.
-    Returns positions, shape (n_poses, 3), and headings, shape (n_poses,);
-    sample i is taken at i seconds. D -> 0 degenerates to a
-    parked agent. The draws stay scalar and in the order heading, step,
-    then a reflection fraction only when one is needed, so a seed gives
-    the same walk whatever the batch size. The heading is drawn as
-    -pi + 2 pi rng.random() and the fraction as rng.random(): the values
-    rng.uniform(-pi, pi) and rng.uniform(0, 1) give for the same draws.
-    """
-    positions, yaws = _walk(D, n_poses, rng)
     return np.array(positions), np.array(yaws)
 
 
@@ -413,7 +424,7 @@ def trial_data(cfg: ScenarioConfig, trials: int | Sequence[int]) -> tuple:
     `SyncedStack`. Each trial draws from its own substream (`trial_rng`),
     in this order: the truth (`_truth`), the host's walk, the target's
     walk, then the range noise and the odometry noise. The one loop over
-    the trials draws the truths and runs the walks;
+    the trials draws the truths and runs the walks (`generate_trajectory`);
     `synthesize_measurements` then computes the antenna geometry and the
     ranges once on (W, n, 3) arrays and draws each trial's noise from its
     generator. `trial_data(cfg, i)` is row 0 of `trial_data(cfg,
@@ -429,10 +440,10 @@ def trial_data(cfg: ScenarioConfig, trials: int | Sequence[int]) -> tuple:
     for rng in rngs:
         truths.append(_truth(cfg.d0, rng))
         for walks in (walk_a, walk_b):
-            walks.append(_walk(cfg.D, cfg.n_poses, rng))
+            walks.append(generate_trajectory(cfg.D, cfg.n_poses, rng))
     t, headings = map(np.array, zip(*truths))
     theta = wrap_angle(headings)
-    traj_a, traj_b = ((np.array([p for p, _ in w]), np.array([yaw for _, yaw in w])) for w in (walk_a, walk_b))
+    traj_a, traj_b = (tuple(map(np.stack, zip(*w))) for w in (walk_a, walk_b))
     return (t, theta), synthesize_measurements((t, theta), traj_a, traj_b, cfg, rngs)
 
 

@@ -1,12 +1,13 @@
 """Self-contained numerical engines for the estimation pipeline.
 
 Provides a dense primal-dual interior-point solver that runs a stack of
-small semidefinite programs in lockstep (the lifted relaxation is 9x9
-with at most 5 equality constraints) and one damped (Levenberg-Marquardt)
-least-squares minimizer that refines a stack of starts in lockstep on
-the residual rows its caller's lift forms. It takes exact-Hessian Newton
-steps on R x, R a square-root factor of a `qcqp` cost, and Gauss-Newton
-steps on the raw range residuals of the `nls` baseline.
+small semidefinite programs, which share one constraint set, in lockstep
+(the lifted relaxation is 9x9 with at most 5 equality constraints), and
+one damped (Levenberg-Marquardt) least-squares minimizer that refines a
+stack of starts in lockstep on the residual rows its caller's lift
+forms. It takes exact-Hessian Newton steps on R x, R a square-root
+factor of a `qcqp` cost, and Gauss-Newton steps on the raw range
+residuals of the `nls` baseline.
 
 The SDP solver is an infeasible-start path-following method with the
 HKM search direction and a Mehrotra predictor-corrector step. Problem
@@ -53,12 +54,13 @@ def _steps(Li: np.ndarray, D: np.ndarray) -> np.ndarray:
     return -0.95 / np.minimum(lam, -0.95)
 
 
-def _hkm_step(X, Z, A, rp, Rd, mu):
+def _hkm_step(A, X, Z, rp, Rd, mu):
     """The predictor-corrector step of a stack of w problems: (dX, dy, dZ,
-    primal step, dual step). A (w, m, n, n) holds each problem's scaled
-    constraints. Raises LinAlgError where a factorisation fails."""
-    w, m, n = A.shape[:3]
-    A_rows = A.reshape(w, m, n * n)
+    primal step, dual step). A (m, n, n) holds the scaled constraints that
+    every problem shares. Raises LinAlgError where a factorisation fails."""
+    m, n = A.shape[:2]
+    w = len(X)
+    A_rows = A.reshape(m, n * n)
     Li = np.linalg.inv(np.linalg.cholesky(np.concatenate((X, Z))))
     Zi = Li[w:].swapaxes(-1, -2) @ Li[w:]
     M = (A @ X[:, None]).reshape(w, m, n * n) @ (Zi[:, None] @ A).reshape(w, m, n * n).swapaxes(-1, -2)
@@ -80,31 +82,33 @@ def _hkm_step(X, Z, A, rp, Rd, mu):
     return dX, dy, dZ, ap, ad
 
 
-def _hkm_steps(state: tuple) -> tuple:
-    """`_hkm_step` on a stack; where a factorisation fails, on each half of
-    it, down to the single problems that fail, which step by zero."""
+def _hkm_steps(A, state: tuple) -> tuple:
+    """`_hkm_step` on a stack, state = (X, Z, rp, Rd, mu); where a
+    factorisation fails, on each half of it, down to the single problems
+    that fail, which step by zero."""
     try:
-        return _hkm_step(*state)
+        return _hkm_step(A, *state)
     except np.linalg.LinAlgError:
-        X, _, _, rp, _, mu = state
+        X, _, rp, _, mu = state
         if len(X) == 1:
             return np.zeros_like(X), np.zeros_like(rp), np.zeros_like(X), np.zeros_like(mu), np.zeros_like(mu)
         h = len(X) // 2
-        halves = _hkm_steps(tuple(v[:h] for v in state)), _hkm_steps(tuple(v[h:] for v in state))
+        halves = _hkm_steps(A, tuple(v[:h] for v in state)), _hkm_steps(A, tuple(v[h:] for v in state))
         return tuple(np.concatenate(parts) for parts in zip(*halves))
 
 
 def sdp_solve(C, A, b, tol: float = 1e-8, max_iter: int = 200) -> tuple[np.ndarray, np.ndarray, SolveDiagnostics]:
-    """Solve W small dense SDPs  min Tr(C_w X)  s.t.  Tr(A_i X) = b_wi,  X PSD,
+    """Solve W small dense SDPs  min Tr(C_w X)  s.t.  Tr(A_i X) = b_i,  X PSD,
     in lockstep.
 
-    C (W, n, n) and b (W, m) hold the problems and A (m, n, n) their shared
-    constraint matrices; C and A must be symmetric, which is checked once
-    for the stack. Infeasible-start path following with the HKM direction
-    in the original basis and a Mehrotra predictor-corrector: M dy = r_p -
-    A(R - X R_d Z^-1) with M_ij = Tr(A_i X A_j Z^-1), dZ = R_d - A*(dy),
-    dX = sym(R - X dZ Z^-1); R = -X predicts, R = sigma mu Z^-1 - X -
-    sym(dX_a dZ_a Z^-1) corrects. X and (y, Z) each step 0.95 of the way
+    C (W, n, n) holds the problems' objectives; A (m, n, n) and b (m,) are
+    the one constraint set that every problem shares. C and A must be
+    symmetric, which is checked once for the stack. Infeasible-start path
+    following with the HKM direction in the original basis and a Mehrotra
+    predictor-corrector: M dy = r_p - A(R - X R_d Z^-1) with
+    M_ij = Tr(A_i X A_j Z^-1), dZ = R_d - A*(dy), dX = sym(R - X dZ Z^-1);
+    R = -X predicts, R = sigma mu Z^-1 - X - sym(dX_a dZ_a Z^-1)
+    corrects. X and (y, Z) each step 0.95 of the way
     to the boundary of the cone, at most 1. Without the corrector a
     singular relaxation reads as rank one; the centering floor
     sigma >= 0.05 saves iterations.
@@ -113,9 +117,10 @@ def sdp_solve(C, A, b, tol: float = 1e-8, max_iter: int = 200) -> tuple[np.ndarr
     (X, Z), one batched solve of the M systems and one batched
     `eigvalsh` for the step lengths, over the problems still running. A
     problem leaves the stack at its own stop, and every reduction is per
-    problem, so its iterates are those it has in a stack of one. Where a
-    factorisation fails, the step is retaken on each half of the stack,
-    down to the problems that fail, which stop.
+    problem, so its iterates are those it has in a stack of one; the
+    scaled constraints are one (m, n, n) array, which no stop filters.
+    Where a factorisation fails, the step is retaken on each half of the
+    stack, down to the problems that fail, which stop.
 
     Returns X (W, n, n), y (W, m) and the diagnostics. Status "optimal":
     feasibility residuals below max(tol, 1e-9) and relative duality gap
@@ -133,8 +138,8 @@ def sdp_solve(C, A, b, tol: float = 1e-8, max_iter: int = 200) -> tuple[np.ndarr
     W, n = len(C), C.shape[-1]
     A = np.asarray(A, dtype=float).reshape(-1, n, n)
     m = len(A)
-    if C.shape != (W, n, n) or b.shape != (W, m):
-        raise ValueError(f"need C (W, n, n), A (m, n, n) and b (W, m); got {C.shape}, {A.shape}, {b.shape}")
+    if C.shape != (W, n, n) or b.shape != (m,):
+        raise ValueError(f"need C (W, n, n), A (m, n, n) and b (m,); got {C.shape}, {A.shape}, {b.shape}")
     for name, M in (("C", C), ("A", A)):
         if np.abs(M - M.swapaxes(-1, -2)).max(initial=0.0) > 1e-12 * max(1.0, np.abs(M).max(initial=0.0)):
             raise ValueError(f"{name} must be symmetric")
@@ -145,16 +150,17 @@ def sdp_solve(C, A, b, tol: float = 1e-8, max_iter: int = 200) -> tuple[np.ndarr
     c_scale = np.maximum(1.0, np.abs(C).max(axis=(1, 2)))
     C = C / c_scale[:, None, None]
     a_scale = np.maximum(1.0, np.maximum(np.abs(A).max(axis=(1, 2)), np.abs(b)))
-    A = A / a_scale[:, :, None, None]
+    A = A / a_scale[:, None, None]
     b = b / a_scale
+    A_rows = A.reshape(m, n * n)
 
-    xi = np.abs(b).max(axis=1, initial=1.0)
-    X = np.eye(n) * xi[:, None, None]
+    xi = np.abs(b).max(initial=1.0)
+    X = np.eye(n) * np.full((W, 1, 1), xi)
     norm_c = np.sqrt(_dot(C, C))
     Z = np.eye(n) * np.maximum(1.0, norm_c / math.sqrt(n))[:, None, None]
     y = np.zeros((W, m))
-    norm_b, norm_c = 1.0 + np.sqrt(_dot(b, b)), 1.0 + norm_c
-    C_all, b_all = C, b
+    norm_b, norm_c = 1.0 + math.sqrt(b @ b), 1.0 + norm_c
+    C_all = C
     best_X, best_y, best_score = X.copy(), y.copy(), np.full(W, np.inf)
     iterations = np.zeros(W, dtype=int)
     status = np.full(W, "max_iter", dtype=object)
@@ -166,13 +172,12 @@ def sdp_solve(C, A, b, tol: float = 1e-8, max_iter: int = 200) -> tuple[np.ndarr
             if not len(act):
                 break
             iterations[act] = it
-            A_rows = A.reshape(-1, m, n * n)
             rp = b - (A_rows @ X.reshape(-1, n * n, 1))[..., 0]
             Rd = C - Z - (y[:, None] @ A_rows).reshape(-1, n, n)
             mu = _dot(X, Z) / n
             prim_inf = np.sqrt(_dot(rp, rp)) / norm_b
             dual_inf = np.sqrt(_dot(Rd, Rd)) / norm_c
-            pobj, dobj = _dot(C, X), _dot(b, y)
+            pobj, dobj = _dot(C, X), _dot(np.broadcast_to(b, y.shape), y)
             rel_gap = np.abs(pobj - dobj) / (1.0 + np.abs(pobj) + np.abs(dobj))
             optimal = (prim_inf <= feas_tol) & (dual_inf <= feas_tol) & ((rel_gap <= tol) | (mu <= tol * xi))
             feas = (prim_inf <= contract_tol) & (dual_inf <= 10.0 * contract_tol)
@@ -181,7 +186,7 @@ def sdp_solve(C, A, b, tol: float = 1e-8, max_iter: int = 200) -> tuple[np.ndarr
             best_score[act[better]] = score[better]
             best_X[act[better]], best_y[act[better]] = X[better], y[better]
 
-            dX, dy, dZ, ap, ad = _hkm_steps((X, Z, A, rp, Rd, mu))
+            dX, dy, dZ, ap, ad = _hkm_steps(A, (X, Z, rp, Rd, mu))
             stuck = ~optimal & (ap <= 1e-12) & (ad <= 1e-12)
             stop = optimal | stuck
             if stop.any():
@@ -189,12 +194,12 @@ def sdp_solve(C, A, b, tol: float = 1e-8, max_iter: int = 200) -> tuple[np.ndarr
                 status[act[stuck]] = np.where(best_score[act[stuck]] <= contract_tol, "optimal", "numerical")
                 keep = ~stop
                 X, Z, y, dX, dy, dZ, ap, ad = (v[keep] for v in (X, Z, y, dX, dy, dZ, ap, ad))
-                C, A, b, xi, norm_b, norm_c, act = (v[keep] for v in (C, A, b, xi, norm_b, norm_c, act))
+                C, norm_c, act = (v[keep] for v in (C, norm_c, act))
             X = _sym(X + ap[:, None, None] * dX)
             y = y + ad[:, None] * dy
             Z = _sym(Z + ad[:, None, None] * dZ)
 
-    pobj, dobj = _dot(C_all, best_X) * c_scale, _dot(b_all, best_y) * c_scale
+    pobj, dobj = _dot(C_all, best_X) * c_scale, _dot(np.broadcast_to(b, best_y.shape), best_y) * c_scale
     diag = SolveDiagnostics(iterations=iterations, primal_obj=pobj, dual_obj=dobj, gap=np.abs(pobj - dobj), status=status)
     return best_X, best_y / a_scale * c_scale[:, None], diag
 

@@ -25,7 +25,7 @@ from range_rte.io_formats import (
 )
 from range_rte.fisher import DEFAULT_KAPPA_THRESHOLD
 from range_rte.measurement import ingest_logs, odometry_log, range_log, true_range
-from range_rte.simulation import LARGEST_LENGTH, DriftConfig, ScenarioConfig
+from range_rte.simulation import LARGEST_LENGTH, LARGEST_LEVER_ARM, LARGEST_NOISE, DriftConfig, ScenarioConfig
 
 
 def read_json(path):
@@ -356,6 +356,21 @@ class TestSimulateCommand:
         e_t = np.array([float(r[2]) for r in rows if r[-1] == "ok"])
         assert cell["rmse_t"] == pytest.approx(math.sqrt(np.mean(e_t**2)), rel=1e-12)
 
+    def test_cell_that_raises_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # every cell runs before the output directory is made: a failure past
+        # the config checks, here in the second cell, once left the directory
+        # and the first cell's logs behind
+        import range_rte.estimators
+
+        def broken(stack, *starts):
+            raise ValueError("injected failure")
+
+        monkeypatch.setitem(range_rte.estimators.ESTIMATORS, "sdp", broken)
+        rc, out = run_command("simulate", {"emit_logs": True, "cells": [{"estimator": "qcqp"}, {"estimator": "sdp"}]},
+                              (), tmp_path)
+        assert rc == 2 and "injected failure" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_roundtrip_reproduces_estimate_bitwise(self, tmp_path):
         cfg = write_json(
             tmp_path / "cfg.json",
@@ -657,7 +672,7 @@ class TestDriftCommand:
         import dataclasses
 
         from range_rte import simulation
-        from range_rte.estimators import DegenerateSolutionError, _information, qcqp_estimate
+        from range_rte.estimators import DegenerateSolutionError, _information
 
         real = simulation.sliding_window_estimate
         spoilt = []
@@ -674,7 +689,7 @@ class TestDriftCommand:
             rc = main(["drift", "--config", cfg, "--out", str(tmp_path / "d.json")])
             window = spoilt[0].windows([100], 50)
             with pytest.raises(DegenerateSolutionError) as one:
-                _information(qcqp_estimate(window), window)  # raises the window's error
+                _information(ESTIMATORS["qcqp"](window), window)  # raises the window's error
         assert rc == 4
         assert capsys.readouterr().err.strip() == f"solver failure: {one.value}"
 
@@ -844,6 +859,18 @@ class TestConfigValues:
             ("simulate", {"d0_m": math.nextafter(LARGEST_LENGTH, math.inf)}, "d0"),
             ("drift", {"d0_m": 1e160}, "d0"),
             ("drift", {"d0_m": math.nextafter(LARGEST_LENGTH, math.inf)}, "d0"),
+            # and noise levels and lever arms that synthesis represents: sigma_r_m
+            # 1e300 once failed on its ranges, naming no key, sigma_o_m 1e300 and
+            # a lever arm component 1e160 overflowed; each simulate case left
+            # its output directory behind
+            ("simulate", {"sigma_r_m": 1e300}, "sigma_r"),
+            ("simulate", {"sigma_r_m": math.nextafter(LARGEST_NOISE, math.inf)}, "sigma_r"),
+            ("simulate", {"sigma_o_m": 1e300}, "sigma_o"),
+            ("simulate", {"sigma_o_m": math.nextafter(LARGEST_NOISE, math.inf)}, "sigma_o"),
+            ("simulate", {"lever_arm_a_m": [1e160, 0.0, 0.0]}, "lever_arms[0]"),
+            ("simulate", {"lever_arm_b_m": [0.0, 0.0, -math.nextafter(LARGEST_LEVER_ARM, math.inf)]}, "lever_arms[1]"),
+            ("drift", {"sigma_r_m": 1e300}, "sigma_r"),
+            ("drift", {"sigma_o_m": math.nextafter(LARGEST_NOISE, math.inf)}, "sigma_o"),
             ("simulate", {"sigma_r_m": True}, "sigma_r_m"),
             ("drift", {"sigma_t_m": True}, "sigma_t_m"),
             ("simulate", {"emit_logs": "no"}, "emit_logs"),

@@ -26,6 +26,7 @@ from range_rte.estimators import (
     _information,
     _lift,
     _lifted_cost,
+    _nls_points,
     _rank_one_states,
     _scaled_rows,
     _sqrt_factor,
@@ -34,9 +35,6 @@ from range_rte.estimators import (
     align_target_trajectory,
     assemble_qcqp,
     build_data_rows,
-    nls_estimate,
-    qcqp_estimate,
-    sdp_estimate,
     sliding_window_estimate,
     solve_sdp_relaxation,
 )
@@ -45,6 +43,8 @@ from range_rte.geometry import Transform4DoF, wrap_angle
 from range_rte.measurement import SyncedDataset, debias_squared, true_range
 from range_rte.solvers import CONVERGED, _gram, lockstep_newton
 from range_rte.simulation import DriftConfig, ScenarioConfig, trial_data, trial_rng
+
+qcqp_estimate, sdp_estimate, nls_estimate = (ESTIMATORS[name] for name in ("qcqp", "sdp", "nls"))
 
 
 def noiseless_instance(seed, d0=3.0, D=1.0, n=20):
@@ -285,6 +285,9 @@ class TestOneProblemType:
             one = assemble_qcqp(stream.windows([a], length))
             for name in ("P0", "B", "weights"):
                 assert getattr(one, name)[0].tobytes() == getattr(stacked, name)[i].tobytes()
+        # windows of no rows hold no problem to assemble
+        with pytest.raises(ValueError, match="need at least one synced sample"):
+            assemble_qcqp(stream.windows(starts, 0))
 
 
 class TestSdpRelaxation:
@@ -475,8 +478,8 @@ class TestSolveQcqp:
         origin_term = (float(T.t @ T.t) - (d0**2 - var_r)) ** 2 / (var_r * (4.0 * d0**2 + 2.0 * var_r))
         assert lifted_cost(prob, T) == pytest.approx(lifted_cost(prob_free, T) + origin_term, rel=1e-10)
         # the short d0 pulls ||t|| down, in qcqp and in nls (started at the truth) alike
-        for estimate in (qcqp_estimate, nls_estimate):
-            t_extra, t_free = (estimate(data.stack(), T.as_vector()[None])[0][0, :3] for data in (extra, free))
+        for estimate, starts in ((qcqp_estimate, ()), (nls_estimate, (T.as_vector()[None],))):
+            t_extra, t_free = (estimate(data.stack(), *starts)[0][0, :3] for data in (extra, free))
             assert np.linalg.norm(t_extra) < np.linalg.norm(t_free)
 
     def test_rigid_motion_equivariance(self):
@@ -1151,6 +1154,23 @@ class TestNls:
         dist = np.linalg.norm(b.theta_hat.t + pb @ b.theta_hat.rotation().T - pa, axis=1)
         rounding = np.finfo(float).eps * float(np.abs(dist - d) @ (dist + d)) / ds.sigma_r**2
         assert abs(a.solver["final_cost"] - b.solver["final_cost"]) <= 4.0 * rounding
+
+    def test_only_nls_takes_a_start(self):
+        # the global qcqp and sdp search every heading: a start given to them
+        # is an error, not silently dropped; nls reads its start, from zero by default
+        T, ds = noisy_instance(28)
+        stack, start = ds.stack(), T.as_vector()[None]
+        for estimate in (qcqp_estimate, sdp_estimate):
+            for data in (ds, stack):
+                with pytest.raises(TypeError):
+                    estimate(data, start)
+        for starts in ((start,), (None,), ()):
+            estimates, scalars, _ = nls_estimate(stack, *starts)
+            want, want_scalars, _ = _nls_points(stack, *starts)
+            assert estimates.tobytes() == want.tobytes()
+            assert scalars["iterations"].tolist() == want_scalars["iterations"].tolist()
+        assert nls_estimate(stack, None)[0].tobytes() == nls_estimate(stack, np.zeros((1, 4)))[0].tobytes()
+        assert nls_estimate(ds, start).theta_hat.as_vector().tobytes() == nls_estimate(stack, start)[0][0].tobytes()
 
     def test_zero_init_hard_instance_reports_outcome(self):
         # large separation, wide motion: a zero initial guess may settle in

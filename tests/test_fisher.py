@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from one_problem import dataset_fim, dataset_jacobian
 
-from range_rte.estimators import qcqp_estimate
+from range_rte.estimators import ESTIMATORS
 from range_rte.fisher import (
     DEFAULT_KAPPA_THRESHOLD,
     DET_SUBSET_CAP,
@@ -24,6 +24,8 @@ from range_rte.fisher import (
 from range_rte.geometry import Transform4DoF
 from range_rte.measurement import SyncedDataset, true_range
 from range_rte.simulation import SCENARIO_KINDS, ScenarioConfig, singular_scenario, trial_data, trial_rng
+
+qcqp_estimate = ESTIMATORS["qcqp"]
 
 
 def random_dataset(rng, k=8, sigma_r=0.1, spread=1.0, d0_offset=3.0):
@@ -169,6 +171,25 @@ class TestFim:
             alone = fim(t[i : i + 1], theta[i : i + 1], pa[i : i + 1], pb[i : i + 1], 0.1)
             for name in ("F", "crlb", "kappa", "std_errors", "singular"):
                 assert getattr(stacked, name)[i].tobytes() == getattr(alone, name)[0].tobytes(), name
+
+    def test_rows_past_the_float_range_give_no_bound(self):
+        # antennas 1e150 m out overflow det(F), 1e153 m out F itself: those
+        # rows have no bound, without a warning (an error under tier-1's
+        # filter), and the regular rows keep the bits they have alone
+        rng = np.random.default_rng(12)
+        t, theta = rng.normal(0.0, 5.0, (4, 3)), rng.uniform(-math.pi, math.pi, 4)
+        scale = np.array([1.0, 1e150, 1e153, 1.0])[:, None, None]
+        pa, pb = rng.normal(size=(4, 8, 3)) * scale, rng.normal(size=(4, 8, 3)) * scale
+        info = fim(t, theta, pa, pb, 0.1)
+        assert np.isinf(info.det_f[1]) and np.isfinite(info.F[1]).all() and not np.isfinite(info.F[2]).all()
+        for i in (1, 2):
+            assert not info.invertible[i] and info.unobservable[i].all()
+            assert np.isnan(info.crlb[i]).all() and np.isnan([info.crlb_t[i], info.crlb_theta[i]]).all()
+        assert info.kappa[2] == math.inf and info.rank[2] == 0
+        for i in (0, 3):
+            alone = fim(t[i : i + 1], theta[i : i + 1], pa[i : i + 1], pb[i : i + 1], 0.1)
+            for name in ("F", "crlb", "crlb_t", "det_f", "kappa", "rank", "std_errors", "singular", "unobservable"):
+                assert getattr(info, name)[i].tobytes() == getattr(alone, name)[0].tobytes(), name
 
 
 class TestDetGeometric:

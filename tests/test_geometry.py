@@ -209,3 +209,8 @@ def test_transform_wraps_theta():
 def test_pose_rejects_bad_quaternion():
     with pytest.raises(ValueError):
         odometry_log([0.0], np.zeros((1, 3)), [0.0, 0.0, 0.0, 1.1])
+    # and a translation or a lever arm that is not a 3-vector
+    with pytest.raises(ValueError, match=r"translation must have shape \(3,\), got \(2,\)"):
+        Transform4DoF(t=[1.0, 2.0], theta=0.0)
+    with pytest.raises(ValueError, match=r"lever arm must have shape \(3,\), got \(1, 3\)"):
+        LeverArm(np.zeros((1, 3)))

@@ -19,6 +19,8 @@ from range_rte.geometry import LeverArm, Transform4DoF, quat_to_matrix, wrap_ang
 from range_rte.measurement import SIGMA_R_FLOOR, true_range
 from range_rte.simulation import (
     LARGEST_LENGTH,
+    LARGEST_LEVER_ARM,
+    LARGEST_NOISE,
     SCENARIO_KINDS,
     DriftConfig,
     ErrorStats,
@@ -47,6 +49,9 @@ class TestGroundTruth:
         for d0 in (0.5, 3.0, 50.0):
             T = sample_ground_truth(d0, rng)
             assert np.linalg.norm(T.t) == pytest.approx(d0, abs=1e-12)
+        for d0 in (0.0, -1.0):
+            with pytest.raises(ValueError, match="d0 must be positive"):
+                sample_ground_truth(d0, rng)
 
     def test_direction_uniformity(self):
         rng = trial_rng(1, 0)
@@ -73,6 +78,11 @@ class TestTrajectory:
         rng = trial_rng(4, 0)
         positions, _ = generate_trajectory(1e-15, 10, rng)
         assert np.linalg.norm(positions, axis=1).max() <= 1e-14
+        # but a walk needs a ball of positive radius and at least one pose
+        for D, n_poses, message in ((0.0, 10, "D must be positive"), (-1.0, 10, "D must be positive"),
+                                    (1.0, 0, "n_poses must be >= 1")):
+            with pytest.raises(ValueError, match=message):
+                generate_trajectory(D, n_poses, rng)
 
     def test_deterministic_given_seed(self):
         p1, y1 = generate_trajectory(2.0, 15, trial_rng(5, 3))
@@ -594,6 +604,9 @@ class TestDrift:
             {"d0": 1e160},
             {"d0": True},
             {"sigma_r": True},
+            # a noise level past the largest that synthesis represents
+            {"sigma_r": math.nextafter(LARGEST_NOISE, math.inf)},
+            {"sigma_o": 1e300},
         ],
     )
     def test_scenario_and_walk_levels_checked(self, bad):
@@ -661,6 +674,15 @@ def test_lengths_at_the_bound_are_synthesized(monkeypatch):
     assert np.linalg.norm(cell.pa, axis=-1).max() > 0.5 * cfg.D
     stream = drift_stream(DriftConfig(d0=LARGEST_LENGTH, duration=12.0, seed=3), monkeypatch)
     assert np.isfinite(stream.d).all()
+    # so are the noise levels at LARGEST_NOISE and the lever arms at
+    # LARGEST_LEVER_ARM in every component, on top of those lengths
+    arms = (LeverArm(np.full(3, LARGEST_LEVER_ARM)), LeverArm(np.full(3, -LARGEST_LEVER_ARM)))
+    noisy = dataclasses.replace(cfg, sigma_r=LARGEST_NOISE, sigma_o=LARGEST_NOISE, lever_arms=arms)
+    _, cell = trial_data(noisy, range(noisy.trials))
+    assert cell.d0 is None and np.abs(cell.d - trial_data(cfg, range(cfg.trials))[1].d).max() > LARGEST_NOISE
+    stream = drift_stream(DriftConfig(d0=LARGEST_LENGTH, sigma_r=LARGEST_NOISE, sigma_o=LARGEST_NOISE, duration=12.0, seed=3),
+                          monkeypatch)
+    assert np.isfinite(stream.d).all() and np.isfinite(stream.pb).all()
     # numbers.Real admits a bool, which once built a cell at d0 1 m
     with pytest.raises(ValueError, match="d0 must be positive and finite"):
         ScenarioConfig(d0=True)

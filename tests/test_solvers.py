@@ -25,7 +25,7 @@ def E(i, j, n=2):
 
 def solve_one(C, A, b, **kwargs):
     """`sdp_solve` on a stack of one problem: its X, y and diagnostics (arrays of one entry)."""
-    X, y, diag = sdp_solve(np.asarray(C, dtype=float)[None], A, np.asarray(b, dtype=float)[None], **kwargs)
+    X, y, diag = sdp_solve(np.asarray(C, dtype=float)[None], A, b, **kwargs)
     return X[0], y[0], diag
 
 
@@ -108,11 +108,15 @@ class TestSdpSolve:
     def test_rejects_asymmetric_input(self):
         M = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="C must be symmetric"):
-            sdp_solve(M[None], [], np.zeros((1, 0)))
+            sdp_solve(M[None], [], np.zeros(0))
         with pytest.raises(ValueError, match="A must be symmetric"):
-            sdp_solve(np.eye(2)[None], [M], np.ones((1, 1)))
-        with pytest.raises(ValueError):  # b must hold one row per problem
-            sdp_solve(np.eye(2)[None], [E(0, 0)], np.ones(1))
+            sdp_solve(np.eye(2)[None], [M], np.ones(1))
+
+    @pytest.mark.parametrize("b", [np.ones(2), np.ones((1, 1)), np.ones(0)])
+    def test_rejects_a_right_hand_side_of_the_wrong_shape(self, b):
+        # b holds one value per constraint, shared by every problem of the stack
+        with pytest.raises(ValueError, match=r"b \(m,\)"):
+            sdp_solve(np.eye(2)[None], [E(0, 0)], b)
 
 
 def relaxation(seed):
@@ -148,11 +152,11 @@ class TestSdpStack:
         # stack, whatever their statuses or iteration counts, and a failed
         # factorisation stops only its own problem
         problems = [relaxation(seed) for seed in seeds]
-        A = problems[0][1]
-        C, b = np.array([p[0] for p in problems]), np.array([p[2] for p in problems])
+        _, A, b = problems[0]
+        C = np.array([p[0] for p in problems])
         X, y, diag = sdp_solve(C, A, b, tol=SDP_TOL, max_iter=max_iter)
         for i in range(len(seeds)):
-            X1, y1, diag1 = sdp_solve(C[i : i + 1], A, b[i : i + 1], tol=SDP_TOL, max_iter=max_iter)
+            X1, y1, diag1 = sdp_solve(C[i : i + 1], A, b, tol=SDP_TOL, max_iter=max_iter)
             assert diag1.status[0] == diag.status[i] and diag1.iterations[0] == diag.iterations[i], i
             np.testing.assert_allclose(X1[0], X[i], rtol=0.0, atol=1e-12 * np.abs(X[i]).max())
 
