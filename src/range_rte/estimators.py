@@ -36,7 +36,8 @@ stack gives each problem its rank-one state, rank and eigenvalue ratio.
 The relaxation is always feasible (lift(T) lift(T)' is, for every T), so
 it has no infeasible exit. The `nls` baseline minimizes the raw range
 residuals with the same damped engine, `solvers.lockstep_newton`, taking
-Gauss-Newton steps from each problem's own start.
+Gauss-Newton steps from each problem's own start on the ranges and rows
+of `fisher.range_model`, the rows of the FIM.
 
 Every estimator reads its problems as a `measurement.SyncedStack`.
 `assemble_qcqp` builds P0 for all W problems of a stack at once, and the
@@ -90,7 +91,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fisher import FimArrays, SingularityFlags, fim, singularity_flags
+from .fisher import FimArrays, SingularityFlags, fim, range_model, singularity_flags
 from .geometry import Transform4DoF, heading_cos_sin, wrap_angle
 from .measurement import SyncedDataset, SyncedStack, debias_squared
 from .solvers import CONVERGED, MAX_ITER, NON_FINITE, SolveDiagnostics, lockstep_newton, sdp_solve
@@ -595,9 +596,7 @@ def _sweep(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     back = (dist[1] < dist[0])[..., _PREV_HEADING]
     prev = np.where(back, cost[1][:, _PREV_HEADING], cost[0][:, _PREV_HEADING])
     curv = 0.5 * (prev + succ) - cost
-    # the products overflow from d0 ~1e90, whose refinement then diverges
-    with np.errstate(over="ignore"):
-        flat = 16.0 * curv * (cost - best) <= (prev - succ) ** 2
+    flat = 16.0 * curv * (cost - best) <= (prev - succ) ** 2
     local_min = (cost <= prev) & (cost <= succ) & ((cost == best) | flat)
     ranked = np.where(local_min & (best < math.inf), cost, math.inf).transpose(1, 0, 2).reshape(W, -1)
     order = np.argsort(ranked, axis=1, kind="stable")[:, :SWEEP_CANDIDATES]
@@ -689,12 +688,11 @@ def _secular_root(e, d1, d2, beta, two_w, half_w, x_top) -> tuple:
         last = np.where(f > 0.0, last + stride, last)
     x_floor = x_top * _ROOT_GRID[0]
     x = x_top * _ROOT_GRID[np.maximum(last, 0)]
-    with np.errstate(over="ignore"):  # the step overflows from d0 ~1e120, which the sweep then fails
-        for _ in range(8):
-            x1, x2 = d1 + x, d2 + x
-            r0, r1, r2 = (e0 / x) ** 2, (e1 / x1) ** 2, (e2 / x2) ** 2
-            step = (r0 + r1 + r2 + beta - x / two_w) / (2.0 * (r0 / x + r1 / x1 + r2 / x2) + half_w)
-            x = np.maximum(x + step, x_floor)
+    for _ in range(8):
+        x1, x2 = d1 + x, d2 + x
+        r0, r1, r2 = (e0 / x) ** 2, (e1 / x1) ** 2, (e2 / x2) ** 2
+        step = (r0 + r1 + r2 + beta - x / two_w) / (2.0 * (r0 / x + r1 / x1 + r2 / x2) + half_w)
+        x = np.maximum(x + step, x_floor)
     return last, x
 
 
@@ -713,7 +711,10 @@ def _sweep_stack(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, di
     W = len(P0)
     finite = np.isfinite(P0).all(axis=(1, 2))
     swept = P0[finite]
-    parts = [_sweep(swept[lo : lo + SWEEP_CHUNK]) for lo in range(0, len(swept), SWEEP_CHUNK)]
+    # far data overflow the sweep's products (d0 from ~1e90 m, radii and
+    # lever arms from ~1e150 m), to costs that are not finite, so no candidates
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = [_sweep(swept[lo : lo + SWEEP_CHUNK]) for lo in range(0, len(swept), SWEEP_CHUNK)]
     t, heading = np.zeros((W, SWEEP_CANDIDATES, 3)), np.zeros((W, SWEEP_CANDIDATES), dtype=np.intp)
     count = np.zeros(W, dtype=np.intp)
     if parts:
@@ -884,7 +885,8 @@ def _nls_points(stack: SyncedStack, starts: Optional[np.ndarray] = None) -> tupl
     The starts default to zero (no prior knowledge); like any local method
     this can settle in a poor minimum on hard geometry, which the solver
     scalars report rather than hide. One `lockstep_newton` call refines
-    every problem from its own start on its own rows (d, pa, pb).
+    every problem from its own start on its own rows (d, pa, pb), with
+    the residuals and gradients of `fisher.range_model`.
     Returns the estimates (W, 4), the solver scalars (iterations, status,
     final_cost, converged), one (W,) array each, and
     {problem index: error} for every problem whose refinement ended
@@ -893,18 +895,14 @@ def _nls_points(stack: SyncedStack, starts: Optional[np.ndarray] = None) -> tupl
     sigma = stack.sigma_r
 
     def lift(p, d, pa, pb):
-        # the residuals (||w|| - d) / sigma, w = t + C(theta) pb - pa, and
-        # their gradients, for the rows of each start; the second-derivative
-        # rows stay zero, so every step is a Gauss-Newton step, which ends at
-        # better minima from a zero start than exact-Hessian steps do
-        c, s = np.cos(p[:, 3:]), np.sin(p[:, 3:])
-        bx, by = c * pb[..., 0] - s * pb[..., 1], s * pb[..., 0] + c * pb[..., 1]
-        w = np.stack((bx - pa[..., 0], by - pa[..., 1], pb[..., 2] - pa[..., 2]), axis=1) + p[:, :3, None]
-        dist = np.sqrt((w * w).sum(axis=1))
+        # the residuals (d^ - d) / sigma of the range model and their gradients
+        # J' / sigma, scaled down where d^ < 1e-12 m; zero second-derivative
+        # rows make every step a Gauss-Newton step, which ends at better
+        # minima from a zero start than exact-Hessian steps do
+        dist, J = range_model(p[:, :3], p[:, 3], pa, pb)
         rows = np.zeros((len(p), 21, d.shape[1]))
         rows[:, 0] = (dist - d) / sigma
-        rows[:, 1:4] = w / (sigma * np.maximum(dist, 1e-12))[:, None]
-        rows[:, 4] = bx * rows[:, 2] - by * rows[:, 1]  # d w / d theta = (-by, bx, 0)
+        rows[:, 1:5] = J.swapaxes(1, 2) * np.minimum(dist * 1e12, 1.0)[:, None] / sigma
         return rows
 
     W = len(stack.d)

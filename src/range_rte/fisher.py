@@ -1,15 +1,16 @@
-"""Information analysis of the range set: the Jacobian, the FIM with
+"""Information analysis of the range set: the range model, the FIM with
 everything derived from it, and the determinant decomposition.
 
-Each range row contributes one Jacobian row [u^T, phi]: u is the unit
-vector along the inter-antenna line in the host frame and phi couples the
-range to the heading through the target's horizontal displacement. The
-rows of a problem are those of its `measurement.SyncedStack`, the rows
-the estimators fit; a dataset's are those of its `SyncedDataset.stack()`:
-one per range, plus one for a d0 that is not the first range itself,
-between the two frame origins (u = t / ||t||, phi = 0). `fim` and the
-determinant expansion count exactly these rows, through the one Jacobian
-`_jacobian_stack`.
+`range_model` is the one range model of the package: the ranges
+d = ||t + C(theta) pb - pa|| of W problems and one Jacobian row
+[u^T, phi] per range, u the unit vector along the inter-antenna line in
+the host frame and phi the coupling of the range to the heading through
+the target's horizontal displacement. The FIM, the determinant
+expansion, the `nls` refinement and cell synthesis read it. A problem's
+rows are those of its `measurement.SyncedStack`, the rows the estimators
+fit; a dataset's those of its `SyncedDataset.stack()`: one per range,
+plus one for a d0 that is not the first range itself, between the two
+frame origins (u = t / ||t||, phi = 0).
 
 The FIM is the noise-weighted Gram matrix of the rows. `fim_arrays`
 derives every quantity of a stack of FIMs in one pass, as stacked
@@ -83,23 +84,22 @@ class SingularityFlags:
     kappa_threshold: float
 
 
-def _jacobian_stack(t: np.ndarray, theta: np.ndarray, pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Jacobians of W problems, shape (W, k, 4), one row [u^T, phi] per range.
+def range_model(t, theta, pa, pb) -> tuple[np.ndarray, np.ndarray]:
+    """The range model of W problems, the one of the package: the ranges
+    d = ||t + C(theta) pb - pa|| (W, k) and their Jacobian rows (W, k, 4).
 
     t (W, 3) and theta (W,) are the transforms, pa and pb (W, k, 3) the
-    antenna positions of each problem's ranges. u = (t + C pb - pa) / d
-    and phi = [uz x (C pb)] . u. Raises SingularGeometryError when two
-    antennas coincide.
+    antenna positions of each problem's ranges. Row [u^T, phi] of a range
+    is its gradient in (t, theta): u = (t + C pb - pa) / d and
+    phi = [uz x (C pb)] . u. A zero range has the zero row.
     """
     R = yaw_matrices(*heading_cos_sin(theta))
     rotated_b = pb @ R.swapaxes(-1, -2)
-    W = t[:, None, :] + rotated_b - pa
-    d = np.linalg.norm(W, axis=-1)
-    if np.any(d <= 0.0):
-        raise SingularGeometryError("zero range encountered in dataset")
-    U = W / d[..., None]
+    w = t[:, None, :] + rotated_b - pa
+    d = np.linalg.norm(w, axis=-1)
+    U = w / np.where(d > 0.0, d, 1.0)[..., None]
     phi = -rotated_b[..., 1] * U[..., 0] + rotated_b[..., 0] * U[..., 1]  # [uz x (C pb)] . u
-    return np.concatenate([U, phi[..., None]], axis=-1)
+    return d, np.concatenate([U, phi[..., None]], axis=-1)
 
 
 @dataclass
@@ -219,7 +219,9 @@ def fim(t, theta, pa, pb, sigma_r: float) -> FimArrays:
     antenna positions of each problem's ranges, as a `SyncedStack` holds
     them. F = sigma_r^-2 J^T J, derived by `fim_arrays`.
     """
-    J = _jacobian_stack(np.asarray(t, dtype=float), np.asarray(theta, dtype=float), pa, pb)
+    d, J = range_model(np.asarray(t, dtype=float), np.asarray(theta, dtype=float), pa, pb)
+    if np.any(d <= 0.0):
+        raise SingularGeometryError("zero range encountered in dataset")
     with np.errstate(over="ignore", invalid="ignore"):  # a row past the float range has no bound (`fim_arrays`)
         F = (J.swapaxes(-1, -2) @ J) / sigma_r**2
     return fim_arrays(F)
@@ -240,7 +242,9 @@ def det_fim_geometric(T: Transform4DoF, dataset: SyncedDataset) -> float:
     analysis tool, not an estimator path).
     """
     stack = dataset.stack()
-    J = _jacobian_stack(T.t[None], np.array([T.theta]), stack.pa, stack.pb)[0]
+    (d,), (J,) = range_model(T.t[None], np.array([T.theta]), stack.pa, stack.pb)
+    if np.any(d <= 0.0):
+        raise SingularGeometryError("zero range encountered in dataset")
     if len(J) < 4:
         raise InsufficientDataError(f"need at least 4 measurements, got {len(J)}")
     if len(J) > DET_SUBSET_CAP:

@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import LeverArm, Transform4DoF, interpolate_quats, quat_to_matrix
+from .geometry import LeverArm, interpolate_quats, quat_to_matrix
 
 # Floor keeps noiseless (sigma_r = 0) synthetic data usable: weights and
 # information matrices need a strictly positive range variance.
@@ -275,17 +275,6 @@ def at_frame_origins(pa, pb) -> np.ndarray:
     return ~(np.any(pa, axis=-1) | np.any(pb, axis=-1))
 
 
-def true_range(T: Transform4DoF, pa, pb):
-    """Inter-antenna distance ||t + C(theta) pb - pa|| under transform T.
-
-    Accepts single points (3,) or batches (N, 3); broadcasting follows numpy.
-    """
-    pa = np.asarray(pa, dtype=float)
-    pb = np.asarray(pb, dtype=float)
-    w = T.t + pb @ T.rotation().T - pa
-    return np.linalg.norm(w, axis=-1)
-
-
 def antenna_positions(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Antenna positions p + R(q) r, shape (..., 3), of an agent whose body
     sits at positions p (..., 3) with attitudes q (..., 4), unit
@@ -371,14 +360,18 @@ def debias_squared(dataset: SyncedDataset | SyncedStack) -> tuple[np.ndarray, np
     The noise on d~^2 is nu = 2 d eta + eta^2 with mean sigma_r^2 and
     variance sigma_r^2 (4 d~^2 + 2 sigma_r^2); subtracting the mean gives
     an approximately Gaussian squared-distance error. A variance that
-    underflows to 0 (sigma_r far below SIGMA_R_FLOOR) raises ValueError.
+    overflows (sigma_r from ~1e77 m at ~1 m ranges) or underflows to 0
+    (sigma_r far below SIGMA_R_FLOOR) raises ValueError.
     """
-    var_r, d = dataset.sigma_r**2, dataset.d
-    s = d**2 - var_r
-    variance = var_r * (4.0 * d**2 + 2.0 * var_r)
+    d = dataset.d
+    with np.errstate(over="ignore"):
+        var_r = np.float64(dataset.sigma_r) ** 2  # Python's pow, without its OverflowError
+        variance = var_r * (4.0 * d**2 + 2.0 * var_r)
+    if not variance.max() < math.inf:
+        raise ValueError(f"sigma_r must be small enough for finite squared-distance variances, got {dataset.sigma_r!r}")
     if np.any(variance <= 0):
         raise ValueError("squared-distance variances must be strictly positive")
-    return s, variance
+    return d**2 - var_r, variance
 
 
 def range_rate_outliers(dataset: SyncedDataset) -> np.ndarray:

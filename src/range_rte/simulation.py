@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .estimators import ESTIMATORS, WindowTrack, align_target_trajectory, sliding_window_estimate
-from .fisher import fim
-from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, heading_cos_sin, wrap_angle, yaw_matrices
+from .fisher import fim, range_model
+from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, wrap_angle, yaw_matrices
 from .measurement import LARGEST_RANGE, SIGMA_R_FLOOR, SyncedDataset, SyncedStack, antenna_positions, at_frame_origins
 
 SCENARIO_KINDS = ("parallel", "planar_linear", "static_target", "static_host")
@@ -308,8 +308,9 @@ def synthesize_measurements(
     T_true is the pair (t (W, 3), theta (W,)) of the W truths, each
     trajectory is (positions (W, n, 3), headings (W, n)), sample i taken
     at i seconds, and rngs holds one generator per trial. The true
-    antenna positions and ranges of all trials are computed once on
-    (W, n, 3) arrays, then made noisy by the measurement step (`_measure`).
+    antenna positions of all trials are computed once on (W, n, 3) arrays,
+    their true ranges by the range model (`fisher.range_model`), then made
+    noisy by the measurement step (`_measure`).
     """
     t, theta = T_true
     n = min(traj_a[1].shape[1], traj_b[1].shape[1])
@@ -318,8 +319,7 @@ def synthesize_measurements(
     q = np.zeros(yaws.shape + (4,))
     q[..., 2], q[..., 3] = np.sin(0.5 * yaws), np.cos(0.5 * yaws)
     pa, pb = map(antenna_positions, positions, q, [arm.r for arm in cfg.lever_arms])
-    R = yaw_matrices(*heading_cos_sin(theta))
-    return _measure(np.linalg.norm(t[:, None, :] + pb @ R.swapaxes(-1, -2) - pa, axis=-1), pa, pb, cfg, rngs)
+    return _measure(range_model(t, theta, pa, pb)[0], pa, pb, cfg, rngs)
 
 
 def _measure(d, pa, pb, cfg: ScenarioConfig | DriftConfig, rngs: Sequence[np.random.Generator]) -> SyncedStack:

@@ -1,9 +1,17 @@
-"""The FIM and the Jacobian of one dataset's problem at one transform, for
-the tests: the stacked functions on the dataset's stack of one."""
+"""The range model, the FIM and the Jacobian of one problem at one
+transform, for the tests: the stacked functions on a stack of one."""
 
 import numpy as np
 
-from range_rte.fisher import _jacobian_stack, fim
+from range_rte.fisher import fim, range_model
+
+
+def model_ranges(T, pa, pb) -> np.ndarray:
+    """The ranges at T between antenna positions pa and pb, (k, 3) or (3,)
+    each, broadcast: `range_model` on a stack of one, of shape (k,) or ()."""
+    pa, pb = np.broadcast_arrays(np.asarray(pa, dtype=float), np.asarray(pb, dtype=float))
+    (d,), _ = range_model(T.t[None], np.array([T.theta]), pa.reshape(1, -1, 3), pb.reshape(1, -1, 3))
+    return d.reshape(pa.shape[:-1])
 
 
 def dataset_fim(T, data):
@@ -13,6 +21,7 @@ def dataset_fim(T, data):
 
 
 def dataset_jacobian(T, data) -> np.ndarray:
-    """The (k, 4) Jacobian at T of a dataset's problem: `_jacobian_stack` on its stack of one."""
+    """The (k, 4) Jacobian at T of a dataset's problem: the rows of `range_model` on its stack of one."""
     stack = data.stack()
-    return _jacobian_stack(T.t[None], np.array([T.theta]), stack.pa, stack.pb)[0]
+    _, (J,) = range_model(T.t[None], np.array([T.theta]), stack.pa, stack.pb)
+    return J

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from one_problem import dataset_fim
+from one_problem import dataset_fim, model_ranges
 
 from range_rte.cli import DRIFT_DEFAULTS, DRIFT_FIELDS, ESTIMATE_DEFAULTS, SIM_DEFAULTS, SIM_FIELDS, main
 from range_rte.estimators import ESTIMATORS
@@ -24,7 +24,7 @@ from range_rte.io_formats import (
     write_ranges_csv,
 )
 from range_rte.fisher import DEFAULT_KAPPA_THRESHOLD
-from range_rte.measurement import ingest_logs, odometry_log, range_log, true_range
+from range_rte.measurement import ingest_logs, odometry_log, range_log
 from range_rte.simulation import LARGEST_LENGTH, LARGEST_LEVER_ARM, LARGEST_NOISE, DriftConfig, ScenarioConfig
 
 
@@ -53,7 +53,7 @@ def synthetic_logs(tmp_path, T=None, n=60, noise=0.0, spike=None, static_host=Fa
     else:
         pa = np.cumsum(rng.normal(0.0, 0.25, size=(n, 3)), axis=0)
     pb = np.cumsum(rng.normal(0.0, 0.25, size=(n, 3)), axis=0)
-    d = true_range(T, pa, pb)
+    d = model_ranges(T, pa, pb)
     d = d + rng.normal(0.0, noise, size=n) if noise > 0 else d
     if spike is not None:
         idx, magnitude = spike
@@ -566,7 +566,7 @@ class TestFimCommand:
         pa = np.arange(n)[:, None] * v
         T = Transform4DoF(t=[3.0, 0.0, 0.0], theta=0.4)
         pb = (pa + np.array([2.0, 1.0, 0.0]) - T.t) @ T.rotation()
-        d = true_range(T, pa, pb)
+        d = model_ranges(T, pa, pb)
         t_axis = np.arange(n) * 0.1
         write_odometry_csv(str(tmp_path / "a.csv"), odometry_log(t_axis, pa))
         write_odometry_csv(str(tmp_path / "b.csv"), odometry_log(t_axis, pb))
@@ -871,6 +871,12 @@ class TestConfigValues:
             ("simulate", {"lever_arm_b_m": [0.0, 0.0, -math.nextafter(LARGEST_LEVER_ARM, math.inf)]}, "lever_arms[1]"),
             ("drift", {"sigma_r_m": 1e300}, "sigma_r"),
             ("drift", {"sigma_o_m": math.nextafter(LARGEST_NOISE, math.inf)}, "sigma_o"),
+            # a sigma_r_m whose squared-distance variances overflow: 1e100 once
+            # exited 1 on a floating-point warning (qcqp, sdp) or ran with every
+            # weight 0, and 1e160 (estimate) exited 1 on an OverflowError
+            ("simulate", {"sigma_r_m": 1e100, "estimator": "qcqp"}, "sigma_r"),
+            ("drift", {"sigma_r_m": 1e100, "estimator": "qcqp"}, "sigma_r"),
+            ("estimate", {"sigma_r_m": 1e160, "estimator": "sdp"}, "sigma_r"),
             ("simulate", {"sigma_r_m": True}, "sigma_r_m"),
             ("drift", {"sigma_t_m": True}, "sigma_t_m"),
             ("simulate", {"emit_logs": "no"}, "emit_logs"),
@@ -1074,7 +1080,7 @@ class TestTimeShiftInvariance:
         t_rng = 0.037 + 0.08 * np.arange(n - 2)  # between odometry stamps
         arm_a, arm_b = LeverArm([0.1, -0.05, 0.02]), LeverArm([-0.12, 0.0, 0.07])
         ds, _ = ingest_logs(odom_a, odom_b, range_log(t_rng, 1.0), arm_a, arm_b)
-        d = true_range(T, ds.pa, ds.pb) + 0.05 * rng.standard_normal(len(ds))
+        d = model_ranges(T, ds.pa, ds.pb) + 0.05 * rng.standard_normal(len(ds))
         cfg = {"sigma_r_m": 0.05, "lever_arm_a_m": arm_a.r.tolist(), "lever_arm_b_m": arm_b.r.tolist()}
         reports = []
         with tempfile.TemporaryDirectory() as tmp:

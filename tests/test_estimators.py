@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from lm_reference import lift_jacobian, lm_least_squares, lm_refine
+from one_problem import model_ranges
 from sweep_reference import clear_decisions, reference_sweep
 
 from range_rte.estimators import (
@@ -38,9 +39,9 @@ from range_rte.estimators import (
     sliding_window_estimate,
     solve_sdp_relaxation,
 )
-from range_rte.fisher import DEFAULT_KAPPA_THRESHOLD, confidence_intervals, fim, fim_arrays
+from range_rte.fisher import DEFAULT_KAPPA_THRESHOLD, confidence_intervals, fim, fim_arrays, range_model
 from range_rte.geometry import Transform4DoF, wrap_angle
-from range_rte.measurement import SyncedDataset, debias_squared, true_range
+from range_rte.measurement import SyncedDataset, debias_squared
 from range_rte.solvers import CONVERGED, _gram, lockstep_newton
 from range_rte.simulation import DriftConfig, ScenarioConfig, trial_data, trial_rng
 
@@ -89,7 +90,7 @@ def near_planar_instance(seed, n=20):
     T = Transform4DoF(t=d0 * v / np.linalg.norm(v), theta=rng.uniform(-math.pi, math.pi))
     pa = np.column_stack([np.cumsum(rng.normal(0.0, 0.5, (n, 2)), axis=0), np.zeros(n)])
     pb = np.column_stack([np.cumsum(rng.normal(0.0, 0.5, (n, 2)), axis=0), np.full(n, pb_z)])
-    d = np.abs(true_range(T, pa, pb) + 0.05 * rng.standard_normal(n))
+    d = np.abs(model_ranges(T, pa, pb) + 0.05 * rng.standard_normal(n))
     pa, pb = pa + sigma_o * rng.standard_normal(pa.shape), pb + sigma_o * rng.standard_normal(pb.shape)
     return T, SyncedDataset(t=np.arange(float(n)), d=d, pa=pa, pb=pb, sigma_r=0.05), pb_z
 
@@ -100,7 +101,7 @@ def random_stream(rng, n, sigma_r=0.1):
     T = Transform4DoF(t=rng.uniform(2.0, 20.0) * v / np.linalg.norm(v), theta=rng.uniform(-math.pi, math.pi))
     pa = np.cumsum(rng.normal(0.0, 0.5, (n, 3)), axis=0)
     pb = np.cumsum(rng.normal(0.0, 0.5, (n, 3)), axis=0)
-    d = np.maximum(np.abs(true_range(T, pa, pb) + sigma_r * rng.standard_normal(n)), 1e-3)
+    d = np.maximum(np.abs(model_ranges(T, pa, pb) + sigma_r * rng.standard_normal(n)), 1e-3)
     return SyncedDataset(t=np.arange(float(n)), d=d, pa=pa, pb=pb, sigma_r=sigma_r)
 
 
@@ -171,7 +172,7 @@ class TestDataRow:
         for _ in range(30):
             T = Transform4DoF(t=rng.normal(size=3), theta=rng.uniform(-math.pi, math.pi))
             pa, pb = rng.normal(size=3), rng.normal(size=3)
-            d2 = float(true_range(T, pa, pb)) ** 2
+            d2 = float(model_ranges(T, pa, pb)) ** 2
             s_val = rng.uniform(0.5, 4.0)
             row = build_data_rows([pa], [pb], [s_val])[0]
             assert row @ lift(T) == pytest.approx(d2 - s_val, rel=1e-12, abs=1e-12)
@@ -429,7 +430,7 @@ class TestSolveQcqp:
         C = T.rotation()
         wb = np.column_stack([np.linspace(1, 0.2, n), np.linspace(3, 3.5, n), np.zeros(n)])
         pb = (wb - T.t) @ C  # target local frame shares the plane
-        d = true_range(T, pa, pb)
+        d = model_ranges(T, pa, pb)
         ds = SyncedDataset(t=np.arange(float(n)), d=d, pa=pa, pb=pb, sigma_r=0.1, d0=None)
         prob = assemble_qcqp(ds)
         for dz in (0.3, 0.7, 1.4):
@@ -449,7 +450,7 @@ class TestSolveQcqp:
         n = 30
         pa = np.column_stack([rng.normal(0.0, 2.0, (n, 2)), np.zeros(n)])
         pb = np.column_stack([rng.normal(0.0, 2.0, (n, 2)), np.full(n, pb_z)])
-        ds = SyncedDataset(t=np.arange(float(n)), d=true_range(T, pa, pb), pa=pa, pb=pb, sigma_r=1e-6)
+        ds = SyncedDataset(t=np.arange(float(n)), d=model_ranges(T, pa, pb), pa=pa, pb=pb, sigma_r=1e-6)
         rep = qcqp_estimate(ds)
         assert np.allclose(rep.theta_hat.t[:2], T.t[:2], atol=1e-6)
         assert abs(rep.theta_hat.t[2] + pb_z) == pytest.approx(T.t[2] + pb_z, abs=1e-6)
@@ -997,7 +998,7 @@ class TestYawSweep:
             assert 1 <= len(cands) <= SWEEP_CANDIDATES
             for c in cands:
                 assert np.all(np.isfinite(c.t)) and math.isfinite(c.theta)
-                assert float(true_range(c, pa[0], pb[0])) == pytest.approx(3.0, abs=0.01)
+                assert float(model_ranges(c, pa[0], pb[0])) == pytest.approx(3.0, abs=0.01)
 
     def test_candidates_sorted_by_cost(self):
         T, ds = noisy_instance(80, d0=20.0, sigma_r=0.4)
@@ -1119,6 +1120,31 @@ class TestSweepChunks:
 
 
 class TestNls:
+    def test_rows_are_those_of_the_range_model(self, monkeypatch):
+        # the lift's row 0 is (d^ - d) / sigma and rows 1-4 are J' / sigma, both
+        # of `range_model`; a start at which a range is zero has a zero gradient
+        # there, and the curvature rows stay zero
+        from range_rte import estimators
+
+        _, cell = trial_data(ScenarioConfig(n_poses=12, trials=3, seed=4), range(3))
+        cell.pb[2, 0] = 0.0
+        starts = np.column_stack((np.random.default_rng(4).normal(size=(3, 3)), [0.3, -1.0, 2.0]))
+        starts[2, :3] = cell.pa[2, 0]  # range 0 of problem 2 is zero at its start
+        seen = {}
+
+        def spy(lift, p0, max_iter, data):
+            seen["rows"] = lift(p0, *data)
+            return lockstep_newton(lift, p0, max_iter, data=data)
+
+        monkeypatch.setattr(estimators, "lockstep_newton", spy)
+        _nls_points(cell, starts)
+        d_hat, J = range_model(starts[:, :3], starts[:, 3], cell.pa, cell.pb)
+        assert d_hat[2, 0] == 0.0
+        rows = seen["rows"]
+        assert np.array_equal(rows[:, 0], (d_hat - cell.d) / cell.sigma_r)
+        assert np.array_equal(rows[:, 1:5], J.swapaxes(1, 2) / cell.sigma_r)
+        assert not rows[2, 1:5, 0].any() and not rows[:, 5:].any()
+
     def test_truth_start_noiseless(self):
         T, ds = noiseless_instance(25)
         # nominal sigma keeps ulp-level residuals below the gradient tolerance

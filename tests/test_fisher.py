@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from one_problem import dataset_fim, dataset_jacobian
+from one_problem import dataset_fim, dataset_jacobian, model_ranges
 
 from range_rte.estimators import ESTIMATORS
 from range_rte.fisher import (
@@ -20,9 +20,10 @@ from range_rte.fisher import (
     det_fim_geometric,
     fim,
     fim_arrays,
+    range_model,
 )
-from range_rte.geometry import Transform4DoF
-from range_rte.measurement import SyncedDataset, true_range
+from range_rte.geometry import Transform4DoF, apply_transform
+from range_rte.measurement import SyncedDataset
 from range_rte.simulation import SCENARIO_KINDS, ScenarioConfig, singular_scenario, trial_data, trial_rng
 
 qcqp_estimate = ESTIMATORS["qcqp"]
@@ -43,8 +44,8 @@ def finite_difference_row(T, pa, pb, h=1e-6):
         vp, vm = v0.copy(), v0.copy()
         vp[i] += h
         vm[i] -= h
-        dp = true_range(Transform4DoF(t=vp[:3], theta=vp[3]), pa, pb)
-        dm = true_range(Transform4DoF(t=vm[:3], theta=vm[3]), pa, pb)
+        dp = model_ranges(Transform4DoF(t=vp[:3], theta=vp[3]), pa, pb)
+        dm = model_ranges(Transform4DoF(t=vm[:3], theta=vm[3]), pa, pb)
         g[i] = (dp - dm) / (2 * h)
     return g
 
@@ -52,8 +53,56 @@ def finite_difference_row(T, pa, pb, h=1e-6):
 coordinates = st.floats(-5.0, 5.0, allow_nan=False)
 
 
-class TestRangeJacobian:
-    """`_jacobian_stack`, the one Jacobian of the package."""
+class TestRangeModel:
+    """`range_model`, the one range model of the package: its ranges and Jacobian rows."""
+
+    def test_pure_translation(self):
+        T = Transform4DoF(t=[3.0, 0.0, 0.0], theta=0.0)
+        assert model_ranges(T, np.zeros(3), np.zeros(3)) == pytest.approx(3.0)
+
+    def test_rotation_preserves_norm(self):
+        pb = np.array([1.0, 2.0, -0.5])
+        for theta in np.linspace(-math.pi, math.pi, 9):
+            T = Transform4DoF(t=np.zeros(3), theta=theta)
+            assert model_ranges(T, np.zeros(3), pb) == pytest.approx(np.linalg.norm(pb))
+
+    def test_matches_compose_then_norm(self):
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            T = Transform4DoF(t=rng.normal(size=3), theta=rng.uniform(-math.pi, math.pi))
+            pa, pb = rng.normal(size=3), rng.normal(size=3)
+            expected = np.linalg.norm(apply_transform(T, pb) - pa)
+            assert model_ranges(T, pa, pb) == pytest.approx(expected, rel=1e-12)
+
+    def test_invariant_under_common_rigid_motion(self):
+        rng = np.random.default_rng(1)
+        T = Transform4DoF(t=rng.normal(size=3), theta=0.4)
+        pa, pb = rng.normal(size=3), rng.normal(size=3)
+        d0 = model_ranges(T, pa, pb)
+        # move the host frame: rotate by psi about the origin and shift
+        psi, shift = 0.8, rng.normal(size=3)
+        R = Transform4DoF(t=np.zeros(3), theta=psi).rotation()
+        T2 = Transform4DoF(t=R @ T.t + shift, theta=T.theta + psi)
+        assert model_ranges(T2, R @ pa + shift, pb) == pytest.approx(float(d0), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), W=st.integers(1, 4), k=st.integers(1, 6))
+    def test_rows_are_central_differences_of_the_ranges(self, seed, W, k):
+        # the rows of a stack of W problems are the derivatives of its own ranges
+        rng = np.random.default_rng(seed)
+        p = np.column_stack((rng.uniform(-5.0, 5.0, (W, 3)), rng.uniform(-math.pi, math.pi, W)))
+        pa, pb = rng.uniform(-5.0, 5.0, (W, k, 3)), rng.uniform(-5.0, 5.0, (W, k, 3))
+        d, J = range_model(p[:, :3], p[:, 3], pa, pb)
+        assume(d.min() > 0.5)
+        assert d.shape == (W, k) and J.shape == (W, k, 4)
+        h = 1e-6
+        for i in range(4):
+            step = np.zeros(4)
+            step[i] = h
+            up, down = p + step, p - step
+            dp, _ = range_model(up[:, :3], up[:, 3], pa, pb)
+            dm, _ = range_model(down[:, :3], down[:, 3], pa, pb)
+            np.testing.assert_allclose(J[..., i], (dp - dm) / (2 * h), atol=1e-6)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -69,7 +118,7 @@ class TestRangeJacobian:
         T = Transform4DoF(t=np.array(t), theta=theta)
         pa = np.array(pa)
         pb = np.random.default_rng(pb_seed).uniform(-5.0, 5.0, pa.shape)
-        ranges = true_range(T, pa, pb)
+        ranges = model_ranges(T, pa, pb)
         assume(ranges.min() > 0.5 and (d0 is None or np.linalg.norm(T.t) > 0.5))
         ds = SyncedDataset(t=np.arange(float(len(pa))), d=ranges + 1.0, pa=pa, pb=pb, sigma_r=0.1, d0=d0)
         J = dataset_jacobian(T, ds)
@@ -91,9 +140,14 @@ class TestRangeJacobian:
         assert np.array_equal(J, [[1.0, 0.0, 0.0, 0.0]])
 
     def test_zero_range_raises(self):
-        ds = SyncedDataset(t=[0.0], d=[1.0], pa=np.zeros((1, 3)), pb=np.zeros((1, 3)), sigma_r=0.1)
-        with pytest.raises(SingularGeometryError):
-            dataset_jacobian(Transform4DoF(t=np.zeros(3), theta=0.0), ds)
+        # a zero range has the zero row, without a warning, and no information
+        ds = SyncedDataset(t=np.arange(4.0), d=np.ones(4), pa=np.zeros((4, 3)), pb=np.zeros((4, 3)), sigma_r=0.1)
+        T = Transform4DoF(t=np.zeros(3), theta=0.0)
+        assert np.array_equal(dataset_jacobian(T, ds), np.zeros((4, 4)))
+        with pytest.raises(SingularGeometryError, match="zero range"):
+            dataset_fim(T, ds)
+        with pytest.raises(SingularGeometryError, match="zero range"):
+            det_fim_geometric(T, ds)
 
 
 class TestFim:

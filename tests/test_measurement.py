@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from one_problem import model_ranges
 
 from range_rte.geometry import (
     LeverArm,
     Transform4DoF,
-    apply_transform,
     quat_to_matrix,
     yaw_quat,
 )
@@ -23,43 +23,11 @@ from range_rte.measurement import (
     odometry_log,
     range_log,
     range_rate_outliers,
-    true_range,
 )
 
 
 def make_dataset(pa, pb, d, sigma_r=0.1, d0=None):
     return SyncedDataset(t=np.arange(float(len(d))), d=d, pa=pa, pb=pb, sigma_r=sigma_r, d0=d0)
-
-
-class TestTrueRange:
-    def test_pure_translation(self):
-        T = Transform4DoF(t=[3.0, 0.0, 0.0], theta=0.0)
-        assert true_range(T, np.zeros(3), np.zeros(3)) == pytest.approx(3.0)
-
-    def test_rotation_preserves_norm(self):
-        pb = np.array([1.0, 2.0, -0.5])
-        for theta in np.linspace(-math.pi, math.pi, 9):
-            T = Transform4DoF(t=np.zeros(3), theta=theta)
-            assert true_range(T, np.zeros(3), pb) == pytest.approx(np.linalg.norm(pb))
-
-    def test_matches_compose_then_norm(self):
-        rng = np.random.default_rng(0)
-        for _ in range(30):
-            T = Transform4DoF(t=rng.normal(size=3), theta=rng.uniform(-math.pi, math.pi))
-            pa, pb = rng.normal(size=3), rng.normal(size=3)
-            expected = np.linalg.norm(apply_transform(T, pb) - pa)
-            assert true_range(T, pa, pb) == pytest.approx(expected, rel=1e-12)
-
-    def test_invariant_under_common_rigid_motion(self):
-        rng = np.random.default_rng(1)
-        T = Transform4DoF(t=rng.normal(size=3), theta=0.4)
-        pa, pb = rng.normal(size=3), rng.normal(size=3)
-        d0 = true_range(T, pa, pb)
-        # move the host frame: rotate by psi about the origin and shift
-        psi, shift = 0.8, rng.normal(size=3)
-        R = Transform4DoF(t=np.zeros(3), theta=psi).rotation()
-        T2 = Transform4DoF(t=R @ T.t + shift, theta=T.theta + psi)
-        assert true_range(T2, R @ pa + shift, pb) == pytest.approx(float(d0), rel=1e-12)
 
 
 class TestIngest:
@@ -280,6 +248,14 @@ class TestDebias:
         with pytest.raises(ValueError, match="variances must be strictly positive"):
             debias_squared(stack)
 
+    def test_variance_that_overflows_rejected(self):
+        # sigma_r 1e100 m: sigma_r^2 (4 d^2 + 2 sigma_r^2) overflows, and every
+        # weight would be 0; 1e160 m overflows sigma_r^2 itself
+        for sigma_r in (1e100, 1e160):
+            stack = SyncedStack(d=np.ones((1, 3)), pa=np.zeros((1, 3, 3)), pb=np.ones((1, 3, 3)), sigma_r=sigma_r)
+            with pytest.raises(ValueError, match="sigma_r must be small enough for finite squared-distance variances"):
+                debias_squared(stack)
+
     def test_elementwise_independence(self):
         ds = make_dataset(pa=[np.zeros(3)] * 2, pb=[np.ones(3)] * 2, d=[3.0, 3.0], sigma_r=0.2)
         s, variance = debias_squared(ds)
@@ -303,7 +279,7 @@ def moving_dataset(n=200, sigma_r=0.1, seed=0, T=None):
     T = T or Transform4DoF(t=[4.0, -2.0, 1.0], theta=0.7)
     pa = np.cumsum(rng.normal(0.0, 0.3, size=(n, 3)), axis=0)
     pb = np.cumsum(rng.normal(0.0, 0.3, size=(n, 3)), axis=0)
-    d = true_range(T, pa, pb) + sigma_r * rng.standard_normal(n)
+    d = model_ranges(T, pa, pb) + sigma_r * rng.standard_normal(n)
     return make_dataset(pa, pb, d, sigma_r=sigma_r)
 
 
@@ -319,7 +295,7 @@ class TestRangeRateGate:
         rng = np.random.default_rng(seed)
         pa = np.cumsum(rng.normal(0.0, step, size=(30, 3)), axis=0)
         pb = np.cumsum(rng.normal(0.0, step, size=(30, 3)), axis=0)
-        d = np.maximum(true_range(Transform4DoF(t=t, theta=theta), pa, pb), 1e-6)
+        d = np.maximum(model_ranges(Transform4DoF(t=t, theta=theta), pa, pb), 1e-6)
         ds = make_dataset(pa, pb, d, sigma_r=1e-9)
         assert not range_rate_outliers(ds).any()
 

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
-from one_problem import dataset_fim, dataset_jacobian
+from one_problem import dataset_fim, dataset_jacobian, model_ranges
 from walk_reference import generate_trajectory as reference_walk
 
 from range_rte import simulation
 from range_rte.estimators import ESTIMATORS, assemble_qcqp
-from range_rte.fisher import det_fim_geometric, fim
+from range_rte.fisher import det_fim_geometric, fim, range_model
 from range_rte.geometry import LeverArm, Transform4DoF, quat_to_matrix, wrap_angle, yaw_quat
-from range_rte.measurement import SIGMA_R_FLOOR, true_range
+from range_rte.measurement import SIGMA_R_FLOOR
 from range_rte.simulation import (
     LARGEST_LENGTH,
     LARGEST_LEVER_ARM,
@@ -148,7 +148,7 @@ class TestArraysEqualPerStepReference:
         ta, tb = (reference_trajectory(cfg.D, cfg.n_poses, rng) for _ in range(2))
         pa = np.array([p + quat_to_matrix(q) @ arms[0].r for p, q in ta])
         pb = np.array([p + quat_to_matrix(q) @ arms[1].r for p, q in tb])
-        d = np.maximum(true_range(T, pa, pb) + cfg.sigma_r * rng.standard_normal(len(pa)), 1e-9)
+        d = np.maximum(model_ranges(T, pa, pb) + cfg.sigma_r * rng.standard_normal(len(pa)), 1e-9)
         assert np.array_equal(ds.d, d)
         assert np.array_equal(ds.pa, pa + cfg.sigma_o * rng.standard_normal(pa.shape))
         assert np.array_equal(ds.pb, pb + cfg.sigma_o * rng.standard_normal(pb.shape))
@@ -179,7 +179,15 @@ class TestSynthesize:
         ta = generate_trajectory(cfg.D, cfg.n_poses, rng)
         tb = generate_trajectory(cfg.D, cfg.n_poses, rng)
         one = synthesize_one(T, ta, tb, cfg, rng)
-        assert np.allclose(one.d[0], true_range(T, one.pa[0], one.pb[0]), atol=1e-14)
+        assert np.array_equal(one.d[0], model_ranges(T, one.pa[0], one.pb[0]))
+
+    def test_noiseless_stack_has_the_range_model_ranges(self):
+        # with sigma_r = sigma_o = 0 a cell's ranges are those of the range model at its truths, bit for bit
+        arms = (LeverArm([-0.02, 0.1, -0.05]), LeverArm([-0.05, 0.15, -0.15]))
+        for lever_arms in ((LeverArm(), LeverArm()), arms):
+            cfg = ScenarioConfig(n_poses=15, sigma_r=0.0, sigma_o=0.0, trials=6, seed=7, lever_arms=lever_arms)
+            (t, theta), cell = trial_data(cfg, range(cfg.trials))
+            assert np.array_equal(cell.d, range_model(t, theta, cell.pa, cell.pb)[0])
 
     def test_range_noise_level(self):
         cfg = ScenarioConfig(d0=5.0, D=0.001, n_poses=10_000, sigma_r=0.1, sigma_o=0.0, trials=1, seed=8)
@@ -188,7 +196,7 @@ class TestSynthesize:
         ta = generate_trajectory(cfg.D, cfg.n_poses, rng)
         tb = generate_trajectory(cfg.D, cfg.n_poses, rng)
         one = synthesize_one(T, ta, tb, cfg, rng)
-        resid = one.d[0] - true_range(T, one.pa[0], one.pb[0])
+        resid = one.d[0] - model_ranges(T, one.pa[0], one.pb[0])
         assert np.std(resid) == pytest.approx(0.1, rel=0.03)
 
     def test_lever_arm_range_bound(self):
@@ -354,18 +362,22 @@ class TestMonteCarlo:
         assert ESTIMATORS[estimator](dataset).solver["wall_ms"] == 1000.0
         assert monte_carlo_run(cfg, estimator).solve_ms.tolist() == [250.0] * 4
 
-    @pytest.mark.parametrize("estimator", ["qcqp", "sdp"])
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
     def test_far_cells_end_without_floating_point_warnings(self, estimator):
         # d0 1e80 to 1e150 m: P0 is finite, but the sdp unscaling, the
-        # sweep's parabola test and its secular Newton step overflow. Each
-        # trial has a finite error or fails on its own, with no warning
-        for d0 in (1e80, 1e100, 1e120, 1e150):
+        # sweep's parabola test and its secular Newton step overflow; a
+        # radius of 1e151 m and a lever arm of 2e152 m overflow the sweep's
+        # root bound and its parabola test. Each trial has a finite error or
+        # fails on its own, with no warning
+        far = [{"d0": d0, "sigma_r": 0.01} for d0 in (1e80, 1e100, 1e120, 1e150)]
+        far += [{"D": 1e151}, {"lever_arms": (LeverArm(r=[2e152, 0.0, 0.0]), LeverArm())}]
+        for cell in far:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                stats = monte_carlo_run(ScenarioConfig(d0=d0, sigma_r=0.01, trials=3, seed=1), estimator=estimator)
+                stats = monte_carlo_run(ScenarioConfig(**cell, trials=3, seed=1), estimator=estimator)
             failed = {int(m.split(":")[0].removeprefix("trial ")) for m in stats.failures}
             assert all("DegenerateSolutionError" in m for m in stats.failures), stats.failures
-            assert all(np.isfinite(stats.e_t[i]) != (i in failed) for i in range(3)), (d0, stats.failures)
+            assert all(np.isfinite(stats.e_t[i]) != (i in failed) for i in range(3)), (cell, stats.failures)
 
     def test_diverged_nls_refinement_is_a_failed_trial(self):
         # d0 1e153 m: every nls refinement from zero ends non_finite, which
