@@ -48,7 +48,7 @@ from .fisher import (
     singularity_flags,
 )
 from .geometry import LeverArm, Transform4DoF
-from .measurement import NoOverlapError, ingest_logs, odometry_log, range_log, range_rate_outliers
+from .measurement import LARGEST_RANGE, NoOverlapError, ingest_logs, odometry_log, range_log, range_rate_outliers
 from .simulation import DriftConfig, ScenarioConfig, drift_scenario, monte_carlo_run, trial_data, trial_dataset
 
 EXIT_OK = 0
@@ -296,6 +296,9 @@ def _csv_num(x) -> str:
 
 def cmd_fim(args) -> int:
     theta = Transform4DoF(t=np.array(args.theta[:3], dtype=float), theta=float(args.theta[3]))
+    if not np.abs(theta.t).max() <= LARGEST_RANGE:  # the bound of a fit problem's lengths
+        raise ValueError(f"--theta translation components must be at most {LARGEST_RANGE:.4g} m in magnitude, "
+                         f"got {args.theta[:3]}")
     cfg = _config(args.config, ESTIMATE_DEFAULTS)
     _, dataset, _ = _ingest(args, cfg)
     stack = dataset.stack()

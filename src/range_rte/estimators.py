@@ -127,11 +127,11 @@ SDP_MAX_ITER = 200
 
 
 class DegenerateSolutionError(RuntimeError):
-    """No estimate can be read off a solution: the lifted cost P0 is not
-    finite, the SDP relaxation ended other than optimal, rank-one recovery
-    failed (non-positive spectrum or vanished scale), the (cos, sin) block
-    of the lifted state has no usable direction, or every refinement start
-    diverged. The CLI's exit code 4."""
+    """No estimate can be read off a solution: no grid heading of the sweep
+    has a finite cost, the SDP relaxation ended other than optimal,
+    rank-one recovery failed (non-positive spectrum or vanished scale), the
+    (cos, sin) block of the lifted state has no usable direction, or every
+    refinement start diverged. The CLI's exit code 4."""
 
 
 def _lift(tx, ty, tz, c, s) -> np.ndarray:
@@ -236,9 +236,8 @@ def assemble_qcqp(data: SyncedDataset | SyncedStack) -> QcqpProblem:
     A dataset gives the one problem of `data.stack()`, without the
     leading axis: B has one row per range, plus a last row for d0 when d0
     is not the first range. Each problem of a stack is, bit for bit, the
-    one its own stack of one gives. From ranges near 1e152 m, the weighted
-    products of B's d^2 terms overflow P0, silently: the point stages fail
-    such a problem on its own (`_sweep_stack`, `_sdp_points`).
+    one its own stack of one gives. The stack's length bound
+    (`measurement.LARGEST_RANGE`) keeps every entry of P0 finite.
     """
     stack = data.stack() if isinstance(data, SyncedDataset) else data
     if stack.d.shape[1] < 1:
@@ -246,9 +245,8 @@ def assemble_qcqp(data: SyncedDataset | SyncedStack) -> QcqpProblem:
     s, variance = debias_squared(stack)
     w = 1.0 / variance
     B = build_data_rows(stack.pa, stack.pb, s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        P0 = (B * w[..., None]).swapaxes(-1, -2) @ B
-        P0 = 0.5 * (P0 + P0.swapaxes(-1, -2))
+    P0 = (B * w[..., None]).swapaxes(-1, -2) @ B
+    P0 = 0.5 * (P0 + P0.swapaxes(-1, -2))
     if stack is data:
         return QcqpProblem(P0=P0, B=B, weights=w)
     return QcqpProblem(P0=P0[0], B=B[0], weights=w[0])
@@ -269,7 +267,9 @@ def solve_sdp_relaxation(P0: np.ndarray, d0: Optional[np.ndarray]) -> tuple[np.n
     every d0, so every problem of the stack, whatever its d0, shares the
     one constraint set (A, b) of `sdp_solve`.
     Each d0^2 is a Python float's square, libm's pow, which numpy's
-    square of an array does not always match in the last bit.
+    square of an array does not always match in the last bit. The
+    unscaled X stays finite: the stack bounds d0, so X's ||t||^4 entry is
+    at most ~d0^4 <= 1e36 (`measurement.LARGEST_RANGE`).
     """
     W = len(P0)
     one = np.ones(W)
@@ -280,11 +280,7 @@ def solve_sdp_relaxation(P0: np.ndarray, d0: Optional[np.ndarray]) -> tuple[np.n
     b = [1.0, 0.0, 0.0, 0.0, 1.0][:m]
     C = P0 * D[:, :, None] * D[:, None, :]
     X, _, diag = sdp_solve(C, _CONSTRAINT_MATRICES[:m], b, tol=SDP_TOL, max_iter=SDP_MAX_ITER)
-    # from d0 ~1e80 the lifted state's ||t||^4 entry is past the float range:
-    # X then overflows, and its readout fails the problem (`_rank_one_states`)
-    with np.errstate(over="ignore"):
-        X = X * D[:, :, None] * D[:, None, :]
-    return X, diag
+    return X * D[:, :, None] * D[:, None, :], diag
 
 
 def _rank_one_states(lam0: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -697,31 +693,20 @@ def _secular_root(e, d1, d2, beta, two_w, half_w, x_top) -> tuple:
 
 
 def _sweep_stack(P0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
-    """`_sweep` over the problems of a stack of W >= 1 whose P0 is finite,
-    in chunks of SWEEP_CHUNK.
+    """`_sweep` over the problems of a stack of W >= 1, in chunks of SWEEP_CHUNK.
 
     The chunks cap the sweep's temporaries, (W, 72) planes that grow with
     the number of problems (see SWEEP_CHUNK). Each problem's result does
     not depend on the others in its chunk, bit for bit (see `_sweep`), and
-    the sweep never raises. A problem whose P0 is not finite is not swept,
-    so its arithmetic cannot overflow. Also returns {problem index:
-    DegenerateSolutionError} for the problems without a candidate: those
-    not swept, and those with no finite grid cost.
+    the sweep never raises. A stack's P0 is finite (`assemble_qcqp`), and
+    so is the sweep's arithmetic on it. Also returns {problem index:
+    DegenerateSolutionError} for the problems with no finite grid cost,
+    which have no candidate.
     """
-    W = len(P0)
-    finite = np.isfinite(P0).all(axis=(1, 2))
-    swept = P0[finite]
-    # far data overflow the sweep's products (d0 from ~1e90 m, radii and
-    # lever arms from ~1e150 m), to costs that are not finite, so no candidates
-    with np.errstate(over="ignore", invalid="ignore"):
-        parts = [_sweep(swept[lo : lo + SWEEP_CHUNK]) for lo in range(0, len(swept), SWEEP_CHUNK)]
-    t, heading = np.zeros((W, SWEEP_CANDIDATES, 3)), np.zeros((W, SWEEP_CANDIDATES), dtype=np.intp)
-    count = np.zeros(W, dtype=np.intp)
-    if parts:
-        t[finite], heading[finite], count[finite] = (np.concatenate(a) for a in zip(*parts))
+    parts = [_sweep(P0[lo : lo + SWEEP_CHUNK]) for lo in range(0, len(P0), SWEEP_CHUNK)]
+    t, heading, count = (np.concatenate(a) for a in zip(*parts))
     errors = {
-        i: DegenerateSolutionError("no grid heading has a finite cost" if finite[i] else "the lifted cost is not finite")
-        for i in np.flatnonzero(count == 0).tolist()
+        i: DegenerateSolutionError("no grid heading has a finite cost") for i in np.flatnonzero(count == 0).tolist()
     }
     return t, heading, count, errors
 
@@ -760,33 +745,24 @@ def _sdp_points(stack: SyncedStack) -> tuple[np.ndarray, dict, dict]:
     """Point stage of `sdp` for a stack of W problems: the relaxation
     alone, read off without refinement.
 
-    One assembly, then one `sdp_solve` call relaxes every problem whose P0
-    is finite, and one batched eigh of the X stack gives each its rank-one
-    state (`_rank_one_states`), heading (`_headings`), rank_x and
-    lambda_ratio. A problem whose P0 is not finite is not relaxed: its
-    X stays zero and its status reads "not_finite". Returns the estimates
-    (W, 4), the solver scalars (iterations, status, gap, rank_x,
-    lambda_ratio, final_cost), one (W,) array each, and
-    {problem index: error} for every problem not relaxed or whose
-    relaxation ended other than optimal (DegenerateSolutionError), or
-    whose rank-one state has no heading; their rows are NaN.
+    One assembly, whose P0 is finite for every problem (`assemble_qcqp`),
+    then one `sdp_solve` call relaxes every problem, and one batched eigh
+    of the X stack gives each its rank-one state (`_rank_one_states`),
+    heading (`_headings`), rank_x and lambda_ratio.
+    Returns the estimates (W, 4), the solver scalars (iterations, status,
+    gap, rank_x, lambda_ratio, final_cost), one (W,) array each, and
+    {problem index: error} for every problem whose relaxation ended other
+    than optimal (DegenerateSolutionError), or whose rank-one state has no
+    heading; their rows are NaN.
     """
     problem = assemble_qcqp(stack)
-    W = len(stack.d)
-    relaxed = np.isfinite(problem.P0).all(axis=(1, 2))
-    X, iterations = np.zeros((W, 9, 9)), np.zeros(W, dtype=int)
-    status, gap = np.full(W, "not_finite", dtype=object), np.full(W, math.nan)
-    if relaxed.any():
-        X[relaxed], diag = solve_sdp_relaxation(problem.P0[relaxed], None if stack.d0 is None else stack.d0[relaxed])
-        iterations[relaxed], status[relaxed], gap[relaxed] = diag.iterations, diag.status, diag.gap
+    X, diag = solve_sdp_relaxation(problem.P0, stack.d0)
     lam, Q = np.linalg.eigh(X)
     lam = np.maximum(lam[:, ::-1], 0.0)
     rank = np.sum(lam > 1e-6 * lam[:, :1], axis=1)
     errors = {
-        i: DegenerateSolutionError(
-            f"SDP relaxation ended {status[i]} after {iterations[i]} iterations" if relaxed[i] else "the lifted cost is not finite"
-        )
-        for i in np.flatnonzero(status != "optimal").tolist()
+        i: DegenerateSolutionError(f"SDP relaxation ended {diag.status[i]} after {diag.iterations[i]} iterations")
+        for i in np.flatnonzero(diag.status != "optimal").tolist()
     }
     x, degenerate = _rank_one_states(lam[:, 0], Q[:, :, -1])
     theta, undefined = _headings(x)
@@ -797,15 +773,13 @@ def _sdp_points(stack: SyncedStack) -> tuple[np.ndarray, dict, dict]:
         lambda_ratio = lam[:, 1] / lam[:, 0]
     estimates = np.column_stack((x[:, :3], wrap_angle(theta)))
     estimates[list(errors)] = math.nan
-    final_cost = np.full(W, math.nan)
-    final_cost[relaxed] = _lifted_cost(problem.P0[relaxed], estimates[relaxed])
     scalars = {
-        "iterations": iterations,
-        "status": status,
-        "gap": gap,
+        "iterations": diag.iterations,
+        "status": diag.status,
+        "gap": diag.gap,
         "rank_x": rank,
         "lambda_ratio": lambda_ratio,
-        "final_cost": final_cost,
+        "final_cost": _lifted_cost(problem.P0, estimates),
     }
     return estimates, scalars, errors
 

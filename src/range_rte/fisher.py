@@ -131,19 +131,19 @@ def fim_arrays(F) -> FimArrays:
     factorisation (`np.linalg.det`), every other one from one
     eigendecomposition each.
 
-    F (W, n, n) holds symmetric positive semidefinite matrices: an
-    asymmetry above 1e-9 max(|F|, 1) over the stack or an eigenvalue below
-    -1e-8 max(lam_max, 1) raises ValueError. Per FIM, from its
-    eigenpairs (lam, Q): kappa, infinite unless the smallest eigenvalue is
+    F (W, n, n) holds finite, symmetric positive semidefinite matrices: an
+    entry that is not finite, an asymmetry above 1e-9 max(|F|, 1) over the
+    stack or an eigenvalue below -1e-8 max(lam_max, 1) raises ValueError.
+    Per FIM, from its eigenpairs (lam, Q): kappa, infinite unless the smallest eigenvalue is
     positive; the rank at RCOND; the CRLB Q diag(1/lam) Q', its
     translation trace and heading entry, and the standard errors, the
     roots of its diagonal, when the FIM is invertible at RCOND; and the
     flags. The configuration is singular when kappa exceeds
     DEFAULT_KAPPA_THRESHOLD. A parameter is flagged unobservable when its
     standard error exceeds STD_CEILING times their median, and every
-    parameter is when the FIM is not invertible. A FIM with an entry that
-    is not finite, as past the float range, is analysed as a zero F: rank
-    0, kappa infinite and no CRLB; the other FIMs keep their bits.
+    parameter is when the FIM is not invertible. The FIM that `fim` takes
+    of a stack's rows at a translation within `measurement.LARGEST_RANGE`
+    is finite, and so is its determinant: the stack bounds its lengths.
 
     The configuration flag is the only singularity test of the package.
     It holds while odometry noise is small against the motion: kappa of
@@ -159,18 +159,13 @@ def fim_arrays(F) -> FimArrays:
     F = np.asarray(F, dtype=float)
     if F.ndim != 3 or F.shape[1] != F.shape[2]:
         raise ValueError(f"F must be a stack (W, n, n) of square matrices, got shape {F.shape}")
-    # in a far cell det(F) passes the float range from a radius of ~1e150 m,
-    # and F itself from ~1e153 m: the det is then inf or NaN, and a row whose
-    # F is not finite is analysed as a zero F, all without a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        asymmetry = np.abs(F - F.swapaxes(-1, -2))
-        finite = np.isfinite(F).all(axis=(1, 2))
-        if asymmetry[finite].max(initial=0.0) > 1e-9 * max(1.0, np.abs(F[finite]).max(initial=0.0)):
-            raise ValueError("FIM must be symmetric")
-        F = 0.5 * (F + F.swapaxes(-1, -2))
-        finite &= np.isfinite(F).all(axis=(1, 2))
-        det_f = np.linalg.det(F)
-    lam, Q = np.linalg.eigh(np.where(finite[:, None, None], F, 0.0))
+    if not np.isfinite(F).all():
+        raise ValueError("FIM must be finite")
+    if np.abs(F - F.swapaxes(-1, -2)).max(initial=0.0) > 1e-9 * max(1.0, np.abs(F).max(initial=0.0)):
+        raise ValueError("FIM must be symmetric")
+    F = 0.5 * (F + F.swapaxes(-1, -2))
+    det_f = np.linalg.det(F)
+    lam, Q = np.linalg.eigh(F)
     lam, Q = np.ascontiguousarray(lam[:, ::-1]), np.ascontiguousarray(Q[:, :, ::-1])
     lam_max = np.maximum(lam[:, 0], 0.0)
     if np.any(lam[:, -1] < -1e-8 * np.maximum(lam_max, 1.0)):
@@ -217,14 +212,14 @@ def fim(t, theta, pa, pb, sigma_r: float) -> FimArrays:
 
     t (W, 3) and theta (W,) are the transforms, pa and pb (W, k, 3) the
     antenna positions of each problem's ranges, as a `SyncedStack` holds
-    them. F = sigma_r^-2 J^T J, derived by `fim_arrays`.
+    them. F = sigma_r^-2 J^T J, derived by `fim_arrays`; with the lengths
+    and sigma_r of a `SyncedStack` and |t| within `measurement.LARGEST_RANGE`
+    per component it is finite.
     """
     d, J = range_model(np.asarray(t, dtype=float), np.asarray(theta, dtype=float), pa, pb)
     if np.any(d <= 0.0):
         raise SingularGeometryError("zero range encountered in dataset")
-    with np.errstate(over="ignore", invalid="ignore"):  # a row past the float range has no bound (`fim_arrays`)
-        F = (J.swapaxes(-1, -2) @ J) / sigma_r**2
-    return fim_arrays(F)
+    return fim_arrays((J.swapaxes(-1, -2) @ J) / sigma_r**2)
 
 
 def det_fim_geometric(T: Transform4DoF, dataset: SyncedDataset) -> float:

@@ -27,6 +27,12 @@ a stream's windows (`SyncedDataset.windows`) or a Monte-Carlo cell
 rows: the outlier gate keeps some of them (`SyncedDataset.select`), and
 it is fitted only through its stack.
 
+Every fit problem, a dataset's rows or a stack's, passes one row check
+(`_check_rows`), the one bound on its lengths: its ranges and d0 lie in
+(0, LARGEST_RANGE], its antenna coordinates within +-LARGEST_RANGE and
+sigma_r in [SIGMA_R_FLOOR, LARGEST_RANGE]. Within it no stage of a fit or
+of its Fisher information overflows, so none of them copes with overflow.
+
 Also here: the squared-distance debiasing used by the weighted
 least-squares pipeline and the odometry-bounded range-rate gate that
 rejects UWB outliers. Nothing here judges whether the motion pins the
@@ -60,19 +66,21 @@ class NoOverlapError(ValueError):
     """No range measurement is covered by both odometry streams."""
 
 
-# the largest double d whose 4 d^2 is finite; 4 d^2 of the next one overflows
-LARGEST_RANGE = math.sqrt(np.finfo(float).max / 4.0)
+# The largest length of a fit problem (m), a million kilometres: every
+# range and d0 lies in (0, LARGEST_RANGE], every antenna coordinate within
+# +-LARGEST_RANGE and sigma_r in [SIGMA_R_FLOOR, LARGEST_RANGE]
+# (`_check_rows`). Then a row's weight is below 1 / (2 SIGMA_R_FLOOR^4)
+# = 5e35 and each entry of its row of B at most 9 LARGEST_RANGE^2, so an
+# entry of P0 is at most ~4e73 per row and its cube stays finite for a
+# million rows. A row adds at most 3 LARGEST_RANGE^2 / SIGMA_R_FLOOR^2
+# = 3e36 to an entry of the FIM at a translation within the bound, whose
+# determinant then stays finite too. So no stage after the check overflows
+LARGEST_RANGE = 1e9
 
 
 def _valid_range(x) -> np.ndarray:
-    """Mask of the entries of x that are positive with a finite 4 x^2.
-
-    The fit reads squared ranges, and `debias_squared` weights each by
-    the inverse of a variance with the term 4 d^2. So a range whose square,
-    or four times it, overflows (d above LARGEST_RANGE, ~6.7e153 m) is
-    rejected with the non-finite ones: its weight would silently be 0.
-    4 d^2 rounds monotonically in d, so one comparison decides.
-    """
+    """Mask of the entries of x that are positive and at most
+    LARGEST_RANGE: the ranges and d0 that a fit problem takes."""
     x = np.asarray(x, dtype=float)
     return (x > 0) & (x <= LARGEST_RANGE)
 
@@ -107,13 +115,13 @@ def odometry_problem(log) -> Optional[tuple[int, str]]:
 
 def range_problem(log) -> Optional[tuple[int, str]]:
     """First row of a range log with a non-finite timestamp, a range that
-    is not positive with a finite square or a timestamp not later than its
+    is not positive or past LARGEST_RANGE or a timestamp not later than its
     predecessor's, as (row, message), or None."""
     t = log["t"]
     return _first_bad_row(
         (
             (~np.isfinite(t), "timestamp must be finite"),
-            (~_valid_range(log["d"]), "measured range must be positive and finite, and so must its square"),
+            (~_valid_range(log["d"]), f"measured range must be positive and finite, at most {LARGEST_RANGE:.4g} m"),
             (~(np.diff(t, prepend=-np.inf) > 0), "timestamps must be strictly increasing"),
         )
     )
@@ -143,17 +151,19 @@ def range_log(t, d) -> np.ndarray:
 
 def _check_rows(d, pa, pb, sigma_r: float, d0) -> None:
     """Raise ValueError unless the ranges d and d0 (None, a float or an
-    array of them) are positive with finite squares, the antenna positions
-    pa and pb finite and sigma_r positive: what every fit problem, a
-    dataset's rows or a stack's, must hold."""
+    array of them) lie in (0, LARGEST_RANGE], every coordinate of the
+    antenna positions pa and pb within +-LARGEST_RANGE and sigma_r in
+    [SIGMA_R_FLOOR, LARGEST_RANGE]: what every fit problem, a dataset's
+    rows or a stack's, must hold, and the one bound on its lengths."""
     if not _valid_range(d).all():
-        raise ValueError("ranges must be positive and finite, and so must their squares")
-    if not (np.isfinite(pa).all() and np.isfinite(pb).all()):
-        raise ValueError("antenna positions must be finite")
-    if not sigma_r > 0:
-        raise ValueError(f"sigma_r must be positive, got {sigma_r}")
+        raise ValueError(f"ranges must be positive and finite, at most {LARGEST_RANGE:.4g} m")
+    if not (np.abs(pa).max(initial=0.0) <= LARGEST_RANGE and np.abs(pb).max(initial=0.0) <= LARGEST_RANGE):
+        raise ValueError(f"antenna positions must be finite, at most {LARGEST_RANGE:.4g} m per coordinate")
+    if not SIGMA_R_FLOOR <= sigma_r <= LARGEST_RANGE:
+        raise ValueError(f"sigma_r must be at least {SIGMA_R_FLOOR:g} m and at most {LARGEST_RANGE:.4g} m, "
+                         f"got {sigma_r!r}")
     if d0 is not None and not _valid_range(d0).all():
-        raise ValueError(f"d0 must be positive and finite, and so must its square, when present; got {d0}")
+        raise ValueError(f"d0 must be positive and finite, at most {LARGEST_RANGE:.4g} m, when present; got {d0}")
 
 
 def _read_only_copy(x, name: str, row_shape: tuple = ()) -> np.ndarray:
@@ -330,7 +340,8 @@ def ingest_logs(
     the one case where a range measures ||t||; otherwise d0 stays unset
     and the first range is only a row of the range model.
 
-    sigma_r (m), nonnegative and finite, is floored at SIGMA_R_FLOOR.
+    sigma_r (m), nonnegative and finite, is floored at SIGMA_R_FLOOR; the
+    dataset bounds it, and every length of its rows, by LARGEST_RANGE.
 
     Returns (dataset, n_dropped). Raises NoOverlapError when no range
     falls inside the common odometry window.
@@ -359,19 +370,13 @@ def debias_squared(dataset: SyncedDataset | SyncedStack) -> tuple[np.ndarray, np
 
     The noise on d~^2 is nu = 2 d eta + eta^2 with mean sigma_r^2 and
     variance sigma_r^2 (4 d~^2 + 2 sigma_r^2); subtracting the mean gives
-    an approximately Gaussian squared-distance error. A variance that
-    overflows (sigma_r from ~1e77 m at ~1 m ranges) or underflows to 0
-    (sigma_r far below SIGMA_R_FLOOR) raises ValueError.
+    an approximately Gaussian squared-distance error. Within the bounds of
+    `_check_rows` the variance lies in [2 SIGMA_R_FLOOR^4,
+    6 LARGEST_RANGE^4], positive and finite.
     """
     d = dataset.d
-    with np.errstate(over="ignore"):
-        var_r = np.float64(dataset.sigma_r) ** 2  # Python's pow, without its OverflowError
-        variance = var_r * (4.0 * d**2 + 2.0 * var_r)
-    if not variance.max() < math.inf:
-        raise ValueError(f"sigma_r must be small enough for finite squared-distance variances, got {dataset.sigma_r!r}")
-    if np.any(variance <= 0):
-        raise ValueError("squared-distance variances must be strictly positive")
-    return d**2 - var_r, variance
+    var_r = dataset.sigma_r**2
+    return d**2 - var_r, var_r * (4.0 * d**2 + 2.0 * var_r)
 
 
 def range_rate_outliers(dataset: SyncedDataset) -> np.ndarray:

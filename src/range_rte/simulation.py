@@ -43,12 +43,8 @@ STEP_SCALE = 0.5
 
 # The largest scenario length, d0 or D (m), that synthesis represents.
 # With zero lever arms a cell's true ranges are at most d0 + 2 D, so they
-# stay within three quarters of the range rule's largest range
-# (`measurement.LARGEST_RANGE`), a quarter left for noise and rounding. A
-# walk squares a position before it reflects it, at most D (1 + STEP_SCALE
-# |z|) from the origin for a standard normal step z; that square stays
-# finite, below (2 LARGEST_RANGE)^2, while |z| <= 14, which a 3-vector
-# passes with a chance of 3e-42.
+# stay within three quarters of the fit problem's largest length
+# (`measurement.LARGEST_RANGE`), a quarter left for noise and rounding.
 LARGEST_LENGTH = LARGEST_RANGE / 4.0
 # The quarter left spans a lever arm of each agent and the noise. A lever
 # arm component at most LARGEST_LEVER_ARM puts an antenna at most
@@ -249,7 +245,8 @@ def sample_ground_truth(d0: float, rng: np.random.Generator) -> Transform4DoF:
 
 
 def generate_trajectory(D: float, n_poses: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Bounded random walk inside the ball of radius D > 0 around the origin.
+    """Bounded random walk inside the ball of radius D around the origin,
+    0 < D <= LARGEST_LENGTH (`_check_length`).
 
     Gaussian steps of STEP_SCALE * D per axis, reflected at the ball
     boundary, random headings.
@@ -261,8 +258,7 @@ def generate_trajectory(D: float, n_poses: int, rng: np.random.Generator) -> tup
     -pi + 2 pi rng.random() and the fraction as rng.random(): the values
     rng.uniform(-pi, pi) and rng.uniform(0, 1) give for the same draws.
     """
-    if not D > 0:
-        raise ValueError("D must be positive")
+    _check_length("D", D)
     if n_poses < 1:
         raise ValueError("n_poses must be >= 1")
     # the walk runs on Python floats, whose arithmetic rounds as numpy's
@@ -271,10 +267,10 @@ def generate_trajectory(D: float, n_poses: int, rng: np.random.Generator) -> tup
     # order: math.sqrt(x * x + y * y + z * z) would change most walks in
     # their last bits. Only a reflection reads r, and a position whose
     # x * x + y * y + z * z is below D^2 (1 - 1e-12) lies inside the ball
-    # whatever the order of the sum. Outside 1e-140 < D < 1e140 the squares
-    # may be subnormal or overflow, so r is then taken at every step
+    # whatever the order of the sum. For D <= 1e-140 the squares may be
+    # subnormal, so r is then taken at every step
     scale = STEP_SCALE * D
-    inside = D * D * (1.0 - 1e-12) if 1e-140 < D < 1e140 else 0.0
+    inside = D * D * (1.0 - 1e-12) if D > 1e-140 else 0.0
     x = y = z = 0.0
     positions, yaws = [], []
     for _ in range(n_poses):

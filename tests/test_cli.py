@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from failing_problems import DIVERGED, fail_marked_problems
 from one_problem import dataset_fim, model_ranges
 
 from range_rte.cli import DRIFT_DEFAULTS, DRIFT_FIELDS, ESTIMATE_DEFAULTS, SIM_DEFAULTS, SIM_FIELDS, main
@@ -24,7 +25,7 @@ from range_rte.io_formats import (
     write_ranges_csv,
 )
 from range_rte.fisher import DEFAULT_KAPPA_THRESHOLD
-from range_rte.measurement import ingest_logs, odometry_log, range_log
+from range_rte.measurement import LARGEST_RANGE, ingest_logs, odometry_log, range_log
 from range_rte.simulation import LARGEST_LENGTH, LARGEST_LEVER_ARM, LARGEST_NOISE, DriftConfig, ScenarioConfig
 
 
@@ -167,13 +168,14 @@ class TestEstimateCommand:
     def test_d0_whose_square_overflows_exits_parse_error(self, tmp_path, capsys, estimator):
         # 1e200 m: d0^2 overflows. Each estimator once failed in its own way
         # (sdp an uncaught OverflowError, qcqp no finite grid cost, nls a zero
-        # range); the dataset rejects it before any of them runs
+        # range); the dataset rejects it, past measurement.LARGEST_RANGE,
+        # before any of them runs
         pa, pb, ranges, _ = synthetic_logs(tmp_path, noise=0.02, seed=5)
         cfg = write_json(tmp_path / "cfg.json", {"d0_m": 1e200, "estimator": estimator})
         out = str(tmp_path / "report.json")
         assert main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert "d0 must be positive and finite, and so must its square, when present; got 1e+200" in err
+        assert "d0 must be positive and finite, at most 1e+09 m, when present; got 1e+200" in err
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("estimator", ["qcqp", "sdp", "nls"])
@@ -182,7 +184,8 @@ class TestEstimateCommand:
         # 1e154 m: its square is finite, but the term 4 d^2 of its debias
         # variance overflows. Such a range once passed every check and got
         # weight 0 in qcqp and sdp, while nls returned a zero estimate; the
-        # input is now rejected before any estimator runs
+        # input is now rejected, past measurement.LARGEST_RANGE, before any
+        # estimator runs
         pa, pb, ranges, _ = synthetic_logs(tmp_path, noise=0.02, seed=5)
         cfg = {"estimator": estimator}
         if where == "range":
@@ -195,7 +198,29 @@ class TestEstimateCommand:
         cfg = write_json(tmp_path / "cfg.json", cfg)
         assert main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert ("ranges.csv:12: measured range" if where == "range" else "got 1e+154") in err and "so must its square" in err
+        assert ("ranges.csv:12: measured range" if where == "range" else "got 1e+154") in err and "at most 1e+09 m" in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("estimator", ["qcqp", "sdp", "nls"])
+    @pytest.mark.parametrize("where", ["odometry", "lever_arm"])
+    def test_far_antenna_exits_parse_error(self, tmp_path, capsys, estimator, where):
+        # an antenna 2e9 m out, past measurement.LARGEST_RANGE, through a
+        # logged position or a lever arm: the dataset rejects it before any
+        # estimator runs
+        pa, pb, ranges, _ = synthetic_logs(tmp_path, noise=0.02, seed=5)
+        cfg = {"estimator": estimator}
+        if where == "odometry":
+            lines = open(pb).read().splitlines()
+            fields = lines[5].split(",")
+            fields[1] = "2e9"
+            lines[5] = ",".join(fields)
+            open(pb, "w").write("\n".join(lines) + "\n")
+        else:
+            cfg["lever_arm_b_m"] = [0.0, 0.0, -2e9]
+        out = str(tmp_path / "report.json")
+        cfg = write_json(tmp_path / "cfg.json", cfg)
+        assert main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]) == 2
+        assert "antenna positions must be finite, at most 1e+09 m per coordinate" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_explicit_d0_other_than_first_range_is_fitted(self, tmp_path):
@@ -534,7 +559,15 @@ class TestFimCommand:
 
     @pytest.mark.parametrize(
         "theta, message",
-        [(["nan", "2.0", "0.5", "0.3"], "translation must be finite"), (["1.0", "2.0", "0.5", "inf"], "heading must be finite")],
+        [
+            (["nan", "2.0", "0.5", "0.3"], "translation must be finite"),
+            (["1.0", "2.0", "0.5", "inf"], "heading must be finite"),
+            # a translation past measurement.LARGEST_RANGE: 1e160 once exited 1 on a
+            # floating-point warning in the range model, and 1e200 wrote an all-zero F
+            (["1e160", "2.0", "0.5", "0.3"], "--theta translation components must be at most 1e+09 m"),
+            (["1.0", "1e200", "0.5", "0.3"], "--theta translation components must be at most 1e+09 m"),
+            (["1.0", "2.0", repr(math.nextafter(LARGEST_RANGE, math.inf)), "0.3"], "--theta translation components must be"),
+        ],
     )
     def test_non_finite_theta_exits_parse_error(self, tmp_path, capsys, emitted_logs, theta, message):
         out = tmp_path / "fim.json"
@@ -667,7 +700,8 @@ class TestDriftCommand:
         assert all(w["kappa"] <= WINDOW_KAPPA_LIMIT for w in windows if w["status"] == "estimated")
 
     def test_degenerate_window_exits_solver_failure(self, tmp_path, monkeypatch, capsys):
-        # one window with absurd ranges: the stacked pass fails the run as a
+        # one window whose refinement diverges (injected through a marked
+        # range, see failing_problems): the stacked pass fails the run as a
         # window-by-window loop would, with its message
         import dataclasses
 
@@ -679,10 +713,11 @@ class TestDriftCommand:
 
         def spoil_third_window(stream, **kwargs):
             d = stream.d.copy()
-            d[100:150] *= 1e140
+            d[120] = DIVERGED
             spoilt.append(dataclasses.replace(stream, d=d))
             return real(spoilt[0], **kwargs)
 
+        fail_marked_problems(monkeypatch)
         monkeypatch.setattr(simulation, "sliding_window_estimate", spoil_third_window)
         cfg = write_json(tmp_path / "cfg.json", {"duration_s": 12.0, "seed": 3})
         with np.errstate(all="ignore"):
@@ -877,6 +912,16 @@ class TestConfigValues:
             ("simulate", {"sigma_r_m": 1e100, "estimator": "qcqp"}, "sigma_r"),
             ("drift", {"sigma_r_m": 1e100, "estimator": "qcqp"}, "sigma_r"),
             ("estimate", {"sigma_r_m": 1e160, "estimator": "sdp"}, "sigma_r"),
+            # a sigma_r_m past measurement.LARGEST_RANGE: 1e40 and 1e50 once
+            # exited 1 on an OverflowError in fim (sigma_r^8), 1e160 in nls
+            # (sigma_r^2); the logs' dataset now rejects each
+            ("fim", {"sigma_r_m": 1e40}, "sigma_r"),
+            ("fim", {"sigma_r_m": 1e50}, "sigma_r"),
+            ("estimate", {"sigma_r_m": 1e160, "estimator": "nls"}, "sigma_r"),
+            ("estimate", {"sigma_r_m": math.nextafter(LARGEST_RANGE, math.inf)}, "sigma_r"),
+            ("fim", {"sigma_r_m": math.nextafter(LARGEST_RANGE, math.inf)}, "sigma_r"),
+            # and a d0 past it: 1e10 m against ~5 m ranges once exited 0 (qcqp), 4 (sdp) or 3 (nls)
+            ("estimate", {"d0_m": 1e10, "estimator": "sdp"}, "d0"),
             ("simulate", {"sigma_r_m": True}, "sigma_r_m"),
             ("drift", {"sigma_t_m": True}, "sigma_t_m"),
             ("simulate", {"emit_logs": "no"}, "emit_logs"),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from lm_reference import lift_jacobian, lm_least_squares, lm_refine
+from failing_problems import DIVERGED, FAR, NO_CANDIDATE, fail_marked_problems
 from one_problem import model_ranges
 from sweep_reference import clear_decisions, reference_sweep
 
@@ -771,10 +772,23 @@ class TestLockstepNewton:
         assert np.allclose(res.p[0], T.as_vector(), atol=1e-9)
 
 
-# a window whose largest range is 1e141 m leaves the refinement no finite
-# start; 6e153 m, whose 4 d^2 is still finite as the dataset requires,
-# leaves the sweep no finite grid cost
-SPOILT_SCALES = [1e141, 6e153]
+# a window whose ranges hold NO_CANDIDATE leaves the sweep no finite grid
+# cost, and one that holds DIVERGED every refinement start diverging, in
+# `qcqp` under `failing_problems.fail_marked_problems`
+SPOILT_MARKS = [NO_CANDIDATE, DIVERGED]
+
+
+def spoil_windows(stream, starts, window, marks):
+    """The stream with a failing window at each start: its first range
+    set to the `qcqp` marker of `marks`, or, for `sdp` (marks None), its
+    ranges scaled up to FAR, which leaves its relaxation no homogenizer."""
+    d = stream.d.copy()
+    for a, mark in zip(starts, marks or [None] * len(starts)):
+        if mark is None:
+            d[a : a + window] = stream.d[a : a + window] * (FAR / stream.d[a : a + window].max())
+        else:
+            d[a] = mark
+    return dataclasses.replace(stream, d=d)
 
 
 class TestStackedWindows:
@@ -879,19 +893,16 @@ class TestStackedWindows:
         stride=st.integers(1, 35),
         n_windows=st.integers(2, 20),
         bad=st.lists(st.integers(0, 19), min_size=2, max_size=2),
-        scales=st.permutations(SPOILT_SCALES),
+        marks=st.permutations(SPOILT_MARKS),
     )
-    def test_degenerate_window_raises_what_one_by_one_raises(self, seed, window, stride, n_windows, bad, scales):
+    def test_degenerate_window_raises_what_one_by_one_raises(self, seed, window, stride, n_windows, bad, marks):
         # two windows spoilt apart tell whose error is raised
         rng = np.random.default_rng(seed)
         stream = random_stream(rng, window + stride * (n_windows - 1))
-        d = stream.d.copy()
-        for j, scale in zip(bad, scales):
-            a = stride * (j % n_windows)
-            d[a : a + window] = stream.d[a : a + window] * (scale / stream.d[a : a + window].max())
-        stream = dataclasses.replace(stream, d=d)
+        stream = spoil_windows(stream, [stride * (j % n_windows) for j in bad], window, marks)
         expected = None
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as monkeypatch:
+            fail_marked_problems(monkeypatch)
             for start in range(0, stride * n_windows, stride):
                 one = stream.windows([start], window)
                 try:
@@ -912,22 +923,20 @@ class TestStackedWindows:
         stride=st.integers(1, 35),
         n_windows=st.integers(2, 12),
         bad=st.lists(st.integers(0, 11), min_size=2, max_size=2),
-        scales=st.permutations(SPOILT_SCALES),
+        marks=st.permutations(SPOILT_MARKS),
         estimator=st.sampled_from(["qcqp", "sdp"]),
     )
-    def test_point_stage_records_every_problems_own_error(self, seed, window, stride, n_windows, bad, scales, estimator):
+    def test_point_stage_records_every_problems_own_error(self, seed, window, stride, n_windows, bad, marks, estimator):
         # the point stage runs every problem of the stack, failing or not:
         # each problem's error, estimate and solver scalars are those of the
         # estimator on that problem alone, and a failed problem's estimate is NaN
         rng = np.random.default_rng(seed)
         stream = random_stream(rng, window + stride * (n_windows - 1))
-        d = stream.d.copy()
-        for j, scale in zip(bad, scales):
-            a = stride * (j % n_windows)
-            d[a : a + window] = stream.d[a : a + window] * (scale / stream.d[a : a + window].max())
-        stream = dataclasses.replace(stream, d=d)
+        marks = marks if estimator == "qcqp" else None
+        stream = spoil_windows(stream, [stride * (j % n_windows) for j in bad], window, marks)
         starts = np.arange(n_windows) * stride
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as monkeypatch:
+            fail_marked_problems(monkeypatch)
             estimates, scalars, errors = ESTIMATORS[estimator](stream.windows(starts, window))
             assert errors and estimates.shape == (n_windows, 4)
             for i, start in enumerate(starts.tolist()):

@@ -23,7 +23,7 @@ from range_rte.fisher import (
     range_model,
 )
 from range_rte.geometry import Transform4DoF, apply_transform
-from range_rte.measurement import SyncedDataset
+from range_rte.measurement import LARGEST_RANGE, SIGMA_R_FLOOR, SyncedDataset, SyncedStack
 from range_rte.simulation import SCENARIO_KINDS, ScenarioConfig, singular_scenario, trial_data, trial_rng
 
 qcqp_estimate = ESTIMATORS["qcqp"]
@@ -226,24 +226,31 @@ class TestFim:
             for name in ("F", "crlb", "kappa", "std_errors", "singular"):
                 assert getattr(stacked, name)[i].tobytes() == getattr(alone, name)[0].tobytes(), name
 
-    def test_rows_past_the_float_range_give_no_bound(self):
-        # antennas 1e150 m out overflow det(F), 1e153 m out F itself: those
-        # rows have no bound, without a warning (an error under tier-1's
-        # filter), and the regular rows keep the bits they have alone
+    def test_rows_past_the_length_bound_are_rejected(self):
+        # antennas 1e150 m out once overflowed det(F), 1e153 m out F itself,
+        # and such rows got no bound. A stack now rejects any antenna
+        # coordinate past measurement.LARGEST_RANGE, and a FIM that is not
+        # finite raises, as an asymmetric one does
         rng = np.random.default_rng(12)
-        t, theta = rng.normal(0.0, 5.0, (4, 3)), rng.uniform(-math.pi, math.pi, 4)
-        scale = np.array([1.0, 1e150, 1e153, 1.0])[:, None, None]
-        pa, pb = rng.normal(size=(4, 8, 3)) * scale, rng.normal(size=(4, 8, 3)) * scale
-        info = fim(t, theta, pa, pb, 0.1)
-        assert np.isinf(info.det_f[1]) and np.isfinite(info.F[1]).all() and not np.isfinite(info.F[2]).all()
-        for i in (1, 2):
-            assert not info.invertible[i] and info.unobservable[i].all()
-            assert np.isnan(info.crlb[i]).all() and np.isnan([info.crlb_t[i], info.crlb_theta[i]]).all()
-        assert info.kappa[2] == math.inf and info.rank[2] == 0
-        for i in (0, 3):
-            alone = fim(t[i : i + 1], theta[i : i + 1], pa[i : i + 1], pb[i : i + 1], 0.1)
-            for name in ("F", "crlb", "crlb_t", "det_f", "kappa", "rank", "std_errors", "singular", "unobservable"):
-                assert getattr(info, name)[i].tobytes() == getattr(alone, name)[0].tobytes(), name
+        d = rng.uniform(1.0, 3.0, (1, 8))
+        for far in (1e150, 1e153, math.nextafter(LARGEST_RANGE, math.inf)):
+            pa = rng.normal(size=(1, 8, 3))
+            pa[0, 3, 1] = -far
+            with pytest.raises(ValueError, match="antenna positions must be finite, at most 1e\\+09 m per coordinate"):
+                SyncedStack(d=d, pa=pa, pb=rng.normal(size=(1, 8, 3)), sigma_r=0.1)
+        F = fim(np.zeros((2, 3)), np.zeros(2), *rng.normal(size=(2, 2, 8, 3)), 0.1).F
+        for bad in (math.inf, math.nan):
+            F_bad = F.copy()
+            F_bad[1, 2, 3] = F_bad[1, 3, 2] = bad
+            with pytest.raises(ValueError, match="FIM must be finite"):
+                fim_arrays(F_bad)
+        # at the bound, with sigma_r at its floor, every antenna coordinate
+        # and the translation at +-LARGEST_RANGE: F and det(F) are finite,
+        # with no warning (an error under tier-1's filter)
+        sign = lambda shape: rng.choice([-1.0, 1.0], size=shape)  # noqa: E731
+        pa, pb = LARGEST_RANGE * sign((3, 40, 3)), LARGEST_RANGE * sign((3, 40, 3))
+        info = fim(LARGEST_RANGE * sign((3, 3)), rng.uniform(-math.pi, math.pi, 3), pa, pb, SIGMA_R_FLOOR)
+        assert np.isfinite(info.F).all() and np.isfinite(info.det_f).all()
 
 
 class TestDetGeometric:

@@ -13,6 +13,8 @@ from range_rte.geometry import (
     yaw_quat,
 )
 from range_rte.measurement import (
+    LARGEST_RANGE,
+    SIGMA_R_FLOOR,
     NoOverlapError,
     SyncedDataset,
     SyncedStack,
@@ -237,24 +239,31 @@ class TestDebias:
         assert variance[0] == pytest.approx(0.0402)
 
     def test_noiseless_limit(self):
-        ds = make_dataset(pa=[np.zeros(3)], pb=[np.ones(3)], d=[2.0], sigma_r=1e-12)
+        # sigma_r at its floor, where noiseless data sits: sigma_r^2 vanishes
+        # against d^2, and the variance is 4 d^2 sigma_r^2 exactly
+        ds = make_dataset(pa=[np.zeros(3)], pb=[np.ones(3)], d=[2.0], sigma_r=SIGMA_R_FLOOR)
         s, variance = debias_squared(ds)
-        assert s[0] == pytest.approx(4.0, abs=1e-12)
-        assert variance[0] < 1e-20
+        assert s[0] == 4.0
+        assert variance[0] == SIGMA_R_FLOOR**2 * 16.0
 
     def test_variance_that_underflows_rejected(self):
-        # sigma_r^2 of 1e-200 m underflows to 0: every weight would be infinite
-        stack = SyncedStack(d=np.ones((1, 3)), pa=np.zeros((1, 3, 3)), pb=np.ones((1, 3, 3)), sigma_r=1e-200)
-        with pytest.raises(ValueError, match="variances must be strictly positive"):
-            debias_squared(stack)
+        # sigma_r^2 of 1e-200 m underflows to 0, and every weight would be
+        # infinite: a sigma_r below SIGMA_R_FLOOR is rejected by the stack
+        for sigma_r in (1e-200, 1e-12, math.nextafter(SIGMA_R_FLOOR, 0.0)):
+            with pytest.raises(ValueError, match="sigma_r must be at least 1e-09 m"):
+                SyncedStack(d=np.ones((1, 3)), pa=np.zeros((1, 3, 3)), pb=np.ones((1, 3, 3)), sigma_r=sigma_r)
 
     def test_variance_that_overflows_rejected(self):
         # sigma_r 1e100 m: sigma_r^2 (4 d^2 + 2 sigma_r^2) overflows, and every
-        # weight would be 0; 1e160 m overflows sigma_r^2 itself
-        for sigma_r in (1e100, 1e160):
-            stack = SyncedStack(d=np.ones((1, 3)), pa=np.zeros((1, 3, 3)), pb=np.ones((1, 3, 3)), sigma_r=sigma_r)
-            with pytest.raises(ValueError, match="sigma_r must be small enough for finite squared-distance variances"):
-                debias_squared(stack)
+        # weight would be 0; 1e160 m overflows sigma_r^2 itself. A sigma_r
+        # past LARGEST_RANGE is rejected by the stack; at LARGEST_RANGE, with
+        # ranges there too, the variance is finite
+        for sigma_r in (1e100, 1e160, math.nextafter(LARGEST_RANGE, math.inf)):
+            with pytest.raises(ValueError, match="sigma_r must be at least 1e-09 m and at most 1e\\+09 m"):
+                SyncedStack(d=np.ones((1, 3)), pa=np.zeros((1, 3, 3)), pb=np.ones((1, 3, 3)), sigma_r=sigma_r)
+        stack = SyncedStack(d=np.full((1, 3), LARGEST_RANGE), pa=np.zeros((1, 3, 3)), pb=np.ones((1, 3, 3)),
+                            sigma_r=LARGEST_RANGE)
+        assert debias_squared(stack)[1].tolist() == [[6.0 * LARGEST_RANGE**4] * 3]
 
     def test_elementwise_independence(self):
         ds = make_dataset(pa=[np.zeros(3)] * 2, pb=[np.ones(3)] * 2, d=[3.0, 3.0], sigma_r=0.2)
@@ -437,9 +446,12 @@ class TestSyncedStack:
             ("d", [[1.0, 1e200, 2.0], [1.0, 1.0, 1.0]]),
             ("d0", np.array([2.0, 1e200])),
             ("sigma_r", 0.0),
+            ("pb", np.full((2, 3, 3), -2e9)),
+            ("sigma_r", math.nextafter(SIGMA_R_FLOOR, 0.0)),
+            ("sigma_r", math.nextafter(LARGEST_RANGE, math.inf)),
         ],
         ids=["flat_d", "pb_rows", "d0_length", "infinite_range", "zero_range", "infinite_d0", "zero_d0", "nan_pa",
-             "overflowing_range", "overflowing_d0", "zero_sigma_r"],
+             "overflowing_range", "overflowing_d0", "zero_sigma_r", "far_pb", "sigma_r_below_floor", "far_sigma_r"],
     )
     def test_invalid_inputs_rejected(self, name, value):
         fields = {**self._fields(), "sigma_r": 0.1}
@@ -459,28 +471,24 @@ def test_dataset_requires_increasing_timestamps():
 
 
 def test_range_log_rejects_a_range_whose_square_overflows():
-    with pytest.raises(ValueError, match="row 2: measured range must be positive and finite, and so must its square"):
-        range_log([0.0, 1.0, 2.0], [1.0, 2.0, 1e200])
+    for far in (1e200, math.nextafter(LARGEST_RANGE, math.inf)):
+        with pytest.raises(ValueError, match="row 2: measured range must be positive and finite, at most 1e\\+09 m"):
+            range_log([0.0, 1.0, 2.0], [1.0, 2.0, far])
 
 
 def test_the_largest_range_with_a_finite_debias_variance_is_accepted():
-    # the fit squares every range and d0, and the debias variance takes 4
-    # times that square: the last double whose 4 d^2 is finite passes, the
-    # next one is rejected
-    top = math.sqrt(np.finfo(float).max / 4.0)
-    while math.isfinite(4.0 * (math.nextafter(top, math.inf) ** 2)):
-        top = math.nextafter(top, math.inf)
-    while not math.isfinite(4.0 * top * top):
-        top = math.nextafter(top, 0.0)
-    over = math.nextafter(top, math.inf)
-    assert math.isfinite(4.0 * top * top) and not math.isfinite(4.0 * over * over)
+    # LARGEST_RANGE, the one bound of a fit problem's lengths, passes as a
+    # range and as d0, and the next double is rejected; its debias variance
+    # is finite
+    top, over = LARGEST_RANGE, math.nextafter(LARGEST_RANGE, math.inf)
     fields = dict(pa=np.zeros((1, 2, 3)), pb=np.zeros((1, 2, 3)), sigma_r=0.1)
     SyncedStack(d=np.array([[1.0, top]]), d0=np.array([top]), **fields)
-    SyncedDataset(t=[0.0, 1.0], d=[1.0, top], pa=np.zeros((2, 3)), pb=np.zeros((2, 3)), sigma_r=0.1, d0=top)
+    ds = SyncedDataset(t=[0.0, 1.0], d=[1.0, top], pa=np.zeros((2, 3)), pb=np.zeros((2, 3)), sigma_r=0.1, d0=top)
+    assert np.isfinite(debias_squared(ds)[1]).all()
     for d, d0 in (([1.0, over], top), ([1.0, top], over)):
-        with pytest.raises(ValueError, match="so must"):
+        with pytest.raises(ValueError, match="at most 1e\\+09 m"):
             SyncedStack(d=np.array([d]), d0=np.array([d0]), **fields)
-        with pytest.raises(ValueError, match="so must"):
+        with pytest.raises(ValueError, match="at most 1e\\+09 m"):
             SyncedDataset(t=[0.0, 1.0], d=d, pa=np.zeros((2, 3)), pb=np.zeros((2, 3)), sigma_r=0.1, d0=d0)
     with pytest.raises(ValueError, match="row 1: measured range must be positive and finite"):
         range_log([0.0, 1.0], [1.0, over])

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
+from failing_problems import DIVERGED, FAR, NO_CANDIDATE, diverge_every_refinement, fail_marked_problems
 from one_problem import dataset_fim, dataset_jacobian, model_ranges
 from walk_reference import generate_trajectory as reference_walk
 
 from range_rte import simulation
-from range_rte.estimators import ESTIMATORS, assemble_qcqp
+from range_rte.estimators import ESTIMATORS, DegenerateSolutionError, assemble_qcqp
 from range_rte.fisher import det_fim_geometric, fim, range_model
 from range_rte.geometry import LeverArm, Transform4DoF, quat_to_matrix, wrap_angle, yaw_quat
-from range_rte.measurement import SIGMA_R_FLOOR
+from range_rte.measurement import LARGEST_RANGE, SIGMA_R_FLOOR
 from range_rte.simulation import (
     LARGEST_LENGTH,
     LARGEST_LEVER_ARM,
@@ -78,8 +79,10 @@ class TestTrajectory:
         rng = trial_rng(4, 0)
         positions, _ = generate_trajectory(1e-15, 10, rng)
         assert np.linalg.norm(positions, axis=1).max() <= 1e-14
-        # but a walk needs a ball of positive radius and at least one pose
+        # but a walk needs a ball of positive radius, at most LARGEST_LENGTH,
+        # and at least one pose
         for D, n_poses, message in ((0.0, 10, "D must be positive"), (-1.0, 10, "D must be positive"),
+                                    (math.nextafter(LARGEST_LENGTH, math.inf), 10, "D must be positive and finite, at most"),
                                     (1.0, 0, "n_poses must be >= 1")):
             with pytest.raises(ValueError, match=message):
                 generate_trajectory(D, n_poses, rng)
@@ -339,14 +342,18 @@ class TestMonteCarlo:
         assert len(stats.e_t) == 3
 
     @pytest.mark.parametrize("estimator", ["qcqp", "sdp"])
-    def test_overflowing_lifted_cost_is_a_failed_trial(self, estimator):
-        # d0 1e153 m: every range is admitted, but the weighted products of
-        # its d^2 terms overflow P0; each trial fails on its own, without a
-        # floating-point warning (pytest turns one into an error)
-        cfg = ScenarioConfig(d0=1e153, sigma_r=0.01, trials=3, seed=1)
-        stats = monte_carlo_run(cfg, estimator=estimator)
-        assert stats.failures == tuple(f"trial {i}: DegenerateSolutionError: the lifted cost is not finite" for i in range(3))
-        assert np.isnan(stats.e_t).all() and np.isnan(stats.e_theta).all()
+    def test_far_d0_is_rejected_before_any_trial(self, estimator):
+        # d0 1e153 m once overflowed the lifted cost P0, and every trial
+        # failed. The config rejects it, naming d0, and so does a cell's
+        # stack for a d0 just past measurement.LARGEST_RANGE
+        with pytest.raises(ValueError, match="d0 must be positive and finite, at most"):
+            monte_carlo_run(ScenarioConfig(d0=1e153, sigma_r=0.01, trials=3, seed=1), estimator=estimator)
+        _, cell = trial_data(ScenarioConfig(trials=3, seed=1), range(3))
+        past = math.nextafter(LARGEST_RANGE, math.inf)
+        with pytest.raises(ValueError, match="d0 must be positive and finite, at most"):
+            dataclasses.replace(cell, d0=np.full(3, past))
+        with pytest.raises(ValueError, match="ranges must be positive and finite, at most"):
+            dataclasses.replace(cell, d=np.where(np.arange(cell.d.shape[1]) == 0, past, cell.d))
 
     @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
     def test_solve_ms_is_the_registry_wall_time(self, monkeypatch, estimator):
@@ -364,25 +371,27 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
     def test_far_cells_end_without_floating_point_warnings(self, estimator):
-        # d0 1e80 to 1e150 m: P0 is finite, but the sdp unscaling, the
-        # sweep's parabola test and its secular Newton step overflow; a
-        # radius of 1e151 m and a lever arm of 2e152 m overflow the sweep's
-        # root bound and its parabola test. Each trial has a finite error or
-        # fails on its own, with no warning
-        far = [{"d0": d0, "sigma_r": 0.01} for d0 in (1e80, 1e100, 1e120, 1e150)]
-        far += [{"D": 1e151}, {"lever_arms": (LeverArm(r=[2e152, 0.0, 0.0]), LeverArm())}]
-        for cell in far:
+        # d0 1e80 to 1e150 m once overflowed the sdp unscaling and the
+        # sweep, and a radius of 1e151 m or a lever arm of 2e152 m the
+        # sweep's root bound. Each such cell, and one just past its bound,
+        # is now rejected by its config, naming the field, with no warning;
+        # the cells at the bound run (`test_lengths_at_the_bound_are_synthesized`)
+        past_length, past_arm = math.nextafter(LARGEST_LENGTH, math.inf), math.nextafter(LARGEST_LEVER_ARM, math.inf)
+        far = [({"d0": d0, "sigma_r": 0.01}, "d0") for d0 in (1e80, 1e100, 1e120, 1e150, past_length)]
+        far += [({"D": D}, "D") for D in (1e151, past_length)]
+        far += [({"lever_arms": (LeverArm(r=[x, 0.0, 0.0]), LeverArm())}, r"lever_arms\[0\]") for x in (2e152, past_arm)]
+        for cell, field in far:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                stats = monte_carlo_run(ScenarioConfig(**cell, trials=3, seed=1), estimator=estimator)
-            failed = {int(m.split(":")[0].removeprefix("trial ")) for m in stats.failures}
-            assert all("DegenerateSolutionError" in m for m in stats.failures), stats.failures
-            assert all(np.isfinite(stats.e_t[i]) != (i in failed) for i in range(3)), (cell, stats.failures)
+                with pytest.raises(ValueError, match=f"^{field} must be"):
+                    monte_carlo_run(ScenarioConfig(**cell, trials=3, seed=1), estimator=estimator)
 
-    def test_diverged_nls_refinement_is_a_failed_trial(self):
-        # d0 1e153 m: every nls refinement from zero ends non_finite, which
-        # leaves no estimate, so each trial fails and has no error
-        cfg = ScenarioConfig(d0=1e153, sigma_r=0.01, trials=3, seed=1)
+    def test_diverged_nls_refinement_is_a_failed_trial(self, monkeypatch):
+        # every nls refinement ends non_finite (injected: no admissible cell
+        # was seen to diverge), which leaves no estimate, so each trial fails
+        # and has no error
+        diverge_every_refinement(monkeypatch)
+        cfg = ScenarioConfig(sigma_r=0.01, trials=3, seed=1)
         stats = monte_carlo_run(cfg, estimator="nls")
         assert stats.failures == tuple(f"trial {i}: DegenerateSolutionError: the refinement diverged" for i in range(3))
         assert np.isnan(stats.e_t).all() and np.isnan(stats.e_theta).all()
@@ -427,21 +436,28 @@ def reference_cell(cfg, estimator):
     return np.array(rows, dtype=float), tuple(failures)
 
 
-def spoil_trials(monkeypatch):
-    """Ranges of trial 1 scaled by 1e153 (P0 is not finite) and of trial 2
-    by 1e140 (no finite refinement start), d0 with them:
-    two failing trials. The seam is the cell arrays, which `trial_data`
-    makes for a range of trials; a single trial is row 0 of its own range,
-    so the per-trial reference loop sees the same spoilt trials."""
+def spoil_trials(monkeypatch, estimator):
+    """Two failing trials: the d0 of trials 1 and 2, the first range of a
+    cell without lever arms, set far. `sdp` fails them on its own; `qcqp`
+    with the markers of `failing_problems.fail_marked_problems`, trial 1
+    in its sweep (NO_CANDIDATE) and trial 2 in its refinement (DIVERGED).
+    The seam is the cell arrays, which `trial_data` makes for a range of
+    trials; a single trial is row 0 of its own range, so the per-trial
+    reference loop sees the same spoilt trials."""
     trial_data = simulation.trial_data
+    far = {1: FAR, 2: FAR} if estimator == "sdp" else {1: NO_CANDIDATE, 2: DIVERGED}
+    if estimator == "qcqp":
+        fail_marked_problems(monkeypatch)
 
     def spoilt(cfg, trials):
         if isinstance(trials, int):
             return trial_data(cfg, trials)
         truth, cell = trial_data(cfg, trials)
-        scale = np.array([{1: 1e153, 2: 1e140}.get(trial, 1.0) for trial in trials])
-        d0 = None if cell.d0 is None else cell.d0 * scale
-        return truth, dataclasses.replace(cell, d=cell.d * scale[:, None], d0=d0)
+        assert np.array_equal(cell.d[:, 0], cell.d0)
+        d0 = np.array([far.get(trial, d0) for trial, d0 in zip(trials, cell.d0.tolist())])
+        d = cell.d.copy()
+        d[:, 0] = d0
+        return truth, dataclasses.replace(cell, d=d, d0=d0)
 
     monkeypatch.setattr(simulation, "trial_data", spoilt)
 
@@ -463,7 +479,7 @@ class TestStackedCell:
     def test_cell_equals_per_trial_loop(self, estimator, trials, cell, monkeypatch):
         cfg = ScenarioConfig(**self.CELLS[cell], trials=trials, seed=14)
         if cell == "failing":
-            spoil_trials(monkeypatch)
+            spoil_trials(monkeypatch, estimator)
         with np.errstate(all="ignore"):
             want, want_failures = reference_cell(cfg, estimator)
             stats = monte_carlo_run(cfg, estimator)
@@ -692,9 +708,25 @@ def test_lengths_at_the_bound_are_synthesized(monkeypatch):
     noisy = dataclasses.replace(cfg, sigma_r=LARGEST_NOISE, sigma_o=LARGEST_NOISE, lever_arms=arms)
     _, cell = trial_data(noisy, range(noisy.trials))
     assert cell.d0 is None and np.abs(cell.d - trial_data(cfg, range(cfg.trials))[1].d).max() > LARGEST_NOISE
-    stream = drift_stream(DriftConfig(d0=LARGEST_LENGTH, sigma_r=LARGEST_NOISE, sigma_o=LARGEST_NOISE, duration=12.0, seed=3),
-                          monkeypatch)
+    drift = DriftConfig(d0=LARGEST_LENGTH, sigma_r=LARGEST_NOISE, sigma_o=LARGEST_NOISE, duration=12.0, seed=3)
+    stream = drift_stream(drift, monkeypatch)
     assert np.isfinite(stream.d).all() and np.isfinite(stream.pb).all()
+    # and every estimator runs on them without a floating-point warning: each
+    # trial ends with an estimate or its own error, and a drift run with its
+    # track or the first failing window's error
+    for estimator in sorted(ESTIMATORS):
+        for scenario in (cfg, noisy):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                stats = monte_carlo_run(dataclasses.replace(scenario, trials=4), estimator)
+            failed = {int(m.split(":")[0].removeprefix("trial ")) for m in stats.failures}
+            assert all(np.isfinite(stats.e_t[i]) != (i in failed) for i in range(4)), (estimator, stats.failures)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                drift_scenario(drift, estimator)
+            except DegenerateSolutionError:
+                pass
     # numbers.Real admits a bool, which once built a cell at d0 1 m
     with pytest.raises(ValueError, match="d0 must be positive and finite"):
         ScenarioConfig(d0=True)
