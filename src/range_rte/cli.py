@@ -47,7 +47,7 @@ from .fisher import (
     fim,
     singularity_flags,
 )
-from .geometry import LeverArm, Transform4DoF
+from .geometry import LeverArm, wrap_angle
 from .measurement import LARGEST_RANGE, NoOverlapError, ingest_logs, odometry_log, range_log, range_rate_outliers
 from .simulation import DriftConfig, ScenarioConfig, drift_scenario, monte_carlo_run, trial_data, trial_dataset
 
@@ -133,16 +133,17 @@ def _check_values(values: dict, defaults: dict, where) -> None:
         _check_values(cell, defaults, f"{where}: cells[{i}]")
 
 
-def _information_payload(info: FimArrays, T: Transform4DoF) -> dict:
-    """kappa, std_errors, flags and ci95 of a FIM of one at T, the flags
-    those of `fisher.singularity_flags`. std_errors and ci95 are None
-    where the FIM is not invertible."""
+def _information_payload(info: FimArrays, estimate: np.ndarray) -> dict:
+    """kappa, std_errors, flags and ci95 of a FIM of one at the row
+    estimate [t_x, t_y, t_z, theta], the flags those of
+    `fisher.singularity_flags`. std_errors and ci95 are None where the FIM
+    is not invertible."""
     invertible = info.invertible.tolist()[0]
     return {
         "kappa": info.kappa.tolist()[0],
         "std_errors": info.std_errors[0] if invertible else None,
         "flags": dataclasses.asdict(singularity_flags(info)),
-        "ci95": confidence_intervals(T.as_vector()[None], info)[0] if invertible else None,
+        "ci95": confidence_intervals(estimate[None], info)[0] if invertible else None,
     }
 
 
@@ -200,8 +201,8 @@ def cmd_estimate(args) -> int:
         },
     }
     est = ESTIMATORS[cfg["estimator"]](dataset)
-    report["estimate"] = {"t_m": est.theta_hat.t, "theta_rad": est.theta_hat.theta}
-    report.update(_information_payload(est.fim, est.theta_hat))
+    report["estimate"] = {"t_m": est.estimate[:3], "theta_rad": est.estimate[3]}
+    report.update(_information_payload(est.fim, est.estimate))
     report["solver"] = est.solver
     iof.dump_json(args.out, report)
     if est.flags.configuration_singular:
@@ -295,30 +296,36 @@ def _csv_num(x) -> str:
 
 
 def cmd_fim(args) -> int:
-    theta = Transform4DoF(t=np.array(args.theta[:3], dtype=float), theta=float(args.theta[3]))
-    if not np.abs(theta.t).max() <= LARGEST_RANGE:  # the bound of a fit problem's lengths
+    transform = np.array(args.theta)  # the row [t_x, t_y, t_z, theta]
+    t = transform[:3]
+    if not np.isfinite(t).all():
+        raise ValueError(f"translation must be finite, got {t}")
+    if not math.isfinite(args.theta[3]):
+        raise ValueError(f"heading must be finite, got {args.theta[3]}")
+    transform[3] = wrap_angle(transform[3])
+    if not np.abs(t).max() <= LARGEST_RANGE:  # the bound of a fit problem's lengths
         raise ValueError(f"--theta translation components must be at most {LARGEST_RANGE:.4g} m in magnitude, "
                          f"got {args.theta[:3]}")
     cfg = _config(args.config, ESTIMATE_DEFAULTS)
     _, dataset, _ = _ingest(args, cfg)
     stack = dataset.stack()
-    info = fim(theta.t[None], np.array([theta.theta]), stack.pa, stack.pb, stack.sigma_r)
+    info = fim(t[None], transform[3:], stack.pa, stack.pb, stack.sigma_r)
     payload = {
         "command": "fim",
         "config": cfg,
         "config_hash": iof.config_hash(cfg),
         "k": len(dataset),
-        "theta": {"t_m": theta.t, "theta_rad": theta.theta},
+        "theta": {"t_m": t, "theta_rad": transform[3]},
         "F": info.F[0],
         "rank": info.rank[0],
         "crlb_t": info.crlb_t[0],
         "crlb_theta": info.crlb_theta[0],
         "det_direct": info.det_f[0],
-        **_information_payload(info, theta),
+        **_information_payload(info, transform),
     }
     payload.pop("std_errors")  # the fim report gives the bounds as crlb_t, crlb_theta and ci95
     try:
-        payload["det_geometric"] = det_fim_geometric(theta, dataset)
+        payload["det_geometric"] = det_fim_geometric(t, transform[3], dataset)
     except InsufficientDataError:
         payload["note"] = "fewer than 4 range rows: determinant decomposition unavailable"
         payload.pop("det_direct")

@@ -59,7 +59,7 @@ Every estimator has one contract. Its point stage (`_qcqp_points`,
 `_sdp_points`, `_nls_points`) takes a stack of W problems, plus, for the
 local `nls` alone, a (W, 4) array of starts, and returns arrays: the
 estimates (W, 4) of (t_x, t_y, t_z, theta), theta wrapped into [-pi, pi)
-as `Transform4DoF` wraps it and NaN rows where a problem failed, one (W,)
+by `geometry.wrap_angle` and NaN rows where a problem failed, one (W,)
 array per solver scalar, and the error of every problem that fails. A
 problem gets the same bits as in a stack of one. Below the `ESTIMATORS`
 entries every function takes that one form, a stack, and gives arrays:
@@ -69,7 +69,7 @@ the lift (`_lift`), its cost (`_lifted_cost`), the relaxation
 times the point stage once and adds its time per problem as the solver
 scalar wall_ms. A stack in gives the point stage. A dataset in gives its
 `EstimateReport`: the point stage of `dataset.stack()`, a stack of one,
-then `_report`, the only place that builds a `Transform4DoF`, a solver
+then `_report`, which takes the estimate as row 0, builds the solver
 dict and, through `fisher.singularity_flags`, the `SingularityFlags` of
 row 0 of the stack's `fisher.FimArrays`, which raises the problem's
 error. A Monte-Carlo cell (`simulation.monte_carlo_run`) stacks its
@@ -92,7 +92,7 @@ from typing import Optional
 import numpy as np
 
 from .fisher import FimArrays, SingularityFlags, fim, range_model, singularity_flags
-from .geometry import Transform4DoF, heading_cos_sin, wrap_angle
+from .geometry import heading_cos_sin, wrap_angle
 from .measurement import SyncedDataset, SyncedStack, debias_squared
 from .solvers import CONVERGED, MAX_ITER, NON_FINITE, SolveDiagnostics, lockstep_newton, sdp_solve
 
@@ -219,11 +219,12 @@ class QcqpProblem:
 class EstimateReport:
     """Estimate plus uncertainty and solver diagnostics.
 
-    `fim` is the information at the estimate, the `FimArrays` of a stack
-    of one, and `flags` the verdicts of its row 0.
+    `estimate` is the row [t_x, t_y, t_z, theta], theta wrapped into
+    [-pi, pi), `fim` the information at it, the `FimArrays` of a stack of
+    one, and `flags` the verdicts of its row 0.
     """
 
-    theta_hat: Transform4DoF
+    estimate: np.ndarray
     solver: dict
     fim: FimArrays
     flags: SingularityFlags
@@ -729,12 +730,12 @@ def _information(points: tuple, stack: SyncedStack) -> FimArrays:
 
 def _report(method: str, points: tuple, stack: SyncedStack) -> EstimateReport:
     """The EstimateReport of a point stage on a stack of one: its estimate,
-    its solver scalars under "method", its FIM (see `_information`) and
-    the flags of that FIM."""
+    row 0 of the estimates, its solver scalars under "method", its FIM
+    (see `_information`) and the flags of that FIM."""
     info = _information(points, stack)
     estimates, scalars, _ = points
     return EstimateReport(
-        theta_hat=Transform4DoF(t=estimates[0, :3], theta=estimates[0, 3]),
+        estimate=estimates[0],
         solver={"method": method, **{name: values.tolist()[0] for name, values in scalars.items()}},
         fim=info,
         flags=singularity_flags(info),

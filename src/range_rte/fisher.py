@@ -39,7 +39,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import Transform4DoF, heading_cos_sin, yaw_matrices
+from .geometry import heading_cos_sin, yaw_matrices
 from .measurement import SyncedDataset
 
 # kappa of the FIM at the estimate above which a configuration is
@@ -222,9 +222,10 @@ def fim(t, theta, pa, pb, sigma_r: float) -> FimArrays:
     return fim_arrays((J.swapaxes(-1, -2) @ J) / sigma_r**2)
 
 
-def det_fim_geometric(T: Transform4DoF, dataset: SyncedDataset) -> float:
+def det_fim_geometric(t, theta: float, dataset: SyncedDataset) -> float:
     """det(F) by expansion over all 4-subsets of the rows of
-    `dataset.stack()`, at T.
+    `dataset.stack()`, at the transform of translation t (3,) and heading
+    theta.
 
     Each subset contributes the squared signed combination of the
     heading terms with the triple-product volumes of the remaining three
@@ -237,7 +238,7 @@ def det_fim_geometric(T: Transform4DoF, dataset: SyncedDataset) -> float:
     analysis tool, not an estimator path).
     """
     stack = dataset.stack()
-    (d,), (J,) = range_model(T.t[None], np.array([T.theta]), stack.pa, stack.pb)
+    (d,), (J,) = range_model(np.asarray(t, dtype=float)[None], np.array([theta], dtype=float), stack.pa, stack.pb)
     if np.any(d <= 0.0):
         raise SingularGeometryError("zero range encountered in dataset")
     if len(J) < 4:

@@ -1,8 +1,13 @@
-"""Frames, rotations and the 4-DoF (translation + heading) transform.
+"""Frames, rotations and headings.
 
 Both agents run gravity-aligned local odometry frames, so the transform
 between their frames has exactly four observable degrees of freedom:
-3D translation and the yaw angle about the common gravity axis.
+3D translation and the yaw angle about the common gravity axis. A
+transform is a row [t_x, t_y, t_z, theta], theta wrapped into [-pi, pi)
+by `wrap_angle` and measured counterclockwise about +z from the host
+frame to the target frame; W transforms are a (W, 4) array, or the pair
+(t (W, 3), theta (W,)). A heading rotates through `yaw_matrices` of its
+`heading_cos_sin`.
 
 Attitudes are unit quaternions stored scalar-last, (x, y, z, w). The
 quaternion helpers work on stacks: q of shape (..., 4) gives rotation
@@ -28,9 +33,9 @@ def wrap_angle(theta):
 def heading_cos_sin(theta) -> tuple[np.ndarray, np.ndarray]:
     """cos and sin of an array of headings, each rounded by `math.cos` and
     `math.sin`: the one rule by which a heading becomes a rotation, in
-    `Transform4DoF.rotation` and in every stack of transforms, so that a
-    heading rotates with the same bits alone and in any stack (np.cos and
-    np.sin may round an array differently in the last bit)."""
+    every stack of transforms, so that a heading rotates with the same
+    bits alone and in any stack (np.cos and np.sin may round an array
+    differently in the last bit)."""
     theta = np.asarray(theta).tolist()
     return np.array([math.cos(th) for th in theta]), np.array([math.sin(th) for th in theta])
 
@@ -45,43 +50,6 @@ def yaw_matrices(c, s) -> np.ndarray:
     return R
 
 
-def _as_vec3(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must have shape (3,), got {arr.shape}")
-    x, y, z = arr.tolist()  # three Python floats: ~6x cheaper than np.isfinite on the array
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValueError(f"{name} must be finite, got {arr}")
-    return arr
-
-
-@dataclass(frozen=True)
-class Transform4DoF:
-    """Relative frame transform: translation t and heading theta.
-
-    theta is stored wrapped into [-pi, pi); measured counterclockwise
-    about +z from the host frame to the target frame.
-    """
-
-    t: np.ndarray
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", _as_vec3(self.t, "translation"))
-        if not math.isfinite(self.theta):
-            raise ValueError(f"heading must be finite, got {self.theta}")
-        # Python's float % rounds as numpy's remainder, so this is wrap_angle, bit for bit
-        object.__setattr__(self, "theta", (float(self.theta) + math.pi) % TWO_PI - math.pi)
-
-    def rotation(self) -> np.ndarray:
-        """Rotation matrix about the +z axis by theta (counterclockwise)."""
-        return yaw_matrices(*heading_cos_sin([self.theta]))[0]
-
-    def as_vector(self) -> np.ndarray:
-        """Parameter vector [t_x, t_y, t_z, theta]."""
-        return np.append(self.t, self.theta)
-
-
 @dataclass(frozen=True)
 class LeverArm:
     """UWB antenna position in the body frame (from calibration), meters."""
@@ -89,13 +57,13 @@ class LeverArm:
     r: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _as_vec3(self.r, "lever arm"))
-
-
-def apply_transform(T: Transform4DoF, p) -> np.ndarray:
-    """Express a point (or an (N, 3) batch of points) in the host frame."""
-    p = np.asarray(p, dtype=float)
-    return T.t + p @ T.rotation().T
+        r = np.asarray(self.r, dtype=float)
+        if r.shape != (3,):
+            raise ValueError(f"lever arm must have shape (3,), got {r.shape}")
+        x, y, z = r.tolist()  # three Python floats: ~6x cheaper than np.isfinite on the array
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValueError(f"lever arm must be finite, got {r}")
+        object.__setattr__(self, "r", r)
 
 
 # R(q) = I + 2 M(q) for a unit quaternion q = (x, y, z, w); each entry of
@@ -133,9 +101,13 @@ def quat_to_matrix(q) -> np.ndarray:
     return (np.eye(3).ravel() + products @ _QUAT_PRODUCTS_TO_MATRIX).reshape(q.shape[:-1] + (3, 3))
 
 
-def yaw_quat(yaw: float) -> np.ndarray:
-    """Quaternion (x, y, z, w) for a pure rotation about +z."""
-    return np.array([0.0, 0.0, math.sin(0.5 * yaw), math.cos(0.5 * yaw)])
+def yaw_quat(yaw) -> np.ndarray:
+    """Quaternions (x, y, z, w) of pure rotations about +z, shape (..., 4),
+    from yaws of shape (...,)."""
+    yaw = np.asarray(yaw, dtype=float)
+    q = np.zeros(yaw.shape + (4,))
+    q[..., 2], q[..., 3] = np.sin(0.5 * yaw), np.cos(0.5 * yaw)
+    return q
 
 
 def interpolate_quats(qa, qb, s) -> np.ndarray:

@@ -258,7 +258,8 @@ class SyncedStack:
     for it is already among the k rows, which `SyncedDataset.stack`,
     `SyncedDataset.windows` and `simulation.synthesize_measurements`
     decide. The arrays are kept as given, not copied; the constructor
-    checks their shapes and, as a dataset's does, their rows (`_check_rows`).
+    checks their shapes, that W >= 1, and, as a dataset's does, their rows
+    (`_check_rows`).
     """
 
     d: np.ndarray
@@ -275,6 +276,8 @@ class SyncedStack:
                 "need d (W, k), pa and pb (W, k, 3) and d0 (W,) or None; "
                 f"got {self.d.shape}, {self.pa.shape}, {self.pb.shape} and {d0_shape}"
             )
+        if W == 0:
+            raise ValueError("a stack needs at least one problem, got W = 0")
         _check_rows(self.d, self.pa, self.pb, self.sigma_r, self.d0)
 
 

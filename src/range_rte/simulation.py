@@ -7,6 +7,10 @@ Every run is keyed by a 64-bit seed through a counter-based generator
 (Philox) with one substream per trial, so trials are reproducible and
 independent of the order they run in.
 
+A truth is the pair (t, theta) that `_truth` draws, theta wrapped into
+[-pi, pi) by `geometry.wrap_angle`: (t (3,), theta) for one trial and
+(t (W, 3), theta (W,)) for a cell, the form `fisher.fim` takes.
+
 A Monte-Carlo cell is one array pipeline. `trial_data` on a range of
 trials loops over them once, for each trial's truth and two walks, which
 run on Python floats; each trial's noise is drawn from its own generator
@@ -33,7 +37,7 @@ import numpy as np
 
 from .estimators import ESTIMATORS, WindowTrack, align_target_trajectory, sliding_window_estimate
 from .fisher import fim, range_model
-from .geometry import TWO_PI, LeverArm, Transform4DoF, apply_transform, wrap_angle, yaw_matrices
+from .geometry import TWO_PI, LeverArm, heading_cos_sin, wrap_angle, yaw_matrices, yaw_quat
 from .measurement import LARGEST_RANGE, SIGMA_R_FLOOR, SyncedDataset, SyncedStack, antenna_positions, at_frame_origins
 
 SCENARIO_KINDS = ("parallel", "planar_linear", "static_target", "static_host")
@@ -230,18 +234,11 @@ def _direction(rng: np.random.Generator) -> tuple[np.ndarray, float]:
 def _truth(d0: float, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """The one truth draw, (t, theta): t = d0 v / ||v|| in a uniform
     direction (`_direction`), then a uniform heading theta in [-pi, pi)
-    (`_heading`), not yet wrapped. `sample_ground_truth` makes it a
-    `Transform4DoF`, and `trial_data` stacks the draws of its trials."""
+    (`_heading`), not yet wrapped; every caller wraps it with `wrap_angle`.
+    `trial_data` stacks the draws of its trials, and `singular_scenario`
+    and a drift run take one each."""
     v, n = _direction(rng)
     return d0 * v / n, _heading(rng)
-
-
-def sample_ground_truth(d0: float, rng: np.random.Generator) -> Transform4DoF:
-    """Truth transform: ||t|| = d0 with uniform direction, uniform heading."""
-    if not d0 > 0:
-        raise ValueError("d0 must be positive")
-    t, theta = _truth(d0, rng)
-    return Transform4DoF(t=t, theta=theta)
 
 
 def generate_trajectory(D: float, n_poses: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -311,10 +308,7 @@ def synthesize_measurements(
     t, theta = T_true
     n = min(traj_a[1].shape[1], traj_b[1].shape[1])
     positions, yaws = (np.stack((a[:, :n], b[:, :n])) for a, b in zip(traj_a, traj_b))
-    # the heading-only attitudes (0, 0, sin(yaw / 2), cos(yaw / 2)) of both agents
-    q = np.zeros(yaws.shape + (4,))
-    q[..., 2], q[..., 3] = np.sin(0.5 * yaws), np.cos(0.5 * yaws)
-    pa, pb = map(antenna_positions, positions, q, [arm.r for arm in cfg.lever_arms])
+    pa, pb = map(antenna_positions, positions, yaw_quat(yaws), [arm.r for arm in cfg.lever_arms])
     return _measure(range_model(t, theta, pa, pb)[0], pa, pb, cfg, rngs)
 
 
@@ -362,8 +356,9 @@ def singular_scenario(
     kind: str,
     cfg: ScenarioConfig,
     rng: np.random.Generator,
-) -> tuple[Transform4DoF, SyncedDataset]:
-    """Trajectory pair realizing a named degeneracy exactly.
+) -> tuple[tuple[np.ndarray, float], SyncedDataset]:
+    """Truth (t (3,), theta) and dataset of a trajectory pair realizing a
+    named degeneracy exactly.
 
     parallel: both agents translate with the same world velocity, so the
     relative position vector never changes direction.
@@ -373,9 +368,10 @@ def singular_scenario(
     """
     if kind not in SCENARIO_KINDS:
         raise ValueError(f"unknown scenario kind {kind!r}; expected one of {SCENARIO_KINDS}")
-    T = sample_ground_truth(cfg.d0, rng)
+    t, theta = _truth(cfg.d0, rng)
+    theta = wrap_angle(theta)
     n, D = cfg.n_poses, cfg.D
-    C = T.rotation()
+    C = yaw_matrices(*heading_cos_sin([theta]))[0]
 
     def rand_unit():
         v = rng.standard_normal(3)
@@ -397,7 +393,7 @@ def singular_scenario(
         # world offset between the lines must stay inside the plane:
         # pick the target start so that t + C pb0 - pa0 is plane-parallel
         w0 = 0.8 * cfg.d0 * e1 + 0.2 * cfg.d0 * e2
-        b0 = C.T @ (w0 - T.t)
+        b0 = C.T @ (w0 - t)
         along = np.arange(n) * D / max(n - 1, 1)
         traj_b = b0 + along[:, None] * (C.T @ vb_world), rng.uniform(-math.pi, math.pi, n)
     elif kind == "static_target":
@@ -408,13 +404,13 @@ def singular_scenario(
         traj_b = generate_trajectory(D, n, rng)
     # a stack of one trial: a leading axis of 1 on every array
     trajs = [(p[None], yaw[None]) for p, yaw in (traj_a, traj_b)]
-    return T, trial_dataset(synthesize_measurements((T.t[None], np.array([T.theta])), *trajs, cfg, [rng]), 0)
+    return (t, theta), trial_dataset(synthesize_measurements((t[None], theta[None]), *trajs, cfg, [rng]), 0)
 
 
 def trial_data(cfg: ScenarioConfig, trials: int | Sequence[int]) -> tuple:
     """Ground truth and synthesized dataset of one trial (reproducible).
 
-    A trial index gives (Transform4DoF, SyncedDataset). A sequence of W
+    A trial index gives ((t (3,), theta), SyncedDataset). A sequence of W
     indices, such as range(cfg.trials), gives the trials as arrays: the
     truths as the pair (t (W, 3), theta (W,)) and the datasets as one
     `SyncedStack`. Each trial draws from its own substream (`trial_rng`),
@@ -429,8 +425,7 @@ def trial_data(cfg: ScenarioConfig, trials: int | Sequence[int]) -> tuple:
     """
     if isinstance(trials, numbers.Integral):
         (t, theta), cell = trial_data(cfg, range(trials, trials + 1))
-        # theta is already wrapped, and wrapping a wrapped heading leaves its bits
-        return Transform4DoF(t=t[0], theta=theta[0]), trial_dataset(cell, 0)
+        return (t[0], theta[0]), trial_dataset(cell, 0)
     rngs = [trial_rng(cfg.seed, i) for i in trials]
     truths, walk_a, walk_b = [], [], []
     for rng in rngs:
@@ -490,22 +485,23 @@ class DriftResult:
     windows: WindowTrack
 
 
-def _drift_truth_series(cfg: DriftConfig, n: int, dt: float, rng) -> tuple[Transform4DoF, np.ndarray, np.ndarray]:
-    """Initial transform plus its random-walk perturbation over time.
+def _drift_truth_series(cfg: DriftConfig, n: int, dt: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """A truth (`_truth`) and its random-walk perturbation over time.
 
-    Returns T0, the translations, shape (n, 3), and the headings, shape
-    (n,). Row i of the noise drives step i: three translation draws, then
-    one heading draw. Each walk is one cumulative sum, which adds in
-    sequence as a loop of float additions does; the headings are wrapped
-    into [-pi, pi) once, after the sum.
+    Returns the translations, shape (n, 3), and the headings, shape (n,),
+    whose row 0 is the initial transform. Row i of the noise drives step
+    i: three translation draws, then one heading draw. Each walk is one
+    cumulative sum, which adds in sequence as a loop of float additions
+    does; the first heading is wrapped as every truth is, and the
+    headings are wrapped into [-pi, pi) again after the sum.
     """
-    T0 = sample_ground_truth(cfg.d0, rng)
+    t0, theta0 = _truth(cfg.d0, rng)
     noise = rng.standard_normal((n, 4))
     sig_t = cfg.sigma_t * math.sqrt(dt)
     sig_th = cfg.sigma_theta * math.sqrt(dt)
-    t = np.cumsum(np.vstack([T0.t, sig_t * noise[:-1, :3]]), axis=0)[:n]
-    theta = np.cumsum(np.append(T0.theta, sig_th * noise[:-1, 3]))
-    return T0, t, wrap_angle(theta)
+    t = np.cumsum(np.vstack([t0, sig_t * noise[:-1, :3]]), axis=0)[:n]
+    theta = np.cumsum(np.append(wrap_angle(theta0), sig_th * noise[:-1, 3]))
+    return t, wrap_angle(theta)
 
 
 def _sinuous(t, amplitudes, freqs, phases):
@@ -533,7 +529,9 @@ def drift_scenario(cfg: DriftConfig, estimator: str = "qcqp") -> DriftResult:
     n = cfg.n_samples
     t_axis = np.arange(n) * dt
 
-    T0, t_true, theta_true = _drift_truth_series(cfg, n, dt, rng)
+    t_true, theta_true = _drift_truth_series(cfg, n, dt, rng)
+    # the initial registration, which the no-correction baseline keeps
+    C0 = yaw_matrices(*heading_cos_sin(theta_true[:1]))[0]
 
     # Host pattern: wide sinuous sweep; large angular coverage of the
     # target keeps the windowed translation geometry strong.
@@ -558,7 +556,7 @@ def drift_scenario(cfg: DriftConfig, estimator: str = "qcqp") -> DriftResult:
         freqs=(0.17, 0.27, 0.37),
         phases=(1.0, 0.2, 2.5),
     )
-    target_world = apply_transform(T0, target_local)
+    target_world = t_true[0] + target_local @ C0.T
 
     # row i: C(theta_i)' (target_world_i - t_i)
     pb_true = ((target_world - t_true)[:, None, :] @ yaw_matrices(np.cos(theta_true), np.sin(theta_true)))[:, 0]
@@ -568,7 +566,7 @@ def drift_scenario(cfg: DriftConfig, estimator: str = "qcqp") -> DriftResult:
     windows = sliding_window_estimate(stream, window=cfg.window, stride=cfg.stride, estimator=estimator)
     aligned = align_target_trajectory(stream, windows)
 
-    nc = apply_transform(T0, stream.pb)
+    nc = t_true[0] + stream.pb @ C0.T
     nc_err = np.linalg.norm(nc - target_world, axis=1)
     corr_err = np.linalg.norm(aligned - target_world, axis=1)
 

@@ -13,7 +13,6 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from range_rte.estimators import _lift
-from range_rte.geometry import Transform4DoF
 
 # MINPACK's stopping tolerances, a few eps: the reference runs down to the
 # rounding floor of its residual cost instead of stopping 1e-8 short of it
@@ -44,8 +43,9 @@ def lm_least_squares(residuals, jacobian, x0):
     return least_squares(residuals, x0, jac=jacobian, method="lm", ftol=LM_TOL, xtol=LM_TOL, gtol=LM_TOL)
 
 
-def lm_refine(problem, T0: Transform4DoF) -> tuple[Transform4DoF, float]:
-    """Refined transform from T0 and its cost x' P0 x, taken from the residuals as 2 max w times their cost."""
+def lm_refine(problem, T0: np.ndarray) -> tuple[np.ndarray, float]:
+    """Refined transform row from the row T0 [t_x, t_y, t_z, theta] and its
+    cost x' P0 x, taken from the residuals as 2 max w times their cost."""
     Bw = problem.B * np.sqrt(problem.weights / problem.weights.max())[:, None]
 
     def residuals(p):
@@ -54,5 +54,5 @@ def lm_refine(problem, T0: Transform4DoF) -> tuple[Transform4DoF, float]:
     def jacobian(p):
         return Bw @ lift_jacobian(p[:3], p[3])
 
-    res = lm_least_squares(residuals, jacobian, T0.as_vector())
-    return Transform4DoF(t=res.x[:3], theta=res.x[3]), 2.0 * float(problem.weights.max()) * float(res.cost)
+    res = lm_least_squares(residuals, jacobian, T0)
+    return res.x, 2.0 * float(problem.weights.max()) * float(res.cost)

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from failing_problems import DIVERGED, fail_marked_problems
-from one_problem import dataset_fim, model_ranges
+from one_problem import dataset_fim, model_ranges, yaw_rotation
 
 from range_rte.cli import DRIFT_DEFAULTS, DRIFT_FIELDS, ESTIMATE_DEFAULTS, SIM_DEFAULTS, SIM_FIELDS, main
 from range_rte.estimators import ESTIMATORS
-from range_rte.geometry import LeverArm, Transform4DoF, wrap_angle, yaw_quat
+from range_rte.geometry import LeverArm, wrap_angle, yaw_quat
 from range_rte.io_formats import (
     ParseError,
     atomic_write_text,
@@ -24,7 +24,7 @@ from range_rte.io_formats import (
     write_odometry_csv,
     write_ranges_csv,
 )
-from range_rte.fisher import DEFAULT_KAPPA_THRESHOLD
+from range_rte.fisher import DEFAULT_KAPPA_THRESHOLD, fim
 from range_rte.measurement import LARGEST_RANGE, ingest_logs, odometry_log, range_log
 from range_rte.simulation import LARGEST_LENGTH, LARGEST_LEVER_ARM, LARGEST_NOISE, DriftConfig, ScenarioConfig
 
@@ -44,10 +44,11 @@ def write_json(path, payload):
     return str(path)
 
 
-def synthetic_logs(tmp_path, T=None, n=60, noise=0.0, spike=None, static_host=False, seed=0):
-    """Write odometry/range CSVs for a known transform; returns paths + truth."""
+def synthetic_logs(tmp_path, n=60, noise=0.0, spike=None, static_host=False, seed=0):
+    """Write odometry/range CSVs for a known transform; returns paths + the
+    truth as a row [t_x, t_y, t_z, theta]."""
     rng = np.random.default_rng(seed)
-    T = T or Transform4DoF(t=[2.0, -1.0, 0.5], theta=0.8)
+    T = np.array([2.0, -1.0, 0.5, 0.8])
     t_axis = np.arange(n) * 0.1
     if static_host:
         pa = np.zeros((n, 3))
@@ -82,8 +83,8 @@ class TestEstimateCommand:
         rc = main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out])
         assert rc == 0
         rep = read_json(out)
-        assert np.linalg.norm(np.array(rep["estimate"]["t_m"]) - T.t) < 1e-6
-        assert abs(rep["estimate"]["theta_rad"] - T.theta) < 1e-6
+        assert np.linalg.norm(np.array(rep["estimate"]["t_m"]) - T[:3]) < 1e-6
+        assert abs(rep["estimate"]["theta_rad"] - T[3]) < 1e-6
         assert rep["counts"]["used"] == 60
 
     def test_spike_rejected_and_counted(self, tmp_path):
@@ -228,7 +229,7 @@ class TestEstimateCommand:
         # read off the logs; a supplied one is one more range to fit
         pa, pb, ranges, T = synthetic_logs(tmp_path, noise=0.02, seed=5)
         estimates = {}
-        for name, d0 in (("free", None), ("short", 0.5 * float(np.linalg.norm(T.t)))):
+        for name, d0 in (("free", None), ("short", 0.5 * float(np.linalg.norm(T[:3])))):
             cfg = write_json(tmp_path / f"{name}.json", {"sigma_r_m": 0.02, "d0_m": d0})
             out = str(tmp_path / f"{name}.json.out")
             assert main(["estimate", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]) == 0
@@ -261,7 +262,7 @@ class TestEstimateCommand:
         cfg = write_json(tmp_path / "cfg.json", {"kappa_threshold": 1.0})
         logs = ["--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", cfg, "--out", out]
         assert main(["estimate", *logs]) == 2
-        assert main(["fim", *logs, "--theta", *[str(v) for v in T.as_vector()]]) == 2
+        assert main(["fim", *logs, "--theta", *[str(v) for v in T]]) == 2
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
@@ -489,7 +490,7 @@ class TestFimCommand:
         pa, pb, ranges, T = synthetic_logs(tmp_path, n=3, seed=10)
         out = str(tmp_path / "fim.json")
         rc = main(["fim", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges,
-                   "--theta", *[str(v) for v in T.as_vector()], "--out", out])
+                   "--theta", *[str(v) for v in T], "--out", out])
         assert rc == 0
         rep = read_json(out)
         assert "note" in rep and "det_geometric" not in rep
@@ -545,17 +546,37 @@ class TestFimCommand:
         ranges = range_log(t_axis, rng.uniform(2.0, 5.0, n))
         write_ranges_csv(str(tmp_path / "r.csv"), ranges)
         cfg = write_json(tmp_path / "cfg.json", {**arms, "sigma_r_m": 0.05})
-        T = Transform4DoF(t=[2.0, -1.0, 0.5], theta=0.8)
+        # fim takes the heading wrapped into [-pi, pi), as every transform row holds it
+        T = np.append([2.0, -1.0, 0.5], wrap_angle(0.8))
         out = str(tmp_path / "fim.json")
         rc = main(["fim", "--odom-a", str(tmp_path / "a.csv"), "--odom-b", str(tmp_path / "b.csv"),
                    "--ranges", str(tmp_path / "r.csv"), "--config", cfg,
-                   "--theta", *[str(v) for v in T.as_vector()], "--out", out])
+                   "--theta", *[str(v) for v in T], "--out", out])
         assert rc == 0
         rep = read_json(out)
         arm_a, arm_b = LeverArm(arms["lever_arm_a_m"]), LeverArm(arms["lever_arm_b_m"])
         want = dataset_fim(T, ingest_logs(*logs, ranges, arm_a=arm_a, arm_b=arm_b, sigma_r=0.05)[0]).F[0]
         np.testing.assert_array_equal(np.array(rep["F"]), want)
         assert not np.allclose(want, dataset_fim(T, ingest_logs(*logs, ranges, sigma_r=0.05)[0]).F[0])
+
+    @pytest.mark.parametrize("turns", [1, -3])
+    def test_heading_is_wrapped(self, tmp_path, turns):
+        # a --theta heading whole turns from the truth's, either way, is wrapped
+        # into [-pi, pi) before it enters the report and the information
+        logs, truth = self._emitted_logs(tmp_path, {"n_poses": 10, "seed": 11})
+        t, heading = [float(v) for v in truth[:3]], float(truth[3]) + turns * 2.0 * math.pi
+        out = str(tmp_path / "fim.json")
+        assert main(["fim", *logs, "--theta", *map(repr, t), repr(heading), "--out", out]) == 0
+        rep = read_json(out)
+        wrapped = float(wrap_angle(heading))
+        assert rep["theta"]["theta_rad"] == wrapped and -math.pi <= wrapped < math.pi
+        assert wrapped == pytest.approx(float(truth[3]), abs=1e-12)
+        paths = logs[1::2][:3]
+        cfg = read_json(logs[-1])
+        logged = read_odometry_csv(paths[0]), read_odometry_csv(paths[1]), read_ranges_csv(paths[2])
+        stack = ingest_logs(*logged, sigma_r=cfg["sigma_r_m"], d0=cfg["d0_m"])[0].stack()
+        want = fim(np.array([t]), np.array([wrapped]), stack.pa, stack.pb, stack.sigma_r).F[0]
+        assert np.array(rep["F"]).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "theta, message",
@@ -577,7 +598,7 @@ class TestFimCommand:
 
     def test_config_unknown_key_rejected(self, tmp_path):
         pa, pb, ranges, T = synthetic_logs(tmp_path, n=10, seed=14)
-        theta = [str(v) for v in T.as_vector()]
+        theta = [str(v) for v in T]
         bad = write_json(tmp_path / "bad.json", {"lever_arm_c_m": [0.0, 0.0, 0.0]})
         out = str(tmp_path / "fim.json")
         assert main(["fim", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--config", bad,
@@ -588,7 +609,7 @@ class TestFimCommand:
         pa, pb, ranges, T = synthetic_logs(tmp_path, n=10, seed=14)
         with pytest.raises(SystemExit) as exc:
             main(["fim", "--odom-a", pa, "--odom-b", pb, "--ranges", ranges, "--sigma-r", "0.05",
-                  "--theta", *[str(v) for v in T.as_vector()], "--out", str(tmp_path / "fim.json")])
+                  "--theta", *[str(v) for v in T], "--out", str(tmp_path / "fim.json")])
         assert exc.value.code == 2
 
     def test_parallel_scenario_flagged(self, tmp_path):
@@ -597,8 +618,8 @@ class TestFimCommand:
         n = 12
         v = np.array([0.2, 0.1, 0.05])
         pa = np.arange(n)[:, None] * v
-        T = Transform4DoF(t=[3.0, 0.0, 0.0], theta=0.4)
-        pb = (pa + np.array([2.0, 1.0, 0.0]) - T.t) @ T.rotation()
+        T = np.array([3.0, 0.0, 0.0, 0.4])
+        pb = (pa + np.array([2.0, 1.0, 0.0]) - T[:3]) @ yaw_rotation(T[3])
         d = model_ranges(T, pa, pb)
         t_axis = np.arange(n) * 0.1
         write_odometry_csv(str(tmp_path / "a.csv"), odometry_log(t_axis, pa))
@@ -606,7 +627,7 @@ class TestFimCommand:
         write_ranges_csv(str(tmp_path / "r.csv"), range_log(t_axis, d))
         out = str(tmp_path / "fim.json")
         rc = main(["fim", "--odom-a", str(tmp_path / "a.csv"), "--odom-b", str(tmp_path / "b.csv"),
-                   "--ranges", str(tmp_path / "r.csv"), "--theta", *[str(v) for v in T.as_vector()], "--out", out])
+                   "--ranges", str(tmp_path / "r.csv"), "--theta", *[str(v) for v in T], "--out", out])
         assert rc == 0
         rep = read_json(out)
         assert rep["flags"]["configuration_singular"] is True
@@ -1117,7 +1138,7 @@ class TestTimeShiftInvariance:
         largest seen over 150 inputs). They must agree to 1e-5."""
         rng = np.random.default_rng(seed)
         n = 120
-        T = Transform4DoF(t=rng.uniform(-5.0, 5.0, 3), theta=rng.uniform(-math.pi, math.pi))
+        T = np.append(rng.uniform(-5.0, 5.0, 3), rng.uniform(-math.pi, math.pi))
         t_odom = 0.1 * np.arange(n)
         q = [yaw_quat(y) for y in rng.uniform(-math.pi, math.pi, n)]
         pa, pb = np.cumsum(rng.normal(0.0, 0.25, (2, n, 3)), axis=1)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from lm_reference import lift_jacobian, lm_least_squares, lm_refine
 from failing_problems import DIVERGED, FAR, NO_CANDIDATE, fail_marked_problems
-from one_problem import model_ranges
+from one_problem import model_ranges, yaw_rotation
 from sweep_reference import clear_decisions, reference_sweep
 
 from range_rte.estimators import (
@@ -41,7 +41,7 @@ from range_rte.estimators import (
     solve_sdp_relaxation,
 )
 from range_rte.fisher import DEFAULT_KAPPA_THRESHOLD, confidence_intervals, fim, fim_arrays, range_model
-from range_rte.geometry import Transform4DoF, wrap_angle
+from range_rte.geometry import wrap_angle
 from range_rte.measurement import SyncedDataset, debias_squared
 from range_rte.solvers import CONVERGED, _gram, lockstep_newton
 from range_rte.simulation import DriftConfig, ScenarioConfig, trial_data, trial_rng
@@ -49,24 +49,30 @@ from range_rte.simulation import DriftConfig, ScenarioConfig, trial_data, trial_
 qcqp_estimate, sdp_estimate, nls_estimate = (ESTIMATORS[name] for name in ("qcqp", "sdp", "nls"))
 
 
+def trial_instance(cfg):
+    """The truth of trial 0 of a cell as a row [t_x, t_y, t_z, theta], and its dataset."""
+    truth, ds = trial_data(cfg, 0)
+    return np.append(*truth), ds
+
+
 def noiseless_instance(seed, d0=3.0, D=1.0, n=20):
-    return trial_data(ScenarioConfig(d0=d0, D=D, n_poses=n, sigma_r=0.0, sigma_o=0.0, trials=1, seed=seed), 0)
+    return trial_instance(ScenarioConfig(d0=d0, D=D, n_poses=n, sigma_r=0.0, sigma_o=0.0, trials=1, seed=seed))
 
 
 def noisy_instance(seed, d0=3.0, D=1.0, n=30, sigma_r=0.1, sigma_o=0.001):
-    return trial_data(ScenarioConfig(d0=d0, D=D, n_poses=n, sigma_r=sigma_r, sigma_o=sigma_o, trials=1, seed=seed), 0)
+    return trial_instance(ScenarioConfig(d0=d0, D=D, n_poses=n, sigma_r=sigma_r, sigma_o=sigma_o, trials=1, seed=seed))
 
 
-def lift(T: Transform4DoF) -> np.ndarray:
-    """The lifted 9-vector of a transform: `_lift` at its translation and
-    the cosine and sine of its heading."""
-    return _lift(*T.t, math.cos(T.theta), math.sin(T.theta))
+def lift(T: np.ndarray) -> np.ndarray:
+    """The lifted 9-vector of a transform row: `_lift` at its translation
+    and the cosine and sine of its heading."""
+    return _lift(*T[:3], math.cos(T[3]), math.sin(T[3]))
 
 
-def lifted_cost(prob, T: Transform4DoF) -> float:
-    """x' P0 x of one assembled problem at the lift x of T: `_lifted_cost`
-    on a stack of one."""
-    return float(_lifted_cost(prob.P0[None], T.as_vector()[None])[0])
+def lifted_cost(prob, T: np.ndarray) -> float:
+    """x' P0 x of one assembled problem at the lift x of the row T:
+    `_lifted_cost` on a stack of one."""
+    return float(_lifted_cost(prob.P0[None], T[None])[0])
 
 
 def relax(ds) -> tuple[np.ndarray, str]:
@@ -88,7 +94,7 @@ def near_planar_instance(seed, n=20):
     rng = np.random.default_rng(seed)
     d0, sigma_o, pb_z = rng.uniform(2.0, 30.0), rng.uniform(0.0, 0.03), rng.uniform(-1.0, 1.0)
     v = rng.normal(size=3)
-    T = Transform4DoF(t=d0 * v / np.linalg.norm(v), theta=rng.uniform(-math.pi, math.pi))
+    T = np.append(d0 * v / np.linalg.norm(v), rng.uniform(-math.pi, math.pi))
     pa = np.column_stack([np.cumsum(rng.normal(0.0, 0.5, (n, 2)), axis=0), np.zeros(n)])
     pb = np.column_stack([np.cumsum(rng.normal(0.0, 0.5, (n, 2)), axis=0), np.full(n, pb_z)])
     d = np.abs(model_ranges(T, pa, pb) + 0.05 * rng.standard_normal(n))
@@ -99,7 +105,7 @@ def near_planar_instance(seed, n=20):
 def random_stream(rng, n, sigma_r=0.1):
     """n ranges between two random-walking agents under a random transform."""
     v = rng.normal(size=3)
-    T = Transform4DoF(t=rng.uniform(2.0, 20.0) * v / np.linalg.norm(v), theta=rng.uniform(-math.pi, math.pi))
+    T = np.append(rng.uniform(2.0, 20.0) * v / np.linalg.norm(v), rng.uniform(-math.pi, math.pi))
     pa = np.cumsum(rng.normal(0.0, 0.5, (n, 3)), axis=0)
     pb = np.cumsum(rng.normal(0.0, 0.5, (n, 3)), axis=0)
     d = np.maximum(np.abs(model_ranges(T, pa, pb) + sigma_r * rng.standard_normal(n)), 1e-3)
@@ -116,8 +122,8 @@ def park(stream, start, stop):
 
 def errors(T_hat, T):
     return (
-        float(np.linalg.norm(T_hat.t - T.t)),
-        abs(float(wrap_angle(T_hat.theta - T.theta))),
+        float(np.linalg.norm(T_hat[:3] - T[:3])),
+        abs(float(wrap_angle(T_hat[3] - T[3]))),
     )
 
 
@@ -127,31 +133,31 @@ class TestLift:
     def test_roundtrip(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            T = Transform4DoF(t=rng.normal(size=3), theta=rng.uniform(-math.pi, math.pi))
+            T = np.append(rng.normal(size=3), rng.uniform(-math.pi, math.pi))
             x = lift(T)
             assert x[8] == 1.0
             assert x[3] ** 2 + x[4] ** 2 == pytest.approx(1.0)
-            assert x[7] == pytest.approx(float(T.t @ T.t))
+            assert x[7] == pytest.approx(float(T[:3] @ T[:3]))
             theta, errors = _headings(x[None])
             assert not errors
-            assert np.allclose(x[:3], T.t)
-            assert theta[0] == pytest.approx(T.theta)
+            assert np.allclose(x[:3], T[:3])
+            assert theta[0] == pytest.approx(T[3])
 
     def test_extract_renormalizes_heading(self):
-        x = lift(Transform4DoF(t=[1.0, 2.0, 3.0], theta=math.atan2(0.8, 0.6)))
+        x = lift(np.array([1.0, 2.0, 3.0, math.atan2(0.8, 0.6)]))
         x[3], x[4] = 0.59, 0.81  # slightly off the unit circle
         theta, errors = _headings(x[None])
         assert not errors and theta[0] == pytest.approx(math.atan2(0.81, 0.59))
 
     def test_extract_wraps_pi(self):
         # the readout gives atan2's +pi, which the point stage wraps, as `_sdp_points` does
-        x = lift(Transform4DoF(t=np.zeros(3), theta=-math.pi))
+        x = lift(np.array([0.0, 0.0, 0.0, -math.pi]))
         theta, errors = _headings(x[None])
         assert not errors and -math.pi <= wrap_angle(theta)[0] < math.pi
 
     def test_heading_undefined(self):
         # the problem with no heading gets a NaN heading and its error; the others keep theirs
-        x = np.array([lift(Transform4DoF(t=[1.0, 0.0, 0.0], theta=th)) for th in (0.0, 0.5)])
+        x = np.array([lift(np.array([1.0, 0.0, 0.0, th])) for th in (0.0, 0.5)])
         x[0, 3] = x[0, 4] = 1e-9
         theta, errors = _headings(x)
         assert list(errors) == [0] and isinstance(errors[0], DegenerateSolutionError)
@@ -171,7 +177,7 @@ class TestDataRow:
     def test_row_identity_on_lift(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
-            T = Transform4DoF(t=rng.normal(size=3), theta=rng.uniform(-math.pi, math.pi))
+            T = np.append(rng.normal(size=3), rng.uniform(-math.pi, math.pi))
             pa, pb = rng.normal(size=3), rng.normal(size=3)
             d2 = float(model_ranges(T, pa, pb)) ** 2
             s_val = rng.uniform(0.5, 4.0)
@@ -227,7 +233,7 @@ class TestAssemble:
         rng = np.random.default_rng(2)
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
-        T2 = Transform4DoF(t=ds.d0 * direction, theta=0.7)
+        T2 = np.append(ds.d0 * direction, 0.7)
         assert ds.stack().d0.tolist() == [ds.d0] and len(constraints(ds)) == 5
         x = lift(T2)
         for P, r in constraints(ds):
@@ -251,8 +257,8 @@ class TestAssemble:
         s, variance = debias_squared(ds)
         rng = np.random.default_rng(5)
         for _ in range(5):
-            Tq = Transform4DoF(t=rng.normal(size=3) * 2, theta=rng.uniform(-math.pi, math.pi))
-            W = Tq.t + ds.pb @ Tq.rotation().T - ds.pa
+            Tq = np.append(rng.normal(size=3) * 2, rng.uniform(-math.pi, math.pi))
+            W = Tq[:3] + ds.pb @ yaw_rotation(Tq[3]).T - ds.pa
             e_s = np.einsum("ij,ij->i", W, W) - s
             direct = float(e_s @ (e_s / variance))
             assert lifted_cost(prob, Tq) == pytest.approx(direct, rel=1e-10)
@@ -299,7 +305,7 @@ class TestSdpRelaxation:
         lam = np.linalg.eigvalsh(X)
         assert lam[-2] / lam[-1] <= 1e-6
         assert lam[0] >= -1e-8 * lam[-1]
-        et, eth = errors(sdp_estimate(ds).theta_hat, T)
+        et, eth = errors(sdp_estimate(ds).estimate, T)
         assert et <= 1e-6 and eth <= 1e-6
         # constraint feasibility of the returned matrix
         for P, r in constraints(ds):
@@ -309,9 +315,9 @@ class TestSdpRelaxation:
         T, ds = noiseless_instance(7)
         c = 2.5
         scaled = SyncedDataset(t=ds.t, d=c * ds.d, pa=c * ds.pa, pb=c * ds.pb, sigma_r=ds.sigma_r, d0=c * ds.d0)
-        T1, T2 = sdp_estimate(ds).theta_hat, sdp_estimate(scaled).theta_hat
-        assert np.allclose(T2.t, c * T1.t, atol=1e-5)
-        assert T2.theta == pytest.approx(T1.theta, abs=1e-5)
+        T1, T2 = sdp_estimate(ds).estimate, sdp_estimate(scaled).estimate
+        assert np.allclose(T2[:3], c * T1[:3], atol=1e-5)
+        assert T2[3] == pytest.approx(T1[3], abs=1e-5)
 
     def test_singular_configuration_rank_exceeds_one(self):
         from range_rte.simulation import singular_scenario
@@ -331,7 +337,7 @@ class TestSdpRelaxation:
         for _ in range(25):
             direction = rng.normal(size=3)
             direction /= np.linalg.norm(direction)
-            Tf = Transform4DoF(t=ds.d0 * direction, theta=rng.uniform(-math.pi, math.pi))
+            Tf = np.append(ds.d0 * direction, rng.uniform(-math.pi, math.pi))
             assert opt <= lifted_cost(prob, Tf) + 1e-6 * (1 + abs(opt))
 
     @pytest.mark.parametrize("trial", [1, 2, 3, 4, 6, 13])
@@ -370,17 +376,17 @@ def rank_one_states(*X):
 
 class TestRankOne:
     def test_exact_rank_one(self):
-        x = lift(Transform4DoF(t=[1.0, -2.0, 0.5], theta=0.9))
+        x = lift(np.array([1.0, -2.0, 0.5, 0.9]))
         got, errors = rank_one_states(np.outer(x, x))
         assert not errors and np.allclose(got[0], x, atol=1e-9)
 
     def test_sign_fixed(self):
-        x = lift(Transform4DoF(t=[1.0, -2.0, 0.5], theta=0.9))
+        x = lift(np.array([1.0, -2.0, 0.5, 0.9]))
         got, errors = rank_one_states(np.outer(-x, -x))
         assert not errors and np.allclose(got[0], x, atol=1e-9)
 
     def test_dominant_direction(self):
-        x = lift(Transform4DoF(t=[1.0, 0.0, 0.0], theta=0.3))
+        x = lift(np.array([1.0, 0.0, 0.0, 0.3]))
         y = np.zeros(9)
         y[2] = np.linalg.norm(x)  # orthogonal direction with smaller weight
         X = 0.9 * np.outer(x, x) + 0.1 * np.outer(y, y)
@@ -389,7 +395,7 @@ class TestRankOne:
 
     def test_degenerate_is_an_error(self):
         # the zero matrix has no positive spectrum: its error is recorded, and the other matrix keeps its state
-        x = lift(Transform4DoF(t=[1.0, -2.0, 0.5], theta=0.9))
+        x = lift(np.array([1.0, -2.0, 0.5, 0.9]))
         got, errors = rank_one_states(np.zeros((9, 9)), np.outer(x, x))
         assert list(errors) == [0] and isinstance(errors[0], DegenerateSolutionError)
         assert str(errors[0]) == "matrix has no positive spectrum"
@@ -401,23 +407,23 @@ class TestSolveQcqp:
         for seed in range(3):
             T, ds = noiseless_instance(20 + seed)
             rep = qcqp_estimate(ds)
-            et, eth = errors(rep.theta_hat, T)
+            et, eth = errors(rep.estimate, T)
             assert et <= 1e-6 and eth <= 1e-6
 
     def test_refinement_never_worse_than_sdp_point(self):
         T, ds = noisy_instance(21, D=0.3, n=20)  # short-arc style instance
         prob = assemble_qcqp(ds)
-        T_sdp = sdp_estimate(ds).theta_hat
+        T_sdp = sdp_estimate(ds).estimate
         # the refinement starts from the feasible projection of the SDP
         # point (||t|| pinned to the measured inter-origin distance)
-        t_proj = T_sdp.t * (ds.d0 / np.linalg.norm(T_sdp.t))
-        T_start = Transform4DoF(t=t_proj, theta=T_sdp.theta)
+        t_proj = T_sdp[:3] * (ds.d0 / np.linalg.norm(T_sdp[:3]))
+        T_start = np.append(t_proj, T_sdp[3])
         rep = qcqp_estimate(ds)
         assert rep.solver["final_cost"] <= lifted_cost(prob, T_start) + 1e-9
         # and without the norm constraint the raw point itself is the start
         ds_free = dataclasses.replace(ds, d0=None)
         prob_free = assemble_qcqp(ds_free)
-        T_sdp2 = sdp_estimate(ds_free).theta_hat
+        T_sdp2 = sdp_estimate(ds_free).estimate
         rep2 = qcqp_estimate(ds_free)
         assert rep2.solver["final_cost"] <= lifted_cost(prob_free, T_sdp2) + 1e-9
 
@@ -425,18 +431,18 @@ class TestSolveQcqp:
         # both agents on lines in the world z = 0 plane (so the true t_z is
         # zero): the vertical mirror of any candidate has identical cost
         rng = np.random.default_rng(22)
-        T = Transform4DoF(t=[2.0, 1.0, 0.0], theta=0.5)
+        T = np.array([2.0, 1.0, 0.0, 0.5])
         n = 12
         pa = np.column_stack([np.linspace(0, 1, n), np.zeros(n), np.zeros(n)])
-        C = T.rotation()
+        C = yaw_rotation(T[3])
         wb = np.column_stack([np.linspace(1, 0.2, n), np.linspace(3, 3.5, n), np.zeros(n)])
-        pb = (wb - T.t) @ C  # target local frame shares the plane
+        pb = (wb - T[:3]) @ C  # target local frame shares the plane
         d = model_ranges(T, pa, pb)
         ds = SyncedDataset(t=np.arange(float(n)), d=d, pa=pa, pb=pb, sigma_r=0.1, d0=None)
         prob = assemble_qcqp(ds)
         for dz in (0.3, 0.7, 1.4):
-            cand = Transform4DoF(t=[2.1, 0.9, dz], theta=0.45)
-            mirror = Transform4DoF(t=[2.1, 0.9, -dz], theta=0.45)
+            cand = np.array([2.1, 0.9, dz, 0.45])
+            mirror = np.array([2.1, 0.9, -dz, 0.45])
             assert lifted_cost(prob, mirror) == pytest.approx(lifted_cost(prob, cand), rel=1e-9)
         rep = qcqp_estimate(ds)
         assert rep.flags.configuration_singular
@@ -446,16 +452,16 @@ class TestSolveQcqp:
         # antennas at fixed heights in both frames: the data fix t_z only up
         # to its mirror about -pb_z, and every sweep heading is in the hard
         # case of the constrained least squares
-        T = Transform4DoF(t=[2.0, 1.0, 1.5], theta=0.5)
+        T = np.array([2.0, 1.0, 1.5, 0.5])
         rng = np.random.default_rng(24)
         n = 30
         pa = np.column_stack([rng.normal(0.0, 2.0, (n, 2)), np.zeros(n)])
         pb = np.column_stack([rng.normal(0.0, 2.0, (n, 2)), np.full(n, pb_z)])
         ds = SyncedDataset(t=np.arange(float(n)), d=model_ranges(T, pa, pb), pa=pa, pb=pb, sigma_r=1e-6)
         rep = qcqp_estimate(ds)
-        assert np.allclose(rep.theta_hat.t[:2], T.t[:2], atol=1e-6)
-        assert abs(rep.theta_hat.t[2] + pb_z) == pytest.approx(T.t[2] + pb_z, abs=1e-6)
-        assert float(wrap_angle(rep.theta_hat.theta - T.theta)) == pytest.approx(0.0, abs=1e-6)
+        assert np.allclose(rep.estimate[:2], T[:2], atol=1e-6)
+        assert abs(rep.estimate[2] + pb_z) == pytest.approx(T[2] + pb_z, abs=1e-6)
+        assert float(wrap_angle(rep.estimate[3] - T[3])) == pytest.approx(0.0, abs=1e-6)
 
     def test_near_planar_cost_not_above_refined_truth_or_its_mirror(self):
         # the two mirror basins have close costs; the grid's best heading
@@ -465,22 +471,22 @@ class TestSolveQcqp:
             T, ds, pb_z = near_planar_instance(seed)
             rep = qcqp_estimate(ds)
             prob = assemble_qcqp(ds)
-            mirror = Transform4DoF(t=T.t * [1.0, 1.0, -1.0] - [0.0, 0.0, 2.0 * pb_z], theta=T.theta)
+            mirror = T * [1.0, 1.0, -1.0, 1.0] - [0.0, 0.0, 2.0 * pb_z, 0.0]
             reference = min(lm_refine(prob, T0)[1] for T0 in (T, mirror))
             assert rep.solver["final_cost"] <= reference * (1 + 1e-9), seed
 
     def test_explicit_d0_enters_as_origin_row(self):
         T, ds = noisy_instance(42)
         free = dataclasses.replace(ds, d0=None)
-        d0 = 0.5 * float(np.linalg.norm(T.t))  # not the first range
+        d0 = 0.5 * float(np.linalg.norm(T[:3]))  # not the first range
         extra = dataclasses.replace(ds, d0=d0)
         prob, prob_free = assemble_qcqp(extra), assemble_qcqp(free)
         assert prob.B.shape[0] == len(ds) + 1 and prob_free.B.shape[0] == len(ds)
         var_r = ds.sigma_r**2
-        origin_term = (float(T.t @ T.t) - (d0**2 - var_r)) ** 2 / (var_r * (4.0 * d0**2 + 2.0 * var_r))
+        origin_term = (float(T[:3] @ T[:3]) - (d0**2 - var_r)) ** 2 / (var_r * (4.0 * d0**2 + 2.0 * var_r))
         assert lifted_cost(prob, T) == pytest.approx(lifted_cost(prob_free, T) + origin_term, rel=1e-10)
         # the short d0 pulls ||t|| down, in qcqp and in nls (started at the truth) alike
-        for estimate, starts in ((qcqp_estimate, ()), (nls_estimate, (T.as_vector()[None],))):
+        for estimate, starts in ((qcqp_estimate, ()), (nls_estimate, (T[None],))):
             t_extra, t_free = (estimate(data.stack(), *starts)[0][0, :3] for data in (extra, free))
             assert np.linalg.norm(t_extra) < np.linalg.norm(t_free)
 
@@ -488,11 +494,11 @@ class TestSolveQcqp:
         T, ds = noiseless_instance(23)
         rep1 = qcqp_estimate(ds)
         psi = 0.8
-        R = Transform4DoF(t=np.zeros(3), theta=psi).rotation()
+        R = yaw_rotation(psi)
         rotated = dataclasses.replace(ds, pa=ds.pa @ R.T)
         rep2 = qcqp_estimate(rotated)
-        assert np.allclose(rep2.theta_hat.t, R @ rep1.theta_hat.t, atol=1e-6)
-        assert float(wrap_angle(rep2.theta_hat.theta - rep1.theta_hat.theta)) == pytest.approx(
+        assert np.allclose(rep2.estimate[:3], R @ rep1.estimate[:3], atol=1e-6)
+        assert float(wrap_angle(rep2.estimate[3] - rep1.estimate[3])) == pytest.approx(
             psi, abs=1e-6
         )
 
@@ -505,16 +511,16 @@ class TestSolveQcqp:
 
     def test_report_carries_the_fim_it_was_built_from(self):
         T, ds = noisy_instance(24)
-        extra = dataclasses.replace(ds, d0=0.8 * float(np.linalg.norm(T.t)))
+        extra = dataclasses.replace(ds, d0=0.8 * float(np.linalg.norm(T[:3])))
         runs = (
             (qcqp_estimate, ds),
             (qcqp_estimate, extra),
-            (lambda d: nls_estimate(d, T.as_vector()[None]), ds),
+            (lambda d: nls_estimate(d, T[None]), ds),
             (sdp_estimate, ds),
         )
         for estimate, data in runs:
             rep = estimate(data)
-            ref = fim_at(rep.theta_hat.as_vector()[None], data.stack())
+            ref = fim_at(rep.estimate[None], data.stack())
             assert np.array_equal(rep.fim.F, ref.F) and rep.fim.kappa[0] == ref.kappa[0]
             assert np.array_equal(rep.fim.std_errors[0], np.sqrt(np.diag(ref.crlb[0])))
             # the flags are row 0 of the report's FIM, of fim there and of fim_arrays of F
@@ -522,7 +528,7 @@ class TestSolveQcqp:
             for info in (rep.fim, ref, fim_arrays(ref.F)):
                 assert rep.flags.configuration_singular is info.singular.tolist()[0]
                 assert rep.flags.per_param_unobservable == tuple(info.unobservable.tolist()[0])
-            center = rep.theta_hat.as_vector()[None]
+            center = rep.estimate[None]
             ci = confidence_intervals(center, rep.fim)
             assert np.array_equal(ci, confidence_intervals(center, ref))
 
@@ -530,7 +536,7 @@ class TestSolveQcqp:
         for seed in range(3):
             T, ds = noiseless_instance(40 + seed)
             rep = qcqp_estimate(dataclasses.replace(ds, d0=None))
-            et, eth = errors(rep.theta_hat, T)
+            et, eth = errors(rep.estimate, T)
             assert et <= 1e-9 and eth <= 1e-9
 
     def test_d0_does_not_change_estimate(self):
@@ -539,8 +545,8 @@ class TestSolveQcqp:
         assert ds.d0 is not None
         rep = qcqp_estimate(ds)
         free = qcqp_estimate(dataclasses.replace(ds, d0=None))
-        assert np.array_equal(rep.theta_hat.t, free.theta_hat.t)
-        assert rep.theta_hat.theta == free.theta_hat.theta
+        assert np.array_equal(rep.estimate[:3], free.estimate[:3])
+        assert rep.estimate[3] == free.estimate[3]
         assert rep.solver["final_cost"] == free.solver["final_cost"]
         assert np.array_equal(rep.fim.std_errors, free.fim.std_errors)
 
@@ -563,7 +569,7 @@ class TestSolveQcqp:
         prob = assemble_qcqp(dataclasses.replace(ds, d0=None))
         rng = np.random.default_rng(seed)
         starts = [T] + [
-            Transform4DoF(t=d0 * rng.standard_normal(3), theta=rng.uniform(-math.pi, math.pi)) for _ in range(10)
+            np.append(d0 * rng.standard_normal(3), rng.uniform(-math.pi, math.pi)) for _ in range(10)
         ]
         reference = min(lm_refine(prob, T0)[1] for T0 in starts)
         assert rep.solver["final_cost"] <= reference * (1 + 1e-9)
@@ -583,17 +589,17 @@ class TestQcqpInvariance:
         ds = dataclasses.replace(ds, d0=None)
         rep = qcqp_estimate(ds)
         shifted = qcqp_estimate(dataclasses.replace(ds, t=ds.t + shift))
-        assert np.array_equal(shifted.theta_hat.t, rep.theta_hat.t)
-        assert shifted.theta_hat.theta == rep.theta_hat.theta
+        assert np.array_equal(shifted.estimate[:3], rep.estimate[:3])
+        assert shifted.estimate[3] == rep.estimate[3]
         perm = np.random.default_rng(seed).permutation(n)
         permuted = qcqp_estimate(dataclasses.replace(ds, d=ds.d[perm], pa=ds.pa[perm], pb=ds.pb[perm]))
         prob = assemble_qcqp(ds)
-        x = lift(rep.theta_hat)
+        x = lift(rep.estimate)
         rounding = np.finfo(float).eps * float(prob.weights @ (np.abs(prob.B) @ np.abs(x)) ** 2)
         cost = rep.solver["final_cost"]
         assert permuted.solver["final_cost"] == pytest.approx(cost, rel=1e-9, abs=4.0 * rounding)
-        assert np.allclose(permuted.theta_hat.t, rep.theta_hat.t, rtol=1e-6, atol=1e-6)
-        assert abs(float(wrap_angle(permuted.theta_hat.theta - rep.theta_hat.theta))) <= 1e-6
+        assert np.allclose(permuted.estimate[:3], rep.estimate[:3], rtol=1e-6, atol=1e-6)
+        assert abs(float(wrap_angle(permuted.estimate[3] - rep.estimate[3]))) <= 1e-6
 
 
 class TestSqrtFactor:
@@ -718,7 +724,7 @@ class TestLockstepNewton:
 
         f, g, H = model(p)
         for i in range(n):
-            r = R[i] @ lift(Transform4DoF(t=p[i, :3], theta=p[i, 3]))
+            r = R[i] @ lift(p[i])
             assert f[i] == pytest.approx(0.5 * float(r @ r), rel=1e-12)
         np.testing.assert_array_equal(H, H.swapaxes(1, 2))
         h = 1e-5 * np.maximum(1.0, np.abs(p))
@@ -746,7 +752,7 @@ class TestLockstepNewton:
         for s in [seed, *others]:
             T, ds = noisy_instance(s, d0=float(np.random.default_rng(s).uniform(1.0, 40.0)), n=10, sigma_r=0.4)
             cand = sweep_candidates(assemble_qcqp(ds))[-1]
-            starts.append((sqrt_factor(ds), cand.as_vector()))
+            starts.append((sqrt_factor(ds), cand))
         at = min(at, len(others))
         stack = starts[1:]
         stack.insert(at, starts[0])
@@ -767,9 +773,9 @@ class TestLockstepNewton:
         # the negligible-decrease test stops it at once
         T, ds = noiseless_instance(5)
         R = sqrt_factor(dataclasses.replace(ds, d0=None))
-        res = lockstep_newton(_factor_lift, T.as_vector()[None], data=(R[None],))
+        res = lockstep_newton(_factor_lift, T[None], data=(R[None],))
         assert res.status[0] == CONVERGED and res.evals[0] <= 2
-        assert np.allclose(res.p[0], T.as_vector(), atol=1e-9)
+        assert np.allclose(res.p[0], T, atol=1e-9)
 
 
 # a window whose ranges hold NO_CANDIDATE leaves the sweep no finite grid
@@ -953,12 +959,12 @@ class TestStackedWindows:
                 assert {**solver, "wall_ms": 0} == {**ref, "wall_ms": 0}
 
 
-def sweep_candidates(prob) -> list[Transform4DoF]:
-    """The sweep's candidates of one assembled problem, lowest cost first:
-    `_sweep_stack` on a stack of one, which must record no error."""
+def sweep_candidates(prob) -> list[np.ndarray]:
+    """The sweep's candidates of one assembled problem as rows, lowest cost
+    first: `_sweep_stack` on a stack of one, which must record no error."""
     t, heading, count, errors = _sweep_stack(prob.P0[None])
     assert not errors
-    return [Transform4DoF(t=t[0, i], theta=float(_SWEEP_THETA[heading[0, i]])) for i in range(count[0])]
+    return [np.append(t[0, i], _SWEEP_THETA[heading[0, i]]) for i in range(count[0])]
 
 
 class TestYawSweep:
@@ -973,7 +979,7 @@ class TestYawSweep:
                 ds = dataclasses.replace(ds, d0=None)
             cands = sweep_candidates(assemble_qcqp(ds))
             assert 1 <= len(cands) <= SWEEP_CANDIDATES
-            assert min(abs(float(wrap_angle(c.theta - T.theta))) for c in cands) < step
+            assert min(abs(float(wrap_angle(c[3] - T[3]))) for c in cands) < step
 
     def test_candidate_minimises_cost_at_its_heading(self):
         # the best candidate solves its heading's constrained problem
@@ -984,17 +990,17 @@ class TestYawSweep:
         Bw = prob.B * np.sqrt(prob.weights)[:, None]
         rng = np.random.default_rng(81)
         cand = sweep_candidates(prob)[0]
-        th = cand.theta
+        th = cand[3]
 
         def residuals(t):
-            return Bw @ lift(Transform4DoF(t=t, theta=th))
+            return Bw @ lift(np.append(t, th))
 
         def jac(t):
             return Bw @ lift_jacobian(t, th)[:, :3]
 
-        for t0 in [T.t, *(15.0 * rng.standard_normal((10, 3)))]:
+        for t0 in [T[:3], *(15.0 * rng.standard_normal((10, 3)))]:
             res = lm_least_squares(residuals, jac, t0)
-            local = lifted_cost(prob, Transform4DoF(t=res.x, theta=th))
+            local = lifted_cost(prob, np.append(res.x, th))
             assert lifted_cost(prob, cand) <= local * (1 + 1e-9)
 
     def test_static_agents_give_candidates_on_the_range_sphere(self):
@@ -1006,7 +1012,7 @@ class TestYawSweep:
             cands = sweep_candidates(assemble_qcqp(ds))
             assert 1 <= len(cands) <= SWEEP_CANDIDATES
             for c in cands:
-                assert np.all(np.isfinite(c.t)) and math.isfinite(c.theta)
+                assert np.all(np.isfinite(c[:3])) and math.isfinite(c[3])
                 assert float(model_ranges(c, pa[0], pb[0])) == pytest.approx(3.0, abs=0.01)
 
     def test_candidates_sorted_by_cost(self):
@@ -1158,18 +1164,18 @@ class TestNls:
         T, ds = noiseless_instance(25)
         # nominal sigma keeps ulp-level residuals below the gradient tolerance
         ds = dataclasses.replace(ds, sigma_r=0.1)
-        rep = nls_estimate(ds, T.as_vector()[None])
+        rep = nls_estimate(ds, T[None])
         assert rep.solver["iterations"] <= 2
         assert rep.solver["final_cost"] <= 1e-12
-        et, eth = errors(rep.theta_hat, T)
+        et, eth = errors(rep.estimate, T)
         assert et <= 1e-9 and eth <= 1e-9
 
     def test_perturbed_start_converges_back(self):
         T, ds = noisy_instance(26, sigma_r=0.01, sigma_o=0.0)
-        T0 = Transform4DoF(t=T.t + 0.1, theta=T.theta + 0.1)
-        rep = nls_estimate(ds, T0.as_vector()[None])
+        T0 = np.append(T[:3] + 0.1, wrap_angle(T[3] + 0.1))
+        rep = nls_estimate(ds, T0[None])
         assert rep.solver["iterations"] <= 10
-        et, eth = errors(rep.theta_hat, T)
+        et, eth = errors(rep.estimate, T)
         assert et <= 0.05 and eth <= 0.05
 
     @settings(max_examples=30, deadline=None)
@@ -1180,13 +1186,13 @@ class TestNls:
         # nls reaches one minimum, and the two final costs differ by no more
         # than the rounding of the cost, eps * sum_i |r_i| (d_i + d_meas_i) / sigma
         T, ds = noisy_instance(seed, d0=d0, n=n, sigma_r=0.01)
-        a = nls_estimate(ds, T.as_vector()[None])
-        b = nls_estimate(ds, qcqp_estimate(ds).theta_hat.as_vector()[None])
+        a = nls_estimate(ds, T[None])
+        b = nls_estimate(ds, qcqp_estimate(ds).estimate[None])
         assert a.solver["converged"] and b.solver["converged"]
-        assert np.linalg.norm(a.theta_hat.t - b.theta_hat.t) <= 1e-3
+        assert np.linalg.norm(a.estimate[:3] - b.estimate[:3]) <= 1e-3
         rows = ds.stack()
         pa, pb, d = rows.pa[0], rows.pb[0], rows.d[0]
-        dist = np.linalg.norm(b.theta_hat.t + pb @ b.theta_hat.rotation().T - pa, axis=1)
+        dist = np.linalg.norm(b.estimate[:3] + pb @ yaw_rotation(b.estimate[3]).T - pa, axis=1)
         rounding = np.finfo(float).eps * float(np.abs(dist - d) @ (dist + d)) / ds.sigma_r**2
         assert abs(a.solver["final_cost"] - b.solver["final_cost"]) <= 4.0 * rounding
 
@@ -1194,7 +1200,7 @@ class TestNls:
         # the global qcqp and sdp search every heading: a start given to them
         # is an error, not silently dropped; nls reads its start, from zero by default
         T, ds = noisy_instance(28)
-        stack, start = ds.stack(), T.as_vector()[None]
+        stack, start = ds.stack(), T[None]
         for estimate in (qcqp_estimate, sdp_estimate):
             for data in (ds, stack):
                 with pytest.raises(TypeError):
@@ -1205,7 +1211,7 @@ class TestNls:
             assert estimates.tobytes() == want.tobytes()
             assert scalars["iterations"].tolist() == want_scalars["iterations"].tolist()
         assert nls_estimate(stack, None)[0].tobytes() == nls_estimate(stack, np.zeros((1, 4)))[0].tobytes()
-        assert nls_estimate(ds, start).theta_hat.as_vector().tobytes() == nls_estimate(stack, start)[0][0].tobytes()
+        assert nls_estimate(ds, start).estimate.tobytes() == nls_estimate(stack, start)[0][0].tobytes()
 
     def test_zero_init_hard_instance_reports_outcome(self):
         # large separation, wide motion: a zero initial guess may settle in
@@ -1233,25 +1239,22 @@ def per_sample_alignment(stream, track):
     ref, current, j = np.full((len(stream), 3), np.nan), None, 0
     for i in range(len(stream)):
         while j < len(done) and track.stop[done[j]] <= i + 1:
-            current = Transform4DoF(t=track.estimate[done[j], :3], theta=track.estimate[done[j], 3])
+            current = track.estimate[done[j]]
             j += 1
         if current is not None:
-            ref[i] = current.t + current.rotation() @ stream.pb[i]
+            ref[i] = current[:3] + yaw_rotation(current[3]) @ stream.pb[i]
     return ref
 
 
-def window_estimate(track, i):
-    return Transform4DoF(t=track.estimate[i, :3], theta=track.estimate[i, 3])
-
-
 def random_transform(rng):
-    return Transform4DoF(t=rng.normal(0.0, 5.0, 3), theta=rng.uniform(-math.pi, math.pi))
+    """A transform row [t_x, t_y, t_z, theta] with t normal, 5 m per axis, and a uniform heading."""
+    return np.append(rng.normal(0.0, 5.0, 3), rng.uniform(-math.pi, math.pi))
 
 
 class TestSlidingWindow:
     def _constant_truth_stream(self, seed, n=200):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=n, sigma_r=0.05, sigma_o=0.0, trials=1, seed=seed)
-        T, ds = trial_data(cfg, 0)
+        T, ds = trial_instance(cfg)
         return T, dataclasses.replace(ds, d0=None)
 
     def test_constant_truth_estimates_stay_put(self):
@@ -1260,7 +1263,7 @@ class TestSlidingWindow:
         done = np.flatnonzero(~track.skipped).tolist()
         assert len(done) >= 3
         for i in done:
-            et, eth = errors(window_estimate(track, i), T)
+            et, eth = errors(track.estimate[i], T)
             assert et < 0.5 and eth < 0.3
 
     def test_unknown_estimator_rejected(self):
@@ -1298,14 +1301,14 @@ class TestSlidingWindow:
                 prob = dataclasses.replace(stacked, P0=stacked.P0[0], B=stacked.B[0], weights=stacked.weights[0])
                 starts = (
                     prev,
-                    Transform4DoF(t=prev.t, theta=prev.theta + math.pi),
-                    Transform4DoF(t=prev.t * [1.0, 1.0, -1.0], theta=prev.theta),
+                    np.append(prev[:3], wrap_angle(prev[3] + math.pi)),
+                    prev * [1.0, 1.0, -1.0, 1.0],
                 )
                 reference = min(lm_refine(prob, T0)[1] for T0 in starts)
                 assert track.cost[i] <= reference * (1 + 1e-9), i
                 checked += 1
             if not track.skipped[i]:
-                prev = window_estimate(track, i)
+                prev = track.estimate[i]
         assert checked >= 10
 
     @settings(max_examples=15, deadline=None)
@@ -1360,9 +1363,9 @@ class TestSlidingWindow:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         starts = range(0, n - window + 1, stride)
         skipped = data.draw(st.lists(st.booleans(), min_size=len(starts), max_size=len(starts)), label="skipped")
-        rows = [(a, skip, random_transform(rng).as_vector()) for a, skip in zip(starts, skipped)]
+        rows = [(a, skip, random_transform(rng)) for a, skip in zip(starts, skipped)]
         repeated = data.draw(st.lists(st.sampled_from(rows), max_size=3), label="repeated") if rows else []
-        rows += [(a, skip, random_transform(rng).as_vector()) for a, skip, _ in repeated]
+        rows += [(a, skip, random_transform(rng)) for a, skip, _ in repeated]
         rows = data.draw(st.permutations(rows), label="order")
         start = np.array([a for a, _, _ in rows], dtype=int)
         skipped = np.array([skip for _, skip, _ in rows], dtype=bool)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from one_problem import dataset_fim, dataset_jacobian, model_ranges
+from one_problem import dataset_fim, dataset_jacobian, model_ranges, yaw_rotation
 
 from range_rte.estimators import ESTIMATORS
 from range_rte.fisher import (
@@ -22,7 +22,6 @@ from range_rte.fisher import (
     fim_arrays,
     range_model,
 )
-from range_rte.geometry import Transform4DoF, apply_transform
 from range_rte.measurement import LARGEST_RANGE, SIGMA_R_FLOOR, SyncedDataset, SyncedStack
 from range_rte.simulation import SCENARIO_KINDS, ScenarioConfig, singular_scenario, trial_data, trial_rng
 
@@ -38,14 +37,13 @@ def random_dataset(rng, k=8, sigma_r=0.1, spread=1.0, d0_offset=3.0):
 
 
 def finite_difference_row(T, pa, pb, h=1e-6):
-    v0 = T.as_vector()
     g = np.zeros(4)
     for i in range(4):
-        vp, vm = v0.copy(), v0.copy()
+        vp, vm = T.copy(), T.copy()
         vp[i] += h
         vm[i] -= h
-        dp = model_ranges(Transform4DoF(t=vp[:3], theta=vp[3]), pa, pb)
-        dm = model_ranges(Transform4DoF(t=vm[:3], theta=vm[3]), pa, pb)
+        dp = model_ranges(vp, pa, pb)
+        dm = model_ranges(vm, pa, pb)
         g[i] = (dp - dm) / (2 * h)
     return g
 
@@ -57,32 +55,32 @@ class TestRangeModel:
     """`range_model`, the one range model of the package: its ranges and Jacobian rows."""
 
     def test_pure_translation(self):
-        T = Transform4DoF(t=[3.0, 0.0, 0.0], theta=0.0)
+        T = np.array([3.0, 0.0, 0.0, 0.0])
         assert model_ranges(T, np.zeros(3), np.zeros(3)) == pytest.approx(3.0)
 
     def test_rotation_preserves_norm(self):
         pb = np.array([1.0, 2.0, -0.5])
         for theta in np.linspace(-math.pi, math.pi, 9):
-            T = Transform4DoF(t=np.zeros(3), theta=theta)
+            T = np.array([0.0, 0.0, 0.0, theta])
             assert model_ranges(T, np.zeros(3), pb) == pytest.approx(np.linalg.norm(pb))
 
     def test_matches_compose_then_norm(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
-            T = Transform4DoF(t=rng.normal(size=3), theta=rng.uniform(-math.pi, math.pi))
+            T = np.append(rng.normal(size=3), rng.uniform(-math.pi, math.pi))
             pa, pb = rng.normal(size=3), rng.normal(size=3)
-            expected = np.linalg.norm(apply_transform(T, pb) - pa)
+            expected = np.linalg.norm(T[:3] + pb @ yaw_rotation(T[3]).T - pa)
             assert model_ranges(T, pa, pb) == pytest.approx(expected, rel=1e-12)
 
     def test_invariant_under_common_rigid_motion(self):
         rng = np.random.default_rng(1)
-        T = Transform4DoF(t=rng.normal(size=3), theta=0.4)
+        T = np.append(rng.normal(size=3), 0.4)
         pa, pb = rng.normal(size=3), rng.normal(size=3)
         d0 = model_ranges(T, pa, pb)
         # move the host frame: rotate by psi about the origin and shift
         psi, shift = 0.8, rng.normal(size=3)
-        R = Transform4DoF(t=np.zeros(3), theta=psi).rotation()
-        T2 = Transform4DoF(t=R @ T.t + shift, theta=T.theta + psi)
+        R = yaw_rotation(psi)
+        T2 = np.append(R @ T[:3] + shift, T[3] + psi)
         assert model_ranges(T2, R @ pa + shift, pb) == pytest.approx(float(d0), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -115,11 +113,11 @@ class TestRangeModel:
     def test_matches_finite_differences(self, t, theta, pa, pb_seed, d0):
         # one row per range, plus the row of a d0 other than the first
         # range: the range between the two frame origins, ||t||
-        T = Transform4DoF(t=np.array(t), theta=theta)
+        T = np.array([*t, theta])
         pa = np.array(pa)
         pb = np.random.default_rng(pb_seed).uniform(-5.0, 5.0, pa.shape)
         ranges = model_ranges(T, pa, pb)
-        assume(ranges.min() > 0.5 and (d0 is None or np.linalg.norm(T.t) > 0.5))
+        assume(ranges.min() > 0.5 and (d0 is None or np.linalg.norm(T[:3]) > 0.5))
         ds = SyncedDataset(t=np.arange(float(len(pa))), d=ranges + 1.0, pa=pa, pb=pb, sigma_r=0.1, d0=d0)
         J = dataset_jacobian(T, ds)
         if d0 is not None:
@@ -131,30 +129,30 @@ class TestRangeModel:
     def test_stationary_target_kills_heading_term(self):
         rng = np.random.default_rng(0)
         ds = SyncedDataset(t=np.arange(10.0), d=np.ones(10), pa=rng.normal(size=(10, 3)), pb=np.zeros((10, 3)), sigma_r=0.1)
-        T = Transform4DoF(t=rng.normal(size=3) + 2.0, theta=rng.uniform(-math.pi, math.pi))
+        T = np.append(rng.normal(size=3) + 2.0, rng.uniform(-math.pi, math.pi))
         assert np.all(dataset_jacobian(T, ds)[:, 3] == 0.0)
 
     def test_axis_aligned_example(self):
         ds = SyncedDataset(t=[0.0], d=[1.0], pa=np.zeros((1, 3)), pb=np.zeros((1, 3)), sigma_r=0.1)
-        J = dataset_jacobian(Transform4DoF(t=[1.0, 0.0, 0.0], theta=0.0), ds)
+        J = dataset_jacobian(np.array([1.0, 0.0, 0.0, 0.0]), ds)
         assert np.array_equal(J, [[1.0, 0.0, 0.0, 0.0]])
 
     def test_zero_range_raises(self):
         # a zero range has the zero row, without a warning, and no information
         ds = SyncedDataset(t=np.arange(4.0), d=np.ones(4), pa=np.zeros((4, 3)), pb=np.zeros((4, 3)), sigma_r=0.1)
-        T = Transform4DoF(t=np.zeros(3), theta=0.0)
+        T = np.zeros(4)
         assert np.array_equal(dataset_jacobian(T, ds), np.zeros((4, 4)))
         with pytest.raises(SingularGeometryError, match="zero range"):
             dataset_fim(T, ds)
         with pytest.raises(SingularGeometryError, match="zero range"):
-            det_fim_geometric(T, ds)
+            det_fim_geometric(T[:3], T[3], ds)
 
 
 class TestFim:
     def test_rank_bound_with_three_samples(self):
         rng = np.random.default_rng(2)
         ds = random_dataset(rng, k=3)
-        T = Transform4DoF(t=[3.0, 0.5, -0.2], theta=0.3)
+        T = np.array([3.0, 0.5, -0.2, 0.3])
         rep = dataset_fim(T, ds)
         assert rep.rank[0] <= 3
         assert np.isnan(rep.crlb[0]).all()
@@ -165,10 +163,10 @@ class TestFim:
         # origin) by one offset; local target coordinates are untouched
         rng = np.random.default_rng(3)
         ds = random_dataset(rng, k=8)
-        T = Transform4DoF(t=[3.0, 0.5, -0.2], theta=0.3)
+        T = np.array([3.0, 0.5, -0.2, 0.3])
         rep1 = dataset_fim(T, ds)
         c = rng.normal(size=3)
-        T2 = Transform4DoF(t=T.t + c, theta=T.theta)
+        T2 = T + np.append(c, 0.0)
         shifted = dataclasses.replace(ds, pa=ds.pa + c)
         rep2 = dataset_fim(T2, shifted)
         assert np.allclose(rep1.F, rep2.F, rtol=1e-9, atol=1e-9)
@@ -177,7 +175,7 @@ class TestFim:
         rng = np.random.default_rng(4)
         ds1 = random_dataset(rng, k=8, sigma_r=0.1)
         ds2 = dataclasses.replace(ds1, sigma_r=0.2)
-        T = Transform4DoF(t=[3.0, 0.5, -0.2], theta=0.3)
+        T = np.array([3.0, 0.5, -0.2, 0.3])
         rep1, rep2 = dataset_fim(T, ds1), dataset_fim(T, ds2)
         assert np.allclose(rep2.F, rep1.F / 4.0)
         assert rep2.crlb_t[0] == pytest.approx(rep1.crlb_t[0] * 4.0)
@@ -186,7 +184,7 @@ class TestFim:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(5)
         ds = random_dataset(rng, k=7)
-        T = Transform4DoF(t=[2.5, 0.0, 0.5], theta=-0.4)
+        T = np.array([2.5, 0.0, 0.5, -0.4])
         perm = rng.permutation(7)
         permuted = dataclasses.replace(ds, d=ds.d[perm], pa=ds.pa[perm], pb=ds.pb[perm])
         assert np.allclose(dataset_fim(T, ds).F, dataset_fim(T, permuted).F, rtol=1e-12)
@@ -194,7 +192,7 @@ class TestFim:
     def test_crlb_blocks(self):
         rng = np.random.default_rng(6)
         ds = random_dataset(rng, k=12)
-        T = Transform4DoF(t=[3.0, 1.0, 0.2], theta=0.9)
+        T = np.array([3.0, 1.0, 0.2, 0.9])
         rep = dataset_fim(T, ds)
         inv = np.linalg.inv(rep.F[0])
         assert rep.crlb_t[0] == pytest.approx(np.trace(inv[:3, :3]), rel=1e-9)
@@ -203,15 +201,15 @@ class TestFim:
     def test_explicit_d0_adds_origin_row(self):
         rng = np.random.default_rng(7)
         ds = random_dataset(rng, k=8)
-        T = Transform4DoF(t=[3.0, 0.5, -0.2], theta=0.3)
+        T = np.array([3.0, 0.5, -0.2, 0.3])
         base = dataset_fim(T, ds).F
-        row = np.append(T.t / np.linalg.norm(T.t), 0.0)
+        row = np.append(T[:3] / np.linalg.norm(T[:3]), 0.0)
         with_d0 = dataset_fim(T, dataclasses.replace(ds, d0=2.5)).F
         assert np.allclose(with_d0, base + np.outer(row, row) / ds.sigma_r**2, rtol=1e-12, atol=1e-12)
         # a d0 read off the first range is already a row: F stays bit-identical
         assert np.array_equal(dataset_fim(T, dataclasses.replace(ds, d0=float(ds.d[0]))).F, base)
         with pytest.raises(SingularGeometryError):
-            dataset_fim(Transform4DoF(t=np.zeros(3), theta=0.3), dataclasses.replace(ds, d0=2.5))
+            dataset_fim(np.array([0.0, 0.0, 0.0, 0.3]), dataclasses.replace(ds, d0=2.5))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), W=st.integers(1, 6), k=st.integers(1, 12))
@@ -258,54 +256,55 @@ class TestDetGeometric:
         rng = np.random.default_rng(7)
         for k in range(4, 11):
             ds = random_dataset(rng, k=k)
-            T = Transform4DoF(t=[3.0, -0.5, 0.7], theta=1.1)
+            T = np.array([3.0, -0.5, 0.7, 1.1])
             rep = dataset_fim(T, ds)
-            det_geo = det_fim_geometric(T, ds)
+            det_geo = det_fim_geometric(T[:3], T[3], ds)
             assert det_geo == pytest.approx(rep.det_f[0], rel=1e-8)
 
     def test_insufficient_data(self):
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, k=3)
         with pytest.raises(InsufficientDataError):
-            det_fim_geometric(Transform4DoF(t=[3, 0, 0], theta=0.0), ds)
+            det_fim_geometric([3, 0, 0], 0.0, ds)
 
     def test_parallel_motion_vanishes(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=10, sigma_r=0.1, sigma_o=0.0, trials=1, seed=0)
-        T, ds = singular_scenario("parallel", cfg, trial_rng(0, 0))
+        (t, theta), ds = singular_scenario("parallel", cfg, trial_rng(0, 0))
         rng = np.random.default_rng(9)
-        baseline = det_fim_geometric(T, random_dataset(rng, k=10))
-        assert det_fim_geometric(T, ds) <= 1e-10 * abs(baseline)
+        baseline = det_fim_geometric(t, theta, random_dataset(rng, k=10))
+        assert det_fim_geometric(t, theta, ds) <= 1e-10 * abs(baseline)
 
     def test_static_host_vanishes(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=10, sigma_r=0.1, sigma_o=0.0, trials=1, seed=0)
-        T, ds = singular_scenario("static_host", cfg, trial_rng(1, 0))
+        (t, theta), ds = singular_scenario("static_host", cfg, trial_rng(1, 0))
         rng = np.random.default_rng(10)
-        baseline = det_fim_geometric(T, random_dataset(rng, k=10))
-        assert det_fim_geometric(T, ds) <= 1e-10 * abs(baseline)
+        baseline = det_fim_geometric(t, theta, random_dataset(rng, k=10))
+        assert det_fim_geometric(t, theta, ds) <= 1e-10 * abs(baseline)
 
     def test_subsampling_cap(self):
         # the expansion is the exact determinant up to the cap, and above it
         # is not evaluated at all: no subsample stands in for the full sum
         rng = np.random.default_rng(11)
-        T = Transform4DoF(t=[3.0, 0.0, 0.0], theta=0.2)
+        T = np.array([3.0, 0.0, 0.0, 0.2])
         ds = random_dataset(rng, k=DET_SUBSET_CAP + 1)
         at_cap = ds.select(np.arange(len(ds)) < DET_SUBSET_CAP)
-        assert det_fim_geometric(T, at_cap) == pytest.approx(dataset_fim(T, at_cap).det_f[0], rel=1e-8)
+        assert det_fim_geometric(T[:3], T[3], at_cap) == pytest.approx(dataset_fim(T, at_cap).det_f[0], rel=1e-8)
         with pytest.raises(ExpansionTooLargeError):
-            det_fim_geometric(T, ds)
+            det_fim_geometric(T[:3], T[3], ds)
 
     def test_counts_the_rows_fim_counts(self):
         # a d0 other than the first range is one more row of F, and of
         # the determinant expansion
-        T, ds = trial_data(ScenarioConfig(seed=3, trials=1, n_poses=12), 0)
-        extra = dataclasses.replace(ds, d0=float(np.linalg.norm(T.t)) + 0.05)
+        (t, theta), ds = trial_data(ScenarioConfig(seed=3, trials=1, n_poses=12), 0)
+        T = np.append(t, theta)
+        extra = dataclasses.replace(ds, d0=float(np.linalg.norm(t)) + 0.05)
         rep = dataset_fim(T, extra)
         assert len(dataset_jacobian(T, extra)) == len(ds) + 1
-        assert det_fim_geometric(T, extra) == pytest.approx(np.linalg.det(rep.F[0]), rel=1e-9)
+        assert det_fim_geometric(t, theta, extra) == pytest.approx(np.linalg.det(rep.F[0]), rel=1e-9)
         # ds takes d0 off its first range, which is no extra row
         assert len(dataset_jacobian(T, ds)) == len(ds)
-        assert det_fim_geometric(T, ds) == pytest.approx(dataset_fim(T, ds).det_f[0], rel=1e-9)
-        assert not det_fim_geometric(T, ds) == pytest.approx(rep.det_f[0], rel=1e-3)
+        assert det_fim_geometric(t, theta, ds) == pytest.approx(dataset_fim(T, ds).det_f[0], rel=1e-9)
+        assert not det_fim_geometric(t, theta, ds) == pytest.approx(rep.det_f[0], rel=1e-3)
 
 
 def report_of(F):
@@ -326,8 +325,8 @@ class TestSingularityReport:
 
     def test_planar_scenario_flagged(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=20, sigma_r=0.1, sigma_o=0.0, trials=1, seed=0)
-        T, ds = singular_scenario("planar_linear", cfg, trial_rng(2, 0))
-        rep = dataset_fim(T, ds)
+        truth, ds = singular_scenario("planar_linear", cfg, trial_rng(2, 0))
+        rep = dataset_fim(np.append(*truth), ds)
         ref = report_of(rep.F[0])
         assert np.array_equal(rep.singular, ref.singular) and np.array_equal(rep.unobservable, ref.unobservable)
         assert rep.singular.tolist() == [True]
@@ -393,11 +392,11 @@ class TestConfidenceIntervals:
         assert np.allclose(ci[:, 1], 0.98)
 
     def test_half_width(self):
-        T = Transform4DoF(t=[1.0, 2.0, 3.0], theta=0.5)
-        ci = confidence_intervals(T.as_vector()[None], report_of(100.0 * np.eye(4)))[0]
+        T = np.array([1.0, 2.0, 3.0, 0.5])
+        ci = confidence_intervals(T[None], report_of(100.0 * np.eye(4)))[0]
         widths = ci[:, 1] - ci[:, 0]
         assert np.allclose(widths, 2 * 0.196)
-        assert np.allclose(ci.mean(axis=1), T.as_vector())
+        assert np.allclose(ci.mean(axis=1), T)
 
     def test_singular_row_gives_nan_intervals_and_flags(self):
         # in a stack, the row whose FIM is not invertible has NaN intervals
@@ -421,7 +420,7 @@ class TestConfidenceIntervals:
             rep = est.fim
             assert est.flags.configuration_singular is rep.singular.tolist()[0]
             assert est.flags.per_param_unobservable == tuple(rep.unobservable.tolist()[0])
-            center = est.theta_hat.as_vector()
+            center = est.estimate
             ci = confidence_intervals(center[None], rep)[0]
             if not rep.invertible[0]:
                 assert np.isnan(rep.std_errors).all() and np.isnan(ci).all()
@@ -439,7 +438,7 @@ def test_jacobian_matrix_consistent_with_rows():
     # the FIM is the noise-weighted Gram matrix of exactly these rows
     rng = np.random.default_rng(16)
     ds = random_dataset(rng, k=6)
-    T = Transform4DoF(t=[3.0, 0.2, -0.1], theta=0.8)
+    T = np.array([3.0, 0.2, -0.1, 0.8])
     for data in (ds, dataclasses.replace(ds, d0=2.5)):
         J = dataset_jacobian(T, data)
         assert len(J) == len(ds) + (data.d0 is not None)

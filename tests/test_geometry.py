@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from one_problem import yaw_rotation
 from scipy.spatial.transform import Rotation
 
 from range_rte.geometry import (
+    TWO_PI,
     LeverArm,
-    Transform4DoF,
-    apply_transform,
     heading_cos_sin,
     quat_to_matrix,
     wrap_angle,
@@ -17,21 +17,17 @@ from range_rte.geometry import (
 from range_rte.measurement import ingest_logs, odometry_log, poses_at, range_log
 
 
-def heading_rotation(theta):
-    return Transform4DoF(t=np.zeros(3), theta=theta).rotation()
-
-
 def test_heading_rotation_identity():
-    assert np.allclose(heading_rotation(0.0), np.eye(3))
+    assert np.allclose(yaw_rotation(0.0), np.eye(3))
 
 
 def test_heading_rotation_quarter_turn():
-    C = heading_rotation(math.pi / 2)
+    C = yaw_rotation(math.pi / 2)
     assert np.allclose(C @ np.array([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_heading_rotation_direct_entries():
-    C = heading_rotation(0.3)
+    C = yaw_rotation(0.3)
     assert C[0, 0] == pytest.approx(math.cos(0.3))
     assert C[1, 0] == pytest.approx(math.sin(0.3))
     assert C[2, 2] == 1.0
@@ -44,43 +40,12 @@ def test_heading_cos_sin_rounds_as_math_alone_and_in_a_stack():
     assert s.tolist() == [math.sin(th) for th in theta.tolist()]
     stacked = yaw_matrices(c, s)
     for i, th in enumerate(theta.tolist()):
-        assert np.array_equal(stacked[i], heading_rotation(th))
+        assert np.array_equal(stacked[i], yaw_rotation(th))
 
 
 @pytest.mark.parametrize("theta", np.linspace(-math.pi, math.pi, 17))
 def test_heading_rotation_inverse(theta):
-    assert np.allclose(heading_rotation(theta) @ heading_rotation(-theta), np.eye(3), atol=1e-12)
-
-
-def test_apply_transform_identity():
-    T = Transform4DoF(t=np.zeros(3), theta=0.0)
-    assert np.allclose(apply_transform(T, [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
-
-def test_apply_transform_half_turn_cancels():
-    T = Transform4DoF(t=[1.0, 0.0, 0.0], theta=math.pi)
-    assert np.allclose(apply_transform(T, [1.0, 0.0, 0.0]), np.zeros(3), atol=1e-15)
-
-
-def test_apply_transform_matches_homogeneous_product():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        T = Transform4DoF(t=rng.normal(size=3), theta=rng.uniform(-math.pi, math.pi))
-        p = rng.normal(size=3)
-        H = np.eye(4)
-        H[:3, :3] = T.rotation()
-        H[:3, 3] = T.t
-        expected = (H @ np.append(p, 1.0))[:3]
-        assert np.allclose(apply_transform(T, p), expected, atol=1e-12)
-
-
-def test_apply_transform_preserves_z_displacement():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        T = Transform4DoF(t=rng.normal(size=3), theta=rng.uniform(-math.pi, math.pi))
-        p, q = rng.normal(size=3), rng.normal(size=3)
-        dz = apply_transform(T, p)[2] - apply_transform(T, q)[2]
-        assert dz == pytest.approx(p[2] - q[2], abs=1e-12)
+    assert np.allclose(yaw_rotation(theta) @ yaw_rotation(-theta), np.eye(3), atol=1e-12)
 
 
 def antenna_position(p, q, arm):
@@ -133,7 +98,7 @@ def test_quat_to_matrix_rounds_as_entry_formulas():
     rng = np.random.default_rng(13)
     q = rng.normal(size=(500, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    yaw_only = np.array([yaw_quat(y) for y in rng.uniform(-4.0, 4.0, 500)])
+    yaw_only = yaw_quat(rng.uniform(-4.0, 4.0, 500))
     for batch in (q, yaw_only):
         assert np.array_equal(quat_to_matrix(batch), np.array([entries(v) for v in batch]))
         assert np.array_equal(quat_to_matrix(batch[7]), entries(batch[7]))
@@ -200,17 +165,35 @@ def test_wrap_angle_idempotent():
 
 
 def test_transform_wraps_theta():
-    T = Transform4DoF(t=np.zeros(3), theta=-math.pi)
-    assert T.theta == pytest.approx(-math.pi)
-    T2 = Transform4DoF(t=np.zeros(3), theta=math.pi)
-    assert T2.theta == pytest.approx(-math.pi)
+    # a transform row's heading is wrapped by wrap_angle: into [-pi, pi),
+    # bit for bit as Python's float % wraps one heading, and a wrapped
+    # heading keeps its bits when wrapped again
+    assert float(wrap_angle(-math.pi)) == pytest.approx(-math.pi)
+    assert float(wrap_angle(math.pi)) == pytest.approx(-math.pi)
+    rng = np.random.default_rng(14)
+    xs = np.concatenate([rng.uniform(-20.0, 20.0, 500), rng.uniform(-1e-15, 1e-15, 50), [0.0, 5e-324, -5e-324, 1e300]])
+    w = wrap_angle(xs)
+    assert w.tolist() == [(x + math.pi) % TWO_PI - math.pi for x in xs.tolist()]
+    assert wrap_angle(w).tobytes() == w.tobytes()
+    assert np.all(w >= -math.pi) and np.all(w < math.pi)
+
+
+def test_yaw_quat_is_a_heading_only_attitude():
+    # (0, 0, sin(yaw / 2), cos(yaw / 2)) for an array of yaws, and its rotation is the heading's
+    yaws = np.random.default_rng(15).uniform(-4.0, 4.0, (2, 5))
+    q = yaw_quat(yaws)
+    assert q.shape == (2, 5, 4) and not q[..., :2].any()
+    assert np.array_equal(q[..., 2], np.sin(0.5 * yaws)) and np.array_equal(q[..., 3], np.cos(0.5 * yaws))
+    for y, R in zip(yaws.ravel().tolist(), quat_to_matrix(q).reshape(-1, 3, 3)):
+        assert np.allclose(R, yaw_rotation(y), atol=1e-15)
+    assert yaw_quat(0.0).tolist() == [0.0, 0.0, 0.0, 1.0]
 
 
 def test_pose_rejects_bad_quaternion():
     with pytest.raises(ValueError):
         odometry_log([0.0], np.zeros((1, 3)), [0.0, 0.0, 0.0, 1.1])
-    # and a translation or a lever arm that is not a 3-vector
-    with pytest.raises(ValueError, match=r"translation must have shape \(3,\), got \(2,\)"):
-        Transform4DoF(t=[1.0, 2.0], theta=0.0)
+    # and a lever arm that is not a finite 3-vector
+    with pytest.raises(ValueError, match="lever arm must be finite"):
+        LeverArm([0.0, math.nan, 0.0])
     with pytest.raises(ValueError, match=r"lever arm must have shape \(3,\), got \(1, 3\)"):
         LeverArm(np.zeros((1, 3)))

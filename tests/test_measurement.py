@@ -8,7 +8,6 @@ from one_problem import model_ranges
 
 from range_rte.geometry import (
     LeverArm,
-    Transform4DoF,
     quat_to_matrix,
     yaw_quat,
 )
@@ -282,10 +281,10 @@ class TestDebias:
 
 
 
-def moving_dataset(n=200, sigma_r=0.1, seed=0, T=None):
+def moving_dataset(n=200, sigma_r=0.1, seed=0):
     """Random-walk agents with noisy ranges under a fixed transform."""
     rng = np.random.default_rng(seed)
-    T = T or Transform4DoF(t=[4.0, -2.0, 1.0], theta=0.7)
+    T = np.array([4.0, -2.0, 1.0, 0.7])
     pa = np.cumsum(rng.normal(0.0, 0.3, size=(n, 3)), axis=0)
     pb = np.cumsum(rng.normal(0.0, 0.3, size=(n, 3)), axis=0)
     d = model_ranges(T, pa, pb) + sigma_r * rng.standard_normal(n)
@@ -304,7 +303,7 @@ class TestRangeRateGate:
         rng = np.random.default_rng(seed)
         pa = np.cumsum(rng.normal(0.0, step, size=(30, 3)), axis=0)
         pb = np.cumsum(rng.normal(0.0, step, size=(30, 3)), axis=0)
-        d = np.maximum(model_ranges(Transform4DoF(t=t, theta=theta), pa, pb), 1e-6)
+        d = np.maximum(model_ranges(np.array([*t, theta]), pa, pb), 1e-6)
         ds = make_dataset(pa, pb, d, sigma_r=1e-9)
         assert not range_rate_outliers(ds).any()
 
@@ -458,6 +457,13 @@ class TestSyncedStack:
         fields[name] = value if name == "sigma_r" else np.asarray(value, dtype=float)
         with pytest.raises(ValueError):
             SyncedStack(**fields)
+
+    def test_stack_of_zero_problems_rejected(self):
+        # every estimator once failed on it with an error that named nothing:
+        # "not enough values to unpack", "cannot reshape array of size 0", ZeroDivisionError
+        for d0 in (None, np.zeros(0)):
+            with pytest.raises(ValueError, match="a stack needs at least one problem, got W = 0"):
+                SyncedStack(d=np.ones((0, 4)), pa=np.zeros((0, 4, 3)), pb=np.ones((0, 4, 3)), sigma_r=0.1, d0=d0)
 
 
 def test_range_log_rejects_an_infinite_range():

@@ -16,7 +16,7 @@ from walk_reference import generate_trajectory as reference_walk
 from range_rte import simulation
 from range_rte.estimators import ESTIMATORS, DegenerateSolutionError, assemble_qcqp
 from range_rte.fisher import det_fim_geometric, fim, range_model
-from range_rte.geometry import LeverArm, Transform4DoF, quat_to_matrix, wrap_angle, yaw_quat
+from range_rte.geometry import LeverArm, quat_to_matrix, wrap_angle, yaw_quat
 from range_rte.measurement import LARGEST_RANGE, SIGMA_R_FLOOR
 from range_rte.simulation import (
     LARGEST_LENGTH,
@@ -30,7 +30,6 @@ from range_rte.simulation import (
     drift_scenario,
     generate_trajectory,
     monte_carlo_run,
-    sample_ground_truth,
     singular_scenario,
     synthesize_measurements,
     trial_data,
@@ -38,30 +37,38 @@ from range_rte.simulation import (
 )
 
 
+def ground_truth(d0, rng):
+    """One truth draw as a trial takes it: the row [t_x, t_y, t_z, theta]
+    of `_truth`, its heading wrapped."""
+    t, theta = simulation._truth(d0, rng)
+    return np.append(t, wrap_angle(theta))
+
+
 def synthesize_one(T, traj_a, traj_b, cfg, rng):
-    """`synthesize_measurements` on one trial: a stack of one."""
+    """`synthesize_measurements` on one trial at the truth row T: a stack of one."""
     one = [(p[None], yaw[None]) for p, yaw in (traj_a, traj_b)]
-    return synthesize_measurements((T.t[None], np.array([T.theta])), *one, cfg, [rng])
+    return synthesize_measurements((T[None, :3], T[None, 3]), *one, cfg, [rng])
 
 
 class TestGroundTruth:
     def test_norm_exact(self):
         rng = trial_rng(0, 0)
         for d0 in (0.5, 3.0, 50.0):
-            T = sample_ground_truth(d0, rng)
-            assert np.linalg.norm(T.t) == pytest.approx(d0, abs=1e-12)
+            T = ground_truth(d0, rng)
+            assert np.linalg.norm(T[:3]) == pytest.approx(d0, abs=1e-12)
+        # the d0 of a truth is checked where it enters, in the config
         for d0 in (0.0, -1.0):
             with pytest.raises(ValueError, match="d0 must be positive"):
-                sample_ground_truth(d0, rng)
+                ScenarioConfig(d0=d0)
 
     def test_direction_uniformity(self):
         rng = trial_rng(1, 0)
-        pts = np.array([sample_ground_truth(1.0, rng).t for _ in range(100_000)])
+        pts = np.array([ground_truth(1.0, rng)[:3] for _ in range(100_000)])
         assert np.all(np.abs(pts.mean(axis=0)) < 0.02)
 
     def test_heading_uniform_chi2(self):
         rng = trial_rng(2, 0)
-        thetas = np.array([sample_ground_truth(1.0, rng).theta for _ in range(100_000)])
+        thetas = np.array([ground_truth(1.0, rng)[3] for _ in range(100_000)])
         counts, _ = np.histogram(thetas, bins=20, range=(-math.pi, math.pi))
         expected = len(thetas) / 20
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
@@ -144,10 +151,10 @@ class TestArraysEqualPerStepReference:
     def test_trajectory_and_antenna_positions(self, seed):
         arms = (LeverArm([-0.02, 0.1, -0.05]), LeverArm([-0.05, 0.15, -0.15]))
         cfg = ScenarioConfig(n_poses=40, sigma_r=0.1, sigma_o=0.01, trials=1, seed=seed, lever_arms=arms)
-        T, ds = trial_data(cfg, 0)
+        (t, theta), ds = trial_data(cfg, 0)
         rng = trial_rng(seed, 0)
-        T_ref = sample_ground_truth(cfg.d0, rng)
-        assert np.array_equal(T_ref.t, T.t) and T_ref.theta == T.theta
+        T = ground_truth(cfg.d0, rng)
+        assert np.array_equal(T[:3], t) and T[3] == theta
         ta, tb = (reference_trajectory(cfg.D, cfg.n_poses, rng) for _ in range(2))
         pa = np.array([p + quat_to_matrix(q) @ arms[0].r for p, q in ta])
         pb = np.array([p + quat_to_matrix(q) @ arms[1].r for p, q in tb])
@@ -160,12 +167,13 @@ class TestArraysEqualPerStepReference:
     def test_drift_truth_series(self, seed):
         cfg = DriftConfig(d0=15.0, seed=seed, sigma_t=0.1, sigma_theta=0.1)
         n, dt = 500, 0.04
-        T0, t, theta = _drift_truth_series(cfg, n, dt, trial_rng(seed, 0))
+        t, theta = _drift_truth_series(cfg, n, dt, trial_rng(seed, 0))
         rng = trial_rng(seed, 0)
-        T_ref = sample_ground_truth(cfg.d0, rng)
-        assert np.array_equal(T_ref.t, T0.t) and T_ref.theta == T0.theta
+        T0 = ground_truth(cfg.d0, rng)
+        # row 0 is the initial transform, bit for bit
+        assert np.array_equal(T0[:3], t[0]) and T0[3] == theta[0]
         # both walks summed step by step; the heading is wrapped once, after the sum
-        ref_t, ref_theta, tk, th = [], [], T0.t.copy(), T0.theta
+        ref_t, ref_theta, tk, th = [], [], T0[:3].copy(), T0[3]
         for _ in range(n):
             ref_t.append(tk)
             ref_theta.append(float(wrap_angle(th)))
@@ -178,7 +186,7 @@ class TestSynthesize:
     def test_zero_noise_exact(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=15, sigma_r=0.0, sigma_o=0.0, trials=1, seed=7)
         rng = trial_rng(7, 0)
-        T = sample_ground_truth(cfg.d0, rng)
+        T = ground_truth(cfg.d0, rng)
         ta = generate_trajectory(cfg.D, cfg.n_poses, rng)
         tb = generate_trajectory(cfg.D, cfg.n_poses, rng)
         one = synthesize_one(T, ta, tb, cfg, rng)
@@ -195,7 +203,7 @@ class TestSynthesize:
     def test_range_noise_level(self):
         cfg = ScenarioConfig(d0=5.0, D=0.001, n_poses=10_000, sigma_r=0.1, sigma_o=0.0, trials=1, seed=8)
         rng = trial_rng(8, 0)
-        T = sample_ground_truth(cfg.d0, rng)
+        T = ground_truth(cfg.d0, rng)
         ta = generate_trajectory(cfg.D, cfg.n_poses, rng)
         tb = generate_trajectory(cfg.D, cfg.n_poses, rng)
         one = synthesize_one(T, ta, tb, cfg, rng)
@@ -211,10 +219,10 @@ class TestSynthesize:
             d0=3.0, D=1.0, n_poses=20, sigma_r=0.0, sigma_o=0.0, trials=1, seed=9, lever_arms=arms
         )
         rng0, rng1 = trial_rng(9, 0), trial_rng(9, 0)
-        T = sample_ground_truth(3.0, rng0)
+        T = ground_truth(3.0, rng0)
         ta = generate_trajectory(1.0, 20, rng0)
         tb = generate_trajectory(1.0, 20, rng0)
-        _ = sample_ground_truth(3.0, rng1)  # keep streams aligned
+        ground_truth(3.0, rng1)  # keep streams aligned
         ta1 = generate_trajectory(1.0, 20, rng1)
         tb1 = generate_trajectory(1.0, 20, rng1)
         d_plain = synthesize_one(T, ta, tb, cfg0, rng0).d
@@ -262,35 +270,35 @@ class TestSingularScenarios:
     def test_rank_deficient_noiseless(self, kind):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=20, sigma_r=0.0, sigma_o=0.0, trials=1, seed=0)
         for i in range(5):
-            T, ds = singular_scenario(kind, cfg, trial_rng(20, i))
-            assert dataset_fim(T, ds).rank[0] < 4
+            truth, ds = singular_scenario(kind, cfg, trial_rng(20, i))
+            assert dataset_fim(np.append(*truth), ds).rank[0] < 4
 
     def test_parallel_determinant_zero(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=12, sigma_r=0.1, sigma_o=0.0, trials=1, seed=0)
-        T, ds = singular_scenario("parallel", cfg, trial_rng(21, 0))
-        Tn, obs = trial_data(ScenarioConfig(d0=3.0, D=1.0, n_poses=12, sigma_r=0.1, sigma_o=0.0, trials=1, seed=3), 0)
-        baseline = det_fim_geometric(Tn, obs)
-        assert det_fim_geometric(T, ds) <= 1e-10 * baseline
+        truth, ds = singular_scenario("parallel", cfg, trial_rng(21, 0))
+        regular, obs = trial_data(ScenarioConfig(d0=3.0, D=1.0, n_poses=12, sigma_r=0.1, sigma_o=0.0, trials=1, seed=3), 0)
+        baseline = det_fim_geometric(*regular, obs)
+        assert det_fim_geometric(*truth, ds) <= 1e-10 * baseline
 
     def test_static_target_phi_zero(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=12, sigma_r=0.1, sigma_o=0.0, trials=1, seed=0)
-        T, ds = singular_scenario("static_target", cfg, trial_rng(22, 0))
-        J = dataset_jacobian(T, ds)
+        truth, ds = singular_scenario("static_target", cfg, trial_rng(22, 0))
+        J = dataset_jacobian(np.append(*truth), ds)
         assert np.allclose(J[:, 3], 0.0, atol=1e-12)
 
     def test_static_host_rank(self):
         cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=20, sigma_r=0.0, sigma_o=0.0, trials=1, seed=0)
-        T, ds = singular_scenario("static_host", cfg, trial_rng(23, 0))
-        assert dataset_fim(T, ds).rank[0] < 4
+        truth, ds = singular_scenario("static_host", cfg, trial_rng(23, 0))
+        assert dataset_fim(np.append(*truth), ds).rank[0] < 4
 
     def test_flags_persist_as_k_grows(self):
         # near-singular data: flagged parameters stay flagged as more
         # measurements arrive (no information accumulates for them)
         base = ScenarioConfig(d0=3.0, D=1.0, n_poses=60, sigma_r=0.1, sigma_o=1e-6, trials=1, seed=0)
-        T, ds = singular_scenario("static_target", base, trial_rng(24, 0))
+        (t, theta), ds = singular_scenario("static_target", base, trial_rng(24, 0))
         stack = ds.stack()  # d0 is the first range, no extra row
         for k in (20, 40, 60):
-            rep = fim(T.t[None], np.array([T.theta]), stack.pa[:, :k], stack.pb[:, :k], stack.sigma_r)
+            rep = fim(t[None], np.array([theta]), stack.pa[:, :k], stack.pb[:, :k], stack.sigma_r)
             assert rep.unobservable.tolist()[0][3] is True
 
     def test_unknown_kind_rejected(self):
@@ -304,8 +312,8 @@ class TestFarField:
         # well separated agents: the largest angle between relative
         # position vectors obeys sin(alpha_max) ~ D / d0
         cfg = ScenarioConfig(d0=40.0, D=2.0, n_poses=30, sigma_r=0.0, sigma_o=0.0, trials=1, seed=11)
-        T, ds = trial_data(cfg, 0)
-        U = dataset_jacobian(T, ds)[:, :3]
+        truth, ds = trial_data(cfg, 0)
+        U = dataset_jacobian(np.append(*truth), ds)[:, :3]
         worst = 0.0
         for i in range(len(ds)):
             for j in range(i + 1, len(ds)):
@@ -424,11 +432,12 @@ def reference_cell(cfg, estimator):
     trial: the estimator on each trial alone and the FIM at its truth."""
     rows, failures = [], []
     for i in range(cfg.trials):
-        T, ds = simulation.trial_data(cfg, i)
+        truth, ds = simulation.trial_data(cfg, i)
+        T = np.append(*truth)
         bound = dataset_fim(T, ds)
         try:
-            T_hat = ESTIMATORS[estimator](ds).theta_hat
-            errs = float(np.linalg.norm(T_hat.t - T.t)), abs(float(wrap_angle(T_hat.theta - T.theta)))
+            T_hat = ESTIMATORS[estimator](ds).estimate
+            errs = float(np.linalg.norm(T_hat[:3] - T[:3])), abs(float(wrap_angle(T_hat[3] - T[3])))
         except Exception as exc:  # noqa: BLE001 - the loop records failures as monte_carlo_run does
             errs = math.nan, math.nan
             failures.append(f"trial {i}: {type(exc).__name__}: {exc}")
@@ -510,7 +519,7 @@ class TestStackedCell:
         assert not errors
         for i in range(trials):
             ref = ESTIMATORS["nls"](trial_data(cfg, i)[1])
-            assert estimates[i].tobytes() == ref.theta_hat.as_vector().tobytes(), i
+            assert estimates[i].tobytes() == ref.estimate.tobytes(), i
             solver = {"method": "nls", **{name: values.tolist()[i] for name, values in scalars.items()}}
             assert {**solver, "wall_ms": 0} == {**ref.solver, "wall_ms": 0}, i
 
@@ -531,8 +540,8 @@ def test_cell_rows_equal_single_trials(cell):
     (t, theta), stack = trial_data(cfg, range(cfg.trials))
     assert (stack.d0 is not None) == ("lever_arms" not in cell)
     for i in range(cfg.trials):
-        T, ds = trial_data(cfg, i)
-        assert T.t.tobytes() == t[i].tobytes() and T.theta == theta[i]
+        (t_i, theta_i), ds = trial_data(cfg, i)
+        assert t_i.tobytes() == t[i].tobytes() and theta_i == theta[i]
         assert ds.t.tobytes() == np.arange(float(cfg.n_poses)).tobytes() and ds.sigma_r == stack.sigma_r
         for got, want in ((stack.d[i], ds.d), (stack.pa[i], ds.pa), (stack.pb[i], ds.pb)):
             assert got.tobytes() == want.tobytes()
@@ -557,9 +566,9 @@ DIGEST_CELLS = {
 
 
 def trial_digest(seed, trial, cell):
-    T, ds = trial_data(ScenarioConfig(**DIGEST_CELLS[cell], trials=trial + 1, seed=seed), trial)
+    (t, theta), ds = trial_data(ScenarioConfig(**DIGEST_CELLS[cell], trials=trial + 1, seed=seed), trial)
     h = hashlib.sha256()
-    for a in (T.t, [T.theta], ds.d, ds.pa, ds.pb):
+    for a in (t, [theta], ds.d, ds.pa, ds.pb):
         h.update(np.asarray(a, dtype=np.float32).tobytes())
     return h.hexdigest()[:16]
 
@@ -734,8 +743,8 @@ def test_lengths_at_the_bound_are_synthesized(monkeypatch):
 
 def test_dataset_determinism_bitwise():
     cfg = ScenarioConfig(d0=3.0, D=1.0, n_poses=20, sigma_r=0.1, sigma_o=0.001, trials=1, seed=18)
-    T1, d1 = trial_data(cfg, 4)
-    T2, d2 = trial_data(cfg, 4)
-    assert np.array_equal(T1.t, T2.t) and T1.theta == T2.theta
+    (t1, theta1), d1 = trial_data(cfg, 4)
+    (t2, theta2), d2 = trial_data(cfg, 4)
+    assert np.array_equal(t1, t2) and theta1 == theta2
     assert np.array_equal(d1.d, d2.d)
     assert np.array_equal(d1.pa, d2.pa)
